@@ -14,8 +14,8 @@ namespace {
 /**
  * Endpoint budget of the interval bound: candidate window starts/ends
  * are sampled down to this many values per side. Any subset of windows
- * yields a sound bound; 64x64 keeps the scan linear-ish in the op count
- * while in practice covering the congested windows (levels cluster).
+ * yields a sound bound; the budget caps the window scan at 64x64 while
+ * in practice covering the congested windows (levels cluster).
  */
 constexpr size_t maxIntervalEndpoints = 64;
 
@@ -95,25 +95,35 @@ intervalBound(const DepDag &dag, const Module &mod, uint64_t cp,
     starts = sampleEndpoints(starts, maxIntervalEndpoints);
     finishes = sampleEndpoints(finishes, maxIntervalEndpoints);
 
+    // Bucket each op once: by the first sampled finish that covers it
+    // (rounding up to a later finish only *widens* the window it is
+    // counted in — still sound) and by the last sampled start at or
+    // before its own. The op lies past window start starts[s] exactly
+    // when its start bucket is >= s, so sweeping the starts from latest
+    // to earliest and folding in one bucket row per start yields each
+    // start's per-finish load; the prefix sum then gives the load of
+    // every window [a, b).
+    const size_t num_finishes = finishes.size();
+    std::vector<uint64_t> table(starts.size() * num_finishes, 0);
+    for (size_t i = 0; i < n; ++i) {
+        size_t finish_bucket =
+            std::lower_bound(finishes.begin(), finishes.end(), lf[i]) -
+            finishes.begin();
+        size_t start_bucket =
+            std::upper_bound(starts.begin(), starts.end(), es[i]) -
+            starts.begin() - 1;
+        uint64_t &cell = table[start_bucket * num_finishes + finish_bucket];
+        cell = satAdd(cell, mod.op(i).operands.size());
+    }
+
     uint64_t max_excess = 0;
-    std::vector<uint64_t> load(finishes.size());
-    for (uint64_t a : starts) {
-        std::fill(load.begin(), load.end(), 0);
-        // Bucket each op contained past `a` by the first sampled finish
-        // that covers it; the prefix sum then gives the load of every
-        // window [a, b). Rounding an op up to a later sampled finish
-        // only *widens* the window it is counted in — still sound.
-        for (size_t i = 0; i < n; ++i) {
-            if (es[i] < a)
-                continue;
-            size_t bucket = std::lower_bound(finishes.begin(),
-                                             finishes.end(), lf[i]) -
-                            finishes.begin();
-            load[bucket] =
-                satAdd(load[bucket], mod.op(i).operands.size());
-        }
+    std::vector<uint64_t> load(num_finishes, 0);
+    for (size_t s = starts.size(); s-- > 0;) {
+        const uint64_t a = starts[s];
+        for (size_t j = 0; j < num_finishes; ++j)
+            load[j] = satAdd(load[j], table[s * num_finishes + j]);
         uint64_t running = 0;
-        for (size_t j = 0; j < finishes.size(); ++j) {
+        for (size_t j = 0; j < num_finishes; ++j) {
             running = satAdd(running, load[j]);
             const uint64_t b = finishes[j];
             if (b <= a)

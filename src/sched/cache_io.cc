@@ -209,8 +209,8 @@ validateBuffer(const ScheduleBuffer &buf, uint64_t op_count)
         return false;
 
     // Op indices must land inside the module the entry claims to be
-    // for (opCount is the rebind collision guard; 0 in legacy test
-    // fixtures, where an empty op stream is the only valid content).
+    // for (opCount is the rebind collision guard, so an entry for a
+    // 0-op module may carry no ops at all).
     for (uint32_t op : buf.ops)
         if (op >= op_count)
             return false;
@@ -462,15 +462,7 @@ deserializeLeafResult(const uint8_t *data, size_t size,
 
     if (!r.ok || r.pos != r.size || !valid)
         return nullptr;
-    // Legacy fixtures (opCount == 0) carry no guard; their op stream
-    // must then be validated against itself only when non-empty.
-    uint64_t opGuard = result->opCount;
-    if (opGuard == 0 && !buf->ops.empty()) {
-        opGuard = 0;
-        for (uint32_t op : buf->ops)
-            opGuard = std::max<uint64_t>(opGuard, uint64_t(op) + 1);
-    }
-    if (!validateBuffer(*buf, opGuard))
+    if (!validateBuffer(*buf, result->opCount))
         return nullptr;
     result->schedule = std::move(buf);
     return result;

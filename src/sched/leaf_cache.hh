@@ -103,8 +103,8 @@ struct LeafScheduleResult
      * (the key embeds them); for entries loaded from disk they are an
      * independent copy carried in the entry payload, so a forged or
      * collided key can never silently rebind a wrong schedule
-     * (DiagCode::CacheRebindRejected). 0/0 only in hand-built test
-     * fixtures that predate persistence; the guard skips those.
+     * (DiagCode::CacheRebindRejected). A 0/0 result belongs to an
+     * empty module and rebinds to nothing else.
      */
     uint64_t opCount = 0;
     uint64_t qubitCount = 0;
@@ -113,8 +113,6 @@ struct LeafScheduleResult
     bool
     matchesModule(uint64_t ops, uint64_t qubits) const
     {
-        if (opCount == 0 && qubitCount == 0)
-            return true; // legacy fixture without guard fields
         return opCount == ops && qubitCount == qubits;
     }
 

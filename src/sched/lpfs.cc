@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <vector>
 
 #include "ir/dag.hh"
 #include "support/logging.hh"
@@ -45,7 +46,10 @@ struct LpfsState
     /** Operand qubits each region touched in the previous timestep;
      * used to keep a region working on the same serial chain. */
     std::vector<std::vector<QubitId>> lastQubits;
-    std::deque<uint32_t> ready; ///< FIFO free/ready list
+    /** Free/ready list in release order. Holds only unscheduled ops
+     * at the start of every step: endOfStep() compacts out what the
+     * step committed. */
+    std::vector<uint32_t> ready;
     /** Ops committed this timestep; their successors are released only
      * at the end of the step so dependent ops never share a timestep
      * with their predecessor. */
@@ -171,16 +175,20 @@ struct LpfsState
     }
 
     /**
-     * Release the successors of everything committed this timestep, in
-     * canonical op-index order. The FIFO then holds ops ordered by
-     * (release step, op index) — a pure function of the module content —
-     * so every first-seen tie-break over `ready` (pickForRegion,
-     * nextLongestPath, fillWithType) is canonical too, never an
-     * artifact of the region-commit order within the step.
+     * Drop everything committed this timestep from the ready list, then
+     * release its successors in canonical op-index order. The list then
+     * holds exactly the live ops ordered by (release step, op index) — a
+     * pure function of the module content — so every first-seen
+     * tie-break over `ready` (pickForRegion, nextLongestPath,
+     * fillWithType) is canonical too, never an artifact of the
+     * region-commit order within the step.
      */
     void
     endOfStep()
     {
+        auto committed = [&](uint32_t op) { return scheduled[op]; };
+        ready.erase(std::remove_if(ready.begin(), ready.end(), committed),
+                    ready.end());
         releaseBatch.clear();
         for (uint32_t op : committedThisStep) {
             for (uint32_t succ : dag.succs(op)) {
@@ -194,32 +202,18 @@ struct LpfsState
         committedThisStep.clear();
     }
 
-    /** Drop scheduled / stale entries from the front of the ready list. */
-    void
-    pruneReady()
-    {
-        while (!ready.empty() && scheduled[ready.front()])
-            ready.pop_front();
-    }
-
     /**
      * Fill @p slot with ready free-list (non-path) ops of @p kind that
      * the affinity rules allow into @p region, until the qubit budget
-     * runs out. Entries are taken in FIFO order.
-     *
-     * commit() appends newly readied successors to the deque, so we
-     * iterate the pre-call prefix by index (deque indices stay valid
-     * across push_back); scheduled entries are skipped lazily and
-     * reclaimed by pruneReady().
+     * runs out. Entries are taken in release order; ops committed
+     * earlier in this step are skipped.
      */
     void
     fillWithType(ScheduleBuilder::DraftSlot &slot, GateKind kind,
                  uint64_t &budget, unsigned region, int64_t adopted = -1)
     {
         slot.kind = kind;
-        size_t prefix = ready.size();
-        for (size_t i = 0; i < prefix; ++i) {
-            uint32_t op = ready[i];
+        for (uint32_t op : ready) {
             if (scheduled[op] || onPath[op] || mod.op(op).kind != kind)
                 continue;
             if (static_cast<int64_t>(op) != adopted &&
@@ -364,7 +358,6 @@ LpfsScheduler::schedule(const Module &mod, const MultiSimdArch &arch) const
         // Progress guarantee: if every path head stalled and no free op
         // was available, force the first ready op through.
         if (!placed_any) {
-            st.pruneReady();
             int64_t any = -1;
             for (uint32_t op : st.ready) {
                 if (st.isReady(op)) {
@@ -396,10 +389,9 @@ LpfsScheduler::schedule(const Module &mod, const MultiSimdArch &arch) const
             }
         }
         for (uint32_t op : st.ready)
-            if (!st.scheduled[op] && !st.onPath[op])
+            if (!st.onPath[op])
                 ++st.age[op];
 
-        st.pruneReady();
         builder.endStep();
     }
 

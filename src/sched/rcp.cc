@@ -23,8 +23,10 @@ struct RcpState
     const Module &mod;
     const MultiSimdArch &arch;
     DepDag dag;
-    std::vector<int64_t> dynSlack;     ///< decays while an op waits ready
+    std::vector<uint64_t> staticSlack; ///< DepDag::slack(); see slack()
+    uint64_t stepsElapsed = 0;         ///< timesteps completed so far
     std::vector<uint32_t> pendingPreds;
+    std::vector<bool> scheduled; ///< placed in some region already
     /** Ready ops, kept sorted by op index: every tie in the weight scan
      * and the candidate sort below resolves to the lowest op index, so
      * the schedule is a canonical function of the module content with
@@ -35,15 +37,28 @@ struct RcpState
 
     RcpState(const Module &mod, const MultiSimdArch &arch)
         : mod(mod), arch(arch), dag(DepDag::build(mod)),
+          staticSlack(dag.slack()), scheduled(mod.numOps(), false),
           qubitRegion(mod.numQubits(), inMemory)
     {
-        auto static_slack = dag.slack();
-        dynSlack.assign(static_slack.begin(), static_slack.end());
         pendingPreds.resize(dag.numNodes());
         for (uint32_t i = 0; i < dag.numNodes(); ++i)
             pendingPreds[i] = static_cast<uint32_t>(dag.preds(i).size());
         for (uint32_t root : dag.roots())
             pushReady(root); // roots() is ascending; ready starts sorted
+    }
+
+    /**
+     * Dynamic slack of @p op (Algorithm 1's updateRcpq): every op's
+     * slack drops by one per completed timestep, floored at zero, so
+     * the decayed value is a closed form of the step count. The floor
+     * matters: ops at zero tie and fall through to the op-index
+     * tie-break of the candidate sort.
+     */
+    uint64_t
+    slack(uint32_t op) const
+    {
+        uint64_t s = staticSlack[op];
+        return s > stepsElapsed ? s - stepsElapsed : 0;
     }
 
     void
@@ -110,8 +125,7 @@ RcpScheduler::schedule(const Module &mod, const MultiSimdArch &arch) const
                 double base =
                     weights.op *
                         static_cast<double>(st.readyCount[kind_index]) -
-                    weights.slack *
-                        static_cast<double>(st.dynSlack[op_index]);
+                    weights.slack * static_cast<double>(st.slack(op_index));
                 // Preferred region: one that already holds an operand.
                 int preferred = -1;
                 for (QubitId q : op.operands) {
@@ -158,8 +172,10 @@ RcpScheduler::schedule(const Module &mod, const MultiSimdArch &arch) const
                     bool b_in = st.inPlace(b, r_unsigned);
                     if (a_in != b_in)
                         return a_in;
-                    if (st.dynSlack[a] != st.dynSlack[b])
-                        return st.dynSlack[a] < st.dynSlack[b];
+                    uint64_t a_slack = st.slack(a);
+                    uint64_t b_slack = st.slack(b);
+                    if (a_slack != b_slack)
+                        return a_slack < b_slack;
                     return a < b; // explicit op-index tie-break
                 });
 
@@ -178,14 +194,19 @@ RcpScheduler::schedule(const Module &mod, const MultiSimdArch &arch) const
                 panic("RCP: selected region accepted no operations");
 
             // Retire the region and drop scheduled ops from the ready
-            // list.
+            // list in one order-preserving pass.
             region_used[r_unsigned] = true;
             --regions_left;
-            for (uint32_t op_index : slot.ops) {
-                st.ready.erase(std::find(st.ready.begin(), st.ready.end(),
-                                         op_index));
-                --st.readyCount[static_cast<size_t>(best_kind)];
-            }
+            for (uint32_t op_index : slot.ops)
+                st.scheduled[op_index] = true;
+            st.readyCount[static_cast<size_t>(best_kind)] -=
+                static_cast<uint32_t>(slot.ops.size());
+            auto taken = [&](uint32_t op_index) {
+                return st.scheduled[op_index];
+            };
+            st.ready.erase(
+                std::remove_if(st.ready.begin(), st.ready.end(), taken),
+                st.ready.end());
         }
 
         // updateRcpq: operand qubits now live in their regions; newly
@@ -196,15 +217,10 @@ RcpScheduler::schedule(const Module &mod, const MultiSimdArch &arch) const
                 for (QubitId q : st.mod.op(op_index).operands)
                     st.qubitRegion[q] = static_cast<int>(r);
         }
-        for (int64_t &slack : st.dynSlack) {
-            // Only ops still waiting matter; decrementing all is harmless
-            // and cheaper than tracking membership.
-            if (slack > 0)
-                --slack;
-        }
+        ++st.stepsElapsed; // decays every op's slack()
         // Release in canonical op-index order and merge into the sorted
-        // ready list (erase above preserved its order), not in the
-        // incidental region-commit order of this step.
+        // ready list (the compaction above preserved its order), not in
+        // the incidental region-commit order of this step.
         released.clear();
         for (uint32_t op_index : scheduled_now) {
             for (uint32_t succ : st.dag.succs(op_index)) {

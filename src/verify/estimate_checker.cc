@@ -52,6 +52,8 @@ makeLeafSummaryFn(const MultiSimdArch &arch,
         result->bounds = computeLeafBounds(mod, arch);
         result->summary = summarizeLeafSchedule(sched, arch);
         result->schedule = sched.sharedBuffer();
+        result->opCount = mod.numOps();
+        result->qubitCount = mod.numQubits();
         return cache->insert(key, std::move(result))->summary;
     };
 }

@@ -11,17 +11,28 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "analysis/bounds.hh"
 #include "analysis/invocation_counts.hh"
+#include "core/toolflow.hh"
+#include "ir/dag.hh"
+#include "passes/decompose_toffoli.hh"
+#include "passes/flatten.hh"
+#include "passes/pass_manager.hh"
+#include "passes/rotation_decomposer.hh"
 #include "sched/coarse.hh"
 #include "sched/leaf_cache.hh"
 #include "sched/lpfs.hh"
 #include "sched/rcp.hh"
 #include "support/diagnostic.hh"
+#include "support/rng.hh"
+#include "support/saturate.hh"
 #include "verify/bound_checker.hh"
+#include "workloads/workloads.hh"
 
 namespace {
 
@@ -200,6 +211,173 @@ TEST(LeafBounds, NonIncreasingInWidth)
                              .composite();
         EXPECT_LE(bound, previous) << "width " << k;
         previous = bound;
+    }
+}
+
+// ---------------------------------------------------------------------
+// The interval bound against a direct per-start reference.
+// ---------------------------------------------------------------------
+
+/** Sampling budget of the interval bound (bounds.cc). */
+constexpr size_t referenceEndpoints = 64;
+
+std::vector<uint64_t>
+referenceSample(const std::vector<uint64_t> &values)
+{
+    if (values.size() <= referenceEndpoints)
+        return values;
+    std::vector<uint64_t> out;
+    for (size_t i = 0; i < referenceEndpoints; ++i) {
+        size_t index = i * (values.size() - 1) / (referenceEndpoints - 1);
+        if (out.empty() || out.back() != values[index])
+            out.push_back(values[index]);
+    }
+    return out;
+}
+
+/**
+ * The leaf bounds computed the straightforward way: for every sampled
+ * window start, re-bucket every op contained past it by its sampled
+ * finish and scan the prefix loads. Quadratic in the sample budget
+ * times the op count; the library must agree with it exactly.
+ */
+MakespanBounds
+referenceLeafBounds(const Module &mod, const MultiSimdArch &arch)
+{
+    MakespanBounds bounds;
+    if (mod.numOps() == 0)
+        return bounds;
+    DepDag dag = DepDag::build(mod);
+    const uint64_t cp = dag.criticalPathLength();
+    bounds.criticalPath = cp;
+
+    uint64_t touches = 0;
+    for (const auto &op : mod.ops())
+        touches += op.operands.size();
+    const uint64_t cap = std::max<uint64_t>(
+        std::min<uint64_t>(satMul(arch.k, arch.d), mod.numQubits()), 1);
+    bounds.resource = satCeilDiv(touches, cap);
+
+    const size_t n = dag.numNodes();
+    auto depth = dag.depthFromTop();
+    auto height = dag.heightToBottom();
+    std::vector<uint64_t> es(n), lf(n), starts(n), finishes(n);
+    for (size_t i = 0; i < n; ++i) {
+        starts[i] = es[i] = depth[i] - 1;
+        finishes[i] = lf[i] = cp - height[i] + 1;
+    }
+    for (auto *values : {&starts, &finishes}) {
+        std::sort(values->begin(), values->end());
+        values->erase(std::unique(values->begin(), values->end()),
+                      values->end());
+        *values = referenceSample(*values);
+    }
+
+    uint64_t max_excess = 0;
+    for (uint64_t a : starts) {
+        std::vector<uint64_t> load(finishes.size(), 0);
+        for (size_t i = 0; i < n; ++i) {
+            if (es[i] < a)
+                continue;
+            size_t bucket = std::lower_bound(finishes.begin(),
+                                             finishes.end(), lf[i]) -
+                            finishes.begin();
+            load[bucket] += mod.op(i).operands.size();
+        }
+        uint64_t running = 0;
+        for (size_t j = 0; j < finishes.size(); ++j) {
+            running += load[j];
+            if (finishes[j] <= a)
+                continue;
+            uint64_t steps = satCeilDiv(running, cap);
+            uint64_t span = finishes[j] - a;
+            if (steps > span)
+                max_excess = std::max(max_excess, steps - span);
+        }
+    }
+    bounds.interval = cp + max_excess;
+    return bounds;
+}
+
+void
+expectBoundsMatchReference(const Module &mod, const MultiSimdArch &arch)
+{
+    MakespanBounds want = referenceLeafBounds(mod, arch);
+    MakespanBounds got = computeLeafBounds(mod, arch);
+    EXPECT_EQ(got.criticalPath, want.criticalPath);
+    EXPECT_EQ(got.resource, want.resource);
+    EXPECT_EQ(got.interval, want.interval);
+    EXPECT_EQ(got.saturated, want.saturated);
+}
+
+/** A random leaf of @p ops gates (1-3 operands) over @p qubits qubits. */
+Module
+randomLeaf(SplitMix64 &rng, unsigned qubits, unsigned ops)
+{
+    Module mod("random");
+    auto reg = mod.addRegister("q", qubits);
+    static const GateKind oneQubit[] = {GateKind::H, GateKind::T,
+                                        GateKind::X};
+    for (unsigned i = 0; i < ops; ++i) {
+        QubitId a = reg[rng.nextBelow(qubits)];
+        QubitId b = reg[rng.nextBelow(qubits)];
+        QubitId c = reg[rng.nextBelow(qubits)];
+        uint64_t shape = rng.nextBelow(6);
+        if (shape == 0 && a != b && b != c && a != c)
+            mod.addGate(GateKind::Toffoli, {a, b, c});
+        else if (shape <= 2 && a != b)
+            mod.addGate(GateKind::CNOT, {a, b});
+        else
+            mod.addGate(oneQubit[rng.nextBelow(3)], {a});
+    }
+    return mod;
+}
+
+TEST(IntervalBoundReference, RandomLeavesMatch)
+{
+    SplitMix64 rng(20150314);
+    bool sampled = false;
+    for (unsigned trial = 0; trial < 40; ++trial) {
+        unsigned qubits = 2 + static_cast<unsigned>(rng.nextBelow(14));
+        unsigned ops = 1 + static_cast<unsigned>(rng.nextBelow(900));
+        Module mod = randomLeaf(rng, qubits, ops);
+        // Past 64 distinct window starts the endpoint sampling is live.
+        sampled |= DepDag::build(mod).criticalPathLength() > 64;
+        for (unsigned k : {1u, 2u, 4u}) {
+            for (uint64_t d : {uint64_t(2), uint64_t(3), unbounded}) {
+                SCOPED_TRACE("trial " + std::to_string(trial) + " k=" +
+                             std::to_string(k) +
+                             " d=" + std::to_string(d));
+                expectBoundsMatchReference(mod, MultiSimdArch(k, d));
+            }
+        }
+    }
+    EXPECT_TRUE(sampled) << "no trial exercised endpoint sampling";
+}
+
+TEST(IntervalBoundReference, WorkloadLeavesMatch)
+{
+    for (const auto &spec : workloads::scaledParams()) {
+        Program prog = spec.build();
+        PassManager passes;
+        passes.add(std::make_unique<DecomposeToffoliPass>());
+        passes.add(std::make_unique<RotationDecomposerPass>(
+            Toolflow::rotationPresetFor(spec.shortName)));
+        passes.add(std::make_unique<FlattenPass>(30'000));
+        passes.run(prog);
+        for (ModuleId id = 0; id < prog.numModules(); ++id) {
+            const Module &mod = prog.module(id);
+            if (!mod.isLeaf())
+                continue;
+            for (unsigned k : {1u, 2u, 4u}) {
+                for (uint64_t d : {uint64_t(2), unbounded}) {
+                    SCOPED_TRACE(spec.shortName + "/" + mod.name() +
+                                 " k=" + std::to_string(k) +
+                                 " d=" + std::to_string(d));
+                    expectBoundsMatchReference(mod, MultiSimdArch(k, d));
+                }
+            }
+        }
     }
 }
 

@@ -823,15 +823,34 @@ TEST(CacheIoV2, VersionOneFileStillLoads)
     std::remove(path.c_str());
 }
 
-TEST(RebindGuard, LegacyZeroCountFixturesStillRebind)
+TEST(RebindGuard, ZeroCountResultRebindsOnlyToEmptyModule)
 {
-    LeafScheduleResult legacy;
-    EXPECT_TRUE(legacy.matchesModule(10, 3)); // 0/0 guard skips
-    legacy.opCount = 10;
-    legacy.qubitCount = 3;
-    EXPECT_TRUE(legacy.matchesModule(10, 3));
-    EXPECT_FALSE(legacy.matchesModule(11, 3));
-    EXPECT_FALSE(legacy.matchesModule(10, 4));
+    // 0/0 is the guard of an empty module, not a wildcard.
+    LeafScheduleResult guard;
+    EXPECT_TRUE(guard.matchesModule(0, 0));
+    EXPECT_FALSE(guard.matchesModule(10, 3));
+    EXPECT_FALSE(guard.matchesModule(0, 3));
+    guard.opCount = 10;
+    guard.qubitCount = 3;
+    EXPECT_TRUE(guard.matchesModule(10, 3));
+    EXPECT_FALSE(guard.matchesModule(11, 3));
+    EXPECT_FALSE(guard.matchesModule(10, 4));
+
+    // A payload claiming a 0-op module cannot carry an op stream: the
+    // guard is never derived from the stream itself.
+    Rng rng(17);
+    Module mod = randomLeaf(rng, 4, 12);
+    auto result = makeResult(mod, 2, CommMode::Global);
+    ASSERT_FALSE(result->schedule->ops.empty());
+    result->opCount = 0;
+    result->qubitCount = 0;
+    std::vector<uint8_t> bytes;
+    serializeLeafResult(*result, "lpfs", "", bytes);
+    std::string fingerprint;
+    std::string archFp;
+    EXPECT_EQ(deserializeLeafResult(bytes.data(), bytes.size(),
+                                    fingerprint, archFp),
+              nullptr);
 }
 
 } // namespace

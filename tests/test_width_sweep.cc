@@ -1,0 +1,213 @@
+/**
+ * @file
+ * Width-sweep bit-identity pins: for every scaledParams() workload under
+ * RCP and LPFS, the whole-program makespan and a hash of every leaf
+ * schedule produced at machine widths k = 1, 2 and 4 must equal the
+ * values recorded here. The goldens under tests/golden/ dump only a few
+ * workloads at k = 4; these pins cover the narrow widths of the coarse
+ * sweep too, where the leaf schedulers' ready lists are longest. A
+ * scheduler performance change must leave every row untouched.
+ *
+ * The leaf hash digests each cached leaf result — its op and qubit
+ * counts, its communication cycle total and the full SoA schedule
+ * stream: slots, step ends, the op stream and the movement stream — and
+ * folds the sorted digests, so it is independent of scheduling order and
+ * of the cache-key format.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/serve.hh"
+#include "core/toolflow.hh"
+#include "sched/cache_io.hh"
+#include "sched/leaf_cache.hh"
+#include "workloads/workloads.hh"
+
+namespace {
+
+using namespace msq;
+
+struct Pin
+{
+    const char *workload;
+    const char *scheduler;
+    unsigned k;
+    uint64_t totalCycles;
+    uint64_t programHash; ///< hashProgramSchedule
+    uint64_t leafHash;    ///< every leaf schedule buffer, digest-sorted
+};
+
+// clang-format off
+const Pin kPins[] = {
+    {"bf", "rcp", 1, 45249, 0x26ae33d1e2bca1efull, 0x0aff06ae873c3421ull},
+    {"bf", "rcp", 2, 35806, 0x3b5dfdadab9a42b2ull, 0x36348f6d256820faull},
+    {"bf", "rcp", 4, 34920, 0xffaeeaad725e8fd8ull, 0xaa8158aaad0b38faull},
+    {"bf", "lpfs", 1, 39504, 0xc53e1efd97326c56ull, 0xd38e8f1fb2b6b97cull},
+    {"bf", "lpfs", 2, 35307, 0xf6fd8d1358efef0cull, 0x4abaa9a7c4849b47ull},
+    {"bf", "lpfs", 4, 33305, 0x5cb71cfa45d52eb6ull, 0x9f04497b3864fb0full},
+    {"bwt", "rcp", 1, 2517685, 0xb0d32bf6520cb4b5ull, 0x0b04add47d807ea5ull},
+    {"bwt", "rcp", 2, 1951695, 0x6489d1e46a0eaceaull, 0x2aa4390e43c041a3ull},
+    {"bwt", "rcp", 4, 1932350, 0x48a2f49e7c7d347cull, 0xfcd74d3a7508557eull},
+    {"bwt", "lpfs", 1, 2160385, 0x60532720aecd0dc3ull, 0xc2f30768b1883ce6ull},
+    {"bwt", "lpfs", 2, 1822295, 0xd7b9bc436d2f7bd8ull, 0xfa307ec16fe02f83ull},
+    {"bwt", "lpfs", 4, 1789550, 0x2330504b27796e0aull, 0x9fe299527f7f34e9ull},
+    {"cn", "rcp", 1, 10744620, 0xb0de994c7996bdafull, 0x8eadc4581b245881ull},
+    {"cn", "rcp", 2, 8475830, 0x28facefb2a40ab01ull, 0x1777807112cfc385ull},
+    {"cn", "rcp", 4, 8383280, 0xf89375cc6362514full, 0x553389e54d0631aaull},
+    {"cn", "lpfs", 1, 9685100, 0x319232fb12a75de1ull, 0x254e7d19411b58a0ull},
+    {"cn", "lpfs", 2, 8634070, 0x798d0c0e1e852264ull, 0x4b3feff2be72bef1ull},
+    {"cn", "lpfs", 4, 7840560, 0x4b4ee597147f0130ull, 0x32e83d5878bb845eull},
+    {"grovers", "rcp", 1, 49866, 0xc6a68a4234bd5535ull, 0x17ba93f482cba148ull},
+    {"grovers", "rcp", 2, 39769, 0x5746c4bf445af05full, 0x9a78bb0c2d645c8dull},
+    {"grovers", "rcp", 4, 39769, 0xdf312aa8018b22c1ull, 0xf0f5bae0344e5085ull},
+    {"grovers", "lpfs", 1, 34706, 0x4b47ce63560bb8deull, 0x1257d3ed48096d0aull},
+    {"grovers", "lpfs", 2, 34706, 0xb1f31b750fe2971dull, 0x5c620967a1e01852ull},
+    {"grovers", "lpfs", 4, 34706, 0xf485d1b9b66cf9aaull, 0x5df39ffcd7fdeae7ull},
+    {"gse", "rcp", 1, 2100910, 0x4da8bd9d4f4ac3c3ull, 0xf78fe6068af57678ull},
+    {"gse", "rcp", 2, 2001824, 0x3ec5c0584a7cbdd6ull, 0x8c5f1a098d4dd00bull},
+    {"gse", "rcp", 4, 1636845, 0x5ce04716eb68f643ull, 0x7a5b48c2995a9e09ull},
+    {"gse", "lpfs", 1, 1711759, 0x661e6a7b17e07e9eull, 0x723e88765c49076aull},
+    {"gse", "lpfs", 2, 1037042, 0x6c47b7545c78a8ceull, 0x21dff1c74116ff29ull},
+    {"gse", "lpfs", 4, 574287, 0x1ccdeef3b09dff9bull, 0xe2f929446c65ba6cull},
+    {"sha1", "rcp", 1, 325813008180037, 0x4e78c4918154829aull, 0xfc51fe7679d390b4ull},
+    {"sha1", "rcp", 2, 270653470045600, 0xc2dd13967ec8331full, 0xba15af412f0e532dull},
+    {"sha1", "rcp", 4, 261758184938993, 0x4770469a5c3cb31full, 0x07b9db0f7bc4e419ull},
+    {"sha1", "lpfs", 1, 345151904469295, 0xc622399b598664bfull, 0x910d5700331d2763ull},
+    {"sha1", "lpfs", 2, 257248137086676, 0xd652a211ddc32902ull, 0xcb48a322a3b4c536ull},
+    {"sha1", "lpfs", 4, 249600957967689, 0xb0ee546e947a2880ull, 0x0be6cd4eeb089c25ull},
+    {"shors", "rcp", 1, 1308942, 0xd959027d5493c4b6ull, 0xa4886aaf1cb7316dull},
+    {"shors", "rcp", 2, 930563, 0xd93b43b81f6a81eaull, 0xc95d3d9a31ff123aull},
+    {"shors", "rcp", 4, 593401, 0x2146966b514312ccull, 0x58410e50d48eec40ull},
+    {"shors", "lpfs", 1, 1308942, 0xd959027d5493c4b6ull, 0xa4886aaf1cb7316dull},
+    {"shors", "lpfs", 2, 930563, 0xd93b43b81f6a81eaull, 0xc95d3d9a31ff123aull},
+    {"shors", "lpfs", 4, 593401, 0x2146966b514312ccull, 0x58410e50d48eec40ull},
+    {"tfp", "rcp", 1, 10282, 0x0a43d827a76442e8ull, 0x8d40ad5a83593757ull},
+    {"tfp", "rcp", 2, 8302, 0xc31f1ed7fb3f19bcull, 0x1c5c314395fb062dull},
+    {"tfp", "rcp", 4, 7684, 0x7ce5f8ec25b22863ull, 0xab3d3cae145285d7ull},
+    {"tfp", "lpfs", 1, 11058, 0x64fcc8907b85af50ull, 0xcfc6825a14462092ull},
+    {"tfp", "lpfs", 2, 8741, 0x11201528cd3e24edull, 0xb0db66607adfdc73ull},
+    {"tfp", "lpfs", 4, 7676, 0x694bb7b60ff8005aull, 0x8a61ef3e0c91fd2eull},
+};
+// clang-format on
+
+/** Little-endian byte stream of the hashed fields. */
+class Bytes
+{
+  public:
+    template <typename T>
+    void
+    put(T value)
+    {
+        for (size_t i = 0; i < sizeof(T); ++i)
+            data.push_back(static_cast<uint8_t>(
+                static_cast<uint64_t>(value) >> (8 * i)));
+    }
+
+    std::vector<uint8_t> data;
+};
+
+void
+putLocation(Bytes &out, const Location &loc)
+{
+    out.put<uint8_t>(static_cast<uint8_t>(loc.kind));
+    out.put<uint32_t>(loc.region);
+}
+
+uint64_t
+hashLeafResults(const LeafScheduleCache &cache)
+{
+    std::vector<uint64_t> digests;
+    for (const auto &entry : cache.snapshotEntries()) {
+        const LeafScheduleResult &result = *entry.second;
+        const ScheduleBuffer &buf = *result.schedule;
+        Bytes out;
+        out.put<uint64_t>(result.opCount);
+        out.put<uint64_t>(result.qubitCount);
+        out.put<uint64_t>(result.stats.totalCycles);
+        out.put<uint32_t>(buf.k);
+        for (const ScheduleBuffer::Slot &slot : buf.slots) {
+            out.put<uint32_t>(slot.opEnd);
+            out.put<uint32_t>(slot.region);
+            out.put<uint8_t>(static_cast<uint8_t>(slot.kind));
+        }
+        for (uint32_t end : buf.slotEnd)
+            out.put<uint32_t>(end);
+        for (uint32_t op : buf.ops)
+            out.put<uint32_t>(op);
+        for (const Move &move : buf.moves) {
+            out.put<uint32_t>(move.qubit);
+            putLocation(out, move.from);
+            putLocation(out, move.to);
+            out.put<uint8_t>(move.blocking ? 1 : 0);
+        }
+        for (uint64_t end : buf.moveEnd)
+            out.put<uint64_t>(end);
+        digests.push_back(fnv1a64(out.data.data(), out.data.size()));
+    }
+    // Sorted digests: the pin depends on the set of leaf schedules, not
+    // on the cache-key format that orders them.
+    std::sort(digests.begin(), digests.end());
+    Bytes all;
+    for (uint64_t digest : digests)
+        all.put<uint64_t>(digest);
+    return fnv1a64(all.data.data(), all.data.size());
+}
+
+/** Compile @p pin's configuration afresh and return its measured row. */
+Pin
+measure(const Pin &pin)
+{
+    Program prog =
+        workloads::findWorkload(workloads::scaledParams(), pin.workload)
+            .build();
+    ToolflowConfig config;
+    config.scheduler = std::strcmp(pin.scheduler, "rcp") == 0
+                           ? SchedulerKind::Rcp
+                           : SchedulerKind::Lpfs;
+    config.arch = MultiSimdArch(pin.k);
+    config.commMode = CommMode::Global;
+    config.rotations = Toolflow::rotationPresetFor(pin.workload);
+    config.numThreads = 1;
+    auto cache = std::make_shared<LeafScheduleCache>();
+    config.sharedLeafCache = cache;
+    ToolflowResult result = Toolflow(config).run(prog);
+    return Pin{pin.workload,
+               pin.scheduler,
+               pin.k,
+               result.schedule.totalCycles,
+               hashProgramSchedule(result.schedule),
+               hashLeafResults(*cache)};
+}
+
+class WidthSweep : public ::testing::TestWithParam<const char *>
+{};
+
+TEST_P(WidthSweep, MakespanAndLeafSchedulesArePinned)
+{
+    const std::string workload = GetParam();
+    size_t checked = 0;
+    for (const Pin &pin : kPins) {
+        if (workload != pin.workload)
+            continue;
+        Pin now = measure(pin);
+        SCOPED_TRACE(workload + "/" + pin.scheduler +
+                     " k=" + std::to_string(pin.k));
+        EXPECT_EQ(now.totalCycles, pin.totalCycles);
+        EXPECT_EQ(now.programHash, pin.programHash);
+        EXPECT_EQ(now.leafHash, pin.leafHash);
+        ++checked;
+    }
+    EXPECT_EQ(checked, 6u) << "two schedulers x three widths";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, WidthSweep,
+                         ::testing::Values("bf", "bwt", "cn", "grovers",
+                                           "gse", "sha1", "shors", "tfp"));
+
+} // namespace
