@@ -33,8 +33,6 @@
 #include <memory>
 #include <vector>
 
-#include "passes/decompose_toffoli.hh"
-#include "passes/pass_manager.hh"
 #include "sched/leaf_cache.hh"
 #include "support/stats.hh"
 #include "support/thread_pool.hh"
@@ -68,20 +66,6 @@ envUnsigned(const char *name, unsigned fallback)
     if (end == value || *end || parsed == 0)
         return fallback;
     return static_cast<unsigned>(parsed);
-}
-
-/** Lower @p spec to the flattened, scheduler-ready IR. */
-Program
-prepare(const workloads::WorkloadSpec &spec)
-{
-    Program prog = spec.build();
-    PassManager passes;
-    passes.add(std::make_unique<DecomposeToffoliPass>());
-    passes.add(std::make_unique<RotationDecomposerPass>(
-        Toolflow::rotationPresetFor(spec.shortName)));
-    passes.add(std::make_unique<FlattenPass>(30'000));
-    passes.run(prog);
-    return prog;
 }
 
 /**
@@ -162,7 +146,7 @@ main(int argc, char **argv)
     bool mismatch = false;
 
     for (const auto &spec : workloads::scaledParams()) {
-        Program prog = prepare(spec);
+        Program prog = Toolflow::lowerWorkload(spec);
         uint64_t leaf_modules = 0;
         for (ModuleId id : prog.reachableModules())
             if (prog.module(id).isLeaf())

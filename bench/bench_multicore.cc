@@ -27,14 +27,10 @@
 
 #include <chrono>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/qubit_mapping.hh"
-#include "passes/decompose_toffoli.hh"
-#include "passes/flatten.hh"
-#include "passes/pass_manager.hh"
 #include "sched/lpfs.hh"
 #include "sched/rcp.hh"
 #include "support/diagnostic.hh"
@@ -113,20 +109,6 @@ sumInterCore(const ProgramSchedule &schedule)
         if (info.analyzed && info.leaf)
             total += info.comm.interCoreTeleports;
     return total;
-}
-
-/** Lower the workload exactly like the toolflow does before scheduling. */
-Program
-prepare(const workloads::WorkloadSpec &spec)
-{
-    Program prog = spec.build();
-    PassManager passes;
-    passes.add(std::make_unique<DecomposeToffoliPass>());
-    passes.add(std::make_unique<RotationDecomposerPass>(
-        Toolflow::rotationPresetFor(spec.shortName)));
-    passes.add(std::make_unique<FlattenPass>(30'000));
-    passes.run(prog);
-    return prog;
 }
 
 void
@@ -249,7 +231,7 @@ main(int argc, char **argv)
     unsigned mapped_wins = 0;
     std::cout << "\n4-core ring gates:\n";
     for (const auto &spec : workloads::scaledParams()) {
-        Program prog = prepare(spec);
+        Program prog = Toolflow::lowerWorkload(spec);
         MultiSimdArch mapped =
             makeArch("cores=4,k=1,shape=ring,link-bw=2",
                      MappingStrategy::Greedy);

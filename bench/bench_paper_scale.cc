@@ -37,9 +37,6 @@
 #include <sys/resource.h>
 
 #include "analysis/resource_estimator.hh"
-#include "passes/decompose_toffoli.hh"
-#include "passes/flatten.hh"
-#include "passes/pass_manager.hh"
 #include "support/saturate.hh"
 #include "support/stats.hh"
 #include "verify/estimate_checker.hh"
@@ -101,18 +98,6 @@ peakRssKb()
     if (getrusage(RUSAGE_SELF, &usage) != 0)
         return 0;
     return usage.ru_maxrss;
-}
-
-/** Lower @p prog to the flattened, scheduler-ready IR. */
-void
-lower(Program &prog, const std::string &short_name)
-{
-    PassManager passes;
-    passes.add(std::make_unique<DecomposeToffoliPass>());
-    passes.add(std::make_unique<RotationDecomposerPass>(
-        Toolflow::rotationPresetFor(short_name)));
-    passes.add(std::make_unique<FlattenPass>(30'000));
-    passes.run(prog);
 }
 
 void
@@ -182,8 +167,7 @@ main(int argc, char **argv)
                 : workloads::findWorkload(workloads::scaledParams(),
                                           base.shortName);
 
-        Program prog = spec.build();
-        lower(prog, spec.shortName);
+        Program prog = Toolflow::lowerWorkload(spec);
 
         const uint64_t base_gates =
             ResourceEstimator(prog).programGates();

@@ -32,13 +32,10 @@
 #include "common.hh"
 
 #include <fstream>
-#include <memory>
 #include <vector>
 
 #include <sys/resource.h>
 
-#include "passes/decompose_toffoli.hh"
-#include "passes/pass_manager.hh"
 #include "sched/comm.hh"
 #include "support/stats.hh"
 
@@ -72,20 +69,6 @@ struct Row
     double ratio;
     long peakRssKb;
 };
-
-/** Lower @p spec to the flattened, scheduler-ready IR. */
-Program
-prepare(const workloads::WorkloadSpec &spec)
-{
-    Program prog = spec.build();
-    PassManager passes;
-    passes.add(std::make_unique<DecomposeToffoliPass>());
-    passes.add(std::make_unique<RotationDecomposerPass>(
-        Toolflow::rotationPresetFor(spec.shortName)));
-    passes.add(std::make_unique<FlattenPass>(30'000));
-    passes.run(prog);
-    return prog;
-}
 
 /** What this schedule would occupy under the nested-vector layout. */
 uint64_t
@@ -157,7 +140,7 @@ main(int argc, char **argv)
     double best_ratio_at_wide_k = 0.0;
 
     for (const auto &spec : workloads::scaledParams()) {
-        Program prog = prepare(spec);
+        Program prog = Toolflow::lowerWorkload(spec);
         for (SchedulerKind kind :
              {SchedulerKind::Rcp, SchedulerKind::Lpfs}) {
             auto scheduler = Toolflow::makeScheduler(kind);

@@ -10,6 +10,7 @@
 #include "frontend/parser.hh"
 #include "frontend/qasm_reader.hh"
 #include "sched/cache_io.hh"
+#include "support/hash.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
@@ -19,20 +20,6 @@
 namespace msq {
 
 namespace {
-
-struct HashFold
-{
-    uint64_t hash = 0xcbf29ce484222325ull;
-
-    void
-    u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            hash ^= static_cast<uint8_t>(v >> (8 * i));
-            hash *= 0x100000001b3ull;
-        }
-    }
-};
 
 /** The "id" field is echoed back as-is (string or number) so clients
  * can correlate pipelined responses; anything else becomes null. */
@@ -214,7 +201,7 @@ parseRequest(const std::string &line, const ServeOptions &defaults,
 uint64_t
 hashProgramSchedule(const ProgramSchedule &sched)
 {
-    HashFold fold;
+    Fnv1aFold fold;
     fold.u64(sched.totalCycles);
     fold.u64(sched.modules.size());
     for (const ModuleScheduleInfo &info : sched.modules) {

@@ -97,6 +97,40 @@ Toolflow::rotationPresetFor(const std::string &workload_short_name)
     return config;
 }
 
+void
+Toolflow::lower(Program &prog) const
+{
+    MetricsRegistry local;
+    lower(prog, config_.metrics ? *config_.metrics : local);
+}
+
+void
+Toolflow::lower(Program &prog, MetricsRegistry &reg) const
+{
+    if (!config_.decompose)
+        return;
+    TraceSpan span(Telemetry::trace(), "toolflow-passes");
+    ScopedTimerMs timer(reg.distribution("toolflow.passes_ms"));
+    PassManager passes;
+    passes.setMetrics(&reg);
+    passes.add(std::make_unique<DecomposeToffoliPass>());
+    passes.add(std::make_unique<RotationDecomposerPass>(config_.rotations));
+    passes.add(std::make_unique<FlattenPass>(config_.flattenThreshold));
+    if (config_.optimize)
+        passes.add(std::make_unique<CancelInversesPass>());
+    passes.run(prog);
+}
+
+Program
+Toolflow::lowerWorkload(const workloads::WorkloadSpec &spec)
+{
+    ToolflowConfig config;
+    config.rotations = rotationPresetFor(spec.shortName);
+    Program prog = spec.build();
+    Toolflow(std::move(config)).lower(prog);
+    return prog;
+}
+
 ToolflowResult
 Toolflow::run(Program &prog) const
 {
@@ -111,19 +145,7 @@ Toolflow::run(Program &prog) const
     TraceSpan run_span(Telemetry::trace(), "toolflow-run");
     reg->counter("toolflow.runs").add(1);
 
-    if (config_.decompose) {
-        TraceSpan span(Telemetry::trace(), "toolflow-passes");
-        ScopedTimerMs timer(reg->distribution("toolflow.passes_ms"));
-        PassManager passes;
-        passes.setMetrics(reg);
-        passes.add(std::make_unique<DecomposeToffoliPass>());
-        passes.add(std::make_unique<RotationDecomposerPass>(
-            config_.rotations));
-        passes.add(std::make_unique<FlattenPass>(config_.flattenThreshold));
-        if (config_.optimize)
-            passes.add(std::make_unique<CancelInversesPass>());
-        passes.run(prog);
-    }
+    lower(prog, *reg);
 
     ToolflowResult result;
     {

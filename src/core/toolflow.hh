@@ -22,6 +22,7 @@
 #include "sched/opt.hh"
 #include "sched/rcp.hh"
 #include "support/telemetry.hh"
+#include "workloads/workloads.hh"
 
 namespace msq {
 
@@ -167,6 +168,23 @@ class Toolflow
      */
     ToolflowResult run(Program &prog) const;
 
+    /**
+     * The lowering half of run(): Toffoli decomposition, rotation
+     * decomposition, flattening below the threshold, and the optional
+     * peephole, all per this configuration. Nothing when
+     * ToolflowConfig::decompose is off. Every tool that schedules or
+     * bounds a program lowers it through here, so they all see the
+     * program run() schedules.
+     */
+    void lower(Program &prog) const;
+
+    /**
+     * Build @p spec and lower it under the default configuration with
+     * the workload's rotationPresetFor() preset: the exact program
+     * run() schedules for that workload.
+     */
+    static Program lowerWorkload(const workloads::WorkloadSpec &spec);
+
     const ToolflowConfig &config() const { return config_; }
 
     /** Instantiate a leaf scheduler of the given kind (defaults). */
@@ -185,6 +203,9 @@ class Toolflow
     rotationPresetFor(const std::string &workload_short_name);
 
   private:
+    /** lower() recording pass metrics into @p reg. */
+    void lower(Program &prog, MetricsRegistry &reg) const;
+
     ToolflowConfig config_;
 };
 

@@ -1,5 +1,6 @@
 #include "ir/module.hh"
 
+#include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 
@@ -106,25 +107,19 @@ Module::structuralHash() const
 {
     // FNV-1a over the structural fields (see the header for what is
     // deliberately excluded).
-    uint64_t h = 14695981039346656037ull;
-    auto mix = [&h](uint64_t value) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (value >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
-    mix(numParams_);
-    mix(qubitNames.size());
-    mix(ops_.size());
+    Fnv1aFold fold;
+    fold.u64(numParams_);
+    fold.u64(qubitNames.size());
+    fold.u64(ops_.size());
     for (const auto &op : ops_) {
-        mix(static_cast<uint64_t>(op.kind));
-        mix(op.callee);
-        mix(op.repeat);
-        mix(op.operands.size());
+        fold.u64(static_cast<uint64_t>(op.kind));
+        fold.u64(op.callee);
+        fold.u64(op.repeat);
+        fold.u64(op.operands.size());
         for (QubitId q : op.operands)
-            mix(q);
+            fold.u64(q);
     }
-    return h;
+    return fold.hash;
 }
 
 uint64_t

@@ -12,18 +12,6 @@ namespace msq {
 
 const char cacheFileMagic[4] = {'M', 'S', 'Q', 'C'};
 
-uint64_t
-fnv1a64(const void *data, size_t size)
-{
-    const auto *bytes = static_cast<const uint8_t *>(data);
-    uint64_t hash = 0xcbf29ce484222325ull;
-    for (size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
 namespace {
 
 // ---------------------------------------------------------------------
@@ -343,8 +331,7 @@ serializeLeafResult(const LeafScheduleResult &result,
 std::shared_ptr<LeafScheduleResult>
 deserializeLeafResult(const uint8_t *data, size_t size,
                       std::string &fingerprint,
-                      std::string &arch_fingerprint,
-                      uint32_t version)
+                      std::string &arch_fingerprint)
 {
     ByteReader r{data, size};
     auto result = std::make_shared<LeafScheduleResult>();
@@ -352,10 +339,7 @@ deserializeLeafResult(const uint8_t *data, size_t size,
     result->opCount = r.u64();
     result->qubitCount = r.u64();
     fingerprint = r.str();
-    // Version 1 predates the arch-fingerprint guard and the inter-core
-    // counters; its entries decode with both defaulted (correct for the
-    // one-core schedules a v1 process produced).
-    arch_fingerprint = version >= 2 ? r.str() : std::string();
+    arch_fingerprint = r.str();
 
     CommStats &cs = result->stats;
     cs.teleportMoves = r.u64();
@@ -368,7 +352,7 @@ deserializeLeafResult(const uint8_t *data, size_t size,
     cs.activeRegionSteps = r.u64();
     cs.operandSlots = r.u64();
     cs.peakRegionOccupancy = r.u64();
-    cs.interCoreTeleports = version >= 2 ? r.u64() : 0;
+    cs.interCoreTeleports = r.u64();
 
     ScheduleAttempt &at = result->attempt;
     uint8_t provenance = r.u8();
@@ -396,7 +380,7 @@ deserializeLeafResult(const uint8_t *data, size_t size,
     rs.peakBlockingMovesPerStep = r.u64();
     rs.peakActiveRegions = r.u64();
     rs.callInvocations = r.u64();
-    rs.interCoreTeleports = version >= 2 ? r.u64() : 0;
+    rs.interCoreTeleports = r.u64();
     uint64_t buckets = r.u64();
     // An absurd bucket count means a corrupt length field — refuse
     // before std::vector::resize turns it into a bad_alloc.
@@ -596,8 +580,7 @@ LeafScheduleCache::loadFrom(const std::string &path,
         std::string fingerprint;
         std::string archFp;
         auto result = deserializeLeafResult(payload, payloadLen,
-                                            fingerprint, archFp,
-                                            version);
+                                            fingerprint, archFp);
         if (!result) {
             if (diags)
                 diags->report(DiagCode::CacheEntryCorrupt,

@@ -16,13 +16,12 @@
  *            | u64 payloadLen | u64 fnv1a(payload) | payload bytes
  *   payload: u64 opCount | u64 qubitCount
  *            | u32 fpLen | fingerprint bytes            (collision guard)
- *            | u32 archFpLen | arch fingerprint bytes   (v2+: topology
+ *            | u32 archFpLen | arch fingerprint bytes   (topology
  *              guard, MultiSimdArch::fingerprint())
- *            | CommStats (11 u64, field order of sched/comm.hh; v1
- *              files carry 10 — no interCoreTeleports)
+ *            | CommStats (11 u64, field order of sched/comm.hh)
  *            | ScheduleAttempt (u8 provenance + 5 u64)
  *            | ResourceSummary (15 u64 + u64 occupancy[] + u8
- *              saturated; v1 files carry 14)
+ *              saturated)
  *            | MakespanBounds (3 u64 + u8 saturated)
  *            | ScheduleBuffer: u32 k | u64 numSteps | u64 numSlots
  *              | slots (u32 opEnd, u32 region, u8 kind)*
@@ -40,13 +39,12 @@
  *              inside one entry (entry skipped)
  *   P005       payload opCount/qubitCount/fingerprint disagree with the
  *              entry's own key (entry skipped)
- *   P007       (v2, warning) the stored architecture fingerprint
+ *   P007       (warning) the stored architecture fingerprint
  *              disagrees with the entry's key — a file saved under a
  *              different topology (entry skipped)
- * Version 1 files (the flat machine's historical format) still load:
- * their entries simply carry no arch fingerprint and no inter-core
- * counters, which is correct for one-core schedules — the only kind a
- * v1 process could produce.
+ * Version 1 files (the flat machine's format, with no arch fingerprint
+ * and no inter-core counters) are rejected with P002 like any other
+ * unsupported version and load nothing, so the engine cold-starts.
  * A fourth layer (P006) lives at rebind time in sched/coarse.cc: even an
  * internally consistent entry is refused when the requesting module's
  * op/qubit counts disagree with the stored guard fields.
@@ -62,6 +60,7 @@
 
 #include "sched/leaf_cache.hh"
 #include "support/diagnostic.hh"
+#include "support/hash.hh"
 
 namespace msq {
 
@@ -75,17 +74,13 @@ extern const char cacheFileMagic[4];
 constexpr uint32_t cacheFileVersion = 2;
 
 /** Oldest format version loadFrom still accepts. */
-constexpr uint32_t cacheFileMinVersion = 1;
+constexpr uint32_t cacheFileMinVersion = 2;
 
 /** Byte-order canary, always written little-endian: reads back as
  * 0x01020304 iff the decoder honours the format's endianness. */
 constexpr uint32_t cacheFileEndianTag = 0x01020304;
 
 /// @}
-
-/** FNV-1a 64-bit hash of @p size bytes at @p data (entry checksums;
- * also reused as the daemon's schedule-identity probe). */
-uint64_t fnv1a64(const void *data, size_t size);
 
 /// @name Single-entry (de)serialization
 /// The building blocks of saveTo/loadFrom, exposed for tests and for
@@ -105,9 +100,7 @@ void serializeLeafResult(const LeafScheduleResult &result,
 /**
  * Decode one payload produced by serializeLeafResult.
  * @param fingerprint receives the stored scheduler fingerprint.
- * @param arch_fingerprint receives the stored arch fingerprint (empty
- *        for version-1 payloads, which predate the field).
- * @param version the file format version the payload was written under.
+ * @param arch_fingerprint receives the stored arch fingerprint.
  * @return the decoded result, or nullptr when the payload is truncated
  *         or violates a ScheduleBuffer/enum invariant (the caller
  *         reports P003/P004; this function never throws on bad input).
@@ -115,8 +108,7 @@ void serializeLeafResult(const LeafScheduleResult &result,
 std::shared_ptr<LeafScheduleResult>
 deserializeLeafResult(const uint8_t *data, size_t size,
                       std::string &fingerprint,
-                      std::string &arch_fingerprint,
-                      uint32_t version = cacheFileVersion);
+                      std::string &arch_fingerprint);
 
 /// @}
 

@@ -10,6 +10,9 @@
 #define MSQ_SUPPORT_RNG_HH
 
 #include <cstdint>
+#include <cstring>
+
+#include "support/hash.hh"
 
 namespace msq {
 
@@ -60,15 +63,10 @@ hashMix64(uint64_t x)
 }
 
 /** FNV-1a hash of a string, for seeding generators from names. */
-constexpr uint64_t
+inline uint64_t
 hashString(const char *s)
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    while (*s) {
-        h ^= static_cast<unsigned char>(*s++);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
+    return fnv1a64(s, std::strlen(s));
 }
 
 } // namespace msq

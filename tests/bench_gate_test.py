@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Self-test of tools/bench_gate.py against the committed BENCH files.
+
+Usage: tests/bench_gate_test.py SOURCE_DIR
+
+For every gate: the committed file against itself passes; a copy with
+one row deleted fails in both directions; a copy with one gated field
+regressed fails. The command line's exit codes are checked once.
+"""
+
+import copy
+import json
+import os
+import subprocess
+import sys
+
+
+def bump(row, field, how):
+    row[field] = how(row[field])
+
+
+def first_optimal(rows):
+    return next(r for r in rows if r["provenance"] == "optimal")
+
+
+# NAME -> a regression of one gated field.
+REGRESSIONS = {
+    "compile_time": lambda d: bump(d["rows"][0], "total_cycles",
+                                   lambda v: v + 1),
+    "schedule_memory": lambda d: bump(d["rows"][0], "soa_bytes_per_step",
+                                      lambda v: v * 1.2),
+    "optimality_gap": lambda d: bump(d["inputs"][0]["leaves"][0],
+                                     "makespan", lambda v: v * 2),
+    "opt_gap": lambda d: bump(first_optimal(d["rows"]), "provenance",
+                              lambda v: "fallback"),
+    "paper_scale": lambda d: bump(d["rows"][0], "exact", lambda v: False),
+    "serve_latency": lambda d: bump(d["results"][0], "schedule_hash",
+                                    lambda v: "0" * 16),
+    "multicore": lambda d: bump(d["rows"][0], "makespan", lambda v: v + 1),
+}
+
+
+def main(source_dir):
+    gate_path = os.path.join(source_dir, "tools", "bench_gate.py")
+    sys.path.insert(0, os.path.dirname(gate_path))
+    import bench_gate
+
+    failures = []
+    assert set(REGRESSIONS) == set(bench_gate.GATES)
+    for name, (_, _, tables) in bench_gate.GATES.items():
+        committed = os.path.join(source_dir, f"BENCH_{name}.json")
+        with open(committed) as f:
+            doc = json.load(f)
+
+        def fails(base, fresh):
+            return bool(bench_gate.check(name, base, fresh)[0])
+
+        if fails(doc, doc):
+            failures.append(f"{name}: fails against itself")
+        for rows, _, _ in tables:
+            deleted = copy.deepcopy(doc)
+            # The one derived row list is optimality_gap's leaves.
+            del (deleted["inputs"][0]["leaves"] if callable(rows)
+                 else deleted[rows])[0]
+            if not (fails(doc, deleted) and fails(deleted, doc)):
+                failures.append(f"{name}: passes a deleted row")
+        regressed = copy.deepcopy(doc)
+        REGRESSIONS[name](regressed)
+        if not fails(doc, regressed):
+            failures.append(f"{name}: passes a regressed field")
+
+    committed = os.path.join(source_dir, "BENCH_multicore.json")
+    for args, code in (([committed, committed], 0), ([committed], 2)):
+        got = subprocess.run(
+            [sys.executable, gate_path, "multicore"] + args,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        if got.returncode != code:
+            failures.append(f"exit {got.returncode} for {args}, "
+                            f"expected {code}")
+
+    for failure in failures:
+        print(f"FAIL {failure}")
+    if failures:
+        return 1
+    print(f"{len(REGRESSIONS)} gates pass themselves and reject deleted "
+          "rows and regressed fields")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1]))

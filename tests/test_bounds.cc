@@ -20,10 +20,6 @@
 #include "analysis/invocation_counts.hh"
 #include "core/toolflow.hh"
 #include "ir/dag.hh"
-#include "passes/decompose_toffoli.hh"
-#include "passes/flatten.hh"
-#include "passes/pass_manager.hh"
-#include "passes/rotation_decomposer.hh"
 #include "sched/coarse.hh"
 #include "sched/leaf_cache.hh"
 #include "sched/lpfs.hh"
@@ -358,13 +354,7 @@ TEST(IntervalBoundReference, RandomLeavesMatch)
 TEST(IntervalBoundReference, WorkloadLeavesMatch)
 {
     for (const auto &spec : workloads::scaledParams()) {
-        Program prog = spec.build();
-        PassManager passes;
-        passes.add(std::make_unique<DecomposeToffoliPass>());
-        passes.add(std::make_unique<RotationDecomposerPass>(
-            Toolflow::rotationPresetFor(spec.shortName)));
-        passes.add(std::make_unique<FlattenPass>(30'000));
-        passes.run(prog);
+        Program prog = Toolflow::lowerWorkload(spec);
         for (ModuleId id = 0; id < prog.numModules(); ++id) {
             const Module &mod = prog.module(id);
             if (!mod.isLeaf())

@@ -19,12 +19,14 @@
 #include <vector>
 
 #include "arch/schedule.hh"
+#include "core/serve.hh"
 #include "sched/cache_io.hh"
 #include "sched/coarse.hh"
 #include "sched/comm.hh"
 #include "sched/leaf_cache.hh"
 #include "sched/lpfs.hh"
 #include "support/diagnostic.hh"
+#include "support/json.hh"
 #include "support/strings.hh"
 
 namespace {
@@ -644,7 +646,7 @@ TEST(RebindGuard, MismatchedEntryEvictedAndRecomputed)
 
 // ---------------------------------------------------------------------
 // .msqc v2: topology-fingerprint guard (P007), inter-core counter
-// round-trips, and v1 back-compat (old flat-machine files still load).
+// round-trips, and v1 rejection (old flat-machine files cold-start).
 // ---------------------------------------------------------------------
 
 void
@@ -659,15 +661,6 @@ pushLe64(std::vector<uint8_t> &out, uint64_t v)
 {
     pushLe32(out, static_cast<uint32_t>(v));
     pushLe32(out, static_cast<uint32_t>(v >> 32));
-}
-
-uint32_t
-le32At(const std::vector<uint8_t> &bytes, size_t pos)
-{
-    return static_cast<uint32_t>(bytes[pos]) |
-           (static_cast<uint32_t>(bytes[pos + 1]) << 8) |
-           (static_cast<uint32_t>(bytes[pos + 2]) << 16) |
-           (static_cast<uint32_t>(bytes[pos + 3]) << 24);
 }
 
 /** One-entry cache file assembled by hand (forged header fields). */
@@ -685,31 +678,6 @@ buildCacheFile(uint32_t version, const std::string &key,
     pushLe64(file, fnv1a64(payload.data(), payload.size()));
     file.insert(file.end(), payload.begin(), payload.end());
     return file;
-}
-
-/**
- * Convert a v2 payload (serialized with an empty arch fingerprint) to
- * the version-1 layout by dropping the three fields v2 added: the
- * archFpLen u32 and the two trailing interCoreTeleports u64s of
- * CommStats and ResourceSummary (the field offsets follow the layout
- * table in cache_io.hh).
- */
-std::vector<uint8_t>
-stripToV1Payload(const std::vector<uint8_t> &v2)
-{
-    uint32_t fpLen = le32At(v2, 16); // after opCount/qubitCount u64s
-    size_t archFpPos = 20 + fpLen;
-    size_t csInterPos = archFpPos + 4 + 10 * 8;
-    size_t attemptBytes = 1 + 5 * 8;
-    size_t rsInterPos = csInterPos + 8 + attemptBytes + 14 * 8;
-    std::vector<uint8_t> v1;
-    v1.insert(v1.end(), v2.begin(), v2.begin() + archFpPos);
-    v1.insert(v1.end(), v2.begin() + archFpPos + 4,
-              v2.begin() + csInterPos);
-    v1.insert(v1.end(), v2.begin() + csInterPos + 8,
-              v2.begin() + rsInterPos);
-    v1.insert(v1.end(), v2.begin() + rsInterPos + 8, v2.end());
-    return v1;
 }
 
 TEST(CacheIoV2, InterCoreCountersRoundTrip)
@@ -787,10 +755,10 @@ TEST(CacheIoV2, TopologyMismatchReportsP007)
     std::remove(path.c_str());
 }
 
-TEST(CacheIoV2, VersionOneFileStillLoads)
+TEST(CacheIoV2, VersionOneFileRejectedThenColdStarts)
 {
-    // A v1 file is byte-for-byte what the pre-topology code wrote: no
-    // arch fingerprint, 10-field CommStats, 14-field ResourceSummary.
+    // A file with a version-1 header is refused whole with P002 before
+    // any entry is read, whatever its payload holds.
     MultiSimdArch arch(4);
     const std::string fp = LpfsScheduler().fingerprint();
     const std::string suffix =
@@ -798,14 +766,10 @@ TEST(CacheIoV2, VersionOneFileStillLoads)
     Rng rng(13);
     Module mod = randomLeaf(rng, 6, 30);
     auto result = makeResult(mod, 4, CommMode::Global);
-    result->stats.interCoreTeleports = 0;
-
-    std::vector<uint8_t> v2payload;
-    serializeLeafResult(*result, fp, "", v2payload);
-    std::vector<uint8_t> v1payload = stripToV1Payload(v2payload);
-    ASSERT_EQ(v1payload.size(), v2payload.size() - 4 - 8 - 8);
-    std::vector<uint8_t> file = buildCacheFile(
-        1, leafScheduleKey(mod, 4, suffix), v1payload);
+    std::vector<uint8_t> payload;
+    serializeLeafResult(*result, fp, "", payload);
+    std::vector<uint8_t> file =
+        buildCacheFile(1, leafScheduleKey(mod, 4, suffix), payload);
 
     const std::string path = tempPath("cache_v1.msqc");
     std::ofstream(path, std::ios::binary)
@@ -813,13 +777,26 @@ TEST(CacheIoV2, VersionOneFileStillLoads)
                static_cast<std::streamsize>(file.size()));
     LeafScheduleCache loaded;
     DiagnosticEngine diags;
-    EXPECT_EQ(loaded.loadFrom(path, &diags), 1u);
-    EXPECT_EQ(diags.numWarnings(), 0u);
-    auto entries = loaded.snapshotEntries();
-    ASSERT_EQ(entries.size(), 1u);
-    expectResultsEqual(*result, *entries[0].second);
-    EXPECT_EQ(entries[0].second->stats.interCoreTeleports, 0u);
-    EXPECT_EQ(entries[0].second->summary.interCoreTeleports, 0u);
+    EXPECT_EQ(loaded.loadFrom(path, &diags), 0u);
+    EXPECT_TRUE(diags.has(DiagCode::CacheFileBadVersion));
+    EXPECT_EQ(loaded.size(), 0u);
+
+    // A daemon pointed at the file cold-starts: it loads nothing and
+    // schedules its first request's leaves afresh.
+    ServeOptions options;
+    options.cachePath = path;
+    ServeEngine engine(options);
+    EXPECT_EQ(engine.loadCache(), 0u);
+    EXPECT_TRUE(engine.diags().has(DiagCode::CacheFileBadVersion));
+    std::string error;
+    auto response = parseJson(
+        engine.handleLine("{\"workload\": \"grovers\", \"params\": "
+                          "\"tiny\", \"k\": 4}"),
+        error);
+    ASSERT_NE(response, nullptr) << error;
+    EXPECT_TRUE(response->get("ok").asBool());
+    EXPECT_EQ(engine.cache().loads(), 0u);
+    EXPECT_GT(engine.cache().misses(), 0u);
     std::remove(path.c_str());
 }
 

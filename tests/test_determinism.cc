@@ -15,8 +15,6 @@
 #include <vector>
 
 #include "core/toolflow.hh"
-#include "passes/decompose_toffoli.hh"
-#include "passes/pass_manager.hh"
 #include "sched/leaf_cache.hh"
 #include "sched/schedule_printer.hh"
 #include "support/telemetry.hh"
@@ -187,15 +185,8 @@ TEST(Determinism, MultiCoreTopologyInvariance)
  */
 TEST(Determinism, LeafTimestepStreamsMatchUnderFanOut)
 {
-    auto spec =
-        workloads::findWorkload(workloads::scaledParams(), "grovers");
-    Program prog = spec.build();
-    PassManager passes;
-    passes.add(std::make_unique<DecomposeToffoliPass>());
-    passes.add(std::make_unique<RotationDecomposerPass>(
-        Toolflow::rotationPresetFor("grovers")));
-    passes.add(std::make_unique<FlattenPass>(30'000));
-    passes.run(prog);
+    Program prog = Toolflow::lowerWorkload(
+        workloads::findWorkload(workloads::scaledParams(), "grovers"));
 
     std::vector<ModuleId> leaves;
     for (ModuleId id : prog.reachableModules())

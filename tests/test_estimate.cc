@@ -14,15 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <memory>
 
 #include "analysis/invocation_counts.hh"
 #include "analysis/resource_estimator.hh"
 #include "analysis/schedule_summary.hh"
 #include "core/toolflow.hh"
-#include "passes/decompose_toffoli.hh"
-#include "passes/flatten.hh"
-#include "passes/pass_manager.hh"
 #include "sched/comm.hh"
 #include "sched/lpfs.hh"
 #include "sched/rcp.hh"
@@ -427,20 +423,10 @@ TEST(EstimateChecker, UnsaturatedHugeRepeatStaysExactBelowClip)
 
 TEST(ScaleWorkload, ScalesEveryLinearFieldExactly)
 {
-    auto lowered = [] {
-        Program prog = workloads::findWorkload(
-                           workloads::scaledParams(), "tfp")
-                           .build();
-        PassManager passes;
-        passes.add(std::make_unique<DecomposeToffoliPass>());
-        passes.add(std::make_unique<RotationDecomposerPass>(
-            Toolflow::rotationPresetFor("tfp")));
-        passes.add(std::make_unique<FlattenPass>(30'000));
-        passes.run(prog);
-        return prog;
-    };
-    Program base = lowered();
-    Program scaled = lowered();
+    const auto spec =
+        workloads::findWorkload(workloads::scaledParams(), "tfp");
+    Program base = Toolflow::lowerWorkload(spec);
+    Program scaled = Toolflow::lowerWorkload(spec);
     workloads::scaleWorkload(scaled, 1000);
 
     RcpScheduler rcp;
@@ -482,13 +468,7 @@ TEST(EstimateWorkloads, AllEightExactUnderBothSchedulers)
 {
     MultiSimdArch arch(4);
     for (const auto &spec : workloads::scaledParams()) {
-        Program prog = spec.build();
-        PassManager passes;
-        passes.add(std::make_unique<DecomposeToffoliPass>());
-        passes.add(std::make_unique<RotationDecomposerPass>(
-            Toolflow::rotationPresetFor(spec.shortName)));
-        passes.add(std::make_unique<FlattenPass>(30'000));
-        passes.run(prog);
+        Program prog = Toolflow::lowerWorkload(spec);
 
         const uint64_t independent_gates =
             ResourceEstimator(prog).programGates();

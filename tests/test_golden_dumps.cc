@@ -16,15 +16,10 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <vector>
 
 #include "core/toolflow.hh"
-#include "passes/decompose_toffoli.hh"
-#include "passes/flatten.hh"
-#include "passes/pass_manager.hh"
-#include "passes/rotation_decomposer.hh"
 #include "sched/comm.hh"
 #include "sched/leaf_scheduler.hh"
 #include "sched/lpfs.hh"
@@ -52,16 +47,8 @@ goldenPath(const std::string &name)
 Program
 prepare(const std::string &short_name)
 {
-    auto spec =
-        workloads::findWorkload(workloads::scaledParams(), short_name);
-    Program prog = spec.build();
-    PassManager passes;
-    passes.add(std::make_unique<DecomposeToffoliPass>());
-    passes.add(std::make_unique<RotationDecomposerPass>(
-        Toolflow::rotationPresetFor(short_name)));
-    passes.add(std::make_unique<FlattenPass>(30'000));
-    passes.run(prog);
-    return prog;
+    return Toolflow::lowerWorkload(
+        workloads::findWorkload(workloads::scaledParams(), short_name));
 }
 
 /**

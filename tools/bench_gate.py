@@ -1,0 +1,157 @@
+#!/usr/bin/env python3
+"""Gate a freshly generated BENCH_*.json against its committed baseline.
+
+Usage: tools/bench_gate.py NAME BASELINE FRESH
+
+NAME picks the file's rules in GATES. Every gate keys the file's rows
+and fails when a row is present on only one side, so a renamed or
+dropped row can never pass without being compared. Each gated field
+carries one rule: schedules are deterministic, so cycles, hashes and
+makespans match exactly, while sizes, gaps and estimates may drift
+10%. Wall-clock fields are too noisy to gate on CI runners; they are
+informational (printed, never gated). Exit 0 when the fresh file
+passes, 1 on any regression, 2 on usage errors.
+"""
+
+import json
+import sys
+
+
+def exact(base, now):
+    return now == base
+
+
+def grow10(base, now):
+    return now <= base * 1.10
+
+
+def near10(base, now):
+    return base * 0.90 <= now <= base * 1.10
+
+
+def true(base, now):
+    return now is True
+
+
+def keeps_optimal(base, now):
+    # A proof is deterministic: losing one is a regression even if the
+    # makespan barely moves.
+    return base != "optimal" or now == "optimal"
+
+
+INFO = None
+
+
+def gap(row):
+    # Recomputed from the raw integers, immune to float formatting.
+    return row["makespan"] / row["lower_bound"]
+
+
+def gap_leaves(doc):
+    return [dict(leaf, input=inp["input"], scheduler=inp["scheduler"])
+            for inp in doc["inputs"] for leaf in inp["leaves"]]
+
+
+# NAME -> (schema or None, {top-level field: rule},
+#          [(row list, key fields, {field: rule})]).
+# A field is a key of the row or a function of it.
+GATES = {
+    "compile_time": (None, {}, [
+        ("rows", ("workload", "scheduler", "config"),
+         {"total_cycles": exact})]),
+    "schedule_memory": (None, {}, [
+        ("rows", ("workload", "scheduler", "k"),
+         {"soa_bytes_per_step": grow10})]),
+    "optimality_gap": ("msq-optimality-gap-v1", {}, [
+        (gap_leaves, ("input", "scheduler", "module", "width"),
+         {gap: grow10})]),
+    "opt_gap": ("msq-opt-gap-v1", {}, [
+        ("rows", ("workload", "module", "width"),
+         {"provenance": keeps_optimal, gap: grow10})]),
+    "paper_scale": ("msq-paper-scale-v1", {}, [
+        ("rows", ("workload", "scheduler"),
+         {"exact": true, "gates": near10, "makespan_cycles": near10,
+          "epr_pairs": near10, "distinct_leaves": near10})]),
+    "serve_latency": (None, {
+        "determinism_ok": true,
+        "warm_hit_rate": lambda base, now: now == 1.0}, [
+        ("results", ("workload",),
+         {"schedule_hash": exact, "makespan": exact}),
+        ("phases", ("phase",),
+         {"requests_per_sec": INFO, "p50_ms": INFO})]),
+    "multicore": ("msq-multicore-v1", {
+        "workloads": exact, "required_wins": exact, "mapped_wins": exact,
+        "comm_check_ok": exact}, [
+        ("rows", ("workload", "topology", "scheduler", "mapping"),
+         {"makespan": exact, "intercore_teleports": exact}),
+        ("mapping_quality", ("workload",),
+         {"leaves": exact, "cut_mapped": exact, "cut_roundrobin": exact})]),
+}
+
+
+def value(row, field):
+    return field(row) if callable(field) else row[field]
+
+
+def label(field):
+    return field.__name__ if callable(field) else field
+
+
+def rows_of(doc, rows):
+    return rows(doc) if callable(rows) else doc[rows]
+
+
+def check(name, base, fresh):
+    """@return (regressions, informational lines, rows compared) of
+    @p fresh against @p base."""
+    schema, top, tables = GATES[name]
+    bad, info = [], []
+    for doc, side in ((base, "baseline"), (fresh, "fresh file")):
+        if schema is not None and doc.get("schema") != schema:
+            bad.append(f"{side}: schema {doc.get('schema')!r}, "
+                       f"expected {schema!r}")
+    bad += [f"{field}: {base[field]} -> {fresh[field]}"
+            for field, rule in top.items()
+            if not rule(base[field], fresh[field])]
+    compared = 0
+    for rows, key_fields, fields in tables:
+        def keyed(doc):
+            return {tuple(r[f] for f in key_fields): r
+                    for r in rows_of(doc, rows)}
+        b, n = keyed(base), keyed(fresh)
+        bad += [f"{key}: row missing from fresh file"
+                for key in b if key not in n]
+        bad += [f"{key}: row missing from baseline"
+                for key in n if key not in b]
+        for key in [key for key in b if key in n]:
+            compared += 1
+            for field, rule in fields.items():
+                was, now = value(b[key], field), value(n[key], field)
+                if rule is INFO:
+                    info.append(f"{key} {label(field)}: {now} "
+                                f"(baseline {was})")
+                elif not rule(was, now):
+                    bad.append(f"{key} {label(field)}: {was} -> {now}")
+    return bad, info, compared
+
+
+def main(argv):
+    if len(argv) != 4 or argv[1] not in GATES:
+        print(f"usage: {argv[0]} {{{','.join(GATES)}}} BASELINE FRESH",
+              file=sys.stderr)
+        return 2
+    docs = []
+    for path in argv[2:]:
+        with open(path) as f:
+            docs.append(json.load(f))
+    bad, info, compared = check(argv[1], *docs)
+    for line in info + [f"REGRESSION {what}" for what in bad]:
+        print(line)
+    if bad:
+        return 1
+    print(f"{argv[1]}: {compared} rows match the baseline")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

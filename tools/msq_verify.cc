@@ -117,12 +117,9 @@
 #include "analysis/qubit_analyses.hh"
 #include "analysis/qubit_mapping.hh"
 #include "arch/multi_simd.hh"
+#include "core/toolflow.hh"
 #include "frontend/parser.hh"
 #include "frontend/qasm_reader.hh"
-#include "passes/decompose_toffoli.hh"
-#include "passes/flatten.hh"
-#include "passes/pass_manager.hh"
-#include "passes/rotation_decomposer.hh"
 #include "sched/comm.hh"
 #include "sched/coarse.hh"
 #include "sched/lpfs.hh"
@@ -556,23 +553,6 @@ injectCommFault(LeafSchedule &sched, const MultiSimdArch &arch,
 }
 
 /**
- * Shared lowering for --check-comm and --bounds: decompose Toffolis,
- * decompose rotations, flatten small modules into primitive leaves.
- */
-void
-lowerForScheduling(Program &prog, MetricsRegistry &metrics)
-{
-    PassManager pm;
-    pm.setMetrics(&metrics);
-    pm.add(std::make_unique<DecomposeToffoliPass>());
-    RotationDecomposerPass::Config rot;
-    rot.sequenceLength = 32;
-    pm.add(std::make_unique<RotationDecomposerPass>(rot));
-    pm.add(std::make_unique<FlattenPass>(30'000));
-    pm.run(prog);
-}
-
-/**
  * --check-comm: schedule each reachable leaf of the lowered program
  * under RCP and LPFS, derive the movement plan, and replay it through
  * the race detector. Also coarse-schedules the whole program and
@@ -793,25 +773,6 @@ checkEstimate(const std::string &path, Program &prog,
     }
 }
 
-/** Minimal JSON string escaping (module names are identifiers, but be
- * safe about quotes and backslashes anyway). */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20) {
-            out += csprintf("\\u%04x", c);
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
-
 /** Write the accumulated --bounds-json gap report. */
 bool
 writeBoundsJson(const Options &options,
@@ -969,12 +930,15 @@ writeEstimateJson(const Options &options,
 
 /**
  * Post-parse pipeline shared by file and --workload inputs: lint,
- * dataflow printing, and (lowering once) the --check-comm and --bounds
- * scheduling checks. @p diags may already hold parse-stage diagnostics.
+ * dataflow printing, and (lowering once, through Toolflow::lower under
+ * @p lowering, so the checks see the program Toolflow::run schedules)
+ * the --check-comm and --bounds scheduling checks. @p diags may already
+ * hold parse-stage diagnostics.
  */
 Outcome
 checkProgram(const std::string &label, Program &prog,
-             const Options &options, DiagnosticEngine &diags,
+             ToolflowConfig lowering, const Options &options,
+             DiagnosticEngine &diags,
              MetricsRegistry &metrics,
              std::vector<BoundsJsonEntry> &json_entries,
              std::vector<EstimateJsonEntry> &estimate_entries)
@@ -988,7 +952,8 @@ checkProgram(const std::string &label, Program &prog,
     if ((options.checkComm || options.bounds || options.estimate) &&
         !diags.hasErrors()) {
         try {
-            lowerForScheduling(prog, metrics);
+            lowering.metrics = &metrics;
+            Toolflow(std::move(lowering)).lower(prog);
             if (options.checkComm)
                 checkCommunication(label, prog, options, diags, metrics);
             if (options.bounds) {
@@ -1053,8 +1018,9 @@ checkFile(const std::string &path, const Options &options,
         return Outcome::ParseError;
     }
 
-    return checkProgram(path, prog, options, diags, metrics,
-                        json_entries, estimate_entries);
+    // Like an msq-served "source" request: the default configuration.
+    return checkProgram(path, prog, ToolflowConfig{}, options, diags,
+                        metrics, json_entries, estimate_entries);
 }
 
 /** @return the outcome for one --workload=NAME input. */
@@ -1087,8 +1053,10 @@ checkWorkload(const std::string &name, const Options &options,
         return Outcome::ParseError;
     }
 
-    return checkProgram(label, prog, options, diags, metrics,
-                        json_entries, estimate_entries);
+    ToolflowConfig lowering;
+    lowering.rotations = Toolflow::rotationPresetFor(name);
+    return checkProgram(label, prog, std::move(lowering), options, diags,
+                        metrics, json_entries, estimate_entries);
 }
 
 /**
