@@ -29,20 +29,6 @@ operandTouches(const Module &mod)
     return touches;
 }
 
-/**
- * Per-timestep qubit-touch capacity of @p arch on @p mod: k regions of
- * at most d operands each (validator invariant S006), and no qubit is
- * touched twice in one step (S007), so the module's own qubit count
- * caps the step too.
- */
-uint64_t
-touchCapacity(const Module &mod, const MultiSimdArch &arch)
-{
-    uint64_t cap = std::min<uint64_t>(satMul(arch.k, arch.d),
-                                      mod.numQubits());
-    return std::max<uint64_t>(cap, 1);
-}
-
 /** Evenly sample @p values (sorted, unique) down to @p budget entries,
  * always keeping the first and last. */
 std::vector<uint64_t>
@@ -60,63 +46,89 @@ sampleEndpoints(const std::vector<uint64_t> &values, size_t budget)
     return out;
 }
 
-/**
+/** The values set in @p marked, ascending. */
+std::vector<uint64_t>
+markedValues(const std::vector<bool> &marked)
+{
+    std::vector<uint64_t> values;
+    for (size_t v = 0; v < marked.size(); ++v)
+        if (marked[v])
+            values.push_back(v);
+    return values;
+}
+
+} // anonymous namespace
+
+/*
  * Fernandez-style interval bound over [earliest-start, latest-finish]
  * windows at unit op weights: for window [a, b), every op whose window
  * is contained in it must run there, so if those ops' operand touches
  * need more than (b - a) steps of capacity, the critical path stretches
- * by the excess.
+ * by the excess. Only the capacity depends on the machine, so the
+ * profile keeps each window's load and span and evaluate() divides.
  */
-uint64_t
-intervalBound(const DepDag &dag, const Module &mod, uint64_t cp,
-              uint64_t cap)
+LeafBoundProfile::LeafBoundProfile(const Module &mod, const DepDag &dag)
+    : touches(operandTouches(mod)), numQubits(mod.numQubits())
 {
+    if (!mod.isLeaf())
+        panic("computeLeafBounds: '" + mod.name() +
+              "' is not a leaf module");
     const size_t n = dag.numNodes();
-    auto depth = dag.depthFromTop();     // ASAP finish (unit weights)
-    auto height = dag.heightToBottom();  // incl. own weight
+    if (n != mod.numOps())
+        panic("LeafBoundProfile: DAG does not match '" + mod.name() + "'");
+    if (n == 0)
+        return;
 
-    // Window of op i in step units: start es = depth - 1, exclusive
-    // finish lf = cp - height + 1.
-    std::vector<uint64_t> es(n), lf(n);
-    std::vector<uint64_t> starts, finishes;
-    starts.reserve(n);
-    finishes.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-        es[i] = depth[i] - 1;
-        lf[i] = cp - height[i] + 1;
-        starts.push_back(es[i]);
-        finishes.push_back(lf[i]);
+    const std::vector<uint64_t> depth = dag.depthFromTop(); // ASAP finish
+    const std::vector<uint64_t> height = dag.heightToBottom();
+    uint64_t cp = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+        if (dag.weight(i) != 1)
+            panic("LeafBoundProfile: DAG of '" + mod.name() +
+                  "' is not unit-weight");
+        cp = std::max(cp, depth[i]);
     }
-    std::sort(starts.begin(), starts.end());
-    starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
-    std::sort(finishes.begin(), finishes.end());
-    finishes.erase(std::unique(finishes.begin(), finishes.end()),
-                   finishes.end());
-    starts = sampleEndpoints(starts, maxIntervalEndpoints);
-    finishes = sampleEndpoints(finishes, maxIntervalEndpoints);
+    criticalPath = cp;
+
+    // Window of op i in step units: start depth - 1, exclusive finish
+    // cp - height + 1. Both lie in [0, cp] and unit weights give
+    // cp <= n, so bitmaps over [0, cp] collect the distinct endpoints in
+    // ascending order without sorting.
+    auto start_of = [&](size_t i) { return depth[i] - 1; };
+    auto finish_of = [&](size_t i) { return cp - height[i] + 1; };
+    std::vector<bool> is_start(cp + 1, false), is_finish(cp + 1, false);
+    for (size_t i = 0; i < n; ++i) {
+        is_start[start_of(i)] = true;
+        is_finish[finish_of(i)] = true;
+    }
+    const std::vector<uint64_t> starts =
+        sampleEndpoints(markedValues(is_start), maxIntervalEndpoints);
+    const std::vector<uint64_t> finishes =
+        sampleEndpoints(markedValues(is_finish), maxIntervalEndpoints);
 
     // Bucket each op once: by the first sampled finish that covers it
     // (rounding up to a later finish only *widens* the window it is
     // counted in — still sound) and by the last sampled start at or
-    // before its own. The op lies past window start starts[s] exactly
-    // when its start bucket is >= s, so sweeping the starts from latest
-    // to earliest and folding in one bucket row per start yields each
-    // start's per-finish load; the prefix sum then gives the load of
-    // every window [a, b).
+    // before its own.
     const size_t num_finishes = finishes.size();
     std::vector<uint64_t> table(starts.size() * num_finishes, 0);
     for (size_t i = 0; i < n; ++i) {
-        size_t finish_bucket =
-            std::lower_bound(finishes.begin(), finishes.end(), lf[i]) -
-            finishes.begin();
-        size_t start_bucket =
-            std::upper_bound(starts.begin(), starts.end(), es[i]) -
-            starts.begin() - 1;
+        size_t finish_bucket = std::lower_bound(finishes.begin(),
+                                                finishes.end(),
+                                                finish_of(i)) -
+                               finishes.begin();
+        size_t start_bucket = std::upper_bound(starts.begin(), starts.end(),
+                                               start_of(i)) -
+                              starts.begin() - 1;
         uint64_t &cell = table[start_bucket * num_finishes + finish_bucket];
         cell = satAdd(cell, mod.op(i).operands.size());
     }
 
-    uint64_t max_excess = 0;
+    // The op lies past window start starts[s] exactly when its start
+    // bucket is >= s, so sweeping the starts from latest to earliest and
+    // folding in one bucket row per start yields each start's
+    // per-finish load; the prefix sum then gives the load of every
+    // window [a, b).
     std::vector<uint64_t> load(num_finishes, 0);
     for (size_t s = starts.size(); s-- > 0;) {
         const uint64_t a = starts[s];
@@ -126,36 +138,39 @@ intervalBound(const DepDag &dag, const Module &mod, uint64_t cp,
         for (size_t j = 0; j < num_finishes; ++j) {
             running = satAdd(running, load[j]);
             const uint64_t b = finishes[j];
-            if (b <= a)
-                continue;
-            uint64_t steps = satCeilDiv(running, cap);
-            uint64_t span = b - a;
-            if (steps > span)
-                max_excess = std::max(max_excess, steps - span);
+            if (b > a && running > b - a)
+                windows.push_back({running, b - a});
         }
     }
-    return satAdd(cp, max_excess);
 }
 
-} // anonymous namespace
+MakespanBounds
+LeafBoundProfile::evaluate(const MultiSimdArch &arch) const
+{
+    // Per-timestep qubit-touch capacity: k regions of at most d
+    // operands each (validator invariant S006), and no qubit is touched
+    // twice in one step (S007), so the module's own qubit count caps
+    // the step too.
+    const uint64_t cap = std::max<uint64_t>(
+        std::min<uint64_t>(satMul(arch.k, arch.d), numQubits), 1);
+    MakespanBounds bounds;
+    bounds.criticalPath = criticalPath;
+    bounds.resource = satCeilDiv(touches, cap);
+    uint64_t max_excess = 0;
+    for (const Window &window : windows) {
+        uint64_t steps = satCeilDiv(window.load, cap);
+        if (steps > window.span)
+            max_excess = std::max(max_excess, steps - window.span);
+    }
+    bounds.interval = satAdd(criticalPath, max_excess);
+    return bounds;
+}
 
 MakespanBounds
 computeLeafBounds(const Module &mod, const MultiSimdArch &arch)
 {
-    if (!mod.isLeaf())
-        panic("computeLeafBounds: '" + mod.name() +
-              "' is not a leaf module");
-    MakespanBounds bounds;
-    if (mod.numOps() == 0)
-        return bounds;
-
-    DepDag dag = DepDag::build(mod); // unit weights: 1 step per op
-    bounds.criticalPath = dag.criticalPathLength();
-
-    const uint64_t cap = touchCapacity(mod, arch);
-    bounds.resource = satCeilDiv(operandTouches(mod), cap);
-    bounds.interval = intervalBound(dag, mod, bounds.criticalPath, cap);
-    return bounds;
+    // Unit weights: 1 step per op.
+    return LeafBoundProfile(mod, DepDag::build(mod)).evaluate(arch);
 }
 
 MakespanBoundAnalysis::MakespanBoundAnalysis(const Program &prog,

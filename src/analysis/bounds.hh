@@ -70,10 +70,56 @@ struct MakespanBounds
     }
 };
 
+class DepDag;
+
+/**
+ * The width-invariant part of a leaf's bounds: everything
+ * computeLeafBounds derives from the module alone, so that a width
+ * sweep profiles each leaf once and evaluates the profile per sweep
+ * point (DESIGN.md §12). Holds the critical path, the operand-touch
+ * total, the qubit count and the interval bound's candidate windows,
+ * each reduced to its confined load and its span. Immutable once
+ * built, so one profile may be evaluated from many threads at once.
+ */
+class LeafBoundProfile
+{
+  public:
+    /**
+     * Profile leaf @p mod from its unit-weight dependence DAG @p dag
+     * (DepDag::build(mod) with the default weights).
+     */
+    LeafBoundProfile(const Module &mod, const DepDag &dag);
+
+    /**
+     * Lower-bound the compute-timestep count of any valid schedule of
+     * the profiled leaf on @p arch: derives the per-step touch capacity
+     * and sweeps the windows against it, O(windows) with at most 64x64
+     * windows.
+     */
+    MakespanBounds evaluate(const MultiSimdArch &arch) const;
+
+  private:
+    /** One candidate window [a, b) of the interval bound. */
+    struct Window
+    {
+        uint64_t load; ///< operand touches of the ops confined to it
+        uint64_t span; ///< b - a steps
+    };
+
+    uint64_t criticalPath = 0;
+    uint64_t touches = 0;
+    uint64_t numQubits = 0;
+    /** Only windows whose load exceeds their span: with capacity >= 1
+     * per step no other window can stretch the schedule. */
+    std::vector<Window> windows;
+};
+
 /**
  * Lower-bound the compute-timestep count of any valid schedule of leaf
  * @p mod on @p arch (arch.k is the width budget; pass a width-clamped
- * copy to bound narrower sweep points).
+ * copy to bound narrower sweep points). Profiles @p mod and evaluates
+ * the profile once; callers bounding several widths of one leaf should
+ * keep a LeafBoundProfile instead.
  */
 MakespanBounds computeLeafBounds(const Module &mod,
                                  const MultiSimdArch &arch);

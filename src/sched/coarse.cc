@@ -1,6 +1,8 @@
 #include "sched/coarse.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <optional>
 #include <queue>
 
@@ -82,8 +84,47 @@ CoarseScheduler::CoarseScheduler(const MultiSimdArch &arch,
     }
 }
 
+/**
+ * The width-invariant analysis of one leaf for one schedule() call: its
+ * memoization key prefix, its dependence DAG and its bound profile
+ * (DESIGN.md §9). The key prefix is set before the width tasks fan out.
+ * The DAG and profile are built under call_once by the first width task
+ * that misses the cache, whichever thread runs it; the others wait for
+ * it and then only read. The last of the leaf's width tasks to finish
+ * frees them, so a leaf whose widths all hit builds nothing and only
+ * the leaves in flight hold a DAG.
+ */
+struct CoarseScheduler::LeafShare
+{
+    std::string keyPrefix;
+    std::atomic<size_t> tasksLeft{0};
+    std::once_flag analyzed;
+    std::optional<DepDag> dag;
+    std::optional<LeafBoundProfile> bounds;
+
+    void
+    analyze(const Module &mod)
+    {
+        std::call_once(analyzed, [&] {
+            dag.emplace(DepDag::build(mod));
+            bounds.emplace(mod, *dag);
+        });
+    }
+
+    /** Called once per finished width task; the last one frees. */
+    void
+    finishTask()
+    {
+        if (tasksLeft.fetch_sub(1) == 1) {
+            dag.reset();
+            bounds.reset();
+        }
+    }
+};
+
 std::shared_ptr<const LeafScheduleResult>
-CoarseScheduler::leafWidthResult(const Module &mod, unsigned w) const
+CoarseScheduler::leafWidthResult(const Module &mod, unsigned w,
+                                 LeafShare &share) const
 {
     // Guard the span on enabled() so name/args composition costs
     // nothing on untraced runs; the record path itself is per-thread
@@ -96,7 +137,7 @@ CoarseScheduler::leafWidthResult(const Module &mod, unsigned w) const
 
     std::string key;
     if (cache) {
-        key = leafScheduleKey(mod, w, cacheKeySuffix);
+        key = leafScheduleKey(share.keyPrefix, w, cacheKeySuffix);
         if (auto hit = cache->lookup(key)) {
             if (hit->matchesModule(mod.numOps(), mod.numQubits())) {
                 if (tracing) {
@@ -130,15 +171,16 @@ CoarseScheduler::leafWidthResult(const Module &mod, unsigned w) const
     }
     MultiSimdArch sub = arch;
     sub.k = w;
+    share.analyze(mod);
     auto result = std::make_shared<LeafScheduleResult>();
-    LeafSchedule sched =
-        leafScheduler->scheduleWithAttempt(mod, sub, result->attempt);
+    LeafSchedule sched = leafScheduler->scheduleWithAttempt(
+        mod, *share.dag, sub, result->attempt);
     CommunicationAnalyzer comm(arch, mode);
     result->stats = comm.annotate(sched);
     // Static lower bounds and the streaming resource-summary fold ride
     // the same memoization as the schedule: all are pure functions of
     // what the key captures.
-    result->bounds = computeLeafBounds(mod, sub);
+    result->bounds = share.bounds->evaluate(sub);
     result->summary = summarizeLeafSchedule(sched, arch);
     result->schedule = sched.sharedBuffer();
     // Guard fields for cross-process reuse: a warm-started process can
@@ -440,13 +482,24 @@ CoarseScheduler::schedule(const Program &prog) const
     // module, and each sweep width is independent too, so fine-grained
     // scheduling fans out across (module x width) tasks. Each task
     // writes only its own slot; which thread computes a slot is
-    // irrelevant to the value stored in it.
+    // irrelevant to the value stored in it. A leaf's width tasks share
+    // its width-invariant analysis (LeafShare), hashed for the cache key
+    // first, once per leaf.
     const size_t nw = widths.size();
+    std::vector<LeafShare> shares(leaves.size());
+    run_tasks(leaves.size(), [&](uint64_t m) {
+        shares[m].tasksLeft = nw;
+        if (cache)
+            shares[m].keyPrefix =
+                leafScheduleKeyPrefix(prog.module(leaves[m]));
+    });
     std::vector<std::shared_ptr<const LeafScheduleResult>> slots(
         leaves.size() * nw);
     run_tasks(slots.size(), [&](uint64_t t) {
         const Module &mod = prog.module(leaves[t / nw]);
-        slots[t] = leafWidthResult(mod, widths[t % nw]);
+        LeafShare &share = shares[t / nw];
+        slots[t] = leafWidthResult(mod, widths[t % nw], share);
+        share.finishTask();
     });
 
     // Merge in bottom-up (module-id stream) order — single-threaded, so

@@ -154,13 +154,18 @@ class CoarseScheduler
     /** Scheduler/arch/mode part of memoization keys (width excluded). */
     std::string cacheKeySuffix;
 
+    /** Width-invariant analysis of one leaf, shared by its width tasks
+     * (defined in coarse.cc). */
+    struct LeafShare;
+
     /**
      * Fine-grain schedule @p mod at width @p w (through the memoization
-     * cache when one is attached). Pure function of its arguments:
-     * safe to fan out across threads.
+     * cache when one is attached), on the leaf's shared analysis
+     * @p share. Pure function of @p mod and @p w: safe to fan out
+     * across threads.
      */
     std::shared_ptr<const LeafScheduleResult>
-    leafWidthResult(const Module &mod, unsigned w) const;
+    leafWidthResult(const Module &mod, unsigned w, LeafShare &share) const;
 
     /** Coarse list-schedule @p mod under width budget @p max_width. */
     uint64_t scheduleNonLeaf(const Program &prog, const Module &mod,

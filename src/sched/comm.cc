@@ -123,9 +123,11 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched) const
     // Qubits currently parked inside each region (between uses).
     std::vector<std::vector<QubitId>> parked(sched.k());
 
-    // Per-step operand scratch, reused across steps.
+    // Per-step operand scratch, reused across steps; operand_step[q]
+    // is the last timestep in which q was an operand anywhere, so
+    // "operand this step" is one comparison.
     std::vector<std::vector<QubitId>> operands(sched.k());
-    std::vector<QubitId> all_operands;
+    std::vector<uint64_t> operand_step(mod.numQubits(), num_steps);
 
     for (uint64_t ts = 0; ts < num_steps; ++ts) {
         TimestepView step = sched.step(ts);
@@ -160,13 +162,12 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched) const
         // Operand sets per region for this timestep.
         for (auto &list : operands)
             list.clear();
-        all_operands.clear();
         for (RegionSlotView slot : step) {
             unsigned r = slot.region();
             for (uint32_t op_index : slot.ops()) {
                 for (QubitId q : mod.op(op_index).operands) {
                     operands[r].push_back(q);
-                    all_operands.push_back(q);
+                    operand_step[q] = ts;
                 }
             }
             if (!operands[r].empty()) {
@@ -191,10 +192,7 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched) const
                 // A qubit operated on anywhere this timestep is not
                 // evicted: either it stays (same region) or the fetch
                 // phase teleports it region-to-region directly.
-                bool is_operand =
-                    std::find(all_operands.begin(), all_operands.end(),
-                              q) != all_operands.end();
-                if (is_operand) {
+                if (operand_step[q] == ts) {
                     keep.push_back(q);
                     continue;
                 }

@@ -19,14 +19,26 @@ leafScheduleKeySuffix(const std::string &scheduler_fingerprint,
 }
 
 std::string
+leafScheduleKeyPrefix(const Module &mod)
+{
+    return csprintf("%016llx|%llu|%llu",
+                    static_cast<unsigned long long>(mod.structuralHash()),
+                    static_cast<unsigned long long>(mod.numOps()),
+                    static_cast<unsigned long long>(mod.numQubits()));
+}
+
+std::string
+leafScheduleKey(const std::string &prefix, unsigned width,
+                const std::string &suffix)
+{
+    return csprintf("%s|w=%u|%s", prefix.c_str(), width, suffix.c_str());
+}
+
+std::string
 leafScheduleKey(const Module &mod, unsigned width,
                 const std::string &suffix)
 {
-    return csprintf("%016llx|%llu|%llu|w=%u|%s",
-                    static_cast<unsigned long long>(mod.structuralHash()),
-                    static_cast<unsigned long long>(mod.numOps()),
-                    static_cast<unsigned long long>(mod.numQubits()),
-                    width, suffix.c_str());
+    return leafScheduleKey(leafScheduleKeyPrefix(mod), width, suffix);
 }
 
 std::shared_ptr<const LeafScheduleResult>

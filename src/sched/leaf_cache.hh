@@ -152,9 +152,21 @@ std::string leafScheduleKeySuffix(const std::string &scheduler_fingerprint,
                                   CommMode mode);
 
 /**
- * The full memoization key of scheduling @p mod at @p width under the
+ * The module part of a memoization key: "hash|ops|qubits" from
+ * Module::structuralHash() and the module's counts. Hashing is the
+ * costly part of a key, so a width sweep computes this once per leaf.
+ */
+std::string leafScheduleKeyPrefix(const Module &mod);
+
+/**
+ * The full memoization key of scheduling the module whose
+ * leafScheduleKeyPrefix is @p prefix at @p width under the
  * configuration captured by @p suffix (leafScheduleKeySuffix).
  */
+std::string leafScheduleKey(const std::string &prefix, unsigned width,
+                            const std::string &suffix);
+
+/** The full memoization key of scheduling @p mod at @p width. */
 std::string leafScheduleKey(const Module &mod, unsigned width,
                             const std::string &suffix);
 

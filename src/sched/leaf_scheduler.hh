@@ -22,6 +22,7 @@
 
 #include "arch/multi_simd.hh"
 #include "arch/schedule.hh"
+#include "ir/dag.hh"
 #include "ir/module.hh"
 
 namespace msq {
@@ -79,24 +80,39 @@ class LeafScheduler
      * Schedule leaf module @p mod onto @p arch.
      * @pre mod.isLeaf() and every op is a primitive gate.
      */
-    virtual LeafSchedule schedule(const Module &mod,
-                                  const MultiSimdArch &arch) const = 0;
+    LeafSchedule schedule(const Module &mod,
+                          const MultiSimdArch &arch) const;
 
     /**
      * Schedule @p mod and report how the schedule was obtained via
-     * @p attempt. The default forwards to schedule() and reports
-     * Heuristic provenance with zeroed search counters; only schedulers
-     * with a non-trivial search (OptScheduler) override this.
+     * @p attempt. Heuristic schedulers report Heuristic provenance with
+     * zeroed search counters; only schedulers with a non-trivial search
+     * (OptScheduler) fill them in.
      */
-    virtual LeafSchedule
-    scheduleWithAttempt(const Module &mod, const MultiSimdArch &arch,
-                        ScheduleAttempt &attempt) const
-    {
-        attempt = ScheduleAttempt{};
-        return schedule(mod, arch);
-    }
+    LeafSchedule scheduleWithAttempt(const Module &mod,
+                                     const MultiSimdArch &arch,
+                                     ScheduleAttempt &attempt) const;
+
+    /**
+     * As above, on @p dag = DepDag::build(mod) built by the caller, so
+     * that a width sweep builds each leaf's DAG once
+     * (CoarseScheduler). The two overloads above build the DAG and
+     * forward here.
+     */
+    LeafSchedule scheduleWithAttempt(const Module &mod, const DepDag &dag,
+                                     const MultiSimdArch &arch,
+                                     ScheduleAttempt &attempt) const;
 
   protected:
+    /**
+     * The scheduler itself: inputs are checked and @p attempt is reset
+     * to Heuristic before the call.
+     */
+    virtual LeafSchedule scheduleOnDag(const Module &mod,
+                                       const DepDag &dag,
+                                       const MultiSimdArch &arch,
+                                       ScheduleAttempt &attempt) const = 0;
+
     /** Shared precondition checks; panics on violations. */
     static void checkInputs(const Module &mod, const MultiSimdArch &arch);
 };
@@ -120,8 +136,11 @@ class SequentialScheduler : public LeafScheduler
   public:
     const char *name() const override { return "sequential"; }
     std::string fingerprint() const override { return "sequential"; }
-    LeafSchedule schedule(const Module &mod,
-                          const MultiSimdArch &arch) const override;
+
+  protected:
+    LeafSchedule scheduleOnDag(const Module &mod, const DepDag &dag,
+                               const MultiSimdArch &arch,
+                               ScheduleAttempt &attempt) const override;
 };
 
 } // namespace msq

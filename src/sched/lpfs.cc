@@ -36,7 +36,7 @@ struct LpfsState
 {
     const Module &mod;
     const MultiSimdArch &arch;
-    DepDag dag;
+    const DepDag &dag;
     std::vector<uint32_t> pendingPreds;
     std::vector<uint64_t> height; ///< static DAG height (chain depth)
     std::vector<bool> scheduled;
@@ -57,8 +57,9 @@ struct LpfsState
     std::vector<uint32_t> releaseBatch; ///< endOfStep() scratch
     uint64_t remaining;         ///< unscheduled op count
 
-    LpfsState(const Module &mod, const MultiSimdArch &arch)
-        : mod(mod), arch(arch), dag(DepDag::build(mod)),
+    LpfsState(const Module &mod, const DepDag &dag,
+              const MultiSimdArch &arch)
+        : mod(mod), arch(arch), dag(dag),
           scheduled(mod.numOps(), false), onPath(mod.numOps(), false),
           age(mod.numOps(), 0), qubitRegion(mod.numQubits(), -1),
           lastQubits(arch.k), remaining(mod.numOps())
@@ -288,9 +289,10 @@ LpfsScheduler::fingerprint() const
 }
 
 LeafSchedule
-LpfsScheduler::schedule(const Module &mod, const MultiSimdArch &arch) const
+LpfsScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
+                             const MultiSimdArch &arch,
+                             ScheduleAttempt &) const
 {
-    checkInputs(mod, arch);
     if (options.l == 0)
         fatal("LPFS: l must be >= 1");
     // The hierarchical width sweep schedules leaves on narrower
@@ -301,7 +303,7 @@ LpfsScheduler::schedule(const Module &mod, const MultiSimdArch &arch) const
     if (mod.numOps() == 0)
         return builder.finish();
 
-    LpfsState st(mod, arch);
+    LpfsState st(mod, dag, arch);
 
     // Initial longest paths for the l dedicated regions.
     std::vector<std::deque<uint32_t>> paths(l);

@@ -45,11 +45,12 @@ constexpr size_t maxComboIterationsPerNode = 4096;
 class OptSearch
 {
   public:
-    OptSearch(const Module &mod, const MultiSimdArch &arch, CommMode mode,
+    OptSearch(const Module &mod, const DepDag &dag,
+              const MultiSimdArch &arch, CommMode mode,
               uint64_t lower_bound, uint64_t node_budget,
               ScheduleAttempt &attempt)
         : mod(mod), arch(arch), mode(mode), lb(lower_bound),
-          budget(node_budget), attempt(attempt), dag(DepDag::build(mod)),
+          budget(node_budget), attempt(attempt), dag(dag),
           height(dag.heightToBottom()),
           scheduledWords((mod.numOps() + 63) / 64, 0)
     {
@@ -540,7 +541,7 @@ class OptSearch
     ScheduleAttempt &attempt;
     bool aborted = false;
 
-    DepDag dag;
+    const DepDag &dag;
     std::vector<uint64_t> height;
     std::vector<uint32_t> pendingPreds;
     std::vector<uint64_t> scheduledWords;
@@ -583,20 +584,10 @@ OptScheduler::fingerprint() const
 }
 
 LeafSchedule
-OptScheduler::schedule(const Module &mod, const MultiSimdArch &arch) const
+OptScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
+                            const MultiSimdArch &arch,
+                            ScheduleAttempt &attempt) const
 {
-    ScheduleAttempt attempt;
-    return scheduleWithAttempt(mod, arch, attempt);
-}
-
-LeafSchedule
-OptScheduler::scheduleWithAttempt(const Module &mod,
-                                  const MultiSimdArch &arch,
-                                  ScheduleAttempt &attempt) const
-{
-    checkInputs(mod, arch);
-    attempt = ScheduleAttempt{};
-
     if (mod.numOps() == 0) {
         // An empty schedule trivially meets its (zero) bound.
         attempt.provenance = ScheduleProvenance::Optimal;
@@ -607,10 +598,12 @@ OptScheduler::scheduleWithAttempt(const Module &mod,
     // Tier 0: cost the fallback heuristic against the bound. When it
     // already meets the bound the proof is free — the search would only
     // rediscover a schedule of the same certified length.
-    LeafSchedule fallback = fallbackScheduler().schedule(mod, arch);
+    ScheduleAttempt fallback_attempt;
+    LeafSchedule fallback = fallbackScheduler().scheduleWithAttempt(
+        mod, dag, arch, fallback_attempt);
     CommunicationAnalyzer comm(arch, options.commMode);
     const CommStats fb_stats = comm.annotate(fallback);
-    const uint64_t lb = computeLeafBounds(mod, arch).composite();
+    const uint64_t lb = LeafBoundProfile(mod, dag).evaluate(arch).composite();
     attempt.candidatesAnnotated = 1;
     if (fb_stats.totalCycles == lb) {
         attempt.provenance = ScheduleProvenance::Optimal;
@@ -622,8 +615,8 @@ OptScheduler::scheduleWithAttempt(const Module &mod,
         return fallback;
     }
 
-    OptSearch search(mod, arch, options.commMode, lb, options.nodeBudget,
-                     attempt);
+    OptSearch search(mod, dag, arch, options.commMode, lb,
+                     options.nodeBudget, attempt);
     if (search.run()) {
         attempt.provenance = ScheduleProvenance::Optimal;
         return std::move(*search.proof);

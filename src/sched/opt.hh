@@ -81,12 +81,11 @@ class OptScheduler : public LeafScheduler
 
     const char *name() const override { return "opt"; }
     std::string fingerprint() const override;
-    LeafSchedule schedule(const Module &mod,
-                          const MultiSimdArch &arch) const override;
-    LeafSchedule scheduleWithAttempt(const Module &mod,
-                                     const MultiSimdArch &arch,
-                                     ScheduleAttempt &attempt)
-        const override;
+
+  protected:
+    LeafSchedule scheduleOnDag(const Module &mod, const DepDag &dag,
+                               const MultiSimdArch &arch,
+                               ScheduleAttempt &attempt) const override;
 
   private:
     const LeafScheduler &fallbackScheduler() const;

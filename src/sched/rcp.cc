@@ -22,7 +22,7 @@ struct RcpState
 {
     const Module &mod;
     const MultiSimdArch &arch;
-    DepDag dag;
+    const DepDag &dag;
     std::vector<uint64_t> staticSlack; ///< DepDag::slack(); see slack()
     uint64_t stepsElapsed = 0;         ///< timesteps completed so far
     std::vector<uint32_t> pendingPreds;
@@ -35,8 +35,9 @@ struct RcpState
     std::array<uint32_t, numGateKinds> readyCount{};
     std::vector<int> qubitRegion; ///< region holding each qubit, or memory
 
-    RcpState(const Module &mod, const MultiSimdArch &arch)
-        : mod(mod), arch(arch), dag(DepDag::build(mod)),
+    RcpState(const Module &mod, const DepDag &dag,
+             const MultiSimdArch &arch)
+        : mod(mod), arch(arch), dag(dag),
           staticSlack(dag.slack()), scheduled(mod.numOps(), false),
           qubitRegion(mod.numQubits(), inMemory)
     {
@@ -89,14 +90,15 @@ RcpScheduler::fingerprint() const
 }
 
 LeafSchedule
-RcpScheduler::schedule(const Module &mod, const MultiSimdArch &arch) const
+RcpScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
+                            const MultiSimdArch &arch,
+                            ScheduleAttempt &) const
 {
-    checkInputs(mod, arch);
     ScheduleBuilder builder(mod, arch.k);
     if (mod.numOps() == 0)
         return builder.finish();
 
-    RcpState st(mod, arch);
+    RcpState st(mod, dag, arch);
 
     // Hoisted per-step scratch: cleared each iteration, capacity kept.
     std::vector<bool> region_used(arch.k, false);

@@ -41,8 +41,11 @@ class RcpScheduler : public LeafScheduler
 
     const char *name() const override { return "rcp"; }
     std::string fingerprint() const override;
-    LeafSchedule schedule(const Module &mod,
-                          const MultiSimdArch &arch) const override;
+
+  protected:
+    LeafSchedule scheduleOnDag(const Module &mod, const DepDag &dag,
+                               const MultiSimdArch &arch,
+                               ScheduleAttempt &attempt) const override;
 
   private:
     Weights weights;

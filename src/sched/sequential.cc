@@ -56,10 +56,37 @@ LeafScheduler::checkInputs(const Module &mod, const MultiSimdArch &arch)
 }
 
 LeafSchedule
-SequentialScheduler::schedule(const Module &mod,
-                              const MultiSimdArch &arch) const
+LeafScheduler::schedule(const Module &mod, const MultiSimdArch &arch) const
+{
+    ScheduleAttempt attempt;
+    return scheduleWithAttempt(mod, arch, attempt);
+}
+
+LeafSchedule
+LeafScheduler::scheduleWithAttempt(const Module &mod,
+                                   const MultiSimdArch &arch,
+                                   ScheduleAttempt &attempt) const
+{
+    return scheduleWithAttempt(mod, DepDag::build(mod), arch, attempt);
+}
+
+LeafSchedule
+LeafScheduler::scheduleWithAttempt(const Module &mod, const DepDag &dag,
+                                   const MultiSimdArch &arch,
+                                   ScheduleAttempt &attempt) const
 {
     checkInputs(mod, arch);
+    if (dag.numNodes() != mod.numOps())
+        panic("leaf scheduler: DAG does not match module " + mod.name());
+    attempt = ScheduleAttempt{};
+    return scheduleOnDag(mod, dag, arch, attempt);
+}
+
+LeafSchedule
+SequentialScheduler::scheduleOnDag(const Module &mod, const DepDag &,
+                                   const MultiSimdArch &arch,
+                                   ScheduleAttempt &) const
+{
     ScheduleBuilder builder(mod, arch.k);
     for (uint32_t i = 0; i < mod.numOps(); ++i) {
         builder.beginStep();

@@ -295,15 +295,23 @@ referenceLeafBounds(const Module &mod, const MultiSimdArch &arch)
     return bounds;
 }
 
+/**
+ * Both computeLeafBounds and @p profile (built once for all of the
+ * leaf's sweep points) evaluated at @p arch equal the reference.
+ */
 void
-expectBoundsMatchReference(const Module &mod, const MultiSimdArch &arch)
+expectBoundsMatchReference(const Module &mod,
+                           const LeafBoundProfile &profile,
+                           const MultiSimdArch &arch)
 {
-    MakespanBounds want = referenceLeafBounds(mod, arch);
-    MakespanBounds got = computeLeafBounds(mod, arch);
-    EXPECT_EQ(got.criticalPath, want.criticalPath);
-    EXPECT_EQ(got.resource, want.resource);
-    EXPECT_EQ(got.interval, want.interval);
-    EXPECT_EQ(got.saturated, want.saturated);
+    const MakespanBounds want = referenceLeafBounds(mod, arch);
+    for (const MakespanBounds &got :
+         {computeLeafBounds(mod, arch), profile.evaluate(arch)}) {
+        EXPECT_EQ(got.criticalPath, want.criticalPath);
+        EXPECT_EQ(got.resource, want.resource);
+        EXPECT_EQ(got.interval, want.interval);
+        EXPECT_EQ(got.saturated, want.saturated);
+    }
 }
 
 /** A random leaf of @p ops gates (1-3 operands) over @p qubits qubits. */
@@ -337,14 +345,17 @@ TEST(IntervalBoundReference, RandomLeavesMatch)
         unsigned qubits = 2 + static_cast<unsigned>(rng.nextBelow(14));
         unsigned ops = 1 + static_cast<unsigned>(rng.nextBelow(900));
         Module mod = randomLeaf(rng, qubits, ops);
+        const DepDag dag = DepDag::build(mod);
+        const LeafBoundProfile profile(mod, dag);
         // Past 64 distinct window starts the endpoint sampling is live.
-        sampled |= DepDag::build(mod).criticalPathLength() > 64;
+        sampled |= dag.criticalPathLength() > 64;
         for (unsigned k : {1u, 2u, 4u}) {
             for (uint64_t d : {uint64_t(2), uint64_t(3), unbounded}) {
                 SCOPED_TRACE("trial " + std::to_string(trial) + " k=" +
                              std::to_string(k) +
                              " d=" + std::to_string(d));
-                expectBoundsMatchReference(mod, MultiSimdArch(k, d));
+                expectBoundsMatchReference(mod, profile,
+                                           MultiSimdArch(k, d));
             }
         }
     }
@@ -359,12 +370,14 @@ TEST(IntervalBoundReference, WorkloadLeavesMatch)
             const Module &mod = prog.module(id);
             if (!mod.isLeaf())
                 continue;
+            const LeafBoundProfile profile(mod, DepDag::build(mod));
             for (unsigned k : {1u, 2u, 4u}) {
-                for (uint64_t d : {uint64_t(2), unbounded}) {
+                for (uint64_t d : {uint64_t(2), uint64_t(3), unbounded}) {
                     SCOPED_TRACE(spec.shortName + "/" + mod.name() +
                                  " k=" + std::to_string(k) +
                                  " d=" + std::to_string(d));
-                    expectBoundsMatchReference(mod, MultiSimdArch(k, d));
+                    expectBoundsMatchReference(mod, profile,
+                                               MultiSimdArch(k, d));
                 }
             }
         }

@@ -159,9 +159,10 @@ hashLeafResults(const LeafScheduleCache &cache)
     return fnv1a64(all.data.data(), all.data.size());
 }
 
-/** Compile @p pin's configuration afresh and return its measured row. */
+/** Compile @p pin's configuration afresh on @p threads threads and
+ * return its measured row. */
 Pin
-measure(const Pin &pin)
+measure(const Pin &pin, unsigned threads)
 {
     Program prog =
         workloads::findWorkload(workloads::scaledParams(), pin.workload)
@@ -173,7 +174,7 @@ measure(const Pin &pin)
     config.arch = MultiSimdArch(pin.k);
     config.commMode = CommMode::Global;
     config.rotations = Toolflow::rotationPresetFor(pin.workload);
-    config.numThreads = 1;
+    config.numThreads = threads;
     auto cache = std::make_shared<LeafScheduleCache>();
     config.sharedLeafCache = cache;
     ToolflowResult result = Toolflow(config).run(prog);
@@ -185,25 +186,39 @@ measure(const Pin &pin)
                hashLeafResults(*cache)};
 }
 
-class WidthSweep : public ::testing::TestWithParam<const char *>
-{};
-
-TEST_P(WidthSweep, MakespanAndLeafSchedulesArePinned)
+/** Every pinned row of @p workload, compiled on @p threads threads. */
+void
+expectPinned(const std::string &workload, unsigned threads)
 {
-    const std::string workload = GetParam();
     size_t checked = 0;
     for (const Pin &pin : kPins) {
         if (workload != pin.workload)
             continue;
-        Pin now = measure(pin);
+        Pin now = measure(pin, threads);
         SCOPED_TRACE(workload + "/" + pin.scheduler +
-                     " k=" + std::to_string(pin.k));
+                     " k=" + std::to_string(pin.k) +
+                     " threads=" + std::to_string(threads));
         EXPECT_EQ(now.totalCycles, pin.totalCycles);
         EXPECT_EQ(now.programHash, pin.programHash);
         EXPECT_EQ(now.leafHash, pin.leafHash);
         ++checked;
     }
     EXPECT_EQ(checked, 6u) << "two schedulers x three widths";
+}
+
+class WidthSweep : public ::testing::TestWithParam<const char *>
+{};
+
+TEST_P(WidthSweep, MakespanAndLeafSchedulesArePinned)
+{
+    expectPinned(GetParam(), 1);
+}
+
+// The width tasks of one leaf share its DAG and bound profile; on four
+// threads they race for the first build and the last release.
+TEST_P(WidthSweep, PinnedOnFourThreads)
+{
+    expectPinned(GetParam(), 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WidthSweep,
