@@ -81,13 +81,7 @@ LeafBoundProfile::LeafBoundProfile(const Module &mod, const DepDag &dag)
 
     const std::vector<uint64_t> depth = dag.depthFromTop(); // ASAP finish
     const std::vector<uint64_t> height = dag.heightToBottom();
-    uint64_t cp = 0;
-    for (uint32_t i = 0; i < n; ++i) {
-        if (dag.weight(i) != 1)
-            panic("LeafBoundProfile: DAG of '" + mod.name() +
-                  "' is not unit-weight");
-        cp = std::max(cp, depth[i]);
-    }
+    const uint64_t cp = std::ranges::max(depth);
     criticalPath = cp;
 
     // Window of op i in step units: start depth - 1, exclusive finish
@@ -176,7 +170,8 @@ computeLeafBounds(const Module &mod, const MultiSimdArch &arch)
 MakespanBoundAnalysis::MakespanBoundAnalysis(const Program &prog,
                                              const MultiSimdArch &arch,
                                              CommMode mode,
-                                             DiagnosticEngine *diags)
+                                             DiagnosticEngine *diags,
+                                             const LeafBoundsFn &leaf_bounds)
     : prog(&prog), arch(arch), mode(mode),
       bounds_(prog.numModules()), areas_(prog.numModules(), 0)
 {
@@ -187,7 +182,8 @@ MakespanBoundAnalysis::MakespanBoundAnalysis(const Program &prog,
     for (ModuleId id : prog.bottomUpOrder()) {
         const Module &mod = prog.module(id);
         if (mod.isLeaf()) {
-            MakespanBounds b = computeLeafBounds(mod, arch);
+            MakespanBounds b = leaf_bounds ? leaf_bounds(mod, id)
+                                           : computeLeafBounds(mod, arch);
             // Region-cycle area: width >= 1 for the bound's length, and
             // every region-step holds at most d operand touches.
             areas_[id] = std::max(b.composite(),
@@ -196,8 +192,12 @@ MakespanBoundAnalysis::MakespanBoundAnalysis(const Program &prog,
             continue;
         }
 
+        // Each op's weight on the critical path is the cycles the
+        // coarse scheduler charges it; the same products detect B006
+        // clipping.
         MakespanBounds b;
         uint64_t area = 0;
+        std::vector<uint64_t> weights(mod.numOps(), gate_cost);
         for (uint32_t i = 0; i < mod.numOps(); ++i) {
             const Operation &op = mod.op(i);
             bool clipped = false;
@@ -209,10 +209,10 @@ MakespanBoundAnalysis::MakespanBoundAnalysis(const Program &prog,
                            satAdd(areas_[op.callee], call_oh, clipped),
                            clipped),
                     clipped);
-                satMul(op.repeat,
-                       satAdd(bounds_[op.callee].composite(), call_oh,
-                              clipped),
-                       clipped);
+                weights[i] = satMul(op.repeat,
+                                    satAdd(bounds_[op.callee].composite(),
+                                           call_oh, clipped),
+                                    clipped);
             } else {
                 area = satAdd(area, gate_cost, clipped);
             }
@@ -237,16 +237,7 @@ MakespanBoundAnalysis::MakespanBoundAnalysis(const Program &prog,
             }
         }
 
-        DepDag dag =
-            DepDag::build(mod, [&](const Operation &op) -> uint64_t {
-                if (op.isCall()) {
-                    return satMul(
-                        op.repeat,
-                        satAdd(bounds_[op.callee].composite(), call_oh));
-                }
-                return gate_cost;
-            });
-        b.criticalPath = dag.criticalPathLength();
+        b.criticalPath = DepDag::build(mod).criticalPathLength(weights);
         b.resource = satCeilDiv(area, arch.k);
         bounds_[id] = b;
         areas_[id] = std::max(b.composite(), area);

@@ -46,6 +46,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "arch/multi_simd.hh"
@@ -85,8 +86,8 @@ class LeafBoundProfile
 {
   public:
     /**
-     * Profile leaf @p mod from its unit-weight dependence DAG @p dag
-     * (DepDag::build(mod) with the default weights).
+     * Profile leaf @p mod from its dependence DAG @p dag
+     * (DepDag::build(mod)), at unit op weights.
      */
     LeafBoundProfile(const Module &mod, const DepDag &dag);
 
@@ -134,15 +135,25 @@ MakespanBounds computeLeafBounds(const Module &mod,
 class MakespanBoundAnalysis
 {
   public:
+    /** Produces the full-width bounds of one leaf module (typically the
+     * bounds a compile already memoized with its widest schedule). */
+    using LeafBoundsFn =
+        std::function<MakespanBounds(const Module &, ModuleId)>;
+
     /**
      * Analyze all modules reachable from @p prog's entry.
      * @param mode communication mode the schedule under test was costed
      *        with (selects the coarse-level gate/call cycle costs).
      * @param diags optional sink for B006 repeat-overflow warnings.
+     * @param leaf_bounds called once per reachable leaf module; empty
+     *        derives them from scratch with computeLeafBounds(mod,
+     *        arch). Checkers keep the default so that a schedule is
+     *        held against a bound computed independently of it.
      */
     MakespanBoundAnalysis(const Program &prog, const MultiSimdArch &arch,
                           CommMode mode,
-                          DiagnosticEngine *diags = nullptr);
+                          DiagnosticEngine *diags = nullptr,
+                          const LeafBoundsFn &leaf_bounds = {});
 
     /** Bounds of one invocation of module @p id (at full width k). */
     const MakespanBounds &bounds(ModuleId id) const;

@@ -11,12 +11,12 @@ CriticalPathAnalysis::CriticalPathAnalysis(const Program &prog)
 {
     for (ModuleId id : prog.bottomUpOrder()) {
         const Module &mod = prog.module(id);
-        DepDag dag = DepDag::build(mod, [this](const Operation &op) {
-            if (op.isCall())
-                return satMul(op.repeat, lengths[op.callee]);
-            return uint64_t{1};
-        });
-        lengths[id] = dag.criticalPathLength();
+        std::vector<uint64_t> weights;
+        weights.reserve(mod.numOps());
+        for (const Operation &op : mod.ops())
+            weights.push_back(
+                op.isCall() ? satMul(op.repeat, lengths[op.callee]) : 1);
+        lengths[id] = DepDag::build(mod).criticalPathLength(weights);
     }
 }
 

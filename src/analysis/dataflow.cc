@@ -60,16 +60,16 @@ solveDataflow(const Module &mod, const DepDag &dag,
     result.before.assign(n, QubitSet(mod.numQubits()));
     result.after.assign(n, QubitSet(mod.numQubits()));
 
+    // Program order is topological (ir/dag.hh), so one pass in program
+    // order (reversed when backward) visits every node after its
+    // dataflow predecessors.
     bool forward = problem.direction() == DataflowDirection::Forward;
-    std::vector<uint32_t> order = dag.topoOrder();
-    if (!forward)
-        std::reverse(order.begin(), order.end());
-
-    for (uint32_t node : order) {
+    for (size_t i = 0; i < n; ++i) {
+        const auto node = static_cast<uint32_t>(forward ? i : n - 1 - i);
         // Meet the states of all dataflow predecessors (DAG preds when
         // forward, succs when backward); boundary nodes take the
         // problem's boundary state.
-        const std::vector<uint32_t> &ins =
+        std::span<const uint32_t> ins =
             forward ? dag.preds(node) : dag.succs(node);
         if (ins.empty()) {
             result.before[node] = problem.boundary(mod);

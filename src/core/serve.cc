@@ -259,11 +259,22 @@ ServeEngine::handleLine(const std::string &line)
     const auto start = std::chrono::steady_clock::now();
     ToolflowResult result;
     MetricsRegistry local;
+    uint64_t lowerBound = 0;
     try {
         request.config.sharedLeafCache = cache_;
         request.config.metrics = &local;
         Toolflow toolflow(request.config);
         result = toolflow.run(request.prog);
+        // Optimality gap against the hierarchical lower bound of the
+        // *lowered* program (run() rewrites it in place). The leaf
+        // bounds come with the leaf schedules, memoized under the same
+        // cache keys, so a warm request derives none of them.
+        MakespanBoundAnalysis bounds(
+            request.prog, request.config.arch, request.config.commMode,
+            nullptr, [&](const Module &, ModuleId id) {
+                return result.schedule.forModule(id).bounds;
+            });
+        lowerBound = bounds.programLowerBound();
     } catch (const std::exception &e) {
         return errorResponse(request.id,
                              std::string("compile failed: ") + e.what());
@@ -276,16 +287,6 @@ ServeEngine::handleLine(const std::string &line)
     if (Telemetry::metricsEnabled())
         local.mergeInto(Telemetry::metrics());
 
-    // Optimality gap against the hierarchical lower bound of the
-    // *lowered* program (run() rewrites it in place).
-    uint64_t lowerBound = 0;
-    try {
-        MakespanBoundAnalysis bounds(request.prog, request.config.arch,
-                                     request.config.commMode);
-        lowerBound = bounds.programLowerBound();
-    } catch (const std::exception &) {
-        lowerBound = 0; // gap degrades to 0 rather than failing the request
-    }
     double gap = 0.0;
     if (lowerBound > 0)
         gap = static_cast<double>(result.scheduledCycles) /

@@ -3,109 +3,95 @@
 #include <algorithm>
 
 #include "support/logging.hh"
+#include "support/strings.hh"
 
 namespace msq {
 
 DepDag
-DepDag::build(const Module &mod, const WeightFn &weight_fn)
+DepDag::build(const Module &mod)
 {
     DepDag dag;
-    size_t n = mod.numOps();
-    dag.succs_.resize(n);
-    dag.preds_.resize(n);
-    dag.nodeWeights.resize(n);
+    const auto n = static_cast<uint32_t>(mod.numOps());
+    Csr &preds = dag.preds_;
+    Csr &succs = dag.succs_;
 
-    // lastUse[q] = index of the most recent op touching qubit q, or -1.
+    // An op's predecessors are the distinct last users of its operands
+    // (last_use[q]: the latest op so far on qubit q, or -1), sorted so
+    // each list ascends. succs.offsets[p + 1] counts p's successors.
     std::vector<int64_t> last_use(mod.numQubits(), -1);
-
+    succs.offsets.assign(n + 1, 0);
     for (uint32_t i = 0; i < n; ++i) {
-        const Operation &op = mod.op(i);
-        uint64_t w = weight_fn ? weight_fn(op) : 1;
-        dag.nodeWeights[i] = w;
-        for (QubitId q : op.operands) {
-            int64_t prev = last_use[q];
-            if (prev >= 0) {
-                auto p = static_cast<uint32_t>(prev);
-                // Avoid duplicate edges from multi-qubit overlaps.
-                if (dag.succs_[p].empty() || dag.succs_[p].back() != i)
-                    dag.succs_[p].push_back(i);
-            }
+        const size_t first = preds.index.size();
+        for (QubitId q : mod.op(i).operands) {
+            if (last_use[q] >= 0)
+                preds.index.push_back(static_cast<uint32_t>(last_use[q]));
             last_use[q] = i;
         }
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-        for (uint32_t s : dag.succs_[i])
-            dag.preds_[s].push_back(i);
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-        if (dag.preds_[i].empty())
+        auto begin = preds.index.begin() + static_cast<ptrdiff_t>(first);
+        std::sort(begin, preds.index.end());
+        preds.index.erase(std::unique(begin, preds.index.end()),
+                          preds.index.end());
+        if (preds.index.size() == first)
             dag.roots_.push_back(i);
+        for (size_t e = first; e < preds.index.size(); ++e)
+            ++succs.offsets[preds.index[e] + 1];
+        preds.offsets.push_back(preds.index.size());
     }
+
+    // Prefix-sum the counts into offsets, then scatter each edge into
+    // its source's run; visiting the targets in ascending order keeps
+    // every run ascending.
+    for (uint32_t i = 0; i < n; ++i)
+        succs.offsets[i + 1] += succs.offsets[i];
+    succs.index.resize(preds.index.size());
+    std::vector<size_t> cursor(succs.offsets.begin(), succs.offsets.end() - 1);
+    for (uint32_t i = 0; i < n; ++i)
+        for (uint32_t p : preds[i])
+            succs.index[cursor[p]++] = i;
     return dag;
 }
 
 std::vector<uint64_t>
-DepDag::depthFromTop() const
+DepDag::longestPaths(std::span<const uint64_t> weights, bool from_top) const
 {
-    // Nodes are already in a topological order (program order).
-    std::vector<uint64_t> depth(numNodes(), 0);
-    for (uint32_t i = 0; i < numNodes(); ++i) {
+    const size_t n = numNodes();
+    if (!weights.empty() && weights.size() != n)
+        panic(csprintf("DepDag: %zu weights for %zu nodes", weights.size(),
+                       n));
+    // Program order is topological: sweep it forwards for depths and
+    // backwards for heights.
+    std::vector<uint64_t> out(n, 0);
+    for (size_t step = 0; step < n; ++step) {
+        const auto i = static_cast<uint32_t>(from_top ? step : n - 1 - step);
         uint64_t best = 0;
-        for (uint32_t p : preds_[i])
-            best = std::max(best, depth[p]);
-        depth[i] = best + nodeWeights[i];
+        for (uint32_t m : from_top ? preds(i) : succs(i))
+            best = std::max(best, out[m]);
+        out[i] = best + (weights.empty() ? 1 : weights[i]);
     }
-    return depth;
-}
-
-std::vector<uint64_t>
-DepDag::heightToBottom() const
-{
-    std::vector<uint64_t> height(numNodes(), 0);
-    for (uint32_t i = static_cast<uint32_t>(numNodes()); i-- > 0;) {
-        uint64_t best = 0;
-        for (uint32_t s : succs_[i])
-            best = std::max(best, height[s]);
-        height[i] = best + nodeWeights[i];
-    }
-    return height;
+    return out;
 }
 
 uint64_t
-DepDag::criticalPathLength() const
+DepDag::criticalPathLength(std::span<const uint64_t> weights) const
 {
-    uint64_t best = 0;
-    for (uint64_t d : depthFromTop())
-        best = std::max(best, d);
-    return best;
+    const std::vector<uint64_t> depth = depthFromTop(weights);
+    return depth.empty() ? 0 : std::ranges::max(depth);
 }
 
 std::vector<uint64_t>
 DepDag::slack() const
 {
-    auto depth = depthFromTop();
-    auto height = heightToBottom();
-    uint64_t cp = 0;
-    for (uint64_t d : depth)
-        cp = std::max(cp, d);
+    const std::vector<uint64_t> depth = depthFromTop();
+    const std::vector<uint64_t> height = heightToBottom();
+    const uint64_t cp = depth.empty() ? 0 : std::ranges::max(depth);
     std::vector<uint64_t> out(numNodes(), 0);
     for (uint32_t i = 0; i < numNodes(); ++i) {
-        uint64_t through = depth[i] + height[i] - nodeWeights[i];
+        uint64_t through = depth[i] + height[i] - 1;
         if (through > cp)
             panic("slack: path through node exceeds critical path");
         out[i] = cp - through;
     }
     return out;
-}
-
-std::vector<uint32_t>
-DepDag::topoOrder() const
-{
-    // Program order is a valid topological order by construction.
-    std::vector<uint32_t> order(numNodes());
-    for (uint32_t i = 0; i < numNodes(); ++i)
-        order[i] = i;
-    return order;
 }
 
 } // namespace msq

@@ -5,75 +5,100 @@
  * Quantum operations cannot fan out (no-cloning theorem, paper §2.1), so
  * any two operations sharing a qubit operand are ordered by their program
  * order: the dependence DAG simply chains each operation to the previous
- * operation touching each of its operands. Node weights default to 1 cycle
- * per gate; a caller-supplied weight function lets the hierarchical
- * analyses weight Call nodes by their callee's schedule length.
+ * operation touching each of its operands. The edges are built once per
+ * module into flat CSR arrays; node weights are an argument of the
+ * longest-path queries, so the hierarchical analyses weight Call nodes by
+ * their callee's schedule length without rebuilding anything. No weights
+ * means 1 cycle per op.
  */
 
 #ifndef MSQ_IR_DAG_HH
 #define MSQ_IR_DAG_HH
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "ir/module.hh"
 
 namespace msq {
 
-/** Dependence DAG of one module. Node i corresponds to module op i. */
+/**
+ * Dependence DAG of one module. Node i corresponds to module op i, so
+ * program order is a topological order. Successor and predecessor lists
+ * are ascending.
+ */
 class DepDag
 {
   public:
-    /** Latency (in cycles) assigned to an operation. */
-    using WeightFn = std::function<uint64_t(const Operation &)>;
+    /** Build the DAG for @p mod. */
+    static DepDag build(const Module &mod);
 
-    /**
-     * Build the DAG for @p mod.
-     * @param weight_fn optional per-op latency; defaults to 1 per op
-     *        (including calls — appropriate for leaf modules only).
-     */
-    static DepDag build(const Module &mod, const WeightFn &weight_fn = {});
+    size_t numNodes() const { return preds_.offsets.size() - 1; }
 
-    size_t numNodes() const { return nodeWeights.size(); }
-
-    const std::vector<uint32_t> &succs(uint32_t n) const { return succs_[n]; }
-    const std::vector<uint32_t> &preds(uint32_t n) const { return preds_[n]; }
+    std::span<const uint32_t> succs(uint32_t n) const { return succs_[n]; }
+    std::span<const uint32_t> preds(uint32_t n) const { return preds_[n]; }
 
     /** Nodes with no predecessors. */
     const std::vector<uint32_t> &roots() const { return roots_; }
 
-    uint64_t weight(uint32_t n) const { return nodeWeights[n]; }
-
     /**
      * @return for each node, the longest weighted distance from a root,
      * inclusive of the node's own weight (ASAP finish time).
+     * @param weights per-node latency in cycles; empty means 1 per node
+     *        (including calls — appropriate for leaf modules only), and
+     *        any other length than numNodes() panics.
      */
-    std::vector<uint64_t> depthFromTop() const;
+    std::vector<uint64_t>
+    depthFromTop(std::span<const uint64_t> weights = {}) const
+    {
+        return longestPaths(weights, true);
+    }
 
     /**
      * @return for each node, the longest weighted distance to a sink,
-     * inclusive of the node's own weight.
+     * inclusive of the node's own weight (@p weights as above).
      */
-    std::vector<uint64_t> heightToBottom() const;
+    std::vector<uint64_t>
+    heightToBottom(std::span<const uint64_t> weights = {}) const
+    {
+        return longestPaths(weights, false);
+    }
 
     /** Longest weighted root-to-sink path length (critical path). */
-    uint64_t criticalPathLength() const;
+    uint64_t criticalPathLength(std::span<const uint64_t> weights = {}) const;
 
     /**
-     * Per-node slack: criticalPath - (depth + height - weight). Zero for
-     * critical-path nodes. Used as the w_slack term of RCP (Algorithm 1).
+     * Per-node unit-weight slack: criticalPath - (depth + height - 1).
+     * Zero for critical-path nodes. Used as the w_slack term of RCP
+     * (Algorithm 1).
      */
     std::vector<uint64_t> slack() const;
 
-    /** @return node indices in a topological order. */
-    std::vector<uint32_t> topoOrder() const;
-
   private:
-    std::vector<std::vector<uint32_t>> succs_;
-    std::vector<std::vector<uint32_t>> preds_;
+    DepDag() = default;
+
+    /** depthFromTop() when @p from_top, else heightToBottom(). */
+    std::vector<uint64_t> longestPaths(std::span<const uint64_t> weights,
+                                       bool from_top) const;
+
+    /** One adjacency relation, flat: node n's list is
+     * index[offsets[n], offsets[n + 1]). */
+    struct Csr
+    {
+        std::vector<size_t> offsets{0}; ///< numNodes() + 1 entries
+        std::vector<uint32_t> index;
+
+        std::span<const uint32_t>
+        operator[](uint32_t n) const
+        {
+            return {index.data() + offsets[n], index.data() + offsets[n + 1]};
+        }
+    };
+
+    Csr succs_;
+    Csr preds_;
     std::vector<uint32_t> roots_;
-    std::vector<uint64_t> nodeWeights;
 };
 
 } // namespace msq

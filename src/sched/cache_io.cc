@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <iterator>
 
 #include "support/strings.hh"
 
@@ -518,15 +518,19 @@ size_t
 LeafScheduleCache::loadFrom(const std::string &path,
                             DiagnosticEngine *diags)
 {
+    // The whole file in one sized read: loading it is most of a warm
+    // daemon's start-up.
+    std::error_code error; // file_size fails on anything but a file
+    const uintmax_t size = std::filesystem::file_size(path, error);
     std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::vector<uint8_t> bytes(error ? 0 : size);
+    if (error || !in.read(reinterpret_cast<char *>(bytes.data()),
+                          static_cast<std::streamsize>(bytes.size()))) {
         if (diags)
             diags->report(DiagCode::CacheFileTruncated,
-                          "cannot open cache file " + path);
+                          "cannot read cache file " + path);
         return 0;
     }
-    std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                               std::istreambuf_iterator<char>());
 
     ByteReader r{bytes.data(), bytes.size()};
     if (!r.need(4) ||

@@ -70,7 +70,12 @@ namespace msq {
 /** First four file bytes. */
 extern const char cacheFileMagic[4];
 
-/** Current format version (bump on any layout change). */
+/**
+ * Current format version. Bump it on any layout change, and on any
+ * change to what a stored field means, such as the leaf-bound formula:
+ * msq-served answers lower_bound from the stored MakespanBounds, so a
+ * stale file would otherwise serve stale bounds.
+ */
 constexpr uint32_t cacheFileVersion = 2;
 
 /** Oldest format version loadFrom still accepts. */

@@ -74,8 +74,10 @@ CoarseScheduler::CoarseScheduler(const MultiSimdArch &arch,
     }
     std::sort(widths.begin(), widths.end());
     widths.erase(std::unique(widths.begin(), widths.end()), widths.end());
-    if (widths.front() < 1 || widths.back() > arch.k)
-        fatal("CoarseScheduler: width sweep outside [1, k]");
+    // The sweep ends at k so that each leaf's widest slot carries its
+    // full-machine bounds (ModuleScheduleInfo::bounds).
+    if (widths.front() < 1 || widths.back() != arch.k)
+        fatal("CoarseScheduler: width sweep not in [1, k] ending at k");
     if (numThreads == 0)
         numThreads = ThreadPool::hardwareThreads();
     if (cache) {
@@ -227,22 +229,13 @@ struct SetItem
 } // anonymous namespace
 
 uint64_t
-CoarseScheduler::scheduleNonLeaf(const Program &prog, const Module &mod,
+CoarseScheduler::scheduleNonLeaf(const Module &mod, const DepDag &dag,
+                                 std::span<const uint64_t> priority,
                                  const ProgramSchedule &partial,
                                  unsigned max_width) const
 {
     const uint64_t gate_cost = MultiSimdArch::coarseGateCost(mode);
     const uint64_t call_overhead = MultiSimdArch::callOverhead(mode);
-
-    // Priorities: height in the module DAG with hierarchical weights.
-    DepDag dag = DepDag::build(mod, [&](const Operation &op) -> uint64_t {
-        if (op.isCall()) {
-            uint64_t len = partial.forModule(op.callee).bestLength();
-            return satMul(op.repeat, satAdd(len, call_overhead));
-        }
-        return gate_cost;
-    });
-    auto priority = dag.heightToBottom();
 
     std::vector<uint32_t> pending_preds(dag.numNodes());
     for (uint32_t i = 0; i < dag.numNodes(); ++i)
@@ -526,6 +519,7 @@ CoarseScheduler::schedule(const Program &prog) const
             if (wi + 1 == nw) {
                 info.comm = stats;
                 info.provenance = slots[m * nw + wi]->attempt.provenance;
+                info.bounds = slots[m * nw + wi]->bounds;
             }
         }
         if (metrics != nullptr) {
@@ -591,8 +585,12 @@ CoarseScheduler::schedule(const Program &prog) const
 
     // Phase 2 — non-leaves, bottom-up so callee dimensions are always
     // available. The width sweep of one module fans out (each width
-    // only reads the callees' completed entries in `result`); the
-    // clamp-merge again runs in width order on one thread.
+    // only reads the callees' completed entries in `result`, and the
+    // module's DAG and priorities, which are width-invariant because
+    // callee best lengths are); the clamp-merge again runs in width
+    // order on one thread.
+    const uint64_t gate_cost = MultiSimdArch::coarseGateCost(mode);
+    const uint64_t call_overhead = MultiSimdArch::callOverhead(mode);
     for (ModuleId id : order) {
         const Module &mod = prog.module(id);
         if (mod.isLeaf())
@@ -607,10 +605,22 @@ CoarseScheduler::schedule(const Program &prog) const
                 mod.name().c_str(), nw,
                 static_cast<unsigned long long>(mod.numOps())));
         }
+        // Priorities: height in the module DAG with hierarchical
+        // weights.
+        std::vector<uint64_t> weights(mod.numOps(), gate_cost);
+        for (uint32_t i = 0; i < mod.numOps(); ++i) {
+            const Operation &op = mod.op(i);
+            if (op.isCall()) {
+                uint64_t len = result.forModule(op.callee).bestLength();
+                weights[i] = satMul(op.repeat, satAdd(len, call_overhead));
+            }
+        }
+        const DepDag dag = DepDag::build(mod);
+        const std::vector<uint64_t> priority = dag.heightToBottom(weights);
         std::vector<uint64_t> lengths(nw);
         run_tasks(nw, [&](uint64_t wi) {
-            lengths[wi] = scheduleNonLeaf(prog, mod, result,
-                                          widths[wi]);
+            lengths[wi] =
+                scheduleNonLeaf(mod, dag, priority, result, widths[wi]);
         });
         ModuleScheduleInfo info;
         info.analyzed = true;

@@ -23,6 +23,7 @@
 #define MSQ_SCHED_COARSE_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,12 @@ struct ModuleScheduleInfo
      */
     ScheduleProvenance provenance = ScheduleProvenance::Heuristic;
 
+    /**
+     * Static lower bounds of the widest fine-grained schedule (leaves
+     * only): computeLeafBounds(mod, arch), since the sweep ends at k.
+     */
+    MakespanBounds bounds;
+
     /** Shortest available length. */
     uint64_t bestLength() const;
 
@@ -93,7 +100,8 @@ class CoarseScheduler
          * Widths at which each module is pre-scheduled. Empty selects
          * powers of two up to k plus k itself (the full 1..k sweep the
          * paper describes is quadratic in k; powers of two preserve the
-         * trade-off curve shape at large k, e.g. Fig. 9's k = 128).
+         * trade-off curve shape at large k, e.g. Fig. 9's k = 128). An
+         * explicit sweep must lie in [1, k] and include k.
          */
         std::vector<unsigned> widths;
 
@@ -167,8 +175,13 @@ class CoarseScheduler
     std::shared_ptr<const LeafScheduleResult>
     leafWidthResult(const Module &mod, unsigned w, LeafShare &share) const;
 
-    /** Coarse list-schedule @p mod under width budget @p max_width. */
-    uint64_t scheduleNonLeaf(const Program &prog, const Module &mod,
+    /**
+     * Coarse list-schedule @p mod under width budget @p max_width, on
+     * its DAG @p dag with per-op priorities @p priority (weighted
+     * heights).
+     */
+    uint64_t scheduleNonLeaf(const Module &mod, const DepDag &dag,
+                             std::span<const uint64_t> priority,
                              const ProgramSchedule &partial,
                              unsigned max_width) const;
 };

@@ -125,7 +125,7 @@ struct LpfsState
                 if (!scheduled[s] && !onPath[s])
                     best = std::max(best, height[s]);
             }
-            height[i] = best + dag.weight(i);
+            height[i] = best + 1;
         }
 
         // Start from the deepest ready node.

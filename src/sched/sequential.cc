@@ -1,7 +1,5 @@
 #include "sched/leaf_scheduler.hh"
 
-#include <algorithm>
-
 #include "support/logging.hh"
 #include "support/strings.hh"
 
@@ -27,7 +25,10 @@ LeafScheduler::checkInputs(const Module &mod, const MultiSimdArch &arch)
     arch.validate();
     if (!mod.isLeaf())
         panic("leaf scheduler invoked on non-leaf module " + mod.name());
-    for (const auto &op : mod.ops()) {
+    // seen[q] == i + 1 once op i has named qubit q.
+    std::vector<uint32_t> seen(mod.numQubits(), 0);
+    for (uint32_t i = 0; i < mod.numOps(); ++i) {
+        const Operation &op = mod.op(i);
         if (!isPrimitiveGate(op.kind)) {
             panic(csprintf("leaf scheduler: module %s contains "
                            "non-primitive gate %s; run decomposition "
@@ -43,14 +44,13 @@ LeafScheduler::checkInputs(const Module &mod, const MultiSimdArch &arch)
         // set of qubits actually occupied (and with the bound side's
         // operand-touch accounting); such gates are ill-formed (V003)
         // and must never reach a scheduler.
-        std::vector<QubitId> sorted(op.operands);
-        std::sort(sorted.begin(), sorted.end());
-        if (std::adjacent_find(sorted.begin(), sorted.end()) !=
-            sorted.end()) {
-            panic(csprintf("leaf scheduler: gate %s in module %s names "
-                           "the same qubit twice; reject with V003 in "
-                           "the IR verifier first",
-                           gateName(op.kind), mod.name().c_str()));
+        for (QubitId q : op.operands) {
+            if (seen[q] == i + 1)
+                panic(csprintf("leaf scheduler: gate %s in module %s "
+                               "names the same qubit twice; reject with "
+                               "V003 in the IR verifier first",
+                               gateName(op.kind), mod.name().c_str()));
+            seen[q] = i + 1;
         }
     }
 }

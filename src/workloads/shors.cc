@@ -16,6 +16,8 @@
 
 #include "workloads/workloads.hh"
 
+#include <cmath>
+
 #include "support/rng.hh"
 #include "workloads/detail.hh"
 
@@ -64,8 +66,7 @@ buildShors(unsigned n)
         for (unsigned i = 0; i < qft_width; ++i) {
             mod.addGate(GateKind::H, {x[i]});
             for (unsigned j = i + 1; j < qft_width; ++j) {
-                double theta = pi / static_cast<double>(uint64_t{1}
-                                                        << (j - i));
+                double theta = std::ldexp(pi, -static_cast<int>(j - i));
                 controlledPhase(mod, x[j], x[i], theta);
             }
         }
@@ -79,8 +80,7 @@ buildShors(unsigned n)
         for (unsigned i = 0; i < n; ++i) {
             mod.addGate(GateKind::H, {wreg[i]});
             for (unsigned j = i + 1; j < n; ++j) {
-                double theta = pi / static_cast<double>(uint64_t{1}
-                                                        << (j - i));
+                double theta = std::ldexp(pi, -static_cast<int>(j - i));
                 controlledPhase(mod, wreg[j], wreg[i], theta);
             }
         }

@@ -374,6 +374,13 @@ TEST(CacheIo, BadMagicRejected)
     EXPECT_EQ(loaded.loadFrom(path, &diags), 0u);
     EXPECT_TRUE(diags.has(DiagCode::CacheFileBadMagic));
     std::remove(path.c_str());
+
+    // Paths that name no readable file load nothing and say so.
+    for (const std::string &bad : {path, testing::TempDir()}) {
+        DiagnosticEngine unreadable;
+        EXPECT_EQ(loaded.loadFrom(bad, &unreadable), 0u) << bad;
+        EXPECT_TRUE(unreadable.has(DiagCode::CacheFileTruncated)) << bad;
+    }
 }
 
 TEST(CacheIo, BadVersionRejected)

@@ -71,6 +71,12 @@ TEST(CoarseScheduler, ExplicitWidthsValidated)
     EXPECT_THROW(
         CoarseScheduler(MultiSimdArch(4), leaf, CommMode::None, options),
         FatalError);
+    // A sweep must end at k: its widest leaf slot carries the leaf's
+    // full-machine bounds.
+    options.widths = {1, 2};
+    EXPECT_THROW(
+        CoarseScheduler(MultiSimdArch(4), leaf, CommMode::None, options),
+        FatalError);
 }
 
 TEST(CoarseScheduler, IndependentCallsRunInParallel)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
 
 #include "ir/dag.hh"
@@ -229,12 +230,17 @@ TEST(DepDag, StructureOfDiamond)
     Module mod = diamondModule();
     DepDag dag = DepDag::build(mod);
     ASSERT_EQ(dag.numNodes(), 4u);
-    EXPECT_EQ(dag.roots().size(), 2u);
-    EXPECT_EQ(dag.succs(0), std::vector<uint32_t>{2});
-    EXPECT_EQ(dag.succs(1), std::vector<uint32_t>{2});
-    EXPECT_EQ(dag.succs(2), std::vector<uint32_t>{3});
+    EXPECT_EQ(dag.roots(), (std::vector<uint32_t>{0, 1}));
+    auto list = [](std::span<const uint32_t> s) {
+        return std::vector<uint32_t>(s.begin(), s.end());
+    };
+    EXPECT_EQ(list(dag.succs(0)), std::vector<uint32_t>{2});
+    EXPECT_EQ(list(dag.succs(1)), std::vector<uint32_t>{2});
+    EXPECT_EQ(list(dag.succs(2)), std::vector<uint32_t>{3});
     EXPECT_TRUE(dag.succs(3).empty());
-    EXPECT_EQ(dag.preds(2).size(), 2u);
+    EXPECT_EQ(list(dag.preds(2)), (std::vector<uint32_t>{0, 1}));
+    EXPECT_EQ(list(dag.preds(3)), std::vector<uint32_t>{2});
+    EXPECT_TRUE(dag.preds(0).empty());
 }
 
 TEST(DepDag, NoDuplicateEdgeForSharedPair)
@@ -296,15 +302,28 @@ TEST(DepDag, SlackPositiveOffCriticalPath)
     EXPECT_EQ(slack[3], 2u);
 }
 
-TEST(DepDag, WeightFunctionRespected)
+TEST(DepDag, WeightVectorRespected)
 {
-    Module mod("m");
-    mod.addLocal("a");
-    mod.addGate(GateKind::T, {0});
-    mod.addGate(GateKind::T, {0});
-    DepDag dag = DepDag::build(
-        mod, [](const Operation &) -> uint64_t { return 10; });
-    EXPECT_EQ(dag.criticalPathLength(), 20u);
+    Module mod = diamondModule();
+    DepDag dag = DepDag::build(mod);
+    const std::vector<uint64_t> weights{1, 5, 2, 3};
+    EXPECT_EQ(dag.depthFromTop(weights),
+              (std::vector<uint64_t>{1, 5, 7, 10}));
+    EXPECT_EQ(dag.heightToBottom(weights),
+              (std::vector<uint64_t>{6, 10, 5, 3}));
+    EXPECT_EQ(dag.criticalPathLength(weights), 10u); // H(b) -> CNOT -> T
+    // The weights are a query argument: the unit-weight answers stand.
+    EXPECT_EQ(dag.criticalPathLength(), 3u);
+}
+
+TEST(DepDag, MismatchedWeightLengthPanics)
+{
+    Module mod = diamondModule();
+    DepDag dag = DepDag::build(mod);
+    const std::vector<uint64_t> short_weights{1, 1, 1};
+    EXPECT_THROW(dag.depthFromTop(short_weights), PanicError);
+    EXPECT_THROW(dag.heightToBottom(short_weights), PanicError);
+    EXPECT_THROW(dag.criticalPathLength(short_weights), PanicError);
 }
 
 TEST(DepDag, EmptyModule)

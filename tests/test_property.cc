@@ -10,14 +10,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "support/logging.hh"
 
+#include "core/toolflow.hh"
 #include "ir/dag.hh"
 #include "sched/comm.hh"
 #include "sched/lpfs.hh"
 #include "sched/rcp.hh"
 #include "sched/validator.hh"
 #include "support/rng.hh"
+#include "workloads/workloads.hh"
 
 namespace {
 
@@ -49,6 +54,71 @@ randomModule(uint64_t seed, unsigned qubits, unsigned ops)
     return mod;
 }
 
+/**
+ * Check DepDag::build(@p mod) against a reference that shares no code
+ * with it: op j depends on op i exactly when i is the previous op on one
+ * of j's operands, found by scanning back from j pairwise. Also checks
+ * the weighted depth, height and critical path under random weights
+ * drawn from @p rng, computed by longest-path sweeps over the
+ * reference's own edge lists.
+ */
+void
+expectDagMatchesReference(const Module &mod, SplitMix64 &rng)
+{
+    const uint32_t n = static_cast<uint32_t>(mod.numOps());
+    std::vector<std::vector<uint32_t>> preds(n), succs(n);
+    for (uint32_t j = 0; j < n; ++j) {
+        for (QubitId q : mod.op(j).operands) {
+            for (uint32_t i = j; i-- > 0;) {
+                const auto &ops = mod.op(i).operands;
+                if (std::find(ops.begin(), ops.end(), q) == ops.end())
+                    continue;
+                if (std::find(preds[j].begin(), preds[j].end(), i) ==
+                    preds[j].end())
+                    preds[j].push_back(i);
+                break;
+            }
+        }
+        std::sort(preds[j].begin(), preds[j].end());
+        for (uint32_t i : preds[j])
+            succs[i].push_back(j); // ascending: j only grows
+    }
+
+    std::vector<uint64_t> weights(n);
+    for (uint64_t &w : weights)
+        w = 1 + rng.nextBelow(rng.nextBelow(2) ? 4 : uint64_t{1} << 40);
+    std::vector<uint64_t> depth(n), height(n);
+    uint64_t critical = 0;
+    for (uint32_t j = 0; j < n; ++j) {
+        depth[j] = weights[j];
+        for (uint32_t i : preds[j])
+            depth[j] = std::max(depth[j], depth[i] + weights[j]);
+        critical = std::max(critical, depth[j]);
+    }
+    for (uint32_t j = n; j-- > 0;) {
+        height[j] = weights[j];
+        for (uint32_t s : succs[j])
+            height[j] = std::max(height[j], height[s] + weights[j]);
+    }
+
+    const DepDag dag = DepDag::build(mod);
+    ASSERT_EQ(dag.numNodes(), n);
+    std::vector<uint32_t> roots;
+    for (uint32_t j = 0; j < n; ++j) {
+        if (preds[j].empty())
+            roots.push_back(j);
+        auto list = [](std::span<const uint32_t> span) {
+            return std::vector<uint32_t>(span.begin(), span.end());
+        };
+        ASSERT_EQ(list(dag.preds(j)), preds[j]) << "node " << j;
+        ASSERT_EQ(list(dag.succs(j)), succs[j]) << "node " << j;
+    }
+    EXPECT_EQ(dag.roots(), roots);
+    EXPECT_EQ(dag.depthFromTop(weights), depth);
+    EXPECT_EQ(dag.heightToBottom(weights), height);
+    EXPECT_EQ(dag.criticalPathLength(weights), critical);
+}
+
 struct PropertyCase
 {
     uint64_t seed;
@@ -67,6 +137,8 @@ TEST_P(SchedulerProperties, AllInvariantsHold)
     const auto &param = GetParam();
     Module mod = randomModule(param.seed, param.qubits, param.ops);
     MultiSimdArch arch(param.k, param.d, param.local);
+    SplitMix64 weight_rng(param.seed);
+    expectDagMatchesReference(mod, weight_rng);
     DepDag dag = DepDag::build(mod);
     uint64_t critical_path = dag.criticalPathLength();
 
@@ -140,6 +212,20 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(param.k) + "_d" + d_text + "_local" +
                local_text;
     });
+
+/** The DAG reference check of AllInvariantsHold, on every module (leaf
+ * and non-leaf) of every scaled workload. */
+TEST(SchedulerProperties, DagMatchesReferenceOnWorkloadModules)
+{
+    SplitMix64 weight_rng(2015);
+    for (const auto &spec : workloads::scaledParams()) {
+        Program prog = Toolflow::lowerWorkload(spec);
+        for (ModuleId id = 0; id < prog.numModules(); ++id) {
+            SCOPED_TRACE(spec.shortName + "/" + prog.module(id).name());
+            expectDagMatchesReference(prog.module(id), weight_rng);
+        }
+    }
+}
 
 /** Single-qubit chains only: schedulers should approach zero blocking
  * communication (the pinning property LPFS is designed for). */

@@ -17,9 +17,12 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/bounds.hh"
 #include "core/serve.hh"
+#include "core/toolflow.hh"
 #include "support/json.hh"
 #include "support/strings.hh"
+#include "workloads/workloads.hh"
 
 namespace {
 
@@ -246,16 +249,36 @@ TEST(Serve, WarmStartIsBitIdenticalAtHitRateOne)
     EXPECT_EQ(cold.loadCache(), 0u); // missing file: silent cold start
     EXPECT_EQ(cold.diags().numWarnings(), 0u);
 
-    std::vector<std::pair<std::string, uint64_t>> coldResults;
+    // The lower bound a from-scratch analysis puts on the lowered
+    // program; the daemon takes its leaf bounds from the schedules it
+    // compiled or loaded instead, and must agree.
+    auto fromScratchBound = [](const char *name) {
+        Program prog = Toolflow::lowerWorkload(
+            workloads::findWorkload(workloads::tinyParams(), name));
+        return MakespanBoundAnalysis(prog, MultiSimdArch(4),
+                                     CommMode::Global)
+            .programLowerBound();
+    };
+
+    struct ColdResult
+    {
+        std::string hash;
+        uint64_t makespan;
+        uint64_t lowerBound;
+    };
+    std::vector<ColdResult> coldResults;
     for (const char *name : workloads) {
         auto response = serveOne(
             cold, csprintf("{\"workload\": \"%s\", \"params\": "
                            "\"tiny\", \"k\": 4}",
                            name));
         ASSERT_TRUE(response->get("ok").asBool());
-        coldResults.emplace_back(
-            response->get("schedule_hash").asString(),
-            response->get("makespan").asUnsigned());
+        coldResults.push_back({response->get("schedule_hash").asString(),
+                               response->get("makespan").asUnsigned(),
+                               response->get("lower_bound").asUnsigned()});
+        EXPECT_GT(coldResults.back().lowerBound, 0u) << name;
+        EXPECT_EQ(coldResults.back().lowerBound, fromScratchBound(name))
+            << name;
     }
     ASSERT_NE(cold.saveCache(), SIZE_MAX);
 
@@ -269,10 +292,12 @@ TEST(Serve, WarmStartIsBitIdenticalAtHitRateOne)
                            workloads[i]));
         ASSERT_TRUE(response->get("ok").asBool());
         EXPECT_EQ(response->get("schedule_hash").asString(),
-                  coldResults[i].first)
+                  coldResults[i].hash)
             << workloads[i];
         EXPECT_EQ(response->get("makespan").asUnsigned(),
-                  coldResults[i].second);
+                  coldResults[i].makespan);
+        EXPECT_EQ(response->get("lower_bound").asUnsigned(),
+                  coldResults[i].lowerBound);
     }
     // The warm-start contract: zero recomputes, every lookup a hit.
     EXPECT_EQ(warm.cache().misses(), 0u);
