@@ -45,6 +45,31 @@ ResourceSummary::occupancySteps() const
     return total;
 }
 
+const std::vector<ResourceSummary::Field> &
+ResourceSummary::fields()
+{
+    static const std::vector<Field> all = {
+        {"gateOps", &ResourceSummary::gateOps},
+        {"serialCycles", &ResourceSummary::serialCycles},
+        {"commCycles", &ResourceSummary::commCycles},
+        {"teleportMoves", &ResourceSummary::teleportMoves},
+        {"blockingTeleports", &ResourceSummary::blockingTeleports},
+        {"localMoves", &ResourceSummary::localMoves},
+        {"stepsWithBlockingMove", &ResourceSummary::stepsWithBlockingMove},
+        {"stepsWithOnlyLocalMoves",
+         &ResourceSummary::stepsWithOnlyLocalMoves},
+        {"activeRegionSteps", &ResourceSummary::activeRegionSteps},
+        {"operandTouches", &ResourceSummary::operandTouches},
+        {"peakRegionOccupancy", &ResourceSummary::peakRegionOccupancy},
+        {"peakBlockingMovesPerStep",
+         &ResourceSummary::peakBlockingMovesPerStep},
+        {"peakActiveRegions", &ResourceSummary::peakActiveRegions},
+        {"callInvocations", &ResourceSummary::callInvocations},
+        {"interCoreTeleports", &ResourceSummary::interCoreTeleports},
+    };
+    return all;
+}
+
 const std::vector<uint64_t> &
 ResourceSummary::occupancyBounds()
 {
@@ -162,8 +187,9 @@ class SummarySink : public ScheduleSink
         // movePhaseCycles semantics): blocking teleports cost full
         // 4-cycle phases, serialized by a finite EPR bandwidth; a
         // local-only phase costs one cycle. Multi-core phases route
-        // through the shared MovePhaseCostModel — the same fold
-        // CommStats::totalCycles uses, which E001 checks.
+        // through the shared MovePhaseCostModel — the same model the
+        // CommunicationAnalyzer prices its steps with, which E001
+        // checks.
         if (cost) {
             MoveSpan m = step.moves();
             sum.commCycles += cost->cycles(m.begin(), m.end());

@@ -6,9 +6,10 @@
  * The paper reports makespan, speedup and communication numbers at true
  * benchmark parameters (10^7..10^12 gates) that no materialized program
  * schedule can ever hold. This analysis gets the same numbers exactly,
- * without unrolling anything: each distinct leaf schedule is folded once
- * into a compact ResourceSummary by a single streaming ScheduleSink pass
- * (summarizeLeafSchedule), and summaries compose bottom-up through the
+ * without unrolling anything: each distinct leaf schedule is reduced
+ * once to a compact ResourceSummary (by CommunicationAnalyzer::annotate
+ * in the same walk that emits its moves; summarizeLeafSchedule is the
+ * independent reference fold), and summaries compose bottom-up through the
  * coarse scheduler's own repeat-count algebra (ScheduleSummaryAnalysis)
  * with saturating arithmetic from support/saturate.hh.
  *
@@ -131,6 +132,18 @@ struct ResourceSummary
     /** Any counter clipped at 2^64-1 (poisons dependent fields). */
     bool saturated = false;
 
+    /** A named scalar counter of the summary. */
+    struct Field
+    {
+        const char *name;
+        uint64_t ResourceSummary::*member;
+    };
+
+    /** Every scalar counter above, in declaration order — what a
+     * field-by-field comparison walks besides the occupancy buckets and
+     * the saturation flag. */
+    static const std::vector<Field> &fields();
+
     /** EPR pairs consumed == teleport moves (paper §2.3). */
     uint64_t eprPairs() const { return teleportMoves; }
 
@@ -163,10 +176,11 @@ struct ResourceSummary
 
 /**
  * Fold one annotated leaf schedule into its ResourceSummary with a
- * single streaming pass (no random access, no intermediate storage):
- * exactly the statistics CommunicationAnalyzer::annotate reports, plus
- * the occupancy histogram, derived independently from the move/slot
- * streams so the two paths cross-check each other (E001).
+ * single streaming pass (no random access, no intermediate storage).
+ * This is the reference oracle, used by no compile path: the summary
+ * CommunicationAnalyzer::annotate derives while emitting the moves must
+ * equal it field for field, and re-deriving it from the move/slot
+ * streams lets the two paths cross-check each other (E001).
  *
  * @param epr_bandwidth EPR channel constraint for movement-phase costs
  *        (must match the bandwidth the schedule was costed with).

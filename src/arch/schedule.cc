@@ -41,24 +41,23 @@ movePhaseCycles(const Move *begin, const Move *end, uint64_t epr_bandwidth)
         panic("movePhaseCycles: EPR bandwidth of 0 cannot move anything; "
               "MultiSimdArch::validate() should have rejected this "
               "configuration");
-    uint64_t blocking = blockingMoveCount(begin, end);
+    return movePhaseCyclesFor(blockingMoveCount(begin, end),
+                              hasLocalMove(begin, end), epr_bandwidth);
+}
+
+uint64_t
+movePhaseCyclesFor(uint64_t blocking, bool any_local,
+                   uint64_t epr_bandwidth)
+{
     if (blocking > 0) {
         uint64_t phases = 1;
         if (epr_bandwidth != unbounded)
             phases = (blocking + epr_bandwidth - 1) / epr_bandwidth;
         return phases * MultiSimdArch::teleportCycles;
     }
-    if (hasLocalMove(begin, end))
+    if (any_local)
         return MultiSimdArch::localMoveCycles;
     return 0;
-}
-
-unsigned
-locationCore(const Location &loc, const MultiSimdArch &arch)
-{
-    if (loc.isGlobal())
-        return loc.region;
-    return arch.coreOfRegion(loc.region);
 }
 
 MovePhaseCostModel::MovePhaseCostModel(const MultiSimdArch &arch)
@@ -83,7 +82,6 @@ MovePhaseCostModel::cycles(const Move *begin, const Move *end) const
     bool any_inter = false;
     bool any_local = false;
     std::fill(edgeLoad.begin(), edgeLoad.end(), 0);
-    std::vector<unsigned> route;
     for (const Move *m = begin; m != end; ++m) {
         if (m->isLocal()) {
             any_local = true;
@@ -105,14 +103,8 @@ MovePhaseCostModel::cycles(const Move *begin, const Move *end) const
             ++edgeLoad[e];
     }
 
-    uint64_t intra = 0;
-    if (intra_blocking > 0) {
-        uint64_t phases = 1;
-        if (arch_->eprBandwidth != unbounded)
-            phases = (intra_blocking + arch_->eprBandwidth - 1) /
-                     arch_->eprBandwidth;
-        intra = phases * MultiSimdArch::teleportCycles;
-    }
+    const uint64_t intra =
+        movePhaseCyclesFor(intra_blocking, false, arch_->eprBandwidth);
 
     uint64_t inter = 0;
     if (any_inter) {
@@ -218,37 +210,6 @@ LeafSchedule::totalCycles(uint64_t epr_bandwidth) const
         prev = end;
     }
     return cycles;
-}
-
-uint64_t
-LeafSchedule::totalCycles(const MultiSimdArch &arch) const
-{
-    if (!arch.topology.multiCore())
-        return totalCycles(arch.eprBandwidth);
-    MovePhaseCostModel cost(arch);
-    const ScheduleBuffer &buf = *buf_;
-    uint64_t cycles = buf.numSteps() * MultiSimdArch::gateCycles;
-    const Move *base = buf.moves.data();
-    uint64_t prev = 0;
-    for (uint64_t end : buf.moveEnd) {
-        cycles += cost.cycles(base + prev, base + end);
-        prev = end;
-    }
-    return cycles;
-}
-
-uint64_t
-LeafSchedule::peakBlockingMoves() const
-{
-    const ScheduleBuffer &buf = *buf_;
-    const Move *base = buf.moves.data();
-    uint64_t peak = 0;
-    uint64_t prev = 0;
-    for (uint64_t end : buf.moveEnd) {
-        peak = std::max(peak, blockingMoveCount(base + prev, base + end));
-        prev = end;
-    }
-    return peak;
 }
 
 uint64_t

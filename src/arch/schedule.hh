@@ -77,10 +77,20 @@ bool hasBlockingGlobalMove(const Move *begin, const Move *end);
 uint64_t movePhaseCycles(const Move *begin, const Move *end,
                          uint64_t epr_bandwidth = unbounded);
 
+/** The movePhaseCycles formula over a phase already classified into
+ * @p blocking blocking teleports and whether @p any_local ballistic
+ * move occurs (what a single-pass producer counts as it emits). */
+uint64_t movePhaseCyclesFor(uint64_t blocking, bool any_local,
+                            uint64_t epr_bandwidth = unbounded);
+
 /** Core that houses @p loc: region/scratchpad locations map through the
  * topology's region->core assignment; a GlobalMemory location names its
  * core (bank index) directly. */
-unsigned locationCore(const Location &loc, const MultiSimdArch &arch);
+inline unsigned
+locationCore(const Location &loc, const MultiSimdArch &arch)
+{
+    return loc.isGlobal() ? loc.region : arch.coreOfRegion(loc.region);
+}
 
 /**
  * Topology-aware movement-phase cost model. On the flat one-core machine
@@ -129,8 +139,10 @@ class MovePhaseCostModel
   private:
     const MultiSimdArch *arch_;
     TopologyRouter router_;
-    /** Scratch per-link blocking loads, reused across cycles() calls. */
+    /** Scratch per-link blocking loads and route, reused across
+     * cycles() calls. */
     mutable std::vector<uint64_t> edgeLoad;
+    mutable std::vector<unsigned> route;
 };
 
 /// @}
@@ -518,15 +530,6 @@ class LeafSchedule
      */
     uint64_t totalCycles(uint64_t epr_bandwidth = unbounded) const;
 
-    /** Topology-aware total cycles: per-step phases are priced by a
-     * MovePhaseCostModel over @p arch. Equals totalCycles(
-     * arch.eprBandwidth) on a single-core topology. */
-    uint64_t totalCycles(const MultiSimdArch &arch) const;
-
-    /** Largest number of blocking teleports in any single timestep —
-     * the peak EPR bandwidth demand of this schedule. */
-    uint64_t peakBlockingMoves() const;
-
     /** Number of teleportation (global) moves across all steps. */
     uint64_t teleportMoves() const;
 
@@ -615,6 +618,16 @@ class MoveAnnotator
 
     /** Append @p move to the movement slot of the current timestep. */
     void add(const Move &move) { buf->moves.push_back(move); }
+
+    /** The moves added to the current (unsealed) timestep so far; valid
+     * until the next add(). */
+    MoveSpan
+    stepMoves() const
+    {
+        const Move *base = buf->moves.data();
+        return {base + (buf->moveEnd.empty() ? 0 : buf->moveEnd.back()),
+                base + buf->moves.size()};
+    }
 
     /** Seal the current timestep's movement slot. */
     void

@@ -85,8 +85,8 @@ class Parser
     }
 
     void
-    declareSymbol(Module &mod, const std::string &name,
-                  std::vector<QubitId> ids, unsigned line)
+    declareSymbol(const std::string &name, std::vector<QubitId> ids,
+                  unsigned line)
     {
         if (symbols.count(name))
             fatal(csprintf("line %u: redeclaration of '%s'", line,
@@ -143,7 +143,7 @@ class Parser
         } else {
             ids.push_back(mod.addParam(name));
         }
-        declareSymbol(mod, name, std::move(ids), line);
+        declareSymbol(name, std::move(ids), line);
     }
 
     void
@@ -168,7 +168,7 @@ class Parser
                 ids.push_back(mod.addLocal(name));
             }
             expect(TokenKind::Semicolon);
-            declareSymbol(mod, name, std::move(ids), line);
+            declareSymbol(name, std::move(ids), line);
             return;
         }
 

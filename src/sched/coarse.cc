@@ -177,13 +177,13 @@ CoarseScheduler::leafWidthResult(const Module &mod, unsigned w,
     auto result = std::make_shared<LeafScheduleResult>();
     LeafSchedule sched = leafScheduler->scheduleWithAttempt(
         mod, *share.dag, sub, result->attempt);
+    // One annotate walk emits the moves and yields both the movement
+    // statistics and the leaf's resource summary. Those and the static
+    // lower bounds ride the same memoization as the schedule: all are
+    // pure functions of what the key captures.
     CommunicationAnalyzer comm(arch, mode);
-    result->stats = comm.annotate(sched);
-    // Static lower bounds and the streaming resource-summary fold ride
-    // the same memoization as the schedule: all are pure functions of
-    // what the key captures.
+    result->stats = comm.annotate(sched, result->summary);
     result->bounds = share.bounds->evaluate(sub);
-    result->summary = summarizeLeafSchedule(sched, arch);
     result->schedule = sched.sharedBuffer();
     // Guard fields for cross-process reuse: a warm-started process can
     // only rebind this result to a module with matching counts.

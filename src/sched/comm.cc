@@ -1,60 +1,90 @@
 #include "sched/comm.hh"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "analysis/qubit_mapping.hh"
+#include "analysis/schedule_summary.hh"
 #include "support/logging.hh"
 
 namespace msq {
 
 namespace {
 
-/** Per-qubit ordered use sites (timestep, region) within a schedule. */
-struct UseLists
+/**
+ * Step-ordered operand stream of one schedule: one record per operand
+ * occurrence, in exactly the order the analyzer visits them (steps
+ * ascending, slots region-ascending within a step, ops in slot order,
+ * operands in op order), each linked to the same qubit's next
+ * occurrence. One forward walk of the placement fills it and one
+ * backward pass links it, so "next use of q after the current step" is
+ * one lookup, uses[latest[q]].next.
+ */
+struct OperandStream
 {
-    std::vector<std::vector<std::pair<uint64_t, unsigned>>> uses;
-    std::vector<size_t> cursor; ///< next-use index per qubit
+    static constexpr uint32_t none = std::numeric_limits<uint32_t>::max();
 
-    UseLists(const LeafSchedule &sched)
-        : uses(sched.module().numQubits()),
-          cursor(sched.module().numQubits(), 0)
+    struct Use
+    {
+        QubitId qubit;
+        uint32_t step;
+        uint32_t region;
+        uint32_t next; ///< same qubit's next occurrence, or none
+    };
+
+    std::vector<Use> uses;
+    std::vector<uint32_t> slotEnd; ///< per slot: exclusive end into uses
+    /** Per qubit, the first occurrence (none if never an operand). */
+    std::vector<uint32_t> first;
+
+    /** @param with_uses false fills only slotEnd (the per-slot operand
+     * counts), all that a move-free annotation reads. */
+    OperandStream(const LeafSchedule &sched, bool with_uses)
     {
         const Module &mod = sched.module();
-        for (TimestepView step : sched.steps()) {
-            for (RegionSlotView slot : step) {
-                unsigned r = slot.region();
-                for (uint32_t op_index : slot.ops())
-                    for (QubitId q : mod.op(op_index).operands)
-                        uses[q].emplace_back(step.index(), r);
+        const ScheduleBuffer &buf = sched.buffer();
+        if (with_uses) {
+            // Every op is placed once, so the module's operand total
+            // sizes the stream exactly (no growth copies on large
+            // leaves).
+            size_t occurrences = 0;
+            for (const Operation &op : mod.ops())
+                occurrences += op.operands.size();
+            uses.reserve(occurrences);
+        }
+        slotEnd.reserve(buf.slots.size());
+        uint64_t end = 0;
+        uint32_t slot = 0;
+        for (uint64_t ts = 0; ts < buf.numSteps(); ++ts) {
+            for (; slot < buf.slotEnd[ts]; ++slot) {
+                const uint32_t region = buf.slots[slot].region;
+                for (uint32_t o = buf.opBegin(slot);
+                     o < buf.slots[slot].opEnd; ++o) {
+                    const auto &operands = mod.op(buf.ops[o]).operands;
+                    end += operands.size();
+                    if (with_uses)
+                        for (QubitId q : operands)
+                            uses.push_back({q, static_cast<uint32_t>(ts),
+                                            region, none});
+                }
+                if (end >= none)
+                    fatal("CommunicationAnalyzer: more than 2^32-1 "
+                          "operand occurrences in one leaf schedule");
+                slotEnd.push_back(static_cast<uint32_t>(end));
             }
+        }
+        first.assign(mod.numQubits(), none);
+        for (auto i = static_cast<uint32_t>(uses.size()); i-- > 0;) {
+            uses[i].next = first[uses[i].qubit];
+            first[uses[i].qubit] = i;
         }
     }
 
-    /**
-     * Next use strictly after @p ts, or nullptr. Advances the qubit's
-     * cursor past every entry at or before @p ts: the analyzer walks
-     * timesteps monotonically, so those entries can never satisfy a
-     * later query. Sharing one cursor between queries and consumption
-     * keeps each use list's total scan work linear (a query-local
-     * cursor would re-scan already-consumed entries on every eviction
-     * check — quadratic on hot qubits).
-     */
-    const std::pair<uint64_t, unsigned> *
-    nextUseAfter(QubitId q, uint64_t ts)
+    uint32_t
+    slotBegin(uint32_t slot) const
     {
-        size_t &i = cursor[q];
-        const auto &list = uses[q];
-        while (i < list.size() && list[i].first <= ts)
-            ++i;
-        return i < list.size() ? &list[i] : nullptr;
-    }
-
-    /** Advance cursors past timestep @p ts for the given qubit. */
-    void
-    consume(QubitId q, uint64_t ts)
-    {
-        nextUseAfter(q, ts);
+        return slot == 0 ? 0 : slotEnd[slot - 1];
     }
 };
 
@@ -66,25 +96,31 @@ constexpr int64_t neverTouched = -(1LL << 60);
 CommStats
 CommunicationAnalyzer::annotate(LeafSchedule &sched) const
 {
+    ResourceSummary summary;
+    return annotate(sched, summary);
+}
+
+CommStats
+CommunicationAnalyzer::annotate(LeafSchedule &sched,
+                                ResourceSummary &sum) const
+{
     arch.validate();
-    CommStats stats;
 
     // The annotator clears the existing movement annotation (detaching
     // a private buffer copy if the schedule is aliased, e.g. cached);
     // construct it before taking any views so they bind to the buffer
     // that survives.
     MoveAnnotator annot(sched);
-    const uint64_t num_steps = sched.computeTimesteps();
-
-    if (mode == CommMode::None) {
-        for (uint64_t ts = 0; ts < num_steps; ++ts)
-            annot.endStep();
-        annot.finish();
-        stats.totalCycles = sched.totalCycles(arch);
-        return stats;
-    }
-
+    const ScheduleBuffer &buf = sched.buffer();
+    const uint64_t num_steps = buf.numSteps();
     const Module &mod = sched.module();
+    const bool model_moves = mode != CommMode::None;
+    const OperandStream stream(sched, model_moves);
+
+    sum = ResourceSummary{};
+    sum.occupancy.assign(ResourceSummary::numOccupancyBuckets(), 0);
+    sum.gateOps = buf.ops.size();
+
     const bool use_local = mode == CommMode::GlobalWithLocalMem &&
                            arch.localMemCapacity > 0;
     const auto mask_window =
@@ -92,27 +128,29 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched) const
 
     const Topology &topo = arch.topology;
     const bool multi_core = topo.multiCore();
-    // Home banks: every qubit starts in (and is evicted back to) its
-    // home core's memory. On the flat machine every home is core 0, so
-    // this is exactly the historical "all qubits start in global
-    // memory"; the validator and comm checker recompute the same
-    // mapping independently (it is a pure function of module+topology).
-    const std::vector<unsigned> home = computeQubitMapping(mod, topo);
-    const TopologyRouter router(topo);
+    // Prices each multi-core step's move range; its router also routes
+    // masked inter-core teleports against the per-link EPR budget.
+    const MovePhaseCostModel cost(arch);
+    const TopologyRouter &router = cost.router();
     // Remaining masked inter-core teleports each link can still absorb
     // this timestep — pre-distributed EPR pairs are a per-link, per-step
     // resource. Refilled to the link bandwidth at every step.
     std::vector<uint64_t> link_budget(router.numEdges(), 0);
     std::vector<unsigned> route;
 
-    UseLists uses(sched);
-
     // All qubits (including ancilla, which are generated at the global
-    // memory, §3.2) start in their home core's memory bank.
+    // memory, §3.2) start in their home core's memory bank, and are
+    // evicted back to their current core's bank. On the flat machine
+    // every home is core 0, so this is exactly the historical "all
+    // qubits start in global memory"; the validator and comm checker
+    // recompute the same mapping independently (it is a pure function
+    // of module+topology).
     std::vector<Location> loc(mod.numQubits(), Location::global());
-    if (multi_core)
+    if (model_moves && multi_core) {
+        const std::vector<unsigned> home = computeQubitMapping(mod, topo);
         for (size_t q = 0; q < loc.size(); ++q)
             loc[q] = Location::inMemory(home[q]);
+    }
     std::vector<uint64_t> local_count(sched.k(), 0);
 
     // Last timestep each qubit was touched (operand or moved); a
@@ -123,84 +161,97 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched) const
     // Qubits currently parked inside each region (between uses).
     std::vector<std::vector<QubitId>> parked(sched.k());
 
-    // Per-step operand scratch, reused across steps; operand_step[q]
-    // is the last timestep in which q was an operand anywhere, so
-    // "operand this step" is one comparison.
-    std::vector<std::vector<QubitId>> operands(sched.k());
-    std::vector<uint64_t> operand_step(mod.numQubits(), num_steps);
+    // latest[q]: q's most recent occurrence at or before the current
+    // step, so q is an operand this step exactly when latest[q] is at
+    // or past the step's first occurrence, and its next use is
+    // uses[latest[q]].next. Seeded with the first occurrences; the seed
+    // of a qubit not yet used is never read, because only qubits a
+    // fetch has parked are queried.
+    std::vector<uint32_t> latest = stream.first;
+
+    // Steps per active-region count, bucketed into the occupancy
+    // histogram after the walk (a step has at most k active regions).
+    std::vector<uint64_t> steps_with_active(sched.k() + 1, 0);
 
     for (uint64_t ts = 0; ts < num_steps; ++ts) {
-        TimestepView step = sched.step(ts);
+        const uint32_t slot_begin = buf.slotBegin(ts);
+        const uint32_t slot_end = buf.slotEnd[ts];
+        const uint32_t step_uses = stream.slotBegin(slot_begin);
         auto now = static_cast<int64_t>(ts);
-        bool any_blocking = false;
-        bool any_local = false;
 
+        // Placement profile: region occupancy and the per-step active
+        // region histogram, in every mode.
+        ++steps_with_active[slot_end - slot_begin];
+        for (uint32_t s = slot_begin; s < slot_end; ++s) {
+            const uint32_t operands =
+                stream.slotEnd[s] - stream.slotBegin(s);
+            if (operands > 0) {
+                ++sum.activeRegionSteps;
+                sum.operandTouches += operands;
+                sum.peakRegionOccupancy = std::max<uint64_t>(
+                    sum.peakRegionOccupancy, operands);
+            }
+        }
+        if (!model_moves) {
+            annot.endStep();
+            continue;
+        }
+        for (uint32_t i = step_uses; i < stream.slotBegin(slot_end); ++i)
+            latest[stream.uses[i].qubit] = i;
+
+        uint64_t step_blocking = 0;
+        bool any_local = false;
         if (multi_core && topo.linkBandwidth != unbounded)
             std::fill(link_budget.begin(), link_budget.end(),
                       topo.linkBandwidth);
 
         // Single-pass move emission: every move is classified as it is
-        // created, so the stats accumulate here instead of re-scanning
-        // the step's move slot afterwards.
+        // created, so the statistics accumulate here instead of
+        // re-scanning the step's move slot afterwards.
         auto emit = [&](const Move &move) {
             if (move.isLocal()) {
-                ++stats.localMoves;
+                ++sum.localMoves;
                 any_local = true;
             } else {
-                ++stats.teleportMoves;
+                ++sum.teleportMoves;
                 if (multi_core && locationCore(move.from, arch) !=
                                       locationCore(move.to, arch))
-                    ++stats.interCoreTeleports;
+                    ++sum.interCoreTeleports;
                 if (move.blocking) {
-                    ++stats.blockingTeleports;
-                    any_blocking = true;
+                    ++sum.blockingTeleports;
+                    ++step_blocking;
                 }
             }
             annot.add(move);
         };
-
-        // Operand sets per region for this timestep.
-        for (auto &list : operands)
-            list.clear();
-        for (RegionSlotView slot : step) {
-            unsigned r = slot.region();
-            for (uint32_t op_index : slot.ops()) {
-                for (QubitId q : mod.op(op_index).operands) {
-                    operands[r].push_back(q);
-                    operand_step[q] = ts;
-                }
-            }
-            if (!operands[r].empty()) {
-                ++stats.activeRegionSteps;
-                stats.operandSlots += operands[r].size();
-                stats.peakRegionOccupancy =
-                    std::max<uint64_t>(stats.peakRegionOccupancy,
-                                       operands[r].size());
-            }
-        }
 
         // Phase 1 - evictions: a region active this timestep must shed
         // every parked qubit that is not one of its operands. An
         // eviction blocks only when the qubit is needed again within
         // the teleport window; distant reuse is masked by pipelining.
         // Slots are region-sorted, so this visits active regions in
-        // ascending order, exactly like the old per-region sweep.
-        for (RegionSlotView slot : step) {
-            unsigned r = slot.region();
-            std::vector<QubitId> keep;
-            for (QubitId q : parked[r]) {
+        // ascending order. Kept qubits are compacted in place.
+        for (uint32_t s = slot_begin; s < slot_end; ++s) {
+            const unsigned r = buf.slots[s].region;
+            std::vector<QubitId> &list = parked[r];
+            size_t kept = 0;
+            for (QubitId q : list) {
                 // A qubit operated on anywhere this timestep is not
                 // evicted: either it stays (same region) or the fetch
                 // phase teleports it region-to-region directly.
-                if (operand_step[q] == ts) {
-                    keep.push_back(q);
+                if (latest[q] >= step_uses) {
+                    list[kept++] = q;
                     continue;
                 }
-                const auto *next = uses.nextUseAfter(q, ts);
-                bool tight = next && static_cast<int64_t>(next->first) -
+                const uint32_t next_use = stream.uses[latest[q]].next;
+                const OperandStream::Use *next =
+                    next_use == OperandStream::none
+                        ? nullptr
+                        : &stream.uses[next_use];
+                bool tight = next && static_cast<int64_t>(next->step) -
                                              now < mask_window;
                 bool to_local = use_local && tight && next &&
-                                next->second == r &&
+                                next->region == r &&
                                 local_count[r] < arch.localMemCapacity;
                 Move move;
                 move.qubit = q;
@@ -221,14 +272,17 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched) const
                 emit(move);
                 last_touch[q] = now;
             }
-            parked[r] = std::move(keep);
+            list.resize(kept);
         }
 
         // Phase 2 - fetches: bring each operand into its region. A
         // teleport fetch blocks unless the qubit has been quiescent for
         // a full window (its EPR-paired transfer was pipelined ahead).
-        for (unsigned r = 0; r < sched.k(); ++r) {
-            for (QubitId q : operands[r]) {
+        for (uint32_t s = slot_begin; s < slot_end; ++s) {
+            const unsigned r = buf.slots[s].region;
+            for (uint32_t i = stream.slotBegin(s); i < stream.slotEnd[s];
+                 ++i) {
+                const QubitId q = stream.uses[i].qubit;
                 if (loc[q] == Location::inRegion(r)) {
                     last_touch[q] = now;
                     continue;
@@ -287,22 +341,53 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched) const
             }
         }
 
-        // Advance next-use cursors.
-        for (unsigned r = 0; r < sched.k(); ++r)
-            for (QubitId q : operands[r])
-                uses.consume(q, ts);
-
-        if (any_blocking)
-            ++stats.stepsWithBlockingMove;
+        // Movement-phase cost of this step: the flat machine's formula
+        // over the counts just classified; multi-core phases route the
+        // step's moves through the topology cost model.
+        if (multi_core) {
+            MoveSpan moves = annot.stepMoves();
+            sum.commCycles += cost.cycles(moves.begin(), moves.end());
+        } else {
+            sum.commCycles += movePhaseCyclesFor(step_blocking, any_local,
+                                                 arch.eprBandwidth);
+        }
+        sum.peakBlockingMovesPerStep =
+            std::max(sum.peakBlockingMovesPerStep, step_blocking);
+        if (step_blocking > 0)
+            ++sum.stepsWithBlockingMove;
         else if (any_local)
-            ++stats.stepsWithOnlyLocalMoves;
+            ++sum.stepsWithOnlyLocalMoves;
 
         annot.endStep();
     }
 
     annot.finish();
-    stats.peakBlockingMovesPerStep = sched.peakBlockingMoves();
-    stats.totalCycles = sched.totalCycles(arch);
+    for (unsigned active = 0; active <= sched.k(); ++active) {
+        if (steps_with_active[active] == 0)
+            continue;
+        sum.occupancy[ResourceSummary::occupancyBucket(active)] +=
+            steps_with_active[active];
+        sum.peakActiveRegions = active;
+    }
+    sum.serialCycles =
+        num_steps * MultiSimdArch::gateCycles + sum.commCycles;
+
+    CommStats stats;
+    stats.teleportMoves = sum.teleportMoves;
+    stats.blockingTeleports = sum.blockingTeleports;
+    stats.localMoves = sum.localMoves;
+    stats.stepsWithBlockingMove = sum.stepsWithBlockingMove;
+    stats.stepsWithOnlyLocalMoves = sum.stepsWithOnlyLocalMoves;
+    stats.peakBlockingMovesPerStep = sum.peakBlockingMovesPerStep;
+    stats.totalCycles = sum.serialCycles;
+    stats.interCoreTeleports = sum.interCoreTeleports;
+    // The occupancy profile is CommStats telemetry only when movement
+    // is modelled (documented 0 under CommMode::None, as .msqc stores).
+    if (model_moves) {
+        stats.activeRegionSteps = sum.activeRegionSteps;
+        stats.operandSlots = sum.operandTouches;
+        stats.peakRegionOccupancy = sum.peakRegionOccupancy;
+    }
     return stats;
 }
 

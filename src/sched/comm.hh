@@ -43,6 +43,8 @@
 
 namespace msq {
 
+struct ResourceSummary;
+
 /** Movement statistics for one annotated schedule. */
 struct CommStats
 {
@@ -99,6 +101,17 @@ class CommunicationAnalyzer
      * moves under this analyzer's mode, and return the statistics.
      */
     CommStats annotate(LeafSchedule &sched) const;
+
+    /**
+     * annotate(), also returning the leaf's ResourceSummary through
+     * @p summary — field for field what summarizeLeafSchedule(sched,
+     * arch) folds from the annotated schedule, derived in the same walk
+     * that emits the moves. Under CommMode::None the summary still
+     * carries the placement profile (gate ops, region occupancy, the
+     * occupancy histogram) that CommStats leaves at 0.
+     */
+    CommStats annotate(LeafSchedule &sched,
+                       ResourceSummary &summary) const;
 
   private:
     MultiSimdArch arch;

@@ -73,6 +73,8 @@ namespace {
 
 struct Parser
 {
+    explicit Parser(const std::string &text) : text(text) {}
+
     const std::string &text;
     size_t pos = 0;
     std::string error;
@@ -325,7 +327,7 @@ struct Parser
 std::unique_ptr<JsonValue>
 parseJson(const std::string &text, std::string &error)
 {
-    Parser parser{text};
+    Parser parser(text);
     auto value = std::make_unique<JsonValue>();
     if (!parser.parseValue(*value)) {
         error = parser.error.empty() ? "JSON parse error"

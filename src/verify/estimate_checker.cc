@@ -48,9 +48,8 @@ makeLeafSummaryFn(const MultiSimdArch &arch,
         LeafSchedule sched = scheduler.schedule(mod, arch);
         CommunicationAnalyzer comm(arch, mode);
         auto result = std::make_shared<LeafScheduleResult>();
-        result->stats = comm.annotate(sched);
+        result->stats = comm.annotate(sched, result->summary);
         result->bounds = computeLeafBounds(mod, arch);
-        result->summary = summarizeLeafSchedule(sched, arch);
         result->schedule = sched.sharedBuffer();
         result->opCount = mod.numOps();
         result->qubitCount = mod.numQubits();
@@ -266,10 +265,11 @@ checkEstimateExactness(const Program &prog, const MultiSimdArch &arch,
         cache = std::make_shared<LeafScheduleCache>();
 
     // E001 — re-schedule each distinct leaf from scratch and compare
-    // the streaming fold against the CommunicationAnalyzer's own
-    // accumulation, field for field. The two paths share no state: the
-    // annotator classifies moves as it derives them, the fold re-reads
-    // the annotated buffer through the sink interface.
+    // the summary the CommunicationAnalyzer derives while emitting the
+    // moves (what every compile caches) against the streaming fold,
+    // field for field. The two paths share no state: the annotator
+    // classifies moves as it derives them, the fold re-reads the
+    // annotated buffer through the sink interface.
     std::unordered_set<std::string> folded;
     const std::string suffix =
         leafScheduleKeySuffix(scheduler.fingerprint(), arch, mode);
@@ -280,36 +280,23 @@ checkEstimateExactness(const Program &prog, const MultiSimdArch &arch,
         if (!folded.insert(leafScheduleKey(mod, arch.k, suffix)).second)
             continue;
         LeafSchedule sched = scheduler.schedule(mod, arch);
-        CommunicationAnalyzer comm(arch, mode);
-        CommStats ground = comm.annotate(sched);
+        ResourceSummary annotated;
+        CommStats ground =
+            CommunicationAnalyzer(arch, mode).annotate(sched, annotated);
         ResourceSummary fold = summarizeLeafSchedule(sched, arch);
-        checkLeafField(diags, mod, "totalCycles/serialCycles",
+        for (const ResourceSummary::Field &f : ResourceSummary::fields())
+            checkLeafField(diags, mod, f.name, fold.*f.member,
+                           annotated.*f.member);
+        for (size_t b = 0; b < fold.occupancy.size(); ++b) {
+            const std::string field =
+                "occupancy[" + ResourceSummary::occupancyLabel(b) + "]";
+            checkLeafField(diags, mod, field.c_str(), fold.occupancy[b],
+                           annotated.occupancy[b]);
+        }
+        checkLeafField(diags, mod, "saturated", fold.saturated,
+                       annotated.saturated);
+        checkLeafField(diags, mod, "serialCycles/totalCycles",
                        fold.serialCycles, ground.totalCycles);
-        checkLeafField(diags, mod, "teleportMoves", fold.teleportMoves,
-                       ground.teleportMoves);
-        checkLeafField(diags, mod, "blockingTeleports",
-                       fold.blockingTeleports, ground.blockingTeleports);
-        checkLeafField(diags, mod, "interCoreTeleports",
-                       fold.interCoreTeleports,
-                       ground.interCoreTeleports);
-        checkLeafField(diags, mod, "localMoves", fold.localMoves,
-                       ground.localMoves);
-        checkLeafField(diags, mod, "stepsWithBlockingMove",
-                       fold.stepsWithBlockingMove,
-                       ground.stepsWithBlockingMove);
-        checkLeafField(diags, mod, "stepsWithOnlyLocalMoves",
-                       fold.stepsWithOnlyLocalMoves,
-                       ground.stepsWithOnlyLocalMoves);
-        checkLeafField(diags, mod, "activeRegionSteps",
-                       fold.activeRegionSteps, ground.activeRegionSteps);
-        checkLeafField(diags, mod, "operandTouches/operandSlots",
-                       fold.operandTouches, ground.operandSlots);
-        checkLeafField(diags, mod, "peakRegionOccupancy",
-                       fold.peakRegionOccupancy,
-                       ground.peakRegionOccupancy);
-        checkLeafField(diags, mod, "peakBlockingMovesPerStep",
-                       fold.peakBlockingMovesPerStep,
-                       ground.peakBlockingMovesPerStep);
         checkLeafField(diags, mod, "gateOps/scheduledOps", fold.gateOps,
                        sched.scheduledOps());
         checkLeafField(diags, mod, "occupancySteps/computeTimesteps",

@@ -18,8 +18,9 @@
  * field-for-field. Divergence is a hard error — an estimator, repeat
  * algebra, scheduler or cache bug — never an approximation error:
  *
- *  - E001 a leaf's streaming summary fold disagrees with the
- *         CommunicationAnalyzer's independently accumulated statistics;
+ *  - E001 a leaf's streaming summary fold disagrees, on any field,
+ *         with the summary the CommunicationAnalyzer accumulates while
+ *         emitting the moves (the one every compile caches);
  *  - E002 the estimate disagrees with a fresh recomputation — its
  *         makespan with a freshly computed ProgramSchedule, or its
  *         summary fields with a fresh recomposition;

@@ -40,43 +40,68 @@ hasCode(const DiagnosticEngine &diags, DiagCode code)
     return false;
 }
 
-/** A leaf whose schedule exercises teleports: chained CNOTs across
- * enough qubits that k=2 regions must exchange operands. */
-Module
-commHeavyLeaf(unsigned qubits, unsigned rounds)
+/** Fill @p mod with gates whose schedule exercises teleports: chained
+ * CNOTs across enough qubits that k=2 regions must exchange operands. */
+void
+addCommHeavyGates(Module &mod, unsigned qubits, unsigned rounds)
 {
-    Module mod("commleaf");
     std::vector<QubitId> qs;
     for (unsigned i = 0; i < qubits; ++i)
         qs.push_back(mod.addLocal("q" + std::to_string(i)));
     for (unsigned r = 0; r < rounds; ++r)
         for (unsigned i = 0; i + 1 < qubits; ++i)
             mod.addGate(GateKind::CNOT, {qs[i], qs[i + 1]});
+}
+
+/** A standalone leaf of addCommHeavyGates. */
+Module
+commHeavyLeaf(unsigned qubits, unsigned rounds)
+{
+    Module mod("commleaf");
+    addCommHeavyGates(mod, qubits, rounds);
     return mod;
 }
 
-/** Fold vs annotator, field for field, for one (scheduler, mode). */
+/** Fold vs the analyzer's in-pass summary, whole summary, plus the
+ * CommStats the same annotate call returns, for one (scheduler, mode). */
 void
 expectFoldMatchesAnnotator(const Module &mod, const LeafScheduler &sched,
                            const MultiSimdArch &arch, CommMode mode)
 {
     LeafSchedule leaf = sched.schedule(mod, arch);
     CommunicationAnalyzer comm(arch, mode);
-    CommStats ground = comm.annotate(leaf);
-    ResourceSummary fold = summarizeLeafSchedule(leaf, arch.eprBandwidth);
+    ResourceSummary annotated;
+    CommStats ground = comm.annotate(leaf, annotated);
+    ResourceSummary fold = summarizeLeafSchedule(leaf, arch);
+
+    for (const ResourceSummary::Field &f : ResourceSummary::fields())
+        EXPECT_EQ(fold.*f.member, annotated.*f.member) << f.name;
+    EXPECT_EQ(fold.occupancy, annotated.occupancy);
+    EXPECT_EQ(fold.saturated, annotated.saturated);
 
     EXPECT_EQ(fold.serialCycles, ground.totalCycles);
     EXPECT_EQ(fold.teleportMoves, ground.teleportMoves);
     EXPECT_EQ(fold.blockingTeleports, ground.blockingTeleports);
+    EXPECT_EQ(fold.interCoreTeleports, ground.interCoreTeleports);
     EXPECT_EQ(fold.localMoves, ground.localMoves);
     EXPECT_EQ(fold.stepsWithBlockingMove, ground.stepsWithBlockingMove);
     EXPECT_EQ(fold.stepsWithOnlyLocalMoves,
               ground.stepsWithOnlyLocalMoves);
-    EXPECT_EQ(fold.activeRegionSteps, ground.activeRegionSteps);
-    EXPECT_EQ(fold.operandTouches, ground.operandSlots);
-    EXPECT_EQ(fold.peakRegionOccupancy, ground.peakRegionOccupancy);
     EXPECT_EQ(fold.peakBlockingMovesPerStep,
               ground.peakBlockingMovesPerStep);
+    if (mode == CommMode::None) {
+        // CommStats keeps its occupancy telemetry at 0 when movement
+        // is not modelled; the summary still carries the profile.
+        EXPECT_EQ(ground.activeRegionSteps, 0u);
+        EXPECT_EQ(ground.operandSlots, 0u);
+        EXPECT_EQ(ground.peakRegionOccupancy, 0u);
+        EXPECT_EQ(fold.teleportMoves + fold.localMoves, 0u);
+        EXPECT_GT(fold.activeRegionSteps, 0u);
+    } else {
+        EXPECT_EQ(fold.activeRegionSteps, ground.activeRegionSteps);
+        EXPECT_EQ(fold.operandTouches, ground.operandSlots);
+        EXPECT_EQ(fold.peakRegionOccupancy, ground.peakRegionOccupancy);
+    }
     EXPECT_EQ(fold.gateOps, leaf.scheduledOps());
     EXPECT_EQ(fold.occupancySteps(), leaf.computeTimesteps());
     EXPECT_EQ(fold.eprPairs(), ground.teleportMoves);
@@ -116,6 +141,45 @@ TEST(LeafFold, MatchesAnnotatorUnderFiniteEprBandwidth)
     MultiSimdArch arch(4);
     arch.eprBandwidth = 1;
     expectFoldMatchesAnnotator(mod, rcp, arch, CommMode::Global);
+}
+
+TEST(LeafFold, MatchesAnnotatorWithoutMovement)
+{
+    Module mod = commHeavyLeaf(8, 4);
+    SequentialScheduler seq;
+    RcpScheduler rcp;
+    LpfsScheduler lpfs;
+    MultiSimdArch arch(2);
+    expectFoldMatchesAnnotator(mod, seq, arch, CommMode::None);
+    expectFoldMatchesAnnotator(mod, rcp, arch, CommMode::None);
+    expectFoldMatchesAnnotator(mod, lpfs, arch, CommMode::None);
+}
+
+TEST(LeafFold, MatchesAnnotatorUnderSequentialScheduler)
+{
+    Module mod = commHeavyLeaf(8, 4);
+    SequentialScheduler seq;
+    MultiSimdArch arch(2, unbounded, /*localMemCapacity=*/4);
+    expectFoldMatchesAnnotator(mod, seq, arch, CommMode::Global);
+    expectFoldMatchesAnnotator(mod, seq, arch,
+                               CommMode::GlobalWithLocalMem);
+}
+
+TEST(LeafFold, MatchesAnnotatorOnLinkLimitedRing)
+{
+    Module mod = commHeavyLeaf(12, 4);
+    SequentialScheduler seq;
+    RcpScheduler rcp;
+    LpfsScheduler lpfs;
+    MultiSimdArch arch(1);
+    std::string error;
+    ASSERT_TRUE(parseTopologySpec("cores=4,k=2,link-bw=1", arch, error))
+        << error;
+    for (CommMode mode : {CommMode::None, CommMode::Global}) {
+        expectFoldMatchesAnnotator(mod, seq, arch, mode);
+        expectFoldMatchesAnnotator(mod, rcp, arch, mode);
+        expectFoldMatchesAnnotator(mod, lpfs, arch, mode);
+    }
 }
 
 TEST(LeafFold, EmptyLeafFoldsToZero)
@@ -269,6 +333,33 @@ TEST(EstimateChecker, PassesOnHandBuiltProgram)
     EXPECT_GE(stats.modulesChecked, 3u);
     EXPECT_TRUE(stats.unrolledChecked);
     EXPECT_FALSE(stats.saturated);
+}
+
+TEST(EstimateChecker, CommModeNoneRaisesNoE001)
+{
+    // Under CommMode::None the CommStats occupancy telemetry is 0 by
+    // contract, while the leaf summary still profiles region occupancy;
+    // E001 must compare the analyzer's summary, not those zeros.
+    Program prog;
+    ModuleId leaf = prog.addModule("commleaf");
+    addCommHeavyGates(prog.module(leaf), 8, 4);
+    ModuleId entry = prog.addModule("entry");
+    prog.module(entry).addLocal("q");
+    prog.module(entry).addCall(leaf, {}, 3);
+    prog.setEntry(entry);
+
+    RcpScheduler rcp;
+    MultiSimdArch arch(2);
+    ProgramResourceEstimate est =
+        computeProgramEstimate(prog, arch, rcp, CommMode::None);
+    EXPECT_GT(est.program.activeRegionSteps, 0u);
+    DiagnosticEngine diags;
+    EstimateCheckStats stats;
+    EXPECT_TRUE(checkEstimateExactness(prog, arch, rcp, CommMode::None,
+                                       est, diags, {}, &stats));
+    EXPECT_FALSE(hasCode(diags, DiagCode::EstimateLeafFoldMismatch));
+    EXPECT_EQ(diags.numErrors(), 0u);
+    EXPECT_EQ(stats.leafFoldsChecked, 1u);
 }
 
 TEST(EstimateChecker, PerturbedMakespanTripsE002)

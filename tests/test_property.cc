@@ -17,11 +17,13 @@
 
 #include "core/toolflow.hh"
 #include "ir/dag.hh"
+#include "analysis/schedule_summary.hh"
 #include "sched/comm.hh"
 #include "sched/lpfs.hh"
 #include "sched/rcp.hh"
 #include "sched/validator.hh"
 #include "support/rng.hh"
+#include "support/strings.hh"
 #include "workloads/workloads.hh"
 
 namespace {
@@ -248,6 +250,86 @@ TEST(SchedulerProperties, PinnedChainsHaveLowBlockingTraffic)
     // 4 chains on 4 regions: after warm-up, essentially no movement.
     EXPECT_LT(stats.blockingTeleports, 20u);
     EXPECT_LT(stats.totalCycles, 150u); // ~100 steps + small overhead
+}
+
+/**
+ * The summary CommunicationAnalyzer::annotate derives while emitting the
+ * moves must equal the independent reference fold on every field, and
+ * its totalCycles the fold's serialCycles, for random leaves under every
+ * scheduler, communication model, machine shape and sweep width (each
+ * width scheduled on a k = w machine and annotated on the full one, as
+ * the coarse scheduler's width tasks do).
+ */
+TEST(SchedulerProperties, AnnotatorSummaryMatchesReferenceFold)
+{
+    struct Comm
+    {
+        const char *name;
+        CommMode mode;
+        uint64_t eprBandwidth;
+    };
+    const Comm comms[] = {
+        {"none", CommMode::None, unbounded},
+        {"global", CommMode::Global, unbounded},
+        {"local-mem", CommMode::GlobalWithLocalMem, unbounded},
+        {"epr1", CommMode::Global, 1},
+    };
+    MultiSimdArch flat(4, unbounded, /*localMemCapacity=*/2);
+    MultiSimdArch ring(1);
+    std::string error;
+    ASSERT_TRUE(parseTopologySpec("cores=4,k=2,link-bw=1,local-mem=2",
+                                  ring, error))
+        << error;
+
+    std::vector<std::unique_ptr<LeafScheduler>> schedulers;
+    schedulers.push_back(std::make_unique<SequentialScheduler>());
+    schedulers.push_back(std::make_unique<RcpScheduler>());
+    schedulers.push_back(std::make_unique<LpfsScheduler>());
+
+    SplitMix64 rng(2015);
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        Module mod = randomModule(
+            seed, 3 + static_cast<unsigned>(rng.nextBelow(10)),
+            40 + static_cast<unsigned>(rng.nextBelow(160)));
+        for (const MultiSimdArch &machine : {flat, ring}) {
+            for (const Comm &comm : comms) {
+                MultiSimdArch arch = machine;
+                arch.eprBandwidth = comm.eprBandwidth;
+                for (unsigned w : {1u, 2u, arch.k}) {
+                    MultiSimdArch sub = arch;
+                    sub.k = w;
+                    for (const auto &scheduler : schedulers) {
+                        SCOPED_TRACE(csprintf(
+                            "seed %llu, %s, %s, w=%u, %s",
+                            static_cast<unsigned long long>(seed),
+                            arch.topology.multiCore() ? "ring" : "flat",
+                            comm.name, w, scheduler->name()));
+                        LeafSchedule sched =
+                            scheduler->schedule(mod, sub);
+                        ResourceSummary annotated;
+                        CommStats stats =
+                            CommunicationAnalyzer(arch, comm.mode)
+                                .annotate(sched, annotated);
+                        ResourceSummary fold =
+                            summarizeLeafSchedule(sched, arch);
+                        for (const ResourceSummary::Field &f :
+                             ResourceSummary::fields())
+                            EXPECT_EQ(annotated.*f.member,
+                                      fold.*f.member)
+                                << f.name;
+                        EXPECT_EQ(annotated.occupancy, fold.occupancy);
+                        EXPECT_EQ(annotated.saturated, fold.saturated);
+                        EXPECT_EQ(stats.totalCycles, fold.serialCycles);
+                        if (!arch.topology.multiCore()) {
+                            EXPECT_EQ(stats.totalCycles,
+                                      sched.totalCycles(
+                                          arch.eprBandwidth));
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(SchedulerProperties, DeterministicSchedules)
