@@ -13,10 +13,11 @@
  * and reports requests/sec plus p50/p99 per-request latency for each,
  * writing BENCH_serve_latency.json for the CI regression gate. The
  * determinism contract (DESIGN.md §15) is cross-checked on the fly:
- * every warm response must carry the same schedule_hash and makespan
- * as its cold twin, and the warm phase must end at leaf-cache hit
- * rate 1.0 — the bench exits 1 on any violation, so the committed
- * baseline doubles as a regression test.
+ * every warm response must carry the same schedule_hash, makespan,
+ * critical_path, lower_bound, total_gates and qubits as its cold twin,
+ * and the warm phase must end at leaf-cache hit rate 1.0 — the bench
+ * exits 1 on any violation, so the committed baseline doubles as a
+ * regression test.
  *
  * Environment knobs:
  *   MSQ_BENCH_THREADS  batch parallelism (default 8)
@@ -67,6 +68,33 @@ percentile(std::vector<double> sorted, double p)
     return sorted[std::min(index, sorted.size() - 1)];
 }
 
+/** The deterministic fields of one response. */
+struct Served
+{
+    std::string scheduleHash;
+    uint64_t makespan = 0;
+    uint64_t criticalPath = 0;
+    uint64_t lowerBound = 0;
+    uint64_t totalGates = 0;
+    uint64_t qubits = 0;
+
+    bool operator==(const Served &) const = default;
+
+    std::string
+    json() const
+    {
+        return csprintf("\"schedule_hash\": \"%s\", \"makespan\": %llu, "
+                        "\"critical_path\": %llu, \"lower_bound\": %llu, "
+                        "\"total_gates\": %llu, \"qubits\": %llu",
+                        scheduleHash.c_str(),
+                        static_cast<unsigned long long>(makespan),
+                        static_cast<unsigned long long>(criticalPath),
+                        static_cast<unsigned long long>(lowerBound),
+                        static_cast<unsigned long long>(totalGates),
+                        static_cast<unsigned long long>(qubits));
+    }
+};
+
 struct PhaseResult
 {
     std::string phase;
@@ -76,8 +104,8 @@ struct PhaseResult
     double p50Ms = 0.0;
     double p99Ms = 0.0;
     double hitRate = 0.0;
-    /** workload -> (schedule_hash, makespan) of the last response. */
-    std::map<std::string, std::pair<std::string, uint64_t>> results;
+    /** workload -> deterministic fields of the last response. */
+    std::map<std::string, Served> results;
 };
 
 /** Run @p traffic through a fresh engine; warm = load the cache. */
@@ -117,7 +145,11 @@ runPhase(const std::string &phase, const std::string &cache_path,
         }
         out.results[workload] = {
             json->get("schedule_hash").asString(),
-            json->get("makespan").asUnsigned()};
+            json->get("makespan").asUnsigned(),
+            json->get("critical_path").asUnsigned(),
+            json->get("lower_bound").asUnsigned(),
+            json->get("total_gates").asUnsigned(),
+            json->get("qubits").asUnsigned()};
     }
     out.wallMs = timer.elapsedMs();
     out.requests = traffic.size();
@@ -193,10 +225,8 @@ main(int argc, char **argv)
         const auto &warmResult = warm.results[workload];
         if (coldResult != warmResult) {
             std::cerr << "DETERMINISM VIOLATION: " << workload
-                      << " cold hash=" << coldResult.first
-                      << " makespan=" << coldResult.second
-                      << " vs warm hash=" << warmResult.first
-                      << " makespan=" << warmResult.second << "\n";
+                      << " cold {" << coldResult.json() << "} vs warm {"
+                      << warmResult.json() << "}\n";
             ok = false;
         }
     }
@@ -235,9 +265,8 @@ main(int argc, char **argv)
        << "  \"results\": [\n";
     size_t index = 0;
     for (const auto &[workload, result] : cold.results) {
-        os << "    {\"workload\": \"" << workload
-           << "\", \"schedule_hash\": \"" << result.first
-           << "\", \"makespan\": " << result.second << "}"
+        os << "    {\"workload\": \"" << workload << "\", "
+           << result.json() << "}"
            << (++index == cold.results.size() ? "\n" : ",\n");
     }
     os << "  ]\n}\n";

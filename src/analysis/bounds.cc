@@ -237,7 +237,7 @@ MakespanBoundAnalysis::MakespanBoundAnalysis(const Program &prog,
             }
         }
 
-        b.criticalPath = DepDag::build(mod).criticalPathLength(weights);
+        b.criticalPath = criticalPathLength(mod, weights);
         b.resource = satCeilDiv(area, arch.k);
         bounds_[id] = b;
         areas_[id] = std::max(b.composite(), area);

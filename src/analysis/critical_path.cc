@@ -9,14 +9,17 @@ namespace msq {
 CriticalPathAnalysis::CriticalPathAnalysis(const Program &prog)
     : prog(&prog), lengths(prog.numModules(), 0)
 {
+    // A gate weighs 1 and a call its callee's critical path times the
+    // repeat count.
+    std::vector<uint64_t> weights;
     for (ModuleId id : prog.bottomUpOrder()) {
         const Module &mod = prog.module(id);
-        std::vector<uint64_t> weights;
-        weights.reserve(mod.numOps());
-        for (const Operation &op : mod.ops())
-            weights.push_back(
-                op.isCall() ? satMul(op.repeat, lengths[op.callee]) : 1);
-        lengths[id] = DepDag::build(mod).criticalPathLength(weights);
+        weights.assign(mod.numOps(), 1);
+        for (uint32_t index : mod.callOps()) {
+            const Operation &op = mod.ops()[index];
+            weights[index] = satMul(op.repeat, lengths[op.callee]);
+        }
+        lengths[id] = criticalPathLength(mod, weights);
     }
 }
 

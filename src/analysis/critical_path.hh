@@ -3,7 +3,9 @@
  * Hierarchical critical-path estimation: the longest dependence chain
  * through a program, treating each call as an indivisible block of its
  * callee's critical path length times its repeat count. This is the
- * "estimated critical path" bound of paper Fig. 6.
+ * "estimated critical path" bound of paper Fig. 6. Lengths saturate at
+ * 2^64-1, and no DepDag is built: each module takes one frontier sweep
+ * (criticalPathLength in ir/dag.hh).
  */
 
 #ifndef MSQ_ANALYSIS_CRITICAL_PATH_HH

@@ -103,10 +103,11 @@ acyclicBottomUpOrder(const Program &prog, bool *cyclic)
     reachable[prog.entry()] = true;
     size_t num_reachable = 1;
     while (!work.empty()) {
-        ModuleId m = work.back();
+        const Module &mod = prog.module(work.back());
         work.pop_back();
-        for (const Operation &op : prog.module(m).ops()) {
-            if (!op.isCall() || op.callee >= prog.numModules())
+        for (uint32_t index : mod.callOps()) {
+            const Operation &op = mod.ops()[index];
+            if (op.callee >= prog.numModules())
                 continue;
             if (!reachable[op.callee]) {
                 reachable[op.callee] = true;
@@ -124,9 +125,11 @@ acyclicBottomUpOrder(const Program &prog, bool *cyclic)
     for (ModuleId m = 0; m < prog.numModules(); ++m) {
         if (!reachable[m])
             continue;
+        const Module &mod = prog.module(m);
         std::vector<ModuleId> callees;
-        for (const Operation &op : prog.module(m).ops()) {
-            if (!op.isCall() || op.callee >= prog.numModules())
+        for (uint32_t index : mod.callOps()) {
+            const Operation &op = mod.ops()[index];
+            if (op.callee >= prog.numModules())
                 continue;
             if (std::find(callees.begin(), callees.end(), op.callee) ==
                 callees.end())

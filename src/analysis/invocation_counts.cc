@@ -18,10 +18,8 @@ InvocationCountAnalysis::InvocationCountAnalysis(const Program &prog,
     counts[prog.entry()] = 1;
     for (ModuleId id : order) {
         const Module &mod = prog.module(id);
-        for (uint32_t i = 0; i < mod.numOps(); ++i) {
-            const Operation &op = mod.op(i);
-            if (!op.isCall())
-                continue;
+        for (uint32_t i : mod.callOps()) {
+            const Operation &op = mod.ops()[i];
             bool clipped = false;
             counts[op.callee] = satAdd(
                 counts[op.callee], satMul(counts[id], op.repeat, clipped),

@@ -12,9 +12,8 @@ QubitEstimator::QubitEstimator(const Program &prog)
     for (ModuleId id : prog.bottomUpOrder()) {
         const Module &mod = prog.module(id);
         uint64_t deepest = 0;
-        for (const auto &op : mod.ops()) {
-            if (!op.isCall())
-                continue;
+        for (uint32_t index : mod.callOps()) {
+            const Operation &op = mod.ops()[index];
             const Module &callee = prog.module(op.callee);
             uint64_t extra = demand[op.callee] - callee.numParams();
             deepest = std::max(deepest, extra);

@@ -12,20 +12,18 @@ ResourceEstimator::ResourceEstimator(const Program &prog)
     : prog(&prog), order(prog.bottomUpOrder()),
       totals(prog.numModules(), 0)
 {
-    // Callees precede callers in `order`, so one pass suffices. The
-    // sticky flag records whether any total clipped (saturated()).
+    // Callees precede callers in `order`, so one pass suffices. Every
+    // gate counts 1, and saturating addition is order-independent, so
+    // the gates enter as one count ahead of the calls. The sticky flag
+    // records whether any total clipped (saturated()).
     for (ModuleId id : order) {
         const Module &mod = prog.module(id);
-        uint64_t total = 0;
-        for (const auto &op : mod.ops()) {
-            if (op.isCall()) {
-                total = satAdd(total,
-                               satMul(op.repeat, totals[op.callee],
-                                      saturated_),
-                               saturated_);
-            } else {
-                total = satAdd(total, 1, saturated_);
-            }
+        uint64_t total = mod.localGateCount();
+        for (uint32_t index : mod.callOps()) {
+            const Operation &op = mod.ops()[index];
+            total = satAdd(total,
+                           satMul(op.repeat, totals[op.callee], saturated_),
+                           saturated_);
         }
         totals[id] = total;
     }

@@ -3,9 +3,23 @@
 #include <algorithm>
 
 #include "support/logging.hh"
+#include "support/saturate.hh"
 #include "support/strings.hh"
 
 namespace msq {
+
+namespace {
+
+/** Panic unless @p weights is empty (unit weights) or one per op. */
+void
+checkWeights(std::span<const uint64_t> weights, size_t n)
+{
+    if (!weights.empty() && weights.size() != n)
+        panic(csprintf("DepDag: %zu weights for %zu nodes", weights.size(),
+                       n));
+}
+
+} // anonymous namespace
 
 DepDag
 DepDag::build(const Module &mod)
@@ -55,9 +69,7 @@ std::vector<uint64_t>
 DepDag::longestPaths(std::span<const uint64_t> weights, bool from_top) const
 {
     const size_t n = numNodes();
-    if (!weights.empty() && weights.size() != n)
-        panic(csprintf("DepDag: %zu weights for %zu nodes", weights.size(),
-                       n));
+    checkWeights(weights, n);
     // Program order is topological: sweep it forwards for depths and
     // backwards for heights.
     std::vector<uint64_t> out(n, 0);
@@ -66,7 +78,7 @@ DepDag::longestPaths(std::span<const uint64_t> weights, bool from_top) const
         uint64_t best = 0;
         for (uint32_t m : from_top ? preds(i) : succs(i))
             best = std::max(best, out[m]);
-        out[i] = best + (weights.empty() ? 1 : weights[i]);
+        out[i] = satAdd(best, weights.empty() ? 1 : weights[i]);
     }
     return out;
 }
@@ -76,6 +88,27 @@ DepDag::criticalPathLength(std::span<const uint64_t> weights) const
 {
     const std::vector<uint64_t> depth = depthFromTop(weights);
     return depth.empty() ? 0 : std::ranges::max(depth);
+}
+
+uint64_t
+criticalPathLength(const Module &mod, std::span<const uint64_t> weights)
+{
+    const size_t n = mod.numOps();
+    checkWeights(weights, n);
+    std::vector<uint64_t> frontier(mod.numQubits(), 0);
+    uint64_t longest = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const std::vector<QubitId> &operands = mod.ops()[i].operands;
+        uint64_t start = 0;
+        for (QubitId q : operands)
+            start = std::max(start, frontier[q]);
+        const uint64_t finish =
+            satAdd(start, weights.empty() ? 1 : weights[i]);
+        for (QubitId q : operands)
+            frontier[q] = finish;
+        longest = std::max(longest, finish);
+    }
+    return longest;
 }
 
 std::vector<uint64_t>

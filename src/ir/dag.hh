@@ -9,7 +9,10 @@
  * module into flat CSR arrays; node weights are an argument of the
  * longest-path queries, so the hierarchical analyses weight Call nodes by
  * their callee's schedule length without rebuilding anything. No weights
- * means 1 cycle per op.
+ * means 1 cycle per op, and path lengths saturate at 2^64-1.
+ *
+ * A caller that needs only the critical path builds no DAG at all: the
+ * free criticalPathLength(mod, weights) sweeps per-qubit frontiers.
  */
 
 #ifndef MSQ_IR_DAG_HH
@@ -100,6 +103,17 @@ class DepDag
     Csr preds_;
     std::vector<uint32_t> roots_;
 };
+
+/**
+ * DepDag::build(@p mod).criticalPathLength(@p weights) without building
+ * the DAG. An op's predecessors are exactly the last users of its
+ * operands, so one program-order sweep that keeps each qubit's latest
+ * finish time (its frontier) finds every op's finish as the maximum
+ * frontier of its operands plus its weight: O(operands) time and
+ * O(qubits) space. @p weights as for DepDag::depthFromTop.
+ */
+uint64_t criticalPathLength(const Module &mod,
+                            std::span<const uint64_t> weights = {});
 
 } // namespace msq
 

@@ -73,7 +73,7 @@ Module::addCall(ModuleId callee, std::vector<QubitId> args, uint64_t repeat)
                            name_.c_str(), q));
         }
     }
-    ops_.push_back(Operation::makeCall(callee, std::move(args), repeat));
+    addRawOperation(Operation::makeCall(callee, std::move(args), repeat));
 }
 
 void
@@ -85,21 +85,30 @@ Module::addOperation(Operation op)
         addGate(op.kind, std::move(op.operands), op.angle);
 }
 
+void
+Module::addRawOperation(Operation op)
+{
+    if (op.isCall())
+        callOps_.push_back(static_cast<uint32_t>(ops_.size()));
+    ops_.push_back(std::move(op));
+}
+
+void
+Module::setOps(std::vector<Operation> new_ops)
+{
+    ops_ = std::move(new_ops);
+    callOps_.clear();
+    for (size_t i = 0; i < ops_.size(); ++i)
+        if (ops_[i].isCall())
+            callOps_.push_back(static_cast<uint32_t>(i));
+}
+
 const std::string &
 Module::qubitName(QubitId q) const
 {
     if (q >= qubitNames.size())
         panic(csprintf("Module %s: qubit %u out of range", name_.c_str(), q));
     return qubitNames[q];
-}
-
-bool
-Module::isLeaf() const
-{
-    for (const auto &op : ops_)
-        if (op.isCall())
-            return false;
-    return true;
 }
 
 uint64_t
@@ -120,16 +129,6 @@ Module::structuralHash() const
             fold.u64(q);
     }
     return fold.hash;
-}
-
-uint64_t
-Module::localGateCount() const
-{
-    uint64_t count = 0;
-    for (const auto &op : ops_)
-        if (!op.isCall())
-            ++count;
-    return count;
 }
 
 } // namespace msq

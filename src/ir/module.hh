@@ -57,7 +57,7 @@ class Module
      * that run the IR verifier (verify/verifier.hh) afterwards, so that
      * malformed input yields collected diagnostics instead of a panic.
      */
-    void addRawOperation(Operation op) { ops_.push_back(std::move(op)); }
+    void addRawOperation(Operation op);
 
     size_t numParams() const { return numParams_; }
     size_t numQubits() const { return qubitNames.size(); }
@@ -69,10 +69,16 @@ class Module
     const Operation &op(size_t index) const { return ops_.at(index); }
 
     /** Replace the whole operation list (used by rewriting passes). */
-    void setOps(std::vector<Operation> new_ops) { ops_ = std::move(new_ops); }
+    void setOps(std::vector<Operation> new_ops);
+
+    /**
+     * Ascending indices of the Call operations: the call-graph edges of
+     * this module, so that call-graph walks visit calls, not gates.
+     */
+    const std::vector<uint32_t> &callOps() const { return callOps_; }
 
     /** @return true when the module contains no Call operations. */
-    bool isLeaf() const;
+    bool isLeaf() const { return callOps_.empty(); }
 
     /**
      * Mark this module as never-inline: the flattening pass will keep
@@ -84,7 +90,7 @@ class Module
     bool noInline() const { return noInline_; }
 
     /** Count of non-call gate operations (no recursion into callees). */
-    uint64_t localGateCount() const;
+    uint64_t localGateCount() const { return numOps() - callOps_.size(); }
 
     /**
      * 64-bit structural fingerprint of this module's schedulable shape:
@@ -104,6 +110,7 @@ class Module
     size_t numParams_ = 0;
     std::vector<std::string> qubitNames;
     std::vector<Operation> ops_;
+    std::vector<uint32_t> callOps_; ///< indices into ops_ of the calls
 };
 
 } // namespace msq

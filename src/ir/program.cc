@@ -1,7 +1,5 @@
 #include "ir/program.hh"
 
-#include <functional>
-
 #include "support/logging.hh"
 #include "support/strings.hh"
 
@@ -57,9 +55,8 @@ Program::validate() const
     if (entry_ == invalidModule)
         fatal("program has no entry module");
     for (const auto &mod : modules) {
-        for (const auto &op : mod->ops()) {
-            if (!op.isCall())
-                continue;
+        for (uint32_t index : mod->callOps()) {
+            const Operation &op = mod->ops()[index];
             if (op.callee >= modules.size()) {
                 fatal(csprintf("module %s calls invalid module id %u",
                                mod->name().c_str(), op.callee));
@@ -80,28 +77,44 @@ Program::validate() const
 std::vector<ModuleId>
 Program::bottomUpOrder() const
 {
+    if (entry_ == invalidModule)
+        fatal("bottomUpOrder: program has no entry module");
+
+    // Iterative depth-first post-order over the call ops: each frame is
+    // a module and the position of its next call to follow. A Grey
+    // module is on the stack, so reaching it again closes a cycle.
     enum class Mark : uint8_t { White, Grey, Black };
     std::vector<Mark> marks(modules.size(), Mark::White);
     std::vector<ModuleId> order;
     order.reserve(modules.size());
+    std::vector<std::pair<ModuleId, size_t>> stack;
 
-    std::function<void(ModuleId)> visit = [&](ModuleId id) {
-        if (marks[id] == Mark::Black)
-            return;
+    auto enter = [&](ModuleId id) {
+        if (id >= modules.size())
+            fatal(csprintf("bottomUpOrder: call to invalid module id %u",
+                           id));
         if (marks[id] == Mark::Grey)
             fatal("recursive call cycle through module " +
                   modules[id]->name());
-        marks[id] = Mark::Grey;
-        for (const auto &op : modules[id]->ops())
-            if (op.isCall())
-                visit(op.callee);
-        marks[id] = Mark::Black;
-        order.push_back(id);
+        if (marks[id] == Mark::White) {
+            marks[id] = Mark::Grey;
+            stack.emplace_back(id, 0);
+        }
     };
 
-    if (entry_ == invalidModule)
-        fatal("bottomUpOrder: program has no entry module");
-    visit(entry_);
+    enter(entry_);
+    while (!stack.empty()) {
+        auto &[id, next] = stack.back();
+        const Module &mod = *modules[id];
+        if (next < mod.callOps().size()) {
+            // enter() may grow the stack, so advance the frame first.
+            enter(mod.ops()[mod.callOps()[next++]].callee);
+            continue;
+        }
+        marks[id] = Mark::Black;
+        order.push_back(id);
+        stack.pop_back();
+    }
     return order;
 }
 

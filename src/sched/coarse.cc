@@ -608,12 +608,10 @@ CoarseScheduler::schedule(const Program &prog) const
         // Priorities: height in the module DAG with hierarchical
         // weights.
         std::vector<uint64_t> weights(mod.numOps(), gate_cost);
-        for (uint32_t i = 0; i < mod.numOps(); ++i) {
-            const Operation &op = mod.op(i);
-            if (op.isCall()) {
-                uint64_t len = result.forModule(op.callee).bestLength();
-                weights[i] = satMul(op.repeat, satAdd(len, call_overhead));
-            }
+        for (uint32_t i : mod.callOps()) {
+            const Operation &op = mod.ops()[i];
+            uint64_t len = result.forModule(op.callee).bestLength();
+            weights[i] = satMul(op.repeat, satAdd(len, call_overhead));
         }
         const DepDag dag = DepDag::build(mod);
         const std::vector<uint64_t> priority = dag.heightToBottom(weights);

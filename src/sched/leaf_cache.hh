@@ -3,11 +3,14 @@
  * Memoization cache for leaf-module scheduling results (DESIGN.md §9).
  *
  * The hierarchical scheduler (sched/coarse.hh) fine-grain schedules
- * every leaf module at several sweep widths, and flattening routinely
- * produces *structurally identical* leaves (e.g. the outlined rotation
- * modules of Shor's differ only in their angles, which no scheduler
- * looks at). Re-running RCP/LPFS plus communication annotation for each
- * copy is pure waste, so results are shared through this cache.
+ * every leaf module at several sweep widths, and the same leaf recurs
+ * across runs: rescheduling sweeps, Toolflow runs sharing one cache,
+ * and msq-served requests replaying a persisted cache. Re-running
+ * RCP/LPFS plus communication annotation for each recurrence is pure
+ * waste, so results are shared through this cache. Within one program
+ * structurally identical leaves are rare: the approximation sequences
+ * of Shor's outlined rotation leaves are angle-seeded, so its 128
+ * leaves have 128 distinct structural hashes (DESIGN.md §9).
  *
  * The key captures everything the result depends on:
  *   - the module's structural hash (Module::structuralHash(), which

@@ -10,6 +10,7 @@
 #ifndef MSQ_SUPPORT_HASH_HH
 #define MSQ_SUPPORT_HASH_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -32,6 +33,15 @@ fnv1a64(const void *data, size_t size)
     return hash;
 }
 
+/** fnv1aPrimePowers[j] = fnv1aPrime^j mod 2^64, for j in [0, 8]. */
+inline constexpr auto fnv1aPrimePowers = [] {
+    std::array<uint64_t, 9> powers{};
+    powers[0] = 1;
+    for (size_t j = 1; j < powers.size(); ++j)
+        powers[j] = powers[j - 1] * fnv1aPrime;
+    return powers;
+}();
+
 /** Running FNV-1a hash over u64 values, each folded in as its eight
  * little-endian bytes. */
 struct Fnv1aFold
@@ -41,8 +51,12 @@ struct Fnv1aFold
     void
     u64(uint64_t v)
     {
-        for (int i = 0; i < 8; ++i)
-            hash = (hash ^ static_cast<uint8_t>(v >> (8 * i))) * fnv1aPrime;
+        // Folding a zero byte is (hash ^ 0) * prime, so once the bytes
+        // left are all zero, one multiply by prime^left folds them all.
+        int i = 0;
+        for (; v != 0; ++i, v >>= 8)
+            hash = (hash ^ (v & 0xff)) * fnv1aPrime;
+        hash *= fnv1aPrimePowers[8 - i];
     }
 };
 

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "analysis/bounds.hh"
 #include "analysis/critical_path.hh"
 #include "analysis/qubit_estimator.hh"
 #include "analysis/resource_estimator.hh"
@@ -133,6 +136,38 @@ TEST(CriticalPath, ParallelBranchesShorterThanTotal)
     EXPECT_EQ(cp.programCriticalPath(), 2u); // 4 chains of length 2
     ResourceEstimator res(prog);
     EXPECT_EQ(res.programGates(), 8u);
+}
+
+/** main: X q; then leaf(q) repeated 2^63 times, where leaf is H; T. */
+Program
+saturatingChain()
+{
+    Program prog;
+    ModuleId leaf = prog.addModule("leaf");
+    prog.module(leaf).addParam("q");
+    prog.module(leaf).addGate(GateKind::H, {0});
+    prog.module(leaf).addGate(GateKind::T, {0});
+    ModuleId top = prog.addModule("main");
+    prog.module(top).addLocal("q");
+    prog.module(top).addGate(GateKind::X, {0});
+    prog.module(top).addCall(leaf, {0}, uint64_t{1} << 63);
+    prog.setEntry(top);
+    return prog;
+}
+
+TEST(CriticalPath, SaturatesInsteadOfWrapping)
+{
+    // 2 * 2^63 clips the call's weight at 2^64-1, and the X ahead of
+    // it must not wrap the path around to a small length.
+    Program prog = saturatingChain();
+    const uint64_t max = std::numeric_limits<uint64_t>::max();
+    EXPECT_EQ(CriticalPathAnalysis(prog).programCriticalPath(), max);
+
+    MakespanBoundAnalysis bounds(prog, MultiSimdArch(2, unbounded, 0),
+                                 CommMode::Global);
+    EXPECT_EQ(bounds.bounds(prog.entry()).criticalPath, max);
+    EXPECT_EQ(bounds.programLowerBound(), max);
+    EXPECT_TRUE(bounds.saturated());
 }
 
 TEST(QubitEstimator, CountsLocalsAndParams)

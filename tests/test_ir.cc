@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <span>
 #include <sstream>
 
@@ -13,6 +14,8 @@
 #include "ir/printer.hh"
 #include "ir/program.hh"
 #include "support/logging.hh"
+#include "support/rng.hh"
+#include "support/strings.hh"
 
 namespace {
 
@@ -129,6 +132,55 @@ TEST(Module, LeafDetection)
     EXPECT_EQ(prog.module(callee_id).localGateCount(), 1u);
 }
 
+/** Expect @p mod's call index to be exactly its Call ops, by a scan. */
+void
+expectCallIndexInSync(const Module &mod)
+{
+    std::vector<uint32_t> calls;
+    for (uint32_t i = 0; i < mod.numOps(); ++i)
+        if (mod.op(i).isCall())
+            calls.push_back(i);
+    EXPECT_EQ(mod.callOps(), calls) << mod.name();
+    EXPECT_EQ(mod.isLeaf(), calls.empty()) << mod.name();
+    EXPECT_EQ(mod.localGateCount(), mod.numOps() - calls.size())
+        << mod.name();
+}
+
+TEST(Module, CallIndexTracksEveryMutator)
+{
+    Module mod("m");
+    mod.addLocal("a");
+    mod.addLocal("b");
+    expectCallIndexInSync(mod);
+    mod.addGate(GateKind::H, {0});
+    mod.addCall(3, {0, 1}, 2);
+    expectCallIndexInSync(mod);
+    EXPECT_EQ(mod.callOps(), (std::vector<uint32_t>{1}));
+
+    mod.addRawOperation(Operation(GateKind::CNOT, {0, 0}));
+    mod.addRawOperation(Operation::makeCall(7, {1}));
+    mod.addOperation(Operation(GateKind::T, {1}));
+    mod.addOperation(Operation::makeCall(2, {0}, 5));
+    expectCallIndexInSync(mod);
+    EXPECT_EQ(mod.callOps(), (std::vector<uint32_t>{1, 3, 5}));
+
+    // setOps rebuilds the index from the new list; a copy keeps it.
+    std::vector<Operation> ops = mod.ops();
+    std::swap(ops[0], ops[1]);
+    ops.push_back(Operation::makeCall(4, {}));
+    mod.setOps(ops);
+    expectCallIndexInSync(mod);
+    EXPECT_EQ(mod.callOps(), (std::vector<uint32_t>{0, 3, 5, 6}));
+    Module copy = mod;
+    expectCallIndexInSync(copy);
+
+    mod.setOps({Operation(GateKind::X, {0})});
+    expectCallIndexInSync(mod);
+    EXPECT_TRUE(mod.isLeaf());
+    mod.setOps({});
+    expectCallIndexInSync(mod);
+}
+
 TEST(Program, DuplicateModuleNameFatal)
 {
     Program prog;
@@ -207,6 +259,126 @@ TEST(Program, UnreachableModulesExcluded)
     prog.addModule("orphan");
     prog.setEntry(top);
     EXPECT_EQ(prog.reachableModules().size(), 1u);
+}
+
+/**
+ * Test-local bottomUpOrder() reference: a recursive depth-first
+ * post-order scanning every op. @return the order, or nullopt after
+ * storing in @p cycle_at the module where a call cycle closed.
+ */
+std::optional<std::vector<ModuleId>>
+recursiveBottomUpOrder(const Program &prog, std::string &cycle_at)
+{
+    std::vector<int> marks(prog.numModules(), 0); // 1 grey, 2 black
+    std::vector<ModuleId> order;
+    struct Visit
+    {
+        const Program &prog;
+        std::vector<int> &marks;
+        std::vector<ModuleId> &order;
+        std::string &cycle_at;
+
+        bool
+        operator()(ModuleId id)
+        {
+            if (marks[id] == 2)
+                return true;
+            if (marks[id] == 1) {
+                cycle_at = prog.module(id).name();
+                return false;
+            }
+            marks[id] = 1;
+            for (const Operation &op : prog.module(id).ops())
+                if (op.isCall() && !(*this)(op.callee))
+                    return false;
+            marks[id] = 2;
+            order.push_back(id);
+            return true;
+        }
+    } visit{prog, marks, order, cycle_at};
+    if (!visit(prog.entry()))
+        return std::nullopt;
+    return order;
+}
+
+/**
+ * Random call graph over @p n modules: module i may call only modules
+ * placed later in a random permutation (so the graph is acyclic), with
+ * repeated callees, gates between calls and some modules unreachable.
+ */
+Program
+randomCallGraph(uint64_t seed, unsigned n)
+{
+    SplitMix64 rng(seed);
+    std::vector<ModuleId> rank(n);
+    for (unsigned i = 0; i < n; ++i)
+        rank[i] = i;
+    for (unsigned i = n; i > 1; --i)
+        std::swap(rank[i - 1], rank[rng.nextBelow(i)]);
+
+    Program prog;
+    for (unsigned i = 0; i < n; ++i) {
+        Module &mod = prog.module(prog.addModule(csprintf("m%u", i)));
+        mod.addParam("q");
+    }
+    // Module rank[r] calls only rank[r + 1 ...]; a few ranks call
+    // nothing, which strands some modules.
+    for (unsigned r = 0; r < n; ++r) {
+        Module &mod = prog.module(rank[r]);
+        const unsigned later = n - 1 - r;
+        const unsigned ops = later == 0 ? 2 : rng.nextBelow(6);
+        for (unsigned j = 0; j < ops; ++j) {
+            if (later == 0 || rng.nextBelow(3) == 0) {
+                mod.addGate(GateKind::H, {0});
+                continue;
+            }
+            // Bias towards the next few ranks so callees repeat.
+            const unsigned hop = 1 + rng.nextBelow(std::min(later, 3u));
+            mod.addCall(rank[r + hop], {0}, 1 + rng.nextBelow(4));
+        }
+    }
+    prog.setEntry(rank[0]);
+    return prog;
+}
+
+TEST(Program, BottomUpOrderMatchesRecursiveReference)
+{
+    size_t unreachable_seen = 0;
+    for (uint64_t seed = 1; seed <= 60; ++seed) {
+        Program prog = randomCallGraph(seed, 2 + seed % 23);
+        SCOPED_TRACE(seed);
+        std::string cycle_at;
+        auto reference = recursiveBottomUpOrder(prog, cycle_at);
+        ASSERT_TRUE(reference.has_value());
+        EXPECT_EQ(prog.bottomUpOrder(), *reference);
+        EXPECT_EQ(prog.reachableModules(), *reference);
+        EXPECT_NO_THROW(prog.validate());
+        unreachable_seen += prog.numModules() - reference->size();
+
+        // Close a cycle: the last module of the post-order that has a
+        // call gets a call back to the entry. Both walks must reject it
+        // at the same module.
+        for (size_t i = reference->size(); i-- > 0;) {
+            Module &mod = prog.module((*reference)[i]);
+            if ((*reference)[i] == prog.entry())
+                continue;
+            mod.addCall(prog.entry(), {0});
+            ASSERT_FALSE(recursiveBottomUpOrder(prog, cycle_at));
+            try {
+                prog.bottomUpOrder();
+                ADD_FAILURE() << "cycle not rejected";
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "recursive call cycle through module " +
+                              cycle_at),
+                          std::string::npos)
+                    << e.what();
+            }
+            EXPECT_THROW(prog.validate(), FatalError);
+            break;
+        }
+    }
+    EXPECT_GT(unreachable_seen, 0u);
 }
 
 // --- Dependence DAG ---

@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include "analysis/resource_estimator.hh"
+#include "core/toolflow.hh"
+#include "passes/cancel_inverses.hh"
 #include "passes/decompose_toffoli.hh"
 #include "passes/flatten.hh"
 #include "passes/pass_manager.hh"
 #include "passes/rotation_decomposer.hh"
 #include "support/logging.hh"
+#include "workloads/workloads.hh"
 
 namespace {
 
@@ -320,6 +323,41 @@ TEST(PassManager, RunsPassesInOrder)
     pm.run(prog);
     EXPECT_EQ(count, 2);
     EXPECT_EQ(pm.numPasses(), 2u);
+}
+
+/** Every module's call index equals a scan of its ops after each
+ * lowering pass, on every scaled workload (Shor's with the outlined
+ * rotation preset). */
+TEST(PassManager, CallIndexInSyncAfterEveryLoweringPass)
+{
+    auto expect_in_sync = [](const Program &prog, const char *after) {
+        for (ModuleId id = 0; id < prog.numModules(); ++id) {
+            const Module &mod = prog.module(id);
+            std::vector<uint32_t> calls;
+            for (uint32_t i = 0; i < mod.numOps(); ++i)
+                if (mod.op(i).isCall())
+                    calls.push_back(i);
+            ASSERT_EQ(mod.callOps(), calls) << mod.name() << " after "
+                                            << after;
+            ASSERT_EQ(mod.isLeaf(), calls.empty()) << mod.name();
+        }
+    };
+    for (const auto &spec : workloads::scaledParams()) {
+        SCOPED_TRACE(spec.shortName);
+        Program prog = spec.build();
+        expect_in_sync(prog, "build");
+        std::vector<std::unique_ptr<Pass>> passes;
+        passes.push_back(std::make_unique<DecomposeToffoliPass>());
+        passes.push_back(std::make_unique<RotationDecomposerPass>(
+            Toolflow::rotationPresetFor(spec.shortName)));
+        passes.push_back(
+            std::make_unique<FlattenPass>(ToolflowConfig{}.flattenThreshold));
+        passes.push_back(std::make_unique<CancelInversesPass>());
+        for (const auto &pass : passes) {
+            pass->run(prog);
+            expect_in_sync(prog, pass->name());
+        }
+    }
 }
 
 } // namespace

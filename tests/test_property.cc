@@ -119,6 +119,8 @@ expectDagMatchesReference(const Module &mod, SplitMix64 &rng)
     EXPECT_EQ(dag.depthFromTop(weights), depth);
     EXPECT_EQ(dag.heightToBottom(weights), height);
     EXPECT_EQ(dag.criticalPathLength(weights), critical);
+    EXPECT_EQ(criticalPathLength(mod, weights), critical);
+    EXPECT_EQ(criticalPathLength(mod), dag.criticalPathLength());
 }
 
 struct PropertyCase
@@ -225,6 +227,32 @@ TEST(SchedulerProperties, DagMatchesReferenceOnWorkloadModules)
         for (ModuleId id = 0; id < prog.numModules(); ++id) {
             SCOPED_TRACE(spec.shortName + "/" + prog.module(id).name());
             expectDagMatchesReference(prog.module(id), weight_rng);
+        }
+    }
+}
+
+/** The DAG-free frontier sweep equals the DAG's longest path on random
+ * modules, at unit weights, random weights, and weights large enough
+ * that both sides must saturate at 2^64-1. */
+TEST(SchedulerProperties, FrontierSweepMatchesDagCriticalPath)
+{
+    SplitMix64 rng(1997);
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        const auto qubits = static_cast<unsigned>(1 + rng.nextBelow(20));
+        const auto ops = static_cast<unsigned>(rng.nextBelow(300));
+        Module mod = randomModule(seed, qubits, ops);
+        const DepDag dag = DepDag::build(mod);
+        SCOPED_TRACE(seed);
+        EXPECT_EQ(criticalPathLength(mod), dag.criticalPathLength());
+
+        const uint64_t scales[] = {4, uint64_t{1} << 40, uint64_t{1} << 62};
+        for (uint64_t scale : scales) {
+            std::vector<uint64_t> weights(mod.numOps());
+            for (uint64_t &w : weights)
+                w = rng.nextBelow(scale);
+            EXPECT_EQ(criticalPathLength(mod, weights),
+                      dag.criticalPathLength(weights))
+                << "scale " << scale;
         }
     }
 }

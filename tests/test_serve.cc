@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -178,6 +179,36 @@ TEST(Serve, ScaffoldSourceRequest)
     EXPECT_EQ(response->get("qubits").asUnsigned(), 2u);
     EXPECT_EQ(response->get("total_gates").asUnsigned(), 2u);
     EXPECT_GT(response->get("makespan").asUnsigned(), 0u);
+}
+
+/** The unsigned value of top-level field @p key in raw response
+ * @p text (JSON numbers are doubles, which cannot hold 2^64-1). */
+uint64_t
+rawUnsigned(const std::string &text, const std::string &key)
+{
+    const std::string needle = "\"" + key + "\": ";
+    const size_t at = text.find(needle);
+    EXPECT_NE(at, std::string::npos) << key << " in " << text;
+    if (at == std::string::npos)
+        return 0;
+    return std::stoull(text.substr(at + needle.size()));
+}
+
+TEST(Serve, SaturatedCriticalPathAndBoundStayBelowMakespan)
+{
+    // leaf repeated 2^63 times: every path through the call clips at
+    // 2^64-1 instead of wrapping past it.
+    ServeEngine engine(ServeOptions{});
+    const std::string response = engine.handleLine(
+        R"({"source": "module leaf(qbit q) { H(q); T(q); } )"
+        R"(module main() { qbit q; X(q); )"
+        R"(repeat 9223372036854775808 leaf(q); }", "k": 2})");
+    ASSERT_NE(response.find("\"ok\": true"), std::string::npos) << response;
+    const uint64_t max = std::numeric_limits<uint64_t>::max();
+    EXPECT_EQ(rawUnsigned(response, "critical_path"), max);
+    EXPECT_EQ(rawUnsigned(response, "total_gates"), max);
+    EXPECT_LE(rawUnsigned(response, "lower_bound"),
+              rawUnsigned(response, "makespan"));
 }
 
 TEST(Serve, ReplayHitsCacheAndIsDeterministic)

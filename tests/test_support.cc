@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/stats.hh"
@@ -47,6 +50,44 @@ TEST(Logging, VerboseToggle)
     EXPECT_TRUE(verbose());
     setVerbose(false);
     EXPECT_FALSE(verbose());
+}
+
+TEST(Hash, FoldMatchesBytewiseReference)
+{
+    // Reference: every value folded as its eight little-endian bytes,
+    // one FNV-1a step per byte, zero bytes included.
+    auto reference = [](uint64_t hash, uint64_t v) {
+        for (int i = 0; i < 8; ++i)
+            hash = (hash ^ ((v >> (8 * i)) & 0xff)) * fnv1aPrime;
+        return hash;
+    };
+    std::vector<uint64_t> values = {
+        0,           1,
+        0xff,        0x100,
+        (uint64_t{1} << 56) - 1, uint64_t{1} << 56,
+        0xffffffff,  std::numeric_limits<uint64_t>::max()};
+    SplitMix64 rng(2015);
+    for (int i = 0; i < 200; ++i) // random widths: 1 to 64 bits
+        values.push_back(rng.next() >> rng.nextBelow(64));
+    for (int i = 0; i < 8; ++i)
+        values.push_back(rng.next() >> (8 * i));
+
+    Fnv1aFold fold;
+    uint64_t expected = fnv1aBasis;
+    for (uint64_t v : values) {
+        Fnv1aFold single;
+        single.u64(v);
+        EXPECT_EQ(single.hash, reference(fnv1aBasis, v)) << v;
+        fold.u64(v);
+        expected = reference(expected, v);
+        ASSERT_EQ(fold.hash, expected) << v;
+    }
+    // The fold equals the byte hash of the little-endian bytes.
+    std::vector<uint8_t> bytes;
+    for (uint64_t v : values)
+        for (int i = 0; i < 8; ++i)
+            bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    EXPECT_EQ(fold.hash, fnv1a64(bytes.data(), bytes.size()));
 }
 
 TEST(Strings, CsprintfFormats)

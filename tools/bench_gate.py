@@ -76,7 +76,9 @@ GATES = {
         "determinism_ok": true,
         "warm_hit_rate": lambda base, now: now == 1.0}, [
         ("results", ("workload",),
-         {"schedule_hash": exact, "makespan": exact}),
+         {"schedule_hash": exact, "makespan": exact,
+          "critical_path": exact, "lower_bound": exact,
+          "total_gates": exact, "qubits": exact}),
         ("phases", ("phase",),
          {"requests_per_sec": INFO, "p50_ms": INFO})]),
     "multicore": ("msq-multicore-v1", {
