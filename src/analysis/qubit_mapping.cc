@@ -9,7 +9,7 @@ namespace msq {
 
 namespace {
 
-/** Pairwise-swap refinement is O(n^2 * degree) per pass; above this
+/** Pairwise-swap refinement visits O(n^2) pairs per pass; above this
  * qubit count the greedy placement stands alone (the cap is part of
  * the deterministic contract — it depends only on the module). */
 constexpr unsigned refinementQubitCap = 512;
@@ -17,18 +17,6 @@ constexpr unsigned refinementQubitCap = 512;
 /** Bounded number of full swap passes (each pass is monotone in the
  * cut weight, so four passes converge on every practical module). */
 constexpr unsigned refinementPasses = 4;
-
-/** Sum of @p q's edge weights into core @p core under @p mapping. */
-uint64_t
-weightToCore(const QubitInteractionGraph &graph, QubitId q,
-             unsigned core, const std::vector<unsigned> &mapping)
-{
-    uint64_t w = 0;
-    for (const auto &[nbr, weight] : graph.neighbors(q))
-        if (mapping[nbr] == core)
-            w += weight;
-    return w;
-}
 
 std::vector<unsigned>
 greedyMapping(const QubitInteractionGraph &graph, unsigned cores)
@@ -82,16 +70,38 @@ greedyMapping(const QubitInteractionGraph &graph, unsigned cores)
     return mapping;
 }
 
+/**
+ * Kernighan–Lin-style pairwise swaps over every pair (a < b) in index
+ * order, up to refinementPasses passes. The attraction table holds each
+ * qubit's summed edge weight into each core under the current mapping,
+ * updated for the neighbors of both endpoints on every swap, so a pair
+ * costs O(1) and a pass O(n^2 + swaps * degree).
+ */
 void
-refineMapping(const QubitInteractionGraph &graph,
+refineMapping(const QubitInteractionGraph &graph, unsigned cores,
               std::vector<unsigned> &mapping)
 {
     const unsigned n = graph.numQubits();
     if (n > refinementQubitCap)
         return;
+    // attraction[q * cores + c]: weight of q's edges into core c.
+    std::vector<uint64_t> attraction(size_t(n) * cores, 0);
+    for (QubitId q = 0; q < n; ++q)
+        for (const auto &[nbr, weight] : graph.neighbors(q))
+            attraction[size_t(q) * cores + mapping[nbr]] += weight;
+    auto move = [&](QubitId q, unsigned from, unsigned to) {
+        for (const auto &[nbr, weight] : graph.neighbors(q)) {
+            attraction[size_t(nbr) * cores + from] -= weight;
+            attraction[size_t(nbr) * cores + to] += weight;
+        }
+    };
+    // Dense row of a's edge weights, filled per a and cleared after.
+    std::vector<uint64_t> row(n, 0);
     for (unsigned pass = 0; pass < refinementPasses; ++pass) {
         bool improved = false;
         for (QubitId a = 0; a < n; ++a) {
+            for (const auto &[nbr, weight] : graph.neighbors(a))
+                row[nbr] = weight;
             for (QubitId b = a + 1; b < n; ++b) {
                 unsigned ca = mapping[a], cb = mapping[b];
                 if (ca == cb)
@@ -99,20 +109,22 @@ refineMapping(const QubitInteractionGraph &graph,
                 // Classic KL swap gain: external minus internal
                 // attraction of both endpoints, minus twice their own
                 // edge (it stays cut after the swap).
-                uint64_t a_in = weightToCore(graph, a, ca, mapping);
-                uint64_t a_ex = weightToCore(graph, a, cb, mapping);
-                uint64_t b_in = weightToCore(graph, b, cb, mapping);
-                uint64_t b_ex = weightToCore(graph, b, ca, mapping);
+                const uint64_t *at_a = &attraction[size_t(a) * cores];
+                const uint64_t *at_b = &attraction[size_t(b) * cores];
                 int64_t gain =
-                    (int64_t(a_ex) - int64_t(a_in)) +
-                    (int64_t(b_ex) - int64_t(b_in)) -
-                    2 * int64_t(graph.weight(a, b));
+                    (int64_t(at_a[cb]) - int64_t(at_a[ca])) +
+                    (int64_t(at_b[ca]) - int64_t(at_b[cb])) -
+                    2 * int64_t(row[b]);
                 if (gain > 0) {
                     mapping[a] = cb;
                     mapping[b] = ca;
+                    move(a, ca, cb);
+                    move(b, cb, ca);
                     improved = true;
                 }
             }
+            for (const auto &[nbr, weight] : graph.neighbors(a))
+                row[nbr] = 0;
         }
         if (!improved)
             break;
@@ -182,7 +194,7 @@ computeQubitMapping(const Module &mod, const Topology &topo)
 
     QubitInteractionGraph graph(mod);
     std::vector<unsigned> mapping = greedyMapping(graph, topo.cores);
-    refineMapping(graph, mapping);
+    refineMapping(graph, topo.cores, mapping);
     return mapping;
 }
 

@@ -7,6 +7,7 @@
 #include <queue>
 
 #include "analysis/bounds.hh"
+#include "analysis/qubit_mapping.hh"
 #include "ir/dag.hh"
 #include "support/logging.hh"
 #include "support/saturate.hh"
@@ -86,30 +87,85 @@ CoarseScheduler::CoarseScheduler(const MultiSimdArch &arch,
     }
 }
 
+std::shared_ptr<LeafScheduleResult>
+scheduleLeafWidth(const LeafScheduler &scheduler, const Module &mod,
+                  const DepDag &dag, const LeafBoundProfile &bounds,
+                  std::span<const unsigned> home,
+                  const MultiSimdArch &arch, CommMode mode, unsigned w)
+{
+    MultiSimdArch sub = arch;
+    sub.k = w;
+    auto result = std::make_shared<LeafScheduleResult>();
+    LeafSchedule sched =
+        scheduler.scheduleWithAttempt(mod, dag, sub, result->attempt, home);
+    // One annotate walk emits the moves and yields both the movement
+    // statistics and the leaf's resource summary. Those and the static
+    // lower bounds ride the same memoization as the schedule: all are
+    // pure functions of what the key captures.
+    CommunicationAnalyzer comm(arch, mode);
+    result->stats = comm.annotate(sched, result->summary, home);
+    result->bounds = bounds.evaluate(sub);
+    result->schedule = sched.sharedBuffer();
+    // Guard fields for cross-process reuse: a warm-started process can
+    // only rebind this result to a module with matching counts.
+    result->opCount = mod.numOps();
+    result->qubitCount = mod.numQubits();
+    return result;
+}
+
+std::shared_ptr<LeafScheduleResult>
+withSweepWidth(const LeafScheduleResult &result, unsigned w)
+{
+    auto out = std::make_shared<LeafScheduleResult>(result);
+    auto buf = std::make_shared<ScheduleBuffer>(*result.schedule);
+    const size_t old_words = buf->wordsPerStep();
+    buf->k = w;
+    const size_t words = buf->wordsPerStep();
+    if (words != old_words) {
+        // Active regions all lie below the old k, so each step keeps
+        // its words at their offsets and gains zero words after them.
+        std::vector<uint64_t> active(buf->numSteps() * words, 0);
+        for (uint64_t step = 0; step < buf->numSteps(); ++step)
+            for (size_t i = 0; i < std::min(old_words, words); ++i)
+                active[step * words + i] =
+                    buf->activeWords[step * old_words + i];
+        buf->activeWords = std::move(active);
+    }
+    out->schedule = std::move(buf);
+    return out;
+}
+
 /**
  * The width-invariant analysis of one leaf for one schedule() call: its
- * memoization key prefix, its dependence DAG and its bound profile
- * (DESIGN.md §9). The key prefix is set before the width tasks fan out.
- * The DAG and profile are built under call_once by the first width task
- * that misses the cache, whichever thread runs it; the others wait for
- * it and then only read. The last of the leaf's width tasks to finish
- * frees them, so a leaf whose widths all hit builds nothing and only
- * the leaves in flight hold a DAG.
+ * memoization key prefix, how many sweep widths it schedules, its
+ * dependence DAG, its bound profile and, on a multi-core topology, its
+ * qubit-to-core mapping (DESIGN.md §9). The key prefix and task count
+ * are set before the width tasks fan out. The rest is built under
+ * call_once by the first width task that misses the cache, whichever
+ * thread runs it; the others wait for it and then only read. The last
+ * of the leaf's width tasks to finish frees it, so a leaf whose widths
+ * all hit builds nothing and only the leaves in flight hold a DAG.
  */
 struct CoarseScheduler::LeafShare
 {
     std::string keyPrefix;
+    /** Sweep widths scheduled as tasks: the first widthTasks widths.
+     * The wider ones take the last task's result (width collapse). */
+    size_t widthTasks = 0;
     std::atomic<size_t> tasksLeft{0};
     std::once_flag analyzed;
     std::optional<DepDag> dag;
     std::optional<LeafBoundProfile> bounds;
+    std::vector<unsigned> home;
 
     void
-    analyze(const Module &mod)
+    analyze(const Module &mod, const Topology &topo)
     {
         std::call_once(analyzed, [&] {
             dag.emplace(DepDag::build(mod));
             bounds.emplace(mod, *dag);
+            if (topo.multiCore())
+                home = computeQubitMapping(mod, topo);
         });
     }
 
@@ -120,9 +176,36 @@ struct CoarseScheduler::LeafShare
         if (tasksLeft.fetch_sub(1) == 1) {
             dag.reset();
             bounds.reset();
+            std::vector<unsigned>().swap(home);
         }
     }
 };
+
+std::shared_ptr<const LeafScheduleResult>
+CoarseScheduler::cachedResult(const Module &mod,
+                              const std::string &key) const
+{
+    auto hit = cache->lookup(key);
+    if (!hit || hit->matchesModule(mod.numOps(), mod.numQubits()))
+        return hit;
+    // Rebind-time collision guard (DiagCode::CacheRebindRejected): a
+    // disk-loaded entry whose stored counts disagree with the
+    // requesting module — a structural-hash collision or a forged file
+    // — must never rebind. Evict it so the recompute's insert() wins,
+    // and report a miss.
+    cache->remove(key);
+    cache->countRejection();
+    warn(csprintf(
+        "leaf cache: %s: entry for key %s rejected at rebind "
+        "(stored %llu ops/%llu qubits, module has %llu/%llu); "
+        "recomputing",
+        diagCodeName(DiagCode::CacheRebindRejected), key.c_str(),
+        static_cast<unsigned long long>(hit->opCount),
+        static_cast<unsigned long long>(hit->qubitCount),
+        static_cast<unsigned long long>(mod.numOps()),
+        static_cast<unsigned long long>(mod.numQubits())));
+    return nullptr;
+}
 
 std::shared_ptr<const LeafScheduleResult>
 CoarseScheduler::leafWidthResult(const Module &mod, unsigned w,
@@ -140,55 +223,21 @@ CoarseScheduler::leafWidthResult(const Module &mod, unsigned w,
     std::string key;
     if (cache) {
         key = leafScheduleKey(share.keyPrefix, w, cacheKeySuffix);
-        if (auto hit = cache->lookup(key)) {
-            if (hit->matchesModule(mod.numOps(), mod.numQubits())) {
-                if (tracing) {
-                    span->setArgs(csprintf(
-                        "\"module\": \"%s\", \"width\": %u, "
-                        "\"gates\": %llu, \"cache\": \"hit\"",
-                        mod.name().c_str(), w,
-                        static_cast<unsigned long long>(mod.numOps())));
-                }
-                return hit;
+        if (auto hit = cachedResult(mod, key)) {
+            if (tracing) {
+                span->setArgs(csprintf(
+                    "\"module\": \"%s\", \"width\": %u, "
+                    "\"gates\": %llu, \"cache\": \"hit\"",
+                    mod.name().c_str(), w,
+                    static_cast<unsigned long long>(mod.numOps())));
             }
-            // Rebind-time collision guard (DiagCode::
-            // CacheRebindRejected): a disk-loaded entry whose stored
-            // counts disagree with the requesting module — a
-            // structural-hash collision or a forged file — must never
-            // rebind. Evict it so the recompute's insert() wins, and
-            // fall through to the miss path.
-            cache->remove(key);
-            cache->countRejection();
-            warn(csprintf(
-                "leaf cache: %s: entry for key %s rejected at rebind "
-                "(stored %llu ops/%llu qubits, module has %llu/%llu); "
-                "recomputing",
-                diagCodeName(DiagCode::CacheRebindRejected),
-                key.c_str(),
-                static_cast<unsigned long long>(hit->opCount),
-                static_cast<unsigned long long>(hit->qubitCount),
-                static_cast<unsigned long long>(mod.numOps()),
-                static_cast<unsigned long long>(mod.numQubits())));
+            return hit;
         }
     }
-    MultiSimdArch sub = arch;
-    sub.k = w;
-    share.analyze(mod);
-    auto result = std::make_shared<LeafScheduleResult>();
-    LeafSchedule sched = leafScheduler->scheduleWithAttempt(
-        mod, *share.dag, sub, result->attempt);
-    // One annotate walk emits the moves and yields both the movement
-    // statistics and the leaf's resource summary. Those and the static
-    // lower bounds ride the same memoization as the schedule: all are
-    // pure functions of what the key captures.
-    CommunicationAnalyzer comm(arch, mode);
-    result->stats = comm.annotate(sched, result->summary);
-    result->bounds = share.bounds->evaluate(sub);
-    result->schedule = sched.sharedBuffer();
-    // Guard fields for cross-process reuse: a warm-started process can
-    // only rebind this result to a module with matching counts.
-    result->opCount = mod.numOps();
-    result->qubitCount = mod.numQubits();
+    share.analyze(mod, arch.topology);
+    auto result = scheduleLeafWidth(*leafScheduler, mod, *share.dag,
+                                    *share.bounds, share.home, arch, mode,
+                                    w);
     if (tracing) {
         span->setArgs(csprintf(
             "\"module\": \"%s\", \"width\": %u, \"gates\": %llu, "
@@ -200,6 +249,25 @@ CoarseScheduler::leafWidthResult(const Module &mod, unsigned w,
     if (cache)
         return cache->insert(key, std::move(result));
     return result;
+}
+
+std::shared_ptr<const LeafScheduleResult>
+CoarseScheduler::derivedWidthResult(
+    const Module &mod, unsigned w, const LeafShare &share,
+    const std::shared_ptr<const LeafScheduleResult> &base) const
+{
+    // Without a cache the merge reads only the stats, bounds and
+    // attempt, which are the base's; the buffer's k is never read.
+    if (!cache)
+        return base;
+    // The slot keeps its own key and passes the same rebind guard as a
+    // width task, so hits, misses and the stored entries are exactly
+    // what scheduling this width would have produced.
+    const std::string key =
+        leafScheduleKey(share.keyPrefix, w, cacheKeySuffix);
+    if (auto hit = cachedResult(mod, key))
+        return hit;
+    return cache->insert(key, withSweepWidth(*base, w));
 }
 
 namespace {
@@ -478,22 +546,57 @@ CoarseScheduler::schedule(const Program &prog) const
     // irrelevant to the value stored in it. A leaf's width tasks share
     // its width-invariant analysis (LeafShare), hashed for the cache key
     // first, once per leaf.
+    //
+    // Width collapse: on one core a leaf schedules identically at every
+    // width from its saturation width on (LeafScheduler::
+    // saturationWidth), so only the widths up to the first sweep width
+    // at or past it run as tasks and every wider slot takes that
+    // result with its own k. Multi-core rebinds depend on the width's
+    // region-to-core split, so there every width is a task.
     const size_t nw = widths.size();
+    const bool collapse = !arch.topology.multiCore();
     std::vector<LeafShare> shares(leaves.size());
     run_tasks(leaves.size(), [&](uint64_t m) {
-        shares[m].tasksLeft = nw;
+        const Module &mod = prog.module(leaves[m]);
+        LeafShare &share = shares[m];
+        share.widthTasks = nw;
+        if (collapse) {
+            const auto saturated =
+                std::lower_bound(widths.begin(), widths.end(),
+                                 leafScheduler->saturationWidth(mod));
+            if (saturated != widths.end())
+                share.widthTasks =
+                    static_cast<size_t>(saturated - widths.begin()) + 1;
+        }
+        share.tasksLeft = share.widthTasks;
         if (cache)
-            shares[m].keyPrefix =
-                leafScheduleKeyPrefix(prog.module(leaves[m]));
+            share.keyPrefix = leafScheduleKeyPrefix(mod);
     });
+    std::vector<uint64_t> tasks; ///< slot index of each width task
+    uint64_t derived_widths = 0;
+    for (size_t m = 0; m < leaves.size(); ++m) {
+        for (size_t wi = 0; wi < shares[m].widthTasks; ++wi)
+            tasks.push_back(m * nw + wi);
+        derived_widths += nw - shares[m].widthTasks;
+    }
     std::vector<std::shared_ptr<const LeafScheduleResult>> slots(
         leaves.size() * nw);
-    run_tasks(slots.size(), [&](uint64_t t) {
-        const Module &mod = prog.module(leaves[t / nw]);
-        LeafShare &share = shares[t / nw];
-        slots[t] = leafWidthResult(mod, widths[t % nw], share);
+    run_tasks(tasks.size(), [&](uint64_t t) {
+        const uint64_t slot = tasks[t];
+        const Module &mod = prog.module(leaves[slot / nw]);
+        LeafShare &share = shares[slot / nw];
+        slots[slot] = leafWidthResult(mod, widths[slot % nw], share);
         share.finishTask();
     });
+    if (derived_widths > 0) {
+        run_tasks(leaves.size(), [&](uint64_t m) {
+            const LeafShare &share = shares[m];
+            const auto &base = slots[m * nw + share.widthTasks - 1];
+            for (size_t wi = share.widthTasks; wi < nw; ++wi)
+                slots[m * nw + wi] = derivedWidthResult(
+                    prog.module(leaves[m]), widths[wi], share, base);
+        });
+    }
 
     // Merge in bottom-up (module-id stream) order — single-threaded, so
     // the monotone clamp below sees widths in exactly the sequence the
@@ -639,6 +742,9 @@ CoarseScheduler::schedule(const Program &prog) const
 
     if (metrics != nullptr) {
         metrics->counter("sched.width_sweep_points").add(nw);
+        // (leaf x width) slots the width collapse covered, hit or miss:
+        // a pure function of program, arch and sweep (DESIGN.md §10).
+        metrics->counter("sched.leaf.derived_widths").add(derived_widths);
         if (cache) {
             metrics->counter("sched.leaf_cache.hits")
                 .add(cache->hits() - cache_hits_before);

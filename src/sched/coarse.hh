@@ -27,7 +27,9 @@
 #include <string>
 #include <vector>
 
+#include "analysis/bounds.hh"
 #include "arch/multi_simd.hh"
+#include "ir/dag.hh"
 #include "ir/program.hh"
 #include "sched/comm.hh"
 #include "sched/leaf_cache.hh"
@@ -89,6 +91,29 @@ struct ProgramSchedule
 
     const ModuleScheduleInfo &forModule(ModuleId id) const;
 };
+
+/**
+ * One leaf width task (DESIGN.md §9): schedule @p mod with @p scheduler
+ * on a k = @p w copy of @p arch, annotate it on the full machine under
+ * @p mode, and evaluate @p bounds at @p w. @p dag is
+ * DepDag::build(mod); @p home is computeQubitMapping(mod,
+ * arch.topology) on a multi-core topology and empty on one core.
+ */
+std::shared_ptr<LeafScheduleResult>
+scheduleLeafWidth(const LeafScheduler &scheduler, const Module &mod,
+                  const DepDag &dag, const LeafBoundProfile &bounds,
+                  std::span<const unsigned> home,
+                  const MultiSimdArch &arch, CommMode mode, unsigned w);
+
+/**
+ * @p result moved to sweep width @p w: a copy whose schedule buffer has
+ * k = @p w (the active-region bitmap re-laid out when its words per
+ * step change). Every other field is unchanged — what a width task at
+ * @p w returns for a leaf that saturates at or below the result's
+ * width (LeafScheduler::saturationWidth).
+ */
+std::shared_ptr<LeafScheduleResult>
+withSweepWidth(const LeafScheduleResult &result, unsigned w);
 
 /** The hierarchical scheduler. */
 class CoarseScheduler
@@ -167,6 +192,14 @@ class CoarseScheduler
     struct LeafShare;
 
     /**
+     * The cached result under @p key when it may rebind to @p mod; a
+     * count mismatch is evicted and counted as a rejection, and returns
+     * null like a miss.
+     */
+    std::shared_ptr<const LeafScheduleResult>
+    cachedResult(const Module &mod, const std::string &key) const;
+
+    /**
      * Fine-grain schedule @p mod at width @p w (through the memoization
      * cache when one is attached), on the leaf's shared analysis
      * @p share. Pure function of @p mod and @p w: safe to fan out
@@ -174,6 +207,16 @@ class CoarseScheduler
      */
     std::shared_ptr<const LeafScheduleResult>
     leafWidthResult(const Module &mod, unsigned w, LeafShare &share) const;
+
+    /**
+     * The result at width @p w of a leaf that saturates below it:
+     * @p base (the saturating width's result) with k = @p w, through
+     * the cache when one is attached.
+     */
+    std::shared_ptr<const LeafScheduleResult>
+    derivedWidthResult(
+        const Module &mod, unsigned w, const LeafShare &share,
+        const std::shared_ptr<const LeafScheduleResult> &base) const;
 
     /**
      * Coarse list-schedule @p mod under width budget @p max_width, on

@@ -102,7 +102,17 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched) const
 
 CommStats
 CommunicationAnalyzer::annotate(LeafSchedule &sched,
-                                ResourceSummary &sum) const
+                                ResourceSummary &summary) const
+{
+    std::vector<unsigned> home;
+    if (mode != CommMode::None && arch.topology.multiCore())
+        home = computeQubitMapping(sched.module(), arch.topology);
+    return annotate(sched, summary, home);
+}
+
+CommStats
+CommunicationAnalyzer::annotate(LeafSchedule &sched, ResourceSummary &sum,
+                                std::span<const unsigned> home) const
 {
     arch.validate();
 
@@ -142,12 +152,15 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched,
     // memory, §3.2) start in their home core's memory bank, and are
     // evicted back to their current core's bank. On the flat machine
     // every home is core 0, so this is exactly the historical "all
-    // qubits start in global memory"; the validator and comm checker
-    // recompute the same mapping independently (it is a pure function
-    // of module+topology).
+    // qubits start in global memory". The coarse scheduler passes the
+    // mapping it computed once per leaf; the validator and comm checker
+    // recompute it independently (it is a pure function of
+    // module+topology).
     std::vector<Location> loc(mod.numQubits(), Location::global());
     if (model_moves && multi_core) {
-        const std::vector<unsigned> home = computeQubitMapping(mod, topo);
+        if (home.size() != loc.size())
+            panic("CommunicationAnalyzer: qubit mapping does not match "
+                  "module " + mod.name());
         for (size_t q = 0; q < loc.size(); ++q)
             loc[q] = Location::inMemory(home[q]);
     }

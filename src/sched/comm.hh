@@ -37,6 +37,7 @@
 #define MSQ_SCHED_COMM_HH
 
 #include <cstdint>
+#include <span>
 
 #include "arch/multi_simd.hh"
 #include "arch/schedule.hh"
@@ -112,6 +113,16 @@ class CommunicationAnalyzer
      */
     CommStats annotate(LeafSchedule &sched,
                        ResourceSummary &summary) const;
+
+    /**
+     * As above, with every qubit starting in its home core's bank under
+     * the caller's @p home = computeQubitMapping(sched.module(),
+     * arch.topology), so a width sweep maps each leaf once. Read only
+     * when movement is modelled on a multi-core topology (then its size
+     * must be numQubits(); panics otherwise).
+     */
+    CommStats annotate(LeafSchedule &sched, ResourceSummary &summary,
+                       std::span<const unsigned> home) const;
 
   private:
     MultiSimdArch arch;

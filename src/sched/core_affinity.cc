@@ -36,6 +36,17 @@ rootOf(std::vector<Group> &groups, uint32_t g)
 LeafSchedule
 applyCoreAffinity(LeafSchedule sched, const MultiSimdArch &arch)
 {
+    if (!arch.topology.multiCore())
+        return sched;
+    const std::vector<unsigned> home =
+        computeQubitMapping(sched.module(), arch.topology);
+    return applyCoreAffinity(std::move(sched), arch, home);
+}
+
+LeafSchedule
+applyCoreAffinity(LeafSchedule sched, const MultiSimdArch &arch,
+                  std::span<const unsigned> home)
+{
     const Topology &topo = arch.topology;
     if (!topo.multiCore())
         return sched;
@@ -48,7 +59,9 @@ applyCoreAffinity(LeafSchedule sched, const MultiSimdArch &arch)
         return sched;
 
     const Module &mod = sched.module();
-    const std::vector<unsigned> home = computeQubitMapping(mod, topo);
+    if (home.size() != mod.numQubits())
+        panic("applyCoreAffinity: qubit mapping does not match module " +
+              mod.name());
     const unsigned cores = topo.cores;
 
     // Regions each core owns, ascending (the clamp in coreOfRegion

@@ -11,7 +11,10 @@
  * applyCoreAffinity() closes that gap as a deterministic post-pass:
  * within each timestep it permutes the op slots onto regions owned by
  * the cores where their operand qubits are homed (majority vote over
- * the same computeQubitMapping() the communication analyzer uses).
+ * the same computeQubitMapping() the communication analyzer uses). The
+ * coarse scheduler computes that mapping once per leaf and passes it to
+ * every width's rebind and annotation; the two-argument overload
+ * computes it itself.
  * Permuting slots within a timestep preserves every Multi-SIMD
  * constraint — dependences (timestep order is untouched), SIMD
  * homogeneity and the d bound (slot contents move wholesale), and the
@@ -24,6 +27,8 @@
 
 #ifndef MSQ_SCHED_CORE_AFFINITY_HH
 #define MSQ_SCHED_CORE_AFFINITY_HH
+
+#include <span>
 
 #include "arch/multi_simd.hh"
 #include "arch/schedule.hh"
@@ -47,6 +52,15 @@ namespace msq {
  */
 LeafSchedule applyCoreAffinity(LeafSchedule sched,
                                const MultiSimdArch &arch);
+
+/**
+ * As above, under the caller's @p home =
+ * computeQubitMapping(sched.module(), arch.topology) (size
+ * numQubits(); panics otherwise), so a width sweep maps each leaf once.
+ */
+LeafSchedule applyCoreAffinity(LeafSchedule sched,
+                               const MultiSimdArch &arch,
+                               std::span<const unsigned> home);
 
 } // namespace msq
 

@@ -18,6 +18,7 @@
 #ifndef MSQ_SCHED_LEAF_SCHEDULER_HH
 #define MSQ_SCHED_LEAF_SCHEDULER_HH
 
+#include <span>
 #include <string>
 
 #include "arch/multi_simd.hh"
@@ -96,22 +97,55 @@ class LeafScheduler
     /**
      * As above, on @p dag = DepDag::build(mod) built by the caller, so
      * that a width sweep builds each leaf's DAG once
-     * (CoarseScheduler). The two overloads above build the DAG and
+     * (CoarseScheduler). On a multi-core topology @p home is
+     * computeQubitMapping(mod, arch.topology), computed once per leaf
+     * by the caller for every width's core-affinity rebind; empty
+     * computes it here. The two overloads above build the DAG and
      * forward here.
      */
     LeafSchedule scheduleWithAttempt(const Module &mod, const DepDag &dag,
                                      const MultiSimdArch &arch,
-                                     ScheduleAttempt &attempt) const;
+                                     ScheduleAttempt &attempt,
+                                     std::span<const unsigned> home = {})
+        const;
+
+    /**
+     * Width-invariance contract (DESIGN.md §9). On a one-core topology,
+     * a coarse width task (scheduleLeafWidth in sched/coarse.hh) for
+     * @p mod at any width k >= saturationWidth(mod) returns the same
+     * schedule, moves, CommStats, ResourceSummary, bounds and
+     * ScheduleAttempt as at k = saturationWidth(mod); only
+     * ScheduleBuffer::k differs. CoarseScheduler therefore schedules a
+     * leaf once for all of its wider sweep points
+     * (tests/test_property.cc checks every scheduler here).
+     *
+     * The default is the module's qubit count Q (at least 1), and an
+     * override may only raise it: the bound profile caps a step at
+     * min(k * d, Q), which is Q only from k = Q on. DepDag links
+     * consecutive users of a qubit, so ready ops are pairwise
+     * qubit-disjoint and a step places at most Q of them. A scheduler
+     * whose every active region takes one of them, and which opens a
+     * region only when each lower region is active or holds one of
+     * its operands, never activates a region >= Q; regions that stay
+     * idle at every width leave the state the others read untouched.
+     * RCP (preferred region, else the first free one) and the
+     * sequential baseline keep the default.
+     */
+    virtual unsigned saturationWidth(const Module &mod) const;
 
   protected:
     /**
      * The scheduler itself: inputs are checked and @p attempt is reset
-     * to Heuristic before the call.
+     * to Heuristic before the call. @p home is the qubit-to-core
+     * mapping, read only on a multi-core topology (applyCoreAffinity
+     * checks its size).
      */
     virtual LeafSchedule scheduleOnDag(const Module &mod,
                                        const DepDag &dag,
                                        const MultiSimdArch &arch,
-                                       ScheduleAttempt &attempt) const = 0;
+                                       ScheduleAttempt &attempt,
+                                       std::span<const unsigned> home)
+        const = 0;
 
     /** Shared precondition checks; panics on violations. */
     static void checkInputs(const Module &mod, const MultiSimdArch &arch);
@@ -140,7 +174,9 @@ class SequentialScheduler : public LeafScheduler
   protected:
     LeafSchedule scheduleOnDag(const Module &mod, const DepDag &dag,
                                const MultiSimdArch &arch,
-                               ScheduleAttempt &attempt) const override;
+                               ScheduleAttempt &attempt,
+                               std::span<const unsigned> home)
+        const override;
 };
 
 } // namespace msq

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "ir/dag.hh"
@@ -288,10 +289,22 @@ LpfsScheduler::fingerprint() const
                     options.simd ? 1 : 0, options.refill ? 1 : 0);
 }
 
+unsigned
+LpfsScheduler::saturationWidth(const Module &mod) const
+{
+    const uint64_t qubits = LeafScheduler::saturationWidth(mod);
+    const uint64_t width = options.simd
+                               ? std::max<uint64_t>(qubits, options.l)
+                               : qubits + options.l;
+    return static_cast<unsigned>(std::min<uint64_t>(
+        width, std::numeric_limits<unsigned>::max()));
+}
+
 LeafSchedule
 LpfsScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
                              const MultiSimdArch &arch,
-                             ScheduleAttempt &) const
+                             ScheduleAttempt &,
+                             std::span<const unsigned> home) const
 {
     if (options.l == 0)
         fatal("LPFS: l must be >= 1");
@@ -397,7 +410,7 @@ LpfsScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
         builder.endStep();
     }
 
-    return applyCoreAffinity(builder.finish(), arch);
+    return applyCoreAffinity(builder.finish(), arch, home);
 }
 
 } // namespace msq

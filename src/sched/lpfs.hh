@@ -42,10 +42,21 @@ class LpfsScheduler : public LeafScheduler
     const char *name() const override { return "lpfs"; }
     std::string fingerprint() const override;
 
+    /**
+     * max(Q, l) with SIMD filling: a stalled or empty path region then
+     * takes free ops like any other region, so only the l path regions
+     * themselves (fixed once k >= l) may sit above Q. l + Q without
+     * it: idle path regions can leave up to Q free regions above them
+     * working.
+     */
+    unsigned saturationWidth(const Module &mod) const override;
+
   protected:
     LeafSchedule scheduleOnDag(const Module &mod, const DepDag &dag,
                                const MultiSimdArch &arch,
-                               ScheduleAttempt &attempt) const override;
+                               ScheduleAttempt &attempt,
+                               std::span<const unsigned> home)
+        const override;
 
   private:
     Options options;

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "analysis/bounds.hh"
+#include "analysis/schedule_summary.hh"
 #include "ir/dag.hh"
 #include "sched/comm.hh"
 #include "support/logging.hh"
@@ -47,9 +49,9 @@ class OptSearch
   public:
     OptSearch(const Module &mod, const DepDag &dag,
               const MultiSimdArch &arch, CommMode mode,
-              uint64_t lower_bound, uint64_t node_budget,
-              ScheduleAttempt &attempt)
-        : mod(mod), arch(arch), mode(mode), lb(lower_bound),
+              std::span<const unsigned> home, uint64_t lower_bound,
+              uint64_t node_budget, ScheduleAttempt &attempt)
+        : mod(mod), arch(arch), mode(mode), home(home), lb(lower_bound),
           budget(node_budget), attempt(attempt), dag(dag),
           height(dag.heightToBottom()),
           scheduledWords((mod.numOps() + 63) / 64, 0)
@@ -525,7 +527,8 @@ class OptSearch
 
         LeafSchedule candidate = builder.finish();
         CommunicationAnalyzer comm(arch, mode);
-        CommStats stats = comm.annotate(candidate);
+        ResourceSummary summary;
+        CommStats stats = comm.annotate(candidate, summary, home);
         ++attempt.candidatesAnnotated;
         if (stats.totalCycles != lb)
             return false;
@@ -536,6 +539,7 @@ class OptSearch
     const Module &mod;
     const MultiSimdArch &arch;
     CommMode mode;
+    std::span<const unsigned> home;
     uint64_t lb;
     uint64_t budget;
     ScheduleAttempt &attempt;
@@ -574,6 +578,12 @@ OptScheduler::fallbackScheduler() const
     return lpfs;
 }
 
+unsigned
+OptScheduler::saturationWidth(const Module &mod) const
+{
+    return fallbackScheduler().saturationWidth(mod);
+}
+
 std::string
 OptScheduler::fingerprint() const
 {
@@ -586,7 +596,8 @@ OptScheduler::fingerprint() const
 LeafSchedule
 OptScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
                             const MultiSimdArch &arch,
-                            ScheduleAttempt &attempt) const
+                            ScheduleAttempt &attempt,
+                            std::span<const unsigned> home) const
 {
     if (mod.numOps() == 0) {
         // An empty schedule trivially meets its (zero) bound.
@@ -600,9 +611,10 @@ OptScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
     // rediscover a schedule of the same certified length.
     ScheduleAttempt fallback_attempt;
     LeafSchedule fallback = fallbackScheduler().scheduleWithAttempt(
-        mod, dag, arch, fallback_attempt);
+        mod, dag, arch, fallback_attempt, home);
     CommunicationAnalyzer comm(arch, options.commMode);
-    const CommStats fb_stats = comm.annotate(fallback);
+    ResourceSummary fb_summary;
+    const CommStats fb_stats = comm.annotate(fallback, fb_summary, home);
     const uint64_t lb = LeafBoundProfile(mod, dag).evaluate(arch).composite();
     attempt.candidatesAnnotated = 1;
     if (fb_stats.totalCycles == lb) {
@@ -615,7 +627,7 @@ OptScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
         return fallback;
     }
 
-    OptSearch search(mod, dag, arch, options.commMode, lb,
+    OptSearch search(mod, dag, arch, options.commMode, home, lb,
                      options.nodeBudget, attempt);
     if (search.run()) {
         attempt.provenance = ScheduleProvenance::Optimal;

@@ -82,10 +82,16 @@ class OptScheduler : public LeafScheduler
     const char *name() const override { return "opt"; }
     std::string fingerprint() const override;
 
+    /** The fallback's saturation width: the search itself places at
+     * most Q ops per step in the lowest free or resident regions. */
+    unsigned saturationWidth(const Module &mod) const override;
+
   protected:
     LeafSchedule scheduleOnDag(const Module &mod, const DepDag &dag,
                                const MultiSimdArch &arch,
-                               ScheduleAttempt &attempt) const override;
+                               ScheduleAttempt &attempt,
+                               std::span<const unsigned> home)
+        const override;
 
   private:
     const LeafScheduler &fallbackScheduler() const;

@@ -92,7 +92,8 @@ RcpScheduler::fingerprint() const
 LeafSchedule
 RcpScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
                             const MultiSimdArch &arch,
-                            ScheduleAttempt &) const
+                            ScheduleAttempt &,
+                            std::span<const unsigned> home) const
 {
     ScheduleBuilder builder(mod, arch.k);
     if (mod.numOps() == 0)
@@ -239,7 +240,7 @@ RcpScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
         builder.endStep();
     }
 
-    return applyCoreAffinity(builder.finish(), arch);
+    return applyCoreAffinity(builder.finish(), arch, home);
 }
 
 } // namespace msq

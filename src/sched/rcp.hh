@@ -45,7 +45,9 @@ class RcpScheduler : public LeafScheduler
   protected:
     LeafSchedule scheduleOnDag(const Module &mod, const DepDag &dag,
                                const MultiSimdArch &arch,
-                               ScheduleAttempt &attempt) const override;
+                               ScheduleAttempt &attempt,
+                               std::span<const unsigned> home)
+        const override;
 
   private:
     Weights weights;

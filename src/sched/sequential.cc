@@ -1,5 +1,10 @@
 #include "sched/leaf_scheduler.hh"
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
+#include "analysis/qubit_mapping.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 
@@ -34,6 +39,13 @@ LeafScheduler::checkInputs(const Module &mod, const MultiSimdArch &arch)
                            "non-primitive gate %s; run decomposition "
                            "passes first",
                            mod.name().c_str(), gateName(op.kind)));
+        }
+        // An operand-free op would have no dependences at all, breaking
+        // the qubit-disjoint ready set saturationWidth() relies on.
+        if (op.operands.empty()) {
+            panic(csprintf("leaf scheduler: gate %s in module %s has no "
+                           "operands",
+                           gateName(op.kind), mod.name().c_str()));
         }
         if (opQubitCount(op) > arch.d) {
             panic(csprintf("leaf scheduler: gate %s touches %zu qubits, "
@@ -73,19 +85,33 @@ LeafScheduler::scheduleWithAttempt(const Module &mod,
 LeafSchedule
 LeafScheduler::scheduleWithAttempt(const Module &mod, const DepDag &dag,
                                    const MultiSimdArch &arch,
-                                   ScheduleAttempt &attempt) const
+                                   ScheduleAttempt &attempt,
+                                   std::span<const unsigned> home) const
 {
     checkInputs(mod, arch);
     if (dag.numNodes() != mod.numOps())
         panic("leaf scheduler: DAG does not match module " + mod.name());
+    std::vector<unsigned> computed;
+    if (arch.topology.multiCore() && home.empty()) {
+        computed = computeQubitMapping(mod, arch.topology);
+        home = computed;
+    }
     attempt = ScheduleAttempt{};
-    return scheduleOnDag(mod, dag, arch, attempt);
+    return scheduleOnDag(mod, dag, arch, attempt, home);
+}
+
+unsigned
+LeafScheduler::saturationWidth(const Module &mod) const
+{
+    return static_cast<unsigned>(std::clamp<uint64_t>(
+        mod.numQubits(), 1, std::numeric_limits<unsigned>::max()));
 }
 
 LeafSchedule
 SequentialScheduler::scheduleOnDag(const Module &mod, const DepDag &,
                                    const MultiSimdArch &arch,
-                                   ScheduleAttempt &) const
+                                   ScheduleAttempt &,
+                                   std::span<const unsigned>) const
 {
     ScheduleBuilder builder(mod, arch.k);
     for (uint32_t i = 0; i < mod.numOps(); ++i) {

@@ -304,6 +304,72 @@ TEST(Determinism, TelemetryThreadCountInvariance)
 }
 
 /**
+ * The width-collapse counter sched.leaf.derived_widths counts the
+ * (leaf x width) slots that take a narrower width's result — a pure
+ * function of program, arch and sweep, so identical for every thread
+ * count and cache state. Shor's 128 one-qubit rotation leaves derive
+ * every width past 1 (2 of 3 at k=4, 3 of 4 at k=8), leaving one width
+ * task per leaf; every other scaled leaf is wider than the sweep.
+ */
+TEST(Determinism, DerivedWidthsCounterInvariance)
+{
+    auto run = [](const std::string &workload, unsigned k,
+                  unsigned threads, bool cache) {
+        auto spec =
+            workloads::findWorkload(workloads::scaledParams(), workload);
+        Program prog = spec.build();
+        ToolflowConfig config;
+        config.scheduler = SchedulerKind::Lpfs;
+        config.arch = MultiSimdArch(k);
+        config.commMode = CommMode::Global;
+        config.rotations = Toolflow::rotationPresetFor(workload);
+        config.numThreads = threads;
+        config.leafCache = cache;
+        return Toolflow(config).run(prog);
+    };
+    for (const auto &spec : workloads::scaledParams()) {
+        const bool shors = spec.shortName == "shors";
+        for (unsigned k : {4u, 8u}) {
+            const std::string context =
+                spec.shortName + " k=" + std::to_string(k);
+            const ToolflowResult baseline = run(spec.shortName, k, 1, false);
+            const MetricsSnapshot &snap = baseline.telemetry;
+            const uint64_t derived =
+                snap.counter("sched.leaf.derived_widths");
+            EXPECT_EQ(derived, shors ? (k == 4 ? 256u : 384u) : 0u)
+                << context;
+            // Default sweeps: {1, 2, 4} and {1, 2, 4, 8}.
+            const uint64_t slots =
+                snap.counter("sched.leaf.instances") * (k == 4 ? 3 : 4);
+            EXPECT_EQ(snap.counter("sched.width_sweep_points"),
+                      k == 4 ? 3u : 4u)
+                << context;
+            if (shors)
+                EXPECT_EQ(slots - derived, 128u) << context;
+            if (!shors && spec.shortName != "grovers")
+                continue;
+            for (unsigned threads : {1u, 2u, 8u}) {
+                for (bool cache : {false, true}) {
+                    if (threads == 1 && !cache)
+                        continue;
+                    const ToolflowResult other =
+                        run(spec.shortName, k, threads, cache);
+                    const std::string where =
+                        context + " threads=" + std::to_string(threads) +
+                        (cache ? " cache" : "");
+                    EXPECT_EQ(other.telemetry.counter(
+                                  "sched.leaf.derived_widths"),
+                              derived)
+                        << where;
+                    expectSameSchedule(baseline.schedule, other.schedule,
+                                       where);
+                }
+            }
+        }
+    }
+}
+
+/**
  * A shared cache reused across runs must keep returning the first
  * run's results (and actually hit).
  */

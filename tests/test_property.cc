@@ -5,7 +5,9 @@
  * coverage, dependences, SIMD homogeneity, qubit exclusivity, d budget,
  * and movement consistency under every communication mode — and core
  * metric invariants must hold (length >= critical path, length >= ops/k,
- * local memory never increases cost).
+ * local memory never increases cost). On one core a width task's result
+ * must not change past the scheduler's saturation width, which is what
+ * lets the coarse scheduler collapse a leaf's wider sweep points.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +19,13 @@
 
 #include "core/toolflow.hh"
 #include "ir/dag.hh"
+#include "analysis/qubit_mapping.hh"
 #include "analysis/schedule_summary.hh"
+#include "sched/coarse.hh"
 #include "sched/comm.hh"
+#include "sched/leaf_cache.hh"
 #include "sched/lpfs.hh"
+#include "sched/opt.hh"
 #include "sched/rcp.hh"
 #include "sched/validator.hh"
 #include "support/rng.hh"
@@ -357,6 +363,309 @@ TEST(SchedulerProperties, AnnotatorSummaryMatchesReferenceFold)
                 }
             }
         }
+    }
+}
+
+/**
+ * Two width-task results are equal field for field: schedule buffer
+ * (slots, ops, moves compared by field, not by bytes, since Move has
+ * padding; k and the active-region bitmap only when @p with_k), every
+ * CommStats, ResourceSummary, MakespanBounds and ScheduleAttempt field,
+ * and the rebind guard counts.
+ */
+void
+expectSameWidthResult(const LeafScheduleResult &a,
+                      const LeafScheduleResult &b, bool with_k)
+{
+    const ScheduleBuffer &x = *a.schedule;
+    const ScheduleBuffer &y = *b.schedule;
+    if (with_k) {
+        EXPECT_EQ(x.k, y.k);
+        EXPECT_EQ(x.activeWords, y.activeWords);
+    }
+    ASSERT_EQ(x.slots.size(), y.slots.size());
+    for (size_t i = 0; i < x.slots.size(); ++i) {
+        EXPECT_EQ(x.slots[i].opEnd, y.slots[i].opEnd) << "slot " << i;
+        EXPECT_EQ(x.slots[i].region, y.slots[i].region) << "slot " << i;
+        EXPECT_EQ(x.slots[i].kind, y.slots[i].kind) << "slot " << i;
+    }
+    EXPECT_EQ(x.slotEnd, y.slotEnd);
+    EXPECT_EQ(x.ops, y.ops);
+    ASSERT_EQ(x.moves.size(), y.moves.size());
+    for (size_t i = 0; i < x.moves.size(); ++i) {
+        EXPECT_EQ(x.moves[i].qubit, y.moves[i].qubit) << "move " << i;
+        EXPECT_EQ(x.moves[i].from, y.moves[i].from) << "move " << i;
+        EXPECT_EQ(x.moves[i].to, y.moves[i].to) << "move " << i;
+        EXPECT_EQ(x.moves[i].blocking, y.moves[i].blocking)
+            << "move " << i;
+    }
+    EXPECT_EQ(x.moveEnd, y.moveEnd);
+
+    EXPECT_EQ(a.stats.teleportMoves, b.stats.teleportMoves);
+    EXPECT_EQ(a.stats.blockingTeleports, b.stats.blockingTeleports);
+    EXPECT_EQ(a.stats.localMoves, b.stats.localMoves);
+    EXPECT_EQ(a.stats.stepsWithBlockingMove, b.stats.stepsWithBlockingMove);
+    EXPECT_EQ(a.stats.stepsWithOnlyLocalMoves,
+              b.stats.stepsWithOnlyLocalMoves);
+    EXPECT_EQ(a.stats.peakBlockingMovesPerStep,
+              b.stats.peakBlockingMovesPerStep);
+    EXPECT_EQ(a.stats.totalCycles, b.stats.totalCycles);
+    EXPECT_EQ(a.stats.activeRegionSteps, b.stats.activeRegionSteps);
+    EXPECT_EQ(a.stats.operandSlots, b.stats.operandSlots);
+    EXPECT_EQ(a.stats.peakRegionOccupancy, b.stats.peakRegionOccupancy);
+    EXPECT_EQ(a.stats.interCoreTeleports, b.stats.interCoreTeleports);
+
+    for (const ResourceSummary::Field &f : ResourceSummary::fields())
+        EXPECT_EQ(a.summary.*f.member, b.summary.*f.member) << f.name;
+    EXPECT_EQ(a.summary.occupancy, b.summary.occupancy);
+    EXPECT_EQ(a.summary.saturated, b.summary.saturated);
+
+    EXPECT_EQ(a.bounds.criticalPath, b.bounds.criticalPath);
+    EXPECT_EQ(a.bounds.resource, b.bounds.resource);
+    EXPECT_EQ(a.bounds.interval, b.bounds.interval);
+    EXPECT_EQ(a.bounds.saturated, b.bounds.saturated);
+
+    EXPECT_EQ(a.attempt.provenance, b.attempt.provenance);
+    EXPECT_EQ(a.attempt.nodesExpanded, b.attempt.nodesExpanded);
+    EXPECT_EQ(a.attempt.prunedByCriticalPath,
+              b.attempt.prunedByCriticalPath);
+    EXPECT_EQ(a.attempt.prunedByResource, b.attempt.prunedByResource);
+    EXPECT_EQ(a.attempt.prunedByDominance, b.attempt.prunedByDominance);
+    EXPECT_EQ(a.attempt.candidatesAnnotated, b.attempt.candidatesAnnotated);
+
+    EXPECT_EQ(a.opCount, b.opCount);
+    EXPECT_EQ(a.qubitCount, b.qubitCount);
+}
+
+/** An independent width task: it builds its own DAG, bound profile
+ * and (on a multi-core topology) qubit mapping. */
+std::shared_ptr<LeafScheduleResult>
+widthTask(const LeafScheduler &scheduler, const Module &mod,
+          const MultiSimdArch &arch, CommMode mode, unsigned w)
+{
+    const DepDag dag = DepDag::build(mod);
+    std::vector<unsigned> home;
+    if (arch.topology.multiCore())
+        home = computeQubitMapping(mod, arch.topology);
+    return scheduleLeafWidth(scheduler, mod, dag, LeafBoundProfile(mod, dag),
+                             home, arch, mode, w);
+}
+
+/** Every leaf scheduler the identity property covers, with the opt
+ * tier judged under @p mode and kept small enough to run per width. */
+std::vector<std::unique_ptr<LeafScheduler>>
+widthSweepSchedulers(CommMode mode)
+{
+    std::vector<std::unique_ptr<LeafScheduler>> schedulers;
+    schedulers.push_back(std::make_unique<SequentialScheduler>());
+    schedulers.push_back(std::make_unique<RcpScheduler>());
+    schedulers.push_back(std::make_unique<LpfsScheduler>());
+    // Non-default LPFS options move the saturation width: without SIMD
+    // filling a stalled path region idles while higher regions work,
+    // and l > qubits adds path regions.
+    for (unsigned l : {1u, 3u}) {
+        for (bool simd : {false, true}) {
+            for (bool refill : {false, true}) {
+                LpfsScheduler::Options lpfs;
+                lpfs.l = l;
+                lpfs.simd = simd;
+                lpfs.refill = refill;
+                schedulers.push_back(std::make_unique<LpfsScheduler>(lpfs));
+            }
+        }
+    }
+    for (OptFallback fallback : {OptFallback::Rcp, OptFallback::Lpfs}) {
+        OptScheduler::Options opt;
+        opt.commMode = mode;
+        opt.fallback = fallback;
+        opt.nodeBudget = 2'000;
+        opt.maxOps = 48;
+        schedulers.push_back(std::make_unique<OptScheduler>(opt));
+    }
+    return schedulers;
+}
+
+/**
+ * The width-invariance contract of LeafScheduler::saturationWidth: on
+ * one core, a width task at any width from the saturation width up to
+ * 16 returns the saturation width's result in every field but k, for
+ * random leaves of 1-4 qubits under every scheduler, region size d,
+ * local memory, EPR bandwidth and communication mode.
+ */
+TEST(SchedulerProperties, WidthTasksMatchPastSaturation)
+{
+    struct Comm
+    {
+        const char *name;
+        CommMode mode;
+    };
+    const Comm comms[] = {{"none", CommMode::None},
+                          {"global", CommMode::Global},
+                          {"local-mem", CommMode::GlobalWithLocalMem}};
+    const uint64_t ds[] = {2, 3, 4, unbounded};
+    SplitMix64 rng(1915);
+    uint64_t pairs = 0;
+    for (uint64_t seed = 1; seed <= 60; ++seed) {
+        const auto qubits = static_cast<unsigned>(1 + rng.nextBelow(4));
+        const auto ops = static_cast<unsigned>(
+            1 + rng.nextBelow(seed % 3 == 0 ? 300 : 60));
+        Module mod = randomModule(seed, qubits, ops);
+        MultiSimdArch arch(16, ds[rng.nextBelow(4)],
+                           rng.nextBelow(2) ? 0 : 1 + rng.nextBelow(3));
+        arch.eprBandwidth = rng.nextBelow(2) ? unbounded : 1;
+        const Comm &comm = comms[seed % 3];
+        for (const auto &scheduler : widthSweepSchedulers(comm.mode)) {
+            const unsigned from = scheduler->saturationWidth(mod);
+            ASSERT_GE(from, 1u);
+            if (from > arch.k)
+                continue;
+            SCOPED_TRACE(csprintf(
+                "seed %llu, q=%u, ops=%u, d=%s, local=%llu, epr=%s, %s, "
+                "%s",
+                static_cast<unsigned long long>(seed), qubits, ops,
+                arch.d == unbounded ? "inf"
+                                    : std::to_string(arch.d).c_str(),
+                static_cast<unsigned long long>(arch.localMemCapacity),
+                arch.eprBandwidth == unbounded ? "inf" : "1", comm.name,
+                scheduler->fingerprint().c_str()));
+            const auto base =
+                widthTask(*scheduler, mod, arch, comm.mode, from);
+            EXPECT_EQ(base->schedule->k, from);
+            for (unsigned w = from + 1; w <= arch.k; ++w) {
+                SCOPED_TRACE(csprintf("w=%u", w));
+                const auto wide =
+                    widthTask(*scheduler, mod, arch, comm.mode, w);
+                EXPECT_EQ(wide->schedule->k, w);
+                expectSameWidthResult(*base, *wide, false);
+                // What the coarse scheduler stores for the wide slot.
+                expectSameWidthResult(*withSweepWidth(*base, w), *wide,
+                                      true);
+                ++pairs;
+            }
+        }
+    }
+    EXPECT_GT(pairs, 1000u);
+}
+
+/** The bitmap relayout of withSweepWidth when k crosses a 64-region
+ * word boundary. */
+TEST(SchedulerProperties, WidthTaskIdentityAcrossBitmapWords)
+{
+    Module mod = randomModule(7, 3, 80);
+    MultiSimdArch arch(130);
+    LpfsScheduler lpfs;
+    const auto base =
+        widthTask(lpfs, mod, arch, CommMode::Global, 3);
+    for (unsigned w : {64u, 65u, 128u, 130u}) {
+        SCOPED_TRACE(w);
+        const auto wide =
+            widthTask(lpfs, mod, arch, CommMode::Global, w);
+        expectSameWidthResult(*withSweepWidth(*base, w), *wide, true);
+    }
+}
+
+/** Random program of low-qubit leaves called from one entry module. */
+Program
+lowQubitProgram(uint64_t seed)
+{
+    SplitMix64 rng(seed);
+    Program prog;
+    std::vector<ModuleId> leaves;
+    for (unsigned i = 0; i < 6; ++i) {
+        const auto qubits = static_cast<unsigned>(1 + rng.nextBelow(3));
+        ModuleId id = prog.addModule(csprintf("leaf%u", i));
+        Module generated = randomModule(
+            seed * 16 + i, qubits,
+            static_cast<unsigned>(5 + rng.nextBelow(60)));
+        Module &mod = prog.module(id);
+        for (unsigned q = 0; q < qubits; ++q)
+            mod.addParam(csprintf("p%u", q));
+        for (const Operation &op : generated.ops())
+            mod.addOperation(op);
+        leaves.push_back(id);
+    }
+    ModuleId top = prog.addModule("top");
+    Module &mod = prog.module(top);
+    auto reg = mod.addRegister("q", 4);
+    for (unsigned i = 0; i < 12; ++i) {
+        const ModuleId callee = leaves[rng.nextBelow(6)];
+        std::vector<QubitId> args;
+        for (unsigned q = 0; q < prog.module(callee).numQubits(); ++q)
+            args.push_back(reg[(i + q) % 4]);
+        mod.addCall(callee, args, 1 + rng.nextBelow(3));
+    }
+    prog.setEntry(top);
+    return prog;
+}
+
+/**
+ * Coarse level of the width collapse: every entry a collapsed compile
+ * inserts into its cache equals an independent width task at that
+ * entry's own width, k included, and the compile inserts exactly one
+ * entry per (leaf x width) slot. Run on four threads so the derived
+ * slots, filled after the width tasks fan out, race nothing.
+ */
+TEST(SchedulerProperties, CollapsedCacheEntriesMatchWidthTasks)
+{
+    struct Case
+    {
+        std::string name;
+        Program prog;
+        unsigned k;
+    };
+    std::vector<Case> cases;
+    for (unsigned k : {4u, 8u}) {
+        cases.push_back(
+            {"shors", Toolflow::lowerWorkload(workloads::findWorkload(
+                          workloads::scaledParams(), "shors")),
+             k});
+    }
+    cases.push_back({"random", lowQubitProgram(11), 8});
+
+    LpfsScheduler lpfs;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(csprintf("%s k=%u", c.name.c_str(), c.k));
+        const MultiSimdArch arch(c.k);
+        CoarseScheduler::Options options;
+        options.numThreads = 4;
+        options.leafCache = std::make_shared<LeafScheduleCache>();
+        MetricsRegistry metrics;
+        options.metrics = &metrics;
+        const CoarseScheduler coarse(arch, lpfs, CommMode::Global,
+                                     options);
+        coarse.schedule(c.prog);
+
+        const std::string suffix = leafScheduleKeySuffix(
+            lpfs.fingerprint(), arch, CommMode::Global);
+        size_t slots = 0;
+        uint64_t derived = 0;
+        for (ModuleId id : c.prog.reachableModules()) {
+            const Module &mod = c.prog.module(id);
+            if (!mod.isLeaf())
+                continue;
+            const std::vector<unsigned> &sweep = coarse.widthSweep();
+            const auto saturated =
+                std::lower_bound(sweep.begin(), sweep.end(),
+                                 lpfs.saturationWidth(mod));
+            for (unsigned w : sweep) {
+                SCOPED_TRACE(csprintf("%s w=%u", mod.name().c_str(), w));
+                ++slots;
+                if (saturated != sweep.end() && w > *saturated)
+                    ++derived;
+                const auto entry = options.leafCache->lookup(
+                    leafScheduleKey(mod, w, suffix));
+                ASSERT_NE(entry, nullptr);
+                expectSameWidthResult(
+                    *entry,
+                    *widthTask(lpfs, mod, arch, CommMode::Global,
+                                       w),
+                    true);
+            }
+        }
+        EXPECT_EQ(options.leafCache->size(), slots);
+        EXPECT_GT(derived, 0u);
+        EXPECT_EQ(metrics.snapshot().counter("sched.leaf.derived_widths"),
+                  derived);
     }
 }
 

@@ -8,21 +8,30 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "analysis/qubit_mapping.hh"
+#include "analysis/schedule_summary.hh"
 #include "arch/location.hh"
 #include "arch/multi_simd.hh"
 #include "arch/schedule.hh"
 #include "arch/topology.hh"
+#include "core/toolflow.hh"
+#include "ir/dag.hh"
 #include "ir/program.hh"
 #include "passes/qubit_mapping_pass.hh"
 #include "sched/comm.hh"
 #include "sched/core_affinity.hh"
+#include "sched/lpfs.hh"
 #include "sched/rcp.hh"
 #include "support/diagnostic.hh"
 #include "support/logging.hh"
+#include "support/rng.hh"
+#include "support/strings.hh"
+#include "workloads/workloads.hh"
 
 namespace {
 
@@ -354,6 +363,181 @@ TEST(QubitMapping, DeterministicAcrossCalls)
         EXPECT_EQ(computeQubitMapping(mod, topo), first);
 }
 
+/**
+ * Reference greedy mapping: a copy of the library's placement, kept
+ * independent of it so the refinement below starts from the same
+ * mapping.
+ */
+std::vector<unsigned>
+referenceGreedy(const QubitInteractionGraph &graph, unsigned cores)
+{
+    const unsigned n = graph.numQubits();
+    const uint64_t capacity = (uint64_t(n) + cores - 1) / cores;
+    std::vector<QubitId> order(n);
+    for (unsigned q = 0; q < n; ++q)
+        order[q] = q;
+    std::sort(order.begin(), order.end(), [&](QubitId a, QubitId b) {
+        if (graph.totalWeight(a) != graph.totalWeight(b))
+            return graph.totalWeight(a) > graph.totalWeight(b);
+        return a < b;
+    });
+    std::vector<unsigned> mapping(n, std::numeric_limits<unsigned>::max());
+    std::vector<uint64_t> load(cores, 0);
+    for (QubitId q : order) {
+        unsigned best = cores;
+        uint64_t best_attraction = 0;
+        for (unsigned c = 0; c < cores; ++c) {
+            if (load[c] >= capacity)
+                continue;
+            uint64_t attraction = 0;
+            for (const auto &[nbr, weight] : graph.neighbors(q))
+                if (mapping[nbr] == c)
+                    attraction += weight;
+            if (best == cores || attraction > best_attraction ||
+                (attraction == best_attraction && load[c] < load[best])) {
+                best = c;
+                best_attraction = attraction;
+            }
+        }
+        mapping[q] = best;
+        ++load[best];
+    }
+    return mapping;
+}
+
+/**
+ * Reference swap refinement: the straightforward O(n^2 * degree) form,
+ * recomputing both endpoints' attraction from their neighbor lists for
+ * every pair. The library keeps an incremental attraction table and
+ * must reach the same mapping.
+ */
+void
+referenceRefine(const QubitInteractionGraph &graph,
+                std::vector<unsigned> &mapping)
+{
+    const unsigned n = graph.numQubits();
+    if (n > 512)
+        return;
+    auto to_core = [&](QubitId q, unsigned core) {
+        uint64_t w = 0;
+        for (const auto &[nbr, weight] : graph.neighbors(q))
+            if (mapping[nbr] == core)
+                w += weight;
+        return w;
+    };
+    for (unsigned pass = 0; pass < 4; ++pass) {
+        bool improved = false;
+        for (QubitId a = 0; a < n; ++a) {
+            for (QubitId b = a + 1; b < n; ++b) {
+                const unsigned ca = mapping[a], cb = mapping[b];
+                if (ca == cb)
+                    continue;
+                const int64_t gain =
+                    (int64_t(to_core(a, cb)) - int64_t(to_core(a, ca))) +
+                    (int64_t(to_core(b, ca)) - int64_t(to_core(b, cb))) -
+                    2 * int64_t(graph.weight(a, b));
+                if (gain > 0) {
+                    mapping[a] = cb;
+                    mapping[b] = ca;
+                    improved = true;
+                }
+            }
+        }
+        if (!improved)
+            break;
+    }
+}
+
+std::vector<unsigned>
+referenceMapping(const Module &mod, unsigned cores)
+{
+    QubitInteractionGraph graph(mod);
+    std::vector<unsigned> mapping = referenceGreedy(graph, cores);
+    referenceRefine(graph, mapping);
+    return mapping;
+}
+
+/** Random interaction graph: @p gates 2- and 3-qubit gates over @p n
+ * qubits, drawn from a few hot clusters so swaps have work to do. */
+Module
+randomInteractionModule(SplitMix64 &rng, unsigned n, unsigned gates)
+{
+    Module mod("interactions");
+    auto reg = mod.addRegister("q", n);
+    const unsigned cluster = 1 + static_cast<unsigned>(rng.nextBelow(n));
+    auto pick = [&](unsigned base) {
+        return reg[(base + rng.nextBelow(cluster)) % n];
+    };
+    for (unsigned i = 0; i < gates; ++i) {
+        const auto base = static_cast<unsigned>(rng.nextBelow(n));
+        QubitId a = pick(base), b = pick(base), c = pick(base);
+        if (n < 2 || a == b)
+            continue;
+        if (n >= 3 && c != a && c != b && rng.nextBelow(4) == 0)
+            mod.addGate(GateKind::Toffoli, {a, b, c});
+        else
+            mod.addGate(GateKind::CNOT, {a, b});
+    }
+    return mod;
+}
+
+/**
+ * The incremental swap refinement reaches exactly the reference's
+ * mapping on random interaction graphs, for several core counts and on
+ * both sides of the 512-qubit refinement cap.
+ */
+TEST(QubitMapping, MatchesReferenceOnRandomGraphs)
+{
+    SplitMix64 rng(2015);
+    const unsigned sizes[] = {1, 2, 3, 7, 16, 40, 97, 200, 511, 512, 513,
+                              600};
+    for (unsigned n : sizes) {
+        for (unsigned cores : {2u, 3u, 4u, 8u}) {
+            const auto gates = static_cast<unsigned>(
+                n * (1 + rng.nextBelow(6)));
+            Module mod = randomInteractionModule(rng, n, gates);
+            SCOPED_TRACE(csprintf("n=%u, cores=%u, gates=%u", n, cores,
+                                  gates));
+            EXPECT_EQ(computeQubitMapping(mod, multiCoreTopo(cores, 1)),
+                      referenceMapping(mod, cores));
+        }
+    }
+}
+
+/** The two multi-core points of the architecture sweep. */
+std::vector<std::pair<std::string, MultiSimdArch>>
+sweepTopologies()
+{
+    std::vector<std::pair<std::string, MultiSimdArch>> archs;
+    for (const char *spec : {"cores=2,k=2,shape=ring,link-bw=2",
+                             "cores=4,k=2,shape=mesh,link-bw=2"}) {
+        MultiSimdArch arch;
+        std::string error;
+        EXPECT_TRUE(parseTopologySpec(spec, arch, error)) << error;
+        archs.emplace_back(spec, arch);
+    }
+    return archs;
+}
+
+TEST(QubitMapping, MatchesReferenceOnWorkloadLeaves)
+{
+    const auto archs = sweepTopologies();
+    for (const auto &spec : workloads::scaledParams()) {
+        Program prog = Toolflow::lowerWorkload(spec);
+        for (ModuleId id : prog.reachableModules()) {
+            const Module &mod = prog.module(id);
+            if (!mod.isLeaf())
+                continue;
+            for (const auto &[name, arch] : archs) {
+                SCOPED_TRACE(spec.shortName + "/" + mod.name() + " " +
+                             name);
+                EXPECT_EQ(computeQubitMapping(mod, arch.topology),
+                          referenceMapping(mod, arch.topology.cores));
+            }
+        }
+    }
+}
+
 TEST(QubitMapping, SingleCoreMapsEverythingToZero)
 {
     Module mod = twoClusterModule();
@@ -564,6 +748,109 @@ TEST(CoreAffinity, SlotsLandOnHomeCores)
     for (size_t i = 0; i < bound.buffer().slots.size(); ++i)
         EXPECT_EQ(again.buffer().slots[i].region,
                   bound.buffer().slots[i].region);
+}
+
+void
+expectSameBuffer(const ScheduleBuffer &a, const ScheduleBuffer &b)
+{
+    EXPECT_EQ(a.k, b.k);
+    ASSERT_EQ(a.slots.size(), b.slots.size());
+    for (size_t i = 0; i < a.slots.size(); ++i) {
+        EXPECT_EQ(a.slots[i].opEnd, b.slots[i].opEnd) << "slot " << i;
+        EXPECT_EQ(a.slots[i].region, b.slots[i].region) << "slot " << i;
+        EXPECT_EQ(a.slots[i].kind, b.slots[i].kind) << "slot " << i;
+    }
+    EXPECT_EQ(a.slotEnd, b.slotEnd);
+    EXPECT_EQ(a.ops, b.ops);
+    ASSERT_EQ(a.moves.size(), b.moves.size());
+    for (size_t i = 0; i < a.moves.size(); ++i) {
+        EXPECT_EQ(a.moves[i].qubit, b.moves[i].qubit) << "move " << i;
+        EXPECT_EQ(a.moves[i].from, b.moves[i].from) << "move " << i;
+        EXPECT_EQ(a.moves[i].to, b.moves[i].to) << "move " << i;
+        EXPECT_EQ(a.moves[i].blocking, b.moves[i].blocking)
+            << "move " << i;
+    }
+    EXPECT_EQ(a.moveEnd, b.moveEnd);
+    EXPECT_EQ(a.activeWords, b.activeWords);
+}
+
+/**
+ * A mapping computed once per leaf and passed down changes nothing: on
+ * every scaled workload leaf and both sweep topologies, the rebind
+ * inside RCP/LPFS and applyCoreAffinity itself give the same schedule
+ * with the passed mapping as without, and annotate gives the same
+ * moves, CommStats and ResourceSummary under every communication mode.
+ */
+TEST(CoreAffinity, PassedMappingMatchesComputed)
+{
+    const RcpScheduler rcp;
+    const LpfsScheduler lpfs;
+    const auto archs = sweepTopologies();
+    for (const auto &spec : workloads::scaledParams()) {
+        Program prog = Toolflow::lowerWorkload(spec);
+        // Shor's 128 one-qubit leaves are alike; a few cover them.
+        unsigned leaves_left = 8;
+        for (ModuleId id : prog.reachableModules()) {
+            const Module &mod = prog.module(id);
+            if (!mod.isLeaf() || leaves_left == 0)
+                continue;
+            --leaves_left;
+            const DepDag dag = DepDag::build(mod);
+            for (const auto &[name, arch] : archs) {
+                const std::vector<unsigned> home =
+                    computeQubitMapping(mod, arch.topology);
+                for (const LeafScheduler *scheduler :
+                     {static_cast<const LeafScheduler *>(&rcp),
+                      static_cast<const LeafScheduler *>(&lpfs)}) {
+                    SCOPED_TRACE(spec.shortName + "/" + mod.name() + " " +
+                                 name + " " + scheduler->name());
+                    ScheduleAttempt attempt;
+                    LeafSchedule passed = scheduler->scheduleWithAttempt(
+                        mod, dag, arch, attempt, home);
+                    LeafSchedule computed = scheduler->schedule(mod, arch);
+                    expectSameBuffer(passed.buffer(), computed.buffer());
+
+                    // The bare rebind of the flat machine's schedule.
+                    MultiSimdArch flat(arch.k, arch.d);
+                    LeafSchedule unbound = scheduler->schedule(mod, flat);
+                    expectSameBuffer(
+                        applyCoreAffinity(unbound, arch, home).buffer(),
+                        applyCoreAffinity(unbound, arch).buffer());
+
+                    for (CommMode mode :
+                         {CommMode::None, CommMode::Global,
+                          CommMode::GlobalWithLocalMem}) {
+                        MultiSimdArch machine = arch;
+                        machine.localMemCapacity =
+                            mode == CommMode::GlobalWithLocalMem ? 2 : 0;
+                        const CommunicationAnalyzer comm(machine, mode);
+                        LeafSchedule with_home = passed;
+                        LeafSchedule without = passed;
+                        ResourceSummary sum_home, sum_without;
+                        const CommStats a =
+                            comm.annotate(with_home, sum_home, home);
+                        const CommStats b =
+                            comm.annotate(without, sum_without);
+                        expectSameBuffer(with_home.buffer(),
+                                         without.buffer());
+                        EXPECT_EQ(a.totalCycles, b.totalCycles);
+                        EXPECT_EQ(a.teleportMoves, b.teleportMoves);
+                        EXPECT_EQ(a.blockingTeleports, b.blockingTeleports);
+                        EXPECT_EQ(a.localMoves, b.localMoves);
+                        EXPECT_EQ(a.interCoreTeleports,
+                                  b.interCoreTeleports);
+                        EXPECT_EQ(a.activeRegionSteps, b.activeRegionSteps);
+                        for (const ResourceSummary::Field &f :
+                             ResourceSummary::fields())
+                            EXPECT_EQ(sum_home.*f.member,
+                                      sum_without.*f.member)
+                                << f.name;
+                        EXPECT_EQ(sum_home.occupancy, sum_without.occupancy);
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(CoreAffinity, GreedyMappingCutsInterCoreTeleports)
