@@ -1,10 +1,6 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction harnesses. Each bench
- * binary regenerates the rows/series of one paper table or figure; the
- * absolute numbers come from our simulator-based substrate, but the
- * qualitative shape (who wins, by what factor, where crossovers fall)
- * reproduces the paper (see EXPERIMENTS.md).
+ * Shared helpers for the bench binaries.
  */
 
 #ifndef MSQ_BENCH_COMMON_HH
@@ -23,8 +19,7 @@ namespace bench {
 /** One toolflow run for a named workload spec. */
 inline ToolflowResult
 runWorkload(const workloads::WorkloadSpec &spec, SchedulerKind scheduler,
-            CommMode mode, const MultiSimdArch &arch,
-            unsigned rotation_length = 0)
+            CommMode mode, const MultiSimdArch &arch)
 {
     Program prog = spec.build();
     ToolflowConfig config;
@@ -32,8 +27,6 @@ runWorkload(const workloads::WorkloadSpec &spec, SchedulerKind scheduler,
     config.commMode = mode;
     config.arch = arch;
     config.rotations = Toolflow::rotationPresetFor(spec.shortName);
-    if (rotation_length != 0)
-        config.rotations.sequenceLength = rotation_length;
     return Toolflow(config).run(prog);
 }
 

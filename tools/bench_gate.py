@@ -47,6 +47,17 @@ def gap(row):
     return row["makespan"] / row["lower_bound"]
 
 
+def every_field(row):
+    return row
+
+
+def speedup(row):
+    # Fig. 6 is over sequential execution, the rest over naive movement.
+    if "cycles" in row and "gates" in row:
+        cycles_per_gate = 1 if row["figure"] == "fig6" else 5
+        return round(cycles_per_gate * row["gates"] / row["cycles"], 2)
+
+
 def gap_leaves(doc):
     return [dict(leaf, input=inp["input"], scheduler=inp["scheduler"])
             for inp in doc["inputs"] for leaf in inp["leaves"]]
@@ -88,6 +99,10 @@ GATES = {
          {"makespan": exact, "intercore_teleports": exact}),
         ("mapping_quality", ("workload",),
          {"leaves": exact, "cut_mapped": exact, "cut_roundrobin": exact})]),
+    "paper_figures": ("msq-paper-figures-v1", {}, [
+        ("rows", ("figure", "workload", "config"),
+         {every_field: exact, speedup: INFO}),
+        ("claims", ("name",), {"holds": true})]),
 }
 
 
@@ -130,8 +145,9 @@ def check(name, base, fresh):
             for field, rule in fields.items():
                 was, now = value(b[key], field), value(n[key], field)
                 if rule is INFO:
-                    info.append(f"{key} {label(field)}: {now} "
-                                f"(baseline {was})")
+                    if now is not None:
+                        info.append(f"{key} {label(field)}: {now} "
+                                    f"(baseline {was})")
                 elif not rule(was, now):
                     bad.append(f"{key} {label(field)}: {was} -> {now}")
     return bad, info, compared
