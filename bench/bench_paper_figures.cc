@@ -21,15 +21,11 @@
 #include <stdexcept>
 #include <vector>
 
-#include "analysis/gate_mix.hh"
-#include "analysis/invocation_counts.hh"
-#include "analysis/qubit_estimator.hh"
 #include "analysis/resource_estimator.hh"
 #include "passes/decompose_toffoli.hh"
 #include "passes/rotation_decomposer.hh"
 #include "sched/lpfs.hh"
 #include "sched/validator.hh"
-#include "support/saturate.hh"
 #include "support/stats.hh"
 #include "support/strings.hh"
 
@@ -40,15 +36,14 @@ namespace {
 /** What "near", "barely" or "marginal" allows, the same in every claim. */
 constexpr double kNear = 0.05;
 
-using Fields = std::vector<std::pair<std::string, uint64_t>>;
+using Fields = std::vector<std::pair<std::string, Count>>;
 
 /** The raw integers of one figure x workload x configuration. */
 struct Row
 {
     Fields fields;
-    bool saturated = false;
 
-    uint64_t
+    Count
     operator[](const std::string &name) const
     {
         for (const auto &[field, value] : fields)
@@ -59,17 +54,16 @@ struct Row
 };
 
 double
-ratio(uint64_t num, uint64_t den)
+ratio(Count num, Count den)
 {
-    return static_cast<double>(num) / static_cast<double>(den);
+    return num.toDouble() / den.toDouble();
 }
 
 /** Speedup over sequential execution, or over naive movement (5x). */
 double
 speedup(const Row &row, bool vs_naive = true)
 {
-    return ratio(vs_naive ? satMul(MultiSimdArch::naiveCyclesPerGate,
-                                   row["gates"])
+    return ratio(vs_naive ? MultiSimdArch::naiveCyclesPerGate * row["gates"]
                           : row["gates"],
                  row["cycles"]);
 }
@@ -144,10 +138,10 @@ class Figures
 
     const Row &
     add(const std::string &workload, const std::string &config,
-        Fields fields, bool saturated = false)
+        Fields fields)
     {
         auto [it, fresh] = rows.try_emplace({figure, workload, config},
-                                            Row{std::move(fields), saturated});
+                                            Row{std::move(fields)});
         if (!fresh)
             throw std::logic_error("duplicate row " + workload + "/" + config);
         return it->second;
@@ -231,7 +225,7 @@ class Figures
         table.setHeader(header);
 
         for (const auto &spec : workloads::scaledParams()) {
-            uint64_t q = QubitEstimator(spec.build()).programQubits();
+            uint64_t q = ResourceEstimator(spec.build()).programQubits();
             table.beginRow();
             table.addCell(spec.name);
             if (grid.qColumn)
@@ -269,7 +263,7 @@ class Figures
                << ", \"config\": " << str(config);
             for (const auto &[field, value] : row.fields)
                 os << ", " << str(field) << ": " << value;
-            os << (row.saturated ? ", \"saturated\": true}" : "}");
+            os << "}";
         }
         os << "\n  ],\n  \"claims\": [";
         for (const auto &[name, text, holds] : claims)
@@ -417,20 +411,16 @@ table1(Figures &f)
     for (const auto &spec : workloads::paperParams()) {
         Program prog = spec.build();
         ResourceEstimator resources(prog);
-        uint64_t q = QubitEstimator(prog).programQubits();
+        uint64_t q = resources.programQubits();
         uint64_t paper = paper_q.at(spec.shortName);
         f.add(spec.shortName, "paper-scale",
               {{"qubits", q},
                {"gates", resources.programGates()},
-               {"paper_qubits", paper}},
-              resources.saturated());
+               {"paper_qubits", paper}});
         table.beginRow();
         table.addCell(spec.name);
         table.addCell(std::to_string(q));
-        // A saturated estimate is a lower bound, not a count.
-        table.addCell(resources.saturated()
-                          ? std::string(">= 2^64-1 (saturated)")
-                          : withCommas(resources.programGates()));
+        table.addCell(withCommas(resources.programGates()));
         table.addCell(std::to_string(paper));
     }
     print(table);
@@ -620,12 +610,12 @@ fig9(Figures &f)
     // enough concurrent rotation blackboxes to keep 128 regions busy.
     workloads::WorkloadSpec spec{"Shors n=16", "shors",
                                  [] { return workloads::buildShors(16); }};
-    uint64_t q = QubitEstimator(spec.build()).programQubits();
+    uint64_t q = ResourceEstimator(spec.build()).programQubits();
 
     ResultTable table("Shor's speedup over naive movement "
                       "(local memories = inf, rotations outlined)");
     table.setHeader({"k", "rcp", "lpfs"});
-    std::vector<uint64_t> rcp, lpfs;
+    std::vector<Count> rcp, lpfs;
     for (unsigned k : {8u, 16u, 32u, 128u}) {
         table.beginRow();
         table.addCell(std::to_string(k));
@@ -756,29 +746,27 @@ breakdown(Figures &f)
         on(SchedulerKind::Lpfs, CommMode::GlobalWithLocalMem,
            MultiSimdArch(4, unbounded, unbounded))(config, 0);
         ToolflowResult result = Toolflow(config).run(prog);
-        GateMixAnalysis mix(prog);
-        InvocationCountAnalysis invocations(prog);
+        ResourceEstimator estimator(prog);
 
         // Per-leaf statistics weighted by invocation counts.
-        uint64_t teleports = 0, blocking = 0, local = 0, peak = 0;
+        Count teleports, blocking, local;
+        uint64_t peak = 0;
         for (ModuleId id = 0;
              id < static_cast<ModuleId>(prog.numModules()); ++id) {
             const auto &info = result.schedule.modules[id];
             if (!info.analyzed || !info.leaf)
                 continue;
-            uint64_t runs = invocations.invocations(id);
-            teleports =
-                satAdd(teleports, satMul(runs, info.comm.teleportMoves));
-            blocking = satAdd(blocking,
-                              satMul(runs, info.comm.blockingTeleports));
-            local = satAdd(local, satMul(runs, info.comm.localMoves));
+            const Count runs = estimator.invocations(id);
+            teleports += runs * info.comm.teleportMoves;
+            blocking += runs * info.comm.blockingTeleports;
+            local += runs * info.comm.localMoves;
             peak = std::max(peak, info.comm.peakBlockingMovesPerStep);
         }
         const Row &row =
             f.add(spec.shortName, "lpfs k=4 local=inf",
                   {{"gates", result.totalGates},
-                   {"t_count", mix.programMix().tCount()},
-                   {"two_qubit", mix.programMix().twoQubitCount()},
+                   {"t_count", estimator.programMix().tCount()},
+                   {"two_qubit", estimator.programMix().twoQubitCount()},
                    {"teleports", teleports},
                    {"blocking", blocking},
                    {"local_moves", local},

@@ -74,16 +74,16 @@ struct Row
     std::string workload;
     std::string scheduler;
     std::string baseParams; ///< "paper" / "scaled"
-    uint64_t baseGates;
+    Count baseGates;
     uint64_t scaleFactor;
-    uint64_t gates;
-    uint64_t serialCycles;
+    Count gates;
+    Count serialCycles;
     uint64_t makespanCycles;
     double sequentialSpeedup;
     double naiveSpeedup;
     double commFraction;
-    uint64_t teleports;
-    uint64_t eprPairs;
+    Count teleports;
+    Count eprPairs;
     uint64_t distinctLeaves;
     uint64_t reachableModules;
     bool exact;
@@ -169,12 +169,11 @@ main(int argc, char **argv)
 
         Program prog = Toolflow::lowerWorkload(spec);
 
-        const uint64_t base_gates =
-            ResourceEstimator(prog).programGates();
+        const Count base_gates = ResourceEstimator(prog).programGates();
         const uint64_t factor =
             base_gates >= targetGates
                 ? 1
-                : satCeilDiv(targetGates, base_gates);
+                : satCeilDiv(targetGates, base_gates.clampU64());
         workloads::scaleWorkload(prog, factor);
 
         for (SchedulerKind kind :
@@ -226,12 +225,11 @@ main(int argc, char **argv)
                                ? " x" + std::to_string(factor)
                                : ""));
             table.addCell(std::string(schedulerKindName(kind)));
-            table.addCell(static_cast<double>(est.program.gateOps), 0);
+            table.addCell(est.program.gateOps.toDouble(), 0);
             table.addCell(static_cast<double>(est.makespanCycles), 0);
             table.addCell(est.sequentialSpeedup(), 2);
             table.addCell(100.0 * est.program.commFraction(), 1);
-            table.addCell(static_cast<double>(est.program.eprPairs()),
-                          0);
+            table.addCell(est.program.eprPairs().toDouble(), 0);
             table.addCell(static_cast<double>(est.distinctLeafSchedules),
                           0);
             table.addCell(wall_ms, 1);

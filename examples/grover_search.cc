@@ -10,7 +10,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "analysis/qubit_estimator.hh"
+#include "analysis/resource_estimator.hh"
 #include "core/toolflow.hh"
 #include "support/stats.hh"
 #include "support/strings.hh"
@@ -29,7 +29,7 @@ main(int argc, char **argv)
 
     {
         Program prog = workloads::buildGrovers(n);
-        QubitEstimator qubits(prog);
+        ResourceEstimator qubits(prog);
         std::cout << "minimum qubits Q (sequential, ancilla reuse): "
                   << qubits.programQubits() << "\n\n";
     }

@@ -84,7 +84,7 @@ main()
 
         table.beginRow();
         table.addCell(std::string(schedulerKindName(kind)));
-        table.addCell(static_cast<unsigned long long>(result.totalGates));
+        table.addCell(result.totalGates.str());
         table.addCell(
             static_cast<unsigned long long>(result.criticalPath));
         table.addCell(

@@ -1,6 +1,7 @@
 #include "analysis/bounds.hh"
 
 #include <cstddef>
+#include <limits>
 
 #include "ir/dag.hh"
 #include "support/logging.hh"
@@ -178,6 +179,7 @@ MakespanBoundAnalysis::MakespanBoundAnalysis(const Program &prog,
     arch.validate();
     const uint64_t gate_cost = MultiSimdArch::coarseGateCost(mode);
     const uint64_t call_oh = MultiSimdArch::callOverhead(mode);
+    const uint64_t max = std::numeric_limits<uint64_t>::max();
 
     for (ModuleId id : prog.bottomUpOrder()) {
         const Module &mod = prog.module(id);
@@ -193,56 +195,55 @@ MakespanBoundAnalysis::MakespanBoundAnalysis(const Program &prog,
         }
 
         // Each op's weight on the critical path is the cycles the
-        // coarse scheduler charges it; the same products detect B006
-        // clipping.
+        // coarse scheduler charges it. B006 fires where a weight or the
+        // area first clips: the op's result is 2^64-1 and none of its
+        // inputs was.
         MakespanBounds b;
         uint64_t area = 0;
         std::vector<uint64_t> weights(mod.numOps(), gate_cost);
         for (uint32_t i = 0; i < mod.numOps(); ++i) {
             const Operation &op = mod.op(i);
+            const uint64_t area_before = area;
             bool clipped = false;
             if (op.isCall()) {
-                b.saturated |= bounds_[op.callee].saturated;
-                area = satAdd(
-                    area,
-                    satMul(op.repeat,
-                           satAdd(areas_[op.callee], call_oh, clipped),
-                           clipped),
-                    clipped);
-                weights[i] = satMul(op.repeat,
-                                    satAdd(bounds_[op.callee].composite(),
-                                           call_oh, clipped),
-                                    clipped);
+                const uint64_t callee_area = areas_[op.callee];
+                const uint64_t callee_bound = bounds_[op.callee].composite();
+                area = satAdd(area, satMul(op.repeat,
+                                           satAdd(callee_area, call_oh)));
+                weights[i] = satMul(op.repeat, satAdd(callee_bound, call_oh));
+                clipped = (weights[i] == max && callee_bound != max) ||
+                          (area == max && area_before != max &&
+                           callee_area != max);
             } else {
-                area = satAdd(area, gate_cost, clipped);
+                area = satAdd(area, gate_cost);
+                clipped = area == max && area_before != max;
             }
-            if (!clipped)
+            if (!clipped || diags == nullptr)
                 continue;
-            b.saturated = true;
-            saturated_ = true;
-            if (diags != nullptr) {
-                const std::string what =
-                    op.isCall()
-                        ? csprintf("call to '%s' (repeat %llu)",
-                                   prog.module(op.callee).name().c_str(),
-                                   static_cast<unsigned long long>(
-                                       op.repeat))
-                        : std::string("gate accumulation");
-                diags->warning(
-                    DiagCode::BoundRepeatOverflow,
-                    "lower-bound composition for " + what +
-                        " saturated at 2^64-1; the composed bound "
-                        "remains sound but loose",
-                    DiagContext{mod.name(), i, op.line});
-            }
+            const std::string what =
+                op.isCall()
+                    ? csprintf("call to '%s' (repeat %llu)",
+                               prog.module(op.callee).name().c_str(),
+                               static_cast<unsigned long long>(op.repeat))
+                    : std::string("gate accumulation");
+            diags->warning(DiagCode::BoundRepeatOverflow,
+                           "lower-bound composition for " + what +
+                               " saturated at 2^64-1; the composed bound "
+                               "remains sound but loose",
+                           DiagContext{mod.name(), i, op.line});
         }
 
         b.criticalPath = criticalPathLength(mod, weights);
         b.resource = satCeilDiv(area, arch.k);
         bounds_[id] = b;
         areas_[id] = std::max(b.composite(), area);
-        saturated_ |= b.saturated;
     }
+}
+
+bool
+MakespanBoundAnalysis::saturated() const
+{
+    return areaBound(prog->entry()) == std::numeric_limits<uint64_t>::max();
 }
 
 const MakespanBounds &

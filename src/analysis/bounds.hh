@@ -37,8 +37,8 @@
  * composition prices non-leaf gates at MultiSimdArch::coarseGateCost
  * (1 or 1+4 cycles) and calls at repeat * (callee bound +
  * MultiSimdArch::callOverhead) — the same per-op cycle costs the coarse
- * scheduler itself uses, composed through the invocation_counts repeat
- * algebra in O(distinct modules).
+ * scheduler itself uses, composed through the repeat algebra in
+ * O(distinct modules). Bounds are cycle lengths and saturate at 2^64-1.
  */
 
 #ifndef MSQ_ANALYSIS_BOUNDS_HH
@@ -61,7 +61,6 @@ struct MakespanBounds
     uint64_t criticalPath = 0; ///< longest weighted dependence chain
     uint64_t resource = 0;     ///< work / per-step machine capacity
     uint64_t interval = 0;     ///< Fernandez window bound (leaves only)
-    bool saturated = false;    ///< repeat algebra clipped at 2^64-1
 
     /** The strongest (largest) of the families — still a lower bound. */
     uint64_t
@@ -144,7 +143,9 @@ class MakespanBoundAnalysis
      * Analyze all modules reachable from @p prog's entry.
      * @param mode communication mode the schedule under test was costed
      *        with (selects the coarse-level gate/call cycle costs).
-     * @param diags optional sink for B006 repeat-overflow warnings.
+     * @param diags optional sink for B006 repeat-overflow warnings: one,
+     *        with its source line, at each op where a critical-path
+     *        weight or the area first clips at 2^64-1.
      * @param leaf_bounds called once per reachable leaf module; empty
      *        derives them from scratch with computeLeafBounds(mod,
      *        arch). Checkers keep the default so that a schedule is
@@ -179,8 +180,10 @@ class MakespanBoundAnalysis
      */
     uint64_t areaBound(ModuleId id) const;
 
-    /** Did any repeat product clip at 2^64-1 during composition? */
-    bool saturated() const { return saturated_; }
+    /** Did the program's bound clip at 2^64-1? A clipped length or
+     * area reads 2^64-1 and stays there in every caller, and a module's
+     * area is at least its composite bound, so the entry's area tells. */
+    bool saturated() const;
 
   private:
     const Program *prog;
@@ -188,7 +191,6 @@ class MakespanBoundAnalysis
     CommMode mode;
     std::vector<MakespanBounds> bounds_; ///< indexed by ModuleId
     std::vector<uint64_t> areas_;        ///< indexed by ModuleId
-    bool saturated_ = false;
 };
 
 } // namespace msq

@@ -87,75 +87,4 @@ solveDataflow(const Module &mod, const DepDag &dag,
     return result;
 }
 
-std::vector<ModuleId>
-acyclicBottomUpOrder(const Program &prog, bool *cyclic)
-{
-    if (cyclic)
-        *cyclic = false;
-    std::vector<ModuleId> order;
-    if (prog.entry() == invalidModule ||
-        prog.entry() >= prog.numModules())
-        return order;
-
-    // Reachability sweep from the entry, following valid callees only.
-    std::vector<bool> reachable(prog.numModules(), false);
-    std::vector<ModuleId> work{prog.entry()};
-    reachable[prog.entry()] = true;
-    size_t num_reachable = 1;
-    while (!work.empty()) {
-        const Module &mod = prog.module(work.back());
-        work.pop_back();
-        for (uint32_t index : mod.callOps()) {
-            const Operation &op = mod.ops()[index];
-            if (op.callee >= prog.numModules())
-                continue;
-            if (!reachable[op.callee]) {
-                reachable[op.callee] = true;
-                ++num_reachable;
-                work.push_back(op.callee);
-            }
-        }
-    }
-
-    // Kahn's algorithm, callees-first: a module is emitted once every
-    // distinct callee has been. Modules on a call cycle never drain and
-    // are left out of the order.
-    std::vector<std::vector<ModuleId>> callers(prog.numModules());
-    std::vector<uint32_t> pending(prog.numModules(), 0);
-    for (ModuleId m = 0; m < prog.numModules(); ++m) {
-        if (!reachable[m])
-            continue;
-        const Module &mod = prog.module(m);
-        std::vector<ModuleId> callees;
-        for (uint32_t index : mod.callOps()) {
-            const Operation &op = mod.ops()[index];
-            if (op.callee >= prog.numModules())
-                continue;
-            if (std::find(callees.begin(), callees.end(), op.callee) ==
-                callees.end())
-                callees.push_back(op.callee);
-        }
-        pending[m] = callees.size();
-        for (ModuleId c : callees)
-            callers[c].push_back(m);
-    }
-
-    std::vector<ModuleId> ready;
-    for (ModuleId m = 0; m < prog.numModules(); ++m)
-        if (reachable[m] && pending[m] == 0)
-            ready.push_back(m);
-    while (!ready.empty()) {
-        ModuleId m = ready.back();
-        ready.pop_back();
-        order.push_back(m);
-        for (ModuleId caller : callers[m])
-            if (--pending[caller] == 0)
-                ready.push_back(caller);
-    }
-
-    if (order.size() < num_reachable && cyclic)
-        *cyclic = true;
-    return order;
-}
-
 } // namespace msq

@@ -19,7 +19,7 @@
  *
  * Interprocedural analyses (analysis/qubit_analyses.hh) run module-local
  * problems bottom-up over the call graph, summarizing each callee's
- * effect on its parameters. acyclicBottomUpOrder() provides the
+ * effect on its parameters. Program::bottomUpOrder(&cyclic) provides the
  * callees-first order and detects recursion without panicking — the same
  * acyclicity property the IR verifier checks as V007 — so analysis code
  * can degrade gracefully on malformed input the verifier already
@@ -163,17 +163,6 @@ struct DataflowResult
  */
 DataflowResult solveDataflow(const Module &mod, const DepDag &dag,
                              const DataflowProblem &problem);
-
-/**
- * Module ids in callees-first order over the modules reachable from the
- * entry (entry included, last). Unlike Program::bottomUpOrder(), never
- * panics: recursion sets *@p cyclic and returns the partial order with
- * the in-cycle modules omitted; a missing entry yields an empty order.
- * Call targets pointing outside the program are skipped (the verifier
- * reports them as V005).
- */
-std::vector<ModuleId> acyclicBottomUpOrder(const Program &prog,
-                                           bool *cyclic = nullptr);
 
 } // namespace msq
 

@@ -137,7 +137,7 @@ LivenessAnalysis::analyze(const Program &prog)
 {
     LivenessAnalysis result;
     result.modules_.resize(prog.numModules());
-    std::vector<ModuleId> order = acyclicBottomUpOrder(prog, &result.cyclic_);
+    std::vector<ModuleId> order = prog.bottomUpOrder(&result.cyclic_);
     result.valid_ = !result.cyclic_ && !order.empty();
 
     LivenessProblem problem(prog, result.modules_);
@@ -192,7 +192,7 @@ MeasurementDominance::analyze(const Program &prog)
     MeasurementDominance result;
     result.summaries_.resize(prog.numModules());
     bool cyclic = false;
-    std::vector<ModuleId> order = acyclicBottomUpOrder(prog, &cyclic);
+    std::vector<ModuleId> order = prog.bottomUpOrder(&cyclic);
     result.valid_ = !cyclic && !order.empty();
 
     MayMeasuredProblem problem(prog, result.summaries_);
@@ -308,7 +308,7 @@ EntanglementGroups::analyze(const Program &prog)
     EntanglementGroups result;
     result.modules_.resize(prog.numModules());
     bool cyclic = false;
-    std::vector<ModuleId> order = acyclicBottomUpOrder(prog, &cyclic);
+    std::vector<ModuleId> order = prog.bottomUpOrder(&cyclic);
     result.valid_ = !cyclic && !order.empty();
 
     for (ModuleId m : order) {

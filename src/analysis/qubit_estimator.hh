@@ -1,45 +1,17 @@
 /**
  * @file
- * Minimum-qubit estimation (paper Table 1): the number of qubits Q a
- * benchmark needs when run sequentially with maximal reuse of ancilla
- * qubits across function calls.
- *
- * Model: a module's parameters alias caller qubits; its locals (ancilla)
- * live for the duration of one invocation and are reclaimed on return, so
- * sibling calls reuse the same ancilla pool and only the deepest call
- * chain's demand counts:
- *
- *   Q(m) = numQubits(m) + max(0, max over calls c of
- *                                 (Q(callee(c)) - numParams(callee(c))))
+ * Forwarding name: QubitEstimator is the merged hierarchical estimator
+ * (analysis/resource_estimator.hh).
  */
 
 #ifndef MSQ_ANALYSIS_QUBIT_ESTIMATOR_HH
 #define MSQ_ANALYSIS_QUBIT_ESTIMATOR_HH
 
-#include <cstdint>
-#include <vector>
-
-#include "ir/program.hh"
+#include "analysis/resource_estimator.hh"
 
 namespace msq {
 
-/** Per-module minimum-qubit demand with sequential ancilla reuse. */
-class QubitEstimator
-{
-  public:
-    /** Analyze all modules reachable from @p prog's entry. */
-    explicit QubitEstimator(const Program &prog);
-
-    /** Qubits needed by one sequential invocation of module @p id. */
-    uint64_t qubitsNeeded(ModuleId id) const;
-
-    /** Q for the whole program (paper Table 1). */
-    uint64_t programQubits() const;
-
-  private:
-    const Program *prog;
-    std::vector<uint64_t> demand; ///< indexed by ModuleId
-};
+using QubitEstimator = ResourceEstimator;
 
 } // namespace msq
 

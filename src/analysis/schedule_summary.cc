@@ -3,15 +3,14 @@
 #include <algorithm>
 
 #include "support/logging.hh"
-#include "support/saturate.hh"
 #include "support/strings.hh"
 
 namespace msq {
 
-uint64_t
+Count
 ResourceSummary::computeCycles() const
 {
-    if (saturated)
+    if (saturated())
         return 0;
     if (serialCycles < commCycles)
         panic("ResourceSummary: commCycles exceeds serialCycles");
@@ -23,8 +22,7 @@ ResourceSummary::meanRegionOccupancy() const
 {
     if (activeRegionSteps == 0)
         return 0.0;
-    return static_cast<double>(operandTouches) /
-           static_cast<double>(activeRegionSteps);
+    return operandTouches.toDouble() / activeRegionSteps.toDouble();
 }
 
 double
@@ -32,16 +30,15 @@ ResourceSummary::commFraction() const
 {
     if (serialCycles == 0)
         return 0.0;
-    return static_cast<double>(commCycles) /
-           static_cast<double>(serialCycles);
+    return commCycles.toDouble() / serialCycles.toDouble();
 }
 
-uint64_t
+Count
 ResourceSummary::occupancySteps() const
 {
-    uint64_t total = 0;
-    for (uint64_t count : occupancy)
-        total = satAdd(total, count);
+    Count total;
+    for (Count count : occupancy)
+        total += count;
     return total;
 }
 
@@ -60,14 +57,48 @@ ResourceSummary::fields()
          &ResourceSummary::stepsWithOnlyLocalMoves},
         {"activeRegionSteps", &ResourceSummary::activeRegionSteps},
         {"operandTouches", &ResourceSummary::operandTouches},
-        {"peakRegionOccupancy", &ResourceSummary::peakRegionOccupancy},
-        {"peakBlockingMovesPerStep",
-         &ResourceSummary::peakBlockingMovesPerStep},
-        {"peakActiveRegions", &ResourceSummary::peakActiveRegions},
         {"callInvocations", &ResourceSummary::callInvocations},
         {"interCoreTeleports", &ResourceSummary::interCoreTeleports},
     };
     return all;
+}
+
+const std::vector<ResourceSummary::Peak> &
+ResourceSummary::peaks()
+{
+    static const std::vector<Peak> all = {
+        {"peakRegionOccupancy", &ResourceSummary::peakRegionOccupancy},
+        {"peakBlockingMovesPerStep",
+         &ResourceSummary::peakBlockingMovesPerStep},
+        {"peakActiveRegions", &ResourceSummary::peakActiveRegions},
+    };
+    return all;
+}
+
+void
+ResourceSummary::add(const ResourceSummary &part, Count times)
+{
+    // A part run zero times adds nothing, its peaks included.
+    if (times == 0)
+        return;
+    for (const Field &f : fields())
+        this->*f.member += times * part.*f.member;
+    for (const Peak &p : peaks())
+        this->*p.member = std::max(this->*p.member, part.*p.member);
+    if (occupancy.size() < part.occupancy.size())
+        occupancy.resize(part.occupancy.size());
+    for (size_t b = 0; b < part.occupancy.size(); ++b)
+        occupancy[b] += times * part.occupancy[b];
+}
+
+bool
+ResourceSummary::saturated() const
+{
+    for (const Field &f : fields())
+        if ((this->*f.member).saturated())
+            return true;
+    return std::ranges::any_of(occupancy,
+                               [](Count c) { return c.saturated(); });
 }
 
 const std::vector<uint64_t> &
@@ -264,106 +295,41 @@ ScheduleSummaryAnalysis::ScheduleSummaryAnalysis(
     : prog(&prog), mode(mode), order(prog.bottomUpOrder()),
       summaries(prog.numModules())
 {
-    const uint64_t gate_cost = MultiSimdArch::coarseGateCost(mode);
-    const uint64_t gate_comm = gate_cost - MultiSimdArch::gateCycles;
-    const uint64_t call_oh = MultiSimdArch::callOverhead(mode);
     const size_t buckets = ResourceSummary::numOccupancyBuckets();
 
-    // Callees precede callers in `order`, so one pass suffices.
+    // Callees precede callers in `order`, so one pass suffices: a
+    // module's own gates and call flushes, then each callee's body
+    // repeat times.
     for (ModuleId id : order) {
         const Module &mod = prog.module(id);
         if (mod.isLeaf()) {
             ResourceSummary leaf = leaf_summary(mod, id);
-            if (leaf.occupancy.size() != buckets)
-                leaf.occupancy.resize(buckets, 0);
-            saturated_ |= leaf.saturated;
+            leaf.occupancy.resize(buckets);
             summaries[id] = std::move(leaf);
             continue;
         }
 
-        ResourceSummary s;
-        s.occupancy.assign(buckets, 0);
-        bool sat = false;
-        for (size_t i = 0; i < mod.numOps(); ++i) {
-            const Operation &op = mod.op(i);
-            if (!op.isCall()) {
-                s.gateOps = satAdd(s.gateOps, 1, sat);
-                s.serialCycles = satAdd(s.serialCycles, gate_cost, sat);
-                s.commCycles = satAdd(s.commCycles, gate_comm, sat);
+        ResourceSummary s = localContribution(id);
+        for (uint32_t index : mod.callOps()) {
+            const Operation &op = mod.ops()[index];
+            const ResourceSummary &callee = summaries[op.callee];
+            const bool was_saturated = s.saturated();
+            s.add(callee, op.repeat);
+            // E006 lands where the sum first clips, not on the callers
+            // above it.
+            if (diags == nullptr || !s.saturated() || was_saturated ||
+                callee.saturated())
                 continue;
-            }
-
-            const ResourceSummary &c = summaries[op.callee];
-            const uint64_t r = op.repeat;
-            // Track whether *this call site's* products clip, so the
-            // warning lands on the line that overflowed (B006 idiom).
-            bool site = false;
-            s.gateOps = satAdd(s.gateOps, satMul(r, c.gateOps, site),
-                               site);
-            s.serialCycles = satAdd(
-                s.serialCycles,
-                satMul(r, satAdd(c.serialCycles, call_oh, site), site),
-                site);
-            s.commCycles = satAdd(
-                s.commCycles,
-                satMul(r, satAdd(c.commCycles, call_oh, site), site),
-                site);
-            s.teleportMoves = satAdd(
-                s.teleportMoves, satMul(r, c.teleportMoves, site), site);
-            s.blockingTeleports =
-                satAdd(s.blockingTeleports,
-                       satMul(r, c.blockingTeleports, site), site);
-            s.localMoves = satAdd(s.localMoves,
-                                  satMul(r, c.localMoves, site), site);
-            s.stepsWithBlockingMove =
-                satAdd(s.stepsWithBlockingMove,
-                       satMul(r, c.stepsWithBlockingMove, site), site);
-            s.stepsWithOnlyLocalMoves =
-                satAdd(s.stepsWithOnlyLocalMoves,
-                       satMul(r, c.stepsWithOnlyLocalMoves, site), site);
-            s.activeRegionSteps =
-                satAdd(s.activeRegionSteps,
-                       satMul(r, c.activeRegionSteps, site), site);
-            s.operandTouches =
-                satAdd(s.operandTouches,
-                       satMul(r, c.operandTouches, site), site);
-            s.interCoreTeleports =
-                satAdd(s.interCoreTeleports,
-                       satMul(r, c.interCoreTeleports, site), site);
-            s.callInvocations = satAdd(
-                s.callInvocations,
-                satMul(r, satAdd(c.callInvocations, 1, site), site),
-                site);
-            for (size_t b = 0; b < buckets; ++b) {
-                s.occupancy[b] =
-                    satAdd(s.occupancy[b],
-                           satMul(r, c.occupancy[b], site), site);
-            }
-            s.peakRegionOccupancy =
-                std::max(s.peakRegionOccupancy, c.peakRegionOccupancy);
-            s.peakBlockingMovesPerStep =
-                std::max(s.peakBlockingMovesPerStep,
-                         c.peakBlockingMovesPerStep);
-            s.peakActiveRegions =
-                std::max(s.peakActiveRegions, c.peakActiveRegions);
-
-            if (site && diags != nullptr) {
-                diags->warning(
-                    DiagCode::EstimateSaturated,
-                    csprintf("summary of call to '%s' (repeat %llu) "
-                             "saturated at 2^64-1; dependent estimate "
-                             "fields are poisoned, exactness cannot be "
-                             "verified",
-                             prog.module(op.callee).name().c_str(),
-                             static_cast<unsigned long long>(r)),
-                    DiagContext{mod.name(),
-                                static_cast<uint32_t>(i)});
-            }
-            sat |= site;
-            sat |= c.saturated;
+            diags->warning(
+                DiagCode::EstimateSaturated,
+                csprintf("summary of call to '%s' (repeat %llu) "
+                         "saturated at 2^128-1; dependent estimate "
+                         "fields are poisoned, exactness cannot be "
+                         "verified",
+                         prog.module(op.callee).name().c_str(),
+                         static_cast<unsigned long long>(op.repeat)),
+                DiagContext{mod.name(), index, op.line});
         }
-        s.saturated = sat;
-        saturated_ |= sat;
         summaries[id] = std::move(s);
     }
 }
@@ -389,29 +355,25 @@ ScheduleSummaryAnalysis::localContribution(ModuleId id) const
     if (mod.isLeaf())
         return summary(id);
 
+    // Gates at coarse cost, and the flush overhead around each call:
+    // it belongs to the caller, while the callee's body is someone
+    // else's local contribution.
     const uint64_t gate_cost = MultiSimdArch::coarseGateCost(mode);
-    const uint64_t gate_comm = gate_cost - MultiSimdArch::gateCycles;
     const uint64_t call_oh = MultiSimdArch::callOverhead(mode);
+    ResourceSummary gate;
+    gate.gateOps = 1;
+    gate.serialCycles = gate_cost;
+    gate.commCycles = gate_cost - MultiSimdArch::gateCycles;
+    ResourceSummary flush;
+    flush.serialCycles = call_oh;
+    flush.commCycles = call_oh;
+    flush.callInvocations = 1;
 
     ResourceSummary s;
     s.occupancy.assign(ResourceSummary::numOccupancyBuckets(), 0);
-    bool sat = false;
-    for (const Operation &op : mod.ops()) {
-        if (!op.isCall()) {
-            s.gateOps = satAdd(s.gateOps, 1, sat);
-            s.serialCycles = satAdd(s.serialCycles, gate_cost, sat);
-            s.commCycles = satAdd(s.commCycles, gate_comm, sat);
-            continue;
-        }
-        // The flush overhead around a call belongs to the caller; the
-        // callee's body is someone else's local contribution.
-        s.serialCycles = satAdd(s.serialCycles,
-                                satMul(op.repeat, call_oh, sat), sat);
-        s.commCycles = satAdd(s.commCycles,
-                              satMul(op.repeat, call_oh, sat), sat);
-        s.callInvocations = satAdd(s.callInvocations, op.repeat, sat);
-    }
-    s.saturated = sat;
+    s.add(gate, mod.localGateCount());
+    for (uint32_t index : mod.callOps())
+        s.add(flush, mod.ops()[index].repeat);
     return s;
 }
 

@@ -11,7 +11,7 @@
  * in the same walk that emits its moves; summarizeLeafSchedule is the
  * independent reference fold), and summaries compose bottom-up through the
  * coarse scheduler's own repeat-count algebra (ScheduleSummaryAnalysis)
- * with saturating arithmetic from support/saturate.hh.
+ * with ResourceSummary::add, the one field-driven compose step.
  *
  * The composed numbers are *exact*, not approximate: serialCycles is the
  * cost of sequential composition under the coarse cost model
@@ -23,10 +23,11 @@
  * programs small enough to materialize, the composition must match the
  * independently computed ground truth field-for-field.
  *
- * Saturation contract: any counter that would exceed 2^64-1 sticks at
- * UINT64_MAX and sets ResourceSummary::saturated — poisoning every
- * dependent field rather than silently capping (B006 interplay; the
- * checker downgrades exactness comparisons of poisoned fields to E006
+ * Saturation contract: the additive counters are 128-bit Counts, so
+ * paper-scale totals stay exact. A counter that would pass 2^128-1
+ * sticks there, and every dependent sum and product sticks with it, so
+ * saturated() is read from the values (B006 interplay; the checker
+ * downgrades exactness comparisons of a saturated summary to E006
  * warnings because equality of two clipped values proves nothing).
  */
 
@@ -41,6 +42,7 @@
 #include "arch/multi_simd.hh"
 #include "arch/schedule.hh"
 #include "ir/program.hh"
+#include "support/count.hh"
 #include "support/diagnostic.hh"
 
 namespace msq {
@@ -48,12 +50,13 @@ namespace msq {
 /**
  * Compact resource footprint of one execution of one module (a single
  * invocation), either folded from a materialized leaf schedule or
- * composed from callee summaries. All counters saturate at UINT64_MAX.
+ * composed from callee summaries. The additive counters are Counts; the
+ * peaks compose by max and are bounded by leaf values.
  */
 struct ResourceSummary
 {
     /** Total gate operations (== ResourceEstimator::totalGates). */
-    uint64_t gateOps = 0;
+    Count gateOps;
 
     /**
      * Cycles of one sequential execution: for a leaf, the annotated
@@ -64,40 +67,40 @@ struct ResourceSummary
      * from the CoarseScheduler (also O(distinct modules)) and is
      * reported next to the summary, never derived from it.
      */
-    uint64_t serialCycles = 0;
+    Count serialCycles;
 
     /**
      * The portion of serialCycles spent on movement phases: per-step
      * movePhaseCycles for leaves; the teleport share of coarseGateCost
      * plus call flush overheads for composed levels.
      */
-    uint64_t commCycles = 0;
+    Count commCycles;
 
     /** Teleportation moves in fine-grained (leaf) schedules. Each
      * teleport consumes one pre-distributed EPR pair (paper §2.3), so
      * this doubles as EPR-pair consumption; see eprPairs(). Coarse-level
      * gate movement is charged in commCycles but is not itemized as
      * moves (there is no materialized move to count). */
-    uint64_t teleportMoves = 0;
+    Count teleportMoves;
 
     /** Teleports that block the schedule (tight reuse windows). */
-    uint64_t blockingTeleports = 0;
+    Count blockingTeleports;
 
     /** Ballistic region<->scratchpad moves. */
-    uint64_t localMoves = 0;
+    Count localMoves;
 
     /** Leaf timesteps whose movement phase costs full teleport time. */
-    uint64_t stepsWithBlockingMove = 0;
+    Count stepsWithBlockingMove;
 
     /** Leaf timesteps whose movement phase costs one local-move cycle. */
-    uint64_t stepsWithOnlyLocalMoves = 0;
+    Count stepsWithOnlyLocalMoves;
 
     /** (region, timestep) pairs executing operations. */
-    uint64_t activeRegionSteps = 0;
+    Count activeRegionSteps;
 
     /** Total operand qubits across all active (region, timestep) pairs
      * (== CommStats::operandSlots). */
-    uint64_t operandTouches = 0;
+    Count operandTouches;
 
     /** Most operand qubits any one region touches in one timestep.
      * Composes by max: a peak anywhere is a peak of the whole run. */
@@ -113,12 +116,12 @@ struct ResourceSummary
 
     /** Module invocations beneath one run of this module (callees,
      * transitively, with repeats; the run itself excluded). */
-    uint64_t callInvocations = 0;
+    Count callInvocations;
 
     /** Teleports whose endpoints live on different cores (== CommStats::
      * interCoreTeleports; composes linearly). Always 0 on the flat
-     * machine. Serialized last in .msqc v2 records. */
-    uint64_t interCoreTeleports = 0;
+     * machine. Serialized last in .msqc records. */
+    Count interCoreTeleports;
 
     /**
      * Histogram of active-regions-per-timestep over every leaf timestep
@@ -127,28 +130,43 @@ struct ResourceSummary
      * the whole-program region-utilization profile of a 10^12-gate run
      * costs the same handful of integers as a single leaf's.
      */
-    std::vector<uint64_t> occupancy;
+    std::vector<Count> occupancy;
 
-    /** Any counter clipped at 2^64-1 (poisons dependent fields). */
-    bool saturated = false;
-
-    /** A named scalar counter of the summary. */
-    struct Field
+    /** A named counter of the summary. */
+    template <typename T>
+    struct Member
     {
         const char *name;
-        uint64_t ResourceSummary::*member;
+        T ResourceSummary::*member;
     };
+    using Field = Member<Count>;
+    using Peak = Member<uint64_t>;
 
-    /** Every scalar counter above, in declaration order — what a
-     * field-by-field comparison walks besides the occupancy buckets and
-     * the saturation flag. */
+    /** Every additive counter above, in declaration order: what
+     * composition scales and a field-by-field comparison walks besides
+     * the peaks and the occupancy buckets. */
     static const std::vector<Field> &fields();
 
+    /** The three max-composing peaks, in declaration order. */
+    static const std::vector<Peak> &peaks();
+
+    /**
+     * Add @p times runs of @p part: every additive counter and bucket
+     * gains times * part's, every peak takes the max with part's. The
+     * one compose step of the summary algebra (callee bodies, coarse
+     * gates, call flushes, invocation-weighted sums).
+     */
+    void add(const ResourceSummary &part, Count times = 1);
+
+    /** Did any counter clip at 2^128-1? Clipping is sticky, so this
+     * poisons every dependent field. */
+    bool saturated() const;
+
     /** EPR pairs consumed == teleport moves (paper §2.3). */
-    uint64_t eprPairs() const { return teleportMoves; }
+    Count eprPairs() const { return teleportMoves; }
 
     /** serialCycles minus commCycles (0 when poisoned by saturation). */
-    uint64_t computeCycles() const;
+    Count computeCycles() const;
 
     /** Average operands per active region, operandTouches /
      * activeRegionSteps (0 when no region was ever active). */
@@ -158,7 +176,7 @@ struct ResourceSummary
     double commFraction() const;
 
     /** Leaf timesteps counted by the occupancy histogram. */
-    uint64_t occupancySteps() const;
+    Count occupancySteps() const;
 
     /** Upper bounds (inclusive) of the occupancy buckets; one extra
      * overflow bucket follows the last bound. */
@@ -214,8 +232,9 @@ class ScheduleSummaryAnalysis
      * Analyze all modules reachable from @p prog's entry.
      * @param mode communication mode (selects coarse gate/call costs).
      * @param leaf_summary called once per reachable leaf module.
-     * @param diags optional sink for E006 saturation warnings (one per
-     *        call site whose repeat product first clips).
+     * @param diags optional sink for E006 saturation warnings, one,
+     *        with its source line, at each call site whose composed
+     *        summary first clips.
      */
     ScheduleSummaryAnalysis(const Program &prog, CommMode mode,
                             const LeafSummaryFn &leaf_summary,
@@ -229,9 +248,6 @@ class ScheduleSummaryAnalysis
 
     /** Modules reachable from the entry, callees first. */
     const std::vector<ModuleId> &analyzedModules() const { return order; }
-
-    /** Did any repeat product clip at 2^64-1 during composition? */
-    bool saturated() const { return saturated_; }
 
     /**
      * The contribution of module @p id's *own* operations to one of its
@@ -247,7 +263,6 @@ class ScheduleSummaryAnalysis
     CommMode mode;
     std::vector<ModuleId> order;
     std::vector<ResourceSummary> summaries; ///< indexed by ModuleId
-    bool saturated_ = false;
 };
 
 } // namespace msq

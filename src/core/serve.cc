@@ -303,13 +303,13 @@ ServeEngine::handleLine(const std::string &line)
     const uint64_t misses = cache_->misses();
     std::string out = csprintf(
         "{\"id\": %s, \"ok\": true, \"workload\": \"%s\", "
-        "\"makespan\": %llu, \"total_gates\": %llu, \"qubits\": %llu, "
+        "\"makespan\": %llu, \"total_gates\": %s, \"qubits\": %llu, "
         "\"critical_path\": %llu, \"speedup\": %s, "
         "\"lower_bound\": %llu, \"gap\": %s, "
         "\"schedule_hash\": \"%016llx\"",
         request.id.c_str(), jsonEscape(request.name).c_str(),
         static_cast<unsigned long long>(result.scheduledCycles),
-        static_cast<unsigned long long>(result.totalGates),
+        result.totalGates.str().c_str(),
         static_cast<unsigned long long>(result.qubits),
         static_cast<unsigned long long>(result.criticalPath),
         jsonNumber(result.speedupVsSequential).c_str(),

@@ -2,8 +2,6 @@
 
 #include <limits>
 
-#include "analysis/critical_path.hh"
-#include "analysis/qubit_estimator.hh"
 #include "analysis/resource_estimator.hh"
 #include "passes/cancel_inverses.hh"
 #include "passes/decompose_toffoli.hh"
@@ -11,7 +9,6 @@
 #include "sched/lpfs.hh"
 #include "sched/rcp.hh"
 #include "support/logging.hh"
-#include "support/saturate.hh"
 
 namespace msq {
 
@@ -153,12 +150,11 @@ Toolflow::run(Program &prog) const
         ScopedTimerMs timer(reg->distribution("toolflow.analysis_ms"));
         ResourceEstimator resources(prog);
         result.totalGates = resources.programGates();
-        CriticalPathAnalysis critical(prog);
-        result.criticalPath = critical.programCriticalPath();
-        QubitEstimator qubits(prog);
-        result.qubits = qubits.programQubits();
+        result.criticalPath = resources.programCriticalPath();
+        result.qubits = resources.programQubits();
     }
-    reg->gauge("toolflow.total_gates").set(gaugeValue(result.totalGates));
+    reg->gauge("toolflow.total_gates")
+        .set(gaugeValue(result.totalGates.clampU64()));
     reg->gauge("toolflow.critical_path")
         .set(gaugeValue(result.criticalPath));
     reg->gauge("toolflow.qubits").set(gaugeValue(result.qubits));
@@ -195,12 +191,11 @@ Toolflow::run(Program &prog) const
     // speedups; leave them 0.0 rather than dividing by zero.
     if (result.scheduledCycles > 0) {
         result.speedupVsSequential =
-            static_cast<double>(result.totalGates) /
+            result.totalGates.toDouble() /
             static_cast<double>(result.scheduledCycles);
         result.speedupVsNaive =
-            static_cast<double>(
-                satMul(MultiSimdArch::naiveCyclesPerGate,
-                       result.totalGates)) /
+            (MultiSimdArch::naiveCyclesPerGate * result.totalGates)
+                .toDouble() /
             static_cast<double>(result.scheduledCycles);
     }
 

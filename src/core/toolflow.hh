@@ -21,6 +21,7 @@
 #include "sched/lpfs.hh"
 #include "sched/opt.hh"
 #include "sched/rcp.hh"
+#include "support/count.hh"
 #include "support/telemetry.hh"
 #include "workloads/workloads.hh"
 
@@ -119,7 +120,7 @@ struct ToolflowConfig
 struct ToolflowResult
 {
     /** Total gate operations = sequential execution cycles. */
-    uint64_t totalGates = 0;
+    Count totalGates;
 
     /** Hierarchical critical path estimate (Fig. 6's "cp" bound). */
     uint64_t criticalPath = 0;

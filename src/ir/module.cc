@@ -57,6 +57,7 @@ Module::addGate(GateKind kind, std::vector<QubitId> operands, double angle)
             }
         }
     }
+    ++kindCounts_[static_cast<size_t>(kind)];
     ops_.emplace_back(kind, std::move(operands), angle);
 }
 
@@ -90,6 +91,7 @@ Module::addRawOperation(Operation op)
 {
     if (op.isCall())
         callOps_.push_back(static_cast<uint32_t>(ops_.size()));
+    ++kindCounts_[static_cast<size_t>(op.kind)];
     ops_.push_back(std::move(op));
 }
 
@@ -98,9 +100,12 @@ Module::setOps(std::vector<Operation> new_ops)
 {
     ops_ = std::move(new_ops);
     callOps_.clear();
-    for (size_t i = 0; i < ops_.size(); ++i)
+    kindCounts_.fill(0);
+    for (size_t i = 0; i < ops_.size(); ++i) {
         if (ops_[i].isCall())
             callOps_.push_back(static_cast<uint32_t>(i));
+        ++kindCounts_[static_cast<size_t>(ops_[i].kind)];
+    }
 }
 
 const std::string &

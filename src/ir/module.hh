@@ -9,6 +9,7 @@
 #ifndef MSQ_IR_MODULE_HH
 #define MSQ_IR_MODULE_HH
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,14 @@ class Module
     /** Count of non-call gate operations (no recursion into callees). */
     uint64_t localGateCount() const { return numOps() - callOps_.size(); }
 
+    /** Operations of kind @p kind (no recursion into callees), kept
+     * beside the call index so that gate-mix folds skip the gates. */
+    uint64_t
+    localCount(GateKind kind) const
+    {
+        return kindCounts_[static_cast<size_t>(kind)];
+    }
+
     /**
      * 64-bit structural fingerprint of this module's schedulable shape:
      * the qubit table dimensions plus every operation's kind, operands,
@@ -111,6 +120,7 @@ class Module
     std::vector<std::string> qubitNames;
     std::vector<Operation> ops_;
     std::vector<uint32_t> callOps_; ///< indices into ops_ of the calls
+    std::array<uint64_t, numGateKinds> kindCounts_{}; ///< ops per kind
 };
 
 } // namespace msq

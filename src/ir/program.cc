@@ -75,45 +75,69 @@ Program::validate() const
 }
 
 std::vector<ModuleId>
-Program::bottomUpOrder() const
+Program::bottomUpOrder(bool *cyclic) const
 {
-    if (entry_ == invalidModule)
+    const bool tolerant = cyclic != nullptr;
+    if (tolerant)
+        *cyclic = false;
+    std::vector<ModuleId> order;
+    if (entry_ == invalidModule || entry_ >= modules.size()) {
+        if (tolerant)
+            return order;
         fatal("bottomUpOrder: program has no entry module");
+    }
 
     // Iterative depth-first post-order over the call ops: each frame is
     // a module and the position of its next call to follow. A Grey
-    // module is on the stack, so reaching it again closes a cycle.
+    // module is on the stack, so reaching it again closes a cycle. In
+    // tolerant mode a cycle poisons the frame that closes it, poison
+    // flows to every caller as frames finish, and poisoned modules are
+    // left out: what remains is exactly the modules that drain under
+    // Kahn's algorithm.
     enum class Mark : uint8_t { White, Grey, Black };
     std::vector<Mark> marks(modules.size(), Mark::White);
-    std::vector<ModuleId> order;
+    std::vector<bool> poisoned(tolerant ? modules.size() : 0, false);
     order.reserve(modules.size());
     std::vector<std::pair<ModuleId, size_t>> stack;
 
-    auto enter = [&](ModuleId id) {
-        if (id >= modules.size())
+    auto enter = [&](ModuleId caller, ModuleId id) {
+        if (id >= modules.size()) {
+            if (tolerant)
+                return;
             fatal(csprintf("bottomUpOrder: call to invalid module id %u",
                            id));
-        if (marks[id] == Mark::Grey)
-            fatal("recursive call cycle through module " +
-                  modules[id]->name());
-        if (marks[id] == Mark::White) {
+        }
+        if (marks[id] == Mark::Grey) {
+            if (!tolerant)
+                fatal("recursive call cycle through module " +
+                      modules[id]->name());
+            *cyclic = true;
+            poisoned[caller] = true;
+        } else if (marks[id] == Mark::White) {
             marks[id] = Mark::Grey;
             stack.emplace_back(id, 0);
+        } else if (tolerant && poisoned[id]) {
+            poisoned[caller] = true;
         }
     };
 
-    enter(entry_);
+    marks[entry_] = Mark::Grey;
+    stack.emplace_back(entry_, 0);
     while (!stack.empty()) {
         auto &[id, next] = stack.back();
-        const Module &mod = *modules[id];
+        const ModuleId current = id;
+        const Module &mod = *modules[current];
         if (next < mod.callOps().size()) {
             // enter() may grow the stack, so advance the frame first.
-            enter(mod.ops()[mod.callOps()[next++]].callee);
+            enter(current, mod.ops()[mod.callOps()[next++]].callee);
             continue;
         }
-        marks[id] = Mark::Black;
-        order.push_back(id);
+        marks[current] = Mark::Black;
         stack.pop_back();
+        if (!tolerant || !poisoned[current])
+            order.push_back(current);
+        else if (!stack.empty())
+            poisoned[stack.back().first] = true;
     }
     return order;
 }

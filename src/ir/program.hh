@@ -58,9 +58,15 @@ class Program
 
     /**
      * @return module ids in reverse-topological (callees-first) order over
-     * the modules reachable from the entry. Panics on recursion.
+     * the modules reachable from the entry, entry last.
+     *
+     * Without @p cyclic, a missing entry, an invalid callee or a call
+     * cycle is fatal. With it, malformed input the IR verifier reports
+     * (V005, V007) is tolerated: invalid callees are skipped, modules on
+     * a cycle or calling into one are left out and set *@p cyclic, and
+     * a missing entry yields an empty order.
      */
-    std::vector<ModuleId> bottomUpOrder() const;
+    std::vector<ModuleId> bottomUpOrder(bool *cyclic = nullptr) const;
 
     /** @return ids of modules reachable from the entry (entry included). */
     std::vector<ModuleId> reachableModules() const;

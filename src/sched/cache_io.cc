@@ -275,31 +275,29 @@ serializeLeafResult(const LeafScheduleResult &result,
     w.u64(at.candidatesAnnotated);
 
     const ResourceSummary &rs = result.summary;
-    w.u64(rs.gateOps);
-    w.u64(rs.serialCycles);
-    w.u64(rs.commCycles);
-    w.u64(rs.teleportMoves);
-    w.u64(rs.blockingTeleports);
-    w.u64(rs.localMoves);
-    w.u64(rs.stepsWithBlockingMove);
-    w.u64(rs.stepsWithOnlyLocalMoves);
-    w.u64(rs.activeRegionSteps);
-    w.u64(rs.operandTouches);
+    w.u64(rs.gateOps.clampU64());
+    w.u64(rs.serialCycles.clampU64());
+    w.u64(rs.commCycles.clampU64());
+    w.u64(rs.teleportMoves.clampU64());
+    w.u64(rs.blockingTeleports.clampU64());
+    w.u64(rs.localMoves.clampU64());
+    w.u64(rs.stepsWithBlockingMove.clampU64());
+    w.u64(rs.stepsWithOnlyLocalMoves.clampU64());
+    w.u64(rs.activeRegionSteps.clampU64());
+    w.u64(rs.operandTouches.clampU64());
     w.u64(rs.peakRegionOccupancy);
     w.u64(rs.peakBlockingMovesPerStep);
     w.u64(rs.peakActiveRegions);
-    w.u64(rs.callInvocations);
-    w.u64(rs.interCoreTeleports);
+    w.u64(rs.callInvocations.clampU64());
+    w.u64(rs.interCoreTeleports.clampU64());
     w.u64(rs.occupancy.size());
-    for (uint64_t bucket : rs.occupancy)
-        w.u64(bucket);
-    w.u8(rs.saturated ? 1 : 0);
+    for (Count bucket : rs.occupancy)
+        w.u64(bucket.clampU64());
 
     const MakespanBounds &mb = result.bounds;
     w.u64(mb.criticalPath);
     w.u64(mb.resource);
     w.u64(mb.interval);
-    w.u8(mb.saturated ? 1 : 0);
 
     const ScheduleBuffer &buf = *result.schedule;
     w.u32(buf.k);
@@ -389,13 +387,11 @@ deserializeLeafResult(const uint8_t *data, size_t size,
     rs.occupancy.resize(buckets);
     for (uint64_t i = 0; i < buckets; ++i)
         rs.occupancy[i] = r.u64();
-    rs.saturated = r.u8() != 0;
 
     MakespanBounds &mb = result->bounds;
     mb.criticalPath = r.u64();
     mb.resource = r.u64();
     mb.interval = r.u64();
-    mb.saturated = r.u8() != 0;
 
     auto buf = std::make_shared<ScheduleBuffer>();
     buf->k = r.u32();

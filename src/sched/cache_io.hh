@@ -20,9 +20,9 @@
  *              guard, MultiSimdArch::fingerprint())
  *            | CommStats (11 u64, field order of sched/comm.hh)
  *            | ScheduleAttempt (u8 provenance + 5 u64)
- *            | ResourceSummary (15 u64 + u64 occupancy[] + u8
- *              saturated)
- *            | MakespanBounds (3 u64 + u8 saturated)
+ *            | ResourceSummary (15 u64 + u64 occupancy[]; a leaf's
+ *              counts are below 2^64)
+ *            | MakespanBounds (3 u64)
  *            | ScheduleBuffer: u32 k | u64 numSteps | u64 numSlots
  *              | slots (u32 opEnd, u32 region, u8 kind)*
  *              | u32 slotEnd[] | u64 numOps | u32 ops[]
@@ -42,9 +42,11 @@
  *   P007       (warning) the stored architecture fingerprint
  *              disagrees with the entry's key — a file saved under a
  *              different topology (entry skipped)
- * Version 1 files (the flat machine's format, with no arch fingerprint
- * and no inter-core counters) are rejected with P002 like any other
- * unsupported version and load nothing, so the engine cold-starts.
+ * Older files are rejected with P002 like any other unsupported version
+ * and load nothing, so the engine cold-starts: version 1 (the flat
+ * machine's format, with no arch fingerprint and no inter-core
+ * counters) and version 2 (a saturation flag byte after the summary
+ * and after the bounds, now read from the values).
  * A fourth layer (P006) lives at rebind time in sched/coarse.cc: even an
  * internally consistent entry is refused when the requesting module's
  * op/qubit counts disagree with the stored guard fields.
@@ -76,10 +78,10 @@ extern const char cacheFileMagic[4];
  * msq-served answers lower_bound from the stored MakespanBounds, so a
  * stale file would otherwise serve stale bounds.
  */
-constexpr uint32_t cacheFileVersion = 2;
+constexpr uint32_t cacheFileVersion = 3;
 
 /** Oldest format version loadFrom still accepts. */
-constexpr uint32_t cacheFileMinVersion = 2;
+constexpr uint32_t cacheFileMinVersion = 3;
 
 /** Byte-order canary, always written little-endian: reads back as
  * 0x01020304 iff the decoder honours the format's endianness. */

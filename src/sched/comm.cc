@@ -386,19 +386,20 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched, ResourceSummary &sum,
         num_steps * MultiSimdArch::gateCycles + sum.commCycles;
 
     CommStats stats;
-    stats.teleportMoves = sum.teleportMoves;
-    stats.blockingTeleports = sum.blockingTeleports;
-    stats.localMoves = sum.localMoves;
-    stats.stepsWithBlockingMove = sum.stepsWithBlockingMove;
-    stats.stepsWithOnlyLocalMoves = sum.stepsWithOnlyLocalMoves;
+    stats.teleportMoves = sum.teleportMoves.clampU64();
+    stats.blockingTeleports = sum.blockingTeleports.clampU64();
+    stats.localMoves = sum.localMoves.clampU64();
+    stats.stepsWithBlockingMove = sum.stepsWithBlockingMove.clampU64();
+    stats.stepsWithOnlyLocalMoves =
+        sum.stepsWithOnlyLocalMoves.clampU64();
     stats.peakBlockingMovesPerStep = sum.peakBlockingMovesPerStep;
-    stats.totalCycles = sum.serialCycles;
-    stats.interCoreTeleports = sum.interCoreTeleports;
+    stats.totalCycles = sum.serialCycles.clampU64();
+    stats.interCoreTeleports = sum.interCoreTeleports.clampU64();
     // The occupancy profile is CommStats telemetry only when movement
     // is modelled (documented 0 under CommMode::None, as .msqc stores).
     if (model_moves) {
-        stats.activeRegionSteps = sum.activeRegionSteps;
-        stats.operandSlots = sum.operandTouches;
+        stats.activeRegionSteps = sum.activeRegionSteps.clampU64();
+        stats.operandSlots = sum.operandTouches.clampU64();
         stats.peakRegionOccupancy = sum.peakRegionOccupancy;
     }
     return stats;

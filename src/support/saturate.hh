@@ -1,8 +1,8 @@
 /**
  * @file
- * Saturating 64-bit arithmetic. Paper-scale benchmarks reach 10^12 gate
- * operations and hierarchical products of repeat counts can exceed that;
- * all resource arithmetic saturates at UINT64_MAX instead of wrapping.
+ * Saturating 64-bit arithmetic for cycle lengths: critical paths, bounds
+ * and schedule lengths saturate at UINT64_MAX instead of wrapping, so a
+ * clipped length reads as 2^64-1. Counts use support/count.hh.
  */
 
 #ifndef MSQ_SUPPORT_SATURATE_HH
@@ -29,35 +29,6 @@ satMul(uint64_t a, uint64_t b)
         return 0;
     if (a > std::numeric_limits<uint64_t>::max() / b)
         return std::numeric_limits<uint64_t>::max();
-    return a * b;
-}
-
-/**
- * Saturation-detecting variants: @p saturated is OR-ed with whether this
- * operation clipped, so a chain of calls can share one sticky flag. The
- * hierarchical analyses use these to report (rather than silently absorb)
- * repeat-count products beyond 2^64-1.
- */
-constexpr uint64_t
-satAdd(uint64_t a, uint64_t b, bool &saturated)
-{
-    uint64_t sum = a + b;
-    if (sum < a) {
-        saturated = true;
-        return std::numeric_limits<uint64_t>::max();
-    }
-    return sum;
-}
-
-constexpr uint64_t
-satMul(uint64_t a, uint64_t b, bool &saturated)
-{
-    if (a == 0 || b == 0)
-        return 0;
-    if (a > std::numeric_limits<uint64_t>::max() / b) {
-        saturated = true;
-        return std::numeric_limits<uint64_t>::max();
-    }
     return a * b;
 }
 

@@ -76,9 +76,9 @@ startsWith(const std::string &text, const std::string &prefix)
 }
 
 std::string
-withCommas(unsigned long long value)
+withCommas(const Count &value)
 {
-    std::string digits = std::to_string(value);
+    std::string digits = value.str();
     std::string out;
     int count = 0;
     for (auto it = digits.rbegin(); it != digits.rend(); ++it) {

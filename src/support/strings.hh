@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "support/count.hh"
+
 namespace msq {
 
 /**
@@ -38,7 +40,7 @@ std::string trim(const std::string &text);
 bool startsWith(const std::string &text, const std::string &prefix);
 
 /** Render @p value with thousands separators, e.g. 1234567 -> "1,234,567". */
-std::string withCommas(unsigned long long value);
+std::string withCommas(const Count &value);
 
 } // namespace msq
 

@@ -22,7 +22,8 @@
  *  - B005 the program's total cycle count is below the hierarchically
  *         composed program bound;
  *  - B006 (warning) the repeat algebra saturated at 2^64-1 while
- *         composing bounds — the bounds stay sound but loose;
+ *         composing bounds — the bounds stay sound but loose; one
+ *         warning at each op where a weight or area first clips;
  *  - B007 a leaf whose schedule the scheduler certified as optimal
  *         (ScheduleProvenance::Optimal) does not sit exactly on its
  *         lower bound — a false certificate: either the proof logic or
@@ -38,6 +39,7 @@
 #define MSQ_VERIFY_BOUND_CHECKER_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -45,6 +47,7 @@
 #include "arch/multi_simd.hh"
 #include "arch/schedule.hh"
 #include "sched/coarse.hh"
+#include "support/count.hh"
 #include "support/diagnostic.hh"
 
 namespace msq {
@@ -62,7 +65,7 @@ struct LeafGapRecord
     std::string module;       ///< module name
     uint64_t gates = 0;       ///< op count
     uint64_t qubits = 0;      ///< qubit count
-    uint64_t invocations = 0; ///< runs per program execution
+    Count invocations;        ///< runs per program execution
     unsigned width = 0;       ///< widest sweep width
     uint64_t makespan = 0;    ///< cycles at the widest width (incl. comm)
     MakespanBounds bounds;    ///< static bounds at the widest width
@@ -80,7 +83,14 @@ struct ProgramGapReport
     uint64_t programMakespan = 0;      ///< ProgramSchedule::totalCycles
     uint64_t programLowerBound = 0;    ///< hierarchical composite bound
     double programGap = 1.0;           ///< makespan / bound (>= 1.0)
-    bool saturated = false;            ///< any repeat product clipped
+    uint64_t programAreaBound = 0;     ///< MakespanBoundAnalysis::areaBound
+
+    /** Did the bound composition clip at 2^64-1? */
+    bool
+    saturated() const
+    {
+        return programAreaBound == std::numeric_limits<uint64_t>::max();
+    }
 };
 
 /** makespan / bound; 1.0 when both are zero (empty module, exact). */

@@ -31,10 +31,10 @@
  *         checked against repeated addition); budget-gated;
  *  - E005 the composition disagrees with the invocation-weighted sum
  *         Σ invocations(m) * localContribution(m) (independent
- *         top-down path through InvocationCountAnalysis);
- *  - E006 (warning) the repeat algebra saturated at 2^64-1 — poisoned
- *         fields are excluded from exactness comparisons because
- *         equality of two clipped values proves nothing.
+ *         top-down path through ResourceEstimator's invocation counts);
+ *  - E006 (warning) the repeat algebra saturated at 2^128-1 — a
+ *         saturated summary is excluded from exactness comparisons
+ *         because equality of two clipped values proves nothing.
  */
 
 #ifndef MSQ_VERIFY_ESTIMATE_CHECKER_HH
@@ -76,9 +76,6 @@ struct ProgramResourceEstimate
     uint64_t cacheHits = 0;
     uint64_t cacheMisses = 0;
 
-    /** Any repeat product clipped at 2^64-1 (poisons fields). */
-    bool saturated = false;
-
     /**
      * Speedup over sequential execution (one gate per cycle):
      * gateOps / makespan — the paper's speedup metric.
@@ -106,7 +103,8 @@ struct EstimateOptions
      * single-threaded driver (thread-count-invariance contract). */
     MetricsRegistry *metrics = nullptr;
 
-    /** Optional sink for E006 composition-saturation warnings. */
+    /** Optional sink for E006 composition-saturation warnings, one at
+     * each call site where the composed summary first clips. */
     DiagnosticEngine *diags = nullptr;
 };
 
@@ -128,7 +126,6 @@ struct EstimateCheckStats
     uint64_t leafFoldsChecked = 0; ///< distinct leaves re-folded (E001)
     uint64_t modulesChecked = 0;   ///< modules compared (E003/E005)
     bool unrolledChecked = false;  ///< E004 ran (within budget)
-    bool saturated = false;        ///< E006 anywhere
 };
 
 /** Default op-visit budget for the E004 unrolled-walk cross-check. */

@@ -40,7 +40,13 @@ REGRESSIONS = {
     "paper_figures": (
         lambda d: bump(d["claims"][0], "holds", lambda v: False),
         lambda d: bump(next(r for r in d["rows"] if "cycles" in r),
-                       "cycles", lambda v: v + 1)),
+                       "cycles", lambda v: v + 1),
+        # SHA-1's Table 1 total is past 2^53, so only an integer
+        # comparison sees one more gate.
+        lambda d: bump(next(r for r in d["rows"]
+                            if r["figure"] == "table1"
+                            and r["workload"] == "sha1"),
+                       "gates", lambda v: v + 1)),
 }
 
 

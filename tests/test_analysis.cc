@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the analysis library: hierarchical resource estimation,
- * module histograms (Fig. 5 bucketing), critical paths and minimum-qubit
- * (Table 1) estimation.
+ * Tests for the analysis library: hierarchical resource estimation
+ * (gate totals, critical paths and minimum-qubit Table 1 estimation,
+ * all from one ResourceEstimator) and module histograms (Fig. 5
+ * bucketing).
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +11,6 @@
 #include <limits>
 
 #include "analysis/bounds.hh"
-#include "analysis/critical_path.hh"
-#include "analysis/qubit_estimator.hh"
 #include "analysis/resource_estimator.hh"
 #include "support/saturate.hh"
 
@@ -69,8 +68,8 @@ TEST(ResourceEstimator, SaturatesInsteadOfOverflowing)
     prog.module(leaf).addParam("q");
     prog.module(leaf).addGate(GateKind::T, {0});
     ModuleId cur = leaf;
-    // 2^64 < 10^20: chain enough x10^6 repeats to overflow.
-    for (int level = 0; level < 5; ++level) {
+    // 2^128 < 10^39: chain enough x10^6 repeats to overflow.
+    for (int level = 0; level < 7; ++level) {
         ModuleId next = prog.addModule("l" + std::to_string(level));
         prog.module(next).addParam("q");
         prog.module(next).addCall(cur, {0}, 1'000'000);
@@ -78,7 +77,8 @@ TEST(ResourceEstimator, SaturatesInsteadOfOverflowing)
     }
     prog.setEntry(cur);
     ResourceEstimator res(prog);
-    EXPECT_EQ(res.programGates(), std::numeric_limits<uint64_t>::max());
+    EXPECT_EQ(res.programGates(), Count::max());
+    EXPECT_TRUE(res.programGates().saturated());
 }
 
 TEST(Saturate, AddAndMul)
@@ -113,7 +113,7 @@ TEST(ModuleHistogram, CountsModules)
 TEST(CriticalPath, SerialChain)
 {
     Program prog = hierarchy();
-    CriticalPathAnalysis cp(prog);
+    ResourceEstimator cp(prog);
     // leaf cp: H -> CNOT -> T -> CNOT = 4 (all share qubits).
     EXPECT_EQ(cp.criticalPath(prog.findModule("leaf")), 4u);
     // mid: H -> 5*leaf -> CNOT, all serialized through q = 1+20+1.
@@ -132,9 +132,8 @@ TEST(CriticalPath, ParallelBranchesShorterThanTotal)
         mod.addGate(GateKind::T, {q});
     }
     prog.setEntry(id);
-    CriticalPathAnalysis cp(prog);
-    EXPECT_EQ(cp.programCriticalPath(), 2u); // 4 chains of length 2
     ResourceEstimator res(prog);
+    EXPECT_EQ(res.programCriticalPath(), 2u); // 4 chains of length 2
     EXPECT_EQ(res.programGates(), 8u);
 }
 
@@ -161,7 +160,7 @@ TEST(CriticalPath, SaturatesInsteadOfWrapping)
     // it must not wrap the path around to a small length.
     Program prog = saturatingChain();
     const uint64_t max = std::numeric_limits<uint64_t>::max();
-    EXPECT_EQ(CriticalPathAnalysis(prog).programCriticalPath(), max);
+    EXPECT_EQ(ResourceEstimator(prog).programCriticalPath(), max);
 
     MakespanBoundAnalysis bounds(prog, MultiSimdArch(2, unbounded, 0),
                                  CommMode::Global);
@@ -173,7 +172,7 @@ TEST(CriticalPath, SaturatesInsteadOfWrapping)
 TEST(QubitEstimator, CountsLocalsAndParams)
 {
     Program prog = hierarchy();
-    QubitEstimator est(prog);
+    ResourceEstimator est(prog);
     EXPECT_EQ(est.qubitsNeeded(prog.findModule("leaf")), 2u);
     // mid: 2 own qubits + (leaf demand 2 - 1 param) = 3.
     EXPECT_EQ(est.qubitsNeeded(prog.findModule("mid")), 3u);
@@ -200,7 +199,7 @@ TEST(QubitEstimator, SiblingCallsReuseAncilla)
         mod.addCall(big, {q});
     }
     prog.setEntry(top);
-    QubitEstimator est(prog);
+    ResourceEstimator est(prog);
     // Sequential execution reuses the 10 ancilla across the 3 calls.
     EXPECT_EQ(est.programQubits(), 1u + 10u);
 }

@@ -17,7 +17,8 @@
 #include <memory>
 
 #include "analysis/bounds.hh"
-#include "analysis/invocation_counts.hh"
+#include "analysis/resource_estimator.hh"
+#include "analysis/schedule_summary.hh"
 #include "core/toolflow.hh"
 #include "ir/dag.hh"
 #include "sched/coarse.hh"
@@ -133,7 +134,6 @@ TEST(LeafBounds, CriticalPathExactOnSerialChain)
     MakespanBounds bounds = computeLeafBounds(mod, MultiSimdArch(4));
     EXPECT_EQ(bounds.criticalPath, 10u);
     EXPECT_EQ(bounds.composite(), 10u);
-    EXPECT_FALSE(bounds.saturated);
 
     // Both schedulers achieve the bound: the critical path is exact.
     RcpScheduler rcp;
@@ -310,7 +310,6 @@ expectBoundsMatchReference(const Module &mod,
         EXPECT_EQ(got.criticalPath, want.criticalPath);
         EXPECT_EQ(got.resource, want.resource);
         EXPECT_EQ(got.interval, want.interval);
-        EXPECT_EQ(got.saturated, want.saturated);
     }
 }
 
@@ -577,55 +576,64 @@ TEST(BoundChecker, CorruptProgramScheduleTripsB004AndB005)
 // Saturating repeat algebra (B006) and gap arithmetic.
 // ---------------------------------------------------------------------
 
-/** Nested repeats whose product overflows u64: 2^40 * 2^40. */
+/**
+ * Chain m0 <- m1 <- ... <- m7 (entry), every call repeating 2^30 at
+ * line 100 + caller level; m0 is one H. Each analysis clips at one
+ * level: invocation counts at m3's call (m2 would run 2^150 > 2^128
+ * times), bounds at m3's call (a weight near 2^91 > 2^64), summaries at
+ * m5's call (2^150 gates).
+ */
 Program
 overflowProgram()
 {
     Program prog;
-    ModuleId leaf = prog.addModule("leaf");
-    {
-        Module &mod = prog.module(leaf);
-        QubitId q = mod.addParam("q");
-        mod.addGate(GateKind::H, {q});
-    }
-    ModuleId mid = prog.addModule("mid");
-    {
-        Module &mod = prog.module(mid);
-        QubitId q = mod.addParam("q");
+    ModuleId callee = prog.addModule("m0");
+    prog.module(callee).addParam("q");
+    prog.module(callee).addGate(GateKind::H, {0});
+    for (unsigned level = 1; level <= 7; ++level) {
+        ModuleId id = prog.addModule("m" + std::to_string(level));
+        Module &mod = prog.module(id);
+        if (level < 7)
+            mod.addParam("q");
+        else
+            mod.addLocal("q");
         Operation call =
-            Operation::makeCall(leaf, {q}, uint64_t(1) << 40);
-        call.line = 17;
+            Operation::makeCall(callee, {0}, uint64_t(1) << 30);
+        call.line = 100 + level;
         mod.addRawOperation(std::move(call));
+        callee = id;
     }
-    ModuleId top = prog.addModule("top");
-    {
-        Module &mod = prog.module(top);
-        QubitId q = mod.addLocal("q");
-        mod.addCall(mid, {q}, uint64_t(1) << 40);
-    }
-    prog.setEntry(top);
+    prog.setEntry(callee);
     return prog;
+}
+
+/** The @p code warnings in @p diags, as "module:line". */
+std::vector<std::string>
+warningSites(const DiagnosticEngine &diags, DiagCode code)
+{
+    std::vector<std::string> sites;
+    for (const Diagnostic &d : diags.diagnostics()) {
+        if (d.code != code)
+            continue;
+        EXPECT_EQ(d.severity, Severity::Warning);
+        sites.push_back(d.where.module + ":" + std::to_string(d.where.line));
+    }
+    return sites;
 }
 
 TEST(RepeatOverflow, InvocationCountsSaturateWithDiagnostic)
 {
     Program prog = overflowProgram();
     DiagnosticEngine diags;
-    InvocationCountAnalysis counts(prog, &diags);
-    EXPECT_TRUE(counts.saturated());
-    EXPECT_EQ(counts.invocations(0),
-              std::numeric_limits<uint64_t>::max());
-    ASSERT_TRUE(hasCode(diags, DiagCode::BoundRepeatOverflow));
-    // The warning points at the clipping call site, line included.
-    bool located = false;
-    for (const Diagnostic &d : diags.diagnostics()) {
-        if (d.code != DiagCode::BoundRepeatOverflow)
-            continue;
-        EXPECT_EQ(d.severity, Severity::Warning);
-        if (d.where.module == "mid" && d.where.line == 17)
-            located = true;
-    }
-    EXPECT_TRUE(located);
+    ResourceEstimator counts(prog, &diags);
+    EXPECT_EQ(counts.invocations(prog.findModule("m3")),
+              Count(uint64_t(1) << 60) * (uint64_t(1) << 60));
+    EXPECT_TRUE(counts.invocations(prog.findModule("m2")).saturated());
+    EXPECT_EQ(counts.invocations(prog.findModule("m0")), Count::max());
+    // One warning, at the call site that clipped (line included); the
+    // callees below it run a clipped count without reporting again.
+    EXPECT_EQ(warningSites(diags, DiagCode::BoundRepeatOverflow),
+              std::vector<std::string>{"m3:103"});
     EXPECT_EQ(diags.numErrors(), 0u); // warning, not error
 }
 
@@ -636,9 +644,32 @@ TEST(RepeatOverflow, BoundCompositionSaturatesSoundly)
     MakespanBoundAnalysis analysis(prog, MultiSimdArch(2),
                                    CommMode::Global, &diags);
     EXPECT_TRUE(analysis.saturated());
-    EXPECT_TRUE(hasCode(diags, DiagCode::BoundRepeatOverflow));
+    // Clipped once, where the weight first passes 2^64-1; the callers
+    // above it hold 2^64-1 without reporting again.
+    EXPECT_EQ(warningSites(diags, DiagCode::BoundRepeatOverflow),
+              std::vector<std::string>{"m3:103"});
     // Saturated, but still a sound (huge) lower bound.
-    EXPECT_GE(analysis.programLowerBound(), uint64_t(1) << 63);
+    EXPECT_EQ(analysis.programLowerBound(),
+              std::numeric_limits<uint64_t>::max());
+}
+
+TEST(RepeatOverflow, SummaryCompositionWarnsOnceAtFirstClip)
+{
+    Program prog = overflowProgram();
+    DiagnosticEngine diags;
+    ScheduleSummaryAnalysis analysis(
+        prog, CommMode::Global,
+        [](const Module &mod, ModuleId) {
+            return summarizeLeafSchedule(
+                RcpScheduler().schedule(mod, MultiSimdArch(2)));
+        },
+        &diags);
+    EXPECT_FALSE(analysis.summary(prog.findModule("m4")).saturated());
+    EXPECT_EQ(analysis.summary(prog.findModule("m4")).gateOps,
+              Count(uint64_t(1) << 60) * (uint64_t(1) << 60));
+    EXPECT_TRUE(analysis.programSummary().saturated());
+    EXPECT_EQ(warningSites(diags, DiagCode::EstimateSaturated),
+              std::vector<std::string>{"m5:105"});
 }
 
 TEST(OptimalityGap, Arithmetic)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the dataflow framework (QubitSet, the forward/backward
- * engine, acyclicBottomUpOrder) and its interprocedural client
+ * engine, the cycle-tolerant Program::bottomUpOrder) and its
+ * interprocedural client
  * analyses: qubit liveness, measurement dominance, and
  * entanglement-group tracking.
  */
@@ -105,7 +106,7 @@ TEST(DataflowEngine, ForwardStatesFollowDependences)
     EXPECT_TRUE(result.after[3].test(c));
 }
 
-// --- acyclicBottomUpOrder ---
+// --- Program::bottomUpOrder, cycle-tolerant mode ---
 
 TEST(BottomUpOrder, CalleesComeFirstEntryLast)
 {
@@ -124,7 +125,7 @@ TEST(BottomUpOrder, CalleesComeFirstEntryLast)
     prog.setEntry(main);
 
     bool cyclic = true;
-    std::vector<ModuleId> order = acyclicBottomUpOrder(prog, &cyclic);
+    std::vector<ModuleId> order = prog.bottomUpOrder(&cyclic);
     EXPECT_FALSE(cyclic);
     ASSERT_EQ(order.size(), 3u); // unreachable omitted
     EXPECT_EQ(order.back(), main);
@@ -152,7 +153,7 @@ TEST(BottomUpOrder, DetectsRecursionWithoutPanicking)
     prog.setEntry(a);
 
     bool cyclic = false;
-    std::vector<ModuleId> order = acyclicBottomUpOrder(prog, &cyclic);
+    std::vector<ModuleId> order = prog.bottomUpOrder(&cyclic);
     EXPECT_TRUE(cyclic);
     EXPECT_TRUE(order.empty()); // both modules sit on the cycle
 
@@ -163,12 +164,41 @@ TEST(BottomUpOrder, DetectsRecursionWithoutPanicking)
     EXPECT_FALSE(dom.valid());
 }
 
+TEST(BottomUpOrder, LeavesOutOnlyModulesThatReachACycle)
+{
+    // main calls a leaf, a module with an out-of-range callee, and into
+    // the cycle a <-> b: only the leaf and d drain (Kahn's order set).
+    Program prog;
+    ModuleId leaf = prog.addModule("leaf");
+    ModuleId a = prog.addModule("a");
+    ModuleId b = prog.addModule("b");
+    ModuleId d = prog.addModule("d");
+    ModuleId main = prog.addModule("main");
+    for (ModuleId m : {leaf, a, b, d})
+        prog.module(m).addParam("p");
+    prog.module(leaf).addGate(GateKind::H, {0});
+    prog.module(a).addRawOperation(Operation::makeCall(b, {0}));
+    prog.module(b).addRawOperation(Operation::makeCall(a, {0}));
+    prog.module(d).addRawOperation(Operation::makeCall(999, {0}));
+    prog.module(d).addCall(leaf, {0});
+    prog.module(main).addLocal("q");
+    prog.module(main).addCall(leaf, {0});
+    prog.module(main).addCall(a, {0});
+    prog.module(main).addCall(d, {0});
+    prog.setEntry(main);
+
+    bool cyclic = false;
+    std::vector<ModuleId> order = prog.bottomUpOrder(&cyclic);
+    EXPECT_TRUE(cyclic);
+    EXPECT_EQ(order, (std::vector<ModuleId>{leaf, d}));
+}
+
 TEST(BottomUpOrder, EmptyWithoutEntry)
 {
     Program prog;
     prog.addModule("m");
     bool cyclic = true;
-    EXPECT_TRUE(acyclicBottomUpOrder(prog, &cyclic).empty());
+    EXPECT_TRUE(prog.bottomUpOrder(&cyclic).empty());
     EXPECT_FALSE(cyclic);
 }
 

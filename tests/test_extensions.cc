@@ -10,8 +10,7 @@
 #include <sstream>
 #include <vector>
 
-#include "analysis/gate_mix.hh"
-#include "analysis/invocation_counts.hh"
+#include "analysis/resource_estimator.hh"
 #include "sched/comm.hh"
 #include "sched/lpfs.hh"
 #include "sched/schedule_printer.hh"
@@ -55,7 +54,7 @@ repeatedHierarchy()
 TEST(InvocationCounts, MultipliesThroughHierarchy)
 {
     Program prog = repeatedHierarchy();
-    InvocationCountAnalysis inv(prog);
+    ResourceEstimator inv(prog);
     EXPECT_EQ(inv.invocations(prog.findModule("top")), 1u);
     EXPECT_EQ(inv.invocations(prog.findModule("mid")), 10u);
     // leaf: 10 * (4 + 1).
@@ -66,14 +65,14 @@ TEST(InvocationCounts, UnreachableModuleIsZero)
 {
     Program prog = repeatedHierarchy();
     ModuleId orphan = prog.addModule("orphan");
-    InvocationCountAnalysis inv(prog);
+    ResourceEstimator inv(prog);
     EXPECT_EQ(inv.invocations(orphan), 0u);
 }
 
 TEST(GateMix, HierarchicalCounts)
 {
     Program prog = repeatedHierarchy();
-    GateMixAnalysis mix(prog);
+    ResourceEstimator mix(prog);
     const GateMix &program = mix.programMix();
     // leaf runs 50 times: 50 T, 50 H, 50 MeasZ; mid runs 10: 10 CNOT.
     EXPECT_EQ(program.count(GateKind::T), 50u);
@@ -87,7 +86,7 @@ TEST(GateMix, HierarchicalCounts)
 TEST(GateMix, PerModuleCounts)
 {
     Program prog = repeatedHierarchy();
-    GateMixAnalysis mix(prog);
+    ResourceEstimator mix(prog);
     const GateMix &leaf = mix.mix(prog.findModule("leaf"));
     EXPECT_EQ(leaf.total(), 3u);
     const GateMix &mid = mix.mix(prog.findModule("mid"));

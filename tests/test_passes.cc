@@ -268,7 +268,7 @@ TEST(Flatten, GateCountPreserved)
 {
     for (uint64_t threshold : {1u, 5u, 8u, 100u}) {
         Program prog = threeLevelProgram();
-        uint64_t before = ResourceEstimator(prog).programGates();
+        const Count before = ResourceEstimator(prog).programGates();
         FlattenPass(threshold).run(prog);
         EXPECT_EQ(ResourceEstimator(prog).programGates(), before)
             << "threshold " << threshold;

@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "support/count.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -130,6 +131,71 @@ TEST(Strings, WithCommas)
     EXPECT_EQ(withCommas(999), "999");
     EXPECT_EQ(withCommas(1000), "1,000");
     EXPECT_EQ(withCommas(1234567890ULL), "1,234,567,890");
+}
+
+TEST(Count, CarryAcross64BitsIsExact)
+{
+    const uint64_t max64 = std::numeric_limits<uint64_t>::max();
+    Count sum = Count(max64) + 1;
+    EXPECT_FALSE(sum.saturated());
+    EXPECT_EQ(sum.str(), "18446744073709551616");
+    EXPECT_EQ(sum.clampU64(), max64);
+    EXPECT_EQ(sum - 1, max64);
+    EXPECT_EQ((Count(max64) * max64).str(),
+              "340282366920938463426481119284349108225");
+    EXPECT_EQ(withCommas(Count(uint64_t(1) << 63) * 4),
+              "36,893,488,147,419,103,232");
+}
+
+TEST(Count, SaturationIsSticky)
+{
+    const Count max = Count::max();
+    EXPECT_TRUE(max.saturated());
+    EXPECT_EQ(max + 1, max);
+    EXPECT_EQ(max + max, max);
+    EXPECT_EQ(max * 2, max);
+    EXPECT_EQ(max * 1, max);
+    Count acc = max;
+    acc += 5;
+    ++acc;
+    acc *= 3;
+    EXPECT_EQ(acc, max);
+    // Clipping from below: (2^64)^2 = 2^128 is one past the clip.
+    const Count two64 = Count(std::numeric_limits<uint64_t>::max()) + 1;
+    EXPECT_EQ(two64 * two64, max);
+    EXPECT_EQ(max - 1 + 1, max);
+    EXPECT_FALSE((max - 1).saturated());
+}
+
+TEST(Count, SaturatedTimesZeroIsZero)
+{
+    EXPECT_EQ(Count::max() * 0, 0u);
+    EXPECT_EQ(Count(0) * Count::max(), 0u);
+    EXPECT_FALSE((Count::max() * 0).saturated());
+}
+
+TEST(Count, ComparesWithUint64)
+{
+    const uint64_t max64 = std::numeric_limits<uint64_t>::max();
+    const Count big = Count(max64) + 1;
+    EXPECT_TRUE(big > max64);
+    EXPECT_TRUE(max64 < big);
+    EXPECT_FALSE(big == max64);
+    EXPECT_TRUE(Count(max64) == max64);
+    EXPECT_TRUE(Count(7) <= 7u);
+    EXPECT_TRUE(Count(7) < 8u);
+    EXPECT_TRUE(Count(0) == 0u);
+    EXPECT_DOUBLE_EQ(big.toDouble(), 18446744073709551616.0);
+}
+
+TEST(Count, PrintsExactDecimal)
+{
+    EXPECT_EQ(Count().str(), "0");
+    EXPECT_EQ(Count(42).str(), "42");
+    EXPECT_EQ(Count::max().str(), "340282366920938463463374607431768211455");
+    std::ostringstream os;
+    os << Count::max();
+    EXPECT_EQ(os.str(), "340282366920938463463374607431768211455");
 }
 
 TEST(Rng, Deterministic)

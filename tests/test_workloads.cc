@@ -12,8 +12,6 @@
 #include <set>
 #include <sstream>
 
-#include "analysis/critical_path.hh"
-#include "analysis/qubit_estimator.hh"
 #include "analysis/resource_estimator.hh"
 #include "frontend/qasm_emitter.hh"
 #include "ir/printer.hh"
@@ -34,11 +32,9 @@ TEST_P(ScaledWorkloads, BuildsAndValidates)
     prog.validate();
     ResourceEstimator res(prog);
     EXPECT_GT(res.programGates(), 100u);
-    QubitEstimator qubits(prog);
-    EXPECT_GT(qubits.programQubits(), 5u);
-    CriticalPathAnalysis cp(prog);
-    EXPECT_LE(cp.programCriticalPath(), res.programGates());
-    EXPECT_GT(cp.programCriticalPath(), 0u);
+    EXPECT_GT(res.programQubits(), 5u);
+    EXPECT_LE(res.programCriticalPath(), res.programGates());
+    EXPECT_GT(res.programCriticalPath(), 0u);
 }
 
 TEST_P(ScaledWorkloads, DeterministicBuilds)
@@ -73,9 +69,8 @@ TEST(Workloads, MostlySerialCharacter)
     for (const auto &spec : scaledParams()) {
         Program prog = spec.build();
         ResourceEstimator res(prog);
-        CriticalPathAnalysis cp(prog);
-        double ratio = static_cast<double>(res.programGates()) /
-                       static_cast<double>(cp.programCriticalPath());
+        double ratio = res.programGates().toDouble() /
+                       static_cast<double>(res.programCriticalPath());
         EXPECT_GT(ratio, 1.0) << spec.name;
         EXPECT_LT(ratio, 10.0) << spec.name << " too parallel";
         total_ratio += ratio;
@@ -88,8 +83,7 @@ TEST(Workloads, GsePaperQubitCount)
 {
     // Table 1: GSE M=10 needs Q = 13 qubits.
     Program prog = buildGse(10, 20);
-    QubitEstimator qubits(prog);
-    EXPECT_EQ(qubits.programQubits(), 13u);
+    EXPECT_EQ(ResourceEstimator(prog).programQubits(), 13u);
 }
 
 TEST(Workloads, GroversScalesWithN)
@@ -98,18 +92,18 @@ TEST(Workloads, GroversScalesWithN)
     Program large = buildGrovers(12);
     EXPECT_GT(ResourceEstimator(large).programGates(),
               ResourceEstimator(small).programGates());
-    EXPECT_GT(QubitEstimator(large).programQubits(),
-              QubitEstimator(small).programQubits());
+    EXPECT_GT(ResourceEstimator(large).programQubits(),
+              ResourceEstimator(small).programQubits());
 }
 
 TEST(Workloads, BwtScalesWithSteps)
 {
     Program short_walk = buildBwt(6, 10);
     Program long_walk = buildBwt(6, 100);
-    uint64_t g_short = ResourceEstimator(short_walk).programGates();
-    uint64_t g_long = ResourceEstimator(long_walk).programGates();
+    const Count g_short = ResourceEstimator(short_walk).programGates();
+    const Count g_long = ResourceEstimator(long_walk).programGates();
     // Walk gates scale ~linearly with s.
-    EXPECT_GT(g_long, 5 * g_short / 2);
+    EXPECT_GT(2 * g_long, 5 * g_short);
 }
 
 TEST(Workloads, ShorsHasManyDistinctRotations)
@@ -131,9 +125,8 @@ TEST(Workloads, Sha1SerialAdderStructure)
     Program prog = buildSha1(64, 8, 20);
     // SHA-1 is the most serial benchmark: low parallelism ratio.
     ResourceEstimator res(prog);
-    CriticalPathAnalysis cp(prog);
-    double ratio = static_cast<double>(res.programGates()) /
-                   static_cast<double>(cp.programCriticalPath());
+    double ratio = res.programGates().toDouble() /
+                   static_cast<double>(res.programCriticalPath());
     EXPECT_LT(ratio, 3.0);
 }
 
@@ -143,12 +136,12 @@ TEST(Workloads, PaperParamsEstimableWithoutUnrolling)
     // analyzable hierarchically. Spot-check the two extremes.
     {
         Program prog = buildGrovers(40);
-        uint64_t gates = ResourceEstimator(prog).programGates();
+        const Count gates = ResourceEstimator(prog).programGates();
         EXPECT_GT(gates, uint64_t{100'000'000});
     }
     {
         Program prog = buildGse(10, 20);
-        uint64_t gates = ResourceEstimator(prog).programGates();
+        const Count gates = ResourceEstimator(prog).programGates();
         EXPECT_GT(gates, uint64_t{1'000'000});
     }
 }

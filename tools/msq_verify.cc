@@ -748,7 +748,7 @@ checkEstimate(const std::string &path, Program &prog,
                       << " operand(s)/active region";
             for (size_t b = 0; b < ResourceSummary::numOccupancyBuckets();
                  ++b) {
-                if (b < sum.occupancy.size() && sum.occupancy[b]) {
+                if (b < sum.occupancy.size() && sum.occupancy[b] != 0) {
                     std::cout << ", ["
                               << ResourceSummary::occupancyLabel(b)
                               << "] " << sum.occupancy[b];
@@ -765,7 +765,7 @@ checkEstimate(const std::string &path, Program &prog,
                   << csprintf("%.1f", 100.0 * sum.commFraction())
                   << "%, " << est.distinctLeafSchedules
                   << " distinct leaf schedule(s)"
-                  << (est.saturated ? ", SATURATED" : "")
+                  << (sum.saturated() ? ", SATURATED" : "")
                   << (exact ? "" : " -- INEXACT") << "\n";
 
         json_entries.push_back(
@@ -803,7 +803,7 @@ writeBoundsJson(const Options &options,
             << "      \"scheduler\": \"" << jsonEscape(entry.scheduler)
             << "\",\n"
             << "      \"saturated\": "
-            << (report.saturated ? "true" : "false") << ",\n"
+            << (report.saturated() ? "true" : "false") << ",\n"
             << "      \"program\": {\"makespan\": "
             << report.programMakespan << ", \"lower_bound\": "
             << report.programLowerBound << ", \"gap\": "
@@ -864,7 +864,7 @@ writeEstimateJson(const Options &options,
             << "      \"scheduler\": \"" << jsonEscape(entry.scheduler)
             << "\",\n"
             << "      \"saturated\": "
-            << (entry.est.saturated ? "true" : "false") << ",\n"
+            << (sum.saturated() ? "true" : "false") << ",\n"
             << "      \"exact\": " << (entry.exact ? "true" : "false")
             << ",\n"
             << "      \"checks\": {\"leaf_folds\": "
