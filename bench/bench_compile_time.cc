@@ -12,10 +12,14 @@
  *                    untimed pass — the repeated-scheduling case
  *                    (sweeps, recompiles) the shared cache exists for
  *
- * and writes a machine-readable BENCH_compile_time.json so later PRs
- * can be measured against this trajectory. The schedules themselves
- * are bit-identical across configurations (DESIGN.md §9); this bench
- * cross-checks that by comparing total cycles and aborts on mismatch.
+ * and writes a machine-readable BENCH_compile_time.json so later
+ * changes can be measured against this trajectory. Each row also
+ * carries the deterministic work counter sched.leaf.ready_scanned: the
+ * ready-list entries the leaf schedulers examined in one schedule()
+ * call (DESIGN.md §10). CI gates it exactly; wall_ms is informational.
+ * The schedules and the counter are identical across configurations
+ * (DESIGN.md §9); this bench cross-checks total cycles and the counter
+ * and fails on a mismatch.
  *
  * Environment knobs:
  *   MSQ_BENCH_THREADS  parallel fan-out T (default 8)
@@ -52,6 +56,7 @@ struct Row
     double wallMs;
     double speedup; ///< vs the sequential config, same workload+scheduler
     uint64_t totalCycles;
+    uint64_t readyScanned; ///< sched.leaf.ready_scanned of one call
     uint64_t leafModules;
 };
 
@@ -68,26 +73,37 @@ envUnsigned(const char *name, unsigned fallback)
     return static_cast<unsigned>(parsed);
 }
 
+/** What one configuration's schedule() calls produced. */
+struct Outcome
+{
+    uint64_t totalCycles = 0;
+    uint64_t readyScanned = 0; ///< of the last call
+};
+
 /**
- * Wall-clock one schedule() call; fastest of @p reps. Every repetition
- * also lands in the global telemetry registry as "<label>_ms" (and, when
- * tracing is on, a "bench:<label>" span), so MSQ_METRICS / MSQ_TRACE
- * capture the full phase breakdown alongside the JSON report.
+ * Wall-clock one schedule() call; fastest of @p reps. @p coarse records
+ * its metrics into @p metrics. Every repetition also lands in the
+ * global telemetry registry as "<label>_ms" (and, when tracing is on, a
+ * "bench:<label>" span), so MSQ_METRICS / MSQ_TRACE capture the full
+ * phase breakdown alongside the JSON report.
  */
 double
-timeSchedule(const CoarseScheduler &coarse, const Program &prog,
-             unsigned reps, uint64_t &total_cycles,
+timeSchedule(const CoarseScheduler &coarse, MetricsRegistry &metrics,
+             const Program &prog, unsigned reps, Outcome &outcome,
              const std::string &label)
 {
     Distribution &dist =
         Telemetry::metrics().distribution(label + "_ms");
+    Counter &scanned = metrics.counter("sched.leaf.ready_scanned");
     double best_ms = 0.0;
     for (unsigned rep = 0; rep < reps; ++rep) {
         TraceSpan span(Telemetry::trace(), "bench:" + label);
+        const uint64_t scanned_before = scanned.value();
         WallTimer timer;
         ProgramSchedule sched = coarse.schedule(prog);
         double ms = timer.elapsedMs();
-        total_cycles = sched.totalCycles;
+        outcome.totalCycles = sched.totalCycles;
+        outcome.readyScanned = scanned.value() - scanned_before;
         dist.record(ms);
         if (rep == 0 || ms < best_ms)
             best_ms = ms;
@@ -117,6 +133,7 @@ writeJson(std::ostream &os, const std::vector<Row> &rows,
            << ", \"wall_ms\": " << row.wallMs
            << ", \"speedup_vs_sequential\": " << row.speedup
            << ", \"total_cycles\": " << row.totalCycles
+           << ", \"ready_scanned\": " << row.readyScanned
            << ", \"leaf_modules\": " << row.leafModules << "}"
            << (i + 1 < rows.size() ? "," : "") << "\n";
     }
@@ -157,12 +174,15 @@ main(int argc, char **argv)
             auto scheduler = Toolflow::makeScheduler(kind);
             MultiSimdArch arch(4);
 
+            // Each configuration's work counter lands here.
+            MetricsRegistry metrics;
             auto make_coarse = [&](unsigned n_threads,
                                    std::shared_ptr<LeafScheduleCache>
                                        cache) {
                 CoarseScheduler::Options options;
                 options.numThreads = n_threads;
                 options.leafCache = std::move(cache);
+                options.metrics = &metrics;
                 return CoarseScheduler(arch, *scheduler,
                                        CommMode::Global, options);
             };
@@ -171,13 +191,12 @@ main(int argc, char **argv)
                 "bench.compile." + spec.shortName + "." +
                 schedulerKindName(kind);
 
-            uint64_t seq_cycles = 0, par_cycles = 0, cold_cycles = 0,
-                     warm_cycles = 0;
-            double seq_ms = timeSchedule(make_coarse(1, nullptr), prog,
-                                         reps, seq_cycles,
+            Outcome seq, par, cold, warm;
+            double seq_ms = timeSchedule(make_coarse(1, nullptr), metrics,
+                                         prog, reps, seq,
                                          label_prefix + ".sequential");
             double par_ms = timeSchedule(make_coarse(threads, nullptr),
-                                         prog, reps, par_cycles,
+                                         metrics, prog, reps, par,
                                          label_prefix + ".parallel");
             // Cold: fresh cache per timed run so the hit rate reflects
             // one first-compile schedule() pass, not the repetitions.
@@ -185,11 +204,9 @@ main(int argc, char **argv)
             double cold_hit_rate = 0.0;
             for (unsigned rep = 0; rep < reps; ++rep) {
                 auto cache = std::make_shared<LeafScheduleCache>();
-                uint64_t cycles = 0;
                 double ms = timeSchedule(make_coarse(threads, cache),
-                                         prog, 1, cycles,
+                                         metrics, prog, 1, cold,
                                          label_prefix + ".cold_cache");
-                cold_cycles = cycles;
                 cold_hit_rate = cache->hitRate();
                 if (rep == 0 || ms < cold_ms)
                     cold_ms = ms;
@@ -199,15 +216,16 @@ main(int argc, char **argv)
             // (parameter sweeps, recompiles) sharedLeafCache serves.
             auto warm_cache = std::make_shared<LeafScheduleCache>();
             {
-                uint64_t ignored = 0;
-                timeSchedule(make_coarse(threads, warm_cache), prog, 1,
-                             ignored, label_prefix + ".warm_prefill");
+                Outcome ignored;
+                timeSchedule(make_coarse(threads, warm_cache), metrics,
+                             prog, 1, ignored,
+                             label_prefix + ".warm_prefill");
             }
             const uint64_t warm_hits_before = warm_cache->hits();
             const uint64_t warm_misses_before = warm_cache->misses();
             double warm_ms = timeSchedule(make_coarse(threads,
                                                       warm_cache),
-                                          prog, reps, warm_cycles,
+                                          metrics, prog, reps, warm,
                                           label_prefix + ".warm_cache");
             const double warm_lookups =
                 static_cast<double>(warm_cache->hits() -
@@ -221,12 +239,16 @@ main(int argc, char **argv)
                           warm_lookups
                     : 0.0;
 
-            if (seq_cycles != par_cycles || seq_cycles != cold_cycles ||
-                seq_cycles != warm_cycles) {
-                std::cerr << "DETERMINISM VIOLATION: " << spec.shortName
-                          << "/" << schedulerKindName(kind)
-                          << " schedules differ across configs\n";
-                mismatch = true;
+            for (const Outcome *other : {&par, &cold, &warm}) {
+                if (other->totalCycles != seq.totalCycles ||
+                    other->readyScanned != seq.readyScanned) {
+                    std::cerr << "DETERMINISM VIOLATION: "
+                              << spec.shortName << "/"
+                              << schedulerKindName(kind)
+                              << " schedules or work counters differ "
+                                 "across configs\n";
+                    mismatch = true;
+                }
             }
 
             auto speedup = [](double base, double ms) {
@@ -234,19 +256,22 @@ main(int argc, char **argv)
             };
             rows.push_back({spec.shortName, schedulerKindName(kind),
                             "sequential", 1, false, 0.0, seq_ms, 1.0,
-                            seq_cycles, leaf_modules});
+                            seq.totalCycles, seq.readyScanned,
+                            leaf_modules});
             rows.push_back({spec.shortName, schedulerKindName(kind),
                             "parallel", threads, false, 0.0, par_ms,
-                            speedup(seq_ms, par_ms), par_cycles,
-                            leaf_modules});
+                            speedup(seq_ms, par_ms), par.totalCycles,
+                            par.readyScanned, leaf_modules});
             rows.push_back({spec.shortName, schedulerKindName(kind),
                             "cold-cache", threads, true, cold_hit_rate,
                             cold_ms, speedup(seq_ms, cold_ms),
-                            cold_cycles, leaf_modules});
+                            cold.totalCycles, cold.readyScanned,
+                            leaf_modules});
             rows.push_back({spec.shortName, schedulerKindName(kind),
                             "warm-cache", threads, true, warm_hit_rate,
                             warm_ms, speedup(seq_ms, warm_ms),
-                            warm_cycles, leaf_modules});
+                            warm.totalCycles, warm.readyScanned,
+                            leaf_modules});
 
             table.beginRow();
             table.addCell(spec.name);
@@ -264,8 +289,8 @@ main(int argc, char **argv)
     table.printAscii(std::cout);
     std::cout << "\nparallel fan-out: " << threads << " thread(s) on "
               << ThreadPool::hardwareThreads()
-              << " hardware thread(s); schedules verified identical "
-                 "across all configurations.\n";
+              << " hardware thread(s); schedules and work counters "
+                 "verified identical across all configurations.\n";
 
     std::ofstream out(out_path);
     if (!out) {

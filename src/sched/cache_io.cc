@@ -273,6 +273,7 @@ serializeLeafResult(const LeafScheduleResult &result,
     w.u64(at.prunedByResource);
     w.u64(at.prunedByDominance);
     w.u64(at.candidatesAnnotated);
+    w.u64(at.readyScanned);
 
     const ResourceSummary &rs = result.summary;
     w.u64(rs.gateOps.clampU64());
@@ -362,6 +363,7 @@ deserializeLeafResult(const uint8_t *data, size_t size,
     at.prunedByResource = r.u64();
     at.prunedByDominance = r.u64();
     at.candidatesAnnotated = r.u64();
+    at.readyScanned = r.u64();
 
     ResourceSummary &rs = result->summary;
     rs.gateOps = r.u64();

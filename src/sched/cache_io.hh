@@ -19,7 +19,7 @@
  *            | u32 archFpLen | arch fingerprint bytes   (topology
  *              guard, MultiSimdArch::fingerprint())
  *            | CommStats (11 u64, field order of sched/comm.hh)
- *            | ScheduleAttempt (u8 provenance + 5 u64)
+ *            | ScheduleAttempt (u8 provenance + 6 u64)
  *            | ResourceSummary (15 u64 + u64 occupancy[]; a leaf's
  *              counts are below 2^64)
  *            | MakespanBounds (3 u64)
@@ -45,8 +45,9 @@
  * Older files are rejected with P002 like any other unsupported version
  * and load nothing, so the engine cold-starts: version 1 (the flat
  * machine's format, with no arch fingerprint and no inter-core
- * counters) and version 2 (a saturation flag byte after the summary
- * and after the bounds, now read from the values).
+ * counters), version 2 (a saturation flag byte after the summary
+ * and after the bounds, now read from the values) and version 3 (no
+ * readyScanned work counter in the attempt).
  * A fourth layer (P006) lives at rebind time in sched/coarse.cc: even an
  * internally consistent entry is refused when the requesting module's
  * op/qubit counts disagree with the stored guard fields.
@@ -78,10 +79,10 @@ extern const char cacheFileMagic[4];
  * msq-served answers lower_bound from the stored MakespanBounds, so a
  * stale file would otherwise serve stale bounds.
  */
-constexpr uint32_t cacheFileVersion = 3;
+constexpr uint32_t cacheFileVersion = 4;
 
 /** Oldest format version loadFrom still accepts. */
-constexpr uint32_t cacheFileMinVersion = 3;
+constexpr uint32_t cacheFileMinVersion = 4;
 
 /** Byte-order canary, always written little-endian: reads back as
  * 0x01020304 iff the decoder honours the format's endianness. */

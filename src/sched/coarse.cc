@@ -605,6 +605,7 @@ CoarseScheduler::schedule(const Program &prog) const
     // merged slot values are pure functions of the inputs, so the
     // recorded counters are identical for every thread count even when
     // a cache race double-computes a slot.
+    uint64_t ready_scanned = 0;
     for (size_t m = 0; m < leaves.size(); ++m) {
         const Module &mod = prog.module(leaves[m]);
         ModuleScheduleInfo info;
@@ -652,6 +653,10 @@ CoarseScheduler::schedule(const Program &prog) const
                          ScheduleProvenance::Fallback)
                     metrics->counter("sched.opt.fallbacks").add(1);
             }
+            // Work of the width tasks; a derived width schedules
+            // nothing.
+            for (size_t wi = 0; wi < shares[m].widthTasks; ++wi)
+                ready_scanned += slots[m * nw + wi]->attempt.readyScanned;
             metrics->counter("sched.leaf.instances").add(1);
             metrics->distribution("sched.leaf.gates")
                 .record(static_cast<double>(mod.numOps()));
@@ -745,6 +750,10 @@ CoarseScheduler::schedule(const Program &prog) const
         // (leaf x width) slots the width collapse covered, hit or miss:
         // a pure function of program, arch and sweep (DESIGN.md §10).
         metrics->counter("sched.leaf.derived_widths").add(derived_widths);
+        // Ready entries the leaf schedulers examined, cache hits
+        // replaying the stored count: a pure function of program, arch
+        // and sweep too.
+        metrics->counter("sched.leaf.ready_scanned").add(ready_scanned);
         if (cache) {
             metrics->counter("sched.leaf_cache.hits")
                 .add(cache->hits() - cache_hits_before);

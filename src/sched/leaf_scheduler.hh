@@ -45,9 +45,10 @@ enum class ScheduleProvenance : uint8_t {
 const char *scheduleProvenanceName(ScheduleProvenance provenance);
 
 /**
- * Per-schedule provenance and search statistics. Deterministic for a
- * fixed (module, arch, fingerprint) triple — it rides the memoized
- * LeafScheduleResult, so cache hits replay identical numbers.
+ * Per-schedule provenance, search statistics and work counters.
+ * Deterministic for a fixed (module, arch, fingerprint) triple — it
+ * rides the memoized LeafScheduleResult, so cache hits replay identical
+ * numbers.
  */
 struct ScheduleAttempt
 {
@@ -57,6 +58,9 @@ struct ScheduleAttempt
     uint64_t prunedByResource = 0;     ///< prunes: resource bound
     uint64_t prunedByDominance = 0;    ///< prunes: dominance table
     uint64_t candidatesAnnotated = 0;  ///< completed candidates costed
+    /** Ready-list entries the RCP/LPFS selection loops examined (the
+     * opt tier reports its fallback's); 0 for the sequential baseline. */
+    uint64_t readyScanned = 0;
 };
 
 /** Abstract fine-grained scheduler. */
@@ -88,7 +92,7 @@ class LeafScheduler
      * Schedule @p mod and report how the schedule was obtained via
      * @p attempt. Heuristic schedulers report Heuristic provenance with
      * zeroed search counters; only schedulers with a non-trivial search
-     * (OptScheduler) fill them in.
+     * (OptScheduler) fill them in. RCP and LPFS count readyScanned.
      */
     LeafSchedule scheduleWithAttempt(const Module &mod,
                                      const MultiSimdArch &arch,

@@ -3,6 +3,7 @@
 #include "sched/core_affinity.hh"
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <limits>
 #include <vector>
@@ -32,51 +33,105 @@ constexpr uint32_t stealAge = 4;
  */
 constexpr uint64_t shallowHeight = 12;
 
-/** Mutable per-run scheduling state. */
+/**
+ * Released ops in canonical (release step, op index) order. Committed
+ * entries are dropped lazily: a reader compacts the list first when
+ * they outnumber the live ones, so a scan visits at most twice the live
+ * entries and a step that reads no list pays nothing to maintain it.
+ */
+struct ReadyList
+{
+    std::vector<uint32_t> ops;
+    size_t dead = 0; ///< committed entries still in `ops`
+
+    /** The entries, compacted first when most are committed. Every
+     * reader still skips the scheduled ones. */
+    const std::vector<uint32_t> &
+    entries(const std::vector<bool> &scheduled)
+    {
+        if (2 * dead > ops.size()) {
+            std::erase_if(ops, [&](uint32_t op) { return scheduled[op]; });
+            dead = 0;
+        }
+        return ops;
+    }
+};
+
+/**
+ * Mutable per-run scheduling state. Every per-step cost follows the ops
+ * the step commits, not the length of the ready list (DESIGN.md §9,
+ * "Ready lists"): fills scan one per-kind bucket, lists drop committed
+ * ops only when a reader finds them the majority, ages come from the
+ * release step, and a chain continuation is looked up in the last
+ * release batch.
+ */
 struct LpfsState
 {
     const Module &mod;
     const MultiSimdArch &arch;
     const DepDag &dag;
+    uint64_t &scanned; ///< ScheduleAttempt::readyScanned
     std::vector<uint32_t> pendingPreds;
     std::vector<uint64_t> height; ///< static DAG height (chain depth)
     std::vector<bool> scheduled;
     std::vector<bool> onPath;
-    std::vector<uint32_t> age;  ///< timesteps spent ready but unplaced
+    /** The step at whose end each op was released (0 for roots), so an
+     * op off every path has waited step - releaseStep timesteps. */
+    std::vector<uint32_t> releaseStep;
     std::vector<int> qubitRegion; ///< region holding each qubit, or -1
-    /** Operand qubits each region touched in the previous timestep;
-     * used to keep a region working on the same serial chain. */
-    std::vector<std::vector<QubitId>> lastQubits;
-    /** Free/ready list in release order. Holds only unscheduled ops
-     * at the start of every step: endOfStep() compacts out what the
-     * step committed. */
-    std::vector<uint32_t> ready;
+    /** 1 + the last timestep that touched each qubit, 0 if none; with
+     * qubitRegion it tells which region ran a qubit in the previous
+     * timestep. */
+    std::vector<uint32_t> touchedStep;
+    uint32_t step = 0; ///< the open timestep
+    ReadyList ready; ///< every ready op
+    /** The ready ops of each kind: subsequences of `ready`. */
+    std::array<ReadyList, numGateKinds> byKind;
     /** Ops committed this timestep; their successors are released only
      * at the end of the step so dependent ops never share a timestep
      * with their predecessor. */
     std::vector<uint32_t> committedThisStep;
-    std::vector<uint32_t> releaseBatch; ///< endOfStep() scratch
-    uint64_t remaining;         ///< unscheduled op count
+    /** Ops released at the end of the previous step, ascending: the
+     * tail of `ready`, and the only place a chain continuation can be
+     * (pickForRegion). */
+    std::vector<uint32_t> releaseBatch;
+    uint64_t available = 0; ///< live ready ops on no path
+    bool pathTaken = false; ///< has nextLongestPath() marked any op?
+    uint64_t remaining;     ///< unscheduled op count
 
     LpfsState(const Module &mod, const DepDag &dag,
-              const MultiSimdArch &arch)
-        : mod(mod), arch(arch), dag(dag),
+              const MultiSimdArch &arch, uint64_t &scanned)
+        : mod(mod), arch(arch), dag(dag), scanned(scanned),
           scheduled(mod.numOps(), false), onPath(mod.numOps(), false),
-          age(mod.numOps(), 0), qubitRegion(mod.numQubits(), -1),
-          lastQubits(arch.k), remaining(mod.numOps())
+          releaseStep(mod.numOps(), 0), qubitRegion(mod.numQubits(), -1),
+          touchedStep(mod.numQubits(), 0), remaining(mod.numOps())
     {
         height = dag.heightToBottom();
         pendingPreds.resize(dag.numNodes());
         for (uint32_t i = 0; i < dag.numNodes(); ++i)
             pendingPreds[i] = static_cast<uint32_t>(dag.preds(i).size());
+        // Each op is released once: no list ever outgrows these.
+        ready.ops.reserve(mod.numOps());
+        for (size_t kind = 0; kind < numGateKinds; ++kind)
+            byKind[kind].ops.reserve(
+                mod.localCount(static_cast<GateKind>(kind)));
         for (uint32_t root : dag.roots())
-            ready.push_back(root);
+            release(root);
     }
 
     bool
     isReady(uint32_t op) const
     {
         return !scheduled[op] && pendingPreds[op] == 0;
+    }
+
+    /** Timesteps a ready op has waited. Read only for ops on no path:
+     * an op stays on its path until it is scheduled, so the count is
+     * every step since its release. */
+    uint32_t
+    age(uint32_t op) const
+    {
+        return step - releaseStep[op];
     }
 
     /**
@@ -94,6 +149,18 @@ struct LpfsState
         return -1;
     }
 
+    /** Did @p region touch one of @p op's operands last timestep? */
+    bool
+    continuesChain(uint32_t op, unsigned region) const
+    {
+        for (QubitId q : mod.op(op).operands) {
+            if (touchedStep[q] == step &&
+                qubitRegion[q] == static_cast<int>(region))
+                return true;
+        }
+        return false;
+    }
+
     /**
      * May @p op join @p region's SIMD group under the affinity rules?
      * Homed ops stay in their region; fresh ops join freely only when
@@ -108,6 +175,17 @@ struct LpfsState
         return height[op] <= shallowHeight;
     }
 
+    /** Append a newly dependence-free op to the ready structures. */
+    void
+    release(uint32_t op)
+    {
+        releaseStep[op] = step;
+        ready.ops.push_back(op);
+        byKind[static_cast<size_t>(mod.op(op).kind)].ops.push_back(op);
+        if (!onPath[op])
+            ++available;
+    }
+
     /**
      * Extract the longest path through unscheduled, un-pathed nodes,
      * starting from the currently ready frontier (getNextLongestPath).
@@ -115,24 +193,33 @@ struct LpfsState
     std::deque<uint32_t>
     nextLongestPath()
     {
-        size_t n = dag.numNodes();
-        // Heights over the unscheduled, un-pathed subgraph.
-        std::vector<uint64_t> height(n, 0);
-        for (uint32_t i = static_cast<uint32_t>(n); i-- > 0;) {
-            if (scheduled[i] || onPath[i])
-                continue;
-            uint64_t best = 0;
-            for (uint32_t s : dag.succs(i)) {
-                if (!scheduled[s] && !onPath[s])
-                    best = std::max(best, height[s]);
+        // Heights over the unscheduled, un-pathed subgraph: the static
+        // ones until the first path is taken (no op is scheduled
+        // before that).
+        std::vector<uint64_t> remaining_height;
+        if (pathTaken) {
+            size_t n = dag.numNodes();
+            remaining_height.assign(n, 0);
+            for (uint32_t i = static_cast<uint32_t>(n); i-- > 0;) {
+                if (scheduled[i] || onPath[i])
+                    continue;
+                uint64_t best = 0;
+                for (uint32_t s : dag.succs(i)) {
+                    if (!scheduled[s] && !onPath[s])
+                        best = std::max(best, remaining_height[s]);
+                }
+                remaining_height[i] = best + 1;
             }
-            height[i] = best + 1;
         }
+        const std::vector<uint64_t> &height =
+            pathTaken ? remaining_height : this->height;
 
         // Start from the deepest ready node.
         int64_t start = -1;
         uint64_t best_height = 0;
-        for (uint32_t op : ready) {
+        const std::vector<uint32_t> &entries = ready.entries(scheduled);
+        scanned += entries.size();
+        for (uint32_t op : entries) {
             if (onPath[op] || scheduled[op])
                 continue;
             if (start < 0 || height[op] > best_height) {
@@ -143,10 +230,13 @@ struct LpfsState
         std::deque<uint32_t> path;
         if (start < 0)
             return path;
+        pathTaken = true;
 
         auto cur = static_cast<uint32_t>(start);
         while (true) {
             path.push_back(cur);
+            if (isReady(cur))
+                --available;
             onPath[cur] = true;
             int64_t next = -1;
             uint64_t next_height = 0;
@@ -165,11 +255,15 @@ struct LpfsState
         return path;
     }
 
-    /** Mark @p op scheduled; its dependents are released by
+    /** Mark ready @p op scheduled; its dependents are released by
      * endOfStep(). */
     void
     commit(uint32_t op)
     {
+        if (!onPath[op])
+            --available;
+        ++ready.dead;
+        ++byKind[static_cast<size_t>(mod.op(op).kind)].dead;
         scheduled[op] = true;
         onPath[op] = false;
         --remaining;
@@ -177,20 +271,26 @@ struct LpfsState
     }
 
     /**
-     * Drop everything committed this timestep from the ready list, then
-     * release its successors in canonical op-index order. The list then
-     * holds exactly the live ops ordered by (release step, op index) — a
-     * pure function of the module content — so every first-seen
-     * tie-break over `ready` (pickForRegion, nextLongestPath,
-     * fillWithType) is canonical too, never an artifact of the
-     * region-commit order within the step.
+     * Close the open timestep of @p builder. Operand qubits now live
+     * where their ops ran. The step's successors are released in
+     * canonical op-index order, so `ready` and every bucket stay
+     * ordered by (release step, op index) — a pure function of the
+     * module content — and every first-seen tie-break (pickForRegion,
+     * nextLongestPath, fillWithType) is canonical too, never an
+     * artifact of the region-commit order within the step.
      */
     void
-    endOfStep()
+    endOfStep(const ScheduleBuilder &builder)
     {
-        auto committed = [&](uint32_t op) { return scheduled[op]; };
-        ready.erase(std::remove_if(ready.begin(), ready.end(), committed),
-                    ready.end());
+        for (unsigned r = 0; r < arch.k; ++r) {
+            for (uint32_t op : builder.slot(r).ops) {
+                for (QubitId q : mod.op(op).operands) {
+                    qubitRegion[q] = static_cast<int>(r);
+                    touchedStep[q] = step + 1;
+                }
+            }
+        }
+
         releaseBatch.clear();
         for (uint32_t op : committedThisStep) {
             for (uint32_t succ : dag.succs(op)) {
@@ -200,8 +300,9 @@ struct LpfsState
         }
         std::sort(releaseBatch.begin(), releaseBatch.end());
         for (uint32_t succ : releaseBatch)
-            ready.push_back(succ);
+            release(succ);
         committedThisStep.clear();
+        ++step;
     }
 
     /**
@@ -215,8 +316,13 @@ struct LpfsState
                  uint64_t &budget, unsigned region, int64_t adopted = -1)
     {
         slot.kind = kind;
-        for (uint32_t op : ready) {
-            if (scheduled[op] || onPath[op] || mod.op(op).kind != kind)
+        if (available == 0)
+            return;
+        const std::vector<uint32_t> &bucket =
+            byKind[static_cast<size_t>(kind)].entries(scheduled);
+        scanned += bucket.size();
+        for (uint32_t op : bucket) {
+            if (scheduled[op] || onPath[op])
                 continue;
             if (static_cast<int64_t>(op) != adopted &&
                 !placeable(op, region))
@@ -245,35 +351,39 @@ struct LpfsState
     int64_t
     pickForRegion(unsigned region)
     {
-        int64_t homed_pick = -1;
+        if (available == 0)
+            return -1;
+        // DepDag links consecutive users of a qubit, so an op on a
+        // qubit that an op of the last timestep used depends on that
+        // op: it was released at the end of that step.
+        for (uint32_t op : releaseBatch) {
+            ++scanned;
+            if (scheduled[op] || onPath[op])
+                continue;
+            if (homeRegion(op) == static_cast<int>(region) &&
+                continuesChain(op, region))
+                return op;
+        }
         int64_t fresh_pick = -1;
         int64_t aged_pick = -1;
         int64_t any_pick = -1;
-        const auto &recent = lastQubits[region];
-        for (uint32_t op : ready) {
+        for (uint32_t op : ready.entries(scheduled)) {
+            ++scanned;
             if (scheduled[op] || onPath[op])
                 continue;
-            if (any_pick < 0 && age[op] >= 1)
+            if (any_pick < 0 && age(op) >= 1)
                 any_pick = op;
             int home = homeRegion(op);
             if (home == static_cast<int>(region)) {
-                for (QubitId q : mod.op(op).operands) {
-                    if (std::find(recent.begin(), recent.end(), q) !=
-                        recent.end())
-                        return op; // chain continuation
-                }
-                if (homed_pick < 0)
-                    homed_pick = op;
+                return op; // no continuation: the oldest homed op wins
             } else if (home < 0) {
                 if (fresh_pick < 0 ||
                     height[op] > height[static_cast<size_t>(fresh_pick)])
                     fresh_pick = op;
-            } else if (aged_pick < 0 && age[op] >= stealAge) {
+            } else if (aged_pick < 0 && age(op) >= stealAge) {
                 aged_pick = op;
             }
         }
-        if (homed_pick >= 0)
-            return homed_pick;
         if (fresh_pick >= 0)
             return fresh_pick;
         return aged_pick >= 0 ? aged_pick : any_pick;
@@ -303,7 +413,7 @@ LpfsScheduler::saturationWidth(const Module &mod) const
 LeafSchedule
 LpfsScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
                              const MultiSimdArch &arch,
-                             ScheduleAttempt &,
+                             ScheduleAttempt &attempt,
                              std::span<const unsigned> home) const
 {
     if (options.l == 0)
@@ -316,7 +426,7 @@ LpfsScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
     if (mod.numOps() == 0)
         return builder.finish();
 
-    LpfsState st(mod, dag, arch);
+    LpfsState st(mod, dag, arch, attempt.readyScanned);
 
     // Initial longest paths for the l dedicated regions.
     std::vector<std::deque<uint32_t>> paths(l);
@@ -374,7 +484,8 @@ LpfsScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
         // was available, force the first ready op through.
         if (!placed_any) {
             int64_t any = -1;
-            for (uint32_t op : st.ready) {
+            for (uint32_t op : st.ready.entries(st.scheduled)) {
+                ++st.scanned;
                 if (st.isReady(op)) {
                     any = op;
                     break;
@@ -390,23 +501,7 @@ LpfsScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
             st.commit(op);
         }
 
-        st.endOfStep();
-
-        // Operand qubits now live where their ops ran; waiting ops age
-        // toward stealability.
-        for (unsigned r = 0; r < arch.k; ++r) {
-            st.lastQubits[r].clear();
-            for (uint32_t op_index : builder.slot(r).ops) {
-                for (QubitId q : mod.op(op_index).operands) {
-                    st.qubitRegion[q] = static_cast<int>(r);
-                    st.lastQubits[r].push_back(q);
-                }
-            }
-        }
-        for (uint32_t op : st.ready)
-            if (!st.onPath[op])
-                ++st.age[op];
-
+        st.endOfStep(builder);
         builder.endStep();
     }
 

@@ -617,6 +617,7 @@ OptScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
     const CommStats fb_stats = comm.annotate(fallback, fb_summary, home);
     const uint64_t lb = LeafBoundProfile(mod, dag).evaluate(arch).composite();
     attempt.candidatesAnnotated = 1;
+    attempt.readyScanned = fallback_attempt.readyScanned;
     if (fb_stats.totalCycles == lb) {
         attempt.provenance = ScheduleProvenance::Optimal;
         return fallback;

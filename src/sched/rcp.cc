@@ -92,7 +92,7 @@ RcpScheduler::fingerprint() const
 LeafSchedule
 RcpScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
                             const MultiSimdArch &arch,
-                            ScheduleAttempt &,
+                            ScheduleAttempt &attempt,
                             std::span<const unsigned> home) const
 {
     ScheduleBuilder builder(mod, arch.k);
@@ -122,6 +122,7 @@ RcpScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
             double best_weight = -1e300;
             int best_region = -1;
             GateKind best_kind = GateKind::X;
+            attempt.readyScanned += st.ready.size();
             for (uint32_t op_index : st.ready) {
                 const Operation &op = st.mod.op(op_index);
                 auto kind_index = static_cast<size_t>(op.kind);
@@ -164,6 +165,7 @@ RcpScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
             // extract_optype: gather ready ops of the winning type,
             // in-place ops first, then most critical (lowest slack).
             candidates.clear();
+            attempt.readyScanned += st.ready.size();
             for (uint32_t op_index : st.ready)
                 if (st.mod.op(op_index).kind == best_kind)
                     candidates.push_back(op_index);

@@ -25,8 +25,10 @@ def first_optimal(rows):
 
 # NAME -> a regression of one gated field.
 REGRESSIONS = {
-    "compile_time": lambda d: bump(d["rows"][0], "total_cycles",
-                                   lambda v: v + 1),
+    "compile_time": (
+        lambda d: bump(d["rows"][0], "total_cycles", lambda v: v + 1),
+        # The work counter is gated exactly, like the schedule.
+        lambda d: bump(d["rows"][0], "ready_scanned", lambda v: v + 1)),
     "schedule_memory": lambda d: bump(d["rows"][0], "soa_bytes_per_step",
                                       lambda v: v * 1.2),
     "optimality_gap": lambda d: bump(d["inputs"][0]["leaves"][0],

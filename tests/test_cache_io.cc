@@ -127,6 +127,7 @@ expectResultsEqual(const LeafScheduleResult &a,
     EXPECT_EQ(a.stats.peakRegionOccupancy, b.stats.peakRegionOccupancy);
     EXPECT_EQ(a.attempt.provenance, b.attempt.provenance);
     EXPECT_EQ(a.attempt.nodesExpanded, b.attempt.nodesExpanded);
+    EXPECT_EQ(a.attempt.readyScanned, b.attempt.readyScanned);
     EXPECT_EQ(a.stats.interCoreTeleports, b.stats.interCoreTeleports);
     test::expectSameSummary(a.summary, b.summary);
     EXPECT_EQ(a.bounds.criticalPath, b.bounds.criticalPath);
@@ -248,6 +249,7 @@ TEST(CacheIo, RoundTripSaturatedSummary)
     result->bounds.criticalPath = UINT64_MAX;
     result->attempt.provenance = ScheduleProvenance::Fallback;
     result->attempt.nodesExpanded = UINT64_MAX;
+    result->attempt.readyScanned = UINT64_MAX;
     roundTrip(*result);
 }
 
@@ -817,6 +819,12 @@ TEST(CacheIo, VersionTwoFileRejectedThenColdStarts)
     // Version 2 stored a saturation flag byte after the summary and
     // after the bounds; version 3 reads saturation from the values.
     expectOldVersionRejectedThenColdStarts(2);
+}
+
+TEST(CacheIo, VersionThreeFileRejectedThenColdStarts)
+{
+    // Version 3 had no readyScanned counter in the attempt.
+    expectOldVersionRejectedThenColdStarts(3);
 }
 
 TEST(RebindGuard, ZeroCountResultRebindsOnlyToEmptyModule)

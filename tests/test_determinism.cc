@@ -16,10 +16,11 @@
 
 #include "core/toolflow.hh"
 #include "sched/leaf_cache.hh"
-#include "sched/schedule_printer.hh"
 #include "support/telemetry.hh"
 #include "support/thread_pool.hh"
 #include "workloads/workloads.hh"
+
+#include "schedule_printer.hh"
 
 namespace {
 
@@ -363,6 +364,40 @@ TEST(Determinism, DerivedWidthsCounterInvariance)
                         << where;
                     expectSameSchedule(baseline.schedule, other.schedule,
                                        where);
+                }
+            }
+        }
+    }
+}
+
+/**
+ * The work counter sched.leaf.ready_scanned sums the ready-list entries
+ * the leaf schedulers examined over every width task. Each task's count
+ * rides its memoized result and a derived width adds nothing, so the
+ * sum is identical for every thread count and cache state. Shor's
+ * covers the width collapse, SHA-1 the longest ready lists.
+ */
+TEST(Determinism, ReadyScannedCounterInvariance)
+{
+    for (const char *workload : {"grovers", "sha1", "shors"}) {
+        for (SchedulerKind kind :
+             {SchedulerKind::Rcp, SchedulerKind::Lpfs}) {
+            const std::string context =
+                std::string(workload) + "/" + schedulerKindName(kind);
+            const uint64_t scanned =
+                runWith(workload, kind, 1, false)
+                    .telemetry.counter("sched.leaf.ready_scanned");
+            EXPECT_GT(scanned, 0u) << context;
+            for (unsigned threads : {1u, 2u, 8u}) {
+                for (bool cache : {false, true}) {
+                    if (threads == 1 && !cache)
+                        continue;
+                    EXPECT_EQ(runWith(workload, kind, threads, cache)
+                                  .telemetry.counter(
+                                      "sched.leaf.ready_scanned"),
+                              scanned)
+                        << context << " threads=" << threads
+                        << (cache ? " cache" : "");
                 }
             }
         }

@@ -13,8 +13,9 @@
 #include "analysis/resource_estimator.hh"
 #include "sched/comm.hh"
 #include "sched/lpfs.hh"
-#include "sched/schedule_printer.hh"
 #include "support/logging.hh"
+
+#include "schedule_printer.hh"
 
 namespace {
 

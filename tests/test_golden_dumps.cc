@@ -24,8 +24,9 @@
 #include "sched/leaf_scheduler.hh"
 #include "sched/lpfs.hh"
 #include "sched/rcp.hh"
-#include "sched/schedule_printer.hh"
 #include "workloads/workloads.hh"
+
+#include "schedule_printer.hh"
 
 namespace {
 

@@ -1,15 +1,12 @@
 /**
  * @file
- * Tests for the inverse-cancellation peephole pass and the Fig. 2
- * teleportation circuit generator.
+ * Tests for the inverse-cancellation peephole pass.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
 
-#include "arch/multi_simd.hh"
-#include "arch/teleport_circuit.hh"
 #include "passes/cancel_inverses.hh"
 #include "support/logging.hh"
 
@@ -166,36 +163,6 @@ TEST(CancelInverses, CtqgComputeUncomputeShrinks)
     });
     CancelInversesPass().run(prog);
     EXPECT_EQ(prog.module(prog.entry()).numOps(), 0u);
-}
-
-// --- Teleportation circuit (Fig. 2) ---
-
-TEST(TeleportCircuit, StructureMatchesFig2)
-{
-    Module mod("qt");
-    QubitId src = mod.addLocal("q1");
-    QubitId epr_a = mod.addLocal("q2");
-    QubitId epr_b = mod.addLocal("q3");
-    appendTeleport(mod, src, epr_a, epr_b);
-
-    ASSERT_EQ(mod.numOps(), 10u);
-    // EPR preparation entangles q2/q3.
-    EXPECT_EQ(mod.op(2).kind, GateKind::H);
-    EXPECT_EQ(mod.op(3).kind, GateKind::CNOT);
-    EXPECT_EQ(mod.op(3).operands, (std::vector<QubitId>{epr_a, epr_b}));
-    // Bell measurement on the source side.
-    EXPECT_EQ(mod.op(4).kind, GateKind::CNOT);
-    EXPECT_EQ(mod.op(4).operands, (std::vector<QubitId>{src, epr_a}));
-    EXPECT_EQ(mod.op(6).kind, GateKind::MeasZ);
-    EXPECT_EQ(mod.op(7).kind, GateKind::MeasZ);
-    // Corrections land on the destination.
-    EXPECT_EQ(mod.op(8).operands, (std::vector<QubitId>{epr_b}));
-    EXPECT_EQ(mod.op(9).operands, (std::vector<QubitId>{epr_b}));
-}
-
-TEST(TeleportCircuit, CriticalStepsMatchCostModel)
-{
-    EXPECT_EQ(teleportCriticalSteps(), MultiSimdArch::teleportCycles);
 }
 
 } // namespace

@@ -424,6 +424,7 @@ expectSameWidthResult(const LeafScheduleResult &a,
     EXPECT_EQ(a.attempt.prunedByResource, b.attempt.prunedByResource);
     EXPECT_EQ(a.attempt.prunedByDominance, b.attempt.prunedByDominance);
     EXPECT_EQ(a.attempt.candidatesAnnotated, b.attempt.candidatesAnnotated);
+    EXPECT_EQ(a.attempt.readyScanned, b.attempt.readyScanned);
 
     EXPECT_EQ(a.opCount, b.opCount);
     EXPECT_EQ(a.qubitCount, b.qubitCount);

@@ -8,6 +8,11 @@
  * sweep too, where the leaf schedulers' ready lists are longest. A
  * scheduler performance change must leave every row untouched.
  *
+ * A second table pins LPFS under the options the default rows leave
+ * out — a finite d, two dedicated path regions, SIMD filling and path
+ * refill both off, and a two-core ring — at k = 1 and 4 on SHA-1 and
+ * CN, the workloads with the longest ready lists.
+ *
  * The leaf hash digests each cached leaf result — its op and qubit
  * counts, its communication cycle total and the full SoA schedule
  * stream: slots, step ends, the op stream and the movement stream — and
@@ -96,6 +101,38 @@ const Pin kPins[] = {
 };
 // clang-format on
 
+/** A non-default LPFS configuration pinned by kOptionPins. */
+struct OptionPin
+{
+    const char *workload;
+    const char *variant; ///< d=4 | l=2 | nosimd-norefill | ring2
+    unsigned k; ///< machine width; per-core width on the ring
+    uint64_t totalCycles;
+    uint64_t programHash;
+    uint64_t leafHash;
+};
+
+// clang-format off
+const OptionPin kOptionPins[] = {
+    {"sha1", "d=4", 1, 346798055069183, 0x68f0814cc99af36full, 0xf63d148e0ebf4a4full},
+    {"sha1", "d=4", 4, 249442414774667, 0x364137de5979241bull, 0xf75f94cbb32c9187ull},
+    {"sha1", "l=2", 1, 345151904469295, 0xc622399b598664bfull, 0x910d5700331d2763ull},
+    {"sha1", "l=2", 4, 249627944043097, 0xf10704ca39727662ull, 0xe2ee528c96e997eaull},
+    {"sha1", "nosimd-norefill", 1, 275089306191275, 0xda891584aa331c50ull, 0xd50af0d3f6c3d165ull},
+    {"sha1", "nosimd-norefill", 4, 262645352168031, 0x981f926c29a66d65ull, 0xbb4f9c69c6de925dull},
+    {"sha1", "ring2", 1, 283944112184040, 0x35f5c37bb3f94c29ull, 0x34a14519433da406ull},
+    {"sha1", "ring2", 4, 252991083690699, 0x2a5eaa8cb842ac67ull, 0x83743b06fa613fdaull},
+    {"cn", "d=4", 1, 9847980, 0x9b908f780769bab0ull, 0xcc6324aea4826d5eull},
+    {"cn", "d=4", 4, 7841360, 0x50a65f46aea404abull, 0xf845d279f2462ec3ull},
+    {"cn", "l=2", 1, 9685100, 0x319232fb12a75de1ull, 0x254e7d19411b58a0ull},
+    {"cn", "l=2", 4, 7834960, 0x1fb7a0f5966aca62ull, 0x2154400e9261f154ull},
+    {"cn", "nosimd-norefill", 1, 12705420, 0xe95dc84e1682faa6ull, 0xe404af792e2039b9ull},
+    {"cn", "nosimd-norefill", 4, 8293360, 0xbcda974c83551e5bull, 0x95de3c2e869ef30aull},
+    {"cn", "ring2", 1, 9687830, 0xe2fc402f87b69cf1ull, 0xdd27395519921201ull},
+    {"cn", "ring2", 4, 7931730, 0x12fc44e3194d7580ull, 0x1558cfd44531f4b6ull},
+};
+// clang-format on
+
 /** Little-endian byte stream of the hashed fields. */
 class Bytes
 {
@@ -159,31 +196,66 @@ hashLeafResults(const LeafScheduleCache &cache)
     return fnv1a64(all.data.data(), all.data.size());
 }
 
-/** Compile @p pin's configuration afresh on @p threads threads and
- * return its measured row. */
+/** Compile @p workload under @p config afresh and return its
+ * (total cycles, program hash, leaf hash). */
+Pin
+measure(const char *workload, ToolflowConfig config)
+{
+    Program prog =
+        workloads::findWorkload(workloads::scaledParams(), workload)
+            .build();
+    config.commMode = CommMode::Global;
+    config.rotations = Toolflow::rotationPresetFor(workload);
+    auto cache = std::make_shared<LeafScheduleCache>();
+    config.sharedLeafCache = cache;
+    ToolflowResult result = Toolflow(config).run(prog);
+    return Pin{workload,
+               schedulerKindName(config.scheduler),
+               0,
+               result.schedule.totalCycles,
+               hashProgramSchedule(result.schedule),
+               hashLeafResults(*cache)};
+}
+
+/** Compile @p pin's configuration on @p threads threads. */
 Pin
 measure(const Pin &pin, unsigned threads)
 {
-    Program prog =
-        workloads::findWorkload(workloads::scaledParams(), pin.workload)
-            .build();
     ToolflowConfig config;
     config.scheduler = std::strcmp(pin.scheduler, "rcp") == 0
                            ? SchedulerKind::Rcp
                            : SchedulerKind::Lpfs;
     config.arch = MultiSimdArch(pin.k);
-    config.commMode = CommMode::Global;
-    config.rotations = Toolflow::rotationPresetFor(pin.workload);
     config.numThreads = threads;
-    auto cache = std::make_shared<LeafScheduleCache>();
-    config.sharedLeafCache = cache;
-    ToolflowResult result = Toolflow(config).run(prog);
-    return Pin{pin.workload,
-               pin.scheduler,
-               pin.k,
-               result.schedule.totalCycles,
-               hashProgramSchedule(result.schedule),
-               hashLeafResults(*cache)};
+    return measure(pin.workload, config);
+}
+
+/** Compile @p pin's LPFS variant on one thread. */
+Pin
+measure(const OptionPin &pin)
+{
+    ToolflowConfig config;
+    config.scheduler = SchedulerKind::Lpfs;
+    config.arch = MultiSimdArch(pin.k);
+    config.numThreads = 1;
+    const std::string variant = pin.variant;
+    if (variant == "d=4") {
+        config.arch = MultiSimdArch(pin.k, 4);
+    } else if (variant == "l=2") {
+        config.lpfsOptions.l = 2;
+    } else if (variant == "nosimd-norefill") {
+        config.lpfsOptions.simd = false;
+        config.lpfsOptions.refill = false;
+    } else {
+        EXPECT_EQ(variant, "ring2");
+        std::string error;
+        EXPECT_TRUE(parseTopologySpec(
+            "cores=2,k=" + std::to_string(pin.k) +
+                ",shape=ring,link-bw=1,link-lat=3",
+            config.arch, error))
+            << error;
+    }
+    return measure(pin.workload, config);
 }
 
 /** Every pinned row of @p workload, compiled on @p threads threads. */
@@ -219,6 +291,18 @@ TEST_P(WidthSweep, MakespanAndLeafSchedulesArePinned)
 TEST_P(WidthSweep, PinnedOnFourThreads)
 {
     expectPinned(GetParam(), 4);
+}
+
+TEST(WidthSweep, LpfsOptionVariantsArePinned)
+{
+    for (const OptionPin &pin : kOptionPins) {
+        Pin now = measure(pin);
+        SCOPED_TRACE(std::string(pin.workload) + "/lpfs " + pin.variant +
+                     " k=" + std::to_string(pin.k));
+        EXPECT_EQ(now.totalCycles, pin.totalCycles);
+        EXPECT_EQ(now.programHash, pin.programHash);
+        EXPECT_EQ(now.leafHash, pin.leafHash);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WidthSweep,
