@@ -134,8 +134,7 @@ ScheduleBuffer::byteSize() const
            slotEnd.capacity() * sizeof(uint32_t) +
            ops.capacity() * sizeof(uint32_t) +
            moves.capacity() * sizeof(Move) +
-           moveEnd.capacity() * sizeof(uint64_t) +
-           activeWords.capacity() * sizeof(uint64_t);
+           moveEnd.capacity() * sizeof(uint64_t);
 }
 
 LeafSchedule::LeafSchedule(const Module &mod, unsigned k) : mod(&mod)
@@ -156,8 +155,8 @@ LeafSchedule::LeafSchedule(const Module &mod,
 ScheduleBuffer &
 LeafSchedule::mutableBuffer()
 {
-    // Copy-on-write: a buffer may be aliased by the leaf cache or by
-    // other schedule handles; never mutate through a shared reference.
+    // Copy-on-write: a buffer may be aliased by other schedule handles;
+    // never mutate through a shared reference.
     if (buf_.use_count() != 1)
         buf_ = std::make_shared<ScheduleBuffer>(*buf_);
     return *std::const_pointer_cast<ScheduleBuffer>(buf_);
@@ -169,8 +168,6 @@ LeafSchedule::appendEmptyStep()
     ScheduleBuffer &buf = mutableBuffer();
     buf.slotEnd.push_back(static_cast<uint32_t>(buf.slots.size()));
     buf.moveEnd.push_back(buf.moves.size());
-    buf.activeWords.resize(buf.activeWords.size() + buf.wordsPerStep(),
-                           0);
 }
 
 void
@@ -278,9 +275,6 @@ ScheduleBuilder::endStep()
     if (!stepOpen)
         panic("ScheduleBuilder: endStep without beginStep");
     stepOpen = false;
-    const size_t words = buf->wordsPerStep();
-    const size_t word_base = buf->activeWords.size();
-    buf->activeWords.resize(word_base + words, 0);
     for (unsigned r = 0; r < draft.size(); ++r) {
         const DraftSlot &slot = draft[r];
         if (!slot.active())
@@ -289,7 +283,6 @@ ScheduleBuilder::endStep()
                         slot.ops.end());
         buf->slots.push_back({static_cast<uint32_t>(buf->ops.size()), r,
                               slot.kind});
-        buf->activeWords[word_base + r / 64] |= uint64_t{1} << (r % 64);
     }
     buf->slotEnd.push_back(static_cast<uint32_t>(buf->slots.size()));
     buf->moveEnd.push_back(buf->moves.size());
@@ -302,13 +295,12 @@ ScheduleBuilder::finish()
         panic("ScheduleBuilder: finish with a step still open");
     if (!buf)
         panic("ScheduleBuilder: finish called twice");
-    // Schedules are built once and read many times (and possibly cached
-    // process-wide); return the excess growth capacity to the allocator.
+    // Schedules are built once and read many times; return the excess
+    // growth capacity to the allocator.
     buf->slots.shrink_to_fit();
     buf->slotEnd.shrink_to_fit();
     buf->ops.shrink_to_fit();
     buf->moveEnd.shrink_to_fit();
-    buf->activeWords.shrink_to_fit();
     return LeafSchedule(*mod, std::move(buf));
 }
 

@@ -23,8 +23,6 @@
  *   slotEnd    per step, the exclusive end of its slot range
  *   moves      one flat movement stream (the "0th region")
  *   moveEnd    per step, the exclusive end of its move range
- *   activeWords dense per-step bitmap of active regions, (k+63)/64
- *              words per step, for O(1) "is region r active?" queries
  *
  * Empty regions cost zero bytes and zero allocations. Consumers read
  * through the cheap TimestepView / RegionSlotView value types, stream
@@ -33,9 +31,9 @@
  * analysis). See DESIGN.md §11 for the layout math and migration notes.
  *
  * LeafSchedule holds the buffer behind a shared_ptr with copy-on-write
- * mutation: the leaf-schedule cache shares buffers across threads and
- * Toolflow runs, and a cached schedule can never be corrupted through an
- * aliasing handle (the old public mutable steps() accessor is gone).
+ * mutation: copying a schedule shares its buffer, and a mutation through
+ * one copy (re-annotation, msq-verify's fault injection) can never
+ * corrupt another (the old public mutable steps() accessor is gone).
  */
 
 #ifndef MSQ_ARCH_SCHEDULE_HH
@@ -149,15 +147,14 @@ class MovePhaseCostModel
 
 /**
  * Structure-of-arrays storage for one leaf schedule. Pure data, no
- * reference to the scheduled Module — which is what lets the leaf cache
- * share one buffer across structurally identical modules (their op
- * indices are interchangeable by definition of the structural hash).
+ * reference to the scheduled Module — so one buffer can be rebound to
+ * any structurally identical module (their op indices are
+ * interchangeable by definition of the structural hash).
  *
  * Invariants (checked by consumers, produced by ScheduleBuilder):
  *  - slotEnd and moveEnd have one entry per step, non-decreasing;
  *  - slots of one step are sorted by strictly increasing region < k;
- *  - every slot has a non-empty op range (inactive regions have none);
- *  - activeWords has wordsPerStep() words per step mirroring the slots.
+ *  - every slot has a non-empty op range (inactive regions have none).
  */
 struct ScheduleBuffer
 {
@@ -176,12 +173,8 @@ struct ScheduleBuffer
     std::vector<uint32_t> ops;       ///< flat op-index stream
     std::vector<Move> moves;         ///< flat movement stream
     std::vector<uint64_t> moveEnd;   ///< per step: exclusive end into moves
-    std::vector<uint64_t> activeWords; ///< per-step active-region bitmap
 
     uint64_t numSteps() const { return slotEnd.size(); }
-
-    /** Bitmap words per timestep. */
-    size_t wordsPerStep() const { return (size_t(k) + 63) / 64; }
 
     uint32_t
     slotBegin(uint64_t step) const
@@ -199,15 +192,6 @@ struct ScheduleBuffer
     moveBegin(uint64_t step) const
     {
         return step == 0 ? 0 : moveEnd[step - 1];
-    }
-
-    /** O(1): does region @p r execute ops in @p step? */
-    bool
-    regionActive(uint64_t step, unsigned r) const
-    {
-        return (activeWords[step * wordsPerStep() + r / 64] >>
-                (r % 64)) &
-               1;
     }
 
     /** Heap bytes held by this buffer (capacity-based, plus the struct
@@ -301,12 +285,6 @@ class TimestepView
     slot(unsigned i) const
     {
         return RegionSlotView(*buf, buf->slotBegin(step_) + i);
-    }
-
-    /** O(1) bitmap lookup: does region @p r execute ops this step? */
-    bool regionActive(unsigned r) const
-    {
-        return buf->regionActive(step_, r);
     }
 
     MoveSpan
@@ -416,8 +394,8 @@ class ScheduleSink
  * (compute placement only) and then annotated with movement by the
  * CommunicationAnalyzer through MoveAnnotator.
  *
- * The underlying ScheduleBuffer is shared (leaf cache, fan-out threads)
- * and copy-on-write: the few mutation entry points (appendMove,
+ * The underlying ScheduleBuffer is shared between copies and
+ * copy-on-write: the few mutation entry points (appendMove,
  * appendEmptyStep, MoveAnnotator) detach a private copy when the buffer
  * is aliased, so no handle can corrupt another's schedule.
  */
@@ -432,9 +410,9 @@ class LeafSchedule
     LeafSchedule(const Module &mod, unsigned k);
 
     /**
-     * Rebind an existing (typically cached) buffer to @p mod. The module
-     * must be structurally identical to the one the buffer was built
-     * from — the leaf cache guarantees this via Module::structuralHash().
+     * Rebind an existing buffer to @p mod. The module must be
+     * structurally identical to the one the buffer was built from
+     * (Module::structuralHash()).
      */
     LeafSchedule(const Module &mod,
                  std::shared_ptr<const ScheduleBuffer> buffer);
@@ -444,7 +422,7 @@ class LeafSchedule
 
     const ScheduleBuffer &buffer() const { return *buf_; }
 
-    /** Share the underlying storage (what the leaf cache stores). */
+    /** Share the underlying storage. */
     std::shared_ptr<const ScheduleBuffer> sharedBuffer() const
     {
         return buf_;

@@ -1,6 +1,5 @@
 #include "sched/cache_io.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -113,98 +112,6 @@ struct ByteReader
     }
 };
 
-void
-writeLocation(ByteWriter &w, const Location &loc)
-{
-    w.u8(static_cast<uint8_t>(loc.kind));
-    w.u32(loc.region);
-}
-
-Location
-readLocation(ByteReader &r, bool &valid, unsigned k)
-{
-    Location loc;
-    uint8_t kind = r.u8();
-    loc.region = r.u32();
-    if (kind > static_cast<uint8_t>(Location::Kind::LocalMemory)) {
-        valid = false;
-        return loc;
-    }
-    loc.kind = static_cast<Location::Kind>(kind);
-    if (!loc.isGlobal() && loc.region >= k)
-        valid = false;
-    return loc;
-}
-
-/** Full structural validation of a deserialized buffer — everything the
- * ScheduleBuffer invariant list promises, so downstream consumers never
- * see a malformed cached schedule (they assume the invariants). */
-bool
-validateBuffer(const ScheduleBuffer &buf, uint64_t op_count)
-{
-    const uint64_t steps = buf.numSteps();
-    if (buf.moveEnd.size() != steps)
-        return false;
-    if (buf.activeWords.size() != steps * buf.wordsPerStep())
-        return false;
-
-    uint32_t prevSlotEnd = 0;
-    for (uint64_t s = 0; s < steps; ++s) {
-        if (buf.slotEnd[s] < prevSlotEnd ||
-            buf.slotEnd[s] > buf.slots.size())
-            return false;
-        prevSlotEnd = buf.slotEnd[s];
-        if (s > 0 && buf.moveEnd[s] < buf.moveEnd[s - 1])
-            return false;
-        if (buf.moveEnd[s] > buf.moves.size())
-            return false;
-    }
-    if (steps > 0 && (buf.slotEnd.back() != buf.slots.size() ||
-                      buf.moveEnd.back() != buf.moves.size()))
-        return false;
-    if (steps == 0 && (!buf.slots.empty() || !buf.moves.empty() ||
-                       !buf.ops.empty()))
-        return false;
-
-    // Slots: region-sorted within each step, valid kinds, non-empty op
-    // ranges tiling the op stream; bitmap mirrors the slots exactly.
-    std::vector<uint64_t> words(buf.activeWords.size(), 0);
-    uint32_t prevOpEnd = 0;
-    for (uint64_t s = 0; s < steps; ++s) {
-        uint32_t begin = buf.slotBegin(s);
-        uint32_t end = buf.slotEnd[s];
-        unsigned prevRegion = 0;
-        for (uint32_t i = begin; i < end; ++i) {
-            const ScheduleBuffer::Slot &slot = buf.slots[i];
-            if (slot.region >= buf.k)
-                return false;
-            if (i > begin && slot.region <= prevRegion)
-                return false;
-            prevRegion = slot.region;
-            if (static_cast<uint8_t>(slot.kind) >=
-                static_cast<uint8_t>(GateKind::NumKinds))
-                return false;
-            if (slot.opEnd <= prevOpEnd || slot.opEnd > buf.ops.size())
-                return false;
-            prevOpEnd = slot.opEnd;
-            words[s * buf.wordsPerStep() + slot.region / 64] |=
-                uint64_t(1) << (slot.region % 64);
-        }
-    }
-    if (!buf.slots.empty() && buf.slots.back().opEnd != buf.ops.size())
-        return false;
-    if (words != buf.activeWords)
-        return false;
-
-    // Op indices must land inside the module the entry claims to be
-    // for (opCount is the rebind collision guard, so an entry for a
-    // 0-op module may carry no ops at all).
-    for (uint32_t op : buf.ops)
-        if (op >= op_count)
-            return false;
-    return true;
-}
-
 /**
  * Parse the guard fields back out of a memoization key
  * (leafScheduleKey: "hash|ops|qubits|w=width|fingerprint|d=..."), so a
@@ -299,32 +206,6 @@ serializeLeafResult(const LeafScheduleResult &result,
     w.u64(mb.criticalPath);
     w.u64(mb.resource);
     w.u64(mb.interval);
-
-    const ScheduleBuffer &buf = *result.schedule;
-    w.u32(buf.k);
-    w.u64(buf.numSteps());
-    w.u64(buf.slots.size());
-    for (const ScheduleBuffer::Slot &slot : buf.slots) {
-        w.u32(slot.opEnd);
-        w.u32(slot.region);
-        w.u8(static_cast<uint8_t>(slot.kind));
-    }
-    for (uint32_t end : buf.slotEnd)
-        w.u32(end);
-    w.u64(buf.ops.size());
-    for (uint32_t op : buf.ops)
-        w.u32(op);
-    w.u64(buf.moves.size());
-    for (const Move &move : buf.moves) {
-        w.u32(move.qubit);
-        writeLocation(w, move.from);
-        writeLocation(w, move.to);
-        w.u8(move.blocking ? 1 : 0);
-    }
-    for (uint64_t end : buf.moveEnd)
-        w.u64(end);
-    for (uint64_t word : buf.activeWords)
-        w.u64(word);
 }
 
 std::shared_ptr<LeafScheduleResult>
@@ -395,58 +276,10 @@ deserializeLeafResult(const uint8_t *data, size_t size,
     mb.resource = r.u64();
     mb.interval = r.u64();
 
-    auto buf = std::make_shared<ScheduleBuffer>();
-    buf->k = r.u32();
-    uint64_t steps = r.u64();
-    uint64_t slots = r.u64();
-    if (!r.ok || slots > (r.size - r.pos) / 9 ||
-        steps > (r.size - r.pos) / 4)
+    // A payload that runs on past the bounds is not one this version
+    // wrote.
+    if (!r.ok || r.pos != r.size)
         return nullptr;
-    buf->slots.resize(slots);
-    bool valid = true;
-    for (uint64_t i = 0; i < slots; ++i) {
-        ScheduleBuffer::Slot &slot = buf->slots[i];
-        slot.opEnd = r.u32();
-        slot.region = r.u32();
-        slot.kind = static_cast<GateKind>(r.u8());
-    }
-    buf->slotEnd.resize(steps);
-    for (uint64_t i = 0; i < steps; ++i)
-        buf->slotEnd[i] = r.u32();
-    uint64_t ops = r.u64();
-    if (!r.ok || ops > (r.size - r.pos) / 4)
-        return nullptr;
-    buf->ops.resize(ops);
-    for (uint64_t i = 0; i < ops; ++i)
-        buf->ops[i] = r.u32();
-    uint64_t moves = r.u64();
-    if (!r.ok || moves > (r.size - r.pos) / 15)
-        return nullptr;
-    buf->moves.resize(moves);
-    for (uint64_t i = 0; i < moves; ++i) {
-        Move &move = buf->moves[i];
-        move.qubit = r.u32();
-        move.from = readLocation(r, valid, buf->k);
-        move.to = readLocation(r, valid, buf->k);
-        move.blocking = r.u8() != 0;
-    }
-    if (!r.ok || steps > (r.size - r.pos) / 8)
-        return nullptr;
-    buf->moveEnd.resize(steps);
-    for (uint64_t i = 0; i < steps; ++i)
-        buf->moveEnd[i] = r.u64();
-    uint64_t words = steps * buf->wordsPerStep();
-    if (!r.ok || words > (r.size - r.pos) / 8)
-        return nullptr;
-    buf->activeWords.resize(words);
-    for (uint64_t i = 0; i < words; ++i)
-        buf->activeWords[i] = r.u64();
-
-    if (!r.ok || r.pos != r.size || !valid)
-        return nullptr;
-    if (!validateBuffer(*buf, result->opCount))
-        return nullptr;
-    result->schedule = std::move(buf);
     return result;
 }
 
@@ -592,7 +425,7 @@ LeafScheduleCache::loadFrom(const std::string &path,
 
         // Cross-check the payload's guard fields against the key the
         // entry is filed under: a forged or collided key must never
-        // publish a schedule for the wrong module/scheduler.
+        // publish a result for the wrong module/scheduler.
         uint64_t keyOps = 0, keyQubits = 0;
         std::string suffix;
         if (!parseKeyGuards(key, keyOps, keyQubits, suffix)) {

@@ -2,9 +2,10 @@
  * @file
  * Versioned binary (de)serialization for the persistent leaf-schedule
  * cache (DESIGN.md §15). This is what lets a long-running `msq-served`
- * daemon amortize leaf scheduling across process restarts: the cache's
- * SoA ScheduleBuffer layout is already flat, so an entry serializes as a
- * handful of length-prefixed integer arrays with no pointer fixups.
+ * daemon amortize leaf scheduling across process restarts. An entry is
+ * the leaf's blackbox at one width (sched/leaf_cache.hh): a fixed
+ * record of integers plus two short fingerprints, and no schedule — the
+ * consumers of a cached result never read one.
  *
  * File layout (all integers little-endian regardless of host, written
  * byte by byte — never memcpy'd structs, so the format is identical on
@@ -23,20 +24,15 @@
  *            | ResourceSummary (15 u64 + u64 occupancy[]; a leaf's
  *              counts are below 2^64)
  *            | MakespanBounds (3 u64)
- *            | ScheduleBuffer: u32 k | u64 numSteps | u64 numSlots
- *              | slots (u32 opEnd, u32 region, u8 kind)*
- *              | u32 slotEnd[] | u64 numOps | u32 ops[]
- *              | u64 numMoves | moves (u32 qubit, u8 fromKind,
- *                u32 fromRegion, u8 toKind, u32 toRegion, u8 blocking)*
- *              | u64 moveEnd[] | u64 activeWords[]
  *
  * Load-time validation is layered — every rejection is a stable P-code
  * diagnostic (support/diagnostic.hh) and a skipped file or entry, never
- * a crash and never a silently wrong schedule:
+ * a crash and never a silently wrong result:
  *   P001/P002  bad magic / unsupported version (whole file rejected)
  *   P003       truncation anywhere (file rejected from that point)
- *   P004       checksum mismatch or structural-invariant violation
- *              inside one entry (entry skipped)
+ *   P004       checksum mismatch, or a payload that does not decode:
+ *              an unknown provenance, an absurd bucket count or bytes
+ *              past the bounds (entry skipped)
  *   P005       payload opCount/qubitCount/fingerprint disagree with the
  *              entry's own key (entry skipped)
  *   P007       (warning) the stored architecture fingerprint
@@ -46,8 +42,9 @@
  * and load nothing, so the engine cold-starts: version 1 (the flat
  * machine's format, with no arch fingerprint and no inter-core
  * counters), version 2 (a saturation flag byte after the summary
- * and after the bounds, now read from the values) and version 3 (no
- * readyScanned work counter in the attempt).
+ * and after the bounds, now read from the values), version 3 (no
+ * readyScanned work counter in the attempt) and version 4 (each
+ * entry's annotated ScheduleBuffer after the bounds).
  * A fourth layer (P006) lives at rebind time in sched/coarse.cc: even an
  * internally consistent entry is refused when the requesting module's
  * op/qubit counts disagree with the stored guard fields.
@@ -79,10 +76,10 @@ extern const char cacheFileMagic[4];
  * msq-served answers lower_bound from the stored MakespanBounds, so a
  * stale file would otherwise serve stale bounds.
  */
-constexpr uint32_t cacheFileVersion = 4;
+constexpr uint32_t cacheFileVersion = 5;
 
 /** Oldest format version loadFrom still accepts. */
-constexpr uint32_t cacheFileMinVersion = 4;
+constexpr uint32_t cacheFileMinVersion = 5;
 
 /** Byte-order canary, always written little-endian: reads back as
  * 0x01020304 iff the decoder honours the format's endianness. */
@@ -109,9 +106,10 @@ void serializeLeafResult(const LeafScheduleResult &result,
  * Decode one payload produced by serializeLeafResult.
  * @param fingerprint receives the stored scheduler fingerprint.
  * @param arch_fingerprint receives the stored arch fingerprint.
- * @return the decoded result, or nullptr when the payload is truncated
- *         or violates a ScheduleBuffer/enum invariant (the caller
- *         reports P003/P004; this function never throws on bad input).
+ * @return the decoded result, or nullptr when the payload is truncated,
+ *         carries trailing bytes or an out-of-range enum or length (the
+ *         caller reports P004; this function never throws on bad
+ *         input).
  */
 std::shared_ptr<LeafScheduleResult>
 deserializeLeafResult(const uint8_t *data, size_t size,

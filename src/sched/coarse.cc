@@ -100,12 +100,11 @@ scheduleLeafWidth(const LeafScheduler &scheduler, const Module &mod,
         scheduler.scheduleWithAttempt(mod, dag, sub, result->attempt, home);
     // One annotate walk emits the moves and yields both the movement
     // statistics and the leaf's resource summary. Those and the static
-    // lower bounds ride the same memoization as the schedule: all are
-    // pure functions of what the key captures.
+    // lower bounds are the leaf's blackbox; the schedule itself dies
+    // here, since nothing past the width task reads it.
     CommunicationAnalyzer comm(arch, mode);
     result->stats = comm.annotate(sched, result->summary, home);
     result->bounds = bounds.evaluate(sub);
-    result->schedule = sched.sharedBuffer();
     // Guard fields for cross-process reuse: a warm-started process can
     // only rebind this result to a module with matching counts.
     result->opCount = mod.numOps();
@@ -113,38 +112,17 @@ scheduleLeafWidth(const LeafScheduler &scheduler, const Module &mod,
     return result;
 }
 
-std::shared_ptr<LeafScheduleResult>
-withSweepWidth(const LeafScheduleResult &result, unsigned w)
-{
-    auto out = std::make_shared<LeafScheduleResult>(result);
-    auto buf = std::make_shared<ScheduleBuffer>(*result.schedule);
-    const size_t old_words = buf->wordsPerStep();
-    buf->k = w;
-    const size_t words = buf->wordsPerStep();
-    if (words != old_words) {
-        // Active regions all lie below the old k, so each step keeps
-        // its words at their offsets and gains zero words after them.
-        std::vector<uint64_t> active(buf->numSteps() * words, 0);
-        for (uint64_t step = 0; step < buf->numSteps(); ++step)
-            for (size_t i = 0; i < std::min(old_words, words); ++i)
-                active[step * words + i] =
-                    buf->activeWords[step * old_words + i];
-        buf->activeWords = std::move(active);
-    }
-    out->schedule = std::move(buf);
-    return out;
-}
-
 /**
  * The width-invariant analysis of one leaf for one schedule() call: its
- * memoization key prefix, how many sweep widths it schedules, its
- * dependence DAG, its bound profile and, on a multi-core topology, its
- * qubit-to-core mapping (DESIGN.md §9). The key prefix and task count
- * are set before the width tasks fan out. The rest is built under
- * call_once by the first width task that misses the cache, whichever
- * thread runs it; the others wait for it and then only read. The last
- * of the leaf's width tasks to finish frees it, so a leaf whose widths
- * all hit builds nothing and only the leaves in flight hold a DAG.
+ * memoization key prefix, how many sweep widths it schedules, the check
+ * of its ops, its dependence DAG, its bound profile and, on a
+ * multi-core topology, its qubit-to-core mapping (DESIGN.md §9). The
+ * key prefix and task count are set before the width tasks fan out.
+ * The rest is built under call_once by the first width task that
+ * misses the cache, whichever thread runs it; the others wait for it
+ * and then only read. The last of the leaf's width tasks to finish
+ * frees it, so a leaf whose widths all hit builds nothing and only the
+ * leaves in flight hold a DAG.
  */
 struct CoarseScheduler::LeafShare
 {
@@ -158,14 +136,16 @@ struct CoarseScheduler::LeafShare
     std::optional<LeafBoundProfile> bounds;
     std::vector<unsigned> home;
 
+    /** Check the leaf's ops once for all of its widths, then build. */
     void
-    analyze(const Module &mod, const Topology &topo)
+    analyze(const Module &mod, const MultiSimdArch &arch)
     {
         std::call_once(analyzed, [&] {
+            LeafScheduler::checkInputs(mod, arch);
             dag.emplace(DepDag::build(mod));
             bounds.emplace(mod, *dag);
-            if (topo.multiCore())
-                home = computeQubitMapping(mod, topo);
+            if (arch.topology.multiCore())
+                home = computeQubitMapping(mod, arch.topology);
         });
     }
 
@@ -234,7 +214,7 @@ CoarseScheduler::leafWidthResult(const Module &mod, unsigned w,
             return hit;
         }
     }
-    share.analyze(mod, arch.topology);
+    share.analyze(mod, arch);
     auto result = scheduleLeafWidth(*leafScheduler, mod, *share.dag,
                                     *share.bounds, share.home, arch, mode,
                                     w);
@@ -256,8 +236,8 @@ CoarseScheduler::derivedWidthResult(
     const Module &mod, unsigned w, const LeafShare &share,
     const std::shared_ptr<const LeafScheduleResult> &base) const
 {
-    // Without a cache the merge reads only the stats, bounds and
-    // attempt, which are the base's; the buffer's k is never read.
+    // A result carries no width, so the base is exactly what a width
+    // task at w would return.
     if (!cache)
         return base;
     // The slot keeps its own key and passes the same rebind guard as a
@@ -267,7 +247,7 @@ CoarseScheduler::derivedWidthResult(
         leafScheduleKey(share.keyPrefix, w, cacheKeySuffix);
     if (auto hit = cachedResult(mod, key))
         return hit;
-    return cache->insert(key, withSweepWidth(*base, w));
+    return cache->insert(key, base);
 }
 
 namespace {
@@ -551,7 +531,7 @@ CoarseScheduler::schedule(const Program &prog) const
     // width from its saturation width on (LeafScheduler::
     // saturationWidth), so only the widths up to the first sweep width
     // at or past it run as tasks and every wider slot takes that
-    // result with its own k. Multi-core rebinds depend on the width's
+    // result under its own key. Multi-core rebinds depend on the width's
     // region-to-core split, so there every width is a task.
     const size_t nw = widths.size();
     const bool collapse = !arch.topology.multiCore();

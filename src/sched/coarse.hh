@@ -95,25 +95,17 @@ struct ProgramSchedule
 /**
  * One leaf width task (DESIGN.md §9): schedule @p mod with @p scheduler
  * on a k = @p w copy of @p arch, annotate it on the full machine under
- * @p mode, and evaluate @p bounds at @p w. @p dag is
- * DepDag::build(mod); @p home is computeQubitMapping(mod,
- * arch.topology) on a multi-core topology and empty on one core.
+ * @p mode, and evaluate @p bounds at @p w. The schedule itself is
+ * dropped; the result keeps its blackbox. @p dag is DepDag::build(mod);
+ * @p home is computeQubitMapping(mod, arch.topology) on a multi-core
+ * topology and empty on one core. The caller has run
+ * LeafScheduler::checkInputs(mod, arch).
  */
 std::shared_ptr<LeafScheduleResult>
 scheduleLeafWidth(const LeafScheduler &scheduler, const Module &mod,
                   const DepDag &dag, const LeafBoundProfile &bounds,
                   std::span<const unsigned> home,
                   const MultiSimdArch &arch, CommMode mode, unsigned w);
-
-/**
- * @p result moved to sweep width @p w: a copy whose schedule buffer has
- * k = @p w (the active-region bitmap re-laid out when its words per
- * step change). Every other field is unchanged — what a width task at
- * @p w returns for a leaf that saturates at or below the result's
- * width (LeafScheduler::saturationWidth).
- */
-std::shared_ptr<LeafScheduleResult>
-withSweepWidth(const LeafScheduleResult &result, unsigned w);
 
 /** The hierarchical scheduler. */
 class CoarseScheduler
@@ -210,8 +202,8 @@ class CoarseScheduler
 
     /**
      * The result at width @p w of a leaf that saturates below it:
-     * @p base (the saturating width's result) with k = @p w, through
-     * the cache when one is attached.
+     * @p base (the saturating width's result) itself, filed under
+     * @p w's own key when a cache is attached.
      */
     std::shared_ptr<const LeafScheduleResult>
     derivedWidthResult(

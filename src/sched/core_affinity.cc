@@ -76,8 +76,6 @@ applyCoreAffinity(LeafSchedule sched, const MultiSimdArch &arch,
     out->slotEnd.reserve(buf.slotEnd.size());
     out->ops.reserve(buf.ops.size());
     out->moveEnd.reserve(buf.moveEnd.size());
-    out->activeWords.reserve(buf.activeWords.size());
-    const size_t words = out->wordsPerStep();
 
     std::vector<Group> groups;
     std::vector<uint32_t> op_group;  ///< per op in step: its group
@@ -96,7 +94,6 @@ applyCoreAffinity(LeafSchedule sched, const MultiSimdArch &arch,
         const uint32_t slot_begin = buf.slotBegin(step);
         const uint32_t slot_end = buf.slotEnd[step];
         if (slot_begin == slot_end) { // empty timestep
-            out->activeWords.resize(out->activeWords.size() + words, 0);
             out->slotEnd.push_back(
                 static_cast<uint32_t>(out->slots.size()));
             out->moveEnd.push_back(0);
@@ -233,8 +230,6 @@ applyCoreAffinity(LeafSchedule sched, const MultiSimdArch &arch,
                   [](const Placement &a, const Placement &b) {
                       return a.newRegion < b.newRegion;
                   });
-        const size_t word_base = out->activeWords.size();
-        out->activeWords.resize(word_base + words, 0);
         for (const Placement &p : placed) {
             const ScheduleBuffer::Slot &slot = buf.slots[groups[p.group].slot];
             for (uint32_t i = buf.opBegin(groups[p.group].slot);
@@ -243,8 +238,6 @@ applyCoreAffinity(LeafSchedule sched, const MultiSimdArch &arch,
                     out->ops.push_back(buf.ops[i]);
             out->slots.push_back({static_cast<uint32_t>(out->ops.size()),
                                   p.newRegion, slot.kind});
-            out->activeWords[word_base + p.newRegion / 64] |=
-                uint64_t{1} << (p.newRegion % 64);
         }
         out->slotEnd.push_back(static_cast<uint32_t>(out->slots.size()));
         out->moveEnd.push_back(0);

@@ -12,6 +12,13 @@
  * of Shor's outlined rotation leaves are angle-seeded, so its 128
  * leaves have 128 distinct structural hashes (DESIGN.md §9).
  *
+ * An entry is the leaf's blackbox at one width, as the paper's coarse
+ * scheduler sees it: movement statistics (whose totalCycles is the
+ * blackbox length), search provenance, resource summary and lower
+ * bounds. It holds no schedule buffer — the coarse merge, msq-served
+ * and the estimate checker read none — so an entry is a few hundred
+ * bytes whatever the leaf's size.
+ *
  * The key captures everything the result depends on:
  *   - the module's structural hash (Module::structuralHash(), which
  *     excludes names and angles) plus its op/qubit counts as cheap
@@ -23,7 +30,7 @@
  *     mode.
  *
  * Values are shared via shared_ptr<const LeafScheduleResult>, so a hit
- * costs one refcount bump regardless of schedule size. The cache is
+ * costs one refcount bump. The cache is
  * thread-safe and may be shared across CoarseScheduler / Toolflow runs
  * (keys are self-contained; nothing run-specific leaks in).
  *
@@ -55,7 +62,8 @@
 
 namespace msq {
 
-/** The cached outcome of scheduling one leaf module at one width. */
+/** The cached outcome of scheduling one leaf module at one width: its
+ * blackbox, not its schedule. */
 struct LeafScheduleResult
 {
     /** Movement statistics (totalCycles is the blackbox length). */
@@ -76,7 +84,7 @@ struct LeafScheduleResult
      * resource footprint (analysis/schedule_summary.hh) — the unit the
      * paper-scale estimator composes through the repeat algebra. Like
      * `bounds`, a pure function of what the cache key captures, so it
-     * is memoized alongside the schedule and a hit never re-folds.
+     * is memoized with the stats and a hit never re-folds.
      */
     ResourceSummary summary;
 
@@ -84,18 +92,16 @@ struct LeafScheduleResult
      * Static makespan lower bounds at this schedule's width
      * (analysis/bounds.hh). Pure function of the module's structure and
      * the arch — exactly what the cache key captures — so bounds are
-     * memoized alongside the schedule and a cache hit never recomputes
-     * them.
+     * memoized with the stats and a cache hit never recomputes them.
      */
     MakespanBounds bounds;
 
     /**
-     * The annotated schedule in its compact SoA form. Module-free: any
-     * structurally identical module can rebind it via
-     * LeafSchedule(mod, schedule). Consumers must never mutate through
-     * this pointer — LeafSchedule's copy-on-write detaches a private
-     * copy first (the cache keeps its own reference alive, so a cached
-     * buffer always copies on mutation).
+     * Always null in results the library builds: no library path keeps
+     * a leaf's schedule past its width task, and .msqc stores none.
+     * Only perfbench's trace replica of the toolflow
+     * (perfbench/common.cc) still fills it; the field leaves with that
+     * replica.
      */
     std::shared_ptr<const ScheduleBuffer> schedule;
 
@@ -105,7 +111,7 @@ struct LeafScheduleResult
      * in-process entries these trivially match the requesting module
      * (the key embeds them); for entries loaded from disk they are an
      * independent copy carried in the entry payload, so a forged or
-     * collided key can never silently rebind a wrong schedule
+     * collided key can never silently rebind a wrong result
      * (DiagCode::CacheRebindRejected). A 0/0 result belongs to an
      * empty module and rebinds to nothing else.
      */

@@ -104,8 +104,10 @@ class LeafScheduler
      * (CoarseScheduler). On a multi-core topology @p home is
      * computeQubitMapping(mod, arch.topology), computed once per leaf
      * by the caller for every width's core-affinity rebind; empty
-     * computes it here. The two overloads above build the DAG and
-     * forward here.
+     * computes it here. The two overloads above run checkInputs, build
+     * the DAG and forward here. This overload validates @p arch and
+     * the DAG's size but leaves the op walk to its caller: the caller
+     * must have run checkInputs(mod, arch), which no width changes.
      */
     LeafSchedule scheduleWithAttempt(const Module &mod, const DepDag &dag,
                                      const MultiSimdArch &arch,
@@ -137,6 +139,15 @@ class LeafScheduler
      */
     virtual unsigned saturationWidth(const Module &mod) const;
 
+    /**
+     * The preconditions every scheduler shares; panics on violations:
+     * a valid @p arch, a leaf @p mod, and ops that are primitive gates
+     * with at least one operand, no repeated operand and at most d
+     * operands. The op walk reads d but never k, so a width sweep runs
+     * it once per leaf.
+     */
+    static void checkInputs(const Module &mod, const MultiSimdArch &arch);
+
   protected:
     /**
      * The scheduler itself: inputs are checked and @p attempt is reset
@@ -150,9 +161,6 @@ class LeafScheduler
                                        ScheduleAttempt &attempt,
                                        std::span<const unsigned> home)
         const = 0;
-
-    /** Shared precondition checks; panics on violations. */
-    static void checkInputs(const Module &mod, const MultiSimdArch &arch);
 };
 
 /**

@@ -79,6 +79,7 @@ LeafScheduler::scheduleWithAttempt(const Module &mod,
                                    const MultiSimdArch &arch,
                                    ScheduleAttempt &attempt) const
 {
+    checkInputs(mod, arch);
     return scheduleWithAttempt(mod, DepDag::build(mod), arch, attempt);
 }
 
@@ -88,7 +89,9 @@ LeafScheduler::scheduleWithAttempt(const Module &mod, const DepDag &dag,
                                    ScheduleAttempt &attempt,
                                    std::span<const unsigned> home) const
 {
-    checkInputs(mod, arch);
+    // The op walk of checkInputs is the caller's, once per leaf; only
+    // the per-width checks run here.
+    arch.validate();
     if (dag.numNodes() != mod.numOps())
         panic("leaf scheduler: DAG does not match module " + mod.name());
     std::vector<unsigned> computed;

@@ -48,7 +48,6 @@ makeLeafSummaryFn(const MultiSimdArch &arch,
         auto result = std::make_shared<LeafScheduleResult>();
         result->stats = comm.annotate(sched, result->summary);
         result->bounds = computeLeafBounds(mod, arch);
-        result->schedule = sched.sharedBuffer();
         result->opCount = mod.numOps();
         result->qubitCount = mod.numQubits();
         return cache->insert(key, std::move(result))->summary;

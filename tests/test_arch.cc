@@ -165,9 +165,10 @@ TEST(TimestepView, ActiveRegions)
 
     EXPECT_EQ(sched.step(0).activeRegions(), 0u);
     EXPECT_EQ(sched.step(1).activeRegions(), 2u);
-    EXPECT_FALSE(sched.step(1).regionActive(0));
-    EXPECT_TRUE(sched.step(1).regionActive(1));
-    EXPECT_TRUE(sched.step(1).regionActive(2));
+    std::vector<unsigned> regions;
+    for (RegionSlotView slot : sched.step(1))
+        regions.push_back(slot.region());
+    EXPECT_EQ(regions, (std::vector<unsigned>{1, 2}));
 }
 
 TEST(LeafSchedule, Accounting)

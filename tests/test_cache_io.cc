@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the persistent leaf-schedule cache (sched/cache_io.hh):
- * binary round-trips over adversarial ScheduleBuffers (empty steps,
- * move-only steps, idle regions, >64-region bitmaps, 2^64-1
- * counters), byte-identical re-serialization, truncation/bit-flip
+ * binary round-trips of real, empty and 2^64-1-counter results,
+ * byte-identical re-serialization, truncation/bit-flip/trailing-byte
  * rejection with stable P-code diagnostics, the load-path counter
  * accounting (loads never count as misses; hit/miss totals are
  * thread-count- and warm/cold-invariant), and the rebind-time
@@ -18,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "arch/schedule.hh"
 #include "core/serve.hh"
 #include "sched/cache_io.hh"
 #include "sched/coarse.hh"
@@ -75,43 +73,16 @@ randomLeaf(Rng &rng, unsigned qubits, unsigned ops)
     return mod;
 }
 
-/** Schedule @p mod with LPFS at width @p k and annotate movement. */
+/** The result of a width task for @p mod under LPFS at width @p k. */
 std::shared_ptr<LeafScheduleResult>
 makeResult(const Module &mod, unsigned k, CommMode mode)
 {
     MultiSimdArch arch(k);
     LpfsScheduler scheduler;
-    auto result = std::make_shared<LeafScheduleResult>();
-    LeafSchedule sched =
-        scheduler.scheduleWithAttempt(mod, arch, result->attempt);
-    result->stats = CommunicationAnalyzer(arch, mode).annotate(sched);
-    result->schedule = sched.sharedBuffer();
-    result->opCount = mod.numOps();
-    result->qubitCount = mod.numQubits();
-    return result;
-}
-
-void
-expectBuffersEqual(const ScheduleBuffer &a, const ScheduleBuffer &b)
-{
-    EXPECT_EQ(a.k, b.k);
-    ASSERT_EQ(a.slots.size(), b.slots.size());
-    for (size_t i = 0; i < a.slots.size(); ++i) {
-        EXPECT_EQ(a.slots[i].opEnd, b.slots[i].opEnd);
-        EXPECT_EQ(a.slots[i].region, b.slots[i].region);
-        EXPECT_EQ(a.slots[i].kind, b.slots[i].kind);
-    }
-    EXPECT_EQ(a.slotEnd, b.slotEnd);
-    EXPECT_EQ(a.ops, b.ops);
-    ASSERT_EQ(a.moves.size(), b.moves.size());
-    for (size_t i = 0; i < a.moves.size(); ++i) {
-        EXPECT_EQ(a.moves[i].qubit, b.moves[i].qubit);
-        EXPECT_EQ(a.moves[i].from, b.moves[i].from);
-        EXPECT_EQ(a.moves[i].to, b.moves[i].to);
-        EXPECT_EQ(a.moves[i].blocking, b.moves[i].blocking);
-    }
-    EXPECT_EQ(a.moveEnd, b.moveEnd);
-    EXPECT_EQ(a.activeWords, b.activeWords);
+    LeafScheduler::checkInputs(mod, arch);
+    const DepDag dag = DepDag::build(mod);
+    return scheduleLeafWidth(scheduler, mod, dag, LeafBoundProfile(mod, dag),
+                             {}, arch, mode, k);
 }
 
 void
@@ -133,7 +104,6 @@ expectResultsEqual(const LeafScheduleResult &a,
     EXPECT_EQ(a.bounds.criticalPath, b.bounds.criticalPath);
     EXPECT_EQ(a.bounds.resource, b.bounds.resource);
     EXPECT_EQ(a.bounds.interval, b.bounds.interval);
-    expectBuffersEqual(*a.schedule, *b.schedule);
 }
 
 /** Serialize -> deserialize -> compare; returns the decoded result. */
@@ -174,8 +144,10 @@ TEST(CacheIo, RoundTripRealSchedule)
     Rng rng(42);
     Module mod = randomLeaf(rng, 8, 40);
     auto result = makeResult(mod, 4, CommMode::Global);
-    ASSERT_GT(result->schedule->numSteps(), 0u);
-    ASSERT_GT(result->schedule->moves.size(), 0u);
+    ASSERT_GT(result->stats.totalCycles, 0u);
+    ASSERT_GT(result->stats.teleportMoves, 0u);
+    ASSERT_GT(result->summary.gateOps.clampU64(), 0u);
+    ASSERT_GT(result->bounds.composite(), 0u);
     roundTrip(*result);
 }
 
@@ -183,56 +155,7 @@ TEST(CacheIo, RoundTripEmptySchedule)
 {
     Module mod("empty");
     auto result = makeResult(mod, 4, CommMode::None);
-    EXPECT_EQ(result->schedule->numSteps(), 0u);
-    roundTrip(*result);
-}
-
-TEST(CacheIo, RoundTripEmptyAndMoveOnlySteps)
-{
-    // Hand-built schedule: a compute step with idle regions between
-    // active ones, an entirely empty step, then a move-only step.
-    Module mod("m");
-    auto reg = mod.addRegister("q", 4);
-    mod.addGate(GateKind::H, {reg[0]});
-    mod.addGate(GateKind::H, {reg[3]});
-
-    ScheduleBuilder builder(mod, 4);
-    builder.beginStep();
-    builder.slot(0).kind = GateKind::H;
-    builder.slot(0).ops = {0};
-    builder.slot(3).kind = GateKind::H;
-    builder.slot(3).ops = {1};
-    builder.endStep();
-    LeafSchedule sched = builder.finish();
-    sched.appendEmptyStep();
-    sched.appendEmptyStep();
-    Move move;
-    move.qubit = 2;
-    move.from = Location::global();
-    move.to = Location::inRegion(1);
-    move.blocking = true;
-    sched.appendMove(2, move);
-
-    LeafScheduleResult result;
-    result.schedule = sched.sharedBuffer();
-    result.opCount = mod.numOps();
-    result.qubitCount = mod.numQubits();
-    auto decoded = roundTrip(result);
-    ASSERT_NE(decoded, nullptr);
-    EXPECT_EQ(decoded->schedule->numSteps(), 3u);
-    EXPECT_EQ(decoded->schedule->moves.size(), 1u);
-}
-
-TEST(CacheIo, RoundTripWideMachineBitmap)
-{
-    // k = 130 regions: three activeWords words per step, exercising
-    // the >64-region bitmap path.
-    Module mod("wide");
-    auto reg = mod.addRegister("q", 130);
-    for (unsigned i = 0; i < 130; ++i)
-        mod.addGate(GateKind::H, {reg[i]});
-    auto result = makeResult(mod, 130, CommMode::Global);
-    EXPECT_EQ(result->schedule->wordsPerStep(), 3u);
+    EXPECT_EQ(result->stats.totalCycles, 0u);
     roundTrip(*result);
 }
 
@@ -759,6 +682,41 @@ TEST(CacheIoV2, TopologyMismatchReportsP007)
     std::remove(path.c_str());
 }
 
+TEST(CacheIo, TrailingPayloadByteReportsP004)
+{
+    // A payload one byte longer than the record, re-checksummed so the
+    // checksum passes: the decoder must refuse it, and a file holding
+    // it loads nothing.
+    MultiSimdArch arch(4);
+    const std::string fp = LpfsScheduler().fingerprint();
+    const std::string suffix =
+        leafScheduleKeySuffix(fp, arch, CommMode::Global);
+    Rng rng(19);
+    Module mod = randomLeaf(rng, 5, 25);
+    auto result = makeResult(mod, 4, CommMode::Global);
+    std::vector<uint8_t> payload;
+    serializeLeafResult(*result, fp, arch.fingerprint(), payload);
+    payload.push_back(0);
+    std::string fingerprint;
+    std::string archFp;
+    EXPECT_EQ(deserializeLeafResult(payload.data(), payload.size(),
+                                    fingerprint, archFp),
+              nullptr);
+
+    std::vector<uint8_t> file = buildCacheFile(
+        cacheFileVersion, leafScheduleKey(mod, 4, suffix), payload);
+    const std::string path = tempPath("cache_trailing.msqc");
+    std::ofstream(path, std::ios::binary)
+        .write(reinterpret_cast<const char *>(file.data()),
+               static_cast<std::streamsize>(file.size()));
+    LeafScheduleCache loaded;
+    DiagnosticEngine diags;
+    EXPECT_EQ(loaded.loadFrom(path, &diags), 0u);
+    EXPECT_TRUE(diags.has(DiagCode::CacheEntryCorrupt));
+    EXPECT_EQ(loaded.size(), 0u);
+    std::remove(path.c_str());
+}
+
 /**
  * A file with an older @p version header is refused whole with P002
  * before any entry is read, whatever its payload holds, and a daemon
@@ -827,6 +785,12 @@ TEST(CacheIo, VersionThreeFileRejectedThenColdStarts)
     expectOldVersionRejectedThenColdStarts(3);
 }
 
+TEST(CacheIo, VersionFourFileRejectedThenColdStarts)
+{
+    // Version 4 stored each entry's schedule buffer after the bounds.
+    expectOldVersionRejectedThenColdStarts(4);
+}
+
 TEST(RebindGuard, ZeroCountResultRebindsOnlyToEmptyModule)
 {
     // 0/0 is the guard of an empty module, not a wildcard.
@@ -839,22 +803,6 @@ TEST(RebindGuard, ZeroCountResultRebindsOnlyToEmptyModule)
     EXPECT_TRUE(guard.matchesModule(10, 3));
     EXPECT_FALSE(guard.matchesModule(11, 3));
     EXPECT_FALSE(guard.matchesModule(10, 4));
-
-    // A payload claiming a 0-op module cannot carry an op stream: the
-    // guard is never derived from the stream itself.
-    Rng rng(17);
-    Module mod = randomLeaf(rng, 4, 12);
-    auto result = makeResult(mod, 2, CommMode::Global);
-    ASSERT_FALSE(result->schedule->ops.empty());
-    result->opCount = 0;
-    result->qubitCount = 0;
-    std::vector<uint8_t> bytes;
-    serializeLeafResult(*result, "lpfs", "", bytes);
-    std::string fingerprint;
-    std::string archFp;
-    EXPECT_EQ(deserializeLeafResult(bytes.data(), bytes.size(),
-                                    fingerprint, archFp),
-              nullptr);
 }
 
 } // namespace

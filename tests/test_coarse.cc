@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "support/logging.hh"
+#include "support/strings.hh"
 
 #include "sched/coarse.hh"
 #include "sched/lpfs.hh"
@@ -205,6 +206,44 @@ TEST(CoarseScheduler, NestedHierarchy)
     EXPECT_EQ(sched.totalCycles, 2u * 3u * 5u);
     EXPECT_FALSE(sched.forModule(mid).leaf);
     EXPECT_TRUE(sched.forModule(leaf).leaf);
+}
+
+// The op checks run once per leaf, before its first width task: a leaf
+// that still holds a Toffoli is refused on every thread count, cache or
+// no cache.
+TEST(CoarseScheduler, RejectsLeafWithToffoli)
+{
+    Program prog;
+    ModuleId leaf = prog.addModule("leaf");
+    {
+        Module &mod = prog.module(leaf);
+        QubitId a = mod.addParam("a");
+        QubitId b = mod.addParam("b");
+        QubitId c = mod.addParam("c");
+        mod.addGate(GateKind::H, {a});
+        mod.addGate(GateKind::Toffoli, {a, b, c});
+    }
+    ModuleId top = prog.addModule("top");
+    {
+        Module &mod = prog.module(top);
+        auto reg = mod.addRegister("q", 3);
+        mod.addCall(leaf, {reg[0], reg[1], reg[2]});
+    }
+    prog.setEntry(top);
+
+    LpfsScheduler leaf_sched;
+    for (unsigned threads : {1u, 4u}) {
+        for (bool cached : {false, true}) {
+            SCOPED_TRACE(csprintf("threads=%u cache=%d", threads, cached));
+            CoarseScheduler::Options options;
+            options.numThreads = threads;
+            if (cached)
+                options.leafCache = std::make_shared<LeafScheduleCache>();
+            CoarseScheduler coarse(MultiSimdArch(4), leaf_sched,
+                                   CommMode::Global, options);
+            EXPECT_THROW(coarse.schedule(prog), PanicError);
+        }
+    }
 }
 
 TEST(ProgramSchedule, UnanalyzedModulePanics)

@@ -363,22 +363,12 @@ TEST(SchedulerProperties, AnnotatorSummaryMatchesReferenceFold)
 }
 
 /**
- * Two width-task results are equal field for field: schedule buffer
- * (slots, ops, moves compared by field, not by bytes, since Move has
- * padding; k and the active-region bitmap only when @p with_k), every
- * CommStats, ResourceSummary, MakespanBounds and ScheduleAttempt field,
- * and the rebind guard counts.
+ * Two schedule buffers are equal in every field but k: slots, ops and
+ * moves compared by field, not by bytes, since Move has padding.
  */
 void
-expectSameWidthResult(const LeafScheduleResult &a,
-                      const LeafScheduleResult &b, bool with_k)
+expectSameWidthBuffer(const ScheduleBuffer &x, const ScheduleBuffer &y)
 {
-    const ScheduleBuffer &x = *a.schedule;
-    const ScheduleBuffer &y = *b.schedule;
-    if (with_k) {
-        EXPECT_EQ(x.k, y.k);
-        EXPECT_EQ(x.activeWords, y.activeWords);
-    }
     ASSERT_EQ(x.slots.size(), y.slots.size());
     for (size_t i = 0; i < x.slots.size(); ++i) {
         EXPECT_EQ(x.slots[i].opEnd, y.slots[i].opEnd) << "slot " << i;
@@ -396,7 +386,17 @@ expectSameWidthResult(const LeafScheduleResult &a,
             << "move " << i;
     }
     EXPECT_EQ(x.moveEnd, y.moveEnd);
+}
 
+/**
+ * Two width-task results are equal field for field: every CommStats,
+ * ResourceSummary, MakespanBounds and ScheduleAttempt field, and the
+ * rebind guard counts.
+ */
+void
+expectSameWidthResult(const LeafScheduleResult &a,
+                      const LeafScheduleResult &b)
+{
     EXPECT_EQ(a.stats.teleportMoves, b.stats.teleportMoves);
     EXPECT_EQ(a.stats.blockingTeleports, b.stats.blockingTeleports);
     EXPECT_EQ(a.stats.localMoves, b.stats.localMoves);
@@ -444,6 +444,19 @@ widthTask(const LeafScheduler &scheduler, const Module &mod,
                              home, arch, mode, w);
 }
 
+/** The schedule a width task at @p w builds and drops: the scheduler
+ * at k = @p w, annotated on the full machine. */
+LeafSchedule
+widthSchedule(const LeafScheduler &scheduler, const Module &mod,
+              const MultiSimdArch &arch, CommMode mode, unsigned w)
+{
+    MultiSimdArch sub = arch;
+    sub.k = w;
+    LeafSchedule sched = scheduler.schedule(mod, sub);
+    CommunicationAnalyzer(arch, mode).annotate(sched);
+    return sched;
+}
+
 /** Every leaf scheduler the identity property covers, with the opt
  * tier judged under @p mode and kept small enough to run per width. */
 std::vector<std::unique_ptr<LeafScheduler>>
@@ -481,9 +494,10 @@ widthSweepSchedulers(CommMode mode)
 /**
  * The width-invariance contract of LeafScheduler::saturationWidth: on
  * one core, a width task at any width from the saturation width up to
- * 16 returns the saturation width's result in every field but k, for
- * random leaves of 1-4 qubits under every scheduler, region size d,
- * local memory, EPR bandwidth and communication mode.
+ * 16 returns the saturation width's result in every field, and builds
+ * the same schedule in every field but k, for random leaves of 1-4
+ * qubits under every scheduler, region size d, local memory, EPR
+ * bandwidth and communication mode.
  */
 TEST(SchedulerProperties, WidthTasksMatchPastSaturation)
 {
@@ -523,16 +537,20 @@ TEST(SchedulerProperties, WidthTasksMatchPastSaturation)
                 scheduler->fingerprint().c_str()));
             const auto base =
                 widthTask(*scheduler, mod, arch, comm.mode, from);
-            EXPECT_EQ(base->schedule->k, from);
+            const LeafSchedule base_sched =
+                widthSchedule(*scheduler, mod, arch, comm.mode, from);
+            EXPECT_EQ(base_sched.k(), from);
             for (unsigned w = from + 1; w <= arch.k; ++w) {
                 SCOPED_TRACE(csprintf("w=%u", w));
-                const auto wide =
-                    widthTask(*scheduler, mod, arch, comm.mode, w);
-                EXPECT_EQ(wide->schedule->k, w);
-                expectSameWidthResult(*base, *wide, false);
-                // What the coarse scheduler stores for the wide slot.
-                expectSameWidthResult(*withSweepWidth(*base, w), *wide,
-                                      true);
+                // The coarse scheduler files the base result itself
+                // under the wide slot's key.
+                expectSameWidthResult(
+                    *base, *widthTask(*scheduler, mod, arch, comm.mode, w));
+                const LeafSchedule wide_sched =
+                    widthSchedule(*scheduler, mod, arch, comm.mode, w);
+                EXPECT_EQ(wide_sched.k(), w);
+                expectSameWidthBuffer(base_sched.buffer(),
+                                      wide_sched.buffer());
                 ++pairs;
             }
         }
@@ -540,20 +558,23 @@ TEST(SchedulerProperties, WidthTasksMatchPastSaturation)
     EXPECT_GT(pairs, 1000u);
 }
 
-/** The bitmap relayout of withSweepWidth when k crosses a 64-region
- * word boundary. */
-TEST(SchedulerProperties, WidthTaskIdentityAcrossBitmapWords)
+/** Width identity on a machine wider than 64 regions, on both sides
+ * of each 64-region boundary. */
+TEST(SchedulerProperties, WidthTaskIdentityPastSixtyFourRegions)
 {
     Module mod = randomModule(7, 3, 80);
     MultiSimdArch arch(130);
     LpfsScheduler lpfs;
-    const auto base =
-        widthTask(lpfs, mod, arch, CommMode::Global, 3);
+    const auto base = widthTask(lpfs, mod, arch, CommMode::Global, 3);
+    const LeafSchedule base_sched =
+        widthSchedule(lpfs, mod, arch, CommMode::Global, 3);
     for (unsigned w : {64u, 65u, 128u, 130u}) {
         SCOPED_TRACE(w);
-        const auto wide =
-            widthTask(lpfs, mod, arch, CommMode::Global, w);
-        expectSameWidthResult(*withSweepWidth(*base, w), *wide, true);
+        expectSameWidthResult(
+            *base, *widthTask(lpfs, mod, arch, CommMode::Global, w));
+        expectSameWidthBuffer(
+            base_sched.buffer(),
+            widthSchedule(lpfs, mod, arch, CommMode::Global, w).buffer());
     }
 }
 
@@ -594,9 +615,12 @@ lowQubitProgram(uint64_t seed)
 /**
  * Coarse level of the width collapse: every entry a collapsed compile
  * inserts into its cache equals an independent width task at that
- * entry's own width, k included, and the compile inserts exactly one
- * entry per (leaf x width) slot. Run on four threads so the derived
- * slots, filled after the width tasks fan out, race nothing.
+ * entry's own width, a derived slot's entry is its saturating width's
+ * entry itself, a derived slot's directly built schedule equals the
+ * saturating width's in every field but k, and the compile inserts
+ * exactly one entry per (leaf x width) slot. Run on four threads so
+ * the derived slots, filled after the width tasks fan out, race
+ * nothing.
  */
 TEST(SchedulerProperties, CollapsedCacheEntriesMatchWidthTasks)
 {
@@ -643,16 +667,23 @@ TEST(SchedulerProperties, CollapsedCacheEntriesMatchWidthTasks)
             for (unsigned w : sweep) {
                 SCOPED_TRACE(csprintf("%s w=%u", mod.name().c_str(), w));
                 ++slots;
-                if (saturated != sweep.end() && w > *saturated)
-                    ++derived;
                 const auto entry = options.leafCache->lookup(
                     leafScheduleKey(mod, w, suffix));
                 ASSERT_NE(entry, nullptr);
                 expectSameWidthResult(
                     *entry,
-                    *widthTask(lpfs, mod, arch, CommMode::Global,
-                                       w),
-                    true);
+                    *widthTask(lpfs, mod, arch, CommMode::Global, w));
+                if (saturated == sweep.end() || w <= *saturated)
+                    continue;
+                ++derived;
+                EXPECT_EQ(entry, options.leafCache->lookup(leafScheduleKey(
+                                     mod, *saturated, suffix)));
+                expectSameWidthBuffer(
+                    widthSchedule(lpfs, mod, arch, CommMode::Global,
+                                  *saturated)
+                        .buffer(),
+                    widthSchedule(lpfs, mod, arch, CommMode::Global, w)
+                        .buffer());
             }
         }
         EXPECT_EQ(options.leafCache->size(), slots);

@@ -745,7 +745,6 @@ expectSameBuffer(const ScheduleBuffer &a, const ScheduleBuffer &b)
             << "move " << i;
     }
     EXPECT_EQ(a.moveEnd, b.moveEnd);
-    EXPECT_EQ(a.activeWords, b.activeWords);
 }
 
 /**

@@ -17,15 +17,21 @@
  * counts, its communication cycle total and the full SoA schedule
  * stream: slots, step ends, the op stream and the movement stream — and
  * folds the sorted digests, so it is independent of scheduling order and
- * of the cache-key format.
+ * of the cache-key format. The cache keeps no schedules, so the harness
+ * rebuilds each entry's schedule with the two calls a width task makes:
+ * the leaf scheduler at the entry's width, then the full-machine
+ * annotate. Width invariance makes a derived width's schedule that of
+ * its own task.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/serve.hh"
@@ -156,17 +162,62 @@ putLocation(Bytes &out, const Location &loc)
     out.put<uint32_t>(loc.region);
 }
 
+/**
+ * Digest of every leaf result @p cache holds after @p toolflow ran on
+ * @p prog (lowered in place). The keys of every reachable leaf at every
+ * sweep width must be exactly the cache's keys.
+ */
 uint64_t
-hashLeafResults(const LeafScheduleCache &cache)
+hashLeafResults(const Program &prog, const Toolflow &toolflow,
+                const LeafScheduleCache &cache)
 {
+    const ToolflowConfig &config = toolflow.config();
+    const auto scheduler = toolflow.makeConfiguredScheduler();
+    CoarseScheduler::Options options;
+    options.widths = config.coarseWidths;
+    const CoarseScheduler coarse(config.arch, *scheduler, config.commMode,
+                                 options);
+    const std::string suffix = leafScheduleKeySuffix(
+        scheduler->fingerprint(), config.arch, config.commMode);
+    std::map<std::string, std::pair<const Module *, unsigned>> tasks;
+    for (ModuleId id : prog.reachableModules()) {
+        const Module &mod = prog.module(id);
+        if (!mod.isLeaf())
+            continue;
+        for (unsigned w : coarse.widthSweep())
+            tasks.emplace(leafScheduleKey(mod, w, suffix),
+                          std::make_pair(&mod, w));
+    }
+
+    const auto entries = cache.snapshotEntries();
+    std::vector<std::string> cached_keys;
+    std::vector<std::string> task_keys;
+    for (const auto &entry : entries)
+        cached_keys.push_back(entry.first);
+    for (const auto &task : tasks)
+        task_keys.push_back(task.first);
+    EXPECT_TRUE(cached_keys == task_keys)
+        << cached_keys.size() << " cached keys, " << task_keys.size()
+        << " enumerated";
+
     std::vector<uint64_t> digests;
-    for (const auto &entry : cache.snapshotEntries()) {
-        const LeafScheduleResult &result = *entry.second;
-        const ScheduleBuffer &buf = *result.schedule;
+    for (const auto &[key, result] : entries) {
+        const auto task = tasks.find(key);
+        if (task == tasks.end())
+            continue;
+        const auto [mod, w] = task->second;
+        MultiSimdArch sub = config.arch;
+        sub.k = w;
+        LeafSchedule sched = scheduler->schedule(*mod, sub);
+        const CommStats stats =
+            CommunicationAnalyzer(config.arch, config.commMode)
+                .annotate(sched);
+        EXPECT_EQ(stats.totalCycles, result->stats.totalCycles) << key;
+        const ScheduleBuffer &buf = sched.buffer();
         Bytes out;
-        out.put<uint64_t>(result.opCount);
-        out.put<uint64_t>(result.qubitCount);
-        out.put<uint64_t>(result.stats.totalCycles);
+        out.put<uint64_t>(result->opCount);
+        out.put<uint64_t>(result->qubitCount);
+        out.put<uint64_t>(result->stats.totalCycles);
         out.put<uint32_t>(buf.k);
         for (const ScheduleBuffer::Slot &slot : buf.slots) {
             out.put<uint32_t>(slot.opEnd);
@@ -208,13 +259,14 @@ measure(const char *workload, ToolflowConfig config)
     config.rotations = Toolflow::rotationPresetFor(workload);
     auto cache = std::make_shared<LeafScheduleCache>();
     config.sharedLeafCache = cache;
-    ToolflowResult result = Toolflow(config).run(prog);
+    const Toolflow toolflow(config);
+    ToolflowResult result = toolflow.run(prog);
     return Pin{workload,
                schedulerKindName(config.scheduler),
                0,
                result.schedule.totalCycles,
                hashProgramSchedule(result.schedule),
-               hashLeafResults(*cache)};
+               hashLeafResults(prog, toolflow, *cache)};
 }
 
 /** Compile @p pin's configuration on @p threads threads. */

@@ -390,7 +390,7 @@ injectCommFault(LeafSchedule &sched, const MultiSimdArch &arch,
     const uint64_t num_steps = sched.computeTimesteps();
 
     // All mutation goes through LeafSchedule::appendMove, which detaches
-    // a private buffer copy when the schedule is aliased (e.g. cached);
+    // a private buffer copy when another copy of the schedule shares it;
     // the read-only planning below uses the immutable views.
 
     if (kind == "move-during-gate") {
