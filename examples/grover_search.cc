@@ -7,8 +7,8 @@
  * Usage: grover_search [n]     (search space 2^n, default n = 10)
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "analysis/resource_estimator.hh"
 #include "core/toolflow.hh"
@@ -21,9 +21,13 @@ using namespace msq;
 int
 main(int argc, char **argv)
 {
-    unsigned n = 10;
-    if (argc > 1)
-        n = static_cast<unsigned>(std::strtoul(argv[1], nullptr, 10));
+    uint64_t arg = 10;
+    if (argc > 1 &&
+        !parseCount(argv[1], arg, 1, std::numeric_limits<unsigned>::max())) {
+        std::cerr << "usage: grover_search [n]\n";
+        return 2;
+    }
+    const unsigned n = static_cast<unsigned>(arg);
 
     std::cout << "Grover's Search, database of 2^" << n << " elements\n\n";
 

@@ -75,11 +75,19 @@ main(int argc, char **argv)
             else
                 fatal("unknown scheduler: " + kind);
         } else if (arg == "--k" && i + 1 < argc) {
-            config.arch.k = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            uint64_t k = 0;
+            if (!parseCount(argv[++i], k, 1, maxRegionsPerCore)) {
+                std::cerr << "scaffold_compile: --k needs a count in "
+                             "[1, 2^20], got " << argv[i] << "\n";
+                return 2;
+            }
+            config.arch.k = static_cast<unsigned>(k);
         } else if (arg == "--local" && i + 1 < argc) {
-            config.arch.localMemCapacity =
-                std::strtoull(argv[++i], nullptr, 10);
+            if (!parseCount(argv[++i], config.arch.localMemCapacity)) {
+                std::cerr << "scaffold_compile: --local needs a count, got "
+                          << argv[i] << "\n";
+                return 2;
+            }
             config.commMode = CommMode::GlobalWithLocalMem;
         } else {
             path = arg;

@@ -8,8 +8,8 @@
  * Usage: shor_factoring [n]    (factor an n-bit number, default 8)
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "core/toolflow.hh"
 #include "support/stats.hh"
@@ -21,9 +21,13 @@ using namespace msq;
 int
 main(int argc, char **argv)
 {
-    unsigned n = 8;
-    if (argc > 1)
-        n = static_cast<unsigned>(std::strtoul(argv[1], nullptr, 10));
+    uint64_t arg = 8;
+    if (argc > 1 &&
+        !parseCount(argv[1], arg, 1, std::numeric_limits<unsigned>::max())) {
+        std::cerr << "usage: shor_factoring [n]\n";
+        return 2;
+    }
+    const unsigned n = static_cast<unsigned>(arg);
 
     std::cout << "Shor's factoring of an " << n << "-bit modulus\n\n";
 

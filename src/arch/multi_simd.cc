@@ -1,7 +1,5 @@
 #include "arch/multi_simd.hh"
 
-#include <stdexcept>
-
 #include "support/diagnostic.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
@@ -108,21 +106,11 @@ parseTopologySpec(const std::string &spec, MultiSimdArch &arch,
         std::string key = item.substr(0, eq);
         std::string value = item.substr(eq + 1);
         auto parse_count = [&](uint64_t &out_value) {
-            if (value == "inf" || value == "unbounded") {
-                out_value = unbounded;
+            if (parseCount(value, out_value))
                 return true;
-            }
-            try {
-                size_t used = 0;
-                out_value = std::stoull(value, &used);
-                if (used != value.size())
-                    throw std::invalid_argument(value);
-            } catch (...) {
-                error = "topology spec: \"" + key +
-                        "\" needs a count, got \"" + value + "\"";
-                return false;
-            }
-            return true;
+            error = "topology spec: \"" + key + "\" needs a count, got \"" +
+                    value + "\"";
+            return false;
         };
         uint64_t number = 0;
         if (key == "cores") {
@@ -136,7 +124,7 @@ parseTopologySpec(const std::string &spec, MultiSimdArch &arch,
         } else if (key == "k") {
             if (!parse_count(number))
                 return false;
-            if (number == 0 || number > (1u << 20)) {
+            if (number == 0 || number > maxRegionsPerCore) {
                 error = "topology spec: per-core k must be in "
                         "[1, 2^20]";
                 return false;
@@ -183,24 +171,20 @@ parseTopologySpec(const std::string &spec, MultiSimdArch &arch,
                 return false;
             }
         } else if (key == "link") {
-            size_t dash = value.find('-');
-            try {
-                if (dash == std::string::npos)
-                    throw std::invalid_argument(value);
-                size_t used_a = 0, used_b = 0;
-                std::string lhs = value.substr(0, dash);
-                std::string rhs = value.substr(dash + 1);
-                unsigned long a = std::stoul(lhs, &used_a);
-                unsigned long b = std::stoul(rhs, &used_b);
-                if (used_a != lhs.size() || used_b != rhs.size())
-                    throw std::invalid_argument(value);
-                topo.extraLinks.emplace_back(
-                    static_cast<unsigned>(a), static_cast<unsigned>(b));
-            } catch (...) {
+            const size_t dash = value.find('-');
+            const uint64_t maxIndex = std::numeric_limits<unsigned>::max();
+            uint64_t a = 0, b = 0;
+            if (dash == std::string::npos ||
+                !parseCount(std::string_view(value).substr(0, dash), a, 0,
+                            maxIndex) ||
+                !parseCount(std::string_view(value).substr(dash + 1), b, 0,
+                            maxIndex)) {
                 error = "topology spec: link needs \"a-b\" core "
                         "indices, got \"" + value + "\"";
                 return false;
             }
+            topo.extraLinks.emplace_back(static_cast<unsigned>(a),
+                                         static_cast<unsigned>(b));
         } else if (key == "map") {
             if (value == "greedy")
                 topo.mapping = MappingStrategy::Greedy;

@@ -25,6 +25,9 @@ namespace msq {
 /** Sentinel meaning "unbounded" for d and local-memory capacity. */
 constexpr uint64_t unbounded = std::numeric_limits<uint64_t>::max();
 
+/** The most SIMD regions (k) one core may have, flat or in a topology. */
+constexpr unsigned maxRegionsPerCore = 1u << 20;
+
 /** How communication is modelled when costing a schedule. */
 enum class CommMode : uint8_t {
     /** Communication is free (parallelism-only studies, Fig. 6). */

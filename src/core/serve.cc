@@ -1,9 +1,11 @@
 #include "core/serve.hh"
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <fstream>
+#include <limits>
 
 #include "analysis/bounds.hh"
 #include "core/toolflow.hh"
@@ -22,16 +24,46 @@ namespace msq {
 namespace {
 
 /** The "id" field is echoed back as-is (string or number) so clients
- * can correlate pipelined responses; anything else becomes null. */
+ * can correlate pipelined responses; anything else becomes null. An
+ * integral id within +-2^53 (every integer a double holds exactly)
+ * prints as an integer, not in jsonNumber's shortest form ("1e+01"). */
 std::string
 echoId(const JsonValue &request)
 {
     const JsonValue &id = request.get("id");
     if (id.isString())
         return "\"" + jsonEscape(id.asString()) + "\"";
-    if (id.isNumber())
-        return jsonNumber(id.asNumber());
+    if (id.isNumber()) {
+        const double value = id.asNumber();
+        constexpr double exact = 9007199254740992.0; // 2^53
+        if (std::trunc(value) == value && std::fabs(value) <= exact)
+            return std::to_string(static_cast<int64_t>(value));
+        return jsonNumber(value);
+    }
     return "null";
+}
+
+/**
+ * Read the optional integer field @p key into @p out, which keeps its
+ * value when the field is absent. The number's token goes through
+ * parseCount, so a fraction, an exponent, a negative value or one
+ * outside [@p min, @p max] is an error, never a wrapped or truncated
+ * value.
+ */
+bool
+readCount(const JsonValue &req, const char *key, uint64_t min, uint64_t max,
+          uint64_t &out, std::string &error)
+{
+    if (!req.has(key) ||
+        parseCount(req.get(key).numberText(), out, min, max))
+        return true;
+    error = max == std::numeric_limits<uint64_t>::max()
+                ? csprintf("%s must be an integer >= %llu", key,
+                           static_cast<unsigned long long>(min))
+                : csprintf("%s must be an integer in [%llu, %llu]", key,
+                           static_cast<unsigned long long>(min),
+                           static_cast<unsigned long long>(max));
+    return false;
 }
 
 std::string
@@ -119,7 +151,9 @@ parseRequest(const std::string &line, const ServeOptions &defaults,
         }
         out.name = "source";
     }
-    uint64_t scale = req.get("scale").asUnsigned(1);
+    uint64_t scale = 1;
+    if (!readCount(req, "scale", 1, unbounded - 1, scale, error))
+        return false;
     if (scale > 1)
         workloads::scaleWorkload(out.prog, scale);
 
@@ -140,22 +174,18 @@ parseRequest(const std::string &line, const ServeOptions &defaults,
         return false;
     }
 
-    unsigned k = static_cast<unsigned>(
-        req.get("k").asUnsigned(defaults.k));
-    uint64_t d = req.has("d") ? req.get("d").asUnsigned(defaults.d)
-                              : defaults.d;
-    uint64_t localMem = req.has("local_mem")
-                            ? req.get("local_mem").asUnsigned(0)
-                            : defaults.localMem;
-    if (k == 0) {
-        error = "k must be >= 1";
+    uint64_t k = defaults.k;
+    uint64_t d = defaults.d;
+    uint64_t localMem = defaults.localMem;
+    uint64_t epr = defaults.eprBandwidth;
+    if (!readCount(req, "k", 1, maxRegionsPerCore, k, error) ||
+        !readCount(req, "d", 0, unbounded, d, error) ||
+        !readCount(req, "local_mem", 0, unbounded, localMem, error) ||
+        !readCount(req, "epr", 1, unbounded, epr, error))
         return false;
-    }
-    out.config.arch = MultiSimdArch(k, d == 0 ? unbounded : d, localMem);
-    if (req.has("epr"))
-        out.config.arch.eprBandwidth = req.get("epr").asUnsigned(1);
-    else
-        out.config.arch.eprBandwidth = defaults.eprBandwidth;
+    out.config.arch = MultiSimdArch(static_cast<unsigned>(k),
+                                    d == 0 ? unbounded : d, localMem);
+    out.config.arch.eprBandwidth = epr;
 
     // Per-request topology overrides the daemon-wide default; either
     // way the spec reshapes the arch (cores * per-core k regions) and

@@ -188,7 +188,7 @@ class Parser
         std::string name = expect(TokenKind::Identifier).text;
         expect(TokenKind::LParen);
 
-        std::vector<QubitId> qubits;
+        QubitList qubits;
         bool have_angle = false;
         double angle = 0.0;
         if (!at(TokenKind::RParen)) {
@@ -243,7 +243,7 @@ class Parser
     }
 
     void
-    parseQubitArg(Module &mod, std::vector<QubitId> &out)
+    parseQubitArg(Module &mod, QubitList &out)
     {
         unsigned line = peek().line;
         std::string name = expect(TokenKind::Identifier).text;
@@ -264,7 +264,8 @@ class Parser
             out.push_back(it->second[index]);
         } else {
             // Bare register name: expand to all elements.
-            out.insert(out.end(), it->second.begin(), it->second.end());
+            for (QubitId q : it->second)
+                out.push_back(q);
         }
     }
 

@@ -167,7 +167,7 @@ parseHierarchicalQasm(const std::string &text, DiagnosticEngine *diags)
             ModuleId callee = prog.findModule(toks[1]);
             if (callee == invalidModule)
                 bad(line_no, "unknown module '" + toks[1] + "'");
-            std::vector<QubitId> args;
+            QubitList args;
             for (size_t i = 2; i < toks.size(); ++i)
                 args.push_back(lookup(toks[i]));
             Operation call =
@@ -191,7 +191,7 @@ parseHierarchicalQasm(const std::string &text, DiagnosticEngine *diags)
         GateKind kind;
         if (!parseGateName(head, kind) || kind == GateKind::Call)
             bad(line_no, "unknown gate '" + head + "'");
-        std::vector<QubitId> operands;
+        QubitList operands;
         for (size_t i = 1; i < toks.size(); ++i)
             operands.push_back(lookup(toks[i]));
         Operation op(kind, std::move(operands), angle);

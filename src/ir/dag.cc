@@ -98,7 +98,7 @@ criticalPathLength(const Module &mod, std::span<const uint64_t> weights)
     std::vector<uint64_t> frontier(mod.numQubits(), 0);
     uint64_t longest = 0;
     for (size_t i = 0; i < n; ++i) {
-        const std::vector<QubitId> &operands = mod.ops()[i].operands;
+        const auto &operands = mod.ops()[i].operands;
         uint64_t start = 0;
         for (QubitId q : operands)
             start = std::max(start, frontier[q]);

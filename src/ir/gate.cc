@@ -1,6 +1,5 @@
 #include "ir/gate.hh"
 
-#include <array>
 #include <unordered_map>
 
 #include "support/logging.hh"
@@ -9,38 +8,8 @@ namespace msq {
 
 namespace {
 
-struct GateInfo
-{
-    const char *name;
-    int arity;
-    bool rotation;
-    bool primitive;
-    bool measure;
-};
-
-constexpr std::array<GateInfo, numGateKinds> gateTable = {{
-    {"X", 1, false, true, false},
-    {"Y", 1, false, true, false},
-    {"Z", 1, false, true, false},
-    {"H", 1, false, true, false},
-    {"S", 1, false, true, false},
-    {"Sdag", 1, false, true, false},
-    {"T", 1, false, true, false},
-    {"Tdag", 1, false, true, false},
-    {"PrepZ", 1, false, true, false},
-    {"PrepX", 1, false, true, false},
-    {"MeasZ", 1, false, true, true},
-    {"MeasX", 1, false, true, true},
-    {"CNOT", 2, false, true, false},
-    {"CZ", 2, false, true, false},
-    {"Rx", 1, true, false, false},
-    {"Ry", 1, true, false, false},
-    {"Rz", 1, true, false, false},
-    {"Swap", 2, false, false, false},
-    {"Toffoli", 3, false, false, false},
-    {"Fredkin", 3, false, false, false},
-    {"call", -1, false, false, false},
-}};
+using detail::GateInfo;
+using detail::gateTable;
 
 const GateInfo &
 info(GateKind kind)

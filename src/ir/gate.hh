@@ -12,6 +12,8 @@
 #ifndef MSQ_IR_GATE_HH
 #define MSQ_IR_GATE_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -50,6 +52,55 @@ enum class GateKind : uint8_t {
 
 /** Number of distinct gate kinds (for table sizing). */
 constexpr size_t numGateKinds = static_cast<size_t>(GateKind::NumKinds);
+
+namespace detail {
+
+/** One row of the gate table; read through the functions below. */
+struct GateInfo
+{
+    const char *name;
+    int arity; ///< qubit operands; -1 for Call
+    bool rotation;
+    bool primitive;
+    bool measure;
+};
+
+/** Every kind's properties, indexed by GateKind. */
+inline constexpr std::array<GateInfo, numGateKinds> gateTable = {{
+    {"X", 1, false, true, false},
+    {"Y", 1, false, true, false},
+    {"Z", 1, false, true, false},
+    {"H", 1, false, true, false},
+    {"S", 1, false, true, false},
+    {"Sdag", 1, false, true, false},
+    {"T", 1, false, true, false},
+    {"Tdag", 1, false, true, false},
+    {"PrepZ", 1, false, true, false},
+    {"PrepX", 1, false, true, false},
+    {"MeasZ", 1, false, true, true},
+    {"MeasX", 1, false, true, true},
+    {"CNOT", 2, false, true, false},
+    {"CZ", 2, false, true, false},
+    {"Rx", 1, true, false, false},
+    {"Ry", 1, true, false, false},
+    {"Rz", 1, true, false, false},
+    {"Swap", 2, false, false, false},
+    {"Toffoli", 3, false, false, false},
+    {"Fredkin", 3, false, false, false},
+    {"call", -1, false, false, false},
+}};
+
+} // namespace detail
+
+/**
+ * The most qubit operands any gate kind takes, derived from the gate
+ * table: 3, for Toffoli and Fredkin. Only call argument lists are longer,
+ * so it is the inline capacity of an Operation's operand list
+ * (ir/operation.hh).
+ */
+constexpr size_t maxGateArity = static_cast<size_t>(std::ranges::max(
+    detail::gateTable, {}, &detail::GateInfo::arity).arity);
+static_assert(maxGateArity == 3, "Toffoli and Fredkin are the widest gates");
 
 /** @return the mnemonic for @p kind, e.g. "CNOT". */
 const char *gateName(GateKind kind);

@@ -33,7 +33,7 @@ Module::addRegister(const std::string &base, size_t width)
 }
 
 void
-Module::addGate(GateKind kind, std::vector<QubitId> operands, double angle)
+Module::addGate(GateKind kind, QubitList operands, double angle)
 {
     if (kind == GateKind::Call)
         panic("Module::addGate cannot add calls; use addCall");
@@ -62,7 +62,7 @@ Module::addGate(GateKind kind, std::vector<QubitId> operands, double angle)
 }
 
 void
-Module::addCall(ModuleId callee, std::vector<QubitId> args, uint64_t repeat)
+Module::addCall(ModuleId callee, QubitList args, uint64_t repeat)
 {
     if (callee == invalidModule)
         panic("Module " + name_ + ": call to invalid module");

@@ -43,12 +43,10 @@ class Module
     std::vector<QubitId> addRegister(const std::string &base, size_t width);
 
     /** Append a gate operation. Operand arity is checked. */
-    void addGate(GateKind kind, std::vector<QubitId> operands,
-                 double angle = 0.0);
+    void addGate(GateKind kind, QubitList operands, double angle = 0.0);
 
     /** Append a call operation (arity checked later by Program validate). */
-    void addCall(ModuleId callee, std::vector<QubitId> args,
-                 uint64_t repeat = 1);
+    void addCall(ModuleId callee, QubitList args, uint64_t repeat = 1);
 
     /** Append a pre-built operation (used by pass machinery). */
     void addOperation(Operation op);

@@ -11,22 +11,22 @@ DecomposeToffoliPass::expandToffoli(QubitId a, QubitId b, QubitId c,
     //   CNOT(a,c); Tdag(b); T(c); CNOT(a,b); H(c); Tdag(b); CNOT(a,b);
     //   T(a); S(b)
     using GK = GateKind;
-    out.emplace_back(GK::H, std::vector<QubitId>{c});
-    out.emplace_back(GK::CNOT, std::vector<QubitId>{b, c});
-    out.emplace_back(GK::Tdag, std::vector<QubitId>{c});
-    out.emplace_back(GK::CNOT, std::vector<QubitId>{a, c});
-    out.emplace_back(GK::T, std::vector<QubitId>{c});
-    out.emplace_back(GK::CNOT, std::vector<QubitId>{b, c});
-    out.emplace_back(GK::Tdag, std::vector<QubitId>{c});
-    out.emplace_back(GK::CNOT, std::vector<QubitId>{a, c});
-    out.emplace_back(GK::Tdag, std::vector<QubitId>{b});
-    out.emplace_back(GK::T, std::vector<QubitId>{c});
-    out.emplace_back(GK::CNOT, std::vector<QubitId>{a, b});
-    out.emplace_back(GK::H, std::vector<QubitId>{c});
-    out.emplace_back(GK::Tdag, std::vector<QubitId>{b});
-    out.emplace_back(GK::CNOT, std::vector<QubitId>{a, b});
-    out.emplace_back(GK::T, std::vector<QubitId>{a});
-    out.emplace_back(GK::S, std::vector<QubitId>{b});
+    out.emplace_back(GK::H, QubitList{c});
+    out.emplace_back(GK::CNOT, QubitList{b, c});
+    out.emplace_back(GK::Tdag, QubitList{c});
+    out.emplace_back(GK::CNOT, QubitList{a, c});
+    out.emplace_back(GK::T, QubitList{c});
+    out.emplace_back(GK::CNOT, QubitList{b, c});
+    out.emplace_back(GK::Tdag, QubitList{c});
+    out.emplace_back(GK::CNOT, QubitList{a, c});
+    out.emplace_back(GK::Tdag, QubitList{b});
+    out.emplace_back(GK::T, QubitList{c});
+    out.emplace_back(GK::CNOT, QubitList{a, b});
+    out.emplace_back(GK::H, QubitList{c});
+    out.emplace_back(GK::Tdag, QubitList{b});
+    out.emplace_back(GK::CNOT, QubitList{a, b});
+    out.emplace_back(GK::T, QubitList{a});
+    out.emplace_back(GK::S, QubitList{b});
 }
 
 void
@@ -34,9 +34,9 @@ DecomposeToffoliPass::expandSwap(QubitId a, QubitId b,
                                  std::vector<Operation> &out)
 {
     using GK = GateKind;
-    out.emplace_back(GK::CNOT, std::vector<QubitId>{a, b});
-    out.emplace_back(GK::CNOT, std::vector<QubitId>{b, a});
-    out.emplace_back(GK::CNOT, std::vector<QubitId>{a, b});
+    out.emplace_back(GK::CNOT, QubitList{a, b});
+    out.emplace_back(GK::CNOT, QubitList{b, a});
+    out.emplace_back(GK::CNOT, QubitList{a, b});
 }
 
 void
@@ -45,9 +45,9 @@ DecomposeToffoliPass::expandFredkin(QubitId ctl, QubitId x, QubitId y,
 {
     // Fredkin(ctl;x,y) = CNOT(y,x) . Toffoli(ctl,x,y) . CNOT(y,x)
     using GK = GateKind;
-    out.emplace_back(GK::CNOT, std::vector<QubitId>{y, x});
+    out.emplace_back(GK::CNOT, QubitList{y, x});
     expandToffoli(ctl, x, y, out);
-    out.emplace_back(GK::CNOT, std::vector<QubitId>{y, x});
+    out.emplace_back(GK::CNOT, QubitList{y, x});
 }
 
 void
@@ -55,20 +55,16 @@ DecomposeToffoliPass::run(Program &prog)
 {
     for (ModuleId id : prog.bottomUpOrder()) {
         Module &mod = prog.module(id);
-        bool needs_rewrite = false;
-        for (const auto &op : mod.ops()) {
-            if (op.kind == GateKind::Toffoli ||
-                op.kind == GateKind::Fredkin ||
-                op.kind == GateKind::Swap) {
-                needs_rewrite = true;
-                break;
-            }
-        }
-        if (!needs_rewrite)
+        const size_t toffolis = mod.localCount(GateKind::Toffoli);
+        const size_t fredkins = mod.localCount(GateKind::Fredkin);
+        const size_t swaps = mod.localCount(GateKind::Swap);
+        if (toffolis + fredkins + swaps == 0)
             continue;
 
+        // Room for every expansion: 16, 18 and 3 gates replace one.
         std::vector<Operation> rewritten;
-        rewritten.reserve(mod.numOps());
+        rewritten.reserve(mod.numOps() + 15 * toffolis + 17 * fredkins +
+                          2 * swaps);
         for (const auto &op : mod.ops()) {
             switch (op.kind) {
               case GateKind::Toffoli:

@@ -42,6 +42,16 @@ FlattenPass::run(Program &prog)
 {
     ResourceEstimator resources(prog);
 
+    // A call inlines when its callee is an inlinable leaf; a non-leaf
+    // callee is only possible via noInline calls nested below, so the
+    // call stays to preserve those blackboxes.
+    auto inlines = [&](const Operation &op) {
+        if (!op.isCall())
+            return false;
+        const Module &callee = prog.module(op.callee);
+        return !callee.noInline() && callee.isLeaf();
+    };
+
     // Bottom-up: a flattenable module's callees are at or below its own
     // total, so they have already been flattened into leaves (or are
     // noInline blackboxes we keep as calls).
@@ -52,25 +62,22 @@ FlattenPass::run(Program &prog)
         if (resources.totalGates(id) > threshold)
             continue;
 
+        // Exact output size (at most the threshold), so the rewrite
+        // never regrows.
+        size_t size = 0;
+        for (const auto &op : mod.ops())
+            size += inlines(op) ? prog.module(op.callee).numOps() * op.repeat
+                                : 1;
+
         std::vector<Operation> rewritten;
+        rewritten.reserve(size);
         size_t site_index = 0;
         for (const auto &op : mod.ops()) {
-            if (!op.isCall()) {
+            if (inlines(op))
+                inlineCall(mod, op, prog.module(op.callee), site_index++,
+                           rewritten);
+            else
                 rewritten.push_back(op);
-                continue;
-            }
-            const Module &callee = prog.module(op.callee);
-            if (callee.noInline()) {
-                rewritten.push_back(op);
-                continue;
-            }
-            if (!callee.isLeaf()) {
-                // Only possible via noInline calls nested below; keep
-                // the call to preserve those blackboxes.
-                rewritten.push_back(op);
-                continue;
-            }
-            inlineCall(mod, op, callee, site_index++, rewritten);
         }
         mod.setOps(std::move(rewritten));
     }

@@ -119,8 +119,11 @@ RotationDecomposerPass::run(Program &prog)
         ModuleId id = prog.addModule(mod_name);
         Module &mod = prog.module(id);
         QubitId target = mod.addParam("q");
+        std::vector<Operation> body;
+        body.reserve(length);
         for (GateKind g : sequenceForAngle(kind, angle, length))
-            mod.addGate(g, {target});
+            body.emplace_back(g, QubitList{target});
+        mod.setOps(std::move(body));
         mod.setNoInline(config.noInlineOutlined);
         outlined.emplace(key, id);
         return id;
@@ -128,18 +131,15 @@ RotationDecomposerPass::run(Program &prog)
 
     for (ModuleId id : prog.bottomUpOrder()) {
         Module &mod = prog.module(id);
-        bool has_rotation = false;
-        for (const auto &op : mod.ops()) {
-            if (isRotationGate(op.kind)) {
-                has_rotation = true;
-                break;
-            }
-        }
-        if (!has_rotation)
+        const size_t rotations =
+            mod.localCount(GateKind::Rx) + mod.localCount(GateKind::Ry) +
+            mod.localCount(GateKind::Rz);
+        if (rotations == 0)
             continue;
 
         std::vector<Operation> rewritten;
-        rewritten.reserve(mod.numOps());
+        rewritten.reserve(mod.numOps() +
+                          (config.outline ? 0 : rotations * (length - 1)));
         for (const auto &op : mod.ops()) {
             if (!isRotationGate(op.kind)) {
                 rewritten.push_back(op);
@@ -153,8 +153,7 @@ RotationDecomposerPass::run(Program &prog)
             } else {
                 for (GateKind g :
                      sequenceForAngle(op.kind, op.angle, length)) {
-                    rewritten.emplace_back(g,
-                                           std::vector<QubitId>{target});
+                    rewritten.emplace_back(g, QubitList{target});
                 }
             }
         }

@@ -97,7 +97,7 @@ StateVector::applySingleQubit(QubitId q, const Amplitude u[2][2])
 }
 
 void
-StateVector::applyControlledX(const std::vector<QubitId> &controls,
+StateVector::applyControlledX(std::initializer_list<QubitId> controls,
                               QubitId target)
 {
     uint64_t ctl_mask = 0;

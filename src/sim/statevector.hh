@@ -15,6 +15,7 @@
 #define MSQ_SIM_STATEVECTOR_HH
 
 #include <complex>
+#include <initializer_list>
 #include <vector>
 
 #include "ir/module.hh"
@@ -66,7 +67,7 @@ class StateVector
     std::vector<Amplitude> amps;
 
     void applySingleQubit(QubitId q, const Amplitude u[2][2]);
-    void applyControlledX(const std::vector<QubitId> &controls,
+    void applyControlledX(std::initializer_list<QubitId> controls,
                           QubitId target);
     void applyControlledZ(QubitId a, QubitId b);
     void applySwap(QubitId a, QubitId b, const Operation &op);

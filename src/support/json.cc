@@ -33,12 +33,20 @@ JsonValue::makeBool(bool v)
     return out;
 }
 
+const std::string &
+JsonValue::emptyText()
+{
+    static const std::string empty;
+    return empty;
+}
+
 JsonValue
-JsonValue::makeNumber(double v)
+JsonValue::makeNumber(double v, std::string text)
 {
     JsonValue out;
     out.kind_ = Kind::Number;
     out.num_ = v;
+    out.str_ = std::move(text);
     return out;
 }
 
@@ -217,7 +225,7 @@ struct Parser
         double value = std::strtod(token.c_str(), &end);
         if (end == token.c_str() || *end != '\0')
             return fail("invalid number");
-        out = JsonValue::makeNumber(value);
+        out = JsonValue::makeNumber(value, std::move(token));
         return true;
     }
 

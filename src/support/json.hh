@@ -8,8 +8,8 @@
  *
  * Scope: full JSON syntax (objects, arrays, strings with escapes,
  * numbers, booleans, null) with two deliberate simplifications —
- * numbers are stored as double (compile requests carry small integers
- * and scale factors; 2^53 is plenty) and \uXXXX escapes outside the
+ * numbers are stored as double, beside their token so that integer
+ * request fields are read exactly, and \uXXXX escapes outside the
  * Basic Multilingual Plane are decoded per surrogate half.
  */
 
@@ -63,7 +63,22 @@ class JsonValue
     /** asNumber clamped/truncated to uint64_t (negative -> fallback). */
     uint64_t asUnsigned(uint64_t fallback = 0) const;
 
-    const std::string &asString() const { return str_; }
+    /** The string; empty for every other kind. */
+    const std::string &asString() const
+    {
+        return isString() ? str_ : emptyText();
+    }
+
+    /**
+     * A parsed number's token as written ("42", "2.9", "1e30"), so that
+     * integer fields are read exactly through parseCount
+     * (support/strings.hh) instead of through the double; empty for
+     * every other kind and for a number built without its text.
+     */
+    const std::string &numberText() const
+    {
+        return isNumber() ? str_ : emptyText();
+    }
 
     const std::vector<JsonValue> &elements() const { return arr_; }
 
@@ -80,17 +95,19 @@ class JsonValue
     /// @{
     static JsonValue makeNull() { return JsonValue(); }
     static JsonValue makeBool(bool v);
-    static JsonValue makeNumber(double v);
+    static JsonValue makeNumber(double v, std::string text = {});
     static JsonValue makeString(std::string v);
     static JsonValue makeArray(std::vector<JsonValue> v);
     static JsonValue makeObject(std::map<std::string, JsonValue> v);
     /// @}
 
   private:
+    static const std::string &emptyText();
+
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     double num_ = 0.0;
-    std::string str_;
+    std::string str_; ///< a String's value or a Number's token
     std::vector<JsonValue> arr_;
     std::map<std::string, JsonValue> obj_;
 };

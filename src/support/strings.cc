@@ -69,6 +69,30 @@ trim(const std::string &text)
 }
 
 bool
+parseCount(std::string_view text, uint64_t &out, uint64_t min, uint64_t max)
+{
+    uint64_t value = 0;
+    if (text == "inf" || text == "unbounded") {
+        value = std::numeric_limits<uint64_t>::max();
+    } else {
+        if (text.empty())
+            return false;
+        for (char c : text) {
+            if (c < '0' || c > '9')
+                return false;
+            const uint64_t digit = static_cast<uint64_t>(c - '0');
+            if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10)
+                return false;
+            value = value * 10 + digit;
+        }
+    }
+    if (value < min || value > max)
+        return false;
+    out = value;
+    return true;
+}
+
+bool
 startsWith(const std::string &text, const std::string &prefix)
 {
     return text.size() >= prefix.size() &&

@@ -8,8 +8,11 @@
 #ifndef MSQ_SUPPORT_STRINGS_HH
 #define MSQ_SUPPORT_STRINGS_HH
 
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/count.hh"
@@ -38,6 +41,18 @@ std::string trim(const std::string &text);
 
 /** @return true when @p text begins with @p prefix. */
 bool startsWith(const std::string &text, const std::string &prefix);
+
+/**
+ * Parse @p text as a decimal count in [@p min, @p max]: digits only (no
+ * sign, space, fraction or exponent), or "inf" / "unbounded" for
+ * UINT64_MAX, which the range check then applies to like any value.
+ * Every numeric knob of the tools and of msq-served requests reads
+ * through this, so none wraps or truncates.
+ * @return true and set @p out on success; false, leaving @p out
+ *         unchanged, on anything else, including uint64_t overflow.
+ */
+bool parseCount(std::string_view text, uint64_t &out, uint64_t min = 0,
+                uint64_t max = std::numeric_limits<uint64_t>::max());
 
 /** Render @p value with thousands separators, e.g. 1234567 -> "1,234,567". */
 std::string withCommas(const Count &value);

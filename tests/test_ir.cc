@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "ir/dag.hh"
 #include "ir/printer.hh"
@@ -62,6 +65,96 @@ TEST(Gate, Dagger)
     EXPECT_EQ(daggerOf(GateKind::H), GateKind::H);
     EXPECT_EQ(daggerOf(GateKind::CNOT), GateKind::CNOT);
     EXPECT_THROW(daggerOf(GateKind::MeasZ), PanicError);
+}
+
+TEST(Gate, WidestGateFitsInline)
+{
+    int widest = 0;
+    for (size_t i = 0; i < numGateKinds; ++i)
+        widest = std::max(widest, gateArity(static_cast<GateKind>(i)));
+    EXPECT_EQ(maxGateArity, static_cast<size_t>(widest));
+    EXPECT_EQ(QubitList::inlineCapacity, maxGateArity);
+}
+
+/** @p n distinct qubits 100, 101, ... */
+std::vector<QubitId>
+qubitRange(size_t n)
+{
+    std::vector<QubitId> out(n);
+    for (size_t i = 0; i < n; ++i)
+        out[i] = static_cast<QubitId>(100 + i);
+    return out;
+}
+
+TEST(QubitList, InlineUpToWidestGateThenHeap)
+{
+    for (size_t n : {0u, 3u, 4u, 64u}) {
+        const std::vector<QubitId> expect = qubitRange(n);
+        QubitList pushed;
+        for (QubitId q : expect)
+            pushed.push_back(q);
+        const QubitList converted(expect);
+        for (const QubitList *list :
+             std::initializer_list<const QubitList *>{&pushed, &converted}) {
+            EXPECT_EQ(*list, expect) << n;
+            EXPECT_EQ(list->size(), n);
+            EXPECT_EQ(list->empty(), n == 0);
+            EXPECT_EQ(list->onHeap(), n > QubitList::inlineCapacity) << n;
+            if (n > 0) {
+                EXPECT_EQ(list->front(), expect.front());
+                EXPECT_EQ((*list)[n - 1], expect.back());
+                EXPECT_EQ(list->back(), expect.back());
+            }
+        }
+        EXPECT_EQ(pushed, converted);
+    }
+    EXPECT_EQ(QubitList({7, 8, 9}), (std::vector<QubitId>{7, 8, 9}));
+    EXPECT_NE(QubitList({7, 8, 9}), (std::vector<QubitId>{7, 8}));
+    EXPECT_NE(QubitList({7, 8, 9}), QubitList({7, 9, 8}));
+    EXPECT_NE((std::vector<QubitId>{7, 8, 9, 10}), QubitList({7, 8, 9}));
+}
+
+TEST(QubitList, CopyMoveAndSelfAssignment)
+{
+    for (size_t n : {0u, 3u, 4u, 64u}) {
+        const std::vector<QubitId> expect = qubitRange(n);
+        QubitList original(expect);
+
+        QubitList copy(original);
+        EXPECT_EQ(copy, expect) << n;
+        EXPECT_EQ(original, expect) << n;
+        if (n > 0) {
+            copy[0] = 1; // a deep copy: the original is unchanged
+            EXPECT_EQ(original[0], expect[0]) << n;
+        }
+
+        QubitList moved(std::move(copy));
+        EXPECT_EQ(moved.size(), n);
+        EXPECT_TRUE(copy.empty()); // NOLINT(bugprone-use-after-move)
+        EXPECT_FALSE(copy.onHeap());
+
+        QubitList assigned{1, 2};
+        assigned = original;
+        EXPECT_EQ(assigned, expect) << n;
+        QubitList move_assigned{1, 2, 3};
+        move_assigned = std::move(assigned);
+        EXPECT_EQ(move_assigned, expect) << n;
+        EXPECT_TRUE(assigned.empty()); // NOLINT(bugprone-use-after-move)
+
+        // Self-assignment keeps the contents.
+        QubitList &alias = original;
+        original = alias;
+        EXPECT_EQ(original, expect) << n;
+        original = std::move(alias);
+        EXPECT_EQ(original, expect) << n;
+
+        // A moved-from list is reusable, and a heap list shrinks back
+        // into any existing block on assignment.
+        copy.push_back(5);
+        EXPECT_EQ(copy, (std::vector<QubitId>{5}));
+        move_assigned = QubitList{4, 5};
+        EXPECT_EQ(move_assigned, (std::vector<QubitId>{4, 5}));
+    }
 }
 
 TEST(Module, QubitTables)

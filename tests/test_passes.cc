@@ -290,6 +290,60 @@ TEST(Flatten, NoInlineModulesKeptAsCalls)
     prog.validate();
 }
 
+/** main calls a 5-parameter leaf (more arguments than any gate has
+ * operands, so the call's list is on the heap) twice. */
+Program
+wideCallProgram(bool no_inline)
+{
+    Program prog;
+    ModuleId leaf = prog.addModule("wide");
+    {
+        Module &mod = prog.module(leaf);
+        std::vector<QubitId> p;
+        for (int i = 0; i < 5; ++i)
+            p.push_back(mod.addParam("p" + std::to_string(i)));
+        mod.addGate(GateKind::Toffoli, {p[0], p[1], p[4]});
+        mod.addGate(GateKind::CNOT, {p[3], p[2]});
+        mod.setNoInline(no_inline);
+    }
+    ModuleId top = prog.addModule("main");
+    {
+        Module &mod = prog.module(top);
+        auto reg = mod.addRegister("r", 6);
+        mod.addCall(leaf, {reg[5], reg[4], reg[3], reg[2], reg[1]}, 2);
+    }
+    prog.setEntry(top);
+    return prog;
+}
+
+TEST(Flatten, CallWithMoreArgsThanWidestGate)
+{
+    Program inlined = wideCallProgram(false);
+    EXPECT_TRUE(inlined.module(inlined.entry()).op(0).operands.onHeap());
+    FlattenPass(1000).run(inlined);
+    const Module &flat = inlined.module(inlined.entry());
+    ASSERT_TRUE(flat.isLeaf());
+    ASSERT_EQ(flat.numOps(), 4u); // two repeats of two gates
+    for (size_t rep = 0; rep < 2; ++rep) {
+        const Operation &toffoli = flat.op(2 * rep);
+        const Operation &cnot = flat.op(2 * rep + 1);
+        EXPECT_EQ(toffoli.kind, GateKind::Toffoli);
+        EXPECT_EQ(toffoli.operands, (std::vector<QubitId>{5, 4, 1}));
+        EXPECT_EQ(cnot.operands, (std::vector<QubitId>{2, 3}));
+        EXPECT_FALSE(toffoli.operands.onHeap());
+    }
+    inlined.validate();
+
+    Program kept = wideCallProgram(true);
+    FlattenPass(1000).run(kept);
+    const Operation &call = kept.module(kept.entry()).op(0);
+    ASSERT_TRUE(call.isCall());
+    EXPECT_EQ(call.repeat, 2u);
+    EXPECT_EQ(call.operands, (std::vector<QubitId>{5, 4, 3, 2, 1}));
+    EXPECT_TRUE(call.operands.onHeap());
+    kept.validate();
+}
+
 TEST(Flatten, InlinedAncillaGetFreshNames)
 {
     Program prog = threeLevelProgram();

@@ -80,6 +80,16 @@ TEST(JsonParser, AsUnsignedFallback)
     EXPECT_EQ(parseOk("{}")->get("missing").asUnsigned(9), 9u);
 }
 
+TEST(JsonParser, NumberKeepsItsToken)
+{
+    EXPECT_EQ(parseOk("4294967297")->numberText(), "4294967297");
+    EXPECT_EQ(parseOk("-2.5e2")->numberText(), "-2.5e2");
+    // Only numbers carry a token, and only strings a string.
+    EXPECT_EQ(parseOk("\"42\"")->numberText(), "");
+    EXPECT_EQ(parseOk("42")->asString(), "");
+    EXPECT_EQ(JsonValue::makeNumber(42).numberText(), "");
+}
+
 TEST(JsonParser, Rejections)
 {
     std::string error;
@@ -128,6 +138,28 @@ TEST(Serve, ErrorResponses)
         {R"({"workload": "grovers", "comm_mode": "warp"})",
          "unknown comm_mode"},
         {R"({"workload": "grovers", "k": 0})", "k must be"},
+        // Numeric fields are read exactly: none wraps, truncates or
+        // overflows into a different machine.
+        {R"({"workload": "tfp", "params": "tiny", "k": 4294967297})",
+         "k must be an integer in [1, 1048576]"},
+        {R"({"workload": "tfp", "params": "tiny", "k": 2.9})",
+         "k must be"},
+        {R"({"workload": "tfp", "params": "tiny", "k": 1e30})",
+         "k must be"},
+        {R"({"workload": "tfp", "params": "tiny", "k": "4"})",
+         "k must be"},
+        {R"({"workload": "tfp", "params": "tiny", "scale": 1e30})",
+         "scale must be"},
+        {R"({"workload": "tfp", "params": "tiny", "scale": 0})",
+         "scale must be"},
+        {R"({"workload": "tfp", "params": "tiny", "d": -1})",
+         "d must be"},
+        {R"({"workload": "tfp", "params": "tiny", "d": 18446744073709551616})",
+         "d must be"},
+        {R"({"workload": "tfp", "params": "tiny", "local_mem": 1.5})",
+         "local_mem must be"},
+        {R"({"workload": "tfp", "params": "tiny", "epr": 0})",
+         "epr must be"},
     };
     for (const Case &c : cases) {
         auto response = serveOne(engine, c.line);
@@ -147,6 +179,26 @@ TEST(Serve, IdEchoedVerbatim)
     EXPECT_EQ(num->get("id").asUnsigned(), 31337u);
     auto none = serveOne(engine, R"({"bad": true})");
     EXPECT_TRUE(none->get("id").isNull());
+
+    // Numeric ids come back as written, not in shortest %g form
+    // ("1e+01"); integers up to 2^53 print in full.
+    const std::pair<const char *, const char *> ids[] = {
+        {"10", "10"},
+        {"100", "100"},
+        {"-5", "-5"},
+        {"1.5", "1.5"},
+        {"1e2", "100"},
+        {"9007199254740992", "9007199254740992"},
+        {"-9007199254740992", "-9007199254740992"},
+    };
+    for (const auto &[sent, echoed] : ids) {
+        const std::string response =
+            engine.handleLine(std::string("{\"id\": ") + sent + "}");
+        EXPECT_EQ(response.rfind(std::string("{\"id\": ") + echoed + ",",
+                                 0),
+                  0u)
+            << sent << " -> " << response;
+    }
 }
 
 TEST(Serve, WorkloadRequest)

@@ -125,6 +125,36 @@ TEST(Strings, StartsWith)
     EXPECT_FALSE(startsWith("mod", "module"));
 }
 
+TEST(Strings, ParseCountIsExactAndChecked)
+{
+    const uint64_t max64 = std::numeric_limits<uint64_t>::max();
+    uint64_t out = 7;
+    EXPECT_TRUE(parseCount("0", out));
+    EXPECT_EQ(out, 0u);
+    EXPECT_TRUE(parseCount("18446744073709551615", out));
+    EXPECT_EQ(out, max64);
+    EXPECT_TRUE(parseCount("inf", out));
+    EXPECT_EQ(out, max64);
+    EXPECT_TRUE(parseCount("unbounded", out));
+    EXPECT_EQ(out, max64);
+    EXPECT_TRUE(parseCount("1048576", out, 1, 1u << 20));
+    EXPECT_EQ(out, 1u << 20);
+
+    out = 7;
+    for (const char *bad : {"", "18446744073709551616",
+                            "18446744073709551617", "99999999999999999999",
+                            "2.9", "1e30", "-1", "+4", " 4", "4 ", "0x10",
+                            "four"}) {
+        EXPECT_FALSE(parseCount(bad, out)) << bad;
+    }
+    // Range: "inf" is UINT64_MAX and obeys the bound like any value.
+    EXPECT_FALSE(parseCount("0", out, 1));
+    EXPECT_FALSE(parseCount("1048577", out, 1, 1u << 20));
+    EXPECT_FALSE(parseCount("4294967297", out, 1, 1u << 20));
+    EXPECT_FALSE(parseCount("inf", out, 0, max64 - 1));
+    EXPECT_EQ(out, 7u); // untouched on every failure
+}
+
 TEST(Strings, WithCommas)
 {
     EXPECT_EQ(withCommas(0), "0");

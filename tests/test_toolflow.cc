@@ -180,6 +180,31 @@ TEST(Toolflow, WorksOnEveryScaledWorkload)
     }
 }
 
+TEST(Toolflow, LoweredGatesKeepOperandsInline)
+{
+    // Every gate's operands fit the inline list; only calls with more
+    // arguments than the widest gate own a heap block.
+    size_t all_wide_calls = 0;
+    for (const auto &spec : workloads::scaledParams()) {
+        const Program prog = Toolflow::lowerWorkload(spec);
+        size_t heap_lists = 0, wide_calls = 0;
+        for (ModuleId id = 0; id < prog.numModules(); ++id) {
+            for (const Operation &op : prog.module(id).ops()) {
+                heap_lists += op.operands.onHeap();
+                if (op.isCall())
+                    wide_calls += op.operands.size() > maxGateArity;
+                else
+                    EXPECT_FALSE(op.operands.onHeap()) << spec.name;
+            }
+        }
+        EXPECT_EQ(heap_lists, wide_calls) << spec.name;
+        all_wide_calls += wide_calls;
+    }
+    // bwt 1, cn 1, gse 6, sha1 2, shors 49: the heap path is exercised,
+    // by 59 of the ~210K lowered operations.
+    EXPECT_EQ(all_wide_calls, 59u);
+}
+
 TEST(Toolflow, DecomposeCanBeDisabled)
 {
     Program prog = parseScaffold(R"(

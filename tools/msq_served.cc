@@ -22,6 +22,7 @@
  */
 
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -83,25 +84,6 @@ startsWith(const std::string &arg, const char *prefix)
     return arg.rfind(prefix, 0) == 0;
 }
 
-/** Parse a decimal count; "inf"/"unbounded" mean msq::unbounded. */
-bool
-parseCount(const std::string &text, uint64_t &out)
-{
-    if (text == "inf" || text == "unbounded") {
-        out = unbounded;
-        return true;
-    }
-    if (text.empty())
-        return false;
-    out = 0;
-    for (char c : text) {
-        if (c < '0' || c > '9')
-            return false;
-        out = out * 10 + static_cast<uint64_t>(c - '0');
-    }
-    return true;
-}
-
 bool
 parseArgs(int argc, char **argv, Options &options)
 {
@@ -109,21 +91,18 @@ parseArgs(int argc, char **argv, Options &options)
         const std::string arg = argv[i];
         uint64_t value = 0;
         if (startsWith(arg, "--k=")) {
-            if (!parseCount(arg.substr(4), value) || value == 0)
+            if (!parseCount(arg.substr(4), value, 1, maxRegionsPerCore))
                 return false;
             options.serve.k = static_cast<unsigned>(value);
         } else if (startsWith(arg, "--d=")) {
-            if (!parseCount(arg.substr(4), value) || value == 0)
+            if (!parseCount(arg.substr(4), options.serve.d, 1))
                 return false;
-            options.serve.d = value;
         } else if (startsWith(arg, "--local-mem=")) {
-            if (!parseCount(arg.substr(12), value))
+            if (!parseCount(arg.substr(12), options.serve.localMem))
                 return false;
-            options.serve.localMem = value;
         } else if (startsWith(arg, "--epr=")) {
-            if (!parseCount(arg.substr(6), value) || value == 0)
+            if (!parseCount(arg.substr(6), options.serve.eprBandwidth, 1))
                 return false;
-            options.serve.eprBandwidth = value;
         } else if (startsWith(arg, "--topology=")) {
             options.serve.topology = arg.substr(11);
             // Fail fast on a malformed spec: validate it against a
@@ -138,25 +117,23 @@ parseArgs(int argc, char **argv, Options &options)
                 return false;
             }
         } else if (startsWith(arg, "--threads=")) {
-            if (!parseCount(arg.substr(10), value))
+            if (!parseCount(arg.substr(10), value, 0,
+                            std::numeric_limits<unsigned>::max()))
                 return false;
             options.serve.numThreads = static_cast<unsigned>(value);
         } else if (startsWith(arg, "--batch=")) {
-            if (!parseCount(arg.substr(8), value) || value == 0)
+            if (!parseCount(arg.substr(8), options.batch, 1))
                 return false;
-            options.batch = value;
         } else if (startsWith(arg, "--cache=")) {
             options.serve.cachePath = arg.substr(8);
         } else if (startsWith(arg, "--save-every=")) {
-            if (!parseCount(arg.substr(13), value))
+            if (!parseCount(arg.substr(13), options.saveEvery))
                 return false;
-            options.saveEvery = value;
         } else if (startsWith(arg, "--metrics=")) {
             options.metricsPath = arg.substr(10);
         } else if (startsWith(arg, "--flush-every=")) {
-            if (!parseCount(arg.substr(14), value))
+            if (!parseCount(arg.substr(14), options.flushEvery))
                 return false;
-            options.flushEvery = value;
         } else if (arg == "--quiet") {
             options.quiet = true;
         } else {

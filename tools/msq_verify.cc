@@ -109,6 +109,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -297,25 +298,6 @@ endsWith(const std::string &text, const std::string &suffix)
     return text.size() >= suffix.size() &&
            text.compare(text.size() - suffix.size(), suffix.size(),
                         suffix) == 0;
-}
-
-bool
-parseCount(const std::string &value, uint64_t &out)
-{
-    if (value.empty())
-        return false;
-    if (value == "inf" || value == "unbounded") {
-        out = unbounded;
-        return true;
-    }
-    uint64_t result = 0;
-    for (char c : value) {
-        if (c < '0' || c > '9')
-            return false;
-        result = result * 10 + (c - '0');
-    }
-    out = result;
-    return true;
 }
 
 /** Print (and, under --Werror, promote) every collected diagnostic. */
@@ -1148,8 +1130,8 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (startsWith(arg, "--opt-budget=")) {
-            if (!parseCount(arg.substr(13), options.optBudget) ||
-                options.optBudget == unbounded) {
+            if (!parseCount(arg.substr(13), options.optBudget, 0,
+                            unbounded - 1)) {
                 std::cerr << "msq-verify: bad value in '" << arg << "'\n";
                 return 2;
             }
@@ -1173,8 +1155,8 @@ main(int argc, char **argv)
             }
             options.optFallbackGiven = true;
         } else if (startsWith(arg, "--scale=")) {
-            if (!parseCount(arg.substr(8), options.scale) ||
-                options.scale == 0 || options.scale == unbounded) {
+            if (!parseCount(arg.substr(8), options.scale, 1,
+                            unbounded - 1)) {
                 std::cerr << "msq-verify: bad value in '" << arg << "'\n";
                 return 2;
             }
@@ -1187,14 +1169,13 @@ main(int argc, char **argv)
             options.workloads.push_back(std::move(name));
         } else if (startsWith(arg, "--k=")) {
             uint64_t value = 0;
-            if (!parseCount(arg.substr(4), value) || value == 0 ||
-                value == unbounded) {
+            if (!parseCount(arg.substr(4), value, 1, maxRegionsPerCore)) {
                 std::cerr << "msq-verify: bad value in '" << arg << "'\n";
                 return 2;
             }
             options.k = static_cast<unsigned>(value);
         } else if (startsWith(arg, "--d=")) {
-            if (!parseCount(arg.substr(4), options.d) || options.d == 0) {
+            if (!parseCount(arg.substr(4), options.d, 1)) {
                 std::cerr << "msq-verify: bad value in '" << arg << "'\n";
                 return 2;
             }
@@ -1218,7 +1199,8 @@ main(int argc, char **argv)
             }
         } else if (startsWith(arg, "--threads=")) {
             uint64_t value = 0;
-            if (!parseCount(arg.substr(10), value) || value == unbounded) {
+            if (!parseCount(arg.substr(10), value, 0,
+                            std::numeric_limits<unsigned>::max())) {
                 std::cerr << "msq-verify: bad value in '" << arg << "'\n";
                 return 2;
             }
