@@ -21,7 +21,13 @@
  * (DESIGN.md §9); this bench cross-checks total cycles and the counter
  * and fails on a mismatch.
  *
- * Environment knobs:
+ * A second table, schedule_bytes, sizes the SoA ScheduleBuffer: per
+ * workload x scheduler x k in {4, 32, 128}, every leaf is scheduled and
+ * movement-annotated once, and soa_bytes_per_step is the summed
+ * ScheduleBuffer::byteSize() over the summed compute steps (CI gates it
+ * at 10% growth).
+ *
+ * Environment knobs (each a count >= 1; any other value exits 2):
  *   MSQ_BENCH_THREADS  parallel fan-out T (default 8)
  *   MSQ_BENCH_REPS     timing repetitions, fastest kept (default 1)
  *
@@ -32,11 +38,11 @@
 #include "common.hh"
 
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <vector>
 
+#include "sched/comm.hh"
 #include "sched/leaf_cache.hh"
 #include "support/stats.hh"
 #include "support/thread_pool.hh"
@@ -60,17 +66,34 @@ struct Row
     uint64_t leafModules;
 };
 
-unsigned
-envUnsigned(const char *name, unsigned fallback)
+/** Schedule-buffer bytes of one workload x scheduler x k. */
+struct BytesRow
 {
-    const char *value = std::getenv(name);
-    if (!value || !*value)
-        return fallback;
-    char *end = nullptr;
-    unsigned long parsed = std::strtoul(value, &end, 10);
-    if (end == value || *end || parsed == 0)
-        return fallback;
-    return static_cast<unsigned>(parsed);
+    std::string workload;
+    std::string scheduler;
+    unsigned k;
+    uint64_t leaves = 0;
+    uint64_t timesteps = 0;
+    uint64_t soaBytes = 0;
+};
+
+/** Schedule and annotate every non-empty leaf of @p prog at width k. */
+void
+measureScheduleBytes(const Program &prog, const LeafScheduler &scheduler,
+                     BytesRow &row)
+{
+    const MultiSimdArch arch(row.k);
+    CommunicationAnalyzer comm(arch, CommMode::Global);
+    for (ModuleId id : prog.reachableModules()) {
+        const Module &mod = prog.module(id);
+        if (!mod.isLeaf() || mod.numOps() == 0)
+            continue;
+        LeafSchedule sched = scheduler.schedule(mod, arch);
+        comm.annotate(sched);
+        ++row.leaves;
+        row.timesteps += sched.computeTimesteps();
+        row.soaBytes += sched.buffer().byteSize();
+    }
 }
 
 /** What one configuration's schedule() calls produced. */
@@ -113,6 +136,7 @@ timeSchedule(const CoarseScheduler &coarse, MetricsRegistry &metrics,
 
 void
 writeJson(std::ostream &os, const std::vector<Row> &rows,
+          const std::vector<BytesRow> &bytes_rows,
           unsigned parallel_threads, unsigned reps)
 {
     os << "{\n"
@@ -137,6 +161,20 @@ writeJson(std::ostream &os, const std::vector<Row> &rows,
            << ", \"leaf_modules\": " << row.leafModules << "}"
            << (i + 1 < rows.size() ? "," : "") << "\n";
     }
+    os << "  ],\n"
+       << "  \"schedule_bytes\": [\n";
+    for (size_t i = 0; i < bytes_rows.size(); ++i) {
+        const BytesRow &row = bytes_rows[i];
+        os << "    {\"workload\": \"" << row.workload
+           << "\", \"scheduler\": \"" << row.scheduler
+           << "\", \"k\": " << row.k << ", \"leaves\": " << row.leaves
+           << ", \"timesteps\": " << row.timesteps
+           << ", \"soa_bytes\": " << row.soaBytes
+           << ", \"soa_bytes_per_step\": "
+           << static_cast<double>(row.soaBytes) /
+                  static_cast<double>(row.timesteps)
+           << "}" << (i + 1 < bytes_rows.size() ? "," : "") << "\n";
+    }
     os << "  ]\n}\n";
 }
 
@@ -145,12 +183,11 @@ writeJson(std::ostream &os, const std::vector<Row> &rows,
 int
 main(int argc, char **argv)
 {
+    const unsigned threads = bench::envCount("MSQ_BENCH_THREADS", 8);
+    const unsigned reps = bench::envCount("MSQ_BENCH_REPS", 1);
     bench::banner("bench_compile_time",
                   "compiler wall-clock baseline - sequential vs "
                   "parallel vs parallel+memoized scheduling");
-
-    const unsigned threads = envUnsigned("MSQ_BENCH_THREADS", 8);
-    const unsigned reps = envUnsigned("MSQ_BENCH_REPS", 1);
     const std::string out_path =
         argc > 1 ? argv[1] : "BENCH_compile_time.json";
 
@@ -160,6 +197,7 @@ main(int argc, char **argv)
                      "warm speedup", "warm hit rate"});
 
     std::vector<Row> rows;
+    std::vector<BytesRow> bytes_rows;
     bool mismatch = false;
 
     for (const auto &spec : workloads::scaledParams()) {
@@ -283,6 +321,13 @@ main(int argc, char **argv)
             table.addCell(speedup(seq_ms, par_ms), 2);
             table.addCell(speedup(seq_ms, warm_ms), 2);
             table.addCell(warm_hit_rate, 3);
+
+            for (unsigned k : {4u, 32u, 128u}) {
+                BytesRow row{spec.shortName, schedulerKindName(kind), k};
+                measureScheduleBytes(prog, *scheduler, row);
+                if (row.timesteps > 0)
+                    bytes_rows.push_back(std::move(row));
+            }
         }
     }
 
@@ -297,7 +342,7 @@ main(int argc, char **argv)
         std::cerr << "cannot write " << out_path << "\n";
         return 1;
     }
-    writeJson(out, rows, threads, reps);
+    writeJson(out, rows, bytes_rows, threads, reps);
     std::cout << "wrote " << out_path << "\n";
     return mismatch ? 1 : 0;
 }

@@ -22,6 +22,7 @@
  * Environment knobs:
  *   MSQ_BENCH_THREADS  batch parallelism (default 8)
  *   MSQ_BENCH_REPS     requests per workload per phase (default 3)
+ * Each is a count >= 1; any other value exits 2 before any work.
  *
  * Usage: bench_serve_latency [output.json]   (default
  * BENCH_serve_latency.json in the working directory)
@@ -44,19 +45,6 @@
 using namespace msq;
 
 namespace {
-
-unsigned
-envUnsigned(const char *name, unsigned fallback)
-{
-    const char *value = std::getenv(name);
-    if (!value || !*value)
-        return fallback;
-    char *end = nullptr;
-    unsigned long parsed = std::strtoul(value, &end, 10);
-    if (end == value || *end || parsed == 0)
-        return fallback;
-    return static_cast<unsigned>(parsed);
-}
 
 double
 percentile(std::vector<double> sorted, double p)
@@ -187,12 +175,11 @@ writePhaseJson(std::ostream &os, const PhaseResult &phase, bool last)
 int
 main(int argc, char **argv)
 {
+    const unsigned threads = bench::envCount("MSQ_BENCH_THREADS", 8);
+    const unsigned reps = bench::envCount("MSQ_BENCH_REPS", 3);
     bench::banner("bench_serve_latency: msq-served cold vs warm start",
                   "DESIGN.md §15 (serving layer; extends DESIGN.md §9 "
                   "determinism to daemon restarts)");
-
-    const unsigned threads = envUnsigned("MSQ_BENCH_THREADS", 8);
-    const unsigned reps = envUnsigned("MSQ_BENCH_REPS", 3);
     const std::string output =
         argc > 1 ? argv[1] : "BENCH_serve_latency.json";
     const std::string cachePath = output + ".cache.tmp";

@@ -6,10 +6,13 @@
 #ifndef MSQ_BENCH_COMMON_HH
 #define MSQ_BENCH_COMMON_HH
 
+#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "core/toolflow.hh"
+#include "support/strings.hh"
 #include "support/telemetry.hh"
 #include "workloads/workloads.hh"
 
@@ -28,6 +31,28 @@ runWorkload(const workloads::WorkloadSpec &spec, SchedulerKind scheduler,
     config.arch = arch;
     config.rotations = Toolflow::rotationPresetFor(spec.shortName);
     return Toolflow(config).run(prog);
+}
+
+/**
+ * The count knob @p name from the environment: @p fallback when it is
+ * unset or empty, else a decimal count in [1, UINT_MAX] read through
+ * parseCount. A malformed, zero or overflowing value exits 2 before any
+ * work starts, so a typo never runs a different bench.
+ */
+inline unsigned
+envCount(const char *name, unsigned fallback)
+{
+    const char *text = std::getenv(name);
+    if (!text || !*text)
+        return fallback;
+    uint64_t value = 0;
+    if (!parseCount(text, value, 1, std::numeric_limits<unsigned>::max())) {
+        std::cerr << "bad value in " << name << "='" << text
+                  << "': expected a count in [1, "
+                  << std::numeric_limits<unsigned>::max() << "]\n";
+        std::exit(2);
+    }
+    return static_cast<unsigned>(value);
 }
 
 /**

@@ -195,7 +195,8 @@ struct ScheduleBuffer
     }
 
     /** Heap bytes held by this buffer (capacity-based, plus the struct
-     * itself) — the quantity bench_schedule_memory reports. */
+     * itself) — the quantity bench_compile_time's schedule_bytes
+     * table reports. */
     uint64_t byteSize() const;
 };
 

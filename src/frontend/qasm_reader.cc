@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <sstream>
 #include <unordered_map>
 
@@ -34,28 +33,20 @@ bad(unsigned line_no, const std::string &what)
 }
 
 /**
- * Parse the N of a call[xN] repeat. Hand-rolled instead of std::stoull
- * so malformed input ("call[xFOO]", "call[x]", a 30-digit count) is a
- * diagnosed FatalError with a line number, never a raw std::exception.
+ * Parse the N of a call[xN] repeat through parseCount, so malformed
+ * input ("call[xFOO]", "call[x]", a 30-digit count) is a diagnosed
+ * FatalError with a line number, never a raw std::exception.
  */
 uint64_t
 parseRepeat(unsigned line_no, const std::string &text)
 {
     if (text.empty())
         bad(line_no, "call repeat count is empty");
+    if (text.find_first_not_of("0123456789") != std::string::npos)
+        bad(line_no, "call repeat count '" + text + "' is not a number");
     uint64_t value = 0;
-    for (char c : text) {
-        if (c < '0' || c > '9') {
-            bad(line_no,
-                "call repeat count '" + text + "' is not a number");
-        }
-        const uint64_t digit = static_cast<uint64_t>(c - '0');
-        if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
-            bad(line_no,
-                "call repeat count '" + text + "' is out of range");
-        }
-        value = value * 10 + digit;
-    }
+    if (!parseCount(text, value))
+        bad(line_no, "call repeat count '" + text + "' is out of range");
     return value;
 }
 

@@ -134,12 +134,10 @@ parseKeyGuards(const std::string &key, uint64_t &ops, uint64_t &qubits,
     size_t p4 = key.find('|', p3 + 1);
     if (p4 == std::string::npos)
         return false;
-    try {
-        ops = std::stoull(key.substr(p1 + 1, p2 - p1 - 1));
-        qubits = std::stoull(key.substr(p2 + 1, p3 - p2 - 1));
-    } catch (...) {
+    const std::string_view view(key);
+    if (!parseCount(view.substr(p1 + 1, p2 - p1 - 1), ops) ||
+        !parseCount(view.substr(p2 + 1, p3 - p2 - 1), qubits))
         return false;
-    }
     if (key.compare(p3 + 1, 2, "w=") != 0)
         return false;
     suffix = key.substr(p4 + 1);

@@ -1,7 +1,6 @@
 #include "support/json.hh"
 
 #include <cctype>
-#include <cmath>
 #include <cstdlib>
 
 #include "support/strings.hh"
@@ -11,9 +10,8 @@ namespace msq {
 uint64_t
 JsonValue::asUnsigned(uint64_t fallback) const
 {
-    if (!isNumber() || num_ < 0 || std::isnan(num_))
-        return fallback;
-    return static_cast<uint64_t>(num_);
+    uint64_t value = 0;
+    return parseCount(numberText(), value) ? value : fallback;
 }
 
 const JsonValue &

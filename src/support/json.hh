@@ -60,7 +60,11 @@ class JsonValue
         return isNumber() ? num_ : fallback;
     }
 
-    /** asNumber clamped/truncated to uint64_t (negative -> fallback). */
+    /**
+     * The number's text read exactly through parseCount; @p fallback
+     * for a fraction, exponent, sign, value past 2^64 - 1, a number
+     * built without its text, or any other kind.
+     */
     uint64_t asUnsigned(uint64_t fallback = 0) const;
 
     /** The string; empty for every other kind. */

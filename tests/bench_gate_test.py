@@ -5,7 +5,10 @@ Usage: tests/bench_gate_test.py SOURCE_DIR
 
 For every gate: the committed file against itself passes; a copy with
 one row deleted fails in both directions; a copy with one gated field
-regressed fails. The command line's exit codes are checked once.
+regressed fails. The command line's exit codes are checked once, and
+the committed BENCH_opt_gap.json must keep at least 6 of 8 workloads
+with every leaf proven optimal: the gate holds each proof, so this is
+the floor a fresh run is held to.
 """
 
 import copy
@@ -19,22 +22,20 @@ def bump(row, field, how):
     row[field] = how(row[field])
 
 
-def first_optimal(rows):
-    return next(r for r in rows if r["provenance"] == "optimal")
-
-
 # NAME -> a regression of one gated field.
 REGRESSIONS = {
     "compile_time": (
         lambda d: bump(d["rows"][0], "total_cycles", lambda v: v + 1),
         # The work counter is gated exactly, like the schedule.
-        lambda d: bump(d["rows"][0], "ready_scanned", lambda v: v + 1)),
-    "schedule_memory": lambda d: bump(d["rows"][0], "soa_bytes_per_step",
-                                      lambda v: v * 1.2),
+        lambda d: bump(d["rows"][0], "ready_scanned", lambda v: v + 1),
+        lambda d: bump(d["schedule_bytes"][0], "soa_bytes_per_step",
+                       lambda v: v * 1.2)),
     "optimality_gap": lambda d: bump(d["inputs"][0]["leaves"][0],
                                      "makespan", lambda v: v * 2),
-    "opt_gap": lambda d: bump(first_optimal(d["rows"]), "provenance",
-                              lambda v: "fallback"),
+    "opt_gap": lambda d: bump(next(leaf for inp in d["inputs"]
+                                   for leaf in inp["leaves"]
+                                   if leaf["provenance"] == "optimal"),
+                              "provenance", lambda v: "fallback"),
     "paper_scale": lambda d: bump(d["rows"][0], "exact", lambda v: False),
     "serve_latency": lambda d: bump(d["results"][0], "schedule_hash",
                                     lambda v: "0" * 16),
@@ -71,7 +72,7 @@ def main(source_dir):
             failures.append(f"{name}: fails against itself")
         for rows, _, _ in tables:
             deleted = copy.deepcopy(doc)
-            # The one derived row list is optimality_gap's leaves.
+            # The derived row lists are the gap reports' leaves.
             del (deleted["inputs"][0]["leaves"] if callable(rows)
                  else deleted[rows])[0]
             if not (fails(doc, deleted) and fails(deleted, doc)):
@@ -83,6 +84,15 @@ def main(source_dir):
             regress(regressed)
             if not fails(doc, regressed):
                 failures.append(f"{name}: passes a regressed field")
+
+    with open(os.path.join(source_dir, "BENCH_opt_gap.json")) as f:
+        inputs = json.load(f)["inputs"]
+    proven = [i["input"] for i in inputs
+              if i["leaves"] and all(leaf["provenance"] == "optimal"
+                                     for leaf in i["leaves"])]
+    if len(proven) < 6:
+        failures.append(f"opt_gap: {len(proven)} of {len(inputs)} "
+                        "workloads fully proven, floor 6")
 
     committed = os.path.join(source_dir, "BENCH_multicore.json")
     for args, code in (([committed, committed], 0), ([committed], 2)):

@@ -415,6 +415,46 @@ TEST(CacheIo, KeyPayloadMismatchReportsP005)
     std::remove(path.c_str());
 }
 
+/**
+ * A key's count fields are read through parseCount, so a sign, a space
+ * or a suffix around the payload's own op count (N) makes the key
+ * unparseable: never 2^64 - 1 for "-1", never N for " N", "+N" or "Nx".
+ */
+class MalformedKeyOps : public testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(MalformedKeyOps, ReportsUnparseableKey)
+{
+    MultiSimdArch arch(4);
+    Rng rng(5);
+    Module mod = randomLeaf(rng, 5, 25);
+    auto result = makeResult(mod, 4, CommMode::Global);
+    std::string ops = GetParam();
+    if (size_t n = ops.find('N'); n != std::string::npos)
+        ops.replace(n, 1, std::to_string(result->opCount));
+    const std::string key =
+        "deadbeefdeadbeef|" + ops + "|" +
+        std::to_string(result->qubitCount) + "|w=4|" +
+        leafScheduleKeySuffix(LpfsScheduler().fingerprint(), arch,
+                              CommMode::Global);
+    LeafScheduleCache cache;
+    cache.insertLoaded(key, result);
+    const std::string path = tempPath("cache_malformed_key.msqc");
+    ASSERT_EQ(cache.saveTo(path), 1u);
+
+    LeafScheduleCache loaded;
+    DiagnosticEngine diags;
+    EXPECT_EQ(loaded.loadFrom(path, &diags), 0u);
+    ASSERT_EQ(diags.diagnostics().size(), 1u);
+    EXPECT_EQ(diags.diagnostics()[0].code, DiagCode::CacheEntryKeyMismatch);
+    EXPECT_EQ(diags.diagnostics()[0].message, "unparseable cache key " + key);
+    std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(CacheIo, MalformedKeyOps,
+                         testing::Values("-1", " N", "+N", "Nx"));
+
 // ---------------------------------------------------------------------
 // Satellite 1: counter accounting across thread counts and warm/cold
 // starts. The PR 3/4 invariance contract said "hit/miss totals are

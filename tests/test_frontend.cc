@@ -379,6 +379,20 @@ TEST(QasmReader, RejectsMalformedCallRepeat)
         parseHierarchicalQasm(".module m q\n    call[xFOO] m q\n.end\n");
     });
     EXPECT_NE(msg.find("qasm line 2"), std::string::npos) << msg;
+    // A repeat is digits only, so parseCount's "inf" is not one, and an
+    // overflow keeps its own diagnostic.
+    const std::pair<std::string, std::string> cases[] = {
+        {"inf", "call repeat count 'inf' is not a number"},
+        {"+3", "call repeat count '+3' is not a number"},
+        {"18446744073709551616",
+         "call repeat count '18446744073709551616' is out of range"}};
+    for (const auto &[repeat, what] : cases) {
+        msg = fatalMessage([&] {
+            parseHierarchicalQasm(".module m q\n    call[x" + repeat +
+                                  "] m q\n.end\n");
+        });
+        EXPECT_NE(msg.find(what), std::string::npos) << msg;
+    }
 }
 
 TEST(QasmReader, AcceptsLargeButRepresentableRepeat)

@@ -78,6 +78,19 @@ TEST(JsonParser, AsUnsignedFallback)
 {
     EXPECT_EQ(parseOk("\"nan\"")->asUnsigned(7), 7u);
     EXPECT_EQ(parseOk("{}")->get("missing").asUnsigned(9), 9u);
+    EXPECT_EQ(JsonValue::makeNumber(42).asUnsigned(9), 9u);
+}
+
+TEST(JsonParser, AsUnsignedIsExact)
+{
+    // The token is read, not the double: past 2^53 nothing rounds, and
+    // a fraction, an exponent, a sign or 2^64 is the fallback, never a
+    // truncated or wrapped count.
+    EXPECT_EQ(parseOk("9007199254740993")->asUnsigned(),
+              9007199254740993u);
+    EXPECT_EQ(parseOk("18446744073709551615")->asUnsigned(), UINT64_MAX);
+    for (const char *text : {"2.9", "1e3", "-3", "18446744073709551616"})
+        EXPECT_EQ(parseOk(text)->asUnsigned(7), 7u) << text;
 }
 
 TEST(JsonParser, NumberKeepsItsToken)
