@@ -5,8 +5,9 @@
  * byte-identical re-serialization, truncation/bit-flip/trailing-byte
  * rejection with stable P-code diagnostics, the load-path counter
  * accounting (loads never count as misses; hit/miss totals are
- * thread-count- and warm/cold-invariant), and the rebind-time
- * collision guard (P006).
+ * thread-count- and warm/cold-invariant), the rebind-time
+ * collision guard (P006), and the FNV-1a fold and structural hash the
+ * keys start with, checked against byte-at-a-time references.
  */
 
 #include <gtest/gtest.h>
@@ -18,14 +19,18 @@
 #include <vector>
 
 #include "core/serve.hh"
+#include "core/toolflow.hh"
 #include "sched/cache_io.hh"
 #include "sched/coarse.hh"
 #include "sched/comm.hh"
 #include "sched/leaf_cache.hh"
 #include "sched/lpfs.hh"
 #include "support/diagnostic.hh"
+#include "support/hash.hh"
 #include "support/json.hh"
+#include "support/rng.hh"
 #include "support/strings.hh"
+#include "workloads/workloads.hh"
 
 #include "expect_summary.hh"
 
@@ -137,6 +142,101 @@ TEST(CacheIo, FnvMatchesReferenceVectors)
     // Standard FNV-1a test vectors: offset basis and "a".
     EXPECT_EQ(fnv1a64("", 0), 0xcbf29ce484222325ull);
     EXPECT_EQ(fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
+}
+
+/** The eight little-endian bytes of @p v appended to @p bytes. */
+void
+appendLe(std::vector<uint8_t> &bytes, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+TEST(CacheIo, FoldMatchesByteHash)
+{
+    // Fnv1aFold::u64 is fnv1a64 over the value's eight little-endian
+    // bytes, alone and chained, for edge values and SplitMix64 draws.
+    std::vector<uint64_t> values = {
+        0, 1, 0xff, 0x100, 0xffff, 0xffffffffull, 1ull << 63, ~0ull};
+    SplitMix64 rng(7);
+    for (int i = 0; i < 1000; ++i)
+        values.push_back(rng.next());
+    Fnv1aFold chained;
+    std::vector<uint8_t> all;
+    for (uint64_t v : values) {
+        std::vector<uint8_t> bytes;
+        appendLe(bytes, v);
+        Fnv1aFold fold;
+        fold.u64(v);
+        EXPECT_EQ(fold.hash, fnv1a64(bytes.data(), bytes.size())) << v;
+        chained.u64(v);
+        appendLe(all, v);
+    }
+    EXPECT_EQ(chained.hash, fnv1a64(all.data(), all.size()));
+}
+
+/** Module::structuralHash recomputed from its documented byte stream:
+ * params, qubits, ops, then per op kind, callee, repeat, operand count
+ * and operands, each as eight little-endian bytes. */
+uint64_t
+referenceStructuralHash(const Module &mod)
+{
+    std::vector<uint8_t> bytes;
+    appendLe(bytes, mod.numParams());
+    appendLe(bytes, mod.numQubits());
+    appendLe(bytes, mod.numOps());
+    for (const Operation &op : mod.ops()) {
+        appendLe(bytes, static_cast<uint64_t>(op.kind));
+        appendLe(bytes, op.callee);
+        appendLe(bytes, op.repeat);
+        appendLe(bytes, op.operands.size());
+        for (QubitId q : op.operands)
+            appendLe(bytes, q);
+    }
+    return fnv1a64(bytes.data(), bytes.size());
+}
+
+TEST(CacheIo, StructuralHashMatchesByteReference)
+{
+    // Leaf-cache keys start with the structural hash, so every module
+    // of every tiny and scaled workload, built and lowered, must hash
+    // to the reference bytes.
+    size_t modules = 0;
+    for (const auto &specs :
+         {workloads::tinyParams(), workloads::scaledParams()}) {
+        for (const auto &spec : specs) {
+            for (const Program &prog :
+                 {spec.build(), Toolflow::lowerWorkload(spec)}) {
+                for (ModuleId id = 0; id < prog.numModules(); ++id) {
+                    const Module &mod = prog.module(id);
+                    ASSERT_EQ(mod.structuralHash(),
+                              referenceStructuralHash(mod))
+                        << spec.shortName << " " << mod.name();
+                    ++modules;
+                }
+            }
+        }
+    }
+    EXPECT_GT(modules, 0u);
+
+    // Hand-built: a long repeat, a callee id and an operand past one
+    // byte, gates whose unused callee/repeat are not the defaults, and
+    // an empty module.
+    Module mod("hand");
+    auto reg = mod.addRegister("q", 300);
+    mod.addRawOperation(Operation::makeCall(1, {reg[0], reg[1]}, 1ull << 40));
+    mod.addRawOperation(Operation::makeCall(300, {reg[299]}));
+    mod.addGate(GateKind::CNOT, {reg[256], reg[2]});
+    Operation odd(GateKind::H, {reg[3]});
+    odd.repeat = 2;
+    mod.addRawOperation(odd);
+    odd.repeat = 1;
+    odd.callee = 7;
+    mod.addRawOperation(odd);
+    mod.addGate(GateKind::T, {reg[4]});
+    EXPECT_EQ(mod.structuralHash(), referenceStructuralHash(mod));
+    Module empty("empty");
+    EXPECT_EQ(empty.structuralHash(), referenceStructuralHash(empty));
 }
 
 TEST(CacheIo, RoundTripRealSchedule)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "analysis/resource_estimator.hh"
 #include "core/toolflow.hh"
 #include "passes/cancel_inverses.hh"
@@ -14,6 +16,7 @@
 #include "passes/flatten.hh"
 #include "passes/pass_manager.hh"
 #include "passes/rotation_decomposer.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 #include "workloads/workloads.hh"
 
@@ -97,6 +100,60 @@ TEST(RotationDecomposer, SequenceIsDeterministic)
     auto s4 = RotationDecomposerPass::sequenceForAngle(GateKind::Rx, 0.7,
                                                        100);
     EXPECT_NE(s1, s4);
+}
+
+/**
+ * Sequences pinned by value: the FNV-1a hash of each sequence's gate
+ * kinds for every axis x angle x length. The rows are the axes
+ * {Rx, Ry, Rz} x angles {0.7, -2.5, 1e-9, pi/2^20}; the columns the
+ * lengths {1, 2, 3, 407, 2000}. Any change to the draw, the seed or the
+ * cancellation rule moves a digest.
+ */
+TEST(RotationDecomposer, SequencesMatchPinnedDigests)
+{
+    const GateKind axes[] = {GateKind::Rx, GateKind::Ry, GateKind::Rz};
+    const double angles[] = {0.7, -2.5, 1e-9, std::ldexp(M_PI, -20)};
+    const unsigned lengths[] = {1, 2, 3, 407, 2000};
+    const uint64_t digests[12][5] = {
+        {0xaf63bd4c8601b7dfull, 0x08328207b4eb65bbull, 0xd938ab186bfdd7a8ull,
+         0x7438fab9ea996de7ull, 0x58e4668b08094480ull},
+        {0xaf63bf4c8601bb45ull, 0x08395207b4f132d9ull, 0xea993f1875d96bd4ull,
+         0xe9305e5caf718204ull, 0x40ee2688e3b42c21ull},
+        {0xaf63b94c8601b113ull, 0x0824f207b4dfe6afull, 0xb6adec185874f12bull,
+         0x07ca234f843093ffull, 0x478a7659a722dbdcull},
+        {0xaf63bb4c8601b479ull, 0x082bbd07b4e5ab4eull, 0xc7fd7c1862420b58ull,
+         0xa6218f80f73104a3ull, 0x0ab154810748bd17ull},
+        {0xaf63bd4c8601b7dfull, 0x08328307b4eb676eull, 0xd93c12186c00bc84ull,
+         0xbeb5cf4e08746986ull, 0x68d4aebab0b65d67ull},
+        {0xaf63bf4c8601bb45ull, 0x08395507b4f137f2ull, 0xeaa36c1875e20cd0ull,
+         0x1241df4e45167dacull, 0x03b7f0a92bbc16fcull},
+        {0xaf63bb4c8601b479ull, 0x082bc007b4e5b067ull, 0xc807b018624ab839ull,
+         0x84a343c408b18c57ull, 0xbd6c3d91e80799f5ull},
+        {0xaf63bf4c8601bb45ull, 0x08395507b4f137f2ull, 0xeaa3701875e2139cull,
+         0x51db8ba0ee185c2cull, 0xb3b78cfb636f7289ull},
+        {0xaf63b84c8601af60ull, 0x08218f07b4dd089full, 0xae0ea7185395a2c7ull,
+         0xd6f9a97254d921d2ull, 0x971f3714aec0a3c3ull},
+        {0xaf63bf4c8601bb45ull, 0x08394f07b4f12dc0ull, 0xea8f0d1875d0c259ull,
+         0x453dc14d2f7966deull, 0xe59341876ab249f6ull},
+        {0xaf63bf4c8601bb45ull, 0x08395107b4f13126ull, 0xea95d51875d681dfull,
+         0x63b31cf30d7c2249ull, 0x17d6323bb3e2d759ull},
+        {0xaf63be4c8601b992ull, 0x0835f107b4ee582full, 0xe200bb1870ffd111ull,
+         0x2d26a89a05090b3eull, 0x95eddb83cfb23c79ull},
+    };
+    static_assert(sizeof(GateKind) == 1);
+    for (size_t a = 0; a < 3; ++a) {
+        for (size_t b = 0; b < 4; ++b) {
+            for (size_t l = 0; l < 5; ++l) {
+                const auto seq = RotationDecomposerPass::sequenceForAngle(
+                    axes[a], angles[b], lengths[l]);
+                ASSERT_EQ(seq.size(), lengths[l]);
+                EXPECT_EQ(fnv1a64(seq.data(), seq.size()),
+                          digests[a * 4 + b][l])
+                    << gateName(axes[a]) << " angle " << angles[b]
+                    << " length " << lengths[l];
+            }
+        }
+    }
 }
 
 TEST(RotationDecomposer, NoAdjacentCancellation)
