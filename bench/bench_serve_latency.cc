@@ -15,9 +15,10 @@
  * determinism contract (DESIGN.md §15) is cross-checked on the fly:
  * every warm response must carry the same schedule_hash, makespan,
  * critical_path, lower_bound, total_gates and qubits as its cold twin,
- * and the warm phase must end at leaf-cache hit rate 1.0 — the bench
- * exits 1 on any violation, so the committed baseline doubles as a
- * regression test.
+ * its compile must fold as many ops into leaf-cache keys
+ * (sched.leaf.ops_hashed, the ops_hashed column), and the warm phase
+ * must end at leaf-cache hit rate 1.0 — the bench exits 1 on any
+ * violation, so the committed baseline doubles as a regression test.
  *
  * Environment knobs:
  *   MSQ_BENCH_THREADS  batch parallelism (default 8)
@@ -65,6 +66,7 @@ struct Served
     uint64_t lowerBound = 0;
     uint64_t totalGates = 0;
     uint64_t qubits = 0;
+    uint64_t opsHashed = 0; ///< sched.leaf.ops_hashed of the request
 
     bool operator==(const Served &) const = default;
 
@@ -73,13 +75,15 @@ struct Served
     {
         return csprintf("\"schedule_hash\": \"%s\", \"makespan\": %llu, "
                         "\"critical_path\": %llu, \"lower_bound\": %llu, "
-                        "\"total_gates\": %llu, \"qubits\": %llu",
+                        "\"total_gates\": %llu, \"qubits\": %llu, "
+                        "\"ops_hashed\": %llu",
                         scheduleHash.c_str(),
                         static_cast<unsigned long long>(makespan),
                         static_cast<unsigned long long>(criticalPath),
                         static_cast<unsigned long long>(lowerBound),
                         static_cast<unsigned long long>(totalGates),
-                        static_cast<unsigned long long>(qubits));
+                        static_cast<unsigned long long>(qubits),
+                        static_cast<unsigned long long>(opsHashed));
     }
 };
 
@@ -119,7 +123,10 @@ runPhase(const std::string &phase, const std::string &cache_path,
     out.phase = phase;
     std::vector<double> latencies;
     WallTimer timer;
+    const Counter &opsHashed =
+        engine.metrics().counter("sched.leaf.ops_hashed");
     for (const auto &[workload, line] : traffic) {
+        const uint64_t hashedBefore = opsHashed.value();
         WallTimer requestTimer;
         std::string response = engine.handleLine(line);
         latencies.push_back(requestTimer.elapsedMs());
@@ -137,7 +144,8 @@ runPhase(const std::string &phase, const std::string &cache_path,
             json->get("critical_path").asUnsigned(),
             json->get("lower_bound").asUnsigned(),
             json->get("total_gates").asUnsigned(),
-            json->get("qubits").asUnsigned()};
+            json->get("qubits").asUnsigned(),
+            opsHashed.value() - hashedBefore};
     }
     out.wallMs = timer.elapsedMs();
     out.requests = traffic.size();

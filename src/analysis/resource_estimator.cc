@@ -116,6 +116,10 @@ ResourceEstimator::criticalPath(ModuleId id) const
         std::vector<uint64_t> weights;
         for (ModuleId m : order) {
             const Module &mod = prog->module(m);
+            if (mod.isLeaf()) {
+                lengths[m] = criticalPathLength(mod); // unit weights
+                continue;
+            }
             weights.assign(mod.numOps(), 1);
             for (uint32_t index : mod.callOps()) {
                 const Operation &op = mod.ops()[index];

@@ -1,10 +1,43 @@
 #include "ir/module.hh"
 
+#include <array>
+
 #include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 
 namespace msq {
+
+namespace {
+
+/**
+ * Folding one byte b maps h to (h ^ b) * p, and h ^ b = h + e with
+ * e = ((h mod 256) ^ b) - (h mod 256), which depends on h only through
+ * its low byte. The low byte of (h + e) * p is again a function of
+ * h mod 256 alone, so by induction folding any fixed string of n bytes
+ * maps h to F(h) = h * p^n + T[h mod 256] (mod 2^64), where
+ * T[x] = F(x) - x * p^n.
+ *
+ * Every non-call op folds the same 16 bytes after its kind: callee
+ * invalidModule and repeat 1, eight little-endian bytes each. gateTail
+ * is T for that string, so structuralHash folds them in one multiply.
+ */
+constexpr uint64_t gateTailPower =
+    fnv1aPrimePowers[8] * fnv1aPrimePowers[8];
+
+constexpr auto gateTail = [] {
+    std::array<uint64_t, 256> tail{};
+    for (uint64_t x = 0; x < tail.size(); ++x) {
+        uint64_t h = x;
+        for (uint64_t v : {uint64_t{invalidModule}, uint64_t{1}})
+            for (int i = 0; i < 8; ++i, v >>= 8)
+                h = (h ^ (v & 0xff)) * fnv1aPrime;
+        tail[x] = h - x * gateTailPower;
+    }
+    return tail;
+}();
+
+} // anonymous namespace
 
 QubitId
 Module::addParam(const std::string &qubit_name)
@@ -120,15 +153,21 @@ uint64_t
 Module::structuralHash() const
 {
     // FNV-1a over the structural fields (see the header for what is
-    // deliberately excluded).
+    // deliberately excluded); a gate's default callee and repeat fold
+    // in one step through gateTail.
     Fnv1aFold fold;
     fold.u64(numParams_);
     fold.u64(qubitNames.size());
     fold.u64(ops_.size());
     for (const auto &op : ops_) {
         fold.u64(static_cast<uint64_t>(op.kind));
-        fold.u64(op.callee);
-        fold.u64(op.repeat);
+        if (op.callee == invalidModule && op.repeat == 1) {
+            fold.hash = fold.hash * gateTailPower +
+                        gateTail[fold.hash & 0xff];
+        } else {
+            fold.u64(op.callee);
+            fold.u64(op.repeat);
+        }
         fold.u64(op.operands.size());
         for (QubitId q : op.operands)
             fold.u64(q);

@@ -1,7 +1,9 @@
 #include "passes/rotation_decomposer.hh"
 
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <map>
 
 #include "support/logging.hh"
@@ -19,7 +21,7 @@ constexpr GateKind sequenceAlphabet[] = {
 };
 
 /** True when g2 immediately cancels g1 (would shorten the chain). */
-bool
+constexpr bool
 cancels(GateKind g1, GateKind g2)
 {
     switch (g1) {
@@ -39,6 +41,34 @@ cancels(GateKind g1, GateKind g2)
         return false;
     }
 }
+
+constexpr size_t alphabetSize = std::size(sequenceAlphabet);
+
+/**
+ * cancelledBy[i] is the alphabet index of the letter that cancels
+ * letter i, taken from cancels() at compile time. The extra entry
+ * alphabetSize stands for "no letter kept yet"; no draw matches it.
+ */
+constexpr auto cancelledBy = [] {
+    std::array<size_t, alphabetSize + 1> inverse{};
+    inverse.fill(alphabetSize);
+    for (size_t i = 0; i < alphabetSize; ++i)
+        for (size_t j = 0; j < alphabetSize; ++j)
+            if (cancels(sequenceAlphabet[i], sequenceAlphabet[j]))
+                inverse[i] = j;
+    return inverse;
+}();
+
+static_assert(
+    [] {
+        for (size_t i = 0; i < alphabetSize; ++i)
+            for (size_t j = 0; j < alphabetSize; ++j)
+                if (cancels(sequenceAlphabet[i], sequenceAlphabet[j]) !=
+                    (cancelledBy[i] == j))
+                    return false;
+        return true;
+    }(),
+    "each letter is cancelled by at most one letter, its cancelledBy");
 
 uint64_t
 angleSeed(GateKind kind, double angle)
@@ -80,15 +110,17 @@ RotationDecomposerPass::sequenceForAngle(GateKind kind, double angle,
         panic(std::string("sequenceForAngle: not a rotation gate: ") +
               gateName(kind));
     SplitMix64 rng(angleSeed(kind, angle));
-    std::vector<GateKind> seq;
-    seq.reserve(length);
-    constexpr size_t alphabet_size =
-        sizeof(sequenceAlphabet) / sizeof(sequenceAlphabet[0]);
-    while (seq.size() < length) {
-        GateKind next = sequenceAlphabet[rng.nextBelow(alphabet_size)];
-        if (!seq.empty() && cancels(seq.back(), next))
-            continue;
-        seq.push_back(next);
+    // Every draw is stored; the write position advances only when the
+    // draw does not cancel the last kept letter, so a rejected draw is
+    // overwritten by the next one without a branch.
+    std::vector<GateKind> seq(length);
+    size_t last = alphabetSize;
+    for (size_t kept = 0; kept < length;) {
+        const auto next = static_cast<size_t>(rng.nextBelow(alphabetSize));
+        seq[kept] = sequenceAlphabet[next];
+        const bool keep = next != cancelledBy[last];
+        kept += keep;
+        last = keep ? next : last;
     }
     return seq;
 }

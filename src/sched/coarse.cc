@@ -586,8 +586,11 @@ CoarseScheduler::schedule(const Program &prog) const
     // recorded counters are identical for every thread count even when
     // a cache race double-computes a slot.
     uint64_t ready_scanned = 0;
+    uint64_t ops_hashed = 0;
     for (size_t m = 0; m < leaves.size(); ++m) {
         const Module &mod = prog.module(leaves[m]);
+        if (cache)
+            ops_hashed += mod.numOps();
         ModuleScheduleInfo info;
         info.analyzed = true;
         info.leaf = true;
@@ -734,6 +737,9 @@ CoarseScheduler::schedule(const Program &prog) const
         // replaying the stored count: a pure function of program, arch
         // and sweep too.
         metrics->counter("sched.leaf.ready_scanned").add(ready_scanned);
+        // Ops folded into leaf-cache keys: each leaf's key prefix hashes
+        // it once per compile, and nothing with the cache off.
+        metrics->counter("sched.leaf.ops_hashed").add(ops_hashed);
         if (cache) {
             metrics->counter("sched.leaf_cache.hits")
                 .add(cache->hits() - cache_hits_before);

@@ -11,6 +11,7 @@
 #define MSQ_SUPPORT_HASH_HH
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -51,12 +52,13 @@ struct Fnv1aFold
     void
     u64(uint64_t v)
     {
-        // Folding a zero byte is (hash ^ 0) * prime, so once the bytes
-        // left are all zero, one multiply by prime^left folds them all.
-        int i = 0;
-        for (; v != 0; ++i, v >>= 8)
+        // Folding a zero byte is (hash ^ 0) * prime, so the last nonzero
+        // byte and the zero bytes above it fold in one multiply by
+        // prime^(9 - bytes); a zero value counts as one byte, 0 itself.
+        const int bytes = (71 - std::countl_zero(v | 1)) / 8;
+        for (int i = 1; i < bytes; ++i, v >>= 8)
             hash = (hash ^ (v & 0xff)) * fnv1aPrime;
-        hash *= fnv1aPrimePowers[8 - i];
+        hash = (hash ^ v) * fnv1aPrimePowers[9 - bytes];
     }
 };
 

@@ -405,6 +405,32 @@ TEST(Determinism, ReadyScannedCounterInvariance)
 }
 
 /**
+ * The work counter sched.leaf.ops_hashed counts the ops folded into
+ * leaf-cache keys: every leaf's ops once per compile with a cache, none
+ * without. It is recorded in the single-threaded merge, so it is
+ * identical for every thread count.
+ */
+TEST(Determinism, OpsHashedCounterInvariance)
+{
+    for (const char *workload : {"grovers", "sha1", "shors"}) {
+        const uint64_t hashed =
+            runWith(workload, SchedulerKind::Lpfs, 1, true)
+                .telemetry.counter("sched.leaf.ops_hashed");
+        EXPECT_GT(hashed, 0u) << workload;
+        for (unsigned threads : {1u, 2u, 8u}) {
+            EXPECT_EQ(runWith(workload, SchedulerKind::Lpfs, threads, true)
+                          .telemetry.counter("sched.leaf.ops_hashed"),
+                      hashed)
+                << workload << " threads=" << threads;
+            EXPECT_EQ(runWith(workload, SchedulerKind::Lpfs, threads, false)
+                          .telemetry.counter("sched.leaf.ops_hashed"),
+                      0u)
+                << workload << " threads=" << threads << " no cache";
+        }
+    }
+}
+
+/**
  * A shared cache reused across runs must keep returning the first
  * run's results (and actually hit).
  */

@@ -99,7 +99,7 @@ GATES = {
         ("results", ("workload",),
          {"schedule_hash": exact, "makespan": exact,
           "critical_path": exact, "lower_bound": exact,
-          "total_gates": exact, "qubits": exact}),
+          "total_gates": exact, "qubits": exact, "ops_hashed": exact}),
         ("phases", ("phase",),
          {"requests_per_sec": INFO, "p50_ms": INFO})]),
     "multicore": ("msq-multicore-v1", {
