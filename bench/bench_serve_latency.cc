@@ -107,7 +107,7 @@ runPhase(const std::string &phase, const std::string &cache_path,
          const std::vector<std::pair<std::string, std::string>> &traffic)
 {
     ServeOptions options;
-    options.k = 8;
+    options.defaults.k = 8;
     options.numThreads = threads;
     options.cachePath = cache_path;
     ServeEngine engine(options);

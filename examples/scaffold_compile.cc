@@ -5,7 +5,8 @@
  * is given), runs the decomposition + flattening + scheduling pipeline,
  * prints the schedule summary, and emits hierarchical QASM.
  *
- * Usage: scaffold_compile [file.scaffold] [--scheduler rcp|lpfs]
+ * Usage: scaffold_compile [file.scaffold]
+ *                         [--scheduler rcp|lpfs|opt|sequential]
  *                         [--k N] [--local N] [--emit-qasm]
  */
 
@@ -14,6 +15,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/request.hh"
 #include "core/toolflow.hh"
 #include "frontend/parser.hh"
 #include "frontend/qasm_emitter.hh"
@@ -55,44 +57,30 @@ main(int argc, char **argv)
 {
     std::string path;
     bool emit_qasm = false;
-    ToolflowConfig config;
-    config.scheduler = SchedulerKind::Lpfs;
-    config.commMode = CommMode::Global;
-    config.rotations.sequenceLength = 100;
-
+    CompileRequest request;
+    std::string error;
     for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
+        const std::string arg = argv[i];
+        // Each value flag sets one compile-request key.
+        const char *key = arg == "--scheduler" ? "scheduler"
+                          : arg == "--k"       ? "k"
+                          : arg == "--local"   ? "local_mem"
+                                               : nullptr;
         if (arg == "--emit-qasm") {
             emit_qasm = true;
-        } else if (arg == "--scheduler" && i + 1 < argc) {
-            std::string kind = argv[++i];
-            if (kind == "rcp")
-                config.scheduler = SchedulerKind::Rcp;
-            else if (kind == "lpfs")
-                config.scheduler = SchedulerKind::Lpfs;
-            else if (kind == "sequential")
-                config.scheduler = SchedulerKind::Sequential;
-            else
-                fatal("unknown scheduler: " + kind);
-        } else if (arg == "--k" && i + 1 < argc) {
-            uint64_t k = 0;
-            if (!parseCount(argv[++i], k, 1, maxRegionsPerCore)) {
-                std::cerr << "scaffold_compile: --k needs a count in "
-                             "[1, 2^20], got " << argv[i] << "\n";
+        } else if (key && i + 1 < argc) {
+            if (!setRequestField(request, key, argv[++i], error)) {
+                std::cerr << "scaffold_compile: " << arg << ": " << error
+                          << "\n";
                 return 2;
             }
-            config.arch.k = static_cast<unsigned>(k);
-        } else if (arg == "--local" && i + 1 < argc) {
-            if (!parseCount(argv[++i], config.arch.localMemCapacity)) {
-                std::cerr << "scaffold_compile: --local needs a count, got "
-                          << argv[i] << "\n";
-                return 2;
-            }
-            config.commMode = CommMode::GlobalWithLocalMem;
         } else {
             path = arg;
         }
     }
+    // No topology flag, so the request always describes a machine.
+    ToolflowConfig config = *toolflowConfig(request, error);
+    config.rotations.sequenceLength = 100;
 
     try {
         Program prog = path.empty() ? parseScaffold(demoSource)

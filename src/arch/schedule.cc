@@ -25,15 +25,6 @@ hasLocalMove(const Move *begin, const Move *end)
     return false;
 }
 
-bool
-hasBlockingGlobalMove(const Move *begin, const Move *end)
-{
-    for (const Move *m = begin; m != end; ++m)
-        if (!m->isLocal() && m->blocking)
-            return true;
-    return false;
-}
-
 uint64_t
 movePhaseCycles(const Move *begin, const Move *end, uint64_t epr_bandwidth)
 {

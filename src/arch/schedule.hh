@@ -60,9 +60,6 @@ uint64_t blockingMoveCount(const Move *begin, const Move *end);
 /** Any ballistic region<->scratchpad move in [@p begin, @p end)? */
 bool hasLocalMove(const Move *begin, const Move *end);
 
-/** Any teleport that blocks the schedule in [@p begin, @p end)? */
-bool hasBlockingGlobalMove(const Move *begin, const Move *end);
-
 /**
  * Cycles spent on one timestep's movement phase: the full 4-cycle
  * teleport time if any blocking global move occurs (paper §4.4), 1 cycle
@@ -294,13 +291,6 @@ class TimestepView
         const Move *base = buf->moves.data();
         return {base + buf->moveBegin(step_),
                 base + buf->moveEnd[step_]};
-    }
-
-    bool
-    hasBlockingGlobalMove() const
-    {
-        MoveSpan m = moves();
-        return msq::hasBlockingGlobalMove(m.begin(), m.end());
     }
 
     bool

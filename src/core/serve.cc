@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <exception>
 #include <fstream>
-#include <limits>
+#include <optional>
 
 #include "analysis/bounds.hh"
 #include "core/toolflow.hh"
@@ -32,7 +32,7 @@ echoId(const JsonValue &request)
 {
     const JsonValue &id = request.get("id");
     if (id.isString())
-        return "\"" + jsonEscape(id.asString()) + "\"";
+        return csprintf("\"%s\"", jsonEscape(id.asString()).c_str());
     if (id.isNumber()) {
         const double value = id.asNumber();
         constexpr double exact = 9007199254740992.0; // 2^53
@@ -41,29 +41,6 @@ echoId(const JsonValue &request)
         return jsonNumber(value);
     }
     return "null";
-}
-
-/**
- * Read the optional integer field @p key into @p out, which keeps its
- * value when the field is absent. The number's token goes through
- * parseCount, so a fraction, an exponent, a negative value or one
- * outside [@p min, @p max] is an error, never a wrapped or truncated
- * value.
- */
-bool
-readCount(const JsonValue &req, const char *key, uint64_t min, uint64_t max,
-          uint64_t &out, std::string &error)
-{
-    if (!req.has(key) ||
-        parseCount(req.get(key).numberText(), out, min, max))
-        return true;
-    error = max == std::numeric_limits<uint64_t>::max()
-                ? csprintf("%s must be an integer >= %llu", key,
-                           static_cast<unsigned long long>(min))
-                : csprintf("%s must be an integer in [%llu, %llu]", key,
-                           static_cast<unsigned long long>(min),
-                           static_cast<unsigned long long>(max));
-    return false;
 }
 
 std::string
@@ -83,7 +60,7 @@ struct Request
 };
 
 bool
-parseRequest(const std::string &line, const ServeOptions &defaults,
+parseRequest(const std::string &line, const CompileRequest &defaults,
              Request &out, std::string &error)
 {
     std::unique_ptr<JsonValue> parsed = parseJson(line, error);
@@ -96,42 +73,27 @@ parseRequest(const std::string &line, const ServeOptions &defaults,
     }
     out.id = echoId(req);
 
-    // --- program source -------------------------------------------------
-    const std::string workload = req.get("workload").asString();
-    const std::string source = req.get("source").asString();
+    const std::string &workload = req.get("workload").asString();
+    const std::string &source = req.get("source").asString();
     if (workload.empty() == source.empty()) {
         error = "exactly one of \"workload\" or \"source\" is required";
         return false;
     }
+    // The request's keys override the daemon's defaults; a bad topology
+    // spec is an error response, never a dead daemon.
+    CompileRequest request = defaults;
+    if (!readRequestJson(request, req, error))
+        return false;
+    std::optional<ToolflowConfig> config = toolflowConfig(request, error);
+    if (!config)
+        return false;
+    out.config = std::move(*config);
+
     if (!workload.empty()) {
-        const std::string params = req.has("params")
-                                       ? req.get("params").asString()
-                                       : "scaled";
-        std::vector<workloads::WorkloadSpec> specs;
-        if (params == "tiny")
-            specs = workloads::tinyParams();
-        else if (params == "scaled")
-            specs = workloads::scaledParams();
-        else if (params == "paper")
-            specs = workloads::paperParams();
-        else {
-            error = "unknown params preset \"" + params + "\"";
+        if (!buildRequestWorkload(request, workload, out.prog, out.config,
+                                  error))
             return false;
-        }
-        bool found = false;
-        for (const auto &spec : specs) {
-            if (spec.shortName == workload) {
-                out.prog = spec.build();
-                out.name = spec.shortName;
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            error = "unknown workload \"" + workload + "\"";
-            return false;
-        }
-        out.config.rotations = Toolflow::rotationPresetFor(workload);
+        out.name = workload;
     } else {
         const std::string format = req.has("format")
                                        ? req.get("format").asString()
@@ -149,74 +111,8 @@ parseRequest(const std::string &line, const ServeOptions &defaults,
             error = std::string("parse error: ") + e.what();
             return false;
         }
+        workloads::scaleWorkload(out.prog, request.scale);
         out.name = "source";
-    }
-    uint64_t scale = 1;
-    if (!readCount(req, "scale", 1, unbounded - 1, scale, error))
-        return false;
-    if (scale > 1)
-        workloads::scaleWorkload(out.prog, scale);
-
-    // --- scheduler / architecture ---------------------------------------
-    const std::string scheduler = req.has("scheduler")
-                                      ? req.get("scheduler").asString()
-                                      : "lpfs";
-    if (scheduler == "lpfs")
-        out.config.scheduler = SchedulerKind::Lpfs;
-    else if (scheduler == "rcp")
-        out.config.scheduler = SchedulerKind::Rcp;
-    else if (scheduler == "opt")
-        out.config.scheduler = SchedulerKind::Opt;
-    else if (scheduler == "sequential")
-        out.config.scheduler = SchedulerKind::Sequential;
-    else {
-        error = "unknown scheduler \"" + scheduler + "\"";
-        return false;
-    }
-
-    uint64_t k = defaults.k;
-    uint64_t d = defaults.d;
-    uint64_t localMem = defaults.localMem;
-    uint64_t epr = defaults.eprBandwidth;
-    if (!readCount(req, "k", 1, maxRegionsPerCore, k, error) ||
-        !readCount(req, "d", 0, unbounded, d, error) ||
-        !readCount(req, "local_mem", 0, unbounded, localMem, error) ||
-        !readCount(req, "epr", 1, unbounded, epr, error))
-        return false;
-    out.config.arch = MultiSimdArch(static_cast<unsigned>(k),
-                                    d == 0 ? unbounded : d, localMem);
-    out.config.arch.eprBandwidth = epr;
-
-    // Per-request topology overrides the daemon-wide default; either
-    // way the spec reshapes the arch (cores * per-core k regions) and
-    // is validated before any scheduling happens, so a bad spec is an
-    // error response, never a dead daemon.
-    const std::string topoSpec = req.has("topology")
-                                     ? req.get("topology").asString()
-                                     : defaults.topology;
-    if (!topoSpec.empty()) {
-        std::string topoError;
-        if (!parseTopologySpec(topoSpec, out.config.arch, topoError)) {
-            error = "bad topology spec: " + topoError;
-            return false;
-        }
-    }
-
-    const std::string mode = req.has("comm_mode")
-                                 ? req.get("comm_mode").asString()
-                                 : "";
-    if (mode == "none")
-        out.config.commMode = CommMode::None;
-    else if (mode == "global")
-        out.config.commMode = CommMode::Global;
-    else if (mode == "local")
-        out.config.commMode = CommMode::GlobalWithLocalMem;
-    else if (mode.empty())
-        out.config.commMode = localMem > 0 ? CommMode::GlobalWithLocalMem
-                                           : CommMode::Global;
-    else {
-        error = "unknown comm_mode \"" + mode + "\"";
-        return false;
     }
 
     // Per-request scheduling is single-threaded: parallelism lives at
@@ -283,7 +179,7 @@ ServeEngine::handleLine(const std::string &line)
     requests_.fetch_add(1, std::memory_order_relaxed);
     Request request;
     std::string error;
-    if (!parseRequest(line, options_, request, error))
+    if (!parseRequest(line, options_.defaults, request, error))
         return errorResponse(request.id, error);
 
     const auto start = std::chrono::steady_clock::now();

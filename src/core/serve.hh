@@ -20,12 +20,14 @@
  *    "comm_mode": "none"|"global"|"local",
  *    "topology": "cores=4,k=2,shape=ring,link-bw=1,link-lat=3"}
  *
- * The "topology" field (parseTopologySpec grammar) reshapes the
- * request's architecture into a multi-core machine; absent, the
- * daemon-wide ServeOptions::topology default applies, and absent that
- * the machine is the flat single-core Multi-SIMD(k,d). The topology is
- * part of the leaf-cache key (MultiSimdArch::fingerprint), so requests
- * against different topologies never share cached leaf schedules.
+ * Every field but id, workload, source and format is a CompileRequest
+ * key (core/request.hh): a request copies the daemon's
+ * ServeOptions::defaults and overrides the keys it carries. The
+ * "topology" field (parseTopologySpec grammar) reshapes the machine
+ * into a multi-core one; "" is the flat single-core Multi-SIMD(k,d).
+ * The topology is part of the leaf-cache key
+ * (MultiSimdArch::fingerprint), so requests against different
+ * topologies never share cached leaf schedules.
  *
  * Response: {"id", "ok", "makespan", "total_gates", "qubits",
  * "critical_path", "speedup", "lower_bound", "gap", "schedule_hash",
@@ -48,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "core/request.hh"
 #include "sched/coarse.hh"
 #include "sched/leaf_cache.hh"
 #include "support/telemetry.hh"
@@ -57,15 +60,9 @@ namespace msq {
 /** Daemon-level configuration of a ServeEngine. */
 struct ServeOptions
 {
-    /** Default architecture for requests that do not override it. */
-    unsigned k = 4;
-    uint64_t d = unbounded;
-    uint64_t localMem = 0;
-    uint64_t eprBandwidth = unbounded;
-
-    /** Default `--topology` spec (parseTopologySpec grammar) applied to
-     * requests that carry no "topology" field; "" = flat machine. */
-    std::string topology;
+    /** Machine and scheduler defaults; each request copies them and
+     * overrides the keys it carries. */
+    CompileRequest defaults;
 
     /** Batch parallelism for handleBatch (0 = hardware threads). Each
      * request schedules single-threaded; parallelism is across

@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "analysis/resource_estimator.hh"
-#include "passes/cancel_inverses.hh"
 #include "passes/decompose_toffoli.hh"
 #include "passes/pass_manager.hh"
 #include "sched/lpfs.hh"
@@ -41,6 +40,16 @@ schedulerKindName(SchedulerKind kind)
     panic("unknown SchedulerKind");
 }
 
+std::optional<SchedulerKind>
+parseSchedulerKind(std::string_view name)
+{
+    for (SchedulerKind kind : {SchedulerKind::Sequential, SchedulerKind::Rcp,
+                               SchedulerKind::Lpfs, SchedulerKind::Opt})
+        if (name == schedulerKindName(kind))
+            return kind;
+    return std::nullopt;
+}
+
 Toolflow::Toolflow(ToolflowConfig config) : config_(std::move(config))
 {
     config_.arch.validate();
@@ -49,17 +58,9 @@ Toolflow::Toolflow(ToolflowConfig config) : config_(std::move(config))
 std::unique_ptr<LeafScheduler>
 Toolflow::makeScheduler(SchedulerKind kind)
 {
-    switch (kind) {
-      case SchedulerKind::Sequential:
-        return std::make_unique<SequentialScheduler>();
-      case SchedulerKind::Rcp:
-        return std::make_unique<RcpScheduler>();
-      case SchedulerKind::Lpfs:
-        return std::make_unique<LpfsScheduler>();
-      case SchedulerKind::Opt:
-        return std::make_unique<OptScheduler>();
-    }
-    panic("unknown SchedulerKind");
+    ToolflowConfig config;
+    config.scheduler = kind;
+    return Toolflow(std::move(config)).makeConfiguredScheduler();
 }
 
 std::unique_ptr<LeafScheduler>
@@ -104,8 +105,6 @@ Toolflow::lower(Program &prog) const
 void
 Toolflow::lower(Program &prog, MetricsRegistry &reg) const
 {
-    if (!config_.decompose)
-        return;
     TraceSpan span(Telemetry::trace(), "toolflow-passes");
     ScopedTimerMs timer(reg.distribution("toolflow.passes_ms"));
     PassManager passes;
@@ -113,8 +112,6 @@ Toolflow::lower(Program &prog, MetricsRegistry &reg) const
     passes.add(std::make_unique<DecomposeToffoliPass>());
     passes.add(std::make_unique<RotationDecomposerPass>(config_.rotations));
     passes.add(std::make_unique<FlattenPass>(config_.flattenThreshold));
-    if (config_.optimize)
-        passes.add(std::make_unique<CancelInversesPass>());
     passes.run(prog);
 }
 

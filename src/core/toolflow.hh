@@ -10,7 +10,9 @@
 #define MSQ_CORE_TOOLFLOW_HH
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "arch/multi_simd.hh"
 #include "ir/program.hh"
@@ -37,6 +39,9 @@ enum class SchedulerKind : uint8_t {
 
 /** @return "sequential" / "rcp" / "lpfs" / "opt". */
 const char *schedulerKindName(SchedulerKind kind);
+
+/** @return the kind schedulerKindName() calls @p name, if any. */
+std::optional<SchedulerKind> parseSchedulerKind(std::string_view name);
 
 /** Complete configuration of one toolflow run. */
 struct ToolflowConfig
@@ -69,16 +74,6 @@ struct ToolflowConfig
      * exactly the communication model the schedule is costed with.
      */
     OptScheduler::Options optOptions;
-
-    /** Run gate decomposition passes (disable only for pre-lowered IR). */
-    bool decompose = true;
-
-    /**
-     * Run the inverse-cancellation peephole after decomposition and
-     * flattening (off by default so measurements stay comparable with
-     * the paper's unoptimized-CTQG observations, §5.2).
-     */
-    bool optimize = false;
 
     /** Optional explicit width sweep for the coarse scheduler. */
     std::vector<unsigned> coarseWidths;
@@ -171,11 +166,10 @@ class Toolflow
 
     /**
      * The lowering half of run(): Toffoli decomposition, rotation
-     * decomposition, flattening below the threshold, and the optional
-     * peephole, all per this configuration. Nothing when
-     * ToolflowConfig::decompose is off. Every tool that schedules or
-     * bounds a program lowers it through here, so they all see the
-     * program run() schedules.
+     * decomposition and flattening below the threshold, all per this
+     * configuration. Every tool that schedules or bounds a program
+     * lowers it through here, so they all see the program run()
+     * schedules.
      */
     void lower(Program &prog) const;
 

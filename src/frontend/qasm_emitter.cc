@@ -1,9 +1,7 @@
 #include "frontend/qasm_emitter.hh"
 
-#include <functional>
 #include <vector>
 
-#include "support/logging.hh"
 #include "support/strings.hh"
 
 namespace msq {
@@ -41,65 +39,6 @@ emitHierarchicalQasm(std::ostream &os, const Program &prog)
         }
         os << ".end\n\n";
     }
-}
-
-uint64_t
-emitFlatQasm(std::ostream &os, const Program &prog,
-             const QasmEmitOptions &options)
-{
-    uint64_t emitted = 0;
-    uint64_t fresh = 0;
-
-    // Recursively expand calls; `names` maps callee qubit ids to globally
-    // unique flat names.
-    std::function<void(const Module &, const std::vector<std::string> &)>
-        expand = [&](const Module &mod,
-                     const std::vector<std::string> &names) {
-            for (const auto &op : mod.ops()) {
-                if (op.isCall()) {
-                    const Module &callee = prog.module(op.callee);
-                    std::vector<std::string> callee_names(
-                        callee.numQubits());
-                    for (size_t i = 0; i < callee.numParams(); ++i)
-                        callee_names[i] = names[op.operands[i]];
-                    for (size_t i = callee.numParams();
-                         i < callee.numQubits(); ++i) {
-                        callee_names[i] = csprintf("anc%llu",
-                            static_cast<unsigned long long>(fresh++));
-                        os << "qbit " << callee_names[i] << "\n";
-                    }
-                    for (uint64_t rep = 0; rep < op.repeat; ++rep)
-                        expand(callee, callee_names);
-                    continue;
-                }
-                if (++emitted > options.maxGates) {
-                    fatal(csprintf(
-                        "flat QASM emission exceeds budget of %llu gates; "
-                        "use hierarchical emission for large programs",
-                        static_cast<unsigned long long>(options.maxGates)));
-                }
-                std::vector<std::string> args;
-                for (QubitId q : op.operands)
-                    args.push_back(names[q]);
-                if (isRotationGate(op.kind)) {
-                    os << gateName(op.kind) << "("
-                       << csprintf("%.12g", op.angle) << ") "
-                       << join(args, " ") << "\n";
-                } else {
-                    os << gateName(op.kind) << " " << join(args, " ")
-                       << "\n";
-                }
-            }
-        };
-
-    const Module &entry = prog.module(prog.entry());
-    std::vector<std::string> entry_names(entry.numQubits());
-    for (size_t i = 0; i < entry.numQubits(); ++i) {
-        entry_names[i] = entry.qubitName(static_cast<QubitId>(i));
-        os << "qbit " << entry_names[i] << "\n";
-    }
-    expand(entry, entry_names);
-    return emitted;
 }
 
 } // namespace msq

@@ -1,45 +1,22 @@
 /**
  * @file
  * QASM back-end (paper §3.1): emits technology-independent quantum
- * assembly. Two forms are provided:
- *
- *  - hierarchical QASM-HL-style output, one block per module (compact,
- *    mirrors ScaffCC's QASM-HL format); and
- *  - fully flattened QASM, with every call inlined and every qubit given a
- *    unique global name (bounded by an explicit gate budget, since
- *    paper-scale programs cannot be unrolled, §3.1).
+ * assembly in hierarchical QASM-HL-style form, one block per module
+ * (compact, mirrors ScaffCC's QASM-HL format). Calls stay calls, since
+ * paper-scale programs cannot be unrolled (§3.1).
  */
 
 #ifndef MSQ_FRONTEND_QASM_EMITTER_HH
 #define MSQ_FRONTEND_QASM_EMITTER_HH
 
-#include <cstdint>
 #include <ostream>
 
 #include "ir/program.hh"
 
 namespace msq {
 
-/** Options for flat QASM emission. */
-struct QasmEmitOptions
-{
-    /**
-     * Abort (fatal) when the unrolled program exceeds this many
-     * operations; guards against accidentally unrolling a 10^12-gate
-     * benchmark.
-     */
-    uint64_t maxGates = 10'000'000;
-};
-
 /** Emit hierarchical QASM: one block per reachable module, callees first. */
 void emitHierarchicalQasm(std::ostream &os, const Program &prog);
-
-/**
- * Emit fully flattened QASM for the whole program.
- * @return the number of gate operations emitted.
- */
-uint64_t emitFlatQasm(std::ostream &os, const Program &prog,
-                      const QasmEmitOptions &options = {});
 
 } // namespace msq
 

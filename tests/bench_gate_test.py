@@ -4,8 +4,10 @@
 Usage: tests/bench_gate_test.py SOURCE_DIR
 
 For every gate: the committed file against itself passes; a copy with
-one row deleted fails in both directions; a copy with one gated field
-regressed fails. The command line's exit codes are checked once, and
+one row deleted fails in both directions; a copy missing one gated
+field, of the file or of a row, fails in both directions; a copy with
+one gated field regressed fails. The command line's exit codes and its
+report of a missing field are checked once, and
 the committed BENCH_opt_gap.json must keep at least 6 of 8 workloads
 with every leaf proven optimal: the gate holds each proof, so this is
 the floor a fresh run is held to.
@@ -16,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 
 def bump(row, field, how):
@@ -63,7 +66,7 @@ def main(source_dir):
 
     failures = []
     assert set(REGRESSIONS) == set(bench_gate.GATES)
-    for name, (_, _, tables) in bench_gate.GATES.items():
+    for name, (_, top, tables) in bench_gate.GATES.items():
         committed = os.path.join(source_dir, f"BENCH_{name}.json")
         with open(committed) as f:
             doc = json.load(f)
@@ -80,6 +83,20 @@ def main(source_dir):
                  else deleted[rows])[0]
             if not (fails(doc, deleted) and fails(deleted, doc)):
                 failures.append(f"{name}: passes a deleted row")
+        # Drop each gated field by name, from the file and from the
+        # first row of each table.
+        drops = [(None, field) for field in top]
+        drops += [(rows, field) for rows, _, fields in tables
+                  for field, rule in fields.items()
+                  if isinstance(field, str) and rule is not bench_gate.INFO]
+        for rows, field in drops:
+            dropped = copy.deepcopy(doc)
+            holder = (dropped if rows is None else
+                      dropped["inputs"][0]["leaves"][0] if callable(rows)
+                      else dropped[rows][0])
+            del holder[field]
+            if not (fails(doc, dropped) and fails(dropped, doc)):
+                failures.append(f"{name}: passes a missing {field}")
         regressions = REGRESSIONS[name]
         for regress in (regressions if isinstance(regressions, tuple)
                         else (regressions,)):
@@ -106,12 +123,29 @@ def main(source_dir):
             failures.append(f"exit {got.returncode} for {args}, "
                             f"expected {code}")
 
+    # A missing field is reported like any regression, not a traceback.
+    with open(os.path.join(source_dir, "BENCH_serve_latency.json")) as f:
+        doc = json.load(f)
+    del doc["results"][0]["ops_hashed"]
+    with tempfile.NamedTemporaryFile("w", suffix=".json") as fresh:
+        json.dump(doc, fresh)
+        fresh.flush()
+        got = subprocess.run(
+            [sys.executable, gate_path, "serve_latency",
+             os.path.join(source_dir, "BENCH_serve_latency.json"),
+             fresh.name], capture_output=True, text=True)
+    want = (f"REGRESSION ('{doc['results'][0]['workload']}',) "
+            "ops_hashed: missing")
+    if got.returncode != 1 or want not in got.stdout.splitlines():
+        failures.append(f"missing field: exit {got.returncode}, "
+                        f"output {got.stdout!r}{got.stderr!r}")
+
     for failure in failures:
         print(f"FAIL {failure}")
     if failures:
         return 1
     print(f"{len(REGRESSIONS)} gates pass themselves and reject deleted "
-          "rows and regressed fields")
+          "rows, missing fields and regressed fields")
     return 0
 
 

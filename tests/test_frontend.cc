@@ -256,43 +256,6 @@ TEST(QasmEmitter, HierarchicalForm)
     EXPECT_NE(text.find("H q"), std::string::npos);
 }
 
-TEST(QasmEmitter, FlatFormUnrollsCalls)
-{
-    Program prog = parseScaffold(R"(
-        module sub(qbit a) { qbit anc; CNOT(a, anc); }
-        module main() { qbit q; sub(q); sub(q); sub(q); }
-    )");
-    std::ostringstream os;
-    uint64_t emitted = emitFlatQasm(os, prog);
-    EXPECT_EQ(emitted, 3u);
-    std::string text = os.str();
-    // Each call site declares a fresh ancilla.
-    EXPECT_NE(text.find("anc0"), std::string::npos);
-    EXPECT_NE(text.find("anc2"), std::string::npos);
-}
-
-TEST(QasmEmitter, FlatFormEnforcesBudget)
-{
-    Program prog = parseScaffold(R"(
-        module sub(qbit a) { T(a); T(a); T(a); }
-        module main() { qbit q; repeat 100 sub(q); }
-    )");
-    std::ostringstream os;
-    QasmEmitOptions options;
-    options.maxGates = 10;
-    EXPECT_THROW(emitFlatQasm(os, prog, options), FatalError);
-}
-
-TEST(QasmEmitter, FlatRotationSyntax)
-{
-    Program prog = parseScaffold(R"(
-        module main() { qbit q; Rz(q, 0.5); }
-    )");
-    std::ostringstream os;
-    emitFlatQasm(os, prog);
-    EXPECT_NE(os.str().find("Rz(0.5) q"), std::string::npos);
-}
-
 TEST(QasmReader, RoundTripsEmitterOutput)
 {
     Program prog = parseScaffold(R"(

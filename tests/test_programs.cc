@@ -85,31 +85,4 @@ TEST(ExamplePrograms, Adder4ComputesCorrectSum)
     EXPECT_EQ(test::readRegister(out, a), 5u);
 }
 
-TEST(Toolflow, OptimizeStageCancelsInversePairs)
-{
-    // H-H padding around a kernel disappears with optimize = true.
-    const char *source = R"(
-        module main() {
-            qbit q[2];
-            H(q[0]);
-            H(q[0]);
-            CNOT(q[0], q[1]);
-            T(q[1]);
-            Tdag(q[1]);
-        }
-    )";
-    ToolflowConfig config;
-    config.arch = MultiSimdArch(2);
-    config.commMode = CommMode::None;
-
-    Program plain = parseScaffold(source);
-    ToolflowResult unoptimized = Toolflow(config).run(plain);
-    EXPECT_EQ(unoptimized.totalGates, 5u);
-
-    config.optimize = true;
-    Program optimized = parseScaffold(source);
-    ToolflowResult result = Toolflow(config).run(optimized);
-    EXPECT_EQ(result.totalGates, 1u); // only the CNOT survives
-}
-
 } // namespace

@@ -406,7 +406,6 @@ TEST(ScheduleBuffer, WalkerOverAllEmptySteps)
         EXPECT_EQ(step.activeRegions(), 0u);
         EXPECT_TRUE(step.moves().empty());
         EXPECT_EQ(step.movePhaseCycles(), 0u);
-        EXPECT_FALSE(step.hasBlockingGlobalMove());
         ++visited;
     }
     EXPECT_EQ(visited, 3u);
@@ -436,7 +435,6 @@ TEST(ScheduleBuffer, MoveOnlyTimestepCosts)
     TimestepView step = sched.step(0);
     EXPECT_EQ(step.activeRegions(), 0u);
     ASSERT_EQ(step.moves().size(), 3u);
-    EXPECT_TRUE(step.hasBlockingGlobalMove());
     EXPECT_TRUE(step.hasLocalMove());
     EXPECT_EQ(step.blockingMoveCount(), 1u);
     EXPECT_EQ(step.movePhaseCycles(),

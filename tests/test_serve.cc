@@ -10,15 +10,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "analysis/bounds.hh"
+#include "core/request.hh"
 #include "core/serve.hh"
 #include "core/toolflow.hh"
 #include "support/json.hh"
@@ -403,6 +407,105 @@ TEST(Serve, WarmStartIsBitIdenticalAtHitRateOne)
     EXPECT_EQ(warm.cache().hitRate(), 1.0);
     EXPECT_EQ(warm.cache().loads(), cold.cache().size());
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// core/request.hh: one reader behind the flags and the NDJSON fields
+// ---------------------------------------------------------------------
+
+/** Every request key, as a tool passes the ones it exposes. */
+constexpr std::string_view allKeys[] = {"k", "d", "local_mem", "epr",
+                                        "topology", "scheduler",
+                                        "comm_mode", "params", "scale"};
+
+/** `--key=token` through the argv adapter, then into a config. */
+std::optional<ToolflowConfig>
+viaArgv(const std::string &key, const std::string &token)
+{
+    std::string name = key;
+    std::replace(name.begin(), name.end(), '_', '-');
+    CompileRequest req;
+    const FlagRead read =
+        readRequestFlag(req, "--" + name + "=" + token, allKeys);
+    EXPECT_NE(read, FlagRead::NotRequestFlag) << name;
+    std::string error;
+    if (read != FlagRead::Set)
+        return std::nullopt;
+    return toolflowConfig(req, error);
+}
+
+/** {"key": token} through the NDJSON adapter, then into a config. */
+std::optional<ToolflowConfig>
+viaJson(const std::string &key, const std::string &json_token)
+{
+    std::string error;
+    auto object = parseJson("{\"" + key + "\": " + json_token + "}", error);
+    EXPECT_NE(object, nullptr) << error;
+    CompileRequest req;
+    if (!object || !readRequestJson(req, *object, error))
+        return std::nullopt;
+    return toolflowConfig(req, error);
+}
+
+TEST(Request, FlagsAndFieldsShareOneVerdictPerKey)
+{
+    struct KeyCase
+    {
+        const char *key;
+        bool count; ///< NDJSON takes a number, not a string
+        const char *accepted;
+        std::vector<const char *> rejected;
+    };
+    const KeyCase cases[] = {
+        {"k", true, "4", {"0", "1048577", "2.9", "-1"}},
+        {"d", true, "8", {"18446744073709551616", "2.9", "-1"}},
+        {"local_mem", true, "2", {"18446744073709551616", "2.9", "-1"}},
+        {"epr", true, "1", {"0", "18446744073709551616", "2.9", "-1"}},
+        {"scale", true, "1000", {"0", "18446744073709551615", "2.9", "-1"}},
+        {"scheduler", false, "sequential", {"greedy", "RCP", ""}},
+        {"comm_mode", false, "local", {"warp", "global+local"}},
+        {"params", false, "tiny", {"huge"}},
+        {"topology",
+         false,
+         "cores=2,k=2",
+         {"cores=0", "cores=4,k=2,shape=single"}},
+    };
+    ASSERT_EQ(std::size(cases), std::size(allKeys));
+    for (const KeyCase &c : cases) {
+        auto json = [&](const std::string &token) {
+            return c.count ? token : "\"" + token + "\"";
+        };
+        EXPECT_TRUE(viaArgv(c.key, c.accepted)) << c.key;
+        EXPECT_TRUE(viaJson(c.key, json(c.accepted))) << c.key;
+        for (const char *token : c.rejected) {
+            EXPECT_FALSE(viaArgv(c.key, token)) << c.key << token;
+            EXPECT_FALSE(viaJson(c.key, json(token))) << c.key << token;
+        }
+    }
+    // A count is never read from a string, nor a name from a number.
+    EXPECT_FALSE(viaJson("k", "\"4\""));
+    EXPECT_FALSE(viaJson("scheduler", "1"));
+
+    // d = 0 is an unbounded width on both surfaces, as --d=inf is.
+    const std::string unboundedWidth =
+        viaArgv("d", "inf").value().arch.fingerprint();
+    EXPECT_EQ(viaArgv("d", "0").value().arch.fingerprint(), unboundedWidth);
+    EXPECT_EQ(viaJson("d", "0").value().arch.fingerprint(), unboundedWidth);
+    EXPECT_NE(viaJson("d", "8").value().arch.fingerprint(), unboundedWidth);
+
+    // A tool reads only the keys it exposes.
+    CompileRequest req;
+    const std::string_view served[] = {"k", "epr"};
+    EXPECT_EQ(readRequestFlag(req, "--scale=2", served),
+              FlagRead::NotRequestFlag);
+    EXPECT_EQ(readRequestFlag(req, "--threads=2", allKeys),
+              FlagRead::NotRequestFlag);
+    EXPECT_EQ(readRequestFlag(req, "--epr", allKeys),
+              FlagRead::NotRequestFlag);
+    EXPECT_EQ(readRequestFlag(req, "--local_mem=2", allKeys),
+              FlagRead::NotRequestFlag);
+    EXPECT_EQ(readRequestFlag(req, "--epr=2", served), FlagRead::Set);
+    EXPECT_EQ(req.epr, 2u);
 }
 
 } // namespace

@@ -205,18 +205,6 @@ TEST(Toolflow, LoweredGatesKeepOperandsInline)
     EXPECT_EQ(all_wide_calls, 59u);
 }
 
-TEST(Toolflow, DecomposeCanBeDisabled)
-{
-    Program prog = parseScaffold(R"(
-        module main() { qbit q[2]; H(q[0]); CNOT(q[0], q[1]); }
-    )");
-    ToolflowConfig config = baseConfig(SchedulerKind::Rcp,
-                                       CommMode::None);
-    config.decompose = false;
-    ToolflowResult result = Toolflow(config).run(prog);
-    EXPECT_EQ(result.totalGates, 2u);
-}
-
 TEST(Toolflow, MoreRegionsNeverHurt)
 {
     // Monotonicity property: on every communication mode, growing k can

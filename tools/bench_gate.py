@@ -4,11 +4,11 @@
 Usage: tools/bench_gate.py NAME BASELINE FRESH
 
 NAME picks the file's rules in GATES. Every gate keys the file's rows
-and fails when a row is present on only one side, so a renamed or
-dropped row can never pass without being compared. Each gated field
-carries one rule: schedules are deterministic, so cycles, hashes,
-makespans and work counters match exactly, while sizes, gaps and
-estimates may drift 10%. Wall-clock fields are too noisy to gate on CI runners; they are
+and fails when a row, or a gated field of a row or of the file, is
+present on only one side, so a renamed or dropped one can never pass
+without being compared. Each gated field carries one rule: schedules
+are deterministic, so cycles, hashes, makespans and work counters match
+exactly, while sizes, gaps and estimates may drift 10%. Wall-clock fields are too noisy to gate on CI runners; they are
 informational (printed, never gated). Exit 0 when the fresh file
 passes, 1 on any regression, 2 on usage errors.
 """
@@ -116,8 +116,21 @@ GATES = {
 }
 
 
+class Missing:
+    """A field absent from one side's row or file."""
+
+    def __repr__(self):
+        return "missing"
+
+
+MISSING = Missing()
+
+
 def value(row, field):
-    return field(row) if callable(field) else row[field]
+    try:
+        return field(row) if callable(field) else row[field]
+    except KeyError:
+        return MISSING
 
 
 def label(field):
@@ -137,9 +150,12 @@ def check(name, base, fresh):
         if schema is not None and doc.get("schema") != schema:
             bad.append(f"{side}: schema {doc.get('schema')!r}, "
                        f"expected {schema!r}")
-    bad += [f"{field}: {base[field]} -> {fresh[field]}"
-            for field, rule in top.items()
-            if not rule(base[field], fresh[field])]
+    for field, rule in top.items():
+        was, now = value(base, field), value(fresh, field)
+        if MISSING in (was, now):
+            bad.append(f"{field}: missing")
+        elif not rule(was, now):
+            bad.append(f"{field}: {was} -> {now}")
     compared = 0
     for rows, key_fields, fields in tables:
         def keyed(doc):
@@ -155,9 +171,11 @@ def check(name, base, fresh):
             for field, rule in fields.items():
                 was, now = value(b[key], field), value(n[key], field)
                 if rule is INFO:
-                    if now is not None:
+                    if now not in (None, MISSING):
                         info.append(f"{key} {label(field)}: {now} "
                                     f"(baseline {was})")
+                elif MISSING in (was, now):
+                    bad.append(f"{key} {label(field)}: missing")
                 elif not rule(was, now):
                     bad.append(f"{key} {label(field)}: {was} -> {now}")
     return bad, info, compared

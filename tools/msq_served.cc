@@ -24,9 +24,10 @@
 #include <iostream>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "arch/multi_simd.hh"
+#include "core/request.hh"
 #include "core/serve.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
@@ -58,7 +59,7 @@ usage(const char *argv0)
         << "\n"
         << "options:\n"
         << "  --k=<n>          default SIMD regions (default 4)\n"
-        << "  --d=<n|inf>      default region width (default inf)\n"
+        << "  --d=<n|inf>      default region width (default inf; 0 = inf)\n"
         << "  --local-mem=<n>  default scratchpad capacity (default 0)\n"
         << "  --epr=<n|inf>    default EPR bandwidth (default inf)\n"
         << "  --topology=<spec> default multi-core topology applied to\n"
@@ -78,45 +79,23 @@ usage(const char *argv0)
     return 2;
 }
 
-bool
-startsWith(const std::string &arg, const char *prefix)
-{
-    return arg.rfind(prefix, 0) == 0;
-}
+/** The request keys msq-served exposes as daemon-default flags. */
+constexpr std::string_view servedKeys[] = {"k", "d", "local_mem", "epr",
+                                           "topology"};
 
 bool
 parseArgs(int argc, char **argv, Options &options)
 {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        const FlagRead read =
+            readRequestFlag(options.serve.defaults, arg, servedKeys);
+        if (read == FlagRead::Rejected)
+            return false;
+        if (read == FlagRead::Set)
+            continue;
         uint64_t value = 0;
-        if (startsWith(arg, "--k=")) {
-            if (!parseCount(arg.substr(4), value, 1, maxRegionsPerCore))
-                return false;
-            options.serve.k = static_cast<unsigned>(value);
-        } else if (startsWith(arg, "--d=")) {
-            if (!parseCount(arg.substr(4), options.serve.d, 1))
-                return false;
-        } else if (startsWith(arg, "--local-mem=")) {
-            if (!parseCount(arg.substr(12), options.serve.localMem))
-                return false;
-        } else if (startsWith(arg, "--epr=")) {
-            if (!parseCount(arg.substr(6), options.serve.eprBandwidth, 1))
-                return false;
-        } else if (startsWith(arg, "--topology=")) {
-            options.serve.topology = arg.substr(11);
-            // Fail fast on a malformed spec: validate it against a
-            // scratch arch now rather than erroring on every request.
-            MultiSimdArch probe;
-            std::string error;
-            if (options.serve.topology.empty() ||
-                !parseTopologySpec(options.serve.topology, probe,
-                                   error)) {
-                std::cerr << "msq-served: bad --topology: " << error
-                          << "\n";
-                return false;
-            }
-        } else if (startsWith(arg, "--threads=")) {
+        if (startsWith(arg, "--threads=")) {
             if (!parseCount(arg.substr(10), value, 0,
                             std::numeric_limits<unsigned>::max()))
                 return false;
@@ -139,6 +118,13 @@ parseArgs(int argc, char **argv, Options &options)
         } else {
             return false;
         }
+    }
+    // Fail fast on a bad topology: check it once, against the final
+    // default machine, rather than erroring on every request.
+    std::string error;
+    if (!toolflowConfig(options.serve.defaults, error)) {
+        std::cerr << "msq-served: " << error << "\n";
+        return false;
     }
     return true;
 }

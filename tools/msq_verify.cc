@@ -18,14 +18,17 @@
  *                   comm-schedule race detector (codes M001-M010); also
  *                   validates a coarse schedule of the whole program
  *   --k=N           regions for --check-comm (default 4)
- *   --d=N           SIMD width per region for --check-comm (default inf)
+ *   --d=N           SIMD width per region for --check-comm (default inf;
+ *                   0 also means inf)
  *   --local-mem=N   scratchpad capacity for --check-comm (default 0);
  *                   nonzero also exercises CommMode::GlobalWithLocalMem
  *   --topology=SPEC multi-core machine for the scheduling checks
  *                   (parseTopologySpec grammar, e.g.
  *                   "cores=4,k=2,shape=ring,link-bw=1,link-lat=3");
- *                   overrides --k with cores * per-core k. Malformed or
- *                   invalid specs (A001-A005) exit 2
+ *                   overrides --k with cores * per-core k; an empty
+ *                   spec is the flat machine. Malformed or invalid
+ *                   specs (A001-A005), checked once against the final
+ *                   machine, exit 2
  *   --threads=N     scheduling fan-out for --check-comm (default 1;
  *                   0 = hardware concurrency). Results are identical
  *                   for every value; this only changes wall-clock time
@@ -46,12 +49,13 @@
  *   --bounds-json=PATH
  *                   write the --bounds gap report as machine-readable
  *                   JSON (schema msq-optimality-gap-v1) to PATH
- *   --scheduler=rcp|lpfs|opt
+ *   --scheduler=rcp|lpfs|opt|sequential
  *                   restrict the --check-comm / --bounds / --estimate
  *                   sweeps to one leaf scheduler instead of the default
  *                   RCP+LPFS pair; opt is the branch-and-bound optimal
  *                   tier (sched/opt.hh), whose proven-optimal leaves are
- *                   certified by the B007 check
+ *                   certified by the B007 check; sequential is the
+ *                   one-op-per-step baseline
  *   --opt-budget=N  node budget for --scheduler=opt (default 200000;
  *                   0 forces the fallback everywhere). Budgets are
  *                   counted in search nodes, not wall-clock, so runs
@@ -60,16 +64,16 @@
  *                   which heuristic --scheduler=opt falls back to when
  *                   the leaf is too big or the budget runs out
  *                   (default lpfs)
- *   --comm-mode=none|global
+ *   --comm-mode=none|global|local
  *                   communication model for --bounds / --estimate
- *                   (default global, or global+local-mem when
- *                   --local-mem is nonzero). Under none, makespans are
- *                   pure compute steps, which is where the compute-step
- *                   lower bounds are tight and --scheduler=opt proves
- *                   most small leaves optimal; under global, movement
- *                   cycles make the bound unreachable for
- *                   communication-bound leaves and opt falls back
- *                   honestly
+ *                   (default global, or local -- global plus local
+ *                   memory -- when --local-mem is nonzero). Under none,
+ *                   makespans are pure compute steps, which is where the
+ *                   compute-step lower bounds are tight and
+ *                   --scheduler=opt proves most small leaves optimal;
+ *                   under global, movement cycles make the bound
+ *                   unreachable for communication-bound leaves and opt
+ *                   falls back honestly
  *   --estimate      decompose + flatten, then compute the exact
  *                   whole-program resource estimate under RCP and LPFS
  *                   via the schedule-summary analysis (each distinct
@@ -111,6 +115,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -118,14 +123,13 @@
 #include "analysis/qubit_analyses.hh"
 #include "analysis/qubit_mapping.hh"
 #include "arch/multi_simd.hh"
+#include "core/request.hh"
 #include "core/toolflow.hh"
 #include "frontend/parser.hh"
 #include "frontend/qasm_reader.hh"
 #include "sched/comm.hh"
 #include "sched/coarse.hh"
-#include "sched/lpfs.hh"
 #include "sched/opt.hh"
-#include "sched/rcp.hh"
 #include "sched/validator.hh"
 #include "support/diagnostic.hh"
 #include "support/logging.hh"
@@ -146,21 +150,10 @@ enum class Format { Auto, Scaffold, Qasm };
 
 enum class Outcome { Clean, Dirty, ParseError };
 
-enum class ParamsPreset { Scaled, Paper, Tiny };
-
-const char *
-paramsPresetName(ParamsPreset preset)
-{
-    switch (preset) {
-      case ParamsPreset::Scaled:
-        return "scaled";
-      case ParamsPreset::Paper:
-        return "paper";
-      case ParamsPreset::Tiny:
-        return "tiny";
-    }
-    return "unknown";
-}
+/** The request keys msq-verify exposes as flags (core/request.hh). */
+constexpr std::string_view verifyKeys[] = {
+    "k", "d", "local_mem", "topology", "scheduler", "comm_mode", "params",
+    "scale"};
 
 struct Options
 {
@@ -172,22 +165,13 @@ struct Options
     bool checkComm = false;
     bool bounds = false;
     bool estimate = false;
-    ParamsPreset params = ParamsPreset::Scaled;
+    /** The machine and scheduler flags; no scheduler = RCP+LPFS. */
+    CompileRequest request;
     bool paramsGiven = false;
-    unsigned k = 4;
-    uint64_t d = unbounded;
-    uint64_t localMem = 0;
-    /** --topology spec; empty = the flat single-core machine. */
-    std::string topology;
-    uint64_t scale = 1;
+    /** What request describes, with --opt-budget / --opt-fallback. */
+    ToolflowConfig config;
     unsigned threads = 1;
-    /** --scheduler value; empty = the default RCP+LPFS pair. */
-    std::string scheduler;
-    /** --comm-mode value; empty = derive from --local-mem. */
-    std::string commMode;
-    uint64_t optBudget = OptScheduler::Options{}.nodeBudget;
     bool optBudgetGiven = false;
-    OptFallback optFallback = OptFallback::Lpfs;
     bool optFallbackGiven = false;
     std::string injectFault;
     std::string boundsJson;
@@ -199,35 +183,6 @@ struct Options
 };
 
 /**
- * The machine every scheduling check runs on: --k/--d/--local-mem,
- * reshaped by --topology when given. The spec was validated at argv
- * time, so this cannot fail here.
- */
-MultiSimdArch
-makeArch(const Options &options)
-{
-    MultiSimdArch arch(options.k, options.d, options.localMem);
-    if (!options.topology.empty()) {
-        std::string error;
-        if (!parseTopologySpec(options.topology, arch, error))
-            fatal("--topology=" + options.topology + ": " + error);
-    }
-    return arch;
-}
-
-/** Communication model --bounds / --estimate cost schedules with. */
-CommMode
-resolveCommMode(const Options &options)
-{
-    if (options.commMode == "none")
-        return CommMode::None;
-    if (options.commMode == "global")
-        return CommMode::Global;
-    return options.localMem > 0 ? CommMode::GlobalWithLocalMem
-                                : CommMode::Global;
-}
-
-/**
  * The leaf schedulers a scheduling check sweeps: the RCP+LPFS pair by
  * default, or the single scheduler --scheduler selected. The opt tier
  * is built to judge its certificates under @p mode, the same
@@ -236,17 +191,15 @@ resolveCommMode(const Options &options)
 std::vector<std::unique_ptr<LeafScheduler>>
 makeCheckSchedulers(const Options &options, CommMode mode)
 {
+    ToolflowConfig config = options.config;
+    config.commMode = mode;
+    std::vector<SchedulerKind> kinds{SchedulerKind::Rcp, SchedulerKind::Lpfs};
+    if (options.request.scheduler)
+        kinds = {*options.request.scheduler};
     std::vector<std::unique_ptr<LeafScheduler>> out;
-    if (options.scheduler.empty() || options.scheduler == "rcp")
-        out.push_back(std::make_unique<RcpScheduler>());
-    if (options.scheduler.empty() || options.scheduler == "lpfs")
-        out.push_back(std::make_unique<LpfsScheduler>());
-    if (options.scheduler == "opt") {
-        OptScheduler::Options opt;
-        opt.nodeBudget = options.optBudget;
-        opt.commMode = mode;
-        opt.fallback = options.optFallback;
-        out.push_back(std::make_unique<OptScheduler>(opt));
+    for (SchedulerKind kind : kinds) {
+        config.scheduler = kind;
+        out.push_back(Toolflow(config).makeConfiguredScheduler());
     }
     return out;
 }
@@ -255,7 +208,7 @@ makeCheckSchedulers(const Options &options, CommMode mode)
 struct BoundsJsonEntry
 {
     std::string input;     ///< file path or "workload:<name>"
-    std::string scheduler; ///< "rcp" / "lpfs" / "opt"
+    std::string scheduler; ///< the leaf scheduler's name()
     ProgramGapReport report;
 };
 
@@ -263,7 +216,7 @@ struct BoundsJsonEntry
 struct EstimateJsonEntry
 {
     std::string input;     ///< file path or "workload:<name>"
-    std::string scheduler; ///< "rcp" / "lpfs"
+    std::string scheduler; ///< the leaf scheduler's name()
     ProgramResourceEstimate est;
     EstimateCheckStats stats;
     bool exact = true; ///< checkEstimateExactness added no errors
@@ -274,7 +227,7 @@ usage(std::ostream &out)
 {
     out << "usage: msq-verify [--scaffold|--qasm] [--no-lint] [--Werror]"
            " [--quiet]\n"
-           "                  [--dataflow] [--check-comm] [--k=N] [--d=N]"
+           "                  [--dataflow] [--check-comm] [--k=N] [--d=N|inf]"
            " [--local-mem=N]\n"
            "                  [--topology=SPEC] [--threads=N]\n"
            "                  [--inject-comm-fault=move-during-gate|"
@@ -282,9 +235,10 @@ usage(std::ostream &out)
            "                      dead-teleport|core-range|link-overcap]\n"
            "                  [--bounds] [--bounds-json=PATH]"
            " [--workload=NAME]\n"
-           "                  [--scheduler=rcp|lpfs|opt] [--opt-budget=N]"
-           " [--opt-fallback=rcp|lpfs]\n"
-           "                  [--comm-mode=none|global]\n"
+           "                  [--scheduler=rcp|lpfs|opt|sequential]"
+           " [--opt-budget=N]\n"
+           "                  [--opt-fallback=rcp|lpfs]"
+           " [--comm-mode=none|global|local]\n"
            "                  [--estimate] [--estimate-json=PATH]"
            " [--params=paper|scaled|tiny]\n"
            "                  [--scale=N]\n"
@@ -545,10 +499,10 @@ checkCommunication(const std::string &path, Program &prog,
                    const Options &options, DiagnosticEngine &diags,
                    MetricsRegistry &metrics)
 {
-    const MultiSimdArch arch = makeArch(options);
+    const MultiSimdArch &arch = options.config.arch;
 
     std::vector<CommMode> modes{CommMode::Global};
-    if (options.localMem > 0)
+    if (options.request.localMem > 0)
         modes.push_back(CommMode::GlobalWithLocalMem);
 
     const auto schedulers =
@@ -621,8 +575,8 @@ checkBounds(const std::string &path, Program &prog,
             MetricsRegistry &metrics,
             std::vector<BoundsJsonEntry> &json_entries)
 {
-    const MultiSimdArch arch = makeArch(options);
-    const CommMode mode = resolveCommMode(options);
+    const MultiSimdArch &arch = options.config.arch;
+    const CommMode mode = options.config.commMode;
 
     for (const auto &scheduler : makeCheckSchedulers(options, mode)) {
         CoarseScheduler::Options coarse_options;
@@ -685,8 +639,8 @@ checkEstimate(const std::string &path, Program &prog,
               MetricsRegistry &metrics,
               std::vector<EstimateJsonEntry> &json_entries)
 {
-    const MultiSimdArch arch = makeArch(options);
-    const CommMode mode = resolveCommMode(options);
+    const MultiSimdArch &arch = options.config.arch;
+    const CommMode mode = options.config.commMode;
 
     for (const auto &scheduler : makeCheckSchedulers(options, mode)) {
         EstimateOptions eopts;
@@ -768,8 +722,8 @@ writeBoundsJson(const Options &options,
                   << options.boundsJson << "'\n";
         return false;
     }
-    const MultiSimdArch arch = makeArch(options);
-    const CommMode mode = resolveCommMode(options);
+    const MultiSimdArch &arch = options.config.arch;
+    const CommMode mode = options.config.commMode;
     out << "{\n"
         << "  \"schema\": \"msq-optimality-gap-v1\",\n"
         << "  \"arch\": \"" << jsonEscape(arch.describe()) << "\",\n"
@@ -826,15 +780,14 @@ writeEstimateJson(const Options &options,
                   << options.estimateJson << "'\n";
         return false;
     }
-    const MultiSimdArch arch = makeArch(options);
-    const CommMode mode = resolveCommMode(options);
+    const MultiSimdArch &arch = options.config.arch;
+    const CommMode mode = options.config.commMode;
     out << "{\n"
         << "  \"schema\": \"msq-resource-estimate-v1\",\n"
         << "  \"arch\": \"" << jsonEscape(arch.describe()) << "\",\n"
         << "  \"mode\": \"" << commModeName(mode) << "\",\n"
-        << "  \"scale\": " << options.scale << ",\n"
-        << "  \"params\": \"" << paramsPresetName(options.params)
-        << "\",\n"
+        << "  \"scale\": " << options.request.scale << ",\n"
+        << "  \"params\": \"" << options.request.params << "\",\n"
         << "  \"inputs\": [";
     for (size_t i = 0; i < entries.size(); ++i) {
         const EstimateJsonEntry &entry = entries[i];
@@ -1000,8 +953,8 @@ checkFile(const std::string &path, const Options &options,
         return Outcome::ParseError;
     }
 
-    // Like an msq-served "source" request: the default configuration.
-    return checkProgram(path, prog, ToolflowConfig{}, options, diags,
+    // Like an msq-served "source" request: the default rotations.
+    return checkProgram(path, prog, options.config, options, diags,
                         metrics, json_entries, estimate_entries);
 }
 
@@ -1013,30 +966,22 @@ checkWorkload(const std::string &name, const Options &options,
               std::vector<EstimateJsonEntry> &estimate_entries)
 {
     std::string label = "workload:" + name;
-    if (options.scale > 1)
-        label += csprintf(" (x%llu)",
-                          static_cast<unsigned long long>(options.scale));
+    if (options.request.scale > 1)
+        label += csprintf(" (x%llu)", static_cast<unsigned long long>(
+                                          options.request.scale));
     TraceSpan span(Telemetry::trace(), "verify:" + label);
     metrics.counter("verify.files").add(1);
     DiagnosticEngine diags;
     Program prog;
-    try {
-        const auto specs = options.params == ParamsPreset::Paper
-                               ? workloads::paperParams()
-                               : options.params == ParamsPreset::Tiny
-                                     ? workloads::tinyParams()
-                                     : workloads::scaledParams();
-        prog = workloads::findWorkload(specs, name).build();
-        workloads::scaleWorkload(prog, options.scale);
-    } catch (const FatalError &err) {
+    ToolflowConfig lowering = options.config;
+    std::string error;
+    if (!buildRequestWorkload(options.request, name, prog, lowering,
+                              error)) {
         // Unknown shortName — treat like an unreadable input.
-        std::cerr << label << ": error: " << err.what() << "\n";
+        std::cerr << label << ": error: " << error << "\n";
         metrics.counter("verify.parse_errors").add(1);
         return Outcome::ParseError;
     }
-
-    ToolflowConfig lowering;
-    lowering.rotations = Toolflow::rotationPresetFor(name);
     return checkProgram(label, prog, std::move(lowering), options, diags,
                         metrics, json_entries, estimate_entries);
 }
@@ -1076,8 +1021,19 @@ int
 main(int argc, char **argv)
 {
     Options options;
+    OptScheduler::Options optOptions;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
+        const FlagRead read =
+            readRequestFlag(options.request, arg, verifyKeys);
+        if (read == FlagRead::Rejected) {
+            std::cerr << "msq-verify: bad value in '" << arg << "'\n";
+            return 2;
+        }
+        if (read == FlagRead::Set) {
+            options.paramsGiven |= startsWith(arg, "--params=");
+            continue;
+        }
         if (arg == "--scaffold") {
             options.format = Format::Scaffold;
         } else if (arg == "--qasm") {
@@ -1108,58 +1064,24 @@ main(int argc, char **argv)
                 std::cerr << "msq-verify: bad value in '" << arg << "'\n";
                 return 2;
             }
-        } else if (startsWith(arg, "--params=")) {
-            const std::string value = arg.substr(9);
-            if (value == "paper") {
-                options.params = ParamsPreset::Paper;
-            } else if (value == "scaled") {
-                options.params = ParamsPreset::Scaled;
-            } else if (value == "tiny") {
-                options.params = ParamsPreset::Tiny;
-            } else {
-                std::cerr << "msq-verify: bad value in '" << arg << "'\n";
-                return 2;
-            }
-            options.paramsGiven = true;
-        } else if (startsWith(arg, "--scheduler=")) {
-            options.scheduler = arg.substr(12);
-            if (options.scheduler != "rcp" &&
-                options.scheduler != "lpfs" &&
-                options.scheduler != "opt") {
-                std::cerr << "msq-verify: bad value in '" << arg << "'\n";
-                return 2;
-            }
         } else if (startsWith(arg, "--opt-budget=")) {
-            if (!parseCount(arg.substr(13), options.optBudget, 0,
+            if (!parseCount(arg.substr(13), optOptions.nodeBudget, 0,
                             unbounded - 1)) {
                 std::cerr << "msq-verify: bad value in '" << arg << "'\n";
                 return 2;
             }
             options.optBudgetGiven = true;
-        } else if (startsWith(arg, "--comm-mode=")) {
-            options.commMode = arg.substr(12);
-            if (options.commMode != "none" &&
-                options.commMode != "global") {
-                std::cerr << "msq-verify: bad value in '" << arg << "'\n";
-                return 2;
-            }
         } else if (startsWith(arg, "--opt-fallback=")) {
             const std::string value = arg.substr(15);
             if (value == "rcp") {
-                options.optFallback = OptFallback::Rcp;
+                optOptions.fallback = OptFallback::Rcp;
             } else if (value == "lpfs") {
-                options.optFallback = OptFallback::Lpfs;
+                optOptions.fallback = OptFallback::Lpfs;
             } else {
                 std::cerr << "msq-verify: bad value in '" << arg << "'\n";
                 return 2;
             }
             options.optFallbackGiven = true;
-        } else if (startsWith(arg, "--scale=")) {
-            if (!parseCount(arg.substr(8), options.scale, 1,
-                            unbounded - 1)) {
-                std::cerr << "msq-verify: bad value in '" << arg << "'\n";
-                return 2;
-            }
         } else if (startsWith(arg, "--workload=")) {
             std::string name = arg.substr(11);
             if (name.empty()) {
@@ -1167,36 +1089,6 @@ main(int argc, char **argv)
                 return 2;
             }
             options.workloads.push_back(std::move(name));
-        } else if (startsWith(arg, "--k=")) {
-            uint64_t value = 0;
-            if (!parseCount(arg.substr(4), value, 1, maxRegionsPerCore)) {
-                std::cerr << "msq-verify: bad value in '" << arg << "'\n";
-                return 2;
-            }
-            options.k = static_cast<unsigned>(value);
-        } else if (startsWith(arg, "--d=")) {
-            if (!parseCount(arg.substr(4), options.d, 1)) {
-                std::cerr << "msq-verify: bad value in '" << arg << "'\n";
-                return 2;
-            }
-        } else if (startsWith(arg, "--local-mem=")) {
-            if (!parseCount(arg.substr(12), options.localMem)) {
-                std::cerr << "msq-verify: bad value in '" << arg << "'\n";
-                return 2;
-            }
-        } else if (startsWith(arg, "--topology=")) {
-            options.topology = arg.substr(11);
-            // Validate now so a malformed or invalid (A001-A005) spec
-            // dies through the documented exit-2 usage path instead of
-            // mid-run.
-            MultiSimdArch probe(options.k, options.d, options.localMem);
-            std::string error;
-            if (options.topology.empty() ||
-                !parseTopologySpec(options.topology, probe, error)) {
-                std::cerr << "msq-verify: bad value in '" << arg << "'"
-                          << (error.empty() ? "" : ": " + error) << "\n";
-                return 2;
-            }
         } else if (startsWith(arg, "--threads=")) {
             uint64_t value = 0;
             if (!parseCount(arg.substr(10), value, 0,
@@ -1256,7 +1148,7 @@ main(int argc, char **argv)
         std::cerr << "msq-verify: --estimate-json requires --estimate\n";
         return 2;
     }
-    if (options.scale > 1 && options.workloads.empty()) {
+    if (options.request.scale > 1 && options.workloads.empty()) {
         std::cerr << "msq-verify: --scale requires --workload\n";
         return 2;
     }
@@ -1264,28 +1156,39 @@ main(int argc, char **argv)
         std::cerr << "msq-verify: --params requires --workload\n";
         return 2;
     }
-    if (options.optBudgetGiven && options.scheduler != "opt") {
+    const bool opt = options.request.scheduler == SchedulerKind::Opt;
+    if (options.optBudgetGiven && !opt) {
         std::cerr << "msq-verify: --opt-budget requires "
                      "--scheduler=opt\n";
         return 2;
     }
-    if (options.optFallbackGiven && options.scheduler != "opt") {
+    if (options.optFallbackGiven && !opt) {
         std::cerr << "msq-verify: --opt-fallback requires "
                      "--scheduler=opt\n";
         return 2;
     }
-    if (!options.scheduler.empty() && !options.checkComm &&
+    if (options.request.scheduler && !options.checkComm &&
         !options.bounds && !options.estimate) {
         std::cerr << "msq-verify: --scheduler requires --check-comm, "
                      "--bounds, or --estimate\n";
         return 2;
     }
-    if (!options.commMode.empty() && !options.bounds &&
+    if (options.request.commMode && !options.bounds &&
         !options.estimate) {
         std::cerr << "msq-verify: --comm-mode requires --bounds or "
                      "--estimate\n";
         return 2;
     }
+    // The topology is checked once, against the final machine.
+    std::string error;
+    std::optional<ToolflowConfig> config =
+        toolflowConfig(options.request, error);
+    if (!config) {
+        std::cerr << "msq-verify: " << error << "\n";
+        return 2;
+    }
+    options.config = std::move(*config);
+    options.config.optOptions = optOptions;
 
     if (!options.traceJson.empty())
         Telemetry::trace().setEnabled(true);
