@@ -165,7 +165,8 @@ toolflowConfig(const CompileRequest &req, std::string &error)
         return std::nullopt;
     }
     config.commMode = req.commMode.value_or(
-        req.localMem > 0 ? CommMode::GlobalWithLocalMem : CommMode::Global);
+        config.arch.localMemCapacity > 0 ? CommMode::GlobalWithLocalMem
+                                         : CommMode::Global);
     return config;
 }
 

@@ -36,7 +36,8 @@ struct CompileRequest
     std::optional<SchedulerKind> scheduler;
 
     /** ["comm_mode"] none, global or local. Unset: global, with local
-     * memory when localMem > 0. */
+     * memory when the machine has scratchpads (from localMem or the
+     * topology's local-mem). */
     std::optional<CommMode> commMode;
 
     std::string params = "scaled"; ///< ["params"] scaled, paper or tiny

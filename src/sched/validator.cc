@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "analysis/qubit_mapping.hh"
 #include "ir/dag.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
@@ -24,7 +23,7 @@ struct TouchRecord
 
 bool
 validateLeafSchedule(const LeafSchedule &sched, const MultiSimdArch &arch,
-                     bool moves_annotated, DiagnosticEngine *diags)
+                     DiagnosticEngine *diags)
 {
     // Compatibility mode: with no engine supplied, violations are
     // scheduler bugs and panic on first report.
@@ -161,92 +160,6 @@ validateLeafSchedule(const LeafSchedule &sched, const MultiSimdArch &arch,
         }
     }
 
-    if (!moves_annotated)
-        return out.numErrors() == errors_before;
-
-    // Invariant 6: movement consistency. Initial residency is each
-    // qubit's home core bank — the identical pure mapping the
-    // communication analyzer used (all core 0 on the flat machine).
-    std::vector<Location> loc(mod.numQubits(), Location::global());
-    if (arch.topology.multiCore()) {
-        const std::vector<unsigned> home =
-            computeQubitMapping(mod, arch.topology);
-        for (size_t q = 0; q < loc.size(); ++q)
-            loc[q] = Location::inMemory(home[q]);
-    }
-    std::vector<uint64_t> local_count(arch.k, 0);
-    for (ScheduleWalker walker(sched); !walker.atEnd(); walker.next()) {
-        const uint64_t ts = walker.index();
-        TimestepView step = walker.step();
-        for (const Move &move : step.moves()) {
-            if (move.qubit >= mod.numQubits()) {
-                out.error(DiagCode::SchedMoveUnknownQubit,
-                          csprintf("step %llu moves unknown qubit %u",
-                                   static_cast<unsigned long long>(ts),
-                                   move.qubit),
-                          mod_ctx);
-                continue;
-            }
-            if (loc[move.qubit] != move.from) {
-                out.error(
-                    DiagCode::SchedMoveSource,
-                    csprintf("step %llu moves qubit %u from %s but it "
-                             "is at %s",
-                             static_cast<unsigned long long>(ts),
-                             move.qubit, move.from.describe().c_str(),
-                             loc[move.qubit].describe().c_str()),
-                    mod_ctx);
-            }
-            if (move.to == move.from) {
-                out.error(DiagCode::SchedMoveDegenerate,
-                          csprintf("step %llu: degenerate move of qubit "
-                                   "%u (%s to itself)",
-                                   static_cast<unsigned long long>(ts),
-                                   move.qubit,
-                                   move.from.describe().c_str()),
-                          mod_ctx);
-            }
-            if (move.from.isLocalMem() &&
-                local_count[move.from.region] > 0) {
-                --local_count[move.from.region];
-            }
-            if (move.to.isLocalMem()) {
-                unsigned r = move.to.region;
-                if (++local_count[r] > arch.localMemCapacity) {
-                    out.error(
-                        DiagCode::SchedLocalMemOverflow,
-                        csprintf("step %llu overflows local memory of "
-                                 "region %u (capacity %llu)",
-                                 static_cast<unsigned long long>(ts), r,
-                                 static_cast<unsigned long long>(
-                                     arch.localMemCapacity)),
-                        mod_ctx);
-                }
-            }
-            loc[move.qubit] = move.to;
-        }
-        for (RegionSlotView slot : step) {
-            const unsigned r = slot.region();
-            for (uint32_t op_index : slot.ops()) {
-                if (op_index >= mod.numOps())
-                    continue; // already reported above
-                for (QubitId q : mod.op(op_index).operands) {
-                    if (q >= mod.numQubits())
-                        continue; // malformed op; verifier territory
-                    if (!(loc[q] == Location::inRegion(r))) {
-                        out.error(
-                            DiagCode::SchedOperandNotResident,
-                            csprintf("step %llu op %u operand %u not in "
-                                     "region %u (at %s)",
-                                     static_cast<unsigned long long>(ts),
-                                     op_index, q, r,
-                                     loc[q].describe().c_str()),
-                            {mod.name(), op_index, mod.op(op_index).line});
-                    }
-                }
-            }
-        }
-    }
     return out.numErrors() == errors_before;
 }
 

@@ -3,18 +3,18 @@
  * Structural validation of schedules. Used by tests and available to
  * library users as a debugging aid; every scheduler's output must pass.
  *
- * Leaf-schedule invariants (codes S001-S014):
+ * Leaf-schedule invariants (codes S001-S009):
  *  1. every module operation is scheduled exactly once;
  *  2. dependences: each op runs in a strictly later timestep than every
  *     op it depends on;
  *  3. SIMD homogeneity: a region executes a single gate type per step;
  *  4. qubit exclusivity: no qubit is touched by two ops in one timestep
  *     (within one region or across different regions);
- *  5. width: a region touches at most d qubits per timestep;
- *  6. when movement is annotated: every move's source matches the
- *     qubit's tracked location, every operand is resident in its
- *     region when its op executes, and local-memory occupancy never
- *     exceeds capacity.
+ *  5. width: a region touches at most d qubits per timestep.
+ *
+ * The movement plan the communication analyzer adds is replayed by
+ * checkCommSchedule (verify/comm_checker.hh, codes M001-M010), not
+ * here.
  *
  * Coarse-schedule invariants (codes C001-C006): every reachable module
  * analyzed, leaf flags consistent, and each module's width/length
@@ -36,9 +36,7 @@
 namespace msq {
 
 /**
- * Validate @p sched against @p arch.
- * @param moves_annotated when true, also verify movement consistency
- *        (invariant 6); leave false for compute-only schedules.
+ * Validate @p sched's compute steps against @p arch (invariants 1-5).
  * @param diags when null, violations panic immediately (PanicError on
  *        the first one, as schedulers are library code); when supplied,
  *        all violations are reported into it per its FailMode.
@@ -46,7 +44,6 @@ namespace msq {
  */
 bool validateLeafSchedule(const LeafSchedule &sched,
                           const MultiSimdArch &arch,
-                          bool moves_annotated = false,
                           DiagnosticEngine *diags = nullptr);
 
 /**

@@ -49,11 +49,6 @@ constexpr CodeInfo codeTable[] = {
     {"S007", Severity::Error},   // SchedQubitConflict
     {"S008", Severity::Error},   // SchedOpMissing
     {"S009", Severity::Error},   // SchedDependence
-    {"S010", Severity::Error},   // SchedMoveUnknownQubit
-    {"S011", Severity::Error},   // SchedMoveSource
-    {"S012", Severity::Error},   // SchedMoveDegenerate
-    {"S013", Severity::Error},   // SchedLocalMemOverflow
-    {"S014", Severity::Error},   // SchedOperandNotResident
     // Coarse-schedule validator.
     {"C001", Severity::Error},   // CoarseNotAnalyzed
     {"C002", Severity::Error},   // CoarseLeafMismatch
@@ -70,7 +65,7 @@ constexpr CodeInfo codeTable[] = {
     {"M006", Severity::Error},   // CommMoveSourceMismatch
     {"M007", Severity::Error},   // CommOperandNotResident
     {"M008", Severity::Warning}, // CommRedundantMove
-    {"M009", Severity::Error},   // CommCoreOutOfRange
+    {"M009", Severity::Error},   // CommEndpointOutOfRange
     {"M010", Severity::Error},   // CommLinkOvercap
     // Makespan lower-bound checker.
     {"B001", Severity::Error},   // BoundBelowCriticalPath

@@ -57,7 +57,7 @@ enum class DiagCode : uint16_t {
     InterprocUseAfterMeasure, ///< L008 use of a measured qubit across a
                               ///<      call boundary (interproc dominance)
 
-    // S***: leaf-schedule validator (scheduler invariants 1-6; errors).
+    // S***: leaf-schedule validator (scheduler invariants 1-5; errors).
     SchedKMismatch,          ///< S001 schedule k != architecture k
     SchedRegionCount,        ///< S002 timestep region count != k
     SchedOpOutOfRange,       ///< S003 scheduled op index out of range
@@ -67,11 +67,6 @@ enum class DiagCode : uint16_t {
     SchedQubitConflict,      ///< S007 qubit touched twice in one timestep
     SchedOpMissing,          ///< S008 module op never scheduled
     SchedDependence,         ///< S009 op not strictly after a predecessor
-    SchedMoveUnknownQubit,   ///< S010 move of an out-of-range qubit
-    SchedMoveSource,         ///< S011 move source != tracked location
-    SchedMoveDegenerate,     ///< S012 move with source == destination
-    SchedLocalMemOverflow,   ///< S013 local-memory occupancy > capacity
-    SchedOperandNotResident, ///< S014 operand not in its op's region
 
     // C***: coarse-schedule validator (errors).
     CoarseNotAnalyzed,   ///< C001 reachable module never scheduled
@@ -90,7 +85,7 @@ enum class DiagCode : uint16_t {
     CommMoveSourceMismatch, ///< M006 move source != replayed location
     CommOperandNotResident, ///< M007 operand absent from its gate's region
     CommRedundantMove,      ///< M008 move to the current location (warning)
-    CommCoreOutOfRange,     ///< M009 memory endpoint on a nonexistent core
+    CommEndpointOutOfRange, ///< M009 move endpoint the machine lacks
     CommLinkOvercap,        ///< M010 masked inter-core teleports on one
                             ///<      link in one step exceed link bandwidth
 

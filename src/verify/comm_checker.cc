@@ -100,20 +100,24 @@ checkCommSchedule(const LeafSchedule &sched, const MultiSimdArch &arch,
                 }
             }
 
-            // M009: memory-bank endpoints must name an existing core.
+            // M009: each endpoint names a memory bank, region or
+            // scratchpad the machine has. A bad endpoint is neither
+            // routed nor counted toward any occupancy.
             bool endpoint_bad = false;
             for (const Location *end : {&move.from, &move.to}) {
-                if (end->isGlobal() && end->region >= topo.cores) {
-                    diags.error(
-                        DiagCode::CommCoreOutOfRange,
-                        csprintf("step %zu: move of qubit %s names "
-                                 "memory bank of core %u, topology has "
-                                 "%u cores",
-                                 ts, qubitLabel(mod, q).c_str(),
-                                 end->region, topo.cores),
-                        ctx);
-                    endpoint_bad = true;
-                }
+                const bool bank = end->isGlobal();
+                const unsigned limit = bank ? topo.cores : sched.k();
+                if (end->region < limit)
+                    continue;
+                diags.error(
+                    DiagCode::CommEndpointOutOfRange,
+                    csprintf("step %zu: move of qubit %s names %s, the "
+                             "machine has %u %s",
+                             ts, qubitLabel(mod, q).c_str(),
+                             end->describe().c_str(), limit,
+                             bank ? "cores" : "regions"),
+                    ctx);
+                endpoint_bad = true;
             }
 
             if (multi_core && !endpoint_bad && !move.isLocal()) {

@@ -1,15 +1,16 @@
 /**
  * @file
- * Communication-schedule race detector (diagnostic codes M001-M008).
+ * Communication-schedule race detector (diagnostic codes M001-M010).
  *
  * The CommunicationAnalyzer (sched/comm.cc) decorates a leaf schedule
  * with a movement plan: which qubit teleports or shuttles where, at
  * every timestep. Nothing downstream re-derives that plan, so a bug in
  * the analyzer silently corrupts every cost number built on top of it.
- * This checker replays the movement plan from scratch — tracking every
- * qubit's location cycle by cycle, exactly like the leaf-schedule
- * validator's S010-S014 residency checks but against the *communication*
- * invariants of the Multi-SIMD model (paper §2.4, §4.4):
+ * This checker is the one replay of that plan (the leaf-schedule
+ * validator, sched/validator.hh, checks compute steps only): it tracks
+ * every qubit's location and every scratchpad's occupancy cycle by
+ * cycle against the communication invariants of the Multi-SIMD model
+ * (paper §2.4, §4.4):
  *
  *  - M001 a qubit is moved somewhere other than its gate's region in a
  *         timestep where it participates in that gate (races the gate);
@@ -28,8 +29,9 @@
  *         movement phase;
  *  - M008 (warning) a move whose destination equals its current
  *         location (pure overhead);
- *  - M009 a move endpoint names a memory bank of a core the topology
- *         does not have;
+ *  - M009 a move endpoint names a memory bank, region or scratchpad the
+ *         machine does not have (a core >= cores, a region >= k); such a
+ *         move is neither routed nor counted toward any occupancy;
  *  - M010 the masked inter-core teleports crossing one link in one
  *         timestep exceed the link's EPR bandwidth (the analyzer must
  *         demote the excess to blocking, not over-subscribe the link).

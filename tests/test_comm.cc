@@ -11,7 +11,8 @@
 #include "sched/comm.hh"
 #include "sched/lpfs.hh"
 #include "sched/rcp.hh"
-#include "sched/validator.hh"
+
+#include "expect_clean_plan.hh"
 
 namespace {
 
@@ -69,7 +70,7 @@ TEST(Comm, FirstTouchIsMaskedTeleport)
     EXPECT_EQ(stats.teleportMoves, 1u);
     EXPECT_EQ(stats.blockingTeleports, 0u);
     EXPECT_EQ(stats.totalCycles, 1u);
-    validateLeafSchedule(sched, MultiSimdArch(1), true);
+    test::expectCleanPlan(sched, MultiSimdArch(1));
 }
 
 TEST(Comm, PinnedChainHasNoFurtherMoves)
@@ -86,7 +87,7 @@ TEST(Comm, PinnedChainHasNoFurtherMoves)
     CommStats stats = comm.annotate(sched);
     EXPECT_EQ(stats.teleportMoves, 1u); // the initial fetch only
     EXPECT_EQ(stats.totalCycles, 10u);
-    validateLeafSchedule(sched, MultiSimdArch(1), true);
+    test::expectCleanPlan(sched, MultiSimdArch(1));
 }
 
 TEST(Comm, TightCrossRegionMoveBlocks)
@@ -105,7 +106,7 @@ TEST(Comm, TightCrossRegionMoveBlocks)
     EXPECT_EQ(stats.blockingTeleports, 1u);
     // cycles: step0 = 1, step1 = 1 + 4.
     EXPECT_EQ(stats.totalCycles, 6u);
-    validateLeafSchedule(sched, MultiSimdArch(2), true);
+    test::expectCleanPlan(sched, MultiSimdArch(2));
 }
 
 TEST(Comm, DistantCrossRegionMoveIsMasked)
@@ -132,7 +133,7 @@ TEST(Comm, DistantCrossRegionMoveIsMasked)
     // b is fetched fresh (masked). z pinned in region 1.
     EXPECT_EQ(stats.blockingTeleports, 0u);
     EXPECT_EQ(stats.totalCycles, 6u);
-    validateLeafSchedule(sched, MultiSimdArch(2), true);
+    test::expectCleanPlan(sched, MultiSimdArch(2));
 }
 
 TEST(Comm, EvictionFromActiveRegion)
@@ -161,7 +162,7 @@ TEST(Comm, EvictionFromActiveRegion)
     EXPECT_EQ(stats.teleportMoves, 5u);
     EXPECT_EQ(stats.blockingTeleports, 0u);
     EXPECT_EQ(stats.totalCycles, 8u);
-    validateLeafSchedule(sched, MultiSimdArch(1), true);
+    test::expectCleanPlan(sched, MultiSimdArch(1));
 }
 
 /** The "moved aside temporarily" pattern of §4.4: q0 sits out exactly
@@ -190,7 +191,7 @@ TEST(Comm, TightReuseWithoutLocalMemoryPaysTeleports)
     EXPECT_EQ(stats.blockingTeleports, 2u); // tight evict + tight fetch
     // cycles: 1 + (1+4) + (1+4)
     EXPECT_EQ(stats.totalCycles, 11u);
-    validateLeafSchedule(sched, MultiSimdArch(1), true);
+    test::expectCleanPlan(sched, MultiSimdArch(1));
 }
 
 TEST(Comm, TightReuseWithLocalMemoryUsesBallisticMoves)
@@ -204,7 +205,7 @@ TEST(Comm, TightReuseWithLocalMemoryUsesBallisticMoves)
     EXPECT_EQ(stats.blockingTeleports, 0u);
     // cycles: 1 + (1+1) + (1+1); the initial fetch is masked.
     EXPECT_EQ(stats.totalCycles, 5u);
-    validateLeafSchedule(sched, arch, true);
+    test::expectCleanPlan(sched, arch);
 }
 
 TEST(Comm, LocalMemoryCapacityRespected)
@@ -232,7 +233,7 @@ TEST(Comm, LocalMemoryCapacityRespected)
     CommStats stats = comm.annotate(sched);
     EXPECT_EQ(stats.localMoves, 2u);       // one qubit aside + back
     EXPECT_GE(stats.blockingTeleports, 1u); // the other thrashes global
-    validateLeafSchedule(sched, arch, true);
+    test::expectCleanPlan(sched, arch);
 }
 
 TEST(Comm, AnnotateIsIdempotent)
@@ -264,12 +265,12 @@ TEST(Comm, SchedulerOutputsStayConsistent)
         LeafSchedule rs = rcp.schedule(mod, arch);
         CommunicationAnalyzer comm(arch, mode);
         comm.annotate(rs);
-        validateLeafSchedule(rs, arch, true);
+        test::expectCleanPlan(rs, arch);
 
         LpfsScheduler lpfs;
         LeafSchedule ls = lpfs.schedule(mod, arch);
         comm.annotate(ls);
-        validateLeafSchedule(ls, arch, true);
+        test::expectCleanPlan(ls, arch);
     }
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the communication-schedule race detector (M001-M008): every
+ * Tests for the communication-schedule race detector (M001-M010): every
  * code is exercised with a hand-seeded broken movement plan, and real
  * CommunicationAnalyzer outputs are confirmed to replay cleanly.
  */
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "arch/multi_simd.hh"
 #include "sched/comm.hh"
@@ -291,7 +292,49 @@ TEST(CommChecker, M009MemoryBankCoreOutOfRange)
 
     DiagnosticEngine diags;
     EXPECT_FALSE(checkCommSchedule(sched, arch, diags));
-    EXPECT_TRUE(hasCode(diags, DiagCode::CommCoreOutOfRange));
+    EXPECT_TRUE(hasCode(diags, DiagCode::CommEndpointOutOfRange));
+
+    // A live qubit parked for one step in a region or scratchpad the
+    // machine does not have, then brought back: only M009 may fire.
+    const std::pair<const char *, Location> parks[] = {
+        {"k=2,local-mem=1", Location::inLocalMem(9)},
+        {"k=2,local-mem=1", Location::inRegion(7)},
+        {"cores=2,k=2,map=roundrobin", Location::inRegion(9)},
+    };
+    for (const auto &[spec, parking] : parks) {
+        MultiSimdArch machine;
+        ASSERT_TRUE(parseTopologySpec(spec, machine, error)) << error;
+        Module parked("m");
+        QubitId a = parked.addLocal("a");
+        QubitId b = parked.addLocal("b");
+        parked.addGate(GateKind::H, {a});
+        parked.addGate(GateKind::H, {b});
+        parked.addGate(GateKind::T, {a});
+        LeafSchedule plan = TestScheduleBuilder(parked, machine.k)
+                                .step({{0, 0}})
+                                .step({{0, 1}})
+                                .step({{0, 2}})
+                                .take();
+        // Round-robin homes qubit q on core q % cores.
+        const unsigned cores = machine.topology.cores;
+        plan.appendMove(0, makeMove(a, Location::inMemory(a % cores),
+                                    Location::inRegion(0), false));
+        plan.appendMove(
+            1, makeMove(a, Location::inRegion(0), parking, false));
+        plan.appendMove(1, makeMove(b, Location::inMemory(b % cores),
+                                    Location::inRegion(0), false));
+        plan.appendMove(
+            2, makeMove(a, parking, Location::inRegion(0), false));
+
+        DiagnosticEngine found;
+        EXPECT_FALSE(checkCommSchedule(plan, machine, found))
+            << parking.describe();
+        EXPECT_TRUE(hasCode(found, DiagCode::CommEndpointOutOfRange))
+            << parking.describe();
+        for (const Diagnostic &diag : found.diagnostics())
+            EXPECT_EQ(diag.code, DiagCode::CommEndpointOutOfRange)
+                << diag.format();
+    }
 }
 
 TEST(CommChecker, M010LinkOversubscribedByMaskedTeleports)

@@ -32,6 +32,7 @@
 #include "support/strings.hh"
 #include "workloads/workloads.hh"
 
+#include "expect_clean_plan.hh"
 #include "expect_summary.hh"
 
 namespace {
@@ -179,7 +180,7 @@ TEST_P(SchedulerProperties, AllInvariantsHold)
                               CommMode::GlobalWithLocalMem}) {
             CommunicationAnalyzer comm(arch, mode);
             CommStats stats = comm.annotate(sched);
-            validateLeafSchedule(sched, arch, true);
+            test::expectCleanPlan(sched, arch);
             EXPECT_EQ(stats.totalCycles, sched.totalCycles());
             EXPECT_GE(stats.totalCycles, sched.computeTimesteps());
             if (mode == CommMode::Global) {

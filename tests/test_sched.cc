@@ -350,26 +350,6 @@ TEST(Validator, CatchesDBudgetViolation)
     EXPECT_THROW(validateLeafSchedule(sched, arch), PanicError);
 }
 
-TEST(Validator, CatchesBadMoveSource)
-{
-    Module mod = parallelH(1);
-    LeafSchedule sched = oneStep(mod, 1, {{0, GateKind::H, {0}}});
-    // Claims the qubit comes from region 0, but it starts in memory.
-    sched.appendMove(
-        0, {0, Location::inRegion(0), Location::inRegion(0), true});
-    EXPECT_THROW(validateLeafSchedule(sched, MultiSimdArch(1), true),
-                 PanicError);
-}
-
-TEST(Validator, CatchesOperandNotResident)
-{
-    Module mod = parallelH(1);
-    LeafSchedule sched = oneStep(mod, 1, {{0, GateKind::H, {0}}});
-    // No fetch move: operand still in global memory.
-    EXPECT_THROW(validateLeafSchedule(sched, MultiSimdArch(1), true),
-                 PanicError);
-}
-
 // Invariant 4 must reject a qubit touched twice in one timestep even
 // when the two touching ops sit in *different* SIMD regions, not just
 // within one region slot.
@@ -397,8 +377,7 @@ TEST(Validator, CatchesQubitTouchedTwiceAcrossRegions)
                  PanicError);
 
     DiagnosticEngine diags;
-    EXPECT_FALSE(validateLeafSchedule(sched, MultiSimdArch(2), false,
-                                      &diags));
+    EXPECT_FALSE(validateLeafSchedule(sched, MultiSimdArch(2), &diags));
     EXPECT_TRUE(diags.has(DiagCode::SchedQubitConflict));
 }
 
@@ -416,8 +395,7 @@ TEST(Validator, CollectModeReportsAllViolations)
     LeafSchedule sched = oneStep(mod, 2, {{0, GateKind::H, {0, 1}}});
 
     DiagnosticEngine diags;
-    EXPECT_FALSE(validateLeafSchedule(sched, MultiSimdArch(2), false,
-                                      &diags));
+    EXPECT_FALSE(validateLeafSchedule(sched, MultiSimdArch(2), &diags));
     EXPECT_EQ(diags.numErrors(), 2u);
     EXPECT_TRUE(diags.has(DiagCode::SchedMixedKinds));
     EXPECT_TRUE(diags.has(DiagCode::SchedOpMissing));
@@ -434,7 +412,7 @@ TEST(Validator, CollectModeAcceptsValidSchedule)
     MultiSimdArch arch(2);
     LeafSchedule out = lpfs.schedule(mod, arch);
     DiagnosticEngine diags;
-    EXPECT_TRUE(validateLeafSchedule(out, arch, false, &diags));
+    EXPECT_TRUE(validateLeafSchedule(out, arch, &diags));
     EXPECT_EQ(diags.numErrors(), 0u);
 }
 

@@ -303,6 +303,27 @@ TEST(Serve, ReplayHitsCacheAndIsDeterministic)
     EXPECT_EQ(engine.requestsServed(), 2u);
 }
 
+// The comm mode follows the final machine: scratchpads that a topology
+// spec builds are used as ones that "local_mem" builds.
+TEST(Serve, TopologyLocalMemDerivesLocalMode)
+{
+    ServeEngine engine(ServeOptions{});
+    const std::string base = R"({"workload": "grovers", "params": "tiny", )"
+                             R"("topology": "cores=2,k=2,local-mem=4")";
+    std::vector<std::unique_ptr<JsonValue>> responses;
+    for (const char *extra :
+         {"", R"(, "local_mem": 4)", R"(, "comm_mode": "local")"})
+        responses.push_back(serveOne(engine, base + extra + "}"));
+    for (const auto &response : responses) {
+        ASSERT_TRUE(response->get("ok").asBool())
+            << response->get("error").asString();
+        EXPECT_EQ(response->get("makespan").asUnsigned(),
+                  responses[0]->get("makespan").asUnsigned());
+        EXPECT_EQ(response->get("schedule_hash").asString(),
+                  responses[0]->get("schedule_hash").asString());
+    }
+}
+
 TEST(Serve, BatchMatchesSequential)
 {
     const char *workloads[] = {"grovers", "bwt", "cn"};

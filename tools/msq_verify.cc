@@ -15,13 +15,16 @@
  *   --dataflow      print interprocedural liveness / entanglement facts
  *   --check-comm    decompose + flatten, schedule every leaf under RCP
  *                   and LPFS, and replay the movement plans through the
- *                   comm-schedule race detector (codes M001-M010); also
- *                   validates a coarse schedule of the whole program
+ *                   comm-schedule race detector (codes M001-M010);
+ *                   also checks each leaf's compute steps (S001-S009)
+ *                   and a coarse schedule of the whole program
  *   --k=N           regions for --check-comm (default 4)
  *   --d=N           SIMD width per region for --check-comm (default inf;
  *                   0 also means inf)
  *   --local-mem=N   scratchpad capacity for --check-comm (default 0);
- *                   nonzero also exercises CommMode::GlobalWithLocalMem
+ *                   a machine with scratchpads (from this flag or a
+ *                   topology's local-mem) also exercises
+ *                   CommMode::GlobalWithLocalMem
  *   --topology=SPEC multi-core machine for the scheduling checks
  *                   (parseTopologySpec grammar, e.g.
  *                   "cores=4,k=2,shape=ring,link-bw=1,link-lat=3");
@@ -32,15 +35,6 @@
  *   --threads=N     scheduling fan-out for --check-comm (default 1;
  *                   0 = hardware concurrency). Results are identical
  *                   for every value; this only changes wall-clock time
- *   --inject-comm-fault=KIND
- *                   checker self-test: corrupt the first eligible
- *                   movement plan before replaying it. KIND is
- *                   move-during-gate (expect M001), oversubscribe
- *                   (expect M003 under a finite --d), dead-teleport
- *                   (expect M005), core-range (expect M009: a move
- *                   naming the memory bank of a nonexistent core), or
- *                   link-overcap (expect M010; needs --topology with a
- *                   finite link-bw)
  *   --bounds        decompose + flatten, coarse-schedule the whole
  *                   program under RCP and LPFS, and check every leaf
  *                   and blackbox dimension against the static makespan
@@ -67,7 +61,8 @@
  *   --comm-mode=none|global|local
  *                   communication model for --bounds / --estimate
  *                   (default global, or local -- global plus local
- *                   memory -- when --local-mem is nonzero). Under none,
+ *                   memory -- when the machine has scratchpads, from
+ *                   --local-mem or the topology's local-mem). Under none,
  *                   makespans are pure compute steps, which is where the
  *                   compute-step lower bounds are tight and
  *                   --scheduler=opt proves most small leaves optimal;
@@ -121,7 +116,6 @@
 #include <vector>
 
 #include "analysis/qubit_analyses.hh"
-#include "analysis/qubit_mapping.hh"
 #include "arch/multi_simd.hh"
 #include "core/request.hh"
 #include "core/toolflow.hh"
@@ -173,7 +167,6 @@ struct Options
     unsigned threads = 1;
     bool optBudgetGiven = false;
     bool optFallbackGiven = false;
-    std::string injectFault;
     std::string boundsJson;
     std::string estimateJson;
     std::string metricsJson;
@@ -230,9 +223,6 @@ usage(std::ostream &out)
            "                  [--dataflow] [--check-comm] [--k=N] [--d=N|inf]"
            " [--local-mem=N]\n"
            "                  [--topology=SPEC] [--threads=N]\n"
-           "                  [--inject-comm-fault=move-during-gate|"
-           "oversubscribe|\n"
-           "                      dead-teleport|core-range|link-overcap]\n"
            "                  [--bounds] [--bounds-json=PATH]"
            " [--workload=NAME]\n"
            "                  [--scheduler=rcp|lpfs|opt|sequential]"
@@ -314,185 +304,11 @@ printDataflow(const std::string &path, const Program &prog)
 }
 
 /**
- * Corrupt @p sched's movement plan for the checker self-test.
- * @return true when a fault was injected (some kinds need a schedule
- * with particular structure and skip ineligible ones).
- */
-bool
-injectCommFault(LeafSchedule &sched, const MultiSimdArch &arch,
-                const std::string &kind)
-{
-    const Module &mod = sched.module();
-    const uint64_t num_steps = sched.computeTimesteps();
-
-    // All mutation goes through LeafSchedule::appendMove, which detaches
-    // a private buffer copy when another copy of the schedule shares it;
-    // the read-only planning below uses the immutable views.
-
-    if (kind == "move-during-gate") {
-        for (ScheduleWalker walker(sched); !walker.atEnd();
-             walker.next()) {
-            TimestepView step = walker.step();
-            for (RegionSlotView slot : step) {
-                if (slot.ops()[0] >= mod.numOps())
-                    continue;
-                const Operation &op = mod.op(slot.ops()[0]);
-                if (op.operands.empty())
-                    continue;
-                Move fault;
-                fault.qubit = op.operands[0];
-                fault.from = Location::inRegion(slot.region());
-                fault.to = Location::global();
-                fault.blocking = true;
-                sched.appendMove(walker.index(), fault);
-                return true;
-            }
-        }
-        return false;
-    }
-
-    if (kind == "oversubscribe") {
-        if (num_steps == 0)
-            return false;
-        TimestepView step = sched.step(0);
-        std::vector<bool> touched(mod.numQubits(), false);
-        for (RegionSlotView slot : step)
-            for (uint32_t op_index : slot.ops())
-                if (op_index < mod.numOps())
-                    for (QubitId q : mod.op(op_index).operands)
-                        if (q < touched.size())
-                            touched[q] = true;
-        for (const Move &move : step.moves())
-            if (move.qubit < touched.size())
-                touched[move.qubit] = true;
-        bool injected = false;
-        // Cram every untouched qubit into region 0; with a finite d
-        // this oversubscribes it.
-        for (QubitId q = 0; q < mod.numQubits(); ++q) {
-            if (touched[q])
-                continue;
-            Move fault;
-            fault.qubit = q;
-            fault.from = Location::global();
-            fault.to = Location::inRegion(0);
-            fault.blocking = false;
-            sched.appendMove(0, fault);
-            injected = true;
-        }
-        return injected;
-    }
-
-    if (kind == "core-range") {
-        // A move whose memory-bank endpoint names a core the topology
-        // does not have. Works on any machine: the flat topology has
-        // exactly core 0, so bank 1 is already out of range (M009).
-        if (num_steps == 0 || mod.numQubits() == 0)
-            return false;
-        const std::vector<unsigned> home =
-            computeQubitMapping(mod, arch.topology);
-        Move fault;
-        fault.qubit = 0;
-        fault.from = arch.topology.multiCore()
-                         ? Location::inMemory(home[0])
-                         : Location::global();
-        fault.to = Location::inMemory(arch.topology.cores);
-        fault.blocking = true;
-        sched.appendMove(0, fault);
-        return true;
-    }
-
-    if (kind == "link-overcap") {
-        // Over-subscribe one inter-core link with masked teleports:
-        // linkBandwidth + 1 qubits of one core all teleported to the
-        // next core in the same timestep (M010). Needs a multi-core
-        // topology with a finite link bandwidth.
-        const Topology &topo = arch.topology;
-        if (!topo.multiCore() || topo.linkBandwidth == unbounded ||
-            num_steps == 0)
-            return false;
-        // Replay the plan from the home mapping to learn where every
-        // qubit sits at the final step.
-        const std::vector<unsigned> home =
-            computeQubitMapping(mod, topo);
-        std::vector<Location> loc(mod.numQubits());
-        for (QubitId q = 0; q < mod.numQubits(); ++q)
-            loc[q] = Location::inMemory(home[q]);
-        for (ScheduleWalker walker(sched); !walker.atEnd();
-             walker.next()) {
-            for (const Move &move : walker.step().moves())
-                if (move.qubit < loc.size())
-                    loc[move.qubit] = move.to;
-        }
-        std::vector<std::vector<QubitId>> byCore(topo.cores);
-        for (QubitId q = 0; q < mod.numQubits(); ++q)
-            byCore[locationCore(loc[q], arch)].push_back(q);
-        unsigned best = 0;
-        for (unsigned c = 1; c < topo.cores; ++c)
-            if (byCore[c].size() > byCore[best].size())
-                best = c;
-        if (byCore[best].size() < topo.linkBandwidth + 1)
-            return false;
-        const unsigned target = (best + 1) % topo.cores;
-        const uint64_t final_step = num_steps - 1;
-        for (uint64_t i = 0; i < topo.linkBandwidth + 1; ++i) {
-            Move fault;
-            fault.qubit = byCore[best][i];
-            fault.from = loc[fault.qubit];
-            fault.to = Location::inMemory(target);
-            fault.blocking = false;
-            sched.appendMove(final_step, fault);
-        }
-        return true;
-    }
-
-    if (kind == "dead-teleport") {
-        if (num_steps == 0)
-            return false;
-        // Replay the plan to learn final locations and last uses.
-        constexpr uint64_t neverUsed =
-            std::numeric_limits<uint64_t>::max();
-        std::vector<Location> loc(mod.numQubits(), Location::global());
-        std::vector<uint64_t> last_use(mod.numQubits(), neverUsed);
-        for (ScheduleWalker walker(sched); !walker.atEnd();
-             walker.next()) {
-            TimestepView step = walker.step();
-            for (const Move &move : step.moves())
-                if (move.qubit < loc.size())
-                    loc[move.qubit] = move.to;
-            for (RegionSlotView slot : step)
-                for (uint32_t op_index : slot.ops())
-                    if (op_index < mod.numOps())
-                        for (QubitId q : mod.op(op_index).operands)
-                            if (q < last_use.size())
-                                last_use[q] = walker.index();
-        }
-        uint64_t final_step = num_steps - 1;
-        for (QubitId q = 0; q < mod.numQubits(); ++q) {
-            bool dead = last_use[q] == neverUsed ||
-                        last_use[q] < final_step;
-            if (!dead)
-                continue;
-            Move fault;
-            fault.qubit = q;
-            fault.from = loc[q];
-            fault.to = loc[q].isRegion()
-                           ? Location::inLocalMem(loc[q].region)
-                           : Location::inRegion(0);
-            fault.blocking = true;
-            sched.appendMove(final_step, fault);
-            return true;
-        }
-        return false;
-    }
-
-    return false;
-}
-
-/**
  * --check-comm: schedule each reachable leaf of the lowered program
- * under RCP and LPFS, derive the movement plan, and replay it through
- * the race detector. Also coarse-schedules the whole program and
- * validates it (codes C001-C006).
+ * under RCP and LPFS, derive the movement plan, replay it through the
+ * race detector (M001-M010) and validate the compute steps
+ * (S001-S009). Also coarse-schedules the whole program and validates
+ * it (codes C001-C006).
  */
 void
 checkCommunication(const std::string &path, Program &prog,
@@ -502,13 +318,12 @@ checkCommunication(const std::string &path, Program &prog,
     const MultiSimdArch &arch = options.config.arch;
 
     std::vector<CommMode> modes{CommMode::Global};
-    if (options.request.localMem > 0)
+    if (arch.localMemCapacity > 0)
         modes.push_back(CommMode::GlobalWithLocalMem);
 
     const auto schedulers =
         makeCheckSchedulers(options, CommMode::Global);
 
-    bool fault_pending = !options.injectFault.empty();
     for (const auto &scheduler : schedulers) {
         for (CommMode mode : modes) {
             CommunicationAnalyzer analyzer(arch, mode);
@@ -518,19 +333,9 @@ checkCommunication(const std::string &path, Program &prog,
                     continue;
                 LeafSchedule sched = scheduler->schedule(mod, arch);
                 analyzer.annotate(sched);
-                bool faulted = false;
-                if (fault_pending &&
-                    injectCommFault(sched, arch, options.injectFault)) {
-                    fault_pending = false;
-                    faulted = true;
-                }
                 CommCheckStats stats;
                 bool ok = checkCommSchedule(sched, arch, diags, &stats);
-                // A deliberately corrupted plan no longer satisfies the
-                // S010-S014 invariants either; only cross-check clean
-                // replays against the leaf validator.
-                if (!faulted)
-                    validateLeafSchedule(sched, arch, true, &diags);
+                validateLeafSchedule(sched, arch, &diags);
                 if (!options.quiet) {
                     std::cout << path << ": check-comm ["
                               << scheduler->name() << "/"
@@ -540,17 +345,10 @@ checkCommunication(const std::string &path, Program &prog,
                               << " teleport(s) (" << stats.maskedTeleports
                               << " masked), " << stats.localMoves
                               << " local move(s)"
-                              << (faulted ? ", fault injected" : "")
                               << (ok ? "" : " -- VIOLATIONS") << "\n";
                 }
             }
         }
-    }
-    if (fault_pending) {
-        diags.error(DiagCode::CommMoveSourceMismatch,
-                    csprintf("--inject-comm-fault=%s: no eligible "
-                             "schedule to corrupt",
-                             options.injectFault.c_str()));
     }
 
     CoarseScheduler::Options coarse_options;
@@ -1109,17 +907,6 @@ main(int argc, char **argv)
                 std::cerr << "msq-verify: bad value in '" << arg << "'\n";
                 return 2;
             }
-        } else if (startsWith(arg, "--inject-comm-fault=")) {
-            options.injectFault = arg.substr(20);
-            if (options.injectFault != "move-during-gate" &&
-                options.injectFault != "oversubscribe" &&
-                options.injectFault != "dead-teleport" &&
-                options.injectFault != "core-range" &&
-                options.injectFault != "link-overcap") {
-                std::cerr << "msq-verify: unknown fault kind '"
-                          << options.injectFault << "'\n";
-                return 2;
-            }
         } else if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             return 0;
@@ -1133,11 +920,6 @@ main(int argc, char **argv)
     }
     if (options.files.empty() && options.workloads.empty()) {
         usage(std::cerr);
-        return 2;
-    }
-    if (!options.injectFault.empty() && !options.checkComm) {
-        std::cerr << "msq-verify: --inject-comm-fault requires "
-                     "--check-comm\n";
         return 2;
     }
     if (!options.boundsJson.empty() && !options.bounds) {
