@@ -44,9 +44,9 @@ validateLeafSchedule(const LeafSchedule &sched, const MultiSimdArch &arch,
         return false;
     }
 
-    // Invariant 1: coverage; also record each op's timestep. (The old
-    // per-step region-count check — S002 — is structurally guaranteed
-    // by the SoA representation: a slot's region is always < k.)
+    // Invariant 1: coverage; also record each op's timestep. (No check
+    // counts a step's regions: a ScheduleBuffer slot's region is < k
+    // by construction, so retired code S002 cannot fire.)
     constexpr uint64_t unscheduled = ~uint64_t{0};
     std::vector<uint64_t> op_step(mod.numOps(), unscheduled);
     for (ScheduleWalker walker(sched); !walker.atEnd(); walker.next()) {

@@ -3,7 +3,7 @@
  * Structural validation of schedules. Used by tests and available to
  * library users as a debugging aid; every scheduler's output must pass.
  *
- * Leaf-schedule invariants (codes S001-S009):
+ * Leaf-schedule invariants (codes S001, S003-S009):
  *  1. every module operation is scheduled exactly once;
  *  2. dependences: each op runs in a strictly later timestep than every
  *     op it depends on;

@@ -41,7 +41,6 @@ constexpr CodeInfo codeTable[] = {
     {"L008", Severity::Warning}, // InterprocUseAfterMeasure
     // Leaf-schedule validator.
     {"S001", Severity::Error},   // SchedKMismatch
-    {"S002", Severity::Error},   // SchedRegionCount
     {"S003", Severity::Error},   // SchedOpOutOfRange
     {"S004", Severity::Error},   // SchedOpTwice
     {"S005", Severity::Error},   // SchedMixedKinds

@@ -59,7 +59,6 @@ enum class DiagCode : uint16_t {
 
     // S***: leaf-schedule validator (scheduler invariants 1-5; errors).
     SchedKMismatch,          ///< S001 schedule k != architecture k
-    SchedRegionCount,        ///< S002 timestep region count != k
     SchedOpOutOfRange,       ///< S003 scheduled op index out of range
     SchedOpTwice,            ///< S004 op scheduled in two slots
     SchedMixedKinds,         ///< S005 region mixes gate types in one step

@@ -13,38 +13,13 @@
 #include "sched/rcp.hh"
 
 #include "expect_clean_plan.hh"
+#include "test_schedule_builder.hh"
 
 namespace {
 
 using namespace msq;
 
-/** Hand-build a schedule placing each (op, region, step) explicitly. */
-class TestScheduleBuilder
-{
-  public:
-    TestScheduleBuilder(const Module &mod, unsigned k)
-        : mod(&mod), builder(mod, k)
-    {}
-
-    TestScheduleBuilder &
-    step(std::vector<std::pair<unsigned, uint32_t>> placements)
-    {
-        builder.beginStep();
-        for (auto [region, op] : placements) {
-            auto &slot = builder.slot(region);
-            slot.kind = mod->op(op).kind;
-            slot.ops.push_back(op);
-        }
-        builder.endStep();
-        return *this;
-    }
-
-    LeafSchedule take() { return builder.finish(); }
-
-  private:
-    const Module *mod;
-    ScheduleBuilder builder;
-};
+using test::TestScheduleBuilder;
 
 TEST(Comm, NoneModeLeavesScheduleAlone)
 {

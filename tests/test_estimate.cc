@@ -14,10 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "analysis/resource_estimator.hh"
 #include "analysis/schedule_summary.hh"
 #include "core/toolflow.hh"
+#include "sched/coarse.hh"
 #include "sched/comm.hh"
 #include "sched/lpfs.hh"
 #include "sched/rcp.hh"
@@ -64,12 +66,18 @@ commHeavyLeaf(unsigned qubits, unsigned rounds)
 }
 
 /** Fold vs the analyzer's in-pass summary, whole summary, plus the
- * CommStats the same annotate call returns, for one (scheduler, mode). */
+ * CommStats the same annotate call returns, for one (scheduler, mode).
+ * A nonzero @p width schedules on that many regions and annotates on
+ * the full machine, as a coarse width task does. */
 void
 expectFoldMatchesAnnotator(const Module &mod, const LeafScheduler &sched,
-                           const MultiSimdArch &arch, CommMode mode)
+                           const MultiSimdArch &arch, CommMode mode,
+                           unsigned width = 0)
 {
-    LeafSchedule leaf = sched.schedule(mod, arch);
+    MultiSimdArch sub = arch;
+    if (width != 0)
+        sub.k = width;
+    LeafSchedule leaf = sched.schedule(mod, sub);
     CommunicationAnalyzer comm(arch, mode);
     ResourceSummary annotated;
     CommStats ground = comm.annotate(leaf, annotated);
@@ -178,6 +186,54 @@ TEST(LeafFold, MatchesAnnotatorOnLinkLimitedRing)
         expectFoldMatchesAnnotator(mod, rcp, arch, mode);
         expectFoldMatchesAnnotator(mod, lpfs, arch, mode);
     }
+}
+
+TEST(LeafFold, MatchesAnnotatorOnEveryTinyWorkloadLeaf)
+{
+    // A flat k=4 machine with scratchpads, and a link-limited 2-core
+    // ring, each under all three movement modes.
+    MultiSimdArch flat(4, unbounded, /*localMemCapacity=*/2);
+    MultiSimdArch ring(1);
+    std::string error;
+    ASSERT_TRUE(parseTopologySpec(
+        "cores=2,k=2,shape=ring,link-bw=1,local-mem=2", ring, error))
+        << error;
+    RcpScheduler rcp;
+    LpfsScheduler lpfs;
+    size_t checked = 0;
+    for (const workloads::WorkloadSpec &spec : workloads::tinyParams()) {
+        const Program prog = Toolflow::lowerWorkload(spec);
+        for (ModuleId id : prog.reachableModules()) {
+            const Module &mod = prog.module(id);
+            if (!mod.isLeaf())
+                continue;
+            for (const MultiSimdArch *arch : {&flat, &ring}) {
+                for (const LeafScheduler *sched :
+                     {static_cast<const LeafScheduler *>(&rcp),
+                      static_cast<const LeafScheduler *>(&lpfs)}) {
+                    for (CommMode mode :
+                         {CommMode::None, CommMode::Global,
+                          CommMode::GlobalWithLocalMem}) {
+                        const CoarseScheduler coarse(*arch, *sched, mode);
+                        for (unsigned w : coarse.widthSweep()) {
+                            SCOPED_TRACE(spec.shortName + "/" + mod.name() +
+                                         " " + sched->fingerprint() +
+                                         " w=" + std::to_string(w) +
+                                         " cores=" +
+                                         std::to_string(
+                                             arch->topology.cores));
+                            expectFoldMatchesAnnotator(mod, *sched, *arch,
+                                                       mode, w);
+                            ++checked;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // 8 workloads, at least one leaf each, 2 machines x 2 schedulers x
+    // 3 modes x 3 widths.
+    EXPECT_GE(checked, 8u * 2 * 2 * 3 * 3);
 }
 
 TEST(LeafFold, EmptyLeafFoldsToZero)

@@ -2,20 +2,27 @@
  * @file
  * Tests for the Scaffold-subset frontend: lexer, parser (declarations,
  * registers, calls, repeats, rotations, diagnostics) and the QASM
- * emitters, including a printer round-trip.
+ * emitters, including a printer round-trip, and the hierarchical-QASM
+ * reader against a std::istringstream tokenizer oracle.
  */
 
 #include <gtest/gtest.h>
 
 #include "support/logging.hh"
 
+#include <locale>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "frontend/lexer.hh"
 #include "frontend/parser.hh"
 #include "frontend/qasm_emitter.hh"
 #include "frontend/qasm_reader.hh"
 #include "ir/printer.hh"
+#include "support/diagnostic.hh"
+#include "support/rng.hh"
+#include "workloads/workloads.hh"
 
 namespace {
 
@@ -408,6 +415,235 @@ TEST(QasmReader, Diagnostics)
     EXPECT_THROW(
         parseHierarchicalQasm(".module m\n    qbit q\n    call other q\n.end\n"),
         FatalError); // unknown callee
+}
+
+// ---------------------------------------------------------------------
+// Whitespace parity: the reader must split text exactly as std::getline
+// and std::istringstream >> do, so those two are the oracle.
+// ---------------------------------------------------------------------
+
+/** The oracle's tokens of @p line: what operator>> reads in the C
+ * locale. */
+std::vector<std::string>
+streamTokens(const std::string &line)
+{
+    std::istringstream in(line);
+    in.imbue(std::locale::classic());
+    std::vector<std::string> out;
+    std::string tok;
+    while (in >> tok)
+        out.push_back(tok);
+    return out;
+}
+
+/** @p text with each std::getline line re-joined from its oracle tokens
+ * by single spaces: the same lines, so the same line numbers. */
+std::string
+oracleCanonical(const std::string &text)
+{
+    std::istringstream in(text);
+    std::string line;
+    std::string out;
+    while (std::getline(in, line)) {
+        const std::vector<std::string> toks = streamTokens(line);
+        for (size_t i = 0; i < toks.size(); ++i)
+            out += (i == 0 ? "" : " ") + toks[i];
+        out += '\n';
+    }
+    return out;
+}
+
+/** Every module's name, qubit names and ops (with their source lines),
+ * field by field. */
+std::string
+describe(const Program &prog)
+{
+    std::ostringstream out;
+    out << "entry " << prog.entry() << '\n';
+    for (ModuleId id = 0; id < prog.numModules(); ++id) {
+        const Module &mod = prog.module(id);
+        out << mod.name() << " params " << mod.numParams() << ':';
+        for (QubitId q = 0; q < mod.numQubits(); ++q)
+            out << ' ' << mod.qubitName(q);
+        out << '\n';
+        for (const Operation &op : mod.ops()) {
+            out << "  line " << op.line << ' ' << gateName(op.kind) << ' '
+                << op.angle << " callee " << op.callee << " x"
+                << op.repeat << ':';
+            for (QubitId q : op.operands)
+                out << ' ' << q;
+            out << '\n';
+        }
+    }
+    return out.str();
+}
+
+/** The message of the FatalError @p text raises, or "" when it parses. */
+std::string
+parseError(const std::string &text)
+{
+    try {
+        parseHierarchicalQasm(text);
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+/**
+ * @p text with every line and every gap between tokens re-spaced from
+ * @p rng: runs of the six C-locale whitespace bytes, leading and
+ * trailing whitespace, CRLF endings and inserted blank or
+ * whitespace-only lines.
+ */
+std::string
+scramble(const std::string &text, SplitMix64 &rng)
+{
+    static const char *const gaps[] = {" ",  "\t",  "\v",     "\f",
+                                       "\r", "  ",  " \t \v", "\f\r \t"};
+    auto gap = [&] { return std::string(gaps[rng.nextBelow(8)]); };
+    std::istringstream in(text);
+    std::string line;
+    std::string out;
+    while (std::getline(in, line)) {
+        if (rng.nextBelow(4) == 0)
+            out += (rng.nextBelow(2) == 0 ? "" : gap()) + "\n";
+        std::string spaced = rng.nextBelow(2) == 0 ? "" : gap();
+        bool first = true;
+        for (const std::string &tok : streamTokens(line)) {
+            spaced += (first ? "" : gap()) + tok;
+            first = false;
+        }
+        if (rng.nextBelow(2) == 0)
+            spaced += gap();
+        out += spaced + (rng.nextBelow(2) == 0 ? "\r\n" : "\n");
+    }
+    return out;
+}
+
+/** Parse @p text, collecting the verifier's diagnostics (tiny SHA-1
+ * binds one register to two parameters, V012) into @p report. */
+Program
+parseCollecting(const std::string &text, std::string &report)
+{
+    DiagnosticEngine diags;
+    Program prog = parseHierarchicalQasm(text, &diags);
+    for (const Diagnostic &diag : diags.diagnostics())
+        report += diag.format() + "\n";
+    return prog;
+}
+
+/** Every tiny and scaled workload's emitted hierarchical QASM. */
+std::vector<std::pair<std::string, std::string>>
+workloadQasm()
+{
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const auto &specs :
+         {workloads::tinyParams(), workloads::scaledParams()}) {
+        for (const workloads::WorkloadSpec &spec : specs) {
+            std::ostringstream qasm;
+            emitHierarchicalQasm(qasm, spec.build());
+            out.emplace_back(spec.name, qasm.str());
+        }
+    }
+    return out;
+}
+
+TEST(QasmReader, WorkloadsRoundTripByteIdentically)
+{
+    for (const auto &[name, text] : workloadQasm()) {
+        SCOPED_TRACE(name);
+        std::string report;
+        std::ostringstream again;
+        emitHierarchicalQasm(again, parseCollecting(text, report));
+        EXPECT_EQ(again.str(), text);
+    }
+}
+
+TEST(QasmReader, ScrambledWhitespaceParsesAsTheOracleSplits)
+{
+    SplitMix64 rng(30);
+    for (const auto &[name, text] : workloadQasm()) {
+        SCOPED_TRACE(name);
+        const std::string messy = scramble(text, rng);
+        const std::string canonical = oracleCanonical(messy);
+        ASSERT_NE(messy, canonical);
+        std::string messy_report;
+        std::string canonical_report;
+        const Program parsed = parseCollecting(messy, messy_report);
+        EXPECT_EQ(describe(parsed),
+                  describe(parseCollecting(canonical, canonical_report)));
+        // Verifier diagnostics name source lines too.
+        EXPECT_EQ(messy_report, canonical_report);
+        // Inserted lines shift op.line, but nothing else moves.
+        std::ostringstream again;
+        emitHierarchicalQasm(again, parsed);
+        EXPECT_EQ(again.str(), text);
+    }
+}
+
+TEST(QasmReader, WhitespaceEdgeCasesMatchTheOracle)
+{
+    const std::string cases[] = {
+        // Tabs, CRLF, \v and \f as separators; runs of blanks; leading
+        // and trailing whitespace; blank and whitespace-only lines; no
+        // final newline.
+        "\t.module\tsub\t q \r\n\v T\fq\v\r\n.end\r\n\r\n"
+        "  \t\n.module main\n\f\fqbit   x\t\r\n \v \n"
+        "\tRz(0.5)\v\f x\r\n call[x7]\tsub \t x \n\t.end",
+        ".module m a b\r\n\r\n\r\nCNOT a\tb\n\n  H  a  \n.end\n",
+        // Bytes operator>> does not skip stay inside a token.
+        ".module m q\n    H q\xa0\n.end\n",
+        ".module m q\n    H\x85q\n.end\n",
+    };
+    for (const std::string &text : cases) {
+        SCOPED_TRACE(text);
+        const std::string canonical = oracleCanonical(text);
+        const std::string error = parseError(text);
+        EXPECT_EQ(error, parseError(canonical));
+        if (error.empty()) {
+            EXPECT_EQ(describe(parseHierarchicalQasm(text)),
+                      describe(parseHierarchicalQasm(canonical)));
+        }
+    }
+    EXPECT_EQ(describe(parseHierarchicalQasm(cases[0])),
+              describe(parseHierarchicalQasm(
+                  ".module sub q\nT q\n.end\n\n\n.module main\n"
+                  "qbit x\n\nRz(0.5) x\ncall[x7] sub x\n.end\n")));
+}
+
+TEST(QasmReader, LineErrorsKeepTextAndNumberUnderAnyWhitespace)
+{
+    // Each messy input's first error, with its line number.
+    const std::pair<std::string, std::string> cases[] = {
+        {"\t.module\tm\v\r\n\tqbit q\f\r\n\t NOPE \t q\r\n.end\r\n",
+         "qasm line 3: unknown gate 'NOPE'"},
+        {"\n\n  .module m\r\n\t.module n\n.end\n",
+         "qasm line 4: nested .module"},
+        {".module m\r\n.end\r\n \t.end\t\r\n", "qasm line 3: .end without "
+                                               ".module"},
+        {"\v.module\fm\n\n  qbit\tq\n\tH\tz\r\n.end\n",
+         "qasm line 4: unknown qubit 'z'"},
+        {".module m q\r\n\r\n\tcall[xFOO]\tm\tq\r\n.end\r\n",
+         "qasm line 3: call repeat count 'FOO' is not a number"},
+        {".module m\n qbit q\n\n\n\tRz(1.5x)\v q\r\n.end\n",
+         "qasm line 5: malformed gate angle '1.5x'"},
+        {".module m\n\tqbit \t a \t b \r\n.end\n",
+         "qasm line 2: qbit needs exactly one name"},
+        {"\t\r\n H q\r\n.module m\n.end\n",
+         "qasm line 2: statement outside .module block"},
+        {".module m q\n\tqbit\vq\n.end\n", "qasm line 2: duplicate qubit 'q'"},
+        {".module m q\n\t\tcall \t other\fq\n.end\n",
+         "qasm line 2: unknown module 'other'"},
+        {"  .module \t\r\n.module m\n.end\n", "qasm line 1: .module needs a "
+                                             "name"},
+    };
+    for (const auto &[text, what] : cases) {
+        SCOPED_TRACE(text);
+        const std::string error = parseError(text);
+        EXPECT_NE(error.find(what), std::string::npos) << error;
+        EXPECT_EQ(error, parseError(oracleCanonical(text)));
+    }
 }
 
 } // namespace

@@ -16,8 +16,9 @@
  *   --check-comm    decompose + flatten, schedule every leaf under RCP
  *                   and LPFS, and replay the movement plans through the
  *                   comm-schedule race detector (codes M001-M010);
- *                   also checks each leaf's compute steps (S001-S009)
- *                   and a coarse schedule of the whole program
+ *                   also checks each leaf's compute steps (S001,
+ *                   S003-S009) and a coarse schedule of the whole
+ *                   program
  *   --k=N           regions for --check-comm (default 4)
  *   --d=N           SIMD width per region for --check-comm (default inf;
  *                   0 also means inf)
@@ -307,8 +308,8 @@ printDataflow(const std::string &path, const Program &prog)
  * --check-comm: schedule each reachable leaf of the lowered program
  * under RCP and LPFS, derive the movement plan, replay it through the
  * race detector (M001-M010) and validate the compute steps
- * (S001-S009). Also coarse-schedules the whole program and validates
- * it (codes C001-C006).
+ * (S001, S003-S009). Also coarse-schedules the whole program and
+ * validates it (codes C001-C006).
  */
 void
 checkCommunication(const std::string &path, Program &prog,
