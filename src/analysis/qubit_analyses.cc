@@ -371,17 +371,6 @@ EntanglementGroups::analyze(const Program &prog)
     return result;
 }
 
-bool
-EntanglementGroups::sameGroup(ModuleId m, QubitId a, QubitId b) const
-{
-    if (m >= modules_.size() || !modules_[m].analyzed)
-        return false;
-    const ModuleGroups &mg = modules_[m];
-    if (a >= mg.parent.size() || b >= mg.parent.size())
-        return false;
-    return mg.parent[a] == mg.parent[b];
-}
-
 size_t
 EntanglementGroups::numEntangledGroups(ModuleId m) const
 {

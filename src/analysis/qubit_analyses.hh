@@ -150,9 +150,6 @@ class EntanglementGroups
     /** False when the program has no entry or a recursive call graph. */
     bool valid() const { return valid_; }
 
-    /** True when @p a and @p b of module @p m may be entangled. */
-    bool sameGroup(ModuleId m, QubitId a, QubitId b) const;
-
     /** Number of groups of module @p m with at least two members. */
     size_t numEntangledGroups(ModuleId m) const;
 

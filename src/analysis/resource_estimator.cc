@@ -28,12 +28,6 @@ GateMix::twoQubitCount() const
 }
 
 Count
-GateMix::measurementCount() const
-{
-    return count(GateKind::MeasZ) + count(GateKind::MeasX);
-}
-
-Count
 GateMix::total() const
 {
     Count sum;
@@ -182,7 +176,6 @@ ModuleHistogram::ModuleHistogram(const ResourceEstimator &estimator)
 {
     for (ModuleId id : estimator.analyzedModules()) {
         Count gates = estimator.totalGates(id);
-        moduleTotals.push_back(gates);
         const auto &bounds = bucketBounds();
         size_t bucket = std::upper_bound(bounds.begin(), bounds.end(),
                                          gates == 0 ? 0 : gates - 1) -
@@ -190,26 +183,6 @@ ModuleHistogram::ModuleHistogram(const ResourceEstimator &estimator)
         ++counts_[bucket];
         ++total;
     }
-}
-
-double
-ModuleHistogram::fraction(size_t index) const
-{
-    if (total == 0)
-        return 0.0;
-    return static_cast<double>(count(index)) / static_cast<double>(total);
-}
-
-double
-ModuleHistogram::fractionAtOrBelow(uint64_t threshold) const
-{
-    if (total == 0)
-        return 0.0;
-    uint64_t below = 0;
-    for (Count gates : moduleTotals)
-        if (gates <= threshold)
-            ++below;
-    return static_cast<double>(below) / static_cast<double>(total);
 }
 
 } // namespace msq

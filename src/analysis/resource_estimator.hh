@@ -56,9 +56,6 @@ struct GateMix
     /** CNOT + CZ operations. */
     Count twoQubitCount() const;
 
-    /** MeasZ + MeasX operations. */
-    Count measurementCount() const;
-
     /** All gate operations. */
     Count total() const;
 };
@@ -130,25 +127,13 @@ class ModuleHistogram
     /** Build the histogram of @p estimator's module totals. */
     explicit ModuleHistogram(const ResourceEstimator &estimator);
 
-    size_t numBuckets() const { return counts_.size(); }
-
     /** Number of modules in bucket @p index. */
     uint64_t count(size_t index) const { return counts_.at(index); }
-
-    /** Fraction (0..1) of modules in bucket @p index. */
-    double fraction(size_t index) const;
-
-    /**
-     * Fraction of modules whose total gate count is <= @p threshold —
-     * i.e. the fraction a FlattenPass with that threshold would flatten.
-     */
-    double fractionAtOrBelow(uint64_t threshold) const;
 
     uint64_t totalModules() const { return total; }
 
   private:
     std::vector<uint64_t> counts_;
-    std::vector<Count> moduleTotals;
     uint64_t total = 0;
 };
 

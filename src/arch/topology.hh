@@ -181,7 +181,6 @@ class TopologyRouter
   public:
     explicit TopologyRouter(const Topology &topo);
 
-    unsigned numCores() const { return cores; }
     size_t numEdges() const { return edgeList.size(); }
 
     /** Hop count of the canonical route from @p from to @p to. */

@@ -1,6 +1,5 @@
 #include "support/diagnostic.hh"
 
-#include <ostream>
 #include <set>
 
 #include "support/logging.hh"
@@ -67,9 +66,6 @@ constexpr CodeInfo codeTable[] = {
     {"M009", Severity::Error},   // CommEndpointOutOfRange
     {"M010", Severity::Error},   // CommLinkOvercap
     // Makespan lower-bound checker.
-    {"B001", Severity::Error},   // BoundBelowCriticalPath
-    {"B002", Severity::Error},   // BoundBelowResource
-    {"B003", Severity::Error},   // BoundBelowInterval
     {"B004", Severity::Error},   // BoundDimBelowBound
     {"B005", Severity::Error},   // BoundProgramBelow
     {"B006", Severity::Warning}, // BoundRepeatOverflow
@@ -236,12 +232,6 @@ DiagnosticEngine::formatAll() const
     for (const auto &diag : diags_)
         out += diag.format() + "\n";
     return out;
-}
-
-void
-DiagnosticEngine::printAll(std::ostream &out) const
-{
-    out << formatAll();
 }
 
 } // namespace msq

@@ -21,7 +21,6 @@
 #define MSQ_SUPPORT_DIAGNOSTIC_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <limits>
 #include <string>
 #include <vector>
@@ -91,9 +90,8 @@ enum class DiagCode : uint16_t {
     // B***: makespan lower-bound checker (verify/bound_checker). A
     // schedule shorter than a sound lower bound is an internal
     // inconsistency: scheduler or cache corruption, never valid output.
-    BoundBelowCriticalPath, ///< B001 leaf shorter than its CP bound
-    BoundBelowResource,     ///< B002 leaf shorter than its resource bound
-    BoundBelowInterval,     ///< B003 leaf shorter than its interval bound
+    // B001-B003 (per-bound leaf checks) are retired: B004 holds every
+    // leaf dimension against the composite of the same bounds.
     BoundDimBelowBound,     ///< B004 blackbox dim below its width's bound
     BoundProgramBelow,      ///< B005 program below the hierarchical bound
     BoundRepeatOverflow,    ///< B006 repeat algebra saturated (warning)
@@ -230,9 +228,6 @@ class DiagnosticEngine
 
     /** One formatted diagnostic per line (trailing newline included). */
     std::string formatAll() const;
-
-    /** Write formatAll() to @p out. */
-    void printAll(std::ostream &out) const;
 
   private:
     FailMode mode_;

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "support/logging.hh"
-#include "support/strings.hh"
 
 namespace msq {
 
@@ -80,14 +79,6 @@ ResultTable::printAscii(std::ostream &os) const
     os << rule << "\n";
     for (const auto &row : cells)
         print_row(row);
-}
-
-void
-ResultTable::printCsv(std::ostream &os) const
-{
-    os << join(header, ",") << "\n";
-    for (const auto &row : cells)
-        os << join(row, ",") << "\n";
 }
 
 } // namespace msq

@@ -1,8 +1,8 @@
 /**
  * @file
- * Lightweight tabular reporting used by the benchmark harness to print the
- * rows/series of each paper table and figure, in both aligned-ASCII and CSV
- * form.
+ * Lightweight tabular reporting used by the benchmark harness and the
+ * examples to print the rows/series of each paper table and figure as
+ * aligned ASCII.
  */
 
 #ifndef MSQ_SUPPORT_STATS_HH
@@ -46,9 +46,6 @@ class ResultTable
 
     /** Print with aligned columns. */
     void printAscii(std::ostream &os) const;
-
-    /** Print as CSV (header row first). */
-    void printCsv(std::ostream &os) const;
 
     const std::string &title() const { return title_; }
 

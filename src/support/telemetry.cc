@@ -525,24 +525,6 @@ Telemetry::setMetricsPath(const std::string &path)
 }
 
 void
-Telemetry::setTracePath(const std::string &path)
-{
-    envTracePath() = path;
-}
-
-const std::string &
-Telemetry::metricsPath()
-{
-    return envMetricsPath();
-}
-
-const std::string &
-Telemetry::tracePath()
-{
-    return envTracePath();
-}
-
-void
 Telemetry::flushEnvOutputs()
 {
     if (!envMetricsPath().empty()) {

@@ -353,20 +353,14 @@ class Telemetry
     static void flushEnvOutputs();
 
     /**
-     * Point the metrics/trace output files somewhere explicitly —
-     * the programmatic twin of MSQ_METRICS / MSQ_TRACE for long-running
-     * processes (msq-served) that flush *periodically* rather than at
-     * exit: the atexit hook alone loses everything when a daemon is
-     * killed, so the daemon sets a path and calls flushEnvOutputs()
-     * itself on a cadence. An empty path disables that output.
-     * setMetricsPath also toggles metricsEnabled() accordingly.
+     * Point the metrics output file somewhere explicitly — the
+     * programmatic twin of MSQ_METRICS for long-running processes
+     * (msq-served) that flush *periodically* rather than at exit: the
+     * atexit hook alone loses everything when a daemon is killed, so
+     * the daemon sets a path and calls flushEnvOutputs() itself on a
+     * cadence. An empty path disables that output and metricsEnabled().
      */
     static void setMetricsPath(const std::string &path);
-    static void setTracePath(const std::string &path);
-
-    /** Current output paths ("" = disabled). */
-    static const std::string &metricsPath();
-    static const std::string &tracePath();
 };
 
 /** Escape @p text for inclusion inside a JSON string literal. */

@@ -29,55 +29,6 @@ optimalityGap(uint64_t makespan, uint64_t lower_bound)
 }
 
 bool
-checkLeafScheduleBounds(const LeafSchedule &sched,
-                        const MultiSimdArch &arch,
-                        DiagnosticEngine &diags,
-                        const MakespanBounds *precomputed)
-{
-    MakespanBounds local;
-    if (precomputed == nullptr) {
-        MultiSimdArch sub = arch;
-        sub.k = sched.k();
-        local = computeLeafBounds(sched.module(), sub);
-        precomputed = &local;
-    }
-    const uint64_t steps = sched.computeTimesteps();
-    const DiagContext where{sched.module().name(), diagNoOp, 0};
-    const size_t errors_before = diags.numErrors();
-
-    if (steps < precomputed->criticalPath) {
-        diags.error(
-            DiagCode::BoundBelowCriticalPath,
-            csprintf("schedule has %llu compute timestep(s) but the "
-                     "critical-path bound is %llu: a dependence chain "
-                     "cannot fit (corrupt schedule)",
-                     ull(steps), ull(precomputed->criticalPath)),
-            where);
-    }
-    if (steps < precomputed->resource) {
-        diags.error(
-            DiagCode::BoundBelowResource,
-            csprintf("schedule has %llu compute timestep(s) but the "
-                     "resource bound at width %u is %llu: more operand "
-                     "touches than the machine can absorb (corrupt "
-                     "schedule)",
-                     ull(steps), sched.k(), ull(precomputed->resource)),
-            where);
-    }
-    if (steps < precomputed->interval) {
-        diags.error(
-            DiagCode::BoundBelowInterval,
-            csprintf("schedule has %llu compute timestep(s) but the "
-                     "interval bound is %llu: an earliest-start/"
-                     "latest-finish window is overcommitted (corrupt "
-                     "schedule)",
-                     ull(steps), ull(precomputed->interval)),
-            where);
-    }
-    return diags.numErrors() == errors_before;
-}
-
-bool
 checkScheduleBounds(const Program &prog, const ProgramSchedule &psched,
                     const MultiSimdArch &arch, CommMode mode,
                     DiagnosticEngine &diags, ProgramGapReport *report,

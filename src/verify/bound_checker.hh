@@ -1,7 +1,7 @@
 /**
  * @file
  * Schedule-quality / schedule-sanity checker (diagnostic codes
- * B001-B006) built on the static makespan lower bounds of
+ * B004-B007) built on the static makespan lower bounds of
  * analysis/bounds.hh.
  *
  * A lower bound is a *certificate*: no valid schedule of a module can
@@ -11,14 +11,12 @@
  * detector the S/C validators cannot replicate (they check invariants
  * of what *is* in the schedule; the bound checks what *must* be):
  *
- *  - B001 a leaf schedule has fewer compute timesteps than its
- *         critical-path bound (a dependence chain cannot fit);
- *  - B002 fewer timesteps than its resource bound (more operand touches
- *         than k*d per step could absorb);
- *  - B003 fewer timesteps than its Fernandez interval bound (some
- *         earliest-start/latest-finish window is overcommitted);
  *  - B004 a blackbox dimension of the width sweep is shorter than the
- *         lower bound at that width;
+ *         lower bound at that width (for a leaf, the composite of its
+ *         critical-path, resource and interval bounds; under
+ *         CommMode::None a leaf dimension's length is its compute
+ *         timestep count, so this is where a too-short leaf schedule
+ *         shows);
  *  - B005 the program's total cycle count is below the hierarchically
  *         composed program bound;
  *  - B006 (warning) the repeat algebra saturated at 2^64-1 while
@@ -45,7 +43,6 @@
 
 #include "analysis/bounds.hh"
 #include "arch/multi_simd.hh"
-#include "arch/schedule.hh"
 #include "sched/coarse.hh"
 #include "support/count.hh"
 #include "support/diagnostic.hh"
@@ -95,20 +92,6 @@ struct ProgramGapReport
 
 /** makespan / bound; 1.0 when both are zero (empty module, exact). */
 double optimalityGap(uint64_t makespan, uint64_t lower_bound);
-
-/**
- * Check one leaf schedule's compute-timestep count against its static
- * bounds (B001-B003). The bounds are evaluated at the schedule's own
- * width (sched.k()) with @p arch supplying d.
- *
- * @param precomputed reuse already-computed bounds (must match the
- *        schedule's module and width) instead of recomputing.
- * @return true when no Error-severity diagnostic was added.
- */
-bool checkLeafScheduleBounds(const LeafSchedule &sched,
-                             const MultiSimdArch &arch,
-                             DiagnosticEngine &diags,
-                             const MakespanBounds *precomputed = nullptr);
 
 /**
  * Check a whole ProgramSchedule against the hierarchical bounds: every

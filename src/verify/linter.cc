@@ -161,9 +161,9 @@ commutes(const Operation &a, const Operation &b)
 }
 
 /**
- * L003: gate/inverse pairs the peephole would remove — adjacent, or
+ * L003: gate/inverse pairs that cancel to identity — adjacent, or
  * separated only by gates that provably commute with the first of the
- * pair (so the pair can be slid together and cancelled).
+ * pair (so the pair can be slid together and dropped).
  */
 void
 lintUncancelledInverses(const Module &mod, DiagnosticEngine &diags)
@@ -191,15 +191,15 @@ lintUncancelledInverses(const Module &mod, DiagnosticEngine &diags)
                     diags.warning(
                         DiagCode::UncancelledInverses,
                         csprintf("ops %u/%u: adjacent %s/%s pair cancels "
-                                 "to identity (run cancel-inverses)",
+                                 "to identity; remove it at the source",
                                  i, j, gateName(a.kind), gateName(b.kind)),
                         at(mod, i, a));
                 } else {
                     diags.warning(
                         DiagCode::UncancelledInverses,
                         csprintf("ops %u/%u: %s/%s pair separated only by "
-                                 "commuting gates cancels to identity "
-                                 "(run cancel-inverses)",
+                                 "commuting gates cancels to identity; "
+                                 "remove it at the source",
                                  i, j, gateName(a.kind), gateName(b.kind)),
                         at(mod, i, a));
                 }

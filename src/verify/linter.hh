@@ -9,8 +9,9 @@
  *  - L002 gates past a qubit's last measurement can never influence an
  *    outcome — dead code from a buggy uncompute sequence;
  *  - L003 uncancelled inverse pairs — adjacent or separated only by
- *    commuting gates — are exactly what the cancel-inverses peephole
- *    removes; flagging them catches pipelines that forgot to run it;
+ *    commuting gates — cancel to identity, and no toolflow stage
+ *    removes them (the paper's flow has no peephole), so they cost
+ *    gates and steps until removed at the source;
  *  - L004 rotations below the decomposer's precision floor decompose to
  *    identity-length sequences and should be dropped at the source;
  *  - L005 a gate kind occurring once in a leaf module can never share a

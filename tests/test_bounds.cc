@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the static makespan lower bounds (analysis/bounds.hh) and
- * the B001-B006 schedule-quality checker (verify/bound_checker.hh).
+ * the B004-B007 schedule-quality checker (verify/bound_checker.hh).
  *
  * Each bound family has a tightness witness: a hand-built DAG whose
  * optimal schedule *equals* the bound, proving the bound is exact there
@@ -160,10 +160,7 @@ TEST(LeafBounds, IntervalBeatsCriticalPathAndResource)
                              .step({{0, 3}, {0, 8}})
                              .step({{0, 4}, {0, 9}})
                              .take();
-    EXPECT_EQ(sched.computeTimesteps(), 6u);
-    DiagnosticEngine diags;
-    EXPECT_TRUE(checkLeafScheduleBounds(sched, arch, diags));
-    EXPECT_EQ(diags.numErrors(), 0u);
+    EXPECT_EQ(sched.computeTimesteps(), bounds.composite());
 }
 
 TEST(LeafBounds, EmptyModuleHasZeroBounds)
@@ -485,39 +482,6 @@ TEST(BoundChecker, CoarseSchedulesPassCleanWithGapReport)
     EXPECT_EQ(report.programMakespan, psched.totalCycles);
 }
 
-TEST(BoundChecker, ShortChainScheduleTripsB001)
-{
-    // 10 serial ops crammed into 5 steps of 2: below the critical path.
-    Module mod = serialChain(10);
-    TestScheduleBuilder builder(mod, 2);
-    for (uint32_t s = 0; s < 5; ++s)
-        builder.step({{0, 2 * s}, {1, 2 * s + 1}});
-    LeafSchedule sched = builder.take();
-    ASSERT_EQ(sched.computeTimesteps(), 5u);
-
-    DiagnosticEngine diags;
-    EXPECT_FALSE(checkLeafScheduleBounds(sched, MultiSimdArch(2), diags));
-    EXPECT_TRUE(hasCode(diags, DiagCode::BoundBelowCriticalPath));
-}
-
-TEST(BoundChecker, OverpackedScheduleTripsB002AndB003)
-{
-    // 8 independent gates forced into 2 steps of 4 at capacity 1
-    // (k=1, d=1): fine for the critical path (cp = 1), impossible for
-    // the resource and interval bounds (both 8).
-    Module mod = independentGates(8);
-    LeafSchedule sched = TestScheduleBuilder(mod, 1)
-                             .step({{0, 0}, {0, 1}, {0, 2}, {0, 3}})
-                             .step({{0, 4}, {0, 5}, {0, 6}, {0, 7}})
-                             .take();
-    DiagnosticEngine diags;
-    EXPECT_FALSE(
-        checkLeafScheduleBounds(sched, MultiSimdArch(1, 1), diags));
-    EXPECT_FALSE(hasCode(diags, DiagCode::BoundBelowCriticalPath));
-    EXPECT_TRUE(hasCode(diags, DiagCode::BoundBelowResource));
-    EXPECT_TRUE(hasCode(diags, DiagCode::BoundBelowInterval));
-}
-
 TEST(BoundChecker, CorruptProgramScheduleTripsB004AndB005)
 {
     Program prog;
@@ -546,6 +510,35 @@ TEST(BoundChecker, CorruptProgramScheduleTripsB004AndB005)
     EXPECT_TRUE(hasCode(diags, DiagCode::BoundProgramBelow));
     ASSERT_EQ(report.leaves.size(), 1u);
     EXPECT_LT(report.leaves[0].gap, 1.0); // the tell-tale of corruption
+
+    // B004 holds a leaf dimension against the composite bound, so it
+    // catches a schedule that only the interval bound rules out. Under
+    // CommMode::None a leaf dimension's length is its compute steps; the
+    // pinch leaf at k=1, d=3 has critical-path and resource bounds 5 but
+    // interval bound 6, and the same 5-cycle dimension is now one step
+    // short of the interval bound alone.
+    Program pinch;
+    ModuleId leaf = pinch.addModule("pinch");
+    pinch.module(leaf) = toffoliPinch();
+    pinch.setEntry(leaf);
+    const MultiSimdArch narrow(1, 3);
+    const MakespanBounds bounds =
+        computeLeafBounds(pinch.module(leaf), narrow);
+    ASSERT_LE(bounds.criticalPath, 5u);
+    ASSERT_LE(bounds.resource, 5u);
+    ASSERT_EQ(bounds.interval, 6u);
+    DiagnosticEngine pinch_diags;
+    EXPECT_FALSE(checkScheduleBounds(pinch, psched, narrow, CommMode::None,
+                                     pinch_diags));
+    EXPECT_TRUE(hasCode(pinch_diags, DiagCode::BoundDimBelowBound));
+
+    // At the interval bound itself (the 6-step witness of
+    // LeafBounds.IntervalBeatsCriticalPathAndResource) it passes.
+    psched.modules[0].dims = {{1, 6}};
+    psched.totalCycles = 6;
+    pinch_diags.clear();
+    EXPECT_TRUE(checkScheduleBounds(pinch, psched, narrow, CommMode::None,
+                                    pinch_diags));
 }
 
 // ---------------------------------------------------------------------

@@ -78,7 +78,7 @@ TEST(GateMix, HierarchicalCounts)
     // leaf runs 50 times: 50 T, 50 H, 50 MeasZ; mid runs 10: 10 CNOT.
     EXPECT_EQ(program.count(GateKind::T), 50u);
     EXPECT_EQ(program.count(GateKind::H), 50u);
-    EXPECT_EQ(program.measurementCount(), 50u);
+    EXPECT_EQ(program.count(GateKind::MeasZ), 50u);
     EXPECT_EQ(program.twoQubitCount(), 10u);
     EXPECT_EQ(program.tCount(), 50u);
     EXPECT_EQ(program.total(), 160u);

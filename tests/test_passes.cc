@@ -11,7 +11,6 @@
 
 #include "analysis/resource_estimator.hh"
 #include "core/toolflow.hh"
-#include "passes/cancel_inverses.hh"
 #include "passes/decompose_toffoli.hh"
 #include "passes/flatten.hh"
 #include "passes/pass_manager.hh"
@@ -463,7 +462,6 @@ TEST(PassManager, CallIndexInSyncAfterEveryLoweringPass)
             Toolflow::rotationPresetFor(spec.shortName)));
         passes.push_back(
             std::make_unique<FlattenPass>(ToolflowConfig{}.flattenThreshold));
-        passes.push_back(std::make_unique<CancelInversesPass>());
         for (const auto &pass : passes) {
             pass->run(prog);
             expect_in_sync(prog, pass->name());

@@ -2,15 +2,13 @@
  * @file
  * Tests for the state-vector simulator, and — more importantly — the
  * semantic validation it enables: the Toffoli/Fredkin/Swap expansions
- * are exact circuit identities, and the inverse-cancellation pass
- * preserves program meaning on randomized unitary circuits.
+ * are exact circuit identities.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "passes/cancel_inverses.hh"
 #include "passes/decompose_toffoli.hh"
 #include "sim/statevector.hh"
 #include "support/logging.hh"
@@ -178,71 +176,5 @@ TEST(Decompositions, FredkinExpansionIsExact)
 
     EXPECT_TRUE(native.approxEqual(expanded, 1e-8));
 }
-
-// --- Semantics preservation of the optimizer ---
-
-Module
-randomUnitaryModule(uint64_t seed, unsigned qubits, unsigned ops,
-                    bool plant_pairs)
-{
-    SplitMix64 rng(seed);
-    Module mod("random");
-    auto reg = mod.addRegister("q", qubits);
-    const GateKind one_q[] = {GateKind::H, GateKind::T,    GateKind::Tdag,
-                              GateKind::S, GateKind::Sdag, GateKind::X,
-                              GateKind::Z, GateKind::Y};
-    for (unsigned i = 0; i < ops; ++i) {
-        if (qubits >= 2 && rng.nextBelow(100) < 30) {
-            QubitId a = static_cast<QubitId>(rng.nextBelow(qubits));
-            QubitId b = static_cast<QubitId>(rng.nextBelow(qubits));
-            if (a == b)
-                b = (b + 1) % qubits;
-            mod.addGate(GateKind::CNOT, {a, b});
-        } else {
-            GateKind kind = one_q[rng.nextBelow(8)];
-            QubitId a = static_cast<QubitId>(rng.nextBelow(qubits));
-            mod.addGate(kind, {a});
-            if (plant_pairs && rng.nextBelow(100) < 40) {
-                // Plant an immediately-cancelling inverse pair.
-                mod.addGate(kind, {a});
-                mod.addGate(kind, {a});
-            }
-        }
-    }
-    return mod;
-}
-
-class OptimizerSemantics : public ::testing::TestWithParam<uint64_t>
-{};
-
-TEST_P(OptimizerSemantics, CancelInversesPreservesState)
-{
-    uint64_t seed = GetParam();
-    Module original = randomUnitaryModule(seed, 5, 120, true);
-
-    Program prog;
-    ModuleId id = prog.addModule("m");
-    Module &mod = prog.module(id);
-    auto reg = mod.addRegister("q", 5);
-    (void)reg;
-    for (const auto &op : original.ops())
-        mod.addOperation(op);
-    prog.setEntry(id);
-    CancelInversesPass pass;
-    pass.run(prog);
-    ASSERT_LT(prog.module(id).numOps(), original.numOps())
-        << "planted pairs should cancel";
-
-    StateVector before(5);
-    StateVector after(5);
-    auto rng1 = rngFor(seed);
-    auto rng2 = rngFor(seed);
-    before.run(original, rng1);
-    after.run(prog.module(id), rng2);
-    EXPECT_TRUE(before.approxEqual(after, 1e-8));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, OptimizerSemantics,
-                         ::testing::Values(11u, 22u, 33u, 44u, 55u, 66u));
 
 } // namespace

@@ -279,7 +279,7 @@ TEST(Stats, AsciiTable)
     EXPECT_NE(os.str().find("12"), std::string::npos);
 }
 
-TEST(Stats, CsvOutput)
+TEST(Stats, AsciiColumnsFitWidestCell)
 {
     ResultTable table("demo");
     table.setHeader({"a", "b"});
@@ -287,8 +287,11 @@ TEST(Stats, CsvOutput)
     table.addCell(1.5, 2);
     table.addCell(std::string("z"));
     std::ostringstream os;
-    table.printCsv(os);
-    EXPECT_EQ(os.str(), "a,b\n1.50,z\n");
+    table.printAscii(os);
+    EXPECT_EQ(os.str(), "== demo ==\n"
+                        "a     b  \n"
+                        "----  -  \n"
+                        "1.50  z  \n");
 }
 
 TEST(Stats, HeaderAfterRowsPanics)

@@ -39,7 +39,7 @@
  *   --bounds        decompose + flatten, coarse-schedule the whole
  *                   program under RCP and LPFS, and check every leaf
  *                   and blackbox dimension against the static makespan
- *                   lower bounds (codes B001-B007); reports per-leaf
+ *                   lower bounds (codes B004-B007); reports per-leaf
  *                   and program optimality gaps (makespan / bound)
  *   --bounds-json=PATH
  *                   write the --bounds gap report as machine-readable
@@ -245,10 +245,11 @@ endsWith(const std::string &text, const std::string &suffix)
                         suffix) == 0;
 }
 
-/** Print (and, under --Werror, promote) every collected diagnostic. */
+/** Print (and, under --Werror, promote) every collected diagnostic,
+ * then the summary line, which also counts @p panics. */
 void
 emitDiagnostics(const std::string &path, const DiagnosticEngine &diags,
-                const Options &options)
+                const Options &options, size_t panics)
 {
     if (!options.quiet) {
         for (const Diagnostic &diag : diags.diagnostics()) {
@@ -258,7 +259,7 @@ emitDiagnostics(const std::string &path, const DiagnosticEngine &diags,
             std::cout << path << ": " << shown.format() << "\n";
         }
     }
-    size_t errors = diags.numErrors();
+    size_t errors = diags.numErrors() + panics;
     size_t warnings = diags.numWarnings();
     if (options.werror) {
         errors += warnings;
@@ -365,7 +366,7 @@ checkCommunication(const std::string &path, Program &prog,
 /**
  * --bounds: coarse-schedule the lowered program under RCP and LPFS,
  * check every blackbox dimension and the program total against the
- * static makespan lower bounds (codes B001-B006), and report per-leaf
+ * static makespan lower bounds (codes B004-B007), and report per-leaf
  * optimality gaps.
  */
 void
@@ -683,6 +684,9 @@ checkProgram(const std::string &label, Program &prog,
     if (options.dataflow && !diags.hasErrors())
         printDataflow(label, prog);
 
+    // A panic in a scheduling check is an internal error: the summary
+    // and the metrics count it like an error diagnostic.
+    size_t panics = 0;
     if ((options.checkComm || options.bounds || options.estimate) &&
         !diags.hasErrors()) {
         try {
@@ -701,18 +705,18 @@ checkProgram(const std::string &label, Program &prog,
         } catch (const PanicError &err) {
             std::cerr << label << ": error: scheduling checks: "
                       << err.what() << "\n";
-            emitDiagnostics(label, diags, options);
-            return Outcome::Dirty;
+            panics = 1;
         }
     }
 
-    emitDiagnostics(label, diags, options);
+    emitDiagnostics(label, diags, options, panics);
 
-    metrics.counter("verify.diagnostics.errors").add(diags.numErrors());
+    const size_t errors = diags.numErrors() + panics;
+    metrics.counter("verify.diagnostics.errors").add(errors);
     metrics.counter("verify.diagnostics.warnings")
         .add(diags.numWarnings());
-    bool clean = !diags.hasErrors() &&
-                 !(options.werror && diags.numWarnings() > 0);
+    bool clean =
+        errors == 0 && !(options.werror && diags.numWarnings() > 0);
     metrics.counter(clean ? "verify.files_clean" : "verify.files_dirty")
         .add(1);
     return clean ? Outcome::Clean : Outcome::Dirty;
