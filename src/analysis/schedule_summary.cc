@@ -1,21 +1,12 @@
 #include "analysis/schedule_summary.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "support/logging.hh"
 #include "support/strings.hh"
 
 namespace msq {
-
-Count
-ResourceSummary::computeCycles() const
-{
-    if (saturated())
-        return 0;
-    if (serialCycles < commCycles)
-        panic("ResourceSummary: commCycles exceeds serialCycles");
-    return serialCycles - commCycles;
-}
 
 double
 ResourceSummary::meanRegionOccupancy() const
@@ -142,151 +133,88 @@ ResourceSummary::occupancyLabel(size_t index)
     return std::to_string(lo) + "-" + std::to_string(hi);
 }
 
-namespace {
-
-/**
- * Streaming fold of one annotated leaf schedule. Every counter is
- * bounded by the materialized buffer's element counts, so plain 64-bit
- * arithmetic cannot overflow here; saturation only enters at the
- * composition level where repeat products multiply these values.
- */
-class SummarySink : public ScheduleSink
+ResourceSummary
+summarizeLeafSchedule(const LeafSchedule &sched, const MultiSimdArch &arch)
 {
-  public:
-    /** @param cost topology cost model for multi-core folds; null keeps
-     * the flat machine's historical per-step formula bit-for-bit. */
-    explicit SummarySink(uint64_t epr_bandwidth,
-                         const MovePhaseCostModel *cost = nullptr)
-        : bw(epr_bandwidth), cost(cost)
-    {
-        sum.occupancy.assign(ResourceSummary::numOccupancyBuckets(), 0);
-    }
+    const uint64_t bw = arch.eprBandwidth;
+    if (bw == 0)
+        panic("summarizeLeafSchedule: EPR bandwidth of 0 cannot move "
+              "anything; MultiSimdArch::validate() should have rejected "
+              "this configuration");
+    // Multi-core phases route through the shared MovePhaseCostModel —
+    // the same model the CommunicationAnalyzer prices its steps with,
+    // which E001 checks. The flat machine keeps this fold's own phase
+    // formula below.
+    std::optional<MovePhaseCostModel> cost;
+    if (arch.topology.multiCore())
+        cost.emplace(arch);
 
-    void
-    beginSchedule(const LeafSchedule &sched) override
-    {
-        mod = &sched.module();
-    }
-
-    void
-    beginStep(const TimestepView & /*step*/) override
-    {
-        stepBlocking = 0;
-        stepHasLocal = false;
-    }
-
-    void
-    slot(const RegionSlotView &slot) override
-    {
-        uint64_t operands = 0;
-        for (uint32_t op_index : slot.ops()) {
-            ++sum.gateOps;
-            operands += mod->op(op_index).operands.size();
+    // Every counter is bounded by the buffer's element counts, so plain
+    // 64-bit arithmetic cannot overflow here; saturation only enters at
+    // the composition level where repeat products multiply these values.
+    const Module &mod = sched.module();
+    ResourceSummary sum;
+    sum.occupancy.assign(ResourceSummary::numOccupancyBuckets(), 0);
+    for (TimestepView step : sched.steps()) {
+        for (RegionSlotView slot : step) {
+            uint64_t operands = 0;
+            for (uint32_t op_index : slot.ops()) {
+                ++sum.gateOps;
+                operands += mod.op(op_index).operands.size();
+            }
+            // Mirror the annotator: a region counts as active only when
+            // it touches operands this step (validated gates always do).
+            if (operands > 0) {
+                ++sum.activeRegionSteps;
+                sum.operandTouches += operands;
+                sum.peakRegionOccupancy =
+                    std::max(sum.peakRegionOccupancy, operands);
+            }
         }
-        // Mirror the annotator: a region counts as active only when it
-        // touches operands this step (validated gates always do).
-        if (operands > 0) {
-            ++sum.activeRegionSteps;
-            sum.operandTouches += operands;
-            sum.peakRegionOccupancy =
-                std::max(sum.peakRegionOccupancy, operands);
-        }
-    }
 
-    void
-    move(const Move &move) override
-    {
-        if (move.isLocal()) {
-            ++sum.localMoves;
-            stepHasLocal = true;
-        } else {
+        uint64_t blocking = 0;
+        bool any_local = false;
+        for (const Move &move : step.moves()) {
+            if (move.isLocal()) {
+                ++sum.localMoves;
+                any_local = true;
+                continue;
+            }
             ++sum.teleportMoves;
             if (cost && cost->interCore(move))
                 ++sum.interCoreTeleports;
             if (move.blocking) {
                 ++sum.blockingTeleports;
-                ++stepBlocking;
+                ++blocking;
             }
         }
-    }
 
-    void
-    endStep(const TimestepView &step) override
-    {
-        // Movement-phase cost. On the flat machine, recomputed from
-        // this pass's own move classification (arch/schedule.cc
-        // movePhaseCycles semantics): blocking teleports cost full
-        // 4-cycle phases, serialized by a finite EPR bandwidth; a
-        // local-only phase costs one cycle. Multi-core phases route
-        // through the shared MovePhaseCostModel — the same model the
-        // CommunicationAnalyzer prices its steps with, which E001
-        // checks.
-        if (cost) {
-            MoveSpan m = step.moves();
-            sum.commCycles += cost->cycles(m.begin(), m.end());
-            if (stepBlocking > 0)
-                ++sum.stepsWithBlockingMove;
-            else if (stepHasLocal)
-                ++sum.stepsWithOnlyLocalMoves;
-        } else if (stepBlocking > 0) {
+        if (blocking > 0)
             ++sum.stepsWithBlockingMove;
-            uint64_t phases =
-                bw == unbounded ? 1 : (stepBlocking + bw - 1) / bw;
-            sum.commCycles += phases * MultiSimdArch::teleportCycles;
-        } else if (stepHasLocal) {
+        else if (any_local)
             ++sum.stepsWithOnlyLocalMoves;
+        // Movement-phase cost. On the flat machine it is recomputed from
+        // this loop's own move classification: blocking teleports cost
+        // full 4-cycle phases, serialized by a finite EPR bandwidth; a
+        // local-only phase costs one cycle.
+        if (cost) {
+            sum.commCycles += cost->cycles(step.moves());
+        } else if (blocking > 0) {
+            uint64_t phases =
+                bw == unbounded ? 1 : (blocking + bw - 1) / bw;
+            sum.commCycles += phases * MultiSimdArch::teleportCycles;
+        } else if (any_local) {
             sum.commCycles += MultiSimdArch::localMoveCycles;
         }
         sum.peakBlockingMovesPerStep =
-            std::max(sum.peakBlockingMovesPerStep, stepBlocking);
+            std::max(sum.peakBlockingMovesPerStep, blocking);
 
         const uint64_t active = step.activeRegions();
         sum.peakActiveRegions = std::max(sum.peakActiveRegions, active);
         ++sum.occupancy[ResourceSummary::occupancyBucket(active)];
-        ++steps;
     }
-
-    void
-    endSchedule() override
-    {
-        sum.serialCycles = steps + sum.commCycles;
-    }
-
-    ResourceSummary take() { return std::move(sum); }
-
-  private:
-    const Module *mod = nullptr;
-    uint64_t bw;
-    const MovePhaseCostModel *cost;
-    ResourceSummary sum;
-    uint64_t steps = 0;
-    uint64_t stepBlocking = 0;
-    bool stepHasLocal = false;
-};
-
-} // anonymous namespace
-
-ResourceSummary
-summarizeLeafSchedule(const LeafSchedule &sched, uint64_t epr_bandwidth)
-{
-    if (epr_bandwidth == 0)
-        panic("summarizeLeafSchedule: EPR bandwidth of 0 cannot move "
-              "anything; MultiSimdArch::validate() should have rejected "
-              "this configuration");
-    SummarySink sink(epr_bandwidth);
-    sched.stream(sink);
-    return sink.take();
-}
-
-ResourceSummary
-summarizeLeafSchedule(const LeafSchedule &sched, const MultiSimdArch &arch)
-{
-    if (!arch.topology.multiCore())
-        return summarizeLeafSchedule(sched, arch.eprBandwidth);
-    MovePhaseCostModel cost(arch);
-    SummarySink sink(arch.eprBandwidth, &cost);
-    sched.stream(sink);
-    return sink.take();
+    sum.serialCycles = sched.computeTimesteps() + sum.commCycles;
+    return sum;
 }
 
 ScheduleSummaryAnalysis::ScheduleSummaryAnalysis(

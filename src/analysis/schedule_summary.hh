@@ -165,9 +165,6 @@ struct ResourceSummary
     /** EPR pairs consumed == teleport moves (paper §2.3). */
     Count eprPairs() const { return teleportMoves; }
 
-    /** serialCycles minus commCycles (0 when poisoned by saturation). */
-    Count computeCycles() const;
-
     /** Average operands per active region, operandTouches /
      * activeRegionSteps (0 when no region was ever active). */
     double meanRegionOccupancy() const;
@@ -193,24 +190,17 @@ struct ResourceSummary
 };
 
 /**
- * Fold one annotated leaf schedule into its ResourceSummary with a
- * single streaming pass (no random access, no intermediate storage).
+ * Fold one annotated leaf schedule into its ResourceSummary with one
+ * loop over its steps (no random access, no intermediate storage).
  * This is the reference oracle, used by no compile path: the summary
  * CommunicationAnalyzer::annotate derives while emitting the moves must
- * equal it field for field, and re-deriving it from the move/slot
+ * equal it field for field, and re-deriving it from the move and slot
  * streams lets the two paths cross-check each other (E001).
  *
- * @param epr_bandwidth EPR channel constraint for movement-phase costs
- *        (must match the bandwidth the schedule was costed with).
- */
-ResourceSummary summarizeLeafSchedule(const LeafSchedule &sched,
-                                      uint64_t epr_bandwidth = unbounded);
-
-/**
- * Topology-aware fold: movement phases are priced by a
- * MovePhaseCostModel over @p arch and inter-core teleports are counted.
- * Identical to summarizeLeafSchedule(sched, arch.eprBandwidth) on a
- * single-core topology.
+ * On the flat one-core machine the fold prices each movement phase with
+ * its own formula under @p arch's EPR bandwidth; on a multi-core
+ * topology it prices phases with a MovePhaseCostModel over @p arch and
+ * counts inter-core teleports.
  */
 ResourceSummary summarizeLeafSchedule(const LeafSchedule &sched,
                                       const MultiSimdArch &arch);

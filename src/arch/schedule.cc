@@ -7,33 +7,21 @@
 namespace msq {
 
 uint64_t
-blockingMoveCount(const Move *begin, const Move *end)
-{
-    uint64_t count = 0;
-    for (const Move *m = begin; m != end; ++m)
-        if (!m->isLocal() && m->blocking)
-            ++count;
-    return count;
-}
-
-bool
-hasLocalMove(const Move *begin, const Move *end)
-{
-    for (const Move *m = begin; m != end; ++m)
-        if (m->isLocal())
-            return true;
-    return false;
-}
-
-uint64_t
-movePhaseCycles(const Move *begin, const Move *end, uint64_t epr_bandwidth)
+movePhaseCycles(std::span<const Move> moves, uint64_t epr_bandwidth)
 {
     if (epr_bandwidth == 0)
         panic("movePhaseCycles: EPR bandwidth of 0 cannot move anything; "
               "MultiSimdArch::validate() should have rejected this "
               "configuration");
-    return movePhaseCyclesFor(blockingMoveCount(begin, end),
-                              hasLocalMove(begin, end), epr_bandwidth);
+    uint64_t blocking = 0;
+    bool any_local = false;
+    for (const Move &m : moves) {
+        if (m.isLocal())
+            any_local = true;
+        else if (m.blocking)
+            ++blocking;
+    }
+    return movePhaseCyclesFor(blocking, any_local, epr_bandwidth);
 }
 
 uint64_t
@@ -57,11 +45,11 @@ MovePhaseCostModel::MovePhaseCostModel(const MultiSimdArch &arch)
 {}
 
 uint64_t
-MovePhaseCostModel::cycles(const Move *begin, const Move *end) const
+MovePhaseCostModel::cycles(std::span<const Move> moves) const
 {
     const Topology &topo = arch_->topology;
     if (!topo.multiCore())
-        return movePhaseCycles(begin, end, arch_->eprBandwidth);
+        return movePhaseCycles(moves, arch_->eprBandwidth);
 
     if (arch_->eprBandwidth == 0)
         panic("MovePhaseCostModel: EPR bandwidth of 0 cannot move "
@@ -73,15 +61,15 @@ MovePhaseCostModel::cycles(const Move *begin, const Move *end) const
     bool any_inter = false;
     bool any_local = false;
     std::fill(edgeLoad.begin(), edgeLoad.end(), 0);
-    for (const Move *m = begin; m != end; ++m) {
-        if (m->isLocal()) {
+    for (const Move &m : moves) {
+        if (m.isLocal()) {
             any_local = true;
             continue;
         }
-        if (!m->blocking)
+        if (!m.blocking)
             continue;
-        unsigned from = locationCore(m->from, *arch_);
-        unsigned to = locationCore(m->to, *arch_);
+        unsigned from = locationCore(m.from, *arch_);
+        unsigned to = locationCore(m.to, *arch_);
         if (from == to) {
             ++intra_blocking;
             continue;
@@ -172,72 +160,6 @@ LeafSchedule::appendMove(uint64_t ts, const Move &move)
                      move);
     for (uint64_t s = ts; s < buf.numSteps(); ++s)
         ++buf.moveEnd[s];
-}
-
-unsigned
-LeafSchedule::width() const
-{
-    unsigned best = 0;
-    uint32_t prev = 0;
-    for (uint32_t end : buf_->slotEnd) {
-        best = std::max(best, end - prev);
-        prev = end;
-    }
-    return best;
-}
-
-uint64_t
-LeafSchedule::totalCycles(uint64_t epr_bandwidth) const
-{
-    const ScheduleBuffer &buf = *buf_;
-    uint64_t cycles = buf.numSteps() * MultiSimdArch::gateCycles;
-    const Move *base = buf.moves.data();
-    uint64_t prev = 0;
-    for (uint64_t end : buf.moveEnd) {
-        cycles += movePhaseCycles(base + prev, base + end, epr_bandwidth);
-        prev = end;
-    }
-    return cycles;
-}
-
-uint64_t
-LeafSchedule::teleportMoves() const
-{
-    uint64_t count = 0;
-    for (const Move &move : buf_->moves)
-        if (!move.isLocal())
-            ++count;
-    return count;
-}
-
-uint64_t
-LeafSchedule::localMoves() const
-{
-    uint64_t count = 0;
-    for (const Move &move : buf_->moves)
-        if (move.isLocal())
-            ++count;
-    return count;
-}
-
-void
-LeafSchedule::stream(ScheduleSink &sink, uint64_t max_steps) const
-{
-    const ScheduleBuffer &buf = *buf_;
-    uint64_t limit = max_steps == 0
-                         ? buf.numSteps()
-                         : std::min<uint64_t>(max_steps, buf.numSteps());
-    sink.beginSchedule(*this);
-    for (uint64_t ts = 0; ts < limit; ++ts) {
-        TimestepView step(buf, ts);
-        sink.beginStep(step);
-        for (RegionSlotView slot : step)
-            sink.slot(slot);
-        for (const Move &move : step.moves())
-            sink.move(move);
-        sink.endStep(step);
-    }
-    sink.endSchedule();
 }
 
 ScheduleBuilder::ScheduleBuilder(const Module &mod, unsigned k)

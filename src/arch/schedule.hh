@@ -25,15 +25,15 @@
  *   moveEnd    per step, the exclusive end of its move range
  *
  * Empty regions cost zero bytes and zero allocations. Consumers read
- * through the cheap TimestepView / RegionSlotView value types, stream
- * through ScheduleSink / ScheduleWalker, and produce through
- * ScheduleBuilder (schedulers) or MoveAnnotator (communication
- * analysis). See DESIGN.md §11 for the layout math and migration notes.
+ * one way: range-for over LeafSchedule::steps() yields TimestepView
+ * values, and each view yields its RegionSlotView slots. Producers write
+ * through ScheduleBuilder (schedulers) or MoveAnnotator (communication
+ * analysis). See DESIGN.md §11 for the layout math.
  *
  * LeafSchedule holds the buffer behind a shared_ptr with copy-on-write
  * mutation: copying a schedule shares its buffer, and a mutation through
- * one copy (re-annotation, msq-verify's fault injection) can never
- * corrupt another (the old public mutable steps() accessor is gone).
+ * one copy (re-annotation, a test's planted fault) can never corrupt
+ * another.
  */
 
 #ifndef MSQ_ARCH_SCHEDULE_HH
@@ -41,6 +41,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "arch/location.hh"
@@ -49,27 +50,20 @@
 
 namespace msq {
 
-class LeafSchedule;
-
-/// @name Movement-phase cost helpers (free functions over move ranges)
+/// @name Movement-phase cost helpers
 /// @{
 
-/** Number of blocking (tight) teleports in [@p begin, @p end). */
-uint64_t blockingMoveCount(const Move *begin, const Move *end);
-
-/** Any ballistic region<->scratchpad move in [@p begin, @p end)? */
-bool hasLocalMove(const Move *begin, const Move *end);
-
 /**
- * Cycles spent on one timestep's movement phase: the full 4-cycle
- * teleport time if any blocking global move occurs (paper §4.4), 1 cycle
- * if only local (ballistic) moves occur, 0 otherwise — masked teleports
- * overlap computation (paper §2.3). A finite EPR channel bandwidth
- * serializes excess blocking moves into additional teleport phases.
- * Zero bandwidth is a configuration error (MultiSimdArch::validate()
- * rejects it at construction time) and panics here.
+ * Cycles spent on one timestep's movement phase @p moves: the full
+ * 4-cycle teleport time if any blocking global move occurs (paper §4.4),
+ * 1 cycle if only local (ballistic) moves occur, 0 otherwise — masked
+ * teleports overlap computation (paper §2.3). A finite EPR channel
+ * bandwidth serializes excess blocking moves into additional teleport
+ * phases. Zero bandwidth is a configuration error
+ * (MultiSimdArch::validate() rejects it at construction time) and
+ * panics here.
  */
-uint64_t movePhaseCycles(const Move *begin, const Move *end,
+uint64_t movePhaseCycles(std::span<const Move> moves,
                          uint64_t epr_bandwidth = unbounded);
 
 /** The movePhaseCycles formula over a phase already classified into
@@ -89,7 +83,7 @@ locationCore(const Location &loc, const MultiSimdArch &arch)
 
 /**
  * Topology-aware movement-phase cost model. On the flat one-core machine
- * it reduces exactly to movePhaseCycles(begin, end, arch.eprBandwidth);
+ * it reduces exactly to movePhaseCycles(moves, arch.eprBandwidth);
  * on a multi-core topology the phase additionally routes blocking
  * inter-core teleports over the link graph:
  *
@@ -109,8 +103,8 @@ class MovePhaseCostModel
   public:
     explicit MovePhaseCostModel(const MultiSimdArch &arch);
 
-    /** Cycles for one timestep's movement phase [@p begin, @p end). */
-    uint64_t cycles(const Move *begin, const Move *end) const;
+    /** Cycles for one timestep's movement phase @p moves. */
+    uint64_t cycles(std::span<const Move> moves) const;
 
     const MultiSimdArch &arch() const { return *arch_; }
     const TopologyRouter &router() const { return router_; }
@@ -121,14 +115,6 @@ class MovePhaseCostModel
     {
         return arch_->topology.multiCore() &&
                locationCore(m.from, *arch_) != locationCore(m.to, *arch_);
-    }
-
-    /** Link hops between @p m's endpoint cores (0 when intra-core). */
-    uint64_t
-    hops(const Move &m) const
-    {
-        return router_.dist(locationCore(m.from, *arch_),
-                            locationCore(m.to, *arch_));
     }
 
   private:
@@ -197,32 +183,6 @@ struct ScheduleBuffer
     uint64_t byteSize() const;
 };
 
-/** Contiguous read-only range of scheduled op indices. */
-struct OpSpan
-{
-    const uint32_t *first = nullptr;
-    const uint32_t *last = nullptr;
-
-    const uint32_t *begin() const { return first; }
-    const uint32_t *end() const { return last; }
-    size_t size() const { return static_cast<size_t>(last - first); }
-    bool empty() const { return first == last; }
-    uint32_t operator[](size_t i) const { return first[i]; }
-};
-
-/** Contiguous read-only range of moves (one timestep's "0th region"). */
-struct MoveSpan
-{
-    const Move *first = nullptr;
-    const Move *last = nullptr;
-
-    const Move *begin() const { return first; }
-    const Move *end() const { return last; }
-    size_t size() const { return static_cast<size_t>(last - first); }
-    bool empty() const { return first == last; }
-    const Move &operator[](size_t i) const { return first[i]; }
-};
-
 /**
  * What one SIMD region does in one timestep: a single gate type applied
  * to the operands of one or more operations (SIMD semantics: one control
@@ -239,15 +199,13 @@ class RegionSlotView
     unsigned region() const { return buf->slots[index_].region; }
     GateKind kind() const { return buf->slots[index_].kind; }
 
-    OpSpan
+    std::span<const uint32_t>
     ops() const
     {
         const uint32_t *base = buf->ops.data();
         return {base + buf->opBegin(index_),
                 base + buf->slots[index_].opEnd};
     }
-
-    size_t numOps() const { return ops().size(); }
 
   private:
     const ScheduleBuffer *buf;
@@ -267,7 +225,6 @@ class TimestepView
     {}
 
     uint64_t index() const { return step_; }
-    unsigned k() const { return buf->k; }
 
     /** Number of regions executing an operation this step. */
     unsigned
@@ -276,8 +233,6 @@ class TimestepView
         return buf->slotEnd[step_] - buf->slotBegin(step_);
     }
 
-    unsigned numSlots() const { return activeRegions(); }
-
     /** The @p i-th active slot (region-ascending order). */
     RegionSlotView
     slot(unsigned i) const
@@ -285,33 +240,13 @@ class TimestepView
         return RegionSlotView(*buf, buf->slotBegin(step_) + i);
     }
 
-    MoveSpan
+    /** The step's movement slot (the paper's "0th region"). */
+    std::span<const Move>
     moves() const
     {
         const Move *base = buf->moves.data();
         return {base + buf->moveBegin(step_),
                 base + buf->moveEnd[step_]};
-    }
-
-    bool
-    hasLocalMove() const
-    {
-        MoveSpan m = moves();
-        return msq::hasLocalMove(m.begin(), m.end());
-    }
-
-    uint64_t
-    blockingMoveCount() const
-    {
-        MoveSpan m = moves();
-        return msq::blockingMoveCount(m.begin(), m.end());
-    }
-
-    uint64_t
-    movePhaseCycles(uint64_t epr_bandwidth = unbounded) const
-    {
-        MoveSpan m = moves();
-        return msq::movePhaseCycles(m.begin(), m.end(), epr_bandwidth);
     }
 
     /// @name Slot iteration (range-for yields RegionSlotView)
@@ -354,29 +289,6 @@ class TimestepView
   private:
     const ScheduleBuffer *buf;
     uint64_t step_;
-};
-
-/**
- * Push-style streaming consumer interface. LeafSchedule::stream() drives
- * one schedule through a sink in timestep order:
- *
- *   beginSchedule, then per step: beginStep, slot()* (region-ascending),
- *   move()*, endStep; finally endSchedule.
- *
- * Sinks that need random access within the current step (e.g. the
- * timeline printer's inactive-region markers) use the TimestepView
- * passed to beginStep/endStep.
- */
-class ScheduleSink
-{
-  public:
-    virtual ~ScheduleSink() = default;
-    virtual void beginSchedule(const LeafSchedule & /*sched*/) {}
-    virtual void beginStep(const TimestepView & /*step*/) {}
-    virtual void slot(const RegionSlotView & /*slot*/) {}
-    virtual void move(const Move & /*move*/) {}
-    virtual void endStep(const TimestepView & /*step*/) {}
-    virtual void endSchedule() {}
 };
 
 /**
@@ -462,18 +374,12 @@ class LeafSchedule
         {
             return StepIterator(*buf, buf->numSteps());
         }
-        uint64_t size() const { return buf->numSteps(); }
     };
 
-    /** Read-only view range over all timesteps. */
+    /** Read-only view range over all timesteps: the one way to read a
+     * schedule in order. */
     StepRange steps() const { return StepRange{buf_.get()}; }
     /// @}
-
-    /**
-     * Stream the schedule through @p sink in timestep order.
-     * @param max_steps stop after this many steps (0 = all).
-     */
-    void stream(ScheduleSink &sink, uint64_t max_steps = 0) const;
 
     /** Append a timestep with no active regions and no moves (COW). */
     void appendEmptyStep();
@@ -485,25 +391,8 @@ class LeafSchedule
      */
     void appendMove(uint64_t ts, const Move &move);
 
-    /** Maximum number of simultaneously active regions over all steps. */
-    unsigned width() const;
-
     /** Total operations placed (for completeness checks). */
     uint64_t scheduledOps() const { return buf_->ops.size(); }
-
-    /**
-     * Total cycles including per-step movement phases. Before movement
-     * annotation this equals computeTimesteps().
-     * @param epr_bandwidth optional EPR channel constraint (see
-     *        msq::movePhaseCycles).
-     */
-    uint64_t totalCycles(uint64_t epr_bandwidth = unbounded) const;
-
-    /** Number of teleportation (global) moves across all steps. */
-    uint64_t teleportMoves() const;
-
-    /** Number of ballistic (local-memory) moves across all steps. */
-    uint64_t localMoves() const;
 
   private:
     friend class MoveAnnotator;
@@ -590,7 +479,7 @@ class MoveAnnotator
 
     /** The moves added to the current (unsealed) timestep so far; valid
      * until the next add(). */
-    MoveSpan
+    std::span<const Move>
     stepMoves() const
     {
         const Move *base = buf->moves.data();
@@ -610,28 +499,6 @@ class MoveAnnotator
 
   private:
     ScheduleBuffer *buf;
-};
-
-/**
- * Pull-style streaming cursor over a schedule's timesteps — the
- * counterpart of ScheduleSink for consumers that interleave their own
- * state machine with the walk (validator, movement replay).
- */
-class ScheduleWalker
-{
-  public:
-    explicit ScheduleWalker(const LeafSchedule &sched)
-        : buf(&sched.buffer())
-    {}
-
-    bool atEnd() const { return step_ == buf->numSteps(); }
-    uint64_t index() const { return step_; }
-    TimestepView step() const { return TimestepView(*buf, step_); }
-    void next() { ++step_; }
-
-  private:
-    const ScheduleBuffer *buf;
-    uint64_t step_ = 0;
 };
 
 } // namespace msq

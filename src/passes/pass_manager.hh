@@ -42,8 +42,6 @@ class PassManager
     /** Run every pass, in order, on @p prog; validates afterwards. */
     void run(Program &prog) const;
 
-    size_t numPasses() const { return passes.size(); }
-
     /**
      * Debug mode: run the IR verifier plus the interprocedural
      * measurement-dominance analysis after every pass and panic —
@@ -53,7 +51,6 @@ class PassManager
      * other than "0" enables it).
      */
     void setVerifyAfterPasses(bool enabled) { verifyAfterPasses = enabled; }
-    bool verifiesAfterPasses() const { return verifyAfterPasses; }
 
     /**
      * Optional telemetry sink: run() then records, per pass, a

@@ -27,16 +27,6 @@ ModuleScheduleInfo::bestLength() const
     return best;
 }
 
-unsigned
-ModuleScheduleInfo::bestWidth() const
-{
-    uint64_t best = bestLength();
-    for (const auto &bb : dims)
-        if (bb.length == best)
-            return bb.width;
-    panic("ModuleScheduleInfo: inconsistent dims");
-}
-
 const Blackbox &
 ModuleScheduleInfo::bestWithin(unsigned max_width) const
 {

@@ -75,9 +75,6 @@ struct ModuleScheduleInfo
     /** Shortest available length. */
     uint64_t bestLength() const;
 
-    /** Smallest width achieving bestLength(). */
-    unsigned bestWidth() const;
-
     /** Fastest dimension choice with width <= @p max_width (panics when
      * even width 1 is unavailable). */
     const Blackbox &bestWithin(unsigned max_width) const;

@@ -358,8 +358,7 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched, ResourceSummary &sum,
         // over the counts just classified; multi-core phases route the
         // step's moves through the topology cost model.
         if (multi_core) {
-            MoveSpan moves = annot.stepMoves();
-            sum.commCycles += cost.cycles(moves.begin(), moves.end());
+            sum.commCycles += cost.cycles(annot.stepMoves());
         } else {
             sum.commCycles += movePhaseCyclesFor(step_blocking, any_local,
                                                  arch.eprBandwidth);

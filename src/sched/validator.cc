@@ -49,9 +49,8 @@ validateLeafSchedule(const LeafSchedule &sched, const MultiSimdArch &arch,
     // by construction, so retired code S002 cannot fire.)
     constexpr uint64_t unscheduled = ~uint64_t{0};
     std::vector<uint64_t> op_step(mod.numOps(), unscheduled);
-    for (ScheduleWalker walker(sched); !walker.atEnd(); walker.next()) {
-        const uint64_t ts = walker.index();
-        TimestepView step = walker.step();
+    for (TimestepView step : sched.steps()) {
+        const uint64_t ts = step.index();
         std::vector<TouchRecord> touched;
         for (RegionSlotView slot : step) {
             const unsigned r = slot.region();

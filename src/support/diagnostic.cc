@@ -1,7 +1,5 @@
 #include "support/diagnostic.hh"
 
-#include <set>
-
 #include "support/logging.hh"
 #include "support/strings.hh"
 
@@ -206,15 +204,6 @@ DiagnosticEngine::has(DiagCode code) const
         if (diag.code == code)
             return true;
     return false;
-}
-
-size_t
-DiagnosticEngine::numDistinctCodes() const
-{
-    std::set<DiagCode> codes;
-    for (const auto &diag : diags_)
-        codes.insert(diag.code);
-    return codes.size();
 }
 
 void

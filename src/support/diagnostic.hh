@@ -218,9 +218,6 @@ class DiagnosticEngine
     /** @return true when a diagnostic with @p code was reported. */
     bool has(DiagCode code) const;
 
-    /** Number of distinct codes reported. */
-    size_t numDistinctCodes() const;
-
     FailMode mode() const { return mode_; }
 
     /** Drop all recorded diagnostics and reset the counters. */

@@ -40,11 +40,9 @@ class JsonValue
     JsonValue() = default;
 
     Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
     bool isBool() const { return kind_ == Kind::Bool; }
     bool isNumber() const { return kind_ == Kind::Number; }
     bool isString() const { return kind_ == Kind::String; }
-    bool isArray() const { return kind_ == Kind::Array; }
     bool isObject() const { return kind_ == Kind::Object; }
 
     /// @name Typed accessors (defaulted when the kind does not match,

@@ -67,9 +67,8 @@ checkCommSchedule(const LeafSchedule &sched, const MultiSimdArch &arch,
     }
     std::vector<uint64_t> local_count(sched.k(), 0);
 
-    for (ScheduleWalker walker(sched); !walker.atEnd(); walker.next()) {
-        const uint64_t ts = walker.index();
-        TimestepView step = walker.step();
+    for (TimestepView step : sched.steps()) {
+        const uint64_t ts = step.index();
         if (stats)
             ++stats->steps;
 
@@ -85,7 +84,7 @@ checkCommSchedule(const LeafSchedule &sched, const MultiSimdArch &arch,
         }
 
         std::unordered_map<uint32_t, size_t> moved_at;
-        MoveSpan step_moves = step.moves();
+        const std::span<const Move> step_moves = step.moves();
         for (size_t i = 0; i < step_moves.size(); ++i) {
             const Move &move = step_moves[i];
             uint32_t q = move.qubit;

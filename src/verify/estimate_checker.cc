@@ -23,10 +23,10 @@ ull(uint64_t v)
 
 /**
  * Build the leaf-summary callback the composition runs on: look the
- * full-width schedule up in the cache (the embedded CoarseScheduler run
- * has already populated it — its width sweep always includes k), fall
- * back to scheduling directly on a miss, and count distinct schedules
- * by memoization key so structurally identical leaves are counted once.
+ * full-width result up in the cache, and count distinct schedules by
+ * memoization key so structurally identical leaves are counted once.
+ * Every caller runs CoarseScheduler::schedule on @p cache first, and its
+ * width sweep always ends at k, so a miss is a broken invariant.
  */
 ScheduleSummaryAnalysis::LeafSummaryFn
 makeLeafSummaryFn(const MultiSimdArch &arch,
@@ -36,21 +36,18 @@ makeLeafSummaryFn(const MultiSimdArch &arch,
 {
     std::string suffix =
         leafScheduleKeySuffix(scheduler.fingerprint(), arch, mode);
-    return [&arch, &scheduler, mode, cache, distinct_keys,
-            suffix](const Module &mod, ModuleId /*id*/) {
-        const std::string key = leafScheduleKey(mod, arch.k, suffix);
+    return [k = arch.k, cache, distinct_keys, suffix](const Module &mod,
+                                                      ModuleId /*id*/) {
+        const std::string key = leafScheduleKey(mod, k, suffix);
         if (distinct_keys != nullptr)
             distinct_keys->insert(key);
-        if (auto hit = cache->lookup(key))
-            return hit->summary;
-        LeafSchedule sched = scheduler.schedule(mod, arch);
-        CommunicationAnalyzer comm(arch, mode);
-        auto result = std::make_shared<LeafScheduleResult>();
-        result->stats = comm.annotate(sched, result->summary);
-        result->bounds = computeLeafBounds(mod, arch);
-        result->opCount = mod.numOps();
-        result->qubitCount = mod.numQubits();
-        return cache->insert(key, std::move(result))->summary;
+        auto hit = cache->lookup(key);
+        if (!hit)
+            panic(csprintf("estimate: leaf '%s' has no width-%u result "
+                           "under key %s; the coarse schedule should "
+                           "have left one in the cache",
+                           mod.name().c_str(), k, key.c_str()));
+        return hit->summary;
     };
 }
 
@@ -282,7 +279,7 @@ checkEstimateExactness(const Program &prog, const MultiSimdArch &arch,
     // moves (what every compile caches) against the streaming fold,
     // field for field. The two paths share no state: the annotator
     // classifies moves as it derives them, the fold re-reads the
-    // annotated buffer through the sink interface.
+    // annotated buffer through steps().
     std::unordered_set<std::string> folded;
     const std::string suffix =
         leafScheduleKeySuffix(scheduler.fingerprint(), arch, mode);

@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "analysis/schedule_summary.hh"
 #include "arch/location.hh"
 #include "arch/multi_simd.hh"
 #include "arch/schedule.hh"
@@ -117,8 +118,7 @@ TEST(MovePhase, Costs)
 {
     std::vector<Move> moves;
     auto cycles = [&] {
-        return movePhaseCycles(moves.data(),
-                               moves.data() + moves.size());
+        return movePhaseCycles(moves);
     };
     EXPECT_EQ(cycles(), 0u);
 
@@ -140,9 +140,7 @@ TEST(MovePhase, PanicsOnZeroEprBandwidth)
 {
     std::vector<Move> moves;
     moves.push_back({0, Location::global(), Location::inRegion(0), true});
-    EXPECT_THROW(movePhaseCycles(moves.data(),
-                                 moves.data() + moves.size(), 0),
-                 PanicError);
+    EXPECT_THROW(movePhaseCycles(moves, 0), PanicError);
 }
 
 TEST(TimestepView, ActiveRegions)
@@ -196,11 +194,12 @@ TEST(LeafSchedule, Accounting)
 
     EXPECT_EQ(sched.computeTimesteps(), 2u);
     EXPECT_EQ(sched.scheduledOps(), 3u);
-    EXPECT_EQ(sched.width(), 1u);
-    EXPECT_EQ(sched.teleportMoves(), 1u);
-    EXPECT_EQ(sched.localMoves(), 1u);
+    ResourceSummary fold = summarizeLeafSchedule(sched, MultiSimdArch(2));
+    EXPECT_EQ(fold.peakActiveRegions, 1u);
+    EXPECT_EQ(fold.teleportMoves, 1u);
+    EXPECT_EQ(fold.localMoves, 1u);
     // cycles: (1 + 0) + (1 + 4)
-    EXPECT_EQ(sched.totalCycles(), 6u);
+    EXPECT_EQ(fold.serialCycles, 6u);
 }
 
 } // namespace

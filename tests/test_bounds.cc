@@ -629,8 +629,9 @@ TEST(RepeatOverflow, SummaryCompositionWarnsOnceAtFirstClip)
     ScheduleSummaryAnalysis analysis(
         prog, CommMode::Global,
         [](const Module &mod, ModuleId) {
+            const MultiSimdArch arch(2);
             return summarizeLeafSchedule(
-                RcpScheduler().schedule(mod, MultiSimdArch(2)));
+                RcpScheduler().schedule(mod, arch), arch);
         },
         &diags);
     EXPECT_FALSE(analysis.summary(prog.findModule("m4")).saturated());

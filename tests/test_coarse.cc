@@ -49,10 +49,11 @@ TEST(ModuleScheduleInfo, BestQueries)
     info.analyzed = true;
     info.dims = {{1, 100}, {2, 60}, {4, 60}};
     EXPECT_EQ(info.bestLength(), 60u);
-    EXPECT_EQ(info.bestWidth(), 2u);
     EXPECT_EQ(info.bestWithin(1).length, 100u);
     EXPECT_EQ(info.bestWithin(3).length, 60u);
     EXPECT_EQ(info.bestWithin(3).width, 2u);
+    // Ties go to the narrower width.
+    EXPECT_EQ(info.bestWithin(4).width, 2u);
 }
 
 TEST(CoarseScheduler, DefaultWidthSweepIsPowersOfTwo)

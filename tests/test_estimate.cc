@@ -241,8 +241,9 @@ TEST(LeafFold, EmptyLeafFoldsToZero)
     Module mod("empty");
     mod.addLocal("q");
     RcpScheduler rcp;
-    LeafSchedule leaf = rcp.schedule(mod, MultiSimdArch(2));
-    ResourceSummary fold = summarizeLeafSchedule(leaf);
+    MultiSimdArch arch(2);
+    LeafSchedule leaf = rcp.schedule(mod, arch);
+    ResourceSummary fold = summarizeLeafSchedule(leaf, arch);
     EXPECT_EQ(fold.gateOps, 0u);
     EXPECT_EQ(fold.serialCycles, 0u);
     EXPECT_EQ(fold.commCycles, 0u);
@@ -296,7 +297,7 @@ TEST(SummaryComposition, MatchesHandComputedClosedForm)
         tlp.prog, mode, [&](const Module &mod, ModuleId) {
             LeafSchedule sched = rcp.schedule(mod, arch);
             CommunicationAnalyzer(arch, mode).annotate(sched);
-            return summarizeLeafSchedule(sched, arch.eprBandwidth);
+            return summarizeLeafSchedule(sched, arch);
         });
 
     const ResourceSummary &leaf = analysis.summary(tlp.leaf);
@@ -344,7 +345,7 @@ TEST(SummaryComposition, LocalContributionIdentityHolds)
         tlp.prog, mode, [&](const Module &mod, ModuleId) {
             LeafSchedule sched = rcp.schedule(mod, arch);
             CommunicationAnalyzer(arch, mode).annotate(sched);
-            return summarizeLeafSchedule(sched, arch.eprBandwidth);
+            return summarizeLeafSchedule(sched, arch);
         });
     ResourceEstimator invocations(tlp.prog);
 
@@ -513,7 +514,7 @@ TEST(EstimateChecker, SaturatedRepeatAlgebraPoisonsAndWarns)
     EXPECT_TRUE(est.program.saturated());
     EXPECT_EQ(est.program.gateOps, Count::max());
     EXPECT_EQ(est.program.serialCycles, Count::max());
-    EXPECT_EQ(est.program.computeCycles(), 0u);
+    EXPECT_EQ(est.program.commCycles, Count::max());
     EXPECT_TRUE(hasCode(diags, DiagCode::EstimateSaturated));
 
     // The independent gate estimator must saturate in lockstep: both

@@ -94,21 +94,13 @@ TEST(GateMix, PerModuleCounts)
     EXPECT_EQ(mid.total(), 1u + 5u * 3u);
 }
 
-uint64_t
-phaseCycles(const std::vector<Move> &moves,
-            uint64_t epr_bandwidth = unbounded)
-{
-    return movePhaseCycles(moves.data(), moves.data() + moves.size(),
-                           epr_bandwidth);
-}
-
 TEST(EprBandwidth, UnboundedMatchesBaseModel)
 {
     std::vector<Move> moves;
     moves.push_back({0, Location::global(), Location::inRegion(0), true});
     moves.push_back({1, Location::global(), Location::inRegion(0), true});
-    EXPECT_EQ(phaseCycles(moves), 4u);
-    EXPECT_EQ(phaseCycles(moves, unbounded), 4u);
+    EXPECT_EQ(movePhaseCycles(moves), 4u);
+    EXPECT_EQ(movePhaseCycles(moves, unbounded), 4u);
 }
 
 TEST(EprBandwidth, FiniteBandwidthSerializesPhases)
@@ -117,12 +109,9 @@ TEST(EprBandwidth, FiniteBandwidthSerializesPhases)
     for (uint32_t q = 0; q < 5; ++q)
         moves.push_back(
             {q, Location::global(), Location::inRegion(0), true});
-    EXPECT_EQ(blockingMoveCount(moves.data(),
-                                moves.data() + moves.size()),
-              5u);
-    EXPECT_EQ(phaseCycles(moves, 5), 4u);
-    EXPECT_EQ(phaseCycles(moves, 2), 12u); // ceil(5/2) = 3 phases
-    EXPECT_EQ(phaseCycles(moves, 1), 20u);
+    EXPECT_EQ(movePhaseCycles(moves, 5), 4u);
+    EXPECT_EQ(movePhaseCycles(moves, 2), 12u); // ceil(5/2) = 3 phases
+    EXPECT_EQ(movePhaseCycles(moves, 1), 20u);
 }
 
 TEST(EprBandwidth, MaskedMovesDontConsumeBandwidth)
@@ -131,7 +120,7 @@ TEST(EprBandwidth, MaskedMovesDontConsumeBandwidth)
     for (uint32_t q = 0; q < 5; ++q)
         moves.push_back(
             {q, Location::global(), Location::inRegion(0), false});
-    EXPECT_EQ(phaseCycles(moves, 1), 0u);
+    EXPECT_EQ(movePhaseCycles(moves, 1), 0u);
 }
 
 TEST(EprBandwidth, AnalyzerReportsPeakDemand)

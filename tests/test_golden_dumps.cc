@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -74,10 +75,13 @@ dumpWorkload(const Program &prog, const LeafScheduler &scheduler,
             break;
         LeafSchedule sched = scheduler.schedule(mod, arch);
         CommStats stats = analyzer.annotate(sched);
+        unsigned width = 0;
+        for (TimestepView step : sched.steps())
+            width = std::max(width, step.activeRegions());
         os << "== " << mod.name() << " ops=" << mod.numOps()
            << " qubits=" << mod.numQubits()
            << " steps=" << sched.computeTimesteps()
-           << " width=" << sched.width()
+           << " width=" << width
            << " cycles=" << stats.totalCycles
            << " teleports=" << stats.teleportMoves
            << " blocking=" << stats.blockingTeleports

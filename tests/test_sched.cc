@@ -53,7 +53,8 @@ TEST(Sequential, OneOpPerStep)
     SequentialScheduler sched;
     LeafSchedule out = sched.schedule(mod, MultiSimdArch(4));
     EXPECT_EQ(out.computeTimesteps(), 5u);
-    EXPECT_EQ(out.width(), 1u);
+    for (TimestepView step : out.steps())
+        EXPECT_EQ(step.activeRegions(), 1u);
     validateLeafSchedule(out, MultiSimdArch(4));
 }
 
@@ -261,7 +262,7 @@ TEST(Lpfs, FiniteDWideOpDoesNotStarveSmallerOps)
     ASSERT_EQ(out.step(0).activeRegions(), 1u);
     RegionSlotView slot = out.step(0).slot(0);
     EXPECT_EQ(slot.region(), 0u);
-    OpSpan ops = slot.ops();
+    std::span<const uint32_t> ops = slot.ops();
     EXPECT_EQ(std::vector<uint32_t>(ops.begin(), ops.end()),
               (std::vector<uint32_t>{0, 2}));
     EXPECT_EQ(out.computeTimesteps(), 2u);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the compact SoA schedule representation: ScheduleBuffer
- * offsets, view iteration, builder round-trips, streaming, copy-on-write
+ * offsets, steps() and slot iteration, builder round-trips, copy-on-write
  * mutation, and the leaf-cache aliasing regression (a fault injected
  * after a cache hit must never corrupt a plan the cache holds; only
  * perfbench's trace replica still stores plans there).
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/schedule_summary.hh"
 #include "arch/schedule.hh"
 #include "sched/comm.hh"
 #include "sched/leaf_cache.hh"
@@ -50,9 +51,10 @@ TEST(ScheduleBuffer, EmptySchedule)
     LeafSchedule sched(mod, 4);
     EXPECT_EQ(sched.computeTimesteps(), 0u);
     EXPECT_EQ(sched.scheduledOps(), 0u);
-    EXPECT_EQ(sched.width(), 0u);
-    EXPECT_EQ(sched.totalCycles(), 0u);
-    EXPECT_EQ(sched.teleportMoves(), 0u);
+    ResourceSummary fold = summarizeLeafSchedule(sched, MultiSimdArch(4));
+    EXPECT_EQ(fold.peakActiveRegions, 0u);
+    EXPECT_EQ(fold.serialCycles, 0u);
+    EXPECT_EQ(fold.teleportMoves, 0u);
 }
 
 TEST(ScheduleBuffer, BuilderRoundTrip)
@@ -92,7 +94,7 @@ TEST(ScheduleBuffer, BuilderRoundTrip)
     EXPECT_EQ(s0.activeRegions(), 2u);
     EXPECT_EQ(s0.slot(0).region(), 0u);
     EXPECT_EQ(s0.slot(0).kind(), GateKind::H);
-    EXPECT_EQ(s0.slot(0).numOps(), 2u);
+    EXPECT_EQ(s0.slot(0).ops().size(), 2u);
     EXPECT_EQ(s0.slot(1).region(), 3u);
     EXPECT_EQ(s0.slot(1).ops()[0], 2u);
     EXPECT_EQ(slotRegions(s0), (std::vector<unsigned>{0, 3}));
@@ -106,7 +108,9 @@ TEST(ScheduleBuffer, BuilderRoundTrip)
     EXPECT_EQ(s2.slot(0).region(), 2u);
     EXPECT_EQ(s2.slot(0).kind(), GateKind::CNOT);
 
-    EXPECT_EQ(sched.width(), 2u);
+    EXPECT_EQ(summarizeLeafSchedule(sched, MultiSimdArch(4))
+                  .peakActiveRegions,
+              2u);
     EXPECT_EQ(sched.scheduledOps(), 4u);
 }
 
@@ -217,31 +221,32 @@ TEST(ScheduleBuffer, AppendEmptyStep)
     EXPECT_EQ(sched.computeTimesteps(), 2u);
     EXPECT_EQ(sched.step(1).activeRegions(), 0u);
     EXPECT_TRUE(sched.step(1).moves().empty());
-    EXPECT_EQ(sched.totalCycles(), 2u); // gate phases only
+    // Gate phases only.
+    EXPECT_EQ(summarizeLeafSchedule(sched, MultiSimdArch(2)).serialCycles,
+              2u);
 }
 
-/** Records the streaming callback sequence as a compact string. */
-struct RecordingSink : ScheduleSink
+/** The visit sequence of range-for over @p sched.steps() as a compact
+ * string: b<step> per step, s<region> per slot, m per move, e at the
+ * end of each step. */
+std::string
+visitLog(const LeafSchedule &sched)
 {
     std::string log;
-
-    void beginSchedule(const LeafSchedule &) override { log += "B"; }
-    void
-    beginStep(const TimestepView &step) override
-    {
+    uint64_t expected_index = 0;
+    for (TimestepView step : sched.steps()) {
+        EXPECT_EQ(step.index(), expected_index++);
         log += "b" + std::to_string(step.index());
+        for (RegionSlotView slot : step)
+            log += "s" + std::to_string(slot.region());
+        for (size_t i = 0; i < step.moves().size(); ++i)
+            log += "m";
+        log += "e";
     }
-    void
-    slot(const RegionSlotView &slot) override
-    {
-        log += "s" + std::to_string(slot.region());
-    }
-    void move(const Move &) override { log += "m"; }
-    void endStep(const TimestepView &) override { log += "e"; }
-    void endSchedule() override { log += "E"; }
-};
+    return log;
+}
 
-TEST(ScheduleBuffer, StreamVisitsInOrder)
+TEST(ScheduleBuffer, StepsVisitInOrder)
 {
     Module mod = parallelH(3);
     ScheduleBuilder builder(mod, 2);
@@ -259,34 +264,12 @@ TEST(ScheduleBuffer, StreamVisitsInOrder)
     sched.appendMove(0,
                      {0, Location::global(), Location::inRegion(0), false});
 
-    RecordingSink sink;
-    sched.stream(sink);
-    EXPECT_EQ(sink.log, "Bb0s0s1meb1s0eE");
-
-    RecordingSink truncated;
-    sched.stream(truncated, 1);
-    EXPECT_EQ(truncated.log, "Bb0s0s1meE");
-}
-
-TEST(ScheduleBuffer, WalkerCursorsAllSteps)
-{
-    Module mod = parallelH(3);
-    ScheduleBuilder builder(mod, 1);
-    for (uint32_t i = 0; i < 3; ++i) {
-        builder.beginStep();
-        builder.slot(0).kind = GateKind::H;
-        builder.slot(0).ops = {i};
-        builder.endStep();
-    }
-    LeafSchedule sched = builder.finish();
-
-    uint64_t visited = 0;
-    for (ScheduleWalker walker(sched); !walker.atEnd(); walker.next()) {
-        EXPECT_EQ(walker.index(), visited);
-        EXPECT_EQ(walker.step().slot(0).ops()[0], visited);
-        ++visited;
-    }
-    EXPECT_EQ(visited, 3u);
+    EXPECT_EQ(visitLog(sched), "b0s0s1meb1s0e");
+    std::vector<uint32_t> ops;
+    for (TimestepView step : sched.steps())
+        for (RegionSlotView slot : step)
+            ops.insert(ops.end(), slot.ops().begin(), slot.ops().end());
+    EXPECT_EQ(ops, (std::vector<uint32_t>{0, 1, 2}));
 }
 
 TEST(ScheduleBuffer, CopyOnWriteDetachesAliasedBuffers)
@@ -376,7 +359,8 @@ TEST(LeafScheduleCacheCow, ReannotationDetachesCachedBuffer)
     EXPECT_NE(rebound.sharedBuffer().get(), cached.get());
     // Determinism: the re-derived plan matches the cached one.
     EXPECT_EQ(rebound.buffer().moves.size(), cached_moves);
-    EXPECT_EQ(stats.totalCycles, rebound.totalCycles());
+    EXPECT_EQ(stats.totalCycles,
+              summarizeLeafSchedule(rebound, arch).serialCycles);
 }
 
 TEST(ScheduleBuffer, ByteSizeCoversAllArrays)
@@ -391,29 +375,24 @@ TEST(ScheduleBuffer, ByteSizeCoversAllArrays)
     EXPECT_GE(buf.byteSize(), floor);
 }
 
-TEST(ScheduleBuffer, WalkerOverAllEmptySteps)
+TEST(ScheduleBuffer, StepsOverAllEmptySteps)
 {
-    // A schedule made purely of empty steps: the walker and the sink
-    // must still visit every step, each one idle.
+    // A schedule made purely of empty steps: steps() must still visit
+    // every step, each one idle.
     Module mod = parallelH(1);
     LeafSchedule sched(mod, 4);
     for (int i = 0; i < 3; ++i)
         sched.appendEmptyStep();
 
-    uint64_t visited = 0;
-    for (ScheduleWalker walker(sched); !walker.atEnd(); walker.next()) {
-        TimestepView step = walker.step();
+    for (TimestepView step : sched.steps()) {
         EXPECT_EQ(step.activeRegions(), 0u);
         EXPECT_TRUE(step.moves().empty());
-        EXPECT_EQ(step.movePhaseCycles(), 0u);
-        ++visited;
+        EXPECT_EQ(movePhaseCycles(step.moves()), 0u);
     }
-    EXPECT_EQ(visited, 3u);
-
-    RecordingSink sink;
-    sched.stream(sink);
-    EXPECT_EQ(sink.log, "Bb0eb1eb2eE");
-    EXPECT_EQ(sched.totalCycles(), 3u); // idle gate phases still tick
+    EXPECT_EQ(visitLog(sched), "b0eb1eb2e");
+    // Idle gate phases still tick.
+    EXPECT_EQ(summarizeLeafSchedule(sched, MultiSimdArch(4)).serialCycles,
+              3u);
 }
 
 TEST(ScheduleBuffer, MoveOnlyTimestepCosts)
@@ -435,24 +414,26 @@ TEST(ScheduleBuffer, MoveOnlyTimestepCosts)
     TimestepView step = sched.step(0);
     EXPECT_EQ(step.activeRegions(), 0u);
     ASSERT_EQ(step.moves().size(), 3u);
-    EXPECT_TRUE(step.hasLocalMove());
-    EXPECT_EQ(step.blockingMoveCount(), 1u);
-    EXPECT_EQ(step.movePhaseCycles(),
+    EXPECT_EQ(movePhaseCycles(step.moves()),
               MultiSimdArch::teleportCycles);
 
     // 2 gate phases + one teleport phase on step 0, step 1 bare.
-    EXPECT_EQ(sched.totalCycles(),
-              2u + MultiSimdArch::teleportCycles);
-    EXPECT_EQ(sched.teleportMoves(), 2u);
-    EXPECT_EQ(sched.localMoves(), 1u);
+    const MultiSimdArch arch(2);
+    ResourceSummary fold = summarizeLeafSchedule(sched, arch);
+    EXPECT_EQ(fold.serialCycles, 2u + MultiSimdArch::teleportCycles);
+    EXPECT_EQ(fold.teleportMoves, 2u);
+    EXPECT_EQ(fold.blockingTeleports, 1u);
+    EXPECT_EQ(fold.localMoves, 1u);
+    EXPECT_EQ(visitLog(sched), "b0mmmeb1e");
 
     // Masked-and-local only (no blocking): ballistic phase cost.
-    TimestepView idle = sched.step(1);
-    EXPECT_EQ(idle.movePhaseCycles(), 0u);
+    EXPECT_EQ(movePhaseCycles(sched.step(1).moves()), 0u);
     sched.appendMove(1, {2, Location::inLocalMem(0),
                          Location::inRegion(0), false});
-    EXPECT_EQ(sched.step(1).movePhaseCycles(),
+    EXPECT_EQ(movePhaseCycles(sched.step(1).moves()),
               MultiSimdArch::localMoveCycles);
+    EXPECT_EQ(summarizeLeafSchedule(sched, arch).stepsWithOnlyLocalMoves,
+              1u);
 }
 
 TEST(ScheduleBuffer, FullyIdleRegionsAroundOneActiveSlot)

@@ -48,7 +48,7 @@ parseOk(const std::string &text)
 
 TEST(JsonParser, Scalars)
 {
-    EXPECT_TRUE(parseOk("null")->isNull());
+    EXPECT_EQ(parseOk("null")->kind(), JsonValue::Kind::Null);
     EXPECT_EQ(parseOk("true")->asBool(), true);
     EXPECT_EQ(parseOk("false")->asBool(), false);
     EXPECT_EQ(parseOk("42")->asUnsigned(), 42u);
@@ -70,12 +70,11 @@ TEST(JsonParser, Containers)
     ASSERT_TRUE(doc->isObject());
     EXPECT_TRUE(doc->has("a"));
     EXPECT_FALSE(doc->has("missing"));
-    EXPECT_TRUE(doc->get("missing").isNull());
-    ASSERT_TRUE(doc->get("a").isArray());
-    EXPECT_EQ(doc->get("a").elements().size(), 3u);
+    EXPECT_EQ(doc->get("missing").kind(), JsonValue::Kind::Null);
+    ASSERT_EQ(doc->get("a").elements().size(), 3u);
     EXPECT_EQ(doc->get("a").elements()[2].asUnsigned(), 3u);
     EXPECT_EQ(doc->get("b").get("c").asString(), "d");
-    EXPECT_TRUE(doc->get("e").isNull());
+    EXPECT_EQ(doc->get("e").kind(), JsonValue::Kind::Null);
 }
 
 TEST(JsonParser, AsUnsignedFallback)
@@ -194,8 +193,8 @@ TEST(Serve, IdEchoedVerbatim)
     EXPECT_EQ(str->get("id").asString(), "req-7");
     auto num = serveOne(engine, R"({"id": 31337})");
     EXPECT_EQ(num->get("id").asUnsigned(), 31337u);
-    auto none = serveOne(engine, R"({"bad": true})");
-    EXPECT_TRUE(none->get("id").isNull());
+    const std::string none = engine.handleLine(R"({"bad": true})");
+    EXPECT_EQ(none.rfind("{\"id\": null,", 0), 0u);
 
     // Numeric ids come back as written, not in shortest %g form
     // ("1e+01"); integers up to 2^53 print in full.

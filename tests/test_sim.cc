@@ -10,7 +10,7 @@
 #include <cmath>
 
 #include "passes/decompose_toffoli.hh"
-#include "sim/statevector.hh"
+#include "statevector.hh"
 #include "support/logging.hh"
 
 namespace {
