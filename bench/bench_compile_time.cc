@@ -89,7 +89,8 @@ measureScheduleBytes(const Program &prog, const LeafScheduler &scheduler,
         if (!mod.isLeaf() || mod.numOps() == 0)
             continue;
         LeafSchedule sched = scheduler.schedule(mod, arch);
-        comm.annotate(sched);
+        ResourceSummary summary;
+        comm.annotate(sched, summary);
         ++row.leaves;
         row.timesteps += sched.computeTimesteps();
         row.soaBytes += sched.buffer().byteSize();

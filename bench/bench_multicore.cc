@@ -107,7 +107,7 @@ sumInterCore(const ProgramSchedule &schedule)
     uint64_t total = 0;
     for (const ModuleScheduleInfo &info : schedule.modules)
         if (info.analyzed && info.leaf)
-            total += info.comm.interCoreTeleports;
+            total += info.result->summary.interCoreTeleports.clampU64();
     return total;
 }
 
@@ -260,8 +260,9 @@ main(int argc, char **argv)
                         : static_cast<const LeafScheduler &>(
                               LpfsScheduler())
                               .schedule(mod, mapped);
+                ResourceSummary summary;
                 CommunicationAnalyzer(mapped, CommMode::Global)
-                    .annotate(sched);
+                    .annotate(sched, summary);
                 DiagnosticEngine diags;
                 if (!checkCommSchedule(sched, mapped, diags)) {
                     comm_check_ok = false;

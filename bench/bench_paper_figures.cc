@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "analysis/resource_estimator.hh"
+#include "analysis/schedule_summary.hh"
 #include "passes/decompose_toffoli.hh"
 #include "passes/rotation_decomposer.hh"
 #include "sched/lpfs.hh"
@@ -748,29 +749,24 @@ breakdown(Figures &f)
         ToolflowResult result = Toolflow(config).run(prog);
         ResourceEstimator estimator(prog);
 
-        // Per-leaf statistics weighted by invocation counts.
-        Count teleports, blocking, local;
-        uint64_t peak = 0;
-        for (ModuleId id = 0;
-             id < static_cast<ModuleId>(prog.numModules()); ++id) {
-            const auto &info = result.schedule.modules[id];
-            if (!info.analyzed || !info.leaf)
-                continue;
-            const Count runs = estimator.invocations(id);
-            teleports += runs * info.comm.teleportMoves;
-            blocking += runs * info.comm.blockingTeleports;
-            local += runs * info.comm.localMoves;
-            peak = std::max(peak, info.comm.peakBlockingMovesPerStep);
-        }
+        // Leaf movement composed through the repeat algebra: each
+        // leaf's counts times its invocations (E005), the peak a max.
+        const ResourceSummary moves =
+            ScheduleSummaryAnalysis(
+                prog, config.commMode,
+                [&](const Module &, ModuleId id) {
+                    return result.schedule.forModule(id).result->summary;
+                })
+                .programSummary();
         const Row &row =
             f.add(spec.shortName, "lpfs k=4 local=inf",
                   {{"gates", result.totalGates},
                    {"t_count", estimator.programMix().tCount()},
                    {"two_qubit", estimator.programMix().twoQubitCount()},
-                   {"teleports", teleports},
-                   {"blocking", blocking},
-                   {"local_moves", local},
-                   {"peak_epr", peak}});
+                   {"teleports", moves.teleportMoves},
+                   {"blocking", moves.blockingTeleports},
+                   {"local_moves", moves.localMoves},
+                   {"peak_epr", moves.peakBlockingMovesPerStep}});
         table.beginRow();
         table.addCell(spec.name);
         for (const auto &field : row.fields)

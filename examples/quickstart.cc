@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "core/toolflow.hh"
-#include "ir/printer.hh"
+#include "frontend/qasm_emitter.hh"
 #include "support/stats.hh"
 
 using namespace msq;
@@ -64,8 +64,8 @@ main()
 
     {
         Program prog = buildDemo();
-        std::cout << "Input program:\n";
-        printProgram(std::cout, prog);
+        std::cout << "Input program (hierarchical QASM):\n";
+        emitHierarchicalQasm(std::cout, prog);
     }
 
     ResultTable table("scheduler comparison (k=4, global comm + 8-qubit "

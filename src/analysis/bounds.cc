@@ -10,6 +10,17 @@
 
 namespace msq {
 
+double
+optimalityGap(uint64_t makespan, uint64_t lower_bound)
+{
+    if (lower_bound == 0) {
+        return makespan == 0 ? 1.0
+                             : std::numeric_limits<double>::infinity();
+    }
+    return static_cast<double>(makespan) /
+           static_cast<double>(lower_bound);
+}
+
 namespace {
 
 /**

@@ -70,6 +70,14 @@ struct MakespanBounds
     }
 };
 
+/**
+ * Schedule-quality ratio @p makespan / @p lower_bound: >= 1.0 for any
+ * correct schedule, 1.0 when both are zero (an empty module is
+ * trivially optimal) and infinite for a nonzero makespan over a zero
+ * bound (jsonNumber prints that as 0).
+ */
+double optimalityGap(uint64_t makespan, uint64_t lower_bound);
+
 class DepDag;
 
 /**

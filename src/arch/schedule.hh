@@ -233,13 +233,6 @@ class TimestepView
         return buf->slotEnd[step_] - buf->slotBegin(step_);
     }
 
-    /** The @p i-th active slot (region-ascending order). */
-    RegionSlotView
-    slot(unsigned i) const
-    {
-        return RegionSlotView(*buf, buf->slotBegin(step_) + i);
-    }
-
     /** The step's movement slot (the paper's "0th region"). */
     std::span<const Move>
     moves() const

@@ -127,6 +127,9 @@ parseRequest(const std::string &line, const CompileRequest &defaults,
 uint64_t
 hashProgramSchedule(const ProgramSchedule &sched)
 {
+    // A non-leaf has no result: it folds a Heuristic provenance and
+    // zero movement.
+    static const LeafScheduleResult none;
     Fnv1aFold fold;
     fold.u64(sched.totalCycles);
     fold.u64(sched.modules.size());
@@ -134,17 +137,18 @@ hashProgramSchedule(const ProgramSchedule &sched)
         fold.u64(info.analyzed ? 1 : 0);
         if (!info.analyzed)
             continue;
+        const LeafScheduleResult &leaf = info.result ? *info.result : none;
         fold.u64(info.leaf ? 1 : 0);
-        fold.u64(static_cast<uint64_t>(info.provenance));
+        fold.u64(static_cast<uint64_t>(leaf.attempt.provenance));
         fold.u64(info.dims.size());
         for (const Blackbox &bb : info.dims) {
             fold.u64(bb.width);
             fold.u64(bb.length);
         }
-        fold.u64(info.comm.teleportMoves);
-        fold.u64(info.comm.blockingTeleports);
-        fold.u64(info.comm.localMoves);
-        fold.u64(info.comm.totalCycles);
+        fold.u64(leaf.summary.teleportMoves.clampU64());
+        fold.u64(leaf.summary.blockingTeleports.clampU64());
+        fold.u64(leaf.summary.localMoves.clampU64());
+        fold.u64(leaf.summary.serialCycles.clampU64());
     }
     return fold.hash;
 }
@@ -198,7 +202,7 @@ ServeEngine::handleLine(const std::string &line)
         MakespanBoundAnalysis bounds(
             request.prog, request.config.arch, request.config.commMode,
             nullptr, [&](const Module &, ModuleId id) {
-                return result.schedule.forModule(id).bounds;
+                return result.schedule.forModule(id).result->bounds;
             });
         lowerBound = bounds.programLowerBound();
     } catch (const std::exception &e) {
@@ -212,13 +216,6 @@ ServeEngine::handleLine(const std::string &line)
     local.mergeInto(metrics_);
     if (Telemetry::metricsEnabled())
         local.mergeInto(Telemetry::metrics());
-
-    double gap = 0.0;
-    if (lowerBound > 0)
-        gap = static_cast<double>(result.scheduledCycles) /
-              static_cast<double>(lowerBound);
-    else if (result.scheduledCycles == 0)
-        gap = 1.0;
 
     const double wallMs =
         std::chrono::duration<double, std::milli>(
@@ -240,7 +237,8 @@ ServeEngine::handleLine(const std::string &line)
         static_cast<unsigned long long>(result.criticalPath),
         jsonNumber(result.speedupVsSequential).c_str(),
         static_cast<unsigned long long>(lowerBound),
-        jsonNumber(gap).c_str(),
+        jsonNumber(optimalityGap(result.scheduledCycles, lowerBound))
+            .c_str(),
         static_cast<unsigned long long>(
             hashProgramSchedule(result.schedule)));
     out += csprintf(

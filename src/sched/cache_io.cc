@@ -158,19 +158,6 @@ serializeLeafResult(const LeafScheduleResult &result,
     w.str(fingerprint);
     w.str(arch_fingerprint);
 
-    const CommStats &cs = result.stats;
-    w.u64(cs.teleportMoves);
-    w.u64(cs.blockingTeleports);
-    w.u64(cs.localMoves);
-    w.u64(cs.stepsWithBlockingMove);
-    w.u64(cs.stepsWithOnlyLocalMoves);
-    w.u64(cs.peakBlockingMovesPerStep);
-    w.u64(cs.totalCycles);
-    w.u64(cs.activeRegionSteps);
-    w.u64(cs.operandSlots);
-    w.u64(cs.peakRegionOccupancy);
-    w.u64(cs.interCoreTeleports);
-
     const ScheduleAttempt &at = result.attempt;
     w.u8(static_cast<uint8_t>(at.provenance));
     w.u64(at.nodesExpanded);
@@ -218,19 +205,6 @@ deserializeLeafResult(const uint8_t *data, size_t size,
     result->qubitCount = r.u64();
     fingerprint = r.str();
     arch_fingerprint = r.str();
-
-    CommStats &cs = result->stats;
-    cs.teleportMoves = r.u64();
-    cs.blockingTeleports = r.u64();
-    cs.localMoves = r.u64();
-    cs.stepsWithBlockingMove = r.u64();
-    cs.stepsWithOnlyLocalMoves = r.u64();
-    cs.peakBlockingMovesPerStep = r.u64();
-    cs.totalCycles = r.u64();
-    cs.activeRegionSteps = r.u64();
-    cs.operandSlots = r.u64();
-    cs.peakRegionOccupancy = r.u64();
-    cs.interCoreTeleports = r.u64();
 
     ScheduleAttempt &at = result->attempt;
     uint8_t provenance = r.u8();

@@ -19,7 +19,6 @@
  *            | u32 fpLen | fingerprint bytes            (collision guard)
  *            | u32 archFpLen | arch fingerprint bytes   (topology
  *              guard, MultiSimdArch::fingerprint())
- *            | CommStats (11 u64, field order of sched/comm.hh)
  *            | ScheduleAttempt (u8 provenance + 6 u64)
  *            | ResourceSummary (15 u64 + u64 occupancy[]; a leaf's
  *              counts are below 2^64)
@@ -43,8 +42,10 @@
  * machine's format, with no arch fingerprint and no inter-core
  * counters), version 2 (a saturation flag byte after the summary
  * and after the bounds, now read from the values), version 3 (no
- * readyScanned work counter in the attempt) and version 4 (each
- * entry's annotated ScheduleBuffer after the bounds).
+ * readyScanned work counter in the attempt), version 4 (each
+ * entry's annotated ScheduleBuffer after the bounds) and version 5 (a
+ * CommStats block of 11 u64, a clamped copy of the summary's counters,
+ * before the attempt).
  * A fourth layer (P006) lives at rebind time in sched/coarse.cc: even an
  * internally consistent entry is refused when the requesting module's
  * op/qubit counts disagree with the stored guard fields.
@@ -76,10 +77,10 @@ extern const char cacheFileMagic[4];
  * msq-served answers lower_bound from the stored MakespanBounds, so a
  * stale file would otherwise serve stale bounds.
  */
-constexpr uint32_t cacheFileVersion = 5;
+constexpr uint32_t cacheFileVersion = 6;
 
 /** Oldest format version loadFrom still accepts. */
-constexpr uint32_t cacheFileMinVersion = 5;
+constexpr uint32_t cacheFileMinVersion = 6;
 
 /** Byte-order canary, always written little-endian: reads back as
  * 0x01020304 iff the decoder honours the format's endianness. */

@@ -66,7 +66,7 @@ CoarseScheduler::CoarseScheduler(const MultiSimdArch &arch,
     std::sort(widths.begin(), widths.end());
     widths.erase(std::unique(widths.begin(), widths.end()), widths.end());
     // The sweep ends at k so that each leaf's widest slot carries its
-    // full-machine bounds (ModuleScheduleInfo::bounds).
+    // full-machine bounds (ModuleScheduleInfo::result).
     if (widths.front() < 1 || widths.back() != arch.k)
         fatal("CoarseScheduler: width sweep not in [1, k] ending at k");
     if (numThreads == 0)
@@ -88,12 +88,12 @@ scheduleLeafWidth(const LeafScheduler &scheduler, const Module &mod,
     auto result = std::make_shared<LeafScheduleResult>();
     LeafSchedule sched =
         scheduler.scheduleWithAttempt(mod, dag, sub, result->attempt, home);
-    // One annotate walk emits the moves and yields both the movement
-    // statistics and the leaf's resource summary. Those and the static
-    // lower bounds are the leaf's blackbox; the schedule itself dies
-    // here, since nothing past the width task reads it.
+    // One annotate walk emits the moves and folds the leaf's resource
+    // summary. It and the static lower bounds are the leaf's blackbox;
+    // the schedule itself dies here, since nothing past the width task
+    // reads it.
     CommunicationAnalyzer comm(arch, mode);
-    result->stats = comm.annotate(sched, result->summary, home);
+    comm.annotate(sched, result->summary, home);
     result->bounds = bounds.evaluate(sub);
     // Guard fields for cross-process reuse: a warm-started process can
     // only rebind this result to a module with matching counts.
@@ -586,19 +586,16 @@ CoarseScheduler::schedule(const Program &prog) const
         info.leaf = true;
         uint64_t best_so_far = ~uint64_t{0};
         for (size_t wi = 0; wi < nw; ++wi) {
-            const CommStats &stats = slots[m * nw + wi]->stats;
             // Schedulers are heuristic; clamp so the width/length
             // trade-off curve is monotone (a wider machine can always
             // emulate a narrower schedule).
-            uint64_t length = std::min(stats.totalCycles, best_so_far);
+            uint64_t length = std::min(
+                slots[m * nw + wi]->summary.serialCycles.clampU64(),
+                best_so_far);
             best_so_far = length;
             info.dims.push_back({widths[wi], length});
-            if (wi + 1 == nw) {
-                info.comm = stats;
-                info.provenance = slots[m * nw + wi]->attempt.provenance;
-                info.bounds = slots[m * nw + wi]->bounds;
-            }
         }
+        info.result = slots[(m + 1) * nw - 1];
         if (metrics != nullptr) {
             // Optimal-tier telemetry, summed across the width sweep.
             // Recorded here in the single-threaded merge from memoized
@@ -633,32 +630,39 @@ CoarseScheduler::schedule(const Program &prog) const
             metrics->counter("sched.leaf.instances").add(1);
             metrics->distribution("sched.leaf.gates")
                 .record(static_cast<double>(mod.numOps()));
+            const ResourceSummary &sum = info.result->summary;
+            const uint64_t cycles = sum.serialCycles.clampU64();
             metrics->distribution("sched.leaf.cycles")
-                .record(static_cast<double>(info.comm.totalCycles));
+                .record(static_cast<double>(cycles));
             // Schedule quality vs. the static lower bound at the widest
             // sweep point (>= 1.0 for any correct scheduler output).
             metrics->distribution("sched.leaf.optimality_gap")
-                .record(slots[(m + 1) * nw - 1]->optimalityGap());
-            const CommStats &comm = info.comm;
-            metrics->counter("comm.teleport_moves")
-                .add(comm.teleportMoves);
+                .record(optimalityGap(cycles,
+                                      info.result->bounds.composite()));
+            const uint64_t teleports = sum.teleportMoves.clampU64();
+            metrics->counter("comm.teleport_moves").add(teleports);
             metrics->counter("comm.blocking_teleports")
-                .add(comm.blockingTeleports);
+                .add(sum.blockingTeleports.clampU64());
             // Teleporting one qubit consumes one pre-distributed EPR
             // pair (paper §2.3), so EPR consumption == teleport count.
-            metrics->counter("comm.epr_pairs_consumed")
-                .add(comm.teleportMoves);
-            metrics->counter("comm.local_moves").add(comm.localMoves);
+            metrics->counter("comm.epr_pairs_consumed").add(teleports);
+            metrics->counter("comm.local_moves")
+                .add(sum.localMoves.clampU64());
             metrics->counter("comm.steps_with_blocking_move")
-                .add(comm.stepsWithBlockingMove);
+                .add(sum.stepsWithBlockingMove.clampU64());
             metrics->counter("comm.steps_with_only_local_moves")
-                .add(comm.stepsWithOnlyLocalMoves);
+                .add(sum.stepsWithOnlyLocalMoves.clampU64());
+            // The occupancy profile is movement telemetry: recorded as
+            // 0 when no movement is modelled.
+            const bool moves = mode != CommMode::None;
             metrics->counter("comm.active_region_steps")
-                .add(comm.activeRegionSteps);
+                .add(moves ? sum.activeRegionSteps.clampU64() : 0);
             metrics->counter("comm.operand_slots")
-                .add(comm.operandSlots);
+                .add(moves ? sum.operandTouches.clampU64() : 0);
             metrics->gauge("comm.region_occupancy_peak")
-                .setMax(static_cast<int64_t>(comm.peakRegionOccupancy));
+                .setMax(moves ? static_cast<int64_t>(
+                                    sum.peakRegionOccupancy)
+                              : 0);
         }
         result.modules[leaves[m]] = std::move(info);
     }

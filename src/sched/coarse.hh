@@ -53,24 +53,17 @@ struct ModuleScheduleInfo
     /** Available dimensions, strictly increasing width, non-increasing
      * length. */
     std::vector<Blackbox> dims;
-    /** Movement statistics of the widest fine-grained schedule (leaves
-     * only). */
-    CommStats comm;
-
     /**
-     * Provenance of the widest fine-grained schedule (leaves only):
-     * Optimal when the scheduler certified a minimum-makespan schedule
-     * at that width (its makespan equals the static lower bound — the
-     * B-checker's B007 enforces exactly this), Fallback when an
-     * OptScheduler ran out of budget, Heuristic otherwise.
+     * The widest width's fine-grained result (leaves only; null for
+     * non-leaves): the cached blackbox, shared with the leaf cache.
+     * Its summary carries the schedule's movement and its unclamped
+     * length; its attempt's provenance is Optimal when the scheduler
+     * certified a minimum-makespan schedule at that width (B007 checks
+     * the certificate), Fallback when an OptScheduler ran out of
+     * budget, Heuristic otherwise; its bounds are computeLeafBounds(mod,
+     * arch), since the sweep ends at k.
      */
-    ScheduleProvenance provenance = ScheduleProvenance::Heuristic;
-
-    /**
-     * Static lower bounds of the widest fine-grained schedule (leaves
-     * only): computeLeafBounds(mod, arch), since the sweep ends at k.
-     */
-    MakespanBounds bounds;
+    std::shared_ptr<const LeafScheduleResult> result;
 
     /** Shortest available length. */
     uint64_t bestLength() const;

@@ -96,21 +96,37 @@ constexpr int64_t neverTouched = -(1LL << 60);
 CommStats
 CommunicationAnalyzer::annotate(LeafSchedule &sched) const
 {
-    ResourceSummary summary;
-    return annotate(sched, summary);
+    ResourceSummary sum;
+    annotate(sched, sum);
+    CommStats stats;
+    stats.teleportMoves = sum.teleportMoves.clampU64();
+    stats.blockingTeleports = sum.blockingTeleports.clampU64();
+    stats.localMoves = sum.localMoves.clampU64();
+    stats.stepsWithBlockingMove = sum.stepsWithBlockingMove.clampU64();
+    stats.stepsWithOnlyLocalMoves =
+        sum.stepsWithOnlyLocalMoves.clampU64();
+    stats.peakBlockingMovesPerStep = sum.peakBlockingMovesPerStep;
+    stats.totalCycles = sum.serialCycles.clampU64();
+    stats.interCoreTeleports = sum.interCoreTeleports.clampU64();
+    if (mode != CommMode::None) {
+        stats.activeRegionSteps = sum.activeRegionSteps.clampU64();
+        stats.operandSlots = sum.operandTouches.clampU64();
+        stats.peakRegionOccupancy = sum.peakRegionOccupancy;
+    }
+    return stats;
 }
 
-CommStats
+void
 CommunicationAnalyzer::annotate(LeafSchedule &sched,
                                 ResourceSummary &summary) const
 {
     std::vector<unsigned> home;
     if (mode != CommMode::None && arch.topology.multiCore())
         home = computeQubitMapping(sched.module(), arch.topology);
-    return annotate(sched, summary, home);
+    annotate(sched, summary, home);
 }
 
-CommStats
+void
 CommunicationAnalyzer::annotate(LeafSchedule &sched, ResourceSummary &sum,
                                 std::span<const unsigned> home) const
 {
@@ -383,25 +399,6 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched, ResourceSummary &sum,
     }
     sum.serialCycles =
         num_steps * MultiSimdArch::gateCycles + sum.commCycles;
-
-    CommStats stats;
-    stats.teleportMoves = sum.teleportMoves.clampU64();
-    stats.blockingTeleports = sum.blockingTeleports.clampU64();
-    stats.localMoves = sum.localMoves.clampU64();
-    stats.stepsWithBlockingMove = sum.stepsWithBlockingMove.clampU64();
-    stats.stepsWithOnlyLocalMoves =
-        sum.stepsWithOnlyLocalMoves.clampU64();
-    stats.peakBlockingMovesPerStep = sum.peakBlockingMovesPerStep;
-    stats.totalCycles = sum.serialCycles.clampU64();
-    stats.interCoreTeleports = sum.interCoreTeleports.clampU64();
-    // The occupancy profile is CommStats telemetry only when movement
-    // is modelled (documented 0 under CommMode::None, as .msqc stores).
-    if (model_moves) {
-        stats.activeRegionSteps = sum.activeRegionSteps.clampU64();
-        stats.operandSlots = sum.operandTouches.clampU64();
-        stats.peakRegionOccupancy = sum.peakRegionOccupancy;
-    }
-    return stats;
 }
 
 } // namespace msq

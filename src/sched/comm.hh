@@ -46,7 +46,13 @@ namespace msq {
 
 struct ResourceSummary;
 
-/** Movement statistics for one annotated schedule. */
+/**
+ * Movement statistics of one annotated schedule: a projection of its
+ * ResourceSummary, each counter clamped to 64 bits. No library path
+ * reads it; only the one-argument CommunicationAnalyzer::annotate
+ * returns it, for tests and for perfbench's trace replica of the
+ * toolflow (perfbench/common.cc). The type leaves with that replica.
+ */
 struct CommStats
 {
     /** All teleportation moves, masked or not. */
@@ -66,9 +72,9 @@ struct CommStats
      * architecture's EPR bandwidth). */
     uint64_t totalCycles = 0;
 
-    // Region-occupancy profile (telemetry; computed whenever movement
-    // is modelled, i.e. every mode except CommMode::None). Average
-    // operands per active region = operandSlots / activeRegionSteps.
+    // Region-occupancy profile: 0 under CommMode::None, where no
+    // movement is modelled. Average operands per active region =
+    // operandSlots / activeRegionSteps.
     /** (region, timestep) pairs in which the region executes ops. */
     uint64_t activeRegionSteps = 0;
     /** Total operand qubits across all active (region, timestep)
@@ -79,7 +85,7 @@ struct CommStats
 
     /** Teleports whose endpoints live on different cores (masked or
      * blocking), routed over the topology's links. Always 0 on the
-     * flat one-core machine. Serialized last in .msqc v2 records. */
+     * flat one-core machine. */
     uint64_t interCoreTeleports = 0;
 };
 
@@ -99,20 +105,23 @@ class CommunicationAnalyzer
 
     /**
      * Clear any existing movement annotation on @p sched, recompute all
-     * moves under this analyzer's mode, and return the statistics.
+     * moves under this analyzer's mode, and return the statistics: the
+     * summary of the two-argument overload, projected onto CommStats.
+     * Kept for tests and perfbench's trace replica; it leaves with the
+     * replica.
      */
     CommStats annotate(LeafSchedule &sched) const;
 
     /**
-     * annotate(), also returning the leaf's ResourceSummary through
-     * @p summary — field for field what summarizeLeafSchedule(sched,
-     * arch) folds from the annotated schedule, derived in the same walk
-     * that emits the moves. Under CommMode::None the summary still
-     * carries the placement profile (gate ops, region occupancy, the
-     * occupancy histogram) that CommStats leaves at 0.
+     * Clear any existing movement annotation on @p sched, recompute all
+     * moves under this analyzer's mode, and fold the leaf's
+     * ResourceSummary into @p summary — field for field what
+     * summarizeLeafSchedule(sched, arch) folds from the annotated
+     * schedule, derived in the same walk that emits the moves. Under
+     * CommMode::None the summary still carries the placement profile
+     * (gate ops, region occupancy, the occupancy histogram).
      */
-    CommStats annotate(LeafSchedule &sched,
-                       ResourceSummary &summary) const;
+    void annotate(LeafSchedule &sched, ResourceSummary &summary) const;
 
     /**
      * As above, with every qubit starting in its home core's bank under
@@ -121,8 +130,8 @@ class CommunicationAnalyzer
      * when movement is modelled on a multi-core topology (then its size
      * must be numQubits(); panics otherwise).
      */
-    CommStats annotate(LeafSchedule &sched, ResourceSummary &summary,
-                       std::span<const unsigned> home) const;
+    void annotate(LeafSchedule &sched, ResourceSummary &summary,
+                  std::span<const unsigned> home) const;
 
   private:
     MultiSimdArch arch;

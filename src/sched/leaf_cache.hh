@@ -13,11 +13,12 @@
  * leaves have 128 distinct structural hashes (DESIGN.md §9).
  *
  * An entry is the leaf's blackbox at one width, as the paper's coarse
- * scheduler sees it: movement statistics (whose totalCycles is the
- * blackbox length), search provenance, resource summary and lower
- * bounds. It holds no schedule buffer — the coarse merge, msq-served
- * and the estimate checker read none — so an entry is a few hundred
- * bytes whatever the leaf's size.
+ * scheduler sees it: its resource summary (whose serialCycles is the
+ * blackbox length, and the one tally of its movement), search
+ * provenance and lower bounds. It holds no schedule buffer — the
+ * coarse merge, msq-served and the estimate read none — so an entry is
+ * a few hundred bytes whatever the leaf's size. The ProgramSchedule
+ * points at each leaf's widest result (ModuleScheduleInfo::result).
  *
  * The key captures everything the result depends on:
  *   - the module's structural hash (Module::structuralHash(), which
@@ -45,7 +46,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -66,7 +66,12 @@ namespace msq {
  * blackbox, not its schedule. */
 struct LeafScheduleResult
 {
-    /** Movement statistics (totalCycles is the blackbox length). */
+    /**
+     * Always zero in results the library builds: `summary` is the one
+     * tally of the leaf's movement. Only perfbench's trace replica of
+     * the toolflow (perfbench/common.cc) still fills it, and .msqc
+     * stores none; the field leaves with that replica.
+     */
     CommStats stats;
 
     /**
@@ -80,11 +85,12 @@ struct LeafScheduleResult
     ScheduleAttempt attempt;
 
     /**
-     * Streaming fold of the annotated schedule into its compact
-     * resource footprint (analysis/schedule_summary.hh) — the unit the
-     * paper-scale estimator composes through the repeat algebra. Like
-     * `bounds`, a pure function of what the cache key captures, so it
-     * is memoized with the stats and a hit never re-folds.
+     * The annotated schedule's compact resource footprint
+     * (analysis/schedule_summary.hh), folded in the walk that emits its
+     * moves: serialCycles is the blackbox length, the move counters are
+     * its movement, and it is the unit the paper-scale estimate
+     * composes through the repeat algebra. Like `bounds`, a pure
+     * function of what the cache key captures, so a hit never re-folds.
      */
     ResourceSummary summary;
 
@@ -92,7 +98,7 @@ struct LeafScheduleResult
      * Static makespan lower bounds at this schedule's width
      * (analysis/bounds.hh). Pure function of the module's structure and
      * the arch — exactly what the cache key captures — so bounds are
-     * memoized with the stats and a cache hit never recomputes them.
+     * memoized with the summary and a cache hit never recomputes them.
      */
     MakespanBounds bounds;
 
@@ -123,24 +129,6 @@ struct LeafScheduleResult
     matchesModule(uint64_t ops, uint64_t qubits) const
     {
         return opCount == ops && qubitCount == qubits;
-    }
-
-    /**
-     * Schedule-quality ratio totalCycles / bounds.composite(): >= 1.0
-     * for any correct scheduler output (1.0 when both are zero — an
-     * empty module is trivially optimal).
-     */
-    double
-    optimalityGap() const
-    {
-        const uint64_t bound = bounds.composite();
-        if (bound == 0) {
-            return stats.totalCycles == 0
-                       ? 1.0
-                       : std::numeric_limits<double>::infinity();
-        }
-        return static_cast<double>(stats.totalCycles) /
-               static_cast<double>(bound);
     }
 };
 

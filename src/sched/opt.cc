@@ -528,9 +528,9 @@ class OptSearch
         LeafSchedule candidate = builder.finish();
         CommunicationAnalyzer comm(arch, mode);
         ResourceSummary summary;
-        CommStats stats = comm.annotate(candidate, summary, home);
+        comm.annotate(candidate, summary, home);
         ++attempt.candidatesAnnotated;
-        if (stats.totalCycles != lb)
+        if (summary.serialCycles != lb)
             return false;
         proof.emplace(std::move(candidate));
         return true;
@@ -614,11 +614,11 @@ OptScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
         mod, dag, arch, fallback_attempt, home);
     CommunicationAnalyzer comm(arch, options.commMode);
     ResourceSummary fb_summary;
-    const CommStats fb_stats = comm.annotate(fallback, fb_summary, home);
+    comm.annotate(fallback, fb_summary, home);
     const uint64_t lb = LeafBoundProfile(mod, dag).evaluate(arch).composite();
     attempt.candidatesAnnotated = 1;
     attempt.readyScanned = fallback_attempt.readyScanned;
-    if (fb_stats.totalCycles == lb) {
+    if (fb_summary.serialCycles == lb) {
         attempt.provenance = ScheduleProvenance::Optimal;
         return fallback;
     }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "ir/dag.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 
@@ -136,26 +135,35 @@ validateLeafSchedule(const LeafSchedule &sched, const MultiSimdArch &arch,
         }
     }
 
-    // Invariant 2: dependences strictly ordered. Unscheduled ops were
-    // already reported; skip their edges.
-    DepDag dag = DepDag::build(mod);
-    for (uint32_t i = 0; i < dag.numNodes(); ++i) {
+    // Invariant 2: dependences strictly ordered, checked without the
+    // schedulers' DepDag. In program order, each op must run after the
+    // previous user of every one of its qubits; orderings between
+    // earlier users follow by induction. Unscheduled ops were already
+    // reported; skip their pairs.
+    constexpr uint32_t no_user = ~uint32_t{0};
+    std::vector<uint32_t> last_user(mod.numQubits(), no_user);
+    std::vector<uint32_t> preds;
+    for (uint32_t i = 0; i < mod.numOps(); ++i) {
+        preds.clear();
+        for (QubitId q : mod.op(i).operands) {
+            if (last_user[q] != no_user)
+                preds.push_back(last_user[q]);
+            last_user[q] = i;
+        }
         if (op_step[i] == unscheduled)
             continue;
-        for (uint32_t s : dag.succs(i)) {
-            if (op_step[s] == unscheduled)
+        std::sort(preds.begin(), preds.end());
+        preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
+        for (uint32_t p : preds) {
+            if (op_step[p] == unscheduled || op_step[i] > op_step[p])
                 continue;
-            if (op_step[s] <= op_step[i]) {
-                out.error(
-                    DiagCode::SchedDependence,
-                    csprintf("op %u (step %llu) depends on op %u "
-                             "(step %llu)",
-                             s,
-                             static_cast<unsigned long long>(op_step[s]),
-                             i,
-                             static_cast<unsigned long long>(op_step[i])),
-                    {mod.name(), s, mod.op(s).line});
-            }
+            out.error(
+                DiagCode::SchedDependence,
+                csprintf("op %u (step %llu) depends on op %u "
+                         "(step %llu)",
+                         i, static_cast<unsigned long long>(op_step[i]),
+                         p, static_cast<unsigned long long>(op_step[p])),
+                {mod.name(), i, mod.op(i).line});
         }
     }
 

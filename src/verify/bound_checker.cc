@@ -1,7 +1,5 @@
 #include "verify/bound_checker.hh"
 
-#include <limits>
-
 #include "analysis/resource_estimator.hh"
 #include "support/strings.hh"
 
@@ -16,17 +14,6 @@ ull(uint64_t v)
 }
 
 } // anonymous namespace
-
-double
-optimalityGap(uint64_t makespan, uint64_t lower_bound)
-{
-    if (lower_bound == 0) {
-        return makespan == 0 ? 1.0
-                             : std::numeric_limits<double>::infinity();
-    }
-    return static_cast<double>(makespan) /
-           static_cast<double>(lower_bound);
-}
 
 bool
 checkScheduleBounds(const Program &prog, const ProgramSchedule &psched,
@@ -63,8 +50,10 @@ checkScheduleBounds(const Program &prog, const ProgramSchedule &psched,
         if (!info.leaf || info.dims.empty())
             continue;
         ++local_stats.leavesChecked;
-        const bool proven =
-            info.provenance == ScheduleProvenance::Optimal;
+        const ScheduleProvenance provenance =
+            info.result ? info.result->attempt.provenance
+                        : ScheduleProvenance::Heuristic;
+        const bool proven = provenance == ScheduleProvenance::Optimal;
         if (report == nullptr && !proven)
             continue;
         const Blackbox &widest = info.dims.back();
@@ -75,7 +64,7 @@ checkScheduleBounds(const Program &prog, const ProgramSchedule &psched,
         record.invocations = invocations.invocations(id);
         record.width = widest.width;
         record.makespan = widest.length;
-        record.provenance = info.provenance;
+        record.provenance = provenance;
         MultiSimdArch sub = arch;
         sub.k = widest.width;
         record.bounds = computeLeafBounds(mod, sub);

@@ -90,9 +90,6 @@ struct ProgramGapReport
     }
 };
 
-/** makespan / bound; 1.0 when both are zero (empty module, exact). */
-double optimalityGap(uint64_t makespan, uint64_t lower_bound);
-
 /**
  * Check a whole ProgramSchedule against the hierarchical bounds: every
  * blackbox dimension of every analyzed module (B004), and the program

@@ -7,7 +7,6 @@
 
 #include "analysis/resource_estimator.hh"
 #include "sched/comm.hh"
-#include "support/logging.hh"
 #include "support/strings.hh"
 
 namespace msq {
@@ -22,32 +21,14 @@ ull(uint64_t v)
 }
 
 /**
- * Build the leaf-summary callback the composition runs on: look the
- * full-width result up in the cache, and count distinct schedules by
- * memoization key so structurally identical leaves are counted once.
- * Every caller runs CoarseScheduler::schedule on @p cache first, and its
- * width sweep always ends at k, so a miss is a broken invariant.
+ * The composition's leaf callback: each leaf's summary from the widest
+ * result @p psched points at (the width sweep always ends at k).
  */
 ScheduleSummaryAnalysis::LeafSummaryFn
-makeLeafSummaryFn(const MultiSimdArch &arch,
-                  const LeafScheduler &scheduler, CommMode mode,
-                  const std::shared_ptr<LeafScheduleCache> &cache,
-                  std::unordered_set<std::string> *distinct_keys)
+leafSummaryOf(const ProgramSchedule &psched)
 {
-    std::string suffix =
-        leafScheduleKeySuffix(scheduler.fingerprint(), arch, mode);
-    return [k = arch.k, cache, distinct_keys, suffix](const Module &mod,
-                                                      ModuleId /*id*/) {
-        const std::string key = leafScheduleKey(mod, k, suffix);
-        if (distinct_keys != nullptr)
-            distinct_keys->insert(key);
-        auto hit = cache->lookup(key);
-        if (!hit)
-            panic(csprintf("estimate: leaf '%s' has no width-%u result "
-                           "under key %s; the coarse schedule should "
-                           "have left one in the cache",
-                           mod.name().c_str(), k, key.c_str()));
-        return hit->summary;
+    return [&psched](const Module &, ModuleId id) {
+        return psched.forModule(id).result->summary;
     };
 }
 
@@ -89,8 +70,8 @@ computeProgramEstimate(const Program &prog, const MultiSimdArch &arch,
 
     // The parallel makespan needs the real hierarchical scheduler; its
     // cost is O(distinct modules x sweep widths), never O(gates), and
-    // it leaves every (leaf, width) result — summary folds included —
-    // in the shared cache for the composition below.
+    // each leaf's widest result carries the summary the composition
+    // below reads.
     CoarseScheduler::Options copts;
     copts.numThreads = opts.numThreads;
     copts.leafCache = cache;
@@ -98,17 +79,20 @@ computeProgramEstimate(const Program &prog, const MultiSimdArch &arch,
     ProgramSchedule psched = coarse.schedule(prog);
     est.makespanCycles = psched.totalCycles;
 
-    std::unordered_set<std::string> distinct;
-    ScheduleSummaryAnalysis analysis(
-        prog, mode,
-        makeLeafSummaryFn(arch, scheduler, mode, cache, &distinct),
-        opts.diags);
+    ScheduleSummaryAnalysis analysis(prog, mode, leafSummaryOf(psched),
+                                     opts.diags);
     est.program = analysis.programSummary();
-    est.distinctLeafSchedules = distinct.size();
     est.reachableModules = analysis.analyzedModules().size();
-    for (ModuleId id : analysis.analyzedModules())
-        if (prog.module(id).isLeaf())
-            ++est.leafModules;
+    // The shared cache hands structurally identical leaves one result,
+    // so distinct results are distinct leaf schedules.
+    std::unordered_set<const LeafScheduleResult *> distinct;
+    for (ModuleId id : analysis.analyzedModules()) {
+        if (!prog.module(id).isLeaf())
+            continue;
+        ++est.leafModules;
+        distinct.insert(psched.forModule(id).result.get());
+    }
+    est.distinctLeafSchedules = distinct.size();
     est.cacheHits = cache->hits() - hits_before;
     est.cacheMisses = cache->misses() - misses_before;
 
@@ -291,15 +275,12 @@ checkEstimateExactness(const Program &prog, const MultiSimdArch &arch,
             continue;
         LeafSchedule sched = scheduler.schedule(mod, arch);
         ResourceSummary annotated;
-        CommStats ground =
-            CommunicationAnalyzer(arch, mode).annotate(sched, annotated);
+        CommunicationAnalyzer(arch, mode).annotate(sched, annotated);
         ResourceSummary fold = summarizeLeafSchedule(sched, arch);
         forEachField(fold, annotated,
                      [&](const std::string &field, Count a, Count b) {
                          checkLeafField(diags, mod, field, a, b);
                      });
-        checkLeafField(diags, mod, "serialCycles/totalCycles",
-                       fold.serialCycles, ground.totalCycles);
         checkLeafField(diags, mod, "gateOps/scheduledOps", fold.gateOps,
                        sched.scheduledOps());
         checkLeafField(diags, mod, "occupancySteps/computeTimesteps",
@@ -310,28 +291,23 @@ checkEstimateExactness(const Program &prog, const MultiSimdArch &arch,
 
     // E002 — the estimate's makespan must equal a freshly scheduled
     // ProgramSchedule's total (determinism + cache-integrity check).
-    {
-        CoarseScheduler::Options copts;
-        copts.numThreads = opts.numThreads;
-        copts.leafCache = cache;
-        CoarseScheduler coarse(arch, scheduler, mode, copts);
-        ProgramSchedule psched = coarse.schedule(prog);
-        if (psched.totalCycles != est.makespanCycles) {
-            diags.error(
-                DiagCode::EstimateMakespanMismatch,
-                csprintf("estimate makespan %llu disagrees with a "
-                         "freshly computed ProgramSchedule (%llu cycles)",
-                         ull(est.makespanCycles),
-                         ull(psched.totalCycles)));
-        }
+    CoarseScheduler::Options copts;
+    copts.numThreads = opts.numThreads;
+    copts.leafCache = cache;
+    CoarseScheduler coarse(arch, scheduler, mode, copts);
+    const ProgramSchedule psched = coarse.schedule(prog);
+    if (psched.totalCycles != est.makespanCycles) {
+        diags.error(
+            DiagCode::EstimateMakespanMismatch,
+            csprintf("estimate makespan %llu disagrees with a "
+                     "freshly computed ProgramSchedule (%llu cycles)",
+                     ull(est.makespanCycles), ull(psched.totalCycles)));
     }
 
-    // Recompose for the per-module comparisons (leaf scheduling is all
-    // cache hits by now; composition is O(distinct modules)).
-    ScheduleSummaryAnalysis analysis(
-        prog, mode,
-        makeLeafSummaryFn(arch, scheduler, mode, cache, nullptr),
-        nullptr);
+    // Recompose from that schedule for the per-module comparisons
+    // (composition is O(distinct modules)).
+    ScheduleSummaryAnalysis analysis(prog, mode, leafSummaryOf(psched),
+                                     nullptr);
     const bool saturated =
         analysis.programSummary().saturated() || est.program.saturated();
 

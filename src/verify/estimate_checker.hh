@@ -4,13 +4,13 @@
  * (diagnostic codes E001-E006).
  *
  * computeProgramEstimate() is the production entry point of the
- * schedule-summary analysis (analysis/schedule_summary.hh): it
- * schedules each *distinct* leaf exactly once through the shared
- * LeafScheduleCache, reuses the per-leaf ResourceSummary folds memoized
- * in LeafScheduleResult, composes them bottom-up through the repeat
- * algebra, and runs the CoarseScheduler (itself O(distinct modules))
- * for the parallel makespan — exact program-level resource reports for
- * 10^12-gate workloads in O(distinct leaves) memory.
+ * schedule-summary analysis (analysis/schedule_summary.hh): it runs
+ * the CoarseScheduler (itself O(distinct modules)) for the parallel
+ * makespan, which schedules each *distinct* leaf exactly once through
+ * the shared LeafScheduleCache, and composes the ResourceSummary of
+ * each leaf's widest result (ModuleScheduleInfo::result) bottom-up
+ * through the repeat algebra — exact program-level resource reports
+ * for 10^12-gate workloads in O(distinct leaves) memory.
  *
  * checkEstimateExactness() is what makes the estimate trustworthy: the
  * composed numbers are claimed *exact*, so on any program small enough
@@ -63,7 +63,8 @@ struct ProgramResourceEstimate
     /** Parallel makespan: the CoarseScheduler's entry best length. */
     uint64_t makespanCycles = 0;
 
-    /** Distinct leaf schedules computed/folded (the memory bound). */
+    /** Distinct leaf results composed (the memory bound): the cache
+     * hands structurally identical leaves one result. */
     uint64_t distinctLeafSchedules = 0;
 
     /** Reachable leaf modules (>= distinctLeafSchedules). */
@@ -72,7 +73,8 @@ struct ProgramResourceEstimate
     /** Modules reachable from the entry. */
     uint64_t reachableModules = 0;
 
-    /** Leaf-cache traffic attributable to this estimate run. */
+    /** Leaf-cache traffic of this estimate run's coarse schedule
+     * (the composition reads the schedule, not the cache). */
     uint64_t cacheHits = 0;
     uint64_t cacheMisses = 0;
 
@@ -112,8 +114,9 @@ struct EstimateOptions
  * Compute the exact resource estimate of @p prog on @p arch under
  * @p mode, never materializing more than O(distinct leaves) schedule
  * state. Leaves are scheduled at every sweep width by the embedded
- * CoarseScheduler run (for the makespan) and their full-width summary
- * folds are composed through the repeat algebra.
+ * CoarseScheduler run (for the makespan), and the summaries of the
+ * full-width results it points at are composed through the repeat
+ * algebra.
  */
 ProgramResourceEstimate
 computeProgramEstimate(const Program &prog, const MultiSimdArch &arch,

@@ -112,16 +112,29 @@ buildSha1(unsigned n, unsigned word_bits, unsigned rounds)
         for (auto *name : state_names)
             state.push_back(mod.addRegister(name, w));
 
-        // Message expansion.
+        // Message expansion. Until t reaches a lag, its source wraps
+        // modulo msg_words, so with few message words two sources can
+        // name one register. A source already bound to this call moves
+        // on to the next register that is not, so every call binds
+        // four distinct registers (no-cloning); a message of 14 or more
+        // words never wraps and keeps the standard lags.
         for (unsigned t = msg_words; t < rounds; ++t) {
             std::vector<QubitId> args;
-            auto push = [&](const ctqg::Register &reg) {
-                args.insert(args.end(), reg.begin(), reg.end());
-            };
-            push(wreg[t >= 3 ? t - 3 : t % msg_words]);
-            push(wreg[t >= 8 ? t - 8 : t % msg_words]);
-            push(wreg[t >= 14 ? t - 14 : (t + 2) % msg_words]);
-            push(wreg[t]);
+            std::vector<unsigned> bound;
+            for (unsigned source : {t >= 3 ? t - 3 : t % msg_words,
+                                    t >= 8 ? t - 8 : t % msg_words,
+                                    t >= 14 ? t - 14
+                                            : (t + 2) % msg_words}) {
+                while (source == t ||
+                       std::find(bound.begin(), bound.end(), source) !=
+                           bound.end())
+                    source = (source + 1) % rounds;
+                bound.push_back(source);
+            }
+            bound.push_back(t);
+            for (unsigned index : bound)
+                args.insert(args.end(), wreg[index].begin(),
+                            wreg[index].end());
             mod.addCall(sched_id, args);
             wreg[t] = ctqg::rotl(wreg[t], 1);
         }

@@ -66,7 +66,7 @@ commHeavyLeaf(unsigned qubits, unsigned rounds)
 }
 
 /** Fold vs the analyzer's in-pass summary, whole summary, plus the
- * CommStats the same annotate call returns, for one (scheduler, mode).
+ * CommStats projection of that summary, for one (scheduler, mode).
  * A nonzero @p width schedules on that many regions and annotates on
  * the full machine, as a coarse width task does. */
 void
@@ -80,7 +80,8 @@ expectFoldMatchesAnnotator(const Module &mod, const LeafScheduler &sched,
     LeafSchedule leaf = sched.schedule(mod, sub);
     CommunicationAnalyzer comm(arch, mode);
     ResourceSummary annotated;
-    CommStats ground = comm.annotate(leaf, annotated);
+    comm.annotate(leaf, annotated);
+    const CommStats ground = comm.annotate(leaf);
     ResourceSummary fold = summarizeLeafSchedule(leaf, arch);
 
     test::expectSameSummary(fold, annotated);

@@ -19,7 +19,6 @@
 #include "frontend/parser.hh"
 #include "frontend/qasm_emitter.hh"
 #include "frontend/qasm_reader.hh"
-#include "ir/printer.hh"
 #include "support/diagnostic.hh"
 #include "support/rng.hh"
 #include "workloads/workloads.hh"
@@ -222,31 +221,6 @@ TEST(Parser, RepeatedGateUnrolls)
         }
     )");
     EXPECT_EQ(prog.module(prog.entry()).numOps(), 4u);
-}
-
-TEST(Parser, PrinterRoundTrip)
-{
-    const char *source = R"(
-        module sub(qbit a, qbit b) {
-            qbit anc;
-            CNOT(a, anc);
-            Rz(anc, 0.125);
-            CNOT(b, anc);
-        }
-        module main() {
-            qbit q[2];
-            H(q[0]);
-            repeat 7 sub(q[0], q[1]);
-            MeasZ(q[0]);
-        }
-    )";
-    Program prog = parseScaffold(source);
-    std::ostringstream dumped;
-    printProgram(dumped, prog);
-    Program reparsed = parseScaffold(dumped.str());
-    std::ostringstream dumped2;
-    printProgram(dumped2, reparsed);
-    EXPECT_EQ(dumped.str(), dumped2.str());
 }
 
 TEST(QasmEmitter, HierarchicalForm)

@@ -9,12 +9,10 @@
 #include <algorithm>
 #include <optional>
 #include <span>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "ir/dag.hh"
-#include "ir/printer.hh"
 #include "ir/program.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
@@ -597,46 +595,6 @@ TEST(DepDag, EmptyModule)
     DepDag dag = DepDag::build(mod);
     EXPECT_EQ(dag.numNodes(), 0u);
     EXPECT_EQ(dag.criticalPathLength(), 0u);
-}
-
-// --- Printer ---
-
-TEST(Printer, ModuleDump)
-{
-    Program prog;
-    ModuleId id = prog.addModule("m");
-    Module &mod = prog.module(id);
-    mod.addParam("q");
-    mod.addLocal("anc");
-    mod.addGate(GateKind::H, {0});
-    mod.addGate(GateKind::CNOT, {0, 1});
-    mod.addGate(GateKind::Rz, {1}, 0.25);
-    prog.setEntry(id);
-
-    std::ostringstream os;
-    printModule(os, prog, mod);
-    std::string text = os.str();
-    EXPECT_NE(text.find("module m(qbit q)"), std::string::npos);
-    EXPECT_NE(text.find("qbit anc;"), std::string::npos);
-    EXPECT_NE(text.find("H(q);"), std::string::npos);
-    EXPECT_NE(text.find("CNOT(q, anc);"), std::string::npos);
-    EXPECT_NE(text.find("Rz(anc, 0.25);"), std::string::npos);
-}
-
-TEST(Printer, RepeatedCallDump)
-{
-    Program prog;
-    ModuleId leaf = prog.addModule("leaf");
-    prog.module(leaf).addParam("q");
-    prog.module(leaf).addGate(GateKind::T, {0});
-    ModuleId top = prog.addModule("top");
-    prog.module(top).addLocal("x");
-    prog.module(top).addCall(leaf, {0}, 5);
-    prog.setEntry(top);
-
-    std::ostringstream os;
-    printProgram(os, prog);
-    EXPECT_NE(os.str().find("repeat 5 leaf(x);"), std::string::npos);
 }
 
 } // namespace

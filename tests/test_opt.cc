@@ -399,7 +399,9 @@ TEST(BoundChecker, FalseOptimalCertificateTripsB007)
     }
 
     // ...becomes a checker error the moment it claims to be optimal.
-    psched.modules[0].provenance = ScheduleProvenance::Optimal;
+    auto claim = std::make_shared<LeafScheduleResult>();
+    claim->attempt.provenance = ScheduleProvenance::Optimal;
+    psched.modules[0].result = claim;
     {
         DiagnosticEngine diags;
         ProgramGapReport report;
@@ -454,7 +456,8 @@ TEST(DeterminismOpt, ThreadCountAndCacheInvariance)
         bool any_optimal = false;
         for (const ModuleScheduleInfo &info : baseline.schedule.modules)
             if (info.analyzed && info.leaf &&
-                info.provenance == ScheduleProvenance::Optimal)
+                info.result->attempt.provenance ==
+                    ScheduleProvenance::Optimal)
                 any_optimal = true;
         EXPECT_TRUE(any_optimal) << workload;
 
@@ -487,13 +490,18 @@ TEST(DeterminismOpt, ThreadCountAndCacheInvariance)
                 ASSERT_EQ(ma.analyzed, mb.analyzed);
                 if (!ma.analyzed)
                     continue;
-                EXPECT_EQ(ma.provenance, mb.provenance);
                 ASSERT_EQ(ma.dims.size(), mb.dims.size());
                 for (size_t dim = 0; dim < ma.dims.size(); ++dim) {
                     EXPECT_EQ(ma.dims[dim].width, mb.dims[dim].width);
                     EXPECT_EQ(ma.dims[dim].length, mb.dims[dim].length);
                 }
-                EXPECT_EQ(ma.comm.totalCycles, mb.comm.totalCycles);
+                ASSERT_EQ(ma.result == nullptr, mb.result == nullptr);
+                if (!ma.result)
+                    continue;
+                EXPECT_EQ(ma.result->attempt.provenance,
+                          mb.result->attempt.provenance);
+                EXPECT_EQ(ma.result->summary.serialCycles,
+                          mb.result->summary.serialCycles);
             }
         }
     }

@@ -260,7 +260,7 @@ TEST(Lpfs, FiniteDWideOpDoesNotStarveSmallerOps)
     // The first timestep's slot must be filled with both 1-qubit ops.
     ASSERT_GE(out.computeTimesteps(), 1u);
     ASSERT_EQ(out.step(0).activeRegions(), 1u);
-    RegionSlotView slot = out.step(0).slot(0);
+    RegionSlotView slot = *out.step(0).begin();
     EXPECT_EQ(slot.region(), 0u);
     std::span<const uint32_t> ops = slot.ops();
     EXPECT_EQ(std::vector<uint32_t>(ops.begin(), ops.end()),

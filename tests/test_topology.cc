@@ -748,7 +748,7 @@ expectSameBuffer(const ScheduleBuffer &a, const ScheduleBuffer &b)
  * every scaled workload leaf and both sweep topologies, the rebind
  * inside RCP/LPFS and applyCoreAffinity itself give the same schedule
  * with the passed mapping as without, and annotate gives the same
- * moves, CommStats and ResourceSummary under every communication mode.
+ * moves and ResourceSummary under every communication mode.
  */
 TEST(CoreAffinity, PassedMappingMatchesComputed)
 {
@@ -796,19 +796,10 @@ TEST(CoreAffinity, PassedMappingMatchesComputed)
                         LeafSchedule with_home = passed;
                         LeafSchedule without = passed;
                         ResourceSummary sum_home, sum_without;
-                        const CommStats a =
-                            comm.annotate(with_home, sum_home, home);
-                        const CommStats b =
-                            comm.annotate(without, sum_without);
+                        comm.annotate(with_home, sum_home, home);
+                        comm.annotate(without, sum_without);
                         expectSameBuffer(with_home.buffer(),
                                          without.buffer());
-                        EXPECT_EQ(a.totalCycles, b.totalCycles);
-                        EXPECT_EQ(a.teleportMoves, b.teleportMoves);
-                        EXPECT_EQ(a.blockingTeleports, b.blockingTeleports);
-                        EXPECT_EQ(a.localMoves, b.localMoves);
-                        EXPECT_EQ(a.interCoreTeleports,
-                                  b.interCoreTeleports);
-                        EXPECT_EQ(a.activeRegionSteps, b.activeRegionSteps);
                         test::expectSameSummary(sum_home, sum_without);
                     }
                 }

@@ -327,6 +327,17 @@ TEST(Verifier, AllScaledWorkloadsVerifyCleanly)
     }
 }
 
+TEST(Verifier, AllTinyWorkloadsVerifyCleanly)
+{
+    for (const auto &spec : workloads::tinyParams()) {
+        Program prog = spec.build();
+        DiagnosticEngine diags;
+        bool ok = verifyProgram(prog, diags);
+        EXPECT_TRUE(ok) << spec.name << " failed verification:\n"
+                        << diags.formatAll();
+    }
+}
+
 TEST(Verifier, AllPaperWorkloadsVerifyCleanly)
 {
     for (const auto &spec : workloads::paperParams()) {

@@ -14,7 +14,6 @@
 
 #include "analysis/resource_estimator.hh"
 #include "frontend/qasm_emitter.hh"
-#include "ir/printer.hh"
 #include "workloads/workloads.hh"
 
 namespace {
@@ -43,8 +42,8 @@ TEST_P(ScaledWorkloads, DeterministicBuilds)
     Program p1 = spec.build();
     Program p2 = spec.build();
     std::ostringstream d1, d2;
-    printProgram(d1, p1);
-    printProgram(d2, p2);
+    emitHierarchicalQasm(d1, p1);
+    emitHierarchicalQasm(d2, p2);
     EXPECT_EQ(d1.str(), d2.str());
 }
 

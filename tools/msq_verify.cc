@@ -82,7 +82,9 @@
  *                   JSON (schema msq-resource-estimate-v1) to PATH
  *   --workload=NAME verify the built-in scaled benchmark NAME (e.g.
  *                   grovers, bwt, gse, tfp, bf, cn, sha1, shors)
- *                   instead of / in addition to input files; repeatable
+ *                   instead of / in addition to input files; repeatable.
+ *                   The built program passes the IR verifier like a
+ *                   parsed file does
  *   --params=paper|scaled|tiny
  *                   which parameter preset --workload builds (default
  *                   scaled; paper instantiates the paper's problem
@@ -334,7 +336,8 @@ checkCommunication(const std::string &path, Program &prog,
                 if (!mod.isLeaf() || mod.numOps() == 0)
                     continue;
                 LeafSchedule sched = scheduler->schedule(mod, arch);
-                analyzer.annotate(sched);
+                ResourceSummary summary;
+                analyzer.annotate(sched, summary);
                 CommCheckStats stats;
                 bool ok = checkCommSchedule(sched, arch, diags, &stats);
                 validateLeafSchedule(sched, arch, &diags);
@@ -785,6 +788,7 @@ checkWorkload(const std::string &name, const Options &options,
         metrics.counter("verify.parse_errors").add(1);
         return Outcome::ParseError;
     }
+    verifyProgram(prog, diags);
     return checkProgram(label, prog, std::move(lowering), options, diags,
                         metrics, json_entries, estimate_entries);
 }
