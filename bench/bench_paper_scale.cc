@@ -3,9 +3,10 @@
  * Paper-scale resource estimation: reproduces the paper's table-scale
  * speedup and communication numbers (§6, Fig. 5-7 magnitudes) at true
  * gate counts (>= 10^9 gates per workload) through the schedule-summary
- * analysis — each distinct leaf is scheduled exactly once, and the
- * whole-program totals are composed through the repeat algebra in
- * O(distinct leaves) memory. No program schedule is ever materialized.
+ * analysis — one coarse schedule on a leaf cache schedules each
+ * distinct leaf exactly once, and the whole-program totals are composed
+ * from it through the repeat algebra in O(distinct leaves) memory. No
+ * gate-level program schedule is ever materialized.
  *
  * Per workload x {RCP, LPFS}:
  *
@@ -14,11 +15,14 @@
  *      repeat-wrap the entry (workloads::scaleWorkload) until the total
  *      is at least 10^9 gates — the distinct-module set is unchanged,
  *      so estimation cost stays constant while totals reach paper scale;
- *   2. computeProgramEstimate(): exact gates / serial cycles / makespan
- *      / teleports / EPR pairs / occupancy at that scale;
- *   3. checkEstimateExactness(): every E001-E006 cross-check that is
- *      O(distinct modules) runs even at 10^9+ gates (the unrolled-walk
- *      E004 is budget-gated away); any E-error fails the bench;
+ *   2. coarse-schedule it once on a fresh leaf cache (1 thread), and
+ *      compose computeProgramEstimate() from that schedule: exact
+ *      gates / serial cycles / makespan / teleports / EPR pairs /
+ *      occupancy at that scale;
+ *   3. checkEstimateExactness() on the same cache: every E001-E006
+ *      cross-check that is O(distinct modules) runs even at 10^9+ gates
+ *      (the unrolled-walk E004 is budget-gated away); any E-error fails
+ *      the bench;
  *   4. getrusage() peak RSS is sampled after every configuration and
  *      the bench exits nonzero if it ever exceeds the committed ceiling
  *      — the O(distinct leaves) memory claim, enforced.
@@ -37,6 +41,7 @@
 #include <sys/resource.h>
 
 #include "analysis/resource_estimator.hh"
+#include "sched/coarse.hh"
 #include "support/saturate.hh"
 #include "support/stats.hh"
 #include "verify/estimate_checker.hh"
@@ -183,8 +188,13 @@ main(int argc, char **argv)
             const auto start = std::chrono::steady_clock::now();
             EstimateOptions opts;
             opts.cache = std::make_shared<LeafScheduleCache>();
-            ProgramResourceEstimate est = computeProgramEstimate(
-                prog, arch, *scheduler, mode, opts);
+            CoarseScheduler::Options copts;
+            copts.leafCache = opts.cache;
+            const ProgramSchedule psched =
+                CoarseScheduler(arch, *scheduler, mode, copts)
+                    .schedule(prog);
+            ProgramResourceEstimate est =
+                computeProgramEstimate(prog, psched, mode);
 
             DiagnosticEngine diags;
             const bool exact = checkEstimateExactness(

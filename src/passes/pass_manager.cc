@@ -41,7 +41,6 @@ void
 PassManager::run(Program &prog) const
 {
     for (const auto &pass : passes) {
-        inform(std::string("running pass: ") + pass->name());
         {
             TraceSpan span(Telemetry::trace(),
                            std::string("pass:") + pass->name());

@@ -111,17 +111,6 @@ LeafScheduleCache::size() const
     return entries.size();
 }
 
-void
-LeafScheduleCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    entries.clear();
-    hits_.store(0);
-    misses_.store(0);
-    loads_.store(0);
-    rejections_.store(0);
-}
-
 std::vector<std::pair<std::string,
                       std::shared_ptr<const LeafScheduleResult>>>
 LeafScheduleCache::snapshotEntries() const

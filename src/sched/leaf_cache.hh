@@ -235,9 +235,6 @@ class LeafScheduleCache
     /** Number of distinct entries. */
     size_t size() const;
 
-    /** Drop all entries and reset the counters. */
-    void clear();
-
     /**
      * Key-sorted copy of every entry (value pointers shared). The unit
      * saveTo() serializes; sorted so the file bytes are deterministic

@@ -1,15 +1,8 @@
 #include "support/logging.hh"
 
-#include <atomic>
 #include <iostream>
 
 namespace msq {
-
-namespace {
-
-std::atomic<bool> verboseEnabled{false};
-
-} // anonymous namespace
 
 void
 panic(const std::string &msg)
@@ -27,25 +20,6 @@ void
 warn(const std::string &msg)
 {
     std::cerr << "warn: " << msg << "\n";
-}
-
-void
-inform(const std::string &msg)
-{
-    if (verboseEnabled.load(std::memory_order_relaxed))
-        std::cerr << "info: " << msg << "\n";
-}
-
-void
-setVerbose(bool enabled)
-{
-    verboseEnabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-verbose()
-{
-    return verboseEnabled.load(std::memory_order_relaxed);
 }
 
 } // namespace msq

@@ -1,7 +1,7 @@
 /**
  * @file
- * Error-reporting and status-message helpers, modelled on the gem5
- * panic()/fatal()/warn()/inform() convention.
+ * Error-reporting helpers, modelled on the gem5 panic()/fatal()/warn()
+ * convention.
  *
  * panic() is for internal invariant violations (a bug in this library);
  * fatal() is for unrecoverable user errors (bad input program, bad
@@ -39,15 +39,6 @@ class FatalError : public std::runtime_error
 
 /** Print a warning to stderr (does not stop execution). */
 void warn(const std::string &msg);
-
-/** Print an informational message to stderr when verbose mode is on. */
-void inform(const std::string &msg);
-
-/** Globally enable/disable inform() output. Default: disabled. */
-void setVerbose(bool enabled);
-
-/** @return whether inform() output is currently enabled. */
-bool verbose();
 
 } // namespace msq
 

@@ -1,7 +1,6 @@
 #include "support/strings.hh"
 
 #include <cstdarg>
-#include <cctype>
 
 namespace msq {
 
@@ -54,18 +53,6 @@ split(const std::string &text, char sep, bool keep_empty)
     if (keep_empty || !cur.empty())
         out.push_back(cur);
     return out;
-}
-
-std::string
-trim(const std::string &text)
-{
-    size_t begin = 0;
-    size_t end = text.size();
-    while (begin < end && std::isspace(static_cast<unsigned char>(text[begin])))
-        ++begin;
-    while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1])))
-        --end;
-    return text.substr(begin, end - begin);
 }
 
 bool

@@ -36,9 +36,6 @@ std::string join(const std::vector<std::string> &parts,
 std::vector<std::string> split(const std::string &text, char sep,
                                bool keep_empty = false);
 
-/** Strip leading and trailing ASCII whitespace. */
-std::string trim(const std::string &text);
-
 /** @return true when @p text begins with @p prefix. */
 bool startsWith(const std::string &text, const std::string &prefix);
 

@@ -268,15 +268,6 @@ MetricsRegistry::mergeInto(MetricsRegistry &dst) const
     }
 }
 
-void
-MetricsRegistry::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_.clear();
-    gauges_.clear();
-    distributions_.clear();
-}
-
 // --- clocks and thread ids ---------------------------------------------
 
 uint64_t

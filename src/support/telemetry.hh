@@ -189,9 +189,6 @@ class MetricsRegistry
      */
     void mergeInto(MetricsRegistry &dst) const;
 
-    /** Drop every metric. */
-    void clear();
-
   private:
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -50,41 +50,24 @@ ProgramResourceEstimate::naiveSpeedup() const
 }
 
 ProgramResourceEstimate
-computeProgramEstimate(const Program &prog, const MultiSimdArch &arch,
-                       const LeafScheduler &scheduler, CommMode mode,
-                       const EstimateOptions &opts)
+computeProgramEstimate(const Program &prog, const ProgramSchedule &psched,
+                       CommMode mode, MetricsRegistry *metrics,
+                       DiagnosticEngine *diags)
 {
     TraceSpan span(Telemetry::trace(), "toolflow-estimate");
     std::optional<ScopedTimerMs> timer;
-    if (opts.metrics != nullptr)
-        timer.emplace(opts.metrics->distribution("toolflow.estimate_ms"));
-
-    arch.validate();
-    std::shared_ptr<LeafScheduleCache> cache = opts.cache;
-    if (!cache)
-        cache = std::make_shared<LeafScheduleCache>();
-    const uint64_t hits_before = cache->hits();
-    const uint64_t misses_before = cache->misses();
+    if (metrics != nullptr)
+        timer.emplace(metrics->distribution("toolflow.estimate_ms"));
 
     ProgramResourceEstimate est;
-
-    // The parallel makespan needs the real hierarchical scheduler; its
-    // cost is O(distinct modules x sweep widths), never O(gates), and
-    // each leaf's widest result carries the summary the composition
-    // below reads.
-    CoarseScheduler::Options copts;
-    copts.numThreads = opts.numThreads;
-    copts.leafCache = cache;
-    CoarseScheduler coarse(arch, scheduler, mode, copts);
-    ProgramSchedule psched = coarse.schedule(prog);
     est.makespanCycles = psched.totalCycles;
 
     ScheduleSummaryAnalysis analysis(prog, mode, leafSummaryOf(psched),
-                                     opts.diags);
+                                     diags);
     est.program = analysis.programSummary();
     est.reachableModules = analysis.analyzedModules().size();
-    // The shared cache hands structurally identical leaves one result,
-    // so distinct results are distinct leaf schedules.
+    // A coarse run with a leaf cache hands structurally identical
+    // leaves one result, so distinct results are distinct schedules.
     std::unordered_set<const LeafScheduleResult *> distinct;
     for (ModuleId id : analysis.analyzedModules()) {
         if (!prog.module(id).isLeaf())
@@ -93,18 +76,12 @@ computeProgramEstimate(const Program &prog, const MultiSimdArch &arch,
         distinct.insert(psched.forModule(id).result.get());
     }
     est.distinctLeafSchedules = distinct.size();
-    est.cacheHits = cache->hits() - hits_before;
-    est.cacheMisses = cache->misses() - misses_before;
 
-    // All recorded single-threaded, after the parallel fan-out has
-    // joined: values are thread-count-invariant by construction.
-    if (opts.metrics != nullptr) {
-        MetricsRegistry &reg = *opts.metrics;
+    if (metrics != nullptr) {
+        MetricsRegistry &reg = *metrics;
         reg.counter("estimate.runs").add(1);
         reg.counter("estimate.distinct_leaf_schedules")
             .add(est.distinctLeafSchedules);
-        reg.counter("estimate.leaf_cache.hits").add(est.cacheHits);
-        reg.counter("estimate.leaf_cache.misses").add(est.cacheMisses);
         if (est.program.saturated())
             reg.counter("estimate.saturated_runs").add(1);
         reg.distribution("estimate.program_gates")
@@ -253,10 +230,18 @@ checkEstimateExactness(const Program &prog, const MultiSimdArch &arch,
                        uint64_t materialize_budget)
 {
     const size_t errors_before = diags.numErrors();
-    arch.validate();
     std::shared_ptr<LeafScheduleCache> cache = opts.cache;
     if (!cache)
         cache = std::make_shared<LeafScheduleCache>();
+
+    // A fresh ProgramSchedule (E002's recompute). Its cache hands
+    // structurally identical leaves one result, so E001 below visits
+    // each distinct leaf once by result pointer.
+    CoarseScheduler::Options copts;
+    copts.numThreads = opts.numThreads;
+    copts.leafCache = cache;
+    CoarseScheduler coarse(arch, scheduler, mode, copts);
+    const ProgramSchedule psched = coarse.schedule(prog);
 
     // E001 — re-schedule each distinct leaf from scratch and compare
     // the summary the CommunicationAnalyzer derives while emitting the
@@ -264,14 +249,12 @@ checkEstimateExactness(const Program &prog, const MultiSimdArch &arch,
     // field for field. The two paths share no state: the annotator
     // classifies moves as it derives them, the fold re-reads the
     // annotated buffer through steps().
-    std::unordered_set<std::string> folded;
-    const std::string suffix =
-        leafScheduleKeySuffix(scheduler.fingerprint(), arch, mode);
+    std::unordered_set<const LeafScheduleResult *> folded;
     for (ModuleId id : prog.bottomUpOrder()) {
         const Module &mod = prog.module(id);
         if (!mod.isLeaf())
             continue;
-        if (!folded.insert(leafScheduleKey(mod, arch.k, suffix)).second)
+        if (!folded.insert(psched.forModule(id).result.get()).second)
             continue;
         LeafSchedule sched = scheduler.schedule(mod, arch);
         ResourceSummary annotated;
@@ -289,13 +272,8 @@ checkEstimateExactness(const Program &prog, const MultiSimdArch &arch,
             ++stats->leafFoldsChecked;
     }
 
-    // E002 — the estimate's makespan must equal a freshly scheduled
-    // ProgramSchedule's total (determinism + cache-integrity check).
-    CoarseScheduler::Options copts;
-    copts.numThreads = opts.numThreads;
-    copts.leafCache = cache;
-    CoarseScheduler coarse(arch, scheduler, mode, copts);
-    const ProgramSchedule psched = coarse.schedule(prog);
+    // E002 — the estimate's makespan must equal the fresh schedule's
+    // total (determinism + cache-integrity check).
     if (psched.totalCycles != est.makespanCycles) {
         diags.error(
             DiagCode::EstimateMakespanMismatch,

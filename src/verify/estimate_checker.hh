@@ -4,13 +4,14 @@
  * (diagnostic codes E001-E006).
  *
  * computeProgramEstimate() is the production entry point of the
- * schedule-summary analysis (analysis/schedule_summary.hh): it runs
- * the CoarseScheduler (itself O(distinct modules)) for the parallel
- * makespan, which schedules each *distinct* leaf exactly once through
- * the shared LeafScheduleCache, and composes the ResourceSummary of
- * each leaf's widest result (ModuleScheduleInfo::result) bottom-up
+ * schedule-summary analysis (analysis/schedule_summary.hh). It reads
+ * the ProgramSchedule it is handed and schedules nothing: the makespan
+ * is the schedule's total, and the ResourceSummary of each leaf's
+ * widest result (ModuleScheduleInfo::result) is composed bottom-up
  * through the repeat algebra — exact program-level resource reports
- * for 10^12-gate workloads in O(distinct leaves) memory.
+ * for 10^12-gate workloads in O(distinct leaves) memory, since a
+ * CoarseScheduler run with a LeafScheduleCache schedules each
+ * *distinct* leaf once.
  *
  * checkEstimateExactness() is what makes the estimate trustworthy: the
  * composed numbers are claimed *exact*, so on any program small enough
@@ -63,8 +64,8 @@ struct ProgramResourceEstimate
     /** Parallel makespan: the CoarseScheduler's entry best length. */
     uint64_t makespanCycles = 0;
 
-    /** Distinct leaf results composed (the memory bound): the cache
-     * hands structurally identical leaves one result. */
+    /** Distinct leaf results composed (the memory bound): a leaf
+     * cache hands structurally identical leaves one result. */
     uint64_t distinctLeafSchedules = 0;
 
     /** Reachable leaf modules (>= distinctLeafSchedules). */
@@ -72,11 +73,6 @@ struct ProgramResourceEstimate
 
     /** Modules reachable from the entry. */
     uint64_t reachableModules = 0;
-
-    /** Leaf-cache traffic of this estimate run's coarse schedule
-     * (the composition reads the schedule, not the cache). */
-    uint64_t cacheHits = 0;
-    uint64_t cacheMisses = 0;
 
     /**
      * Speedup over sequential execution (one gate per cycle):
@@ -89,39 +85,34 @@ struct ProgramResourceEstimate
     double naiveSpeedup() const;
 };
 
-/** Options shared by the estimate driver and the exactness checker. */
+/**
+ * Compose the exact resource estimate of @p prog under @p mode from
+ * @p psched, a CoarseScheduler run of @p prog under the same mode, in
+ * O(distinct modules): the makespan is psched.totalCycles, and the
+ * summaries of the full-width leaf results it points at are composed
+ * through the repeat algebra.
+ *
+ * @param metrics optional telemetry sink: the estimate.* counters and
+ *        distributions and the toolflow.estimate_ms phase timing.
+ * @param diags optional sink for E006 composition-saturation warnings,
+ *        one at each call site where the composed summary first clips.
+ */
+ProgramResourceEstimate
+computeProgramEstimate(const Program &prog, const ProgramSchedule &psched,
+                       CommMode mode, MetricsRegistry *metrics = nullptr,
+                       DiagnosticEngine *diags = nullptr);
+
+/** How the exactness checker schedules its fresh recompute (E002). */
 struct EstimateOptions
 {
     /** Scheduling fan-out threads (1 = sequential, 0 = hardware). */
     unsigned numThreads = 1;
 
     /** Leaf-schedule memoization cache; created fresh when null. May
-     * be shared with prior CoarseScheduler runs so already-scheduled
-     * leaves are never recomputed. */
+     * be the cache that produced the estimate's schedule, so already
+     * scheduled leaves are never recomputed. */
     std::shared_ptr<LeafScheduleCache> cache;
-
-    /** Optional telemetry sink: estimate.* counters/distributions and
-     * the toolflow.estimate_ms phase timing, recorded only from the
-     * single-threaded driver (thread-count-invariance contract). */
-    MetricsRegistry *metrics = nullptr;
-
-    /** Optional sink for E006 composition-saturation warnings, one at
-     * each call site where the composed summary first clips. */
-    DiagnosticEngine *diags = nullptr;
 };
-
-/**
- * Compute the exact resource estimate of @p prog on @p arch under
- * @p mode, never materializing more than O(distinct leaves) schedule
- * state. Leaves are scheduled at every sweep width by the embedded
- * CoarseScheduler run (for the makespan), and the summaries of the
- * full-width results it points at are composed through the repeat
- * algebra.
- */
-ProgramResourceEstimate
-computeProgramEstimate(const Program &prog, const MultiSimdArch &arch,
-                       const LeafScheduler &scheduler, CommMode mode,
-                       const EstimateOptions &opts = {});
 
 /** Aggregate numbers from one exactness-checker run. */
 struct EstimateCheckStats
@@ -136,7 +127,8 @@ constexpr uint64_t defaultMaterializeBudget = 5'000'000;
 
 /**
  * Verify @p est against independently computed ground truth (E001-E006
- * above). @p scheduler and @p mode must match what produced @p est.
+ * above). @p arch, @p scheduler and @p mode must match the schedule
+ * that produced @p est.
  *
  * @param materialize_budget op-visit ceiling for the E004 unrolled
  *        walk; programs larger than this skip E004 (the other checks

@@ -365,6 +365,17 @@ TEST(SummaryComposition, LocalContributionIdentityHolds)
 // The estimate driver + exactness checker end to end.
 // ---------------------------------------------------------------------
 
+/** The schedule an estimate composes from: one coarse run of @p prog on
+ * a fresh leaf cache, as msq-verify builds it. */
+ProgramSchedule
+coarseSchedule(const Program &prog, const MultiSimdArch &arch,
+               const LeafScheduler &scheduler, CommMode mode)
+{
+    CoarseScheduler::Options options;
+    options.leafCache = std::make_shared<LeafScheduleCache>();
+    return CoarseScheduler(arch, scheduler, mode, options).schedule(prog);
+}
+
 TEST(EstimateChecker, PassesOnHandBuiltProgram)
 {
     ThreeLevelProgram tlp;
@@ -372,7 +383,8 @@ TEST(EstimateChecker, PassesOnHandBuiltProgram)
     MultiSimdArch arch(2);
 
     ProgramResourceEstimate est = computeProgramEstimate(
-        tlp.prog, arch, rcp, CommMode::Global);
+        tlp.prog, coarseSchedule(tlp.prog, arch, rcp, CommMode::Global),
+        CommMode::Global);
     EXPECT_GT(est.makespanCycles, 0u);
     EXPECT_EQ(est.distinctLeafSchedules, 1u);
     EXPECT_EQ(est.leafModules, 1u);
@@ -406,8 +418,9 @@ TEST(EstimateChecker, CommModeNoneRaisesNoE001)
 
     RcpScheduler rcp;
     MultiSimdArch arch(2);
-    ProgramResourceEstimate est =
-        computeProgramEstimate(prog, arch, rcp, CommMode::None);
+    ProgramResourceEstimate est = computeProgramEstimate(
+        prog, coarseSchedule(prog, arch, rcp, CommMode::None),
+        CommMode::None);
     EXPECT_GT(est.program.activeRegionSteps, 0u);
     DiagnosticEngine diags;
     EstimateCheckStats stats;
@@ -420,16 +433,26 @@ TEST(EstimateChecker, CommModeNoneRaisesNoE001)
 
 TEST(EstimateChecker, PerturbedMakespanTripsE002)
 {
+    // A makespan raised on the estimate, or on the schedule it is
+    // composed from, disagrees with the checker's fresh recompute.
     ThreeLevelProgram tlp;
     RcpScheduler rcp;
     MultiSimdArch arch(2);
-    ProgramResourceEstimate est = computeProgramEstimate(
-        tlp.prog, arch, rcp, CommMode::Global);
-    est.makespanCycles += 1;
-    DiagnosticEngine diags;
-    EXPECT_FALSE(checkEstimateExactness(tlp.prog, arch, rcp,
-                                        CommMode::Global, est, diags));
-    EXPECT_TRUE(hasCode(diags, DiagCode::EstimateMakespanMismatch));
+    for (bool on_schedule : {false, true}) {
+        SCOPED_TRACE(on_schedule ? "schedule" : "estimate");
+        ProgramSchedule psched =
+            coarseSchedule(tlp.prog, arch, rcp, CommMode::Global);
+        if (on_schedule)
+            psched.totalCycles += 1;
+        ProgramResourceEstimate est =
+            computeProgramEstimate(tlp.prog, psched, CommMode::Global);
+        if (!on_schedule)
+            est.makespanCycles += 1;
+        DiagnosticEngine diags;
+        EXPECT_FALSE(checkEstimateExactness(tlp.prog, arch, rcp,
+                                            CommMode::Global, est, diags));
+        EXPECT_TRUE(hasCode(diags, DiagCode::EstimateMakespanMismatch));
+    }
 }
 
 TEST(EstimateChecker, PerturbedSummaryTripsE002)
@@ -438,12 +461,47 @@ TEST(EstimateChecker, PerturbedSummaryTripsE002)
     RcpScheduler rcp;
     MultiSimdArch arch(2);
     ProgramResourceEstimate est = computeProgramEstimate(
-        tlp.prog, arch, rcp, CommMode::Global);
+        tlp.prog, coarseSchedule(tlp.prog, arch, rcp, CommMode::Global),
+        CommMode::Global);
     est.program.gateOps += 1;
     DiagnosticEngine diags;
     EXPECT_FALSE(checkEstimateExactness(tlp.prog, arch, rcp,
                                         CommMode::Global, est, diags));
     EXPECT_TRUE(hasCode(diags, DiagCode::EstimateMakespanMismatch));
+}
+
+TEST(EstimateChecker, StructurallyIdenticalLeavesShareOneSchedule)
+{
+    // Two leaves that differ only in name and one that differs in
+    // structure: the cache hands the twins one result, so the estimate
+    // counts two distinct schedules and E001 folds two leaves.
+    Program prog;
+    ModuleId twin_a = prog.addModule("twin_a");
+    addCommHeavyGates(prog.module(twin_a), 4, 2);
+    ModuleId twin_b = prog.addModule("twin_b");
+    addCommHeavyGates(prog.module(twin_b), 4, 2);
+    ModuleId other = prog.addModule("other");
+    addCommHeavyGates(prog.module(other), 6, 3);
+    ModuleId entry = prog.addModule("entry");
+    prog.module(entry).addLocal("q");
+    for (ModuleId leaf : {twin_a, twin_b, other})
+        prog.module(entry).addCall(leaf, {}, 2);
+    prog.setEntry(entry);
+
+    RcpScheduler rcp;
+    MultiSimdArch arch(2);
+    ProgramResourceEstimate est = computeProgramEstimate(
+        prog, coarseSchedule(prog, arch, rcp, CommMode::Global),
+        CommMode::Global);
+    EXPECT_EQ(est.distinctLeafSchedules, 2u);
+    EXPECT_EQ(est.leafModules, 3u);
+
+    DiagnosticEngine diags;
+    EstimateCheckStats stats;
+    EXPECT_TRUE(checkEstimateExactness(prog, arch, rcp, CommMode::Global,
+                                       est, diags, {}, &stats));
+    EXPECT_EQ(diags.numErrors(), 0u);
+    EXPECT_EQ(stats.leafFoldsChecked, 2u);
 }
 
 TEST(EstimateChecker, ZeroOpLeafUnderHugeRepeatStaysExact)
@@ -459,7 +517,8 @@ TEST(EstimateChecker, ZeroOpLeafUnderHugeRepeatStaysExact)
     RcpScheduler rcp;
     MultiSimdArch arch(2);
     ProgramResourceEstimate est = computeProgramEstimate(
-        prog, arch, rcp, CommMode::Global);
+        prog, coarseSchedule(prog, arch, rcp, CommMode::Global),
+        CommMode::Global);
     EXPECT_EQ(est.program.gateOps, 0u);
     // Each call still pays the flush overhead, nothing else.
     EXPECT_EQ(est.program.serialCycles,
@@ -505,10 +564,9 @@ TEST(EstimateChecker, SaturatedRepeatAlgebraPoisonsAndWarns)
     RcpScheduler rcp;
     MultiSimdArch arch(2);
     DiagnosticEngine diags;
-    EstimateOptions opts;
-    opts.diags = &diags;
     ProgramResourceEstimate est = computeProgramEstimate(
-        prog, arch, rcp, CommMode::Global, opts);
+        prog, coarseSchedule(prog, arch, rcp, CommMode::Global),
+        CommMode::Global, nullptr, &diags);
 
     // Poisoned, not silently capped: dependent fields stick at
     // 2^128-1, which is what saturated() reads.
@@ -557,7 +615,8 @@ TEST(EstimateChecker, UnsaturatedHugeRepeatStaysExactBelowClip)
     RcpScheduler rcp;
     MultiSimdArch arch(2);
     ProgramResourceEstimate est = computeProgramEstimate(
-        prog, arch, rcp, CommMode::Global);
+        prog, coarseSchedule(prog, arch, rcp, CommMode::Global),
+        CommMode::Global);
     const Count runs = Count(outer) * inner;
     EXPECT_FALSE(est.program.saturated());
     EXPECT_EQ(est.program.gateOps, runs);
@@ -583,9 +642,11 @@ TEST(ScaleWorkload, ScalesEveryLinearFieldExactly)
     RcpScheduler rcp;
     MultiSimdArch arch(4);
     ProgramResourceEstimate b = computeProgramEstimate(
-        base, arch, rcp, CommMode::Global);
+        base, coarseSchedule(base, arch, rcp, CommMode::Global),
+        CommMode::Global);
     ProgramResourceEstimate s = computeProgramEstimate(
-        scaled, arch, rcp, CommMode::Global);
+        scaled, coarseSchedule(scaled, arch, rcp, CommMode::Global),
+        CommMode::Global);
 
     EXPECT_EQ(s.program.gateOps, 1000 * b.program.gateOps);
     EXPECT_EQ(s.program.teleportMoves, 1000 * b.program.teleportMoves);
@@ -630,7 +691,9 @@ TEST(EstimateWorkloads, AllEightExactUnderBothSchedulers)
                          schedulerKindName(kind));
             auto scheduler = Toolflow::makeScheduler(kind);
             ProgramResourceEstimate est = computeProgramEstimate(
-                prog, arch, *scheduler, CommMode::Global);
+                prog,
+                coarseSchedule(prog, arch, *scheduler, CommMode::Global),
+                CommMode::Global);
             EXPECT_EQ(est.program.gateOps, independent_gates);
             EXPECT_GT(est.makespanCycles, 0u);
 
@@ -653,10 +716,10 @@ TEST(EstimateTelemetry, RecordsCountersAndPhaseTiming)
     RcpScheduler rcp;
     MultiSimdArch arch(2);
     MetricsRegistry metrics;
-    EstimateOptions opts;
-    opts.metrics = &metrics;
-    computeProgramEstimate(tlp.prog, arch, rcp, CommMode::Global, opts);
-    computeProgramEstimate(tlp.prog, arch, rcp, CommMode::Global, opts);
+    const ProgramSchedule psched =
+        coarseSchedule(tlp.prog, arch, rcp, CommMode::Global);
+    computeProgramEstimate(tlp.prog, psched, CommMode::Global, &metrics);
+    computeProgramEstimate(tlp.prog, psched, CommMode::Global, &metrics);
 
     EXPECT_EQ(metrics.counter("estimate.runs").value(), 2u);
     EXPECT_EQ(

@@ -45,14 +45,6 @@ TEST(Logging, PanicMessagePreserved)
     }
 }
 
-TEST(Logging, VerboseToggle)
-{
-    setVerbose(true);
-    EXPECT_TRUE(verbose());
-    setVerbose(false);
-    EXPECT_FALSE(verbose());
-}
-
 TEST(Hash, FoldMatchesBytewiseReference)
 {
     // Reference: every value folded as its eight little-endian bytes,
@@ -109,14 +101,6 @@ TEST(Strings, SplitDropsEmptyByDefault)
 {
     EXPECT_EQ(split("a,,b", ',').size(), 2u);
     EXPECT_EQ(split("a,,b", ',', true).size(), 3u);
-}
-
-TEST(Strings, Trim)
-{
-    EXPECT_EQ(trim("  x y  "), "x y");
-    EXPECT_EQ(trim(""), "");
-    EXPECT_EQ(trim("   "), "");
-    EXPECT_EQ(trim("z"), "z");
 }
 
 TEST(Strings, StartsWith)

@@ -17,15 +17,17 @@
  *                   and LPFS, and replay the movement plans through the
  *                   comm-schedule race detector (codes M001-M010);
  *                   also checks each leaf's compute steps (S001,
- *                   S003-S009) and a coarse schedule of the whole
- *                   program
- *   --k=N           regions for --check-comm (default 4)
- *   --d=N           SIMD width per region for --check-comm (default inf;
- *                   0 also means inf)
- *   --local-mem=N   scratchpad capacity for --check-comm (default 0);
- *                   a machine with scratchpads (from this flag or a
- *                   topology's local-mem) also exercises
- *                   CommMode::GlobalWithLocalMem
+ *                   S003-S009) and each scheduler's coarse schedule of
+ *                   the whole program (C001-C006)
+ *   --k=N           regions of the machine --check-comm, --bounds and
+ *                   --estimate schedule on (default 4)
+ *   --d=N           SIMD width per region of that machine (default
+ *                   inf; 0 also means inf)
+ *   --local-mem=N   scratchpad capacity of that machine (default 0);
+ *                   scratchpads (from this flag or a topology's
+ *                   local-mem) make --check-comm also replay
+ *                   CommMode::GlobalWithLocalMem and make local the
+ *                   default --comm-mode
  *   --topology=SPEC multi-core machine for the scheduling checks
  *                   (parseTopologySpec grammar, e.g.
  *                   "cores=4,k=2,shape=ring,link-bw=1,link-lat=3");
@@ -33,9 +35,11 @@
  *                   spec is the flat machine. Malformed or invalid
  *                   specs (A001-A005), checked once against the final
  *                   machine, exit 2
- *   --threads=N     scheduling fan-out for --check-comm (default 1;
- *                   0 = hardware concurrency). Results are identical
- *                   for every value; this only changes wall-clock time
+ *   --threads=N     fan-out of the coarse schedules --check-comm,
+ *                   --bounds and --estimate read, and of --estimate's
+ *                   recompute (default 1; 0 = hardware concurrency).
+ *                   Results are identical for every value; this only
+ *                   changes wall-clock time
  *   --bounds        decompose + flatten, coarse-schedule the whole
  *                   program under RCP and LPFS, and check every leaf
  *                   and blackbox dimension against the static makespan
@@ -73,8 +77,8 @@
  *   --estimate      decompose + flatten, then compute the exact
  *                   whole-program resource estimate under RCP and LPFS
  *                   via the schedule-summary analysis (each distinct
- *                   leaf scheduled once, composed through the repeat
- *                   algebra) and cross-check it field-for-field against
+ *                   leaf's summary composed through the repeat algebra)
+ *                   and cross-check it field-for-field against
  *                   independently computed ground truth (codes
  *                   E001-E006); any divergence is a hard error
  *   --estimate-json=PATH
@@ -98,8 +102,9 @@
  *                   because estimation is O(distinct leaves)
  *   --metrics-json=PATH
  *                   write the run's metrics registry (verify.* counters
- *                   plus, under --check-comm, the full passes.* /
- *                   sched.* / comm.* set) as JSON to PATH
+ *                   plus, under --check-comm, --bounds or --estimate,
+ *                   the full passes.* / sched.* / comm.* set) as JSON
+ *                   to PATH
  *   --trace-json=PATH
  *                   enable the trace recorder and write a Chrome
  *                   trace-event file (chrome://tracing, ui.perfetto.dev)
@@ -214,9 +219,56 @@ struct EstimateJsonEntry
     std::string input;     ///< file path or "workload:<name>"
     std::string scheduler; ///< the leaf scheduler's name()
     ProgramResourceEstimate est;
+    uint64_t cacheHits = 0;   ///< the coarse run's leaf-cache traffic
+    uint64_t cacheMisses = 0;
     EstimateCheckStats stats;
     bool exact = true; ///< checkEstimateExactness added no errors
 };
+
+/**
+ * One leaf scheduler's coarse schedule of the lowered program: the one
+ * schedule --check-comm, --bounds and --estimate all read.
+ */
+struct CheckSchedule
+{
+    std::unique_ptr<LeafScheduler> scheduler;
+    ProgramSchedule psched;
+    /** The run's fresh leaf cache; the estimate checker reuses it. */
+    std::shared_ptr<LeafScheduleCache> cache;
+    /** The run's leaf-cache traffic, read before any check runs. */
+    uint64_t cacheHits = 0;
+    uint64_t cacheMisses = 0;
+};
+
+/**
+ * Coarse-schedule the lowered @p prog once per check scheduler under
+ * the configured comm mode, each on a fresh leaf cache. This is the
+ * only coarse scheduling msq-verify does.
+ */
+std::vector<CheckSchedule>
+scheduleForChecks(const Program &prog, const Options &options,
+                  MetricsRegistry &metrics)
+{
+    const MultiSimdArch &arch = options.config.arch;
+    const CommMode mode = options.config.commMode;
+    std::vector<CheckSchedule> out;
+    for (auto &scheduler : makeCheckSchedulers(options, mode)) {
+        CheckSchedule entry;
+        entry.cache = std::make_shared<LeafScheduleCache>();
+        CoarseScheduler::Options coarse_options;
+        coarse_options.numThreads = options.threads;
+        coarse_options.leafCache = entry.cache;
+        coarse_options.metrics = &metrics;
+        entry.psched = CoarseScheduler(arch, *scheduler, mode,
+                                       coarse_options)
+                           .schedule(prog);
+        entry.cacheHits = entry.cache->hits();
+        entry.cacheMisses = entry.cache->misses();
+        entry.scheduler = std::move(scheduler);
+        out.push_back(std::move(entry));
+    }
+    return out;
+}
 
 void
 usage(std::ostream &out)
@@ -311,13 +363,15 @@ printDataflow(const std::string &path, const Program &prog)
  * --check-comm: schedule each reachable leaf of the lowered program
  * under RCP and LPFS, derive the movement plan, replay it through the
  * race detector (M001-M010) and validate the compute steps
- * (S001, S003-S009). Also coarse-schedules the whole program and
- * validates it (codes C001-C006).
+ * (S001, S003-S009). The replay schedules its own leaves, since it
+ * needs their annotated buffers. Then validates every scheduler's
+ * coarse schedule in @p schedules (codes C001-C006).
  */
 void
-checkCommunication(const std::string &path, Program &prog,
-                   const Options &options, DiagnosticEngine &diags,
-                   MetricsRegistry &metrics)
+checkCommunication(const std::string &path, const Program &prog,
+                   const Options &options,
+                   const std::vector<CheckSchedule> &schedules,
+                   DiagnosticEngine &diags)
 {
     const MultiSimdArch &arch = options.config.arch;
 
@@ -325,10 +379,8 @@ checkCommunication(const std::string &path, Program &prog,
     if (arch.localMemCapacity > 0)
         modes.push_back(CommMode::GlobalWithLocalMem);
 
-    const auto schedulers =
-        makeCheckSchedulers(options, CommMode::Global);
-
-    for (const auto &scheduler : schedulers) {
+    for (const auto &scheduler :
+         makeCheckSchedulers(options, CommMode::Global)) {
         for (CommMode mode : modes) {
             CommunicationAnalyzer analyzer(arch, mode);
             for (ModuleId id : prog.reachableModules()) {
@@ -356,43 +408,31 @@ checkCommunication(const std::string &path, Program &prog,
         }
     }
 
-    CoarseScheduler::Options coarse_options;
-    coarse_options.numThreads = options.threads;
-    coarse_options.leafCache = std::make_shared<LeafScheduleCache>();
-    coarse_options.metrics = &metrics;
-    CoarseScheduler coarse(arch, *schedulers.back(), CommMode::Global,
-                           coarse_options);
-    ProgramSchedule psched = coarse.schedule(prog);
-    validateProgramSchedule(prog, psched, arch, &diags);
+    for (const CheckSchedule &entry : schedules)
+        validateProgramSchedule(prog, entry.psched, arch, &diags);
 }
 
 /**
- * --bounds: coarse-schedule the lowered program under RCP and LPFS,
- * check every blackbox dimension and the program total against the
- * static makespan lower bounds (codes B004-B007), and report per-leaf
- * optimality gaps.
+ * --bounds: check every blackbox dimension of each scheduler's coarse
+ * schedule and the program total against the static makespan lower
+ * bounds (codes B004-B007), and report per-leaf optimality gaps.
  */
 void
-checkBounds(const std::string &path, Program &prog,
-            const Options &options, DiagnosticEngine &diags,
-            MetricsRegistry &metrics,
+checkBounds(const std::string &path, const Program &prog,
+            const Options &options,
+            const std::vector<CheckSchedule> &schedules,
+            DiagnosticEngine &diags, MetricsRegistry &metrics,
             std::vector<BoundsJsonEntry> &json_entries)
 {
     const MultiSimdArch &arch = options.config.arch;
     const CommMode mode = options.config.commMode;
 
-    for (const auto &scheduler : makeCheckSchedulers(options, mode)) {
-        CoarseScheduler::Options coarse_options;
-        coarse_options.numThreads = options.threads;
-        coarse_options.leafCache = std::make_shared<LeafScheduleCache>();
-        coarse_options.metrics = &metrics;
-        CoarseScheduler coarse(arch, *scheduler, mode, coarse_options);
-        ProgramSchedule psched = coarse.schedule(prog);
-
+    for (const CheckSchedule &entry : schedules) {
+        const LeafScheduler &scheduler = *entry.scheduler;
         ProgramGapReport report;
         BoundCheckStats stats;
-        const bool ok = checkScheduleBounds(prog, psched, arch, mode,
-                                            diags, &report, &stats);
+        const bool ok = checkScheduleBounds(prog, entry.psched, arch,
+                                            mode, diags, &report, &stats);
         metrics.counter("verify.bounds.leaves").add(stats.leavesChecked);
         metrics.counter("verify.bounds.dims").add(stats.dimsChecked);
         if (!ok)
@@ -404,7 +444,7 @@ checkBounds(const std::string &path, Program &prog,
                 ++proven;
         if (!options.quiet) {
             for (const LeafGapRecord &leaf : report.leaves) {
-                std::cout << path << ": bounds [" << scheduler->name()
+                std::cout << path << ": bounds [" << scheduler.name()
                           << "] leaf " << leaf.module << ": makespan "
                           << leaf.makespan << ", bound "
                           << leaf.lowerBound << " (cp "
@@ -416,7 +456,7 @@ checkBounds(const std::string &path, Program &prog,
                           << "]\n";
             }
         }
-        std::cout << path << ": bounds [" << scheduler->name()
+        std::cout << path << ": bounds [" << scheduler.name()
                   << "]: program makespan " << report.programMakespan
                   << ", bound " << report.programLowerBound << ", gap "
                   << csprintf("%.3f", report.programGap) << ", "
@@ -425,62 +465,64 @@ checkBounds(const std::string &path, Program &prog,
                   << (ok ? "" : " -- VIOLATIONS") << "\n";
 
         json_entries.push_back(
-            {path, scheduler->name(), std::move(report)});
+            {path, scheduler.name(), std::move(report)});
     }
 }
 
 /**
- * --estimate: compute the exact schedule-summary resource estimate
- * under RCP and LPFS and cross-check it against independently computed
- * ground truth (codes E001-E006). The estimate itself is O(distinct
- * leaves) and survives any --scale factor; the E004 unrolled-walk
- * cross-check is budget-gated and silently skipped at true paper scale.
+ * --estimate: compose the exact schedule-summary resource estimate
+ * from each scheduler's coarse schedule and cross-check it against
+ * independently computed ground truth (codes E001-E006). The estimate
+ * itself is O(distinct leaves) and survives any --scale factor; the
+ * E004 unrolled-walk cross-check is budget-gated and silently skipped
+ * at true paper scale.
  */
 void
-checkEstimate(const std::string &path, Program &prog,
-              const Options &options, DiagnosticEngine &diags,
-              MetricsRegistry &metrics,
+checkEstimate(const std::string &path, const Program &prog,
+              const Options &options,
+              const std::vector<CheckSchedule> &schedules,
+              DiagnosticEngine &diags, MetricsRegistry &metrics,
               std::vector<EstimateJsonEntry> &json_entries)
 {
     const MultiSimdArch &arch = options.config.arch;
     const CommMode mode = options.config.commMode;
 
-    for (const auto &scheduler : makeCheckSchedulers(options, mode)) {
+    for (const CheckSchedule &entry : schedules) {
+        const LeafScheduler &scheduler = *entry.scheduler;
+        ProgramResourceEstimate est = computeProgramEstimate(
+            prog, entry.psched, mode, &metrics, &diags);
+
+        // The checker's fresh schedule reuses the populated cache, so
+        // it cross-checks the cached leaves instead of paying for a
+        // second sweep of the widths.
         EstimateOptions eopts;
         eopts.numThreads = options.threads;
-        eopts.cache = std::make_shared<LeafScheduleCache>();
-        eopts.metrics = &metrics;
-        eopts.diags = &diags;
-        ProgramResourceEstimate est =
-            computeProgramEstimate(prog, arch, *scheduler, mode, eopts);
-
+        eopts.cache = entry.cache;
         EstimateCheckStats stats;
-        // Reuse the populated cache so the checker's fresh leaf
-        // schedules cross-check the cached ones instead of paying for
-        // a second sweep of the widths.
         const bool exact = checkEstimateExactness(
-            prog, arch, *scheduler, mode, est, diags, eopts, &stats);
+            prog, arch, scheduler, mode, est, diags, eopts, &stats);
 
         const ResourceSummary &sum = est.program;
         if (!options.quiet) {
-            std::cout << path << ": estimate [" << scheduler->name()
+            std::cout << path << ": estimate [" << scheduler.name()
                       << "] serial: " << sum.serialCycles
                       << " cycle(s) (" << sum.commCycles << " comm, "
                       << csprintf("%.1f", 100.0 * sum.commFraction())
                       << "%)\n";
-            std::cout << path << ": estimate [" << scheduler->name()
+            std::cout << path << ": estimate [" << scheduler.name()
                       << "] comm: " << sum.teleportMoves
                       << " teleport(s) (" << sum.blockingTeleports
                       << " blocking), " << sum.localMoves
                       << " local move(s), " << sum.eprPairs()
                       << " EPR pair(s)\n";
-            std::cout << path << ": estimate [" << scheduler->name()
+            std::cout << path << ": estimate [" << scheduler.name()
                       << "] leaves: " << est.distinctLeafSchedules
                       << " distinct schedule(s), " << est.leafModules
                       << " leaf module(s), " << est.reachableModules
-                      << " reachable, cache " << est.cacheHits
-                      << " hit(s)/" << est.cacheMisses << " miss(es)\n";
-            std::cout << path << ": estimate [" << scheduler->name()
+                      << " reachable, cache " << entry.cacheHits
+                      << " hit(s)/" << entry.cacheMisses
+                      << " miss(es)\n";
+            std::cout << path << ": estimate [" << scheduler.name()
                       << "] occupancy: peak " << sum.peakActiveRegions
                       << " region(s), mean "
                       << csprintf("%.2f", sum.meanRegionOccupancy())
@@ -495,7 +537,7 @@ checkEstimate(const std::string &path, Program &prog,
             }
             std::cout << "\n";
         }
-        std::cout << path << ": estimate [" << scheduler->name()
+        std::cout << path << ": estimate [" << scheduler.name()
                   << "]: " << sum.gateOps << " gate(s), makespan "
                   << est.makespanCycles << ", speedup "
                   << csprintf("%.2f", est.sequentialSpeedup())
@@ -507,8 +549,9 @@ checkEstimate(const std::string &path, Program &prog,
                   << (sum.saturated() ? ", SATURATED" : "")
                   << (exact ? "" : " -- INEXACT") << "\n";
 
-        json_entries.push_back(
-            {path, scheduler->name(), std::move(est), stats, exact});
+        json_entries.push_back({path, scheduler.name(), std::move(est),
+                                entry.cacheHits, entry.cacheMisses, stats,
+                                exact});
     }
 }
 
@@ -650,8 +693,8 @@ writeEstimateJson(const Options &options,
             << ",\n"
             << "      \"reachable_modules\": "
             << entry.est.reachableModules << ",\n"
-            << "      \"cache\": {\"hits\": " << entry.est.cacheHits
-            << ", \"misses\": " << entry.est.cacheMisses << "},\n"
+            << "      \"cache\": {\"hits\": " << entry.cacheHits
+            << ", \"misses\": " << entry.cacheMisses << "},\n"
             << "      \"occupancy\": [";
         for (size_t b = 0; b < sum.occupancy.size(); ++b) {
             out << (b ? ",\n" : "\n")
@@ -668,10 +711,11 @@ writeEstimateJson(const Options &options,
 
 /**
  * Post-parse pipeline shared by file and --workload inputs: lint,
- * dataflow printing, and (lowering once, through Toolflow::lower under
- * @p lowering, so the checks see the program Toolflow::run schedules)
- * the --check-comm and --bounds scheduling checks. @p diags may already
- * hold parse-stage diagnostics.
+ * dataflow printing, and the --check-comm, --bounds and --estimate
+ * scheduling checks. Those lower once, through Toolflow::lower under
+ * @p lowering, so the checks see the program Toolflow::run schedules,
+ * and then all read one coarse schedule per scheduler. @p diags may
+ * already hold parse-stage diagnostics.
  */
 Outcome
 checkProgram(const std::string &label, Program &prog,
@@ -695,15 +739,17 @@ checkProgram(const std::string &label, Program &prog,
         try {
             lowering.metrics = &metrics;
             Toolflow(std::move(lowering)).lower(prog);
+            const std::vector<CheckSchedule> schedules =
+                scheduleForChecks(prog, options, metrics);
             if (options.checkComm)
-                checkCommunication(label, prog, options, diags, metrics);
+                checkCommunication(label, prog, options, schedules, diags);
             if (options.bounds) {
-                checkBounds(label, prog, options, diags, metrics,
-                            json_entries);
+                checkBounds(label, prog, options, schedules, diags,
+                            metrics, json_entries);
             }
             if (options.estimate) {
-                checkEstimate(label, prog, options, diags, metrics,
-                              estimate_entries);
+                checkEstimate(label, prog, options, schedules, diags,
+                              metrics, estimate_entries);
             }
         } catch (const PanicError &err) {
             std::cerr << label << ": error: scheduling checks: "
