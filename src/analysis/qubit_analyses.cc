@@ -3,7 +3,6 @@
 #include <numeric>
 #include <unordered_map>
 
-#include "ir/dag.hh"
 #include "ir/gate.hh"
 
 namespace msq {
@@ -16,120 +15,6 @@ isPrepGate(GateKind kind)
     return kind == GateKind::PrepZ || kind == GateKind::PrepX;
 }
 
-/**
- * Backward liveness over the dependence DAG. A prep is a definition and
- * kills its operand; every other gate (measurement included) reads its
- * operands; a call reads exactly the arguments its callee transitively
- * uses. Unknown callees (invalid id, unanalyzed) read everything.
- */
-class LivenessProblem : public DataflowProblem
-{
-  public:
-    LivenessProblem(const Program &prog,
-                    const std::vector<ModuleLiveness> &mods)
-        : prog(prog), mods(mods)
-    {}
-
-    DataflowDirection direction() const override
-    {
-        return DataflowDirection::Backward;
-    }
-
-    void
-    transfer(const Module &mod, uint32_t op_index,
-             QubitSet &state) const override
-    {
-        (void)mod;
-        const Operation &op = mod.op(op_index);
-        if (op.isCall()) {
-            const ModuleLiveness *callee =
-                op.callee < prog.numModules() ? &mods[op.callee] : nullptr;
-            for (size_t j = 0; j < op.operands.size(); ++j) {
-                bool uses = !callee || !callee->analyzed ||
-                            j >= callee->paramUsed.size() ||
-                            callee->paramUsed[j];
-                if (uses)
-                    state.set(op.operands[j]);
-            }
-        } else if (isPrepGate(op.kind)) {
-            for (QubitId q : op.operands)
-                state.reset(q);
-        } else {
-            for (QubitId q : op.operands)
-                state.set(q);
-        }
-    }
-
-  private:
-    const Program &prog;
-    const std::vector<ModuleLiveness> &mods;
-};
-
-/**
- * Forward may-measured state. Measurement sets, preparation clears, a
- * call applies its callee's per-parameter end-state summary. The
- * boundary is empty: parameters are assumed clean on entry, and the
- * caller checks its arguments against the callee's useBeforePrep
- * summary instead.
- */
-class MayMeasuredProblem : public DataflowProblem
-{
-  public:
-    MayMeasuredProblem(const Program &prog,
-                       const std::vector<MeasurementDominance::Summary> &sums)
-        : prog(prog), sums(sums)
-    {}
-
-    DataflowDirection direction() const override
-    {
-        return DataflowDirection::Forward;
-    }
-
-    void
-    transfer(const Module &mod, uint32_t op_index,
-             QubitSet &state) const override
-    {
-        (void)mod;
-        const Operation &op = mod.op(op_index);
-        if (op.isCall()) {
-            const MeasurementDominance::Summary *callee =
-                op.callee < prog.numModules() ? &sums[op.callee] : nullptr;
-            for (size_t j = 0; j < op.operands.size(); ++j) {
-                QubitId q = op.operands[j];
-                if (!callee || !callee->analyzed || j >= callee->end.size()) {
-                    // Unknown callee: assume it re-prepares, matching
-                    // the verifier's conservative V009 semantics.
-                    state.reset(q);
-                    continue;
-                }
-                switch (callee->end[j]) {
-                  case MeasurementDominance::EndState::Measured:
-                    state.set(q);
-                    break;
-                  case MeasurementDominance::EndState::Prepared:
-                    state.reset(q);
-                    break;
-                  case MeasurementDominance::EndState::Untouched:
-                    break;
-                }
-            }
-        } else if (isMeasureGate(op.kind)) {
-            for (QubitId q : op.operands)
-                state.set(q);
-        } else if (isPrepGate(op.kind)) {
-            for (QubitId q : op.operands)
-                state.reset(q);
-        }
-        // Any other gate leaves the measured state unchanged; using a
-        // measured qubit is the *violation*, detected from the before
-        // state, not a state change.
-    }
-
-  private:
-    const Program &prog;
-    const std::vector<MeasurementDominance::Summary> &sums;
-};
-
 } // anonymous namespace
 
 LivenessAnalysis
@@ -137,22 +22,16 @@ LivenessAnalysis::analyze(const Program &prog)
 {
     LivenessAnalysis result;
     result.modules_.resize(prog.numModules());
-    std::vector<ModuleId> order = prog.bottomUpOrder(&result.cyclic_);
-    result.valid_ = !result.cyclic_ && !order.empty();
+    bool cyclic = false;
+    std::vector<ModuleId> order = prog.bottomUpOrder(&cyclic);
+    result.valid_ = !cyclic && !order.empty();
 
-    LivenessProblem problem(prog, result.modules_);
     for (ModuleId m : order) {
         const Module &mod = prog.module(m);
         ModuleLiveness &ml = result.modules_[m];
         ml.ranges.assign(mod.numQubits(), {});
         ml.locallyReferenced.assign(mod.numQubits(), 0);
         ml.paramUsed.assign(mod.numParams(), 0);
-
-        DepDag dag = DepDag::build(mod);
-        DataflowResult solved = solveDataflow(mod, dag, problem);
-        // Backward problem: after[] holds the state before the op in
-        // program order, i.e. live-in.
-        ml.liveIn = std::move(solved.after);
 
         for (uint32_t i = 0; i < mod.numOps(); ++i) {
             const Operation &op = mod.op(i);
@@ -195,20 +74,19 @@ MeasurementDominance::analyze(const Program &prog)
     std::vector<ModuleId> order = prog.bottomUpOrder(&cyclic);
     result.valid_ = !cyclic && !order.empty();
 
-    MayMeasuredProblem problem(prog, result.summaries_);
     for (ModuleId m : order) {
         const Module &mod = prog.module(m);
         Summary &sum = result.summaries_[m];
         sum.useBeforePrep.assign(mod.numParams(), 0);
         sum.end.assign(mod.numParams(), EndState::Untouched);
 
-        DepDag dag = DepDag::build(mod);
-        DataflowResult solved = solveDataflow(mod, dag, problem);
-
-        // Sequential walk for facts the bitset solve cannot carry: the
-        // *origin* of a measured bit (local measure vs. call) and the
-        // per-parameter summary states. Per-qubit facts are exact in a
-        // sequential walk because ops on one qubit are totally ordered.
+        // One walk in program order is exact: the ops on one qubit are
+        // totally ordered (no-cloning), so effect[q] before op i is q's
+        // own state there, and effect[q] == Measured means q may be
+        // measured. measuredByCall records whether that measurement
+        // came from a callee; holdsEntry, whether q still holds the
+        // caller-provided state. Parameters enter clean: the caller
+        // checks its arguments against useBeforePrep instead.
         std::vector<char> measuredByCall(mod.numQubits(), 0);
         std::vector<char> holdsEntry(mod.numQubits(), 0);
         std::vector<EndState> effect(mod.numQubits(), EndState::Untouched);
@@ -223,70 +101,56 @@ MeasurementDominance::analyze(const Program &prog)
                             result.summaries_[op.callee].analyzed
                         ? &result.summaries_[op.callee]
                         : nullptr;
+                // Read every argument's state before the call changes
+                // any (a call binding one qubit twice is V012).
+                for (size_t j = 0; j < op.operands.size(); ++j) {
+                    QubitId q = op.operands[j];
+                    if (q >= mod.numQubits() || !callee ||
+                        j >= callee->end.size() || !callee->useBeforePrep[j])
+                        continue;
+                    // A possibly measured argument handed to a callee
+                    // that uses it before re-preparing, or a repeated
+                    // call whose iteration N+1 re-uses what iteration N
+                    // left measured.
+                    if (effect[q] == EndState::Measured ||
+                        (op.repeat > 1 &&
+                         callee->end[j] == EndState::Measured))
+                        result.violations_.push_back({m, i, q, true});
+                    if (holdsEntry[q] && q < mod.numParams())
+                        sum.useBeforePrep[q] = 1;
+                }
                 for (size_t j = 0; j < op.operands.size(); ++j) {
                     QubitId q = op.operands[j];
                     if (q >= mod.numQubits())
                         continue;
-                    bool known = callee && j < callee->end.size();
-                    // Violations visible at this call site: a possibly
-                    // measured argument handed to a callee that uses it
-                    // before re-preparing...
-                    if (known && callee->useBeforePrep[j] &&
-                        solved.before[i].test(q))
-                        result.violations_.push_back({m, i, q, true});
-                    // ...or a repeated call whose iteration N+1 re-uses
-                    // what iteration N left measured.
-                    else if (known && callee->useBeforePrep[j] &&
-                             op.repeat > 1 &&
-                             callee->end[j] == EndState::Measured)
-                        result.violations_.push_back({m, i, q, true});
-                    if (holdsEntry[q] && known && callee->useBeforePrep[j])
-                        if (q < mod.numParams())
-                            sum.useBeforePrep[q] = 1;
-                    if (!known) {
-                        holdsEntry[q] = 0;
-                        measuredByCall[q] = 0;
-                        effect[q] = EndState::Prepared;
+                    // Unknown callee: assume it re-prepares, matching
+                    // the verifier's conservative V009 semantics.
+                    EndState end = callee && j < callee->end.size()
+                                       ? callee->end[j]
+                                       : EndState::Prepared;
+                    if (end == EndState::Untouched)
                         continue;
-                    }
-                    switch (callee->end[j]) {
-                      case EndState::Measured:
-                        holdsEntry[q] = 0;
-                        measuredByCall[q] = 1;
-                        effect[q] = EndState::Measured;
-                        break;
-                      case EndState::Prepared:
-                        holdsEntry[q] = 0;
-                        measuredByCall[q] = 0;
-                        effect[q] = EndState::Prepared;
-                        break;
-                      case EndState::Untouched:
-                        break;
-                    }
+                    holdsEntry[q] = 0;
+                    measuredByCall[q] = end == EndState::Measured;
+                    effect[q] = end;
                 }
-            } else if (isMeasureGate(op.kind)) {
+            } else if (isMeasureGate(op.kind) || isPrepGate(op.kind)) {
                 // Measuring an already-measured qubit is legal (mirrors
                 // verifier V009); it just refreshes the state locally.
+                EndState end = isMeasureGate(op.kind) ? EndState::Measured
+                                                      : EndState::Prepared;
                 for (QubitId q : op.operands) {
                     if (q >= mod.numQubits())
                         continue;
                     holdsEntry[q] = 0;
                     measuredByCall[q] = 0;
-                    effect[q] = EndState::Measured;
-                }
-            } else if (isPrepGate(op.kind)) {
-                for (QubitId q : op.operands) {
-                    if (q >= mod.numQubits())
-                        continue;
-                    holdsEntry[q] = 0;
-                    measuredByCall[q] = 0;
-                    effect[q] = EndState::Prepared;
+                    effect[q] = end;
                 }
             } else {
                 for (QubitId q : op.operands) {
                     if (q >= mod.numQubits())
                         continue;
-                    if (solved.before[i].test(q))
+                    if (effect[q] == EndState::Measured)
                         result.violations_.push_back(
                             {m, i, q, measuredByCall[q] != 0});
                     if (holdsEntry[q] && q < mod.numParams())

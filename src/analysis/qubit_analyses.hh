@@ -1,16 +1,17 @@
 /**
  * @file
- * Interprocedural client analyses built on the dataflow framework
- * (analysis/dataflow.hh). All three run bottom-up over the call graph,
+ * Interprocedural qubit analyses. Each is one walk over every module in
+ * program order, visiting modules bottom-up over the call graph and
  * summarizing each module's effect on its parameters so callers can be
- * analyzed without inlining:
+ * analyzed without inlining. One walk is exact: no-cloning totally
+ * orders the operations that touch one qubit, and Scaffold control flow
+ * is classically resolved (paper §3.1), so a qubit's state before an
+ * operation is the state its previous operation left.
  *
- *  - LivenessAnalysis: which qubits are live before every operation and
- *    each qubit's first/last effective use. A call "uses" an argument
- *    only when the callee (transitively) touches the bound parameter, so
- *    a qubit threaded through a chain of calls that never gate it is
- *    recognized as dead — the signal behind lint L007 and the comm
- *    checker's wasted-teleport warning M005.
+ *  - LivenessAnalysis: each qubit's first/last effective use. A call
+ *    "uses" an argument only when the callee (transitively) touches the
+ *    bound parameter, so a qubit threaded through a chain of calls that
+ *    never gate it is recognized as dead — the signal behind lint L007.
  *
  *  - MeasurementDominance: is every gate use of a qubit dominated by a
  *    non-measured definition? Refines verifier check V009, which
@@ -24,8 +25,8 @@
  *    may-entangle: groups only ever grow.
  *
  * All analyses degrade gracefully on programs the IR verifier would
- * reject (no entry, recursion): valid() turns false and results read as
- * empty rather than panicking.
+ * reject (no entry, recursion): Program::bottomUpOrder(&cyclic) orders
+ * them without panicking, valid() turns false and results read as empty.
  */
 
 #ifndef MSQ_ANALYSIS_QUBIT_ANALYSES_HH
@@ -34,7 +35,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/dataflow.hh"
 #include "ir/program.hh"
 
 namespace msq {
@@ -57,9 +57,6 @@ struct ModuleLiveness
      * parameter. */
     std::vector<LiveRange> ranges;
 
-    /** Per op: qubits live immediately before it in program order. */
-    std::vector<QubitSet> liveIn;
-
     /** Per parameter: transitively used by this module (summary). */
     std::vector<char> paramUsed;
 
@@ -76,13 +73,11 @@ class LivenessAnalysis
 
     /** False when the program has no entry or a recursive call graph. */
     bool valid() const { return valid_; }
-    bool cyclic() const { return cyclic_; }
 
     const ModuleLiveness &module(ModuleId m) const { return modules_.at(m); }
 
   private:
     bool valid_ = false;
-    bool cyclic_ = false;
     std::vector<ModuleLiveness> modules_;
 };
 

@@ -148,4 +148,26 @@ Program::reachableModules() const
     return bottomUpOrder();
 }
 
+std::vector<bool>
+Program::reachableMask() const
+{
+    std::vector<bool> reachable(modules.size(), false);
+    if (entry_ >= modules.size())
+        return reachable;
+    std::vector<ModuleId> work{entry_};
+    reachable[entry_] = true;
+    while (!work.empty()) {
+        const Module &mod = *modules[work.back()];
+        work.pop_back();
+        for (uint32_t index : mod.callOps()) {
+            const ModuleId callee = mod.ops()[index].callee;
+            if (callee < modules.size() && !reachable[callee]) {
+                reachable[callee] = true;
+                work.push_back(callee);
+            }
+        }
+    }
+    return reachable;
+}
+
 } // namespace msq

@@ -71,6 +71,13 @@ class Program
     /** @return ids of modules reachable from the entry (entry included). */
     std::vector<ModuleId> reachableModules() const;
 
+    /**
+     * @return per module id, whether the entry reaches it through calls
+     * to valid module ids. Never fatal: a missing entry reaches nothing,
+     * and invalid callees and call cycles (V005, V007) are tolerated.
+     */
+    std::vector<bool> reachableMask() const;
+
   private:
     std::vector<std::unique_ptr<Module>> modules;
     std::unordered_map<std::string, ModuleId> byName;

@@ -185,24 +185,8 @@ validateProgramSchedule(const Program &prog, const ProgramSchedule &psched,
         return false;
     }
 
-    // Reachability over valid callees (self-contained: the program may
-    // not have been validated).
-    std::vector<bool> reachable(prog.numModules(), false);
-    if (prog.entry() != invalidModule) {
-        std::vector<ModuleId> work{prog.entry()};
-        reachable[prog.entry()] = true;
-        while (!work.empty()) {
-            ModuleId id = work.back();
-            work.pop_back();
-            for (const Operation &op : prog.module(id).ops()) {
-                if (op.isCall() && op.callee < prog.numModules() &&
-                    !reachable[op.callee]) {
-                    reachable[op.callee] = true;
-                    work.push_back(op.callee);
-                }
-            }
-        }
-    }
+    // Self-contained: the program may not have been validated.
+    const std::vector<bool> reachable = prog.reachableMask();
 
     for (ModuleId id = 0; id < prog.numModules(); ++id) {
         if (!reachable[id])

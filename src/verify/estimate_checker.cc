@@ -119,19 +119,19 @@ forEachField(const ResourceSummary &a, const ResourceSummary &b,
               i < b.occupancy.size() ? b.occupancy[i] : Count());
 }
 
-/** Compare one field of a leaf fold against the annotator (E001). */
+/** Compare one field of a leaf fold against @p source's value (E001). */
 void
 checkLeafField(DiagnosticEngine &diags, const Module &mod,
-               const std::string &field, Count fold, Count annotator)
+               const char *source, const std::string &field, Count fold,
+               Count other)
 {
-    if (fold == annotator)
+    if (fold == other)
         return;
     diags.error(DiagCode::EstimateLeafFoldMismatch,
-                csprintf("leaf summary fold disagrees with the "
-                         "communication analyzer on %s: fold %s, "
-                         "annotator %s",
-                         field.c_str(), fold.str().c_str(),
-                         annotator.str().c_str()),
+                csprintf("leaf summary fold disagrees with the %s on %s: "
+                         "fold %s, %s %s",
+                         source, field.c_str(), fold.str().c_str(), source,
+                         other.str().c_str()),
                 DiagContext{mod.name()});
 }
 
@@ -244,17 +244,21 @@ checkEstimateExactness(const Program &prog, const MultiSimdArch &arch,
     const ProgramSchedule psched = coarse.schedule(prog);
 
     // E001 — re-schedule each distinct leaf from scratch and compare
-    // the summary the CommunicationAnalyzer derives while emitting the
-    // moves (what every compile caches) against the streaming fold,
-    // field for field. The two paths share no state: the annotator
-    // classifies moves as it derives them, the fold re-reads the
-    // annotated buffer through steps().
+    // the streaming fold, field for field, with the summary the
+    // CommunicationAnalyzer derives while emitting the moves and with
+    // the cached summary the schedule points at (on the caller's cache,
+    // the record the estimate composed). The fold and the annotator
+    // share no state: the annotator classifies moves as it derives
+    // them, the fold re-reads the annotated buffer through steps(). The
+    // cached summary was folded at the widest width, which yields the
+    // same summary (width invariance, DESIGN.md §9).
     std::unordered_set<const LeafScheduleResult *> folded;
     for (ModuleId id : prog.bottomUpOrder()) {
         const Module &mod = prog.module(id);
         if (!mod.isLeaf())
             continue;
-        if (!folded.insert(psched.forModule(id).result.get()).second)
+        const LeafScheduleResult *cached = psched.forModule(id).result.get();
+        if (!folded.insert(cached).second)
             continue;
         LeafSchedule sched = scheduler.schedule(mod, arch);
         ResourceSummary annotated;
@@ -262,11 +266,18 @@ checkEstimateExactness(const Program &prog, const MultiSimdArch &arch,
         ResourceSummary fold = summarizeLeafSchedule(sched, arch);
         forEachField(fold, annotated,
                      [&](const std::string &field, Count a, Count b) {
-                         checkLeafField(diags, mod, field, a, b);
+                         checkLeafField(diags, mod, "communication analyzer",
+                                        field, a, b);
                      });
-        checkLeafField(diags, mod, "gateOps/scheduledOps", fold.gateOps,
-                       sched.scheduledOps());
-        checkLeafField(diags, mod, "occupancySteps/computeTimesteps",
+        forEachField(fold, cached->summary,
+                     [&](const std::string &field, Count a, Count b) {
+                         checkLeafField(diags, mod, "cached summary", field,
+                                        a, b);
+                     });
+        checkLeafField(diags, mod, "schedule", "gateOps/scheduledOps",
+                       fold.gateOps, sched.scheduledOps());
+        checkLeafField(diags, mod, "schedule",
+                       "occupancySteps/computeTimesteps",
                        fold.occupancySteps(), sched.computeTimesteps());
         if (stats != nullptr)
             ++stats->leafFoldsChecked;

@@ -19,12 +19,17 @@
  * field-for-field. Divergence is a hard error — an estimator, repeat
  * algebra, scheduler or cache bug — never an approximation error:
  *
- *  - E001 a leaf's streaming summary fold disagrees, on any field,
- *         with the summary the CommunicationAnalyzer accumulates while
- *         emitting the moves (the one every compile caches);
+ *  - E001 the streaming summary fold of a leaf scheduled from scratch
+ *         disagrees, on any field, with the summary the
+ *         CommunicationAnalyzer accumulates while emitting the moves,
+ *         or with the cached summary the fresh ProgramSchedule points
+ *         at — on the caller's cache, the one the estimate composed;
  *  - E002 the estimate disagrees with a fresh recomputation — its
  *         makespan with a freshly computed ProgramSchedule, or its
- *         summary fields with a fresh recomposition;
+ *         summary fields with a fresh recomposition. On the caller's
+ *         cache every leaf hits, so that schedule re-runs only coarse
+ *         packing, and the leaf summaries it recomposes are checked by
+ *         E001 alone;
  *  - E003 composed gate totals disagree with ResourceEstimator's
  *         independently composed totals (per module and program);
  *  - E004 the composition disagrees with a literally unrolled walk of

@@ -328,26 +328,9 @@ lintProgram(const Program &prog, DiagnosticEngine &diags,
 {
     size_t warnings_before = diags.numWarnings();
 
-    // Reachability over valid callees only; cycles and bad callee ids
-    // are the verifier's concern and must not trip the linter.
-    std::vector<bool> reachable(prog.numModules(), false);
-    if (prog.entry() != invalidModule &&
-        prog.entry() < prog.numModules()) {
-        std::vector<ModuleId> work{prog.entry()};
-        reachable[prog.entry()] = true;
-        while (!work.empty()) {
-            ModuleId id = work.back();
-            work.pop_back();
-            for (const Operation &op : prog.module(id).ops()) {
-                if (!op.isCall() || op.callee >= prog.numModules())
-                    continue;
-                if (!reachable[op.callee]) {
-                    reachable[op.callee] = true;
-                    work.push_back(op.callee);
-                }
-            }
-        }
-    }
+    // Cycles and bad callee ids are the verifier's concern and must not
+    // trip the linter.
+    const std::vector<bool> reachable = prog.reachableMask();
 
     for (ModuleId id = 0; id < prog.numModules(); ++id) {
         if (!reachable[id]) {

@@ -470,6 +470,45 @@ TEST(EstimateChecker, PerturbedSummaryTripsE002)
     EXPECT_TRUE(hasCode(diags, DiagCode::EstimateMakespanMismatch));
 }
 
+TEST(EstimateChecker, WrongCachedLeafSummaryTripsE001)
+{
+    // Every cached leaf result gains one teleport, and the estimate is
+    // composed from a schedule on that cache. Handed the same cache,
+    // E002's fresh schedule recomposes the same wrong summaries; only
+    // E001's comparison with the cached summary sees the fault.
+    ThreeLevelProgram tlp;
+    RcpScheduler rcp;
+    MultiSimdArch arch(2);
+    auto cache = std::make_shared<LeafScheduleCache>();
+    CoarseScheduler::Options options;
+    options.leafCache = cache;
+    CoarseScheduler coarse(arch, rcp, CommMode::Global, options);
+    const ProgramSchedule clean = coarse.schedule(tlp.prog);
+    for (const auto &[key, result] : cache->snapshotEntries()) {
+        auto wrong = std::make_shared<LeafScheduleResult>(*result);
+        wrong->summary.teleportMoves += 1;
+        ASSERT_TRUE(cache->remove(key));
+        cache->insert(key, wrong);
+    }
+    ProgramResourceEstimate est = computeProgramEstimate(
+        tlp.prog, coarse.schedule(tlp.prog), CommMode::Global);
+    EXPECT_NE(est.program.teleportMoves,
+              computeProgramEstimate(tlp.prog, clean, CommMode::Global)
+                  .program.teleportMoves);
+
+    DiagnosticEngine diags;
+    EstimateOptions opts;
+    opts.cache = cache;
+    EXPECT_FALSE(checkEstimateExactness(tlp.prog, arch, rcp,
+                                        CommMode::Global, est, diags, opts));
+    bool named = false;
+    for (const Diagnostic &d : diags.diagnostics())
+        named |= d.code == DiagCode::EstimateLeafFoldMismatch &&
+                 d.message.find("cached summary on teleportMoves") !=
+                     std::string::npos;
+    EXPECT_TRUE(named);
+}
+
 TEST(EstimateChecker, StructurallyIdenticalLeavesShareOneSchedule)
 {
     // Two leaves that differ only in name and one that differs in
