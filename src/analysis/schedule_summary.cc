@@ -33,35 +33,27 @@ ResourceSummary::occupancySteps() const
     return total;
 }
 
-const std::vector<ResourceSummary::Field> &
-ResourceSummary::fields()
+std::span<const ResourceSummary::Member>
+ResourceSummary::members()
 {
-    static const std::vector<Field> all = {
-        {"gateOps", &ResourceSummary::gateOps},
-        {"serialCycles", &ResourceSummary::serialCycles},
-        {"commCycles", &ResourceSummary::commCycles},
-        {"teleportMoves", &ResourceSummary::teleportMoves},
-        {"blockingTeleports", &ResourceSummary::blockingTeleports},
-        {"localMoves", &ResourceSummary::localMoves},
-        {"stepsWithBlockingMove", &ResourceSummary::stepsWithBlockingMove},
-        {"stepsWithOnlyLocalMoves",
-         &ResourceSummary::stepsWithOnlyLocalMoves},
-        {"activeRegionSteps", &ResourceSummary::activeRegionSteps},
-        {"operandTouches", &ResourceSummary::operandTouches},
-        {"callInvocations", &ResourceSummary::callInvocations},
-        {"interCoreTeleports", &ResourceSummary::interCoreTeleports},
-    };
-    return all;
-}
-
-const std::vector<ResourceSummary::Peak> &
-ResourceSummary::peaks()
-{
-    static const std::vector<Peak> all = {
-        {"peakRegionOccupancy", &ResourceSummary::peakRegionOccupancy},
-        {"peakBlockingMovesPerStep",
-         &ResourceSummary::peakBlockingMovesPerStep},
-        {"peakActiveRegions", &ResourceSummary::peakActiveRegions},
+    using S = ResourceSummary;
+    static constexpr Member all[] = {
+        {"gateOps", &S::gateOps},
+        {"serialCycles", &S::serialCycles},
+        {"commCycles", &S::commCycles},
+        {"teleportMoves", &S::teleportMoves},
+        {"blockingTeleports", &S::blockingTeleports},
+        {"localMoves", &S::localMoves},
+        {"stepsWithBlockingMove", &S::stepsWithBlockingMove},
+        {"stepsWithOnlyLocalMoves", &S::stepsWithOnlyLocalMoves},
+        {"activeRegionSteps", &S::activeRegionSteps},
+        {"operandTouches", &S::operandTouches},
+        {"peakRegionOccupancy", nullptr, &S::peakRegionOccupancy},
+        {"peakBlockingMovesPerStep", nullptr,
+         &S::peakBlockingMovesPerStep},
+        {"peakActiveRegions", nullptr, &S::peakActiveRegions},
+        {"callInvocations", &S::callInvocations},
+        {"interCoreTeleports", &S::interCoreTeleports},
     };
     return all;
 }
@@ -72,46 +64,31 @@ ResourceSummary::add(const ResourceSummary &part, Count times)
     // A part run zero times adds nothing, its peaks included.
     if (times == 0)
         return;
-    for (const Field &f : fields())
-        this->*f.member += times * part.*f.member;
-    for (const Peak &p : peaks())
-        this->*p.member = std::max(this->*p.member, part.*p.member);
-    if (occupancy.size() < part.occupancy.size())
-        occupancy.resize(part.occupancy.size());
-    for (size_t b = 0; b < part.occupancy.size(); ++b)
+    for (const Member &m : members()) {
+        if (m.count != nullptr)
+            this->*m.count += times * part.*m.count;
+        else
+            this->*m.peak = std::max(this->*m.peak, part.*m.peak);
+    }
+    for (size_t b = 0; b < occupancy.size(); ++b)
         occupancy[b] += times * part.occupancy[b];
 }
 
 bool
 ResourceSummary::saturated() const
 {
-    for (const Field &f : fields())
-        if ((this->*f.member).saturated())
-            return true;
-    return std::ranges::any_of(occupancy,
+    return std::ranges::any_of(members(),
+                               [this](const Member &m) {
+                                   return m.of(*this).saturated();
+                               }) ||
+           std::ranges::any_of(occupancy,
                                [](Count c) { return c.saturated(); });
-}
-
-const std::vector<uint64_t> &
-ResourceSummary::occupancyBounds()
-{
-    // Powers of two up to the paper's largest machine (k = 128, Fig. 9);
-    // wider steps land in the overflow bucket.
-    static const std::vector<uint64_t> bounds = {1, 2, 4, 8,
-                                                 16, 32, 64, 128};
-    return bounds;
-}
-
-size_t
-ResourceSummary::numOccupancyBuckets()
-{
-    return occupancyBounds().size() + 1;
 }
 
 size_t
 ResourceSummary::occupancyBucket(uint64_t active_regions)
 {
-    const auto &bounds = occupancyBounds();
+    const auto &bounds = occupancyBounds;
     return static_cast<size_t>(
         std::upper_bound(bounds.begin(), bounds.end(),
                          active_regions == 0 ? 0 : active_regions - 1) -
@@ -121,7 +98,7 @@ ResourceSummary::occupancyBucket(uint64_t active_regions)
 std::string
 ResourceSummary::occupancyLabel(size_t index)
 {
-    const auto &bounds = occupancyBounds();
+    const auto &bounds = occupancyBounds;
     if (index >= bounds.size())
         return ">" + std::to_string(bounds.back());
     if (index == 0)
@@ -154,7 +131,6 @@ summarizeLeafSchedule(const LeafSchedule &sched, const MultiSimdArch &arch)
     // the composition level where repeat products multiply these values.
     const Module &mod = sched.module();
     ResourceSummary sum;
-    sum.occupancy.assign(ResourceSummary::numOccupancyBuckets(), 0);
     for (TimestepView step : sched.steps()) {
         for (RegionSlotView slot : step) {
             uint64_t operands = 0;
@@ -221,19 +197,16 @@ ScheduleSummaryAnalysis::ScheduleSummaryAnalysis(
     const Program &prog, CommMode mode, const LeafSummaryFn &leaf_summary,
     DiagnosticEngine *diags)
     : prog(&prog), mode(mode), order(prog.bottomUpOrder()),
-      summaries(prog.numModules())
+      summaries(prog.numModules()), analyzed(prog.numModules())
 {
-    const size_t buckets = ResourceSummary::numOccupancyBuckets();
-
     // Callees precede callers in `order`, so one pass suffices: a
     // module's own gates and call flushes, then each callee's body
     // repeat times.
     for (ModuleId id : order) {
         const Module &mod = prog.module(id);
+        analyzed[id] = true;
         if (mod.isLeaf()) {
-            ResourceSummary leaf = leaf_summary(mod, id);
-            leaf.occupancy.resize(buckets);
-            summaries[id] = std::move(leaf);
+            summaries[id] = leaf_summary(mod, id);
             continue;
         }
 
@@ -265,7 +238,7 @@ ScheduleSummaryAnalysis::ScheduleSummaryAnalysis(
 const ResourceSummary &
 ScheduleSummaryAnalysis::summary(ModuleId id) const
 {
-    if (id >= summaries.size() || summaries[id].occupancy.empty())
+    if (id >= analyzed.size() || !analyzed[id])
         panic("ScheduleSummaryAnalysis: module not analyzed");
     return summaries[id];
 }
@@ -298,7 +271,6 @@ ScheduleSummaryAnalysis::localContribution(ModuleId id) const
     flush.callInvocations = 1;
 
     ResourceSummary s;
-    s.occupancy.assign(ResourceSummary::numOccupancyBuckets(), 0);
     s.add(gate, mod.localGateCount());
     for (uint32_t index : mod.callOps())
         s.add(flush, mod.ops()[index].repeat);

@@ -34,8 +34,10 @@
 #ifndef MSQ_ANALYSIS_SCHEDULE_SUMMARY_HH
 #define MSQ_ANALYSIS_SCHEDULE_SUMMARY_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -120,35 +122,44 @@ struct ResourceSummary
 
     /** Teleports whose endpoints live on different cores (== CommStats::
      * interCoreTeleports; composes linearly). Always 0 on the flat
-     * machine. Serialized last in .msqc records. */
+     * machine. */
     Count interCoreTeleports;
+
+    /** Upper bounds (inclusive) of the occupancy buckets: powers of two
+     * up to the paper's largest machine (k = 128, Fig. 9). One overflow
+     * bucket follows the last bound. */
+    static constexpr std::array<uint64_t, 8> occupancyBounds = {
+        1, 2, 4, 8, 16, 32, 64, 128};
 
     /**
      * Histogram of active-regions-per-timestep over every leaf timestep
-     * executed (fixed buckets, occupancyBounds(); last bucket is
+     * executed (fixed buckets, occupancyBounds; last bucket is
      * overflow). Bucket counts compose linearly by repeat products, so
      * the whole-program region-utilization profile of a 10^12-gate run
      * costs the same handful of integers as a single leaf's.
      */
-    std::vector<Count> occupancy;
+    std::array<Count, occupancyBounds.size() + 1> occupancy{};
 
-    /** A named counter of the summary. */
-    template <typename T>
+    /** One counter of the summary: an additive Count or a peak that
+     * composes by max. Exactly one of the two pointers is set. */
     struct Member
     {
         const char *name;
-        T ResourceSummary::*member;
+        Count ResourceSummary::*count = nullptr;
+        uint64_t ResourceSummary::*peak = nullptr;
+
+        /** This counter's value in @p s. */
+        Count
+        of(const ResourceSummary &s) const
+        {
+            return count != nullptr ? s.*count : Count(s.*peak);
+        }
     };
-    using Field = Member<Count>;
-    using Peak = Member<uint64_t>;
 
-    /** Every additive counter above, in declaration order: what
-     * composition scales and a field-by-field comparison walks besides
-     * the peaks and the occupancy buckets. */
-    static const std::vector<Field> &fields();
-
-    /** The three max-composing peaks, in declaration order. */
-    static const std::vector<Peak> &peaks();
+    /** Every counter above, in declaration order: what add() composes,
+     * saturated() reads, a field-by-field comparison walks and a .msqc
+     * record stores, each followed by the occupancy buckets. */
+    static std::span<const Member> members();
 
     /**
      * Add @p times runs of @p part: every additive counter and bucket
@@ -175,15 +186,8 @@ struct ResourceSummary
     /** Leaf timesteps counted by the occupancy histogram. */
     Count occupancySteps() const;
 
-    /** Upper bounds (inclusive) of the occupancy buckets; one extra
-     * overflow bucket follows the last bound. */
-    static const std::vector<uint64_t> &occupancyBounds();
-
     /** Human-readable label of occupancy bucket @p index, e.g. "3-4". */
     static std::string occupancyLabel(size_t index);
-
-    /** occupancyBounds().size() + 1 (the overflow bucket). */
-    static size_t numOccupancyBuckets();
 
     /** Bucket index of @p active_regions (ModuleHistogram idiom). */
     static size_t occupancyBucket(uint64_t active_regions);
@@ -253,6 +257,7 @@ class ScheduleSummaryAnalysis
     CommMode mode;
     std::vector<ModuleId> order;
     std::vector<ResourceSummary> summaries; ///< indexed by ModuleId
+    std::vector<bool> analyzed;             ///< indexed by ModuleId
 };
 
 } // namespace msq

@@ -209,10 +209,9 @@ ServeEngine::handleLine(const std::string &line)
         return errorResponse(request.id,
                              std::string("compile failed: ") + e.what());
     }
-    // Daemon-lifetime accumulation: per-request registries merge into
-    // the engine's registry (and the process-wide one when enabled), so
-    // periodic flushes see every request even though the daemon never
-    // reaches the atexit hook.
+    // Daemon-lifetime accumulation: each request's registry merges once
+    // into the engine's, which msq-served's --metrics file snapshots,
+    // and into the process-wide MSQ_METRICS sink when that is enabled.
     local.mergeInto(metrics_);
     if (Telemetry::metricsEnabled())
         local.mergeInto(Telemetry::metrics());

@@ -88,10 +88,8 @@ RotationDecomposerPass::Config
 Toolflow::rotationPresetFor(const std::string &workload_short_name)
 {
     RotationDecomposerPass::Config config;
-    if (workload_short_name == "shors") {
+    if (workload_short_name == "shors")
         config.outline = true;
-        config.noInlineOutlined = true;
-    }
     return config;
 }
 

@@ -156,7 +156,7 @@ RotationDecomposerPass::run(Program &prog)
         for (GateKind g : sequenceForAngle(kind, angle, length))
             body.emplace_back(g, QubitList{target});
         mod.setOps(std::move(body));
-        mod.setNoInline(config.noInlineOutlined);
+        mod.setNoInline(true);
         outlined.emplace(key, id);
         return id;
     };

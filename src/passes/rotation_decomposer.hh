@@ -43,12 +43,10 @@ class RotationDecomposerPass : public Pass
 
         /**
          * When true, each distinct rotation becomes a call to a fresh
-         * one-parameter module instead of inline gates.
+         * one-parameter module instead of inline gates, marked noInline
+         * (see paper §5.4).
          */
         bool outline = false;
-
-        /** Mark outlined rotation modules noInline (see paper §5.4). */
-        bool noInlineOutlined = true;
     };
 
     RotationDecomposerPass() : RotationDecomposerPass(Config{}) {}

@@ -50,6 +50,13 @@ struct ByteWriter
         u32(static_cast<uint32_t>(s.size()));
         out.insert(out.end(), s.begin(), s.end());
     }
+
+    // transfer() verbs: write the field.
+    void field(uint64_t v) { u64(v); }
+    void field(Count c) { u64(c.clampU64()); }
+    void field(const std::string &s) { str(s); }
+    void field(ScheduleProvenance p) { u8(static_cast<uint8_t>(p)); }
+    void fixed(uint64_t n) { u64(n); }
 };
 
 /** Bounds-checked reader: every accessor reports success so truncation
@@ -110,7 +117,69 @@ struct ByteReader
         pos += len;
         return s;
     }
+
+    // transfer() verbs: fill the field. An out-of-range provenance or a
+    // length other than the one the format fixes latches ok false.
+    void field(uint64_t &v) { v = u64(); }
+    void field(Count &c) { c = u64(); }
+    void field(std::string &s) { s = str(); }
+
+    void
+    field(ScheduleProvenance &p)
+    {
+        const uint8_t v = u8();
+        if (v > static_cast<uint8_t>(ScheduleProvenance::Fallback))
+            ok = false;
+        else
+            p = static_cast<ScheduleProvenance>(v);
+    }
+
+    void
+    fixed(uint64_t n)
+    {
+        if (u64() != n)
+            ok = false;
+    }
 };
+
+/**
+ * The one field list of a payload, for both directions: @p io is a
+ * ByteWriter reading a const @p result, or a ByteReader filling one.
+ */
+template <typename IO, typename Result, typename Text>
+void
+transfer(IO &io, Result &result, Text &fingerprint, Text &arch_fingerprint)
+{
+    io.field(result.opCount);
+    io.field(result.qubitCount);
+    io.field(fingerprint);
+    io.field(arch_fingerprint);
+
+    auto &at = result.attempt;
+    io.field(at.provenance);
+    io.field(at.nodesExpanded);
+    io.field(at.prunedByCriticalPath);
+    io.field(at.prunedByResource);
+    io.field(at.prunedByDominance);
+    io.field(at.candidatesAnnotated);
+    io.field(at.readyScanned);
+
+    auto &rs = result.summary;
+    for (const ResourceSummary::Member &m : ResourceSummary::members()) {
+        if (m.count != nullptr)
+            io.field(rs.*m.count);
+        else
+            io.field(rs.*m.peak);
+    }
+    io.fixed(rs.occupancy.size());
+    for (auto &bucket : rs.occupancy)
+        io.field(bucket);
+
+    auto &mb = result.bounds;
+    io.field(mb.criticalPath);
+    io.field(mb.resource);
+    io.field(mb.interval);
+}
 
 /**
  * Parse the guard fields back out of a memoization key
@@ -153,44 +222,7 @@ serializeLeafResult(const LeafScheduleResult &result,
                     std::vector<uint8_t> &out)
 {
     ByteWriter w{out};
-    w.u64(result.opCount);
-    w.u64(result.qubitCount);
-    w.str(fingerprint);
-    w.str(arch_fingerprint);
-
-    const ScheduleAttempt &at = result.attempt;
-    w.u8(static_cast<uint8_t>(at.provenance));
-    w.u64(at.nodesExpanded);
-    w.u64(at.prunedByCriticalPath);
-    w.u64(at.prunedByResource);
-    w.u64(at.prunedByDominance);
-    w.u64(at.candidatesAnnotated);
-    w.u64(at.readyScanned);
-
-    const ResourceSummary &rs = result.summary;
-    w.u64(rs.gateOps.clampU64());
-    w.u64(rs.serialCycles.clampU64());
-    w.u64(rs.commCycles.clampU64());
-    w.u64(rs.teleportMoves.clampU64());
-    w.u64(rs.blockingTeleports.clampU64());
-    w.u64(rs.localMoves.clampU64());
-    w.u64(rs.stepsWithBlockingMove.clampU64());
-    w.u64(rs.stepsWithOnlyLocalMoves.clampU64());
-    w.u64(rs.activeRegionSteps.clampU64());
-    w.u64(rs.operandTouches.clampU64());
-    w.u64(rs.peakRegionOccupancy);
-    w.u64(rs.peakBlockingMovesPerStep);
-    w.u64(rs.peakActiveRegions);
-    w.u64(rs.callInvocations.clampU64());
-    w.u64(rs.interCoreTeleports.clampU64());
-    w.u64(rs.occupancy.size());
-    for (Count bucket : rs.occupancy)
-        w.u64(bucket.clampU64());
-
-    const MakespanBounds &mb = result.bounds;
-    w.u64(mb.criticalPath);
-    w.u64(mb.resource);
-    w.u64(mb.interval);
+    transfer(w, result, fingerprint, arch_fingerprint);
 }
 
 std::shared_ptr<LeafScheduleResult>
@@ -200,54 +232,7 @@ deserializeLeafResult(const uint8_t *data, size_t size,
 {
     ByteReader r{data, size};
     auto result = std::make_shared<LeafScheduleResult>();
-
-    result->opCount = r.u64();
-    result->qubitCount = r.u64();
-    fingerprint = r.str();
-    arch_fingerprint = r.str();
-
-    ScheduleAttempt &at = result->attempt;
-    uint8_t provenance = r.u8();
-    if (provenance > static_cast<uint8_t>(ScheduleProvenance::Fallback))
-        return nullptr;
-    at.provenance = static_cast<ScheduleProvenance>(provenance);
-    at.nodesExpanded = r.u64();
-    at.prunedByCriticalPath = r.u64();
-    at.prunedByResource = r.u64();
-    at.prunedByDominance = r.u64();
-    at.candidatesAnnotated = r.u64();
-    at.readyScanned = r.u64();
-
-    ResourceSummary &rs = result->summary;
-    rs.gateOps = r.u64();
-    rs.serialCycles = r.u64();
-    rs.commCycles = r.u64();
-    rs.teleportMoves = r.u64();
-    rs.blockingTeleports = r.u64();
-    rs.localMoves = r.u64();
-    rs.stepsWithBlockingMove = r.u64();
-    rs.stepsWithOnlyLocalMoves = r.u64();
-    rs.activeRegionSteps = r.u64();
-    rs.operandTouches = r.u64();
-    rs.peakRegionOccupancy = r.u64();
-    rs.peakBlockingMovesPerStep = r.u64();
-    rs.peakActiveRegions = r.u64();
-    rs.callInvocations = r.u64();
-    rs.interCoreTeleports = r.u64();
-    uint64_t buckets = r.u64();
-    // An absurd bucket count means a corrupt length field — refuse
-    // before std::vector::resize turns it into a bad_alloc.
-    if (!r.ok || buckets > r.size - r.pos)
-        return nullptr;
-    rs.occupancy.resize(buckets);
-    for (uint64_t i = 0; i < buckets; ++i)
-        rs.occupancy[i] = r.u64();
-
-    MakespanBounds &mb = result->bounds;
-    mb.criticalPath = r.u64();
-    mb.resource = r.u64();
-    mb.interval = r.u64();
-
+    transfer(r, *result, fingerprint, arch_fingerprint);
     // A payload that runs on past the bounds is not one this version
     // wrote.
     if (!r.ok || r.pos != r.size)
@@ -413,8 +398,8 @@ LeafScheduleCache::loadFrom(const std::string &path,
             guardOk = false;
         // P007: an entry whose stored arch fingerprint disagrees with
         // its own key was saved under a different topology — refuse it
-        // (a v1 entry has no stored fingerprint and skips this check;
-        // its key still guards everything the flat machine depends on).
+        // (an entry stored without one skips this check; its key still
+        // guards everything the flat machine depends on).
         if (guardOk && !archFp.empty() &&
             suffix.find(archFp) == std::string::npos) {
             if (diags)

@@ -20,9 +20,13 @@
  *            | u32 archFpLen | arch fingerprint bytes   (topology
  *              guard, MultiSimdArch::fingerprint())
  *            | ScheduleAttempt (u8 provenance + 6 u64)
- *            | ResourceSummary (15 u64 + u64 occupancy[]; a leaf's
- *              counts are below 2^64)
+ *            | ResourceSummary (15 u64 in ResourceSummary::members()
+ *              order | u64 bucket count, always 9 | 9 u64 buckets;
+ *              a leaf's counts are below 2^64)
  *            | MakespanBounds (3 u64)
+ *
+ * One field list, transfer() in cache_io.cc, drives both the writer and
+ * the reader, so the two cannot disagree on the layout.
  *
  * Load-time validation is layered — every rejection is a stable P-code
  * diagnostic (support/diagnostic.hh) and a skipped file or entry, never
@@ -30,22 +34,15 @@
  *   P001/P002  bad magic / unsupported version (whole file rejected)
  *   P003       truncation anywhere (file rejected from that point)
  *   P004       checksum mismatch, or a payload that does not decode:
- *              an unknown provenance, an absurd bucket count or bytes
- *              past the bounds (entry skipped)
+ *              an unknown provenance, a bucket count other than 9 or
+ *              bytes past the bounds (entry skipped)
  *   P005       payload opCount/qubitCount/fingerprint disagree with the
  *              entry's own key (entry skipped)
  *   P007       (warning) the stored architecture fingerprint
  *              disagrees with the entry's key — a file saved under a
  *              different topology (entry skipped)
- * Older files are rejected with P002 like any other unsupported version
- * and load nothing, so the engine cold-starts: version 1 (the flat
- * machine's format, with no arch fingerprint and no inter-core
- * counters), version 2 (a saturation flag byte after the summary
- * and after the bounds, now read from the values), version 3 (no
- * readyScanned work counter in the attempt), version 4 (each
- * entry's annotated ScheduleBuffer after the bounds) and version 5 (a
- * CommStats block of 11 u64, a clamped copy of the summary's counters,
- * before the attempt).
+ * Files of any other version are rejected with P002 and load nothing,
+ * so the engine cold-starts.
  * A fourth layer (P006) lives at rebind time in sched/coarse.cc: even an
  * internally consistent entry is refused when the requesting module's
  * op/qubit counts disagree with the stored guard fields.
@@ -97,7 +94,7 @@ constexpr uint32_t cacheFileEndianTag = 0x01020304;
 /** Append @p result's payload encoding (everything after the checksum)
  * to @p out. @p fingerprint is the scheduler fingerprint stored as the
  * cross-process collision guard; @p arch_fingerprint is the machine's
- * MultiSimdArch::fingerprint() (the v2 topology guard). */
+ * MultiSimdArch::fingerprint() (the topology guard). */
 void serializeLeafResult(const LeafScheduleResult &result,
                          const std::string &fingerprint,
                          const std::string &arch_fingerprint,

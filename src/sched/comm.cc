@@ -144,7 +144,6 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched, ResourceSummary &sum,
     const OperandStream stream(sched, model_moves);
 
     sum = ResourceSummary{};
-    sum.occupancy.assign(ResourceSummary::numOccupancyBuckets(), 0);
     sum.gateOps = buf.ops.size();
 
     const bool use_local = mode == CommMode::GlobalWithLocalMem &&

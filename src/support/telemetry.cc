@@ -295,81 +295,26 @@ TraceRecorder::currentThreadId()
 
 // --- TraceRecorder ------------------------------------------------------
 
-struct TraceRecorder::Buffer
-{
-    /**
-     * Guards events against the flushing thread only: record() is
-     * called exclusively by the buffer's owning thread, so this mutex
-     * is uncontended (a single CAS) except while a flush is draining.
-     */
-    std::mutex mutex;
-    std::vector<TraceEvent> events;
-};
-
-namespace {
-
-std::atomic<uint64_t> next_recorder_id{1};
-
-} // anonymous namespace
-
-TraceRecorder::TraceRecorder()
-    : id_(next_recorder_id.fetch_add(1, std::memory_order_relaxed))
-{
-}
-
 void
 TraceRecorder::setEnabled(bool enabled)
 {
     enabled_.store(enabled, std::memory_order_relaxed);
 }
 
-TraceRecorder::Buffer &
-TraceRecorder::threadBuffer()
-{
-    // Per-thread cache of (recorder id -> buffer). shared_ptr keeps a
-    // cached buffer alive even if the recorder dies first, so a stale
-    // entry can only ever drop events, never touch freed memory.
-    struct Ref
-    {
-        uint64_t recorderId;
-        std::shared_ptr<Buffer> buffer;
-    };
-    thread_local std::vector<Ref> refs;
-    for (const Ref &ref : refs)
-        if (ref.recorderId == id_)
-            return *ref.buffer;
-    auto buffer = std::make_shared<Buffer>();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        buffers_.push_back(buffer);
-    }
-    refs.push_back({id_, buffer});
-    return *buffer;
-}
-
 void
 TraceRecorder::record(TraceEvent event)
 {
-    Buffer &buffer = threadBuffer();
-    std::lock_guard<std::mutex> lock(buffer.mutex);
-    buffer.events.push_back(std::move(event));
+    std::lock_guard<std::mutex> lock(mutex_);
+    events_.push_back(std::move(event));
 }
 
 std::vector<TraceEvent>
 TraceRecorder::flush()
 {
-    std::vector<std::shared_ptr<Buffer>> buffers;
+    std::vector<TraceEvent> events;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        buffers = buffers_;
-    }
-    std::vector<TraceEvent> events;
-    for (const auto &buffer : buffers) {
-        std::lock_guard<std::mutex> lock(buffer->mutex);
-        events.insert(events.end(),
-                      std::make_move_iterator(buffer->events.begin()),
-                      std::make_move_iterator(buffer->events.end()));
-        buffer->events.clear();
+        events.swap(events_);
     }
     std::sort(events.begin(), events.end(),
               [](const TraceEvent &a, const TraceEvent &b) {
@@ -456,6 +401,22 @@ envTracePath()
     return path;
 }
 
+/** Write the MSQ_METRICS / MSQ_TRACE files (the atexit hook). */
+void
+flushEnvOutputs()
+{
+    if (!envMetricsPath().empty()) {
+        std::ofstream out(envMetricsPath());
+        if (out)
+            Telemetry::metrics().snapshot().writeJson(out);
+    }
+    if (!envTracePath().empty()) {
+        std::ofstream out(envTracePath());
+        if (out)
+            Telemetry::trace().writeChromeTrace(out);
+    }
+}
+
 } // anonymous namespace
 
 MetricsRegistry &
@@ -479,12 +440,6 @@ Telemetry::metricsEnabled()
 }
 
 void
-Telemetry::setMetricsEnabled(bool enabled)
-{
-    g_metrics_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-void
 Telemetry::initFromEnv()
 {
     static std::once_flag once;
@@ -496,7 +451,7 @@ Telemetry::initFromEnv()
         const char *metrics_path = std::getenv("MSQ_METRICS");
         if (metrics_path != nullptr && *metrics_path != '\0') {
             envMetricsPath() = metrics_path;
-            setMetricsEnabled(true);
+            g_metrics_enabled.store(true, std::memory_order_relaxed);
         }
         const char *trace_path = std::getenv("MSQ_TRACE");
         if (trace_path != nullptr && *trace_path != '\0') {
@@ -504,30 +459,8 @@ Telemetry::initFromEnv()
             trace().setEnabled(true);
         }
         if (!envMetricsPath().empty() || !envTracePath().empty())
-            std::atexit([] { flushEnvOutputs(); });
+            std::atexit(flushEnvOutputs);
     });
-}
-
-void
-Telemetry::setMetricsPath(const std::string &path)
-{
-    envMetricsPath() = path;
-    setMetricsEnabled(!path.empty());
-}
-
-void
-Telemetry::flushEnvOutputs()
-{
-    if (!envMetricsPath().empty()) {
-        std::ofstream out(envMetricsPath());
-        if (out)
-            metrics().snapshot().writeJson(out);
-    }
-    if (!envTracePath().empty()) {
-        std::ofstream out(envTracePath());
-        if (out)
-            trace().writeChromeTrace(out);
-    }
 }
 
 } // namespace msq

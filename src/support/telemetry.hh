@@ -23,11 +23,11 @@
  * of "_ms" entries vary.
  *
  * Trace spans (TraceSpan) record complete ("ph":"X") events with real
- * thread ids into per-thread buffers owned by a TraceRecorder — the
- * record path touches no global lock, so spans are safe and cheap
- * inside ThreadPool fan-out (DESIGN.md §9); buffers are merged and
- * time-sorted at flush. A disabled recorder makes span construction a
- * single relaxed atomic load.
+ * thread ids into one mutex-guarded list owned by a TraceRecorder, so
+ * spans are safe inside ThreadPool fan-out (DESIGN.md §9); the list is
+ * time-sorted at flush. Spans are coarse (at most one per leaf width
+ * task or pass), so the lock is rarely contended. A disabled recorder
+ * makes span construction a single relaxed atomic load.
  *
  * Process-wide wiring (Telemetry): a global registry/recorder pair plus
  * the MSQ_METRICS=<path> / MSQ_TRACE=<path> environment fallback used
@@ -207,16 +207,14 @@ struct TraceEvent
 };
 
 /**
- * Collects trace events into per-thread buffers. record() appends to
- * the calling thread's own buffer (registered on first use), so
- * concurrent spans never contend on a shared structure; flush() merges
- * every buffer and sorts by timestamp. Disabled (the default) the
- * recorder costs one relaxed atomic load per span.
+ * Collects trace events into one list under a mutex; flush() drains it
+ * sorted by timestamp. Disabled (the default) the recorder costs one
+ * relaxed atomic load per span.
  */
 class TraceRecorder
 {
   public:
-    TraceRecorder();
+    TraceRecorder() = default;
     TraceRecorder(const TraceRecorder &) = delete;
     TraceRecorder &operator=(const TraceRecorder &) = delete;
 
@@ -228,10 +226,10 @@ class TraceRecorder
         return enabled_.load(std::memory_order_relaxed);
     }
 
-    /** Append a completed event to the calling thread's buffer. */
+    /** Append a completed event. */
     void record(TraceEvent event);
 
-    /** Merge all buffers, clear them, and return events sorted by ts. */
+    /** Drain the recorded events, sorted by (ts, tid, name). */
     std::vector<TraceEvent> flush();
 
     /**
@@ -245,14 +243,9 @@ class TraceRecorder
     static uint32_t currentThreadId();
 
   private:
-    struct Buffer;
-
-    Buffer &threadBuffer();
-
     std::atomic<bool> enabled_{false};
-    uint64_t id_; ///< distinguishes recorders in the thread-local cache
     std::mutex mutex_;
-    std::vector<std::shared_ptr<Buffer>> buffers_;
+    std::vector<TraceEvent> events_;
 };
 
 /**
@@ -336,7 +329,6 @@ class Telemetry
      * initFromEnv() when MSQ_METRICS names an output file.
      */
     static bool metricsEnabled();
-    static void setMetricsEnabled(bool enabled);
 
     /**
      * Honor the environment: MSQ_METRICS=<path> enables global metric
@@ -345,19 +337,6 @@ class Telemetry
      * bench harness calls this from bench::banner().
      */
     static void initFromEnv();
-
-    /** Write the MSQ_METRICS / MSQ_TRACE files now (idempotent). */
-    static void flushEnvOutputs();
-
-    /**
-     * Point the metrics output file somewhere explicitly — the
-     * programmatic twin of MSQ_METRICS for long-running processes
-     * (msq-served) that flush *periodically* rather than at exit: the
-     * atexit hook alone loses everything when a daemon is killed, so
-     * the daemon sets a path and calls flushEnvOutputs() itself on a
-     * cadence. An empty path disables that output and metricsEnabled().
-     */
-    static void setMetricsPath(const std::string &path);
 };
 
 /** Escape @p text for inclusion inside a JSON string literal. */

@@ -102,21 +102,18 @@ namespace {
 
 /**
  * Call @p check(name, a's value, b's value) on every counter, peak and
- * occupancy bucket of two summaries (a bucket @p b lacks reads 0).
+ * occupancy bucket of two summaries.
  */
 template <typename Check>
 void
 forEachField(const ResourceSummary &a, const ResourceSummary &b,
              const Check &check)
 {
-    for (const ResourceSummary::Field &f : ResourceSummary::fields())
-        check(std::string(f.name), a.*f.member, b.*f.member);
-    for (const ResourceSummary::Peak &f : ResourceSummary::peaks())
-        check(std::string(f.name), Count(a.*f.member), Count(b.*f.member));
+    for (const ResourceSummary::Member &m : ResourceSummary::members())
+        check(std::string(m.name), m.of(a), m.of(b));
     for (size_t i = 0; i < a.occupancy.size(); ++i)
         check("occupancy[" + ResourceSummary::occupancyLabel(i) + "]",
-              a.occupancy[i],
-              i < b.occupancy.size() ? b.occupancy[i] : Count());
+              a.occupancy[i], b.occupancy[i]);
 }
 
 /** Compare one field of a leaf fold against @p source's value (E001). */
@@ -163,8 +160,9 @@ checkProgramSummary(DiagnosticEngine &diags, DiagCode code,
 }
 
 /** Accumulator for the E004 literally-unrolled walk: every repeat is
- * executed as that many additions, so a multiplication bug in the
- * composition cannot reproduce itself here. */
+ * executed as that many additions (each leaf run adds its summary
+ * once), so a multiplication bug in the composition cannot reproduce
+ * itself here. */
 struct UnrolledWalk
 {
     const Program *prog;
@@ -187,13 +185,7 @@ struct UnrolledWalk
             visits += std::max<uint64_t>(mod.numOps(), 1);
             if (visits > budget)
                 return false;
-            const ResourceSummary &leaf = leafSummaries->at(id);
-            for (const ResourceSummary::Field &f : ResourceSummary::fields())
-                sum.*f.member += leaf.*f.member;
-            for (const ResourceSummary::Peak &f : ResourceSummary::peaks())
-                sum.*f.member = std::max(sum.*f.member, leaf.*f.member);
-            for (size_t b = 0; b < sum.occupancy.size(); ++b)
-                sum.occupancy[b] += leaf.occupancy[b];
+            sum.add(leafSummaries->at(id));
             return true;
         }
         for (const Operation &op : mod.ops()) {
@@ -345,8 +337,6 @@ checkEstimateExactness(const Program &prog, const MultiSimdArch &arch,
     // invocation counts down the call graph; the summary composes up).
     if (!saturated) {
         ResourceSummary weighted;
-        weighted.occupancy.assign(ResourceSummary::numOccupancyBuckets(),
-                                  0);
         Count total_invocations;
         for (ModuleId id : analysis.analyzedModules()) {
             const Count runs = estimator.invocations(id);
@@ -379,8 +369,6 @@ checkEstimateExactness(const Program &prog, const MultiSimdArch &arch,
         walk.gateComm = walk.gateCost - MultiSimdArch::gateCycles;
         walk.callOverhead = MultiSimdArch::callOverhead(mode);
         walk.budget = materialize_budget;
-        walk.sum.occupancy.assign(ResourceSummary::numOccupancyBuckets(),
-                                  0);
         if (walk.walk(prog.entry())) {
             checkProgramSummary(diags, DiagCode::EstimateUnrolledMismatch,
                                 "unrolled walk", analysis.programSummary(),

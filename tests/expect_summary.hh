@@ -2,8 +2,8 @@
  * @file
  * Test-only whole-summary comparison: every additive counter, every peak
  * and every occupancy bucket of two ResourceSummaries, each mismatch
- * named. Tests that compare summaries go through it, so moving a counter
- * between ResourceSummary's tables cannot drop it from a comparison.
+ * named. Tests that compare summaries go through it, so a counter in
+ * ResourceSummary's member table cannot be left out of a comparison.
  */
 
 #ifndef MSQ_TESTS_EXPECT_SUMMARY_HH
@@ -19,10 +19,8 @@ namespace test {
 inline void
 expectSameSummary(const ResourceSummary &a, const ResourceSummary &b)
 {
-    for (const ResourceSummary::Field &f : ResourceSummary::fields())
-        EXPECT_EQ(a.*f.member, b.*f.member) << f.name;
-    for (const ResourceSummary::Peak &f : ResourceSummary::peaks())
-        EXPECT_EQ(a.*f.member, b.*f.member) << f.name;
+    for (const ResourceSummary::Member &m : ResourceSummary::members())
+        EXPECT_EQ(m.of(a), m.of(b)) << m.name;
     EXPECT_EQ(a.occupancy, b.occupancy);
 }
 

@@ -2,8 +2,9 @@
  * @file
  * Tests for the persistent leaf-schedule cache (sched/cache_io.hh):
  * binary round-trips of real, empty and 2^64-1-counter results,
- * byte-identical re-serialization, truncation/bit-flip/trailing-byte
- * rejection with stable P-code diagnostics, the load-path counter
+ * byte-identical re-serialization, the pinned bytes of one fixed
+ * payload, truncation/bit-flip/trailing-byte, provenance and
+ * bucket-count rejection with stable P-code diagnostics, the load-path counter
  * accounting (loads never count as misses; hit/miss totals are
  * thread-count- and warm/cold-invariant), the rebind-time
  * collision guard (P006), and the FNV-1a fold and structural hash the
@@ -262,7 +263,7 @@ TEST(CacheIo, RoundTripSaturatedSummary)
     result->summary.gateOps = UINT64_MAX;
     result->summary.serialCycles = UINT64_MAX;
     result->summary.callInvocations = UINT64_MAX;
-    result->summary.occupancy = {1, 2, UINT64_MAX, 0, 7};
+    result->summary.occupancy = {1, 2, UINT64_MAX, 0, 7, 0, 3, 0, UINT64_MAX};
     result->bounds.criticalPath = UINT64_MAX;
     result->attempt.provenance = ScheduleProvenance::Fallback;
     result->attempt.nodesExpanded = UINT64_MAX;
@@ -289,6 +290,87 @@ TEST(CacheIo, ByteIdenticalReserialization)
         serializeLeafResult(*decoded, fingerprint, archFp, second);
         EXPECT_EQ(first, second) << "iteration " << i;
     }
+}
+
+TEST(CacheIo, PayloadBytesArePinned)
+{
+    // Every field holds a distinct value, so swapping two fields, or
+    // dropping one, in a writer and reader alike moves these bytes. The
+    // digest pins the version 6 layout: a change to it is a format
+    // change, which needs a new cacheFileVersion.
+    LeafScheduleResult result;
+    result.opCount = 7;
+    result.qubitCount = 3;
+    result.attempt.provenance = ScheduleProvenance::Optimal;
+    result.attempt.nodesExpanded = 11;
+    result.attempt.prunedByCriticalPath = 12;
+    result.attempt.prunedByResource = 13;
+    result.attempt.prunedByDominance = 14;
+    result.attempt.candidatesAnnotated = 15;
+    result.attempt.readyScanned = 16;
+    ResourceSummary &rs = result.summary;
+    rs.gateOps = 101;
+    rs.serialCycles = 102;
+    rs.commCycles = 103;
+    rs.teleportMoves = 104;
+    rs.blockingTeleports = 105;
+    rs.localMoves = 106;
+    rs.stepsWithBlockingMove = 107;
+    rs.stepsWithOnlyLocalMoves = 108;
+    rs.activeRegionSteps = 109;
+    rs.operandTouches = 110;
+    rs.peakRegionOccupancy = 111;
+    rs.peakBlockingMovesPerStep = 112;
+    rs.peakActiveRegions = 113;
+    rs.callInvocations = 114;
+    rs.interCoreTeleports = Count::max(); // stored clamped to 2^64-1
+    rs.occupancy = {201, 202, 203, 204, 205, 206, 207, 208, 209};
+    result.bounds.criticalPath = 301;
+    result.bounds.resource = 302;
+    result.bounds.interval = 303;
+
+    std::vector<uint8_t> bytes;
+    serializeLeafResult(result, "lpfs", "d=0|lm=0|epr=0", bytes);
+    // 2 u64 guards, two strings (4 + 4 and 4 + 14 bytes), the attempt
+    // (1 + 6 * 8), the summary (15 * 8 + 8 + 9 * 8), the bounds (3 * 8).
+    EXPECT_EQ(bytes.size(), 315u);
+    EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), 0x239c03c4358eb2bfull);
+
+    std::string fingerprint;
+    std::string archFp;
+    auto decoded = deserializeLeafResult(bytes.data(), bytes.size(),
+                                         fingerprint, archFp);
+    ASSERT_NE(decoded, nullptr);
+    EXPECT_EQ(decoded->summary.interCoreTeleports, UINT64_MAX);
+    decoded->summary.interCoreTeleports = Count::max();
+    expectResultsEqual(*decoded, result);
+}
+
+TEST(CacheIo, BadProvenanceOrBucketCountRejected)
+{
+    Module mod("h");
+    auto reg = mod.addRegister("q", 1);
+    mod.addGate(GateKind::H, {reg[0]});
+    auto result = makeResult(mod, 2, CommMode::None);
+    std::vector<uint8_t> good;
+    serializeLeafResult(*result, "lpfs", "d=0|lm=0|epr=0", good);
+    // The provenance byte follows the guards and both fingerprints; the
+    // bucket count follows the attempt's six u64s and the 15 counters.
+    const size_t provenance_at = 8 + 8 + 4 + 4 + 4 + 14;
+    const size_t buckets_at = provenance_at + 1 + 6 * 8 + 15 * 8;
+    ASSERT_EQ(good[buckets_at], 9u);
+    const auto rejects = [&](size_t at, uint8_t value) {
+        std::vector<uint8_t> bytes = good;
+        bytes[at] = value;
+        std::string fingerprint;
+        std::string archFp;
+        return deserializeLeafResult(bytes.data(), bytes.size(),
+                                     fingerprint, archFp) == nullptr;
+    };
+    EXPECT_FALSE(rejects(provenance_at, 2));
+    EXPECT_TRUE(rejects(provenance_at, 3));
+    EXPECT_TRUE(rejects(buckets_at, 8));
+    EXPECT_TRUE(rejects(buckets_at, 10));
 }
 
 TEST(CacheIo, TruncatedPayloadRejectedNotCrash)

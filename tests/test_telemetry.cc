@@ -9,9 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -438,53 +435,6 @@ TEST(Telemetry, ExternalRegistryAccumulatesAcrossRuns)
     EXPECT_EQ(second.telemetry.counter("toolflow.runs"), 2u);
     EXPECT_EQ(second.telemetry.counter("sched.leaf.instances"),
               2 * first.telemetry.counter("sched.leaf.instances"));
-}
-
-TEST(Telemetry, ExplicitMetricsPathFlushesWithoutExit)
-{
-    // The daemon-lifetime path (DESIGN.md §15): a long-running process
-    // can't rely on the atexit hook, so it points the metrics sink at a
-    // file programmatically and flushes on its own cadence. Each flush
-    // must observe everything merged so far.
-    const std::string path = testing::TempDir() + "telemetry_daemon.json";
-    std::remove(path.c_str());
-
-    Telemetry::setMetricsPath(path);
-    EXPECT_TRUE(Telemetry::metricsEnabled());
-
-    MetricsRegistry perRequest;
-    perRequest.counter("serve.requests").add(3);
-    perRequest.mergeInto(Telemetry::metrics());
-    Telemetry::flushEnvOutputs();
-
-    std::ifstream first(path);
-    ASSERT_TRUE(first.good());
-    std::string json((std::istreambuf_iterator<char>(first)),
-                     std::istreambuf_iterator<char>());
-    EXPECT_TRUE(JsonValidator(json).valid());
-    EXPECT_NE(json.find("serve.requests"), std::string::npos);
-
-    // A later periodic flush overwrites with the accumulated totals.
-    MetricsRegistry nextRequest;
-    nextRequest.counter("serve.requests").add(2);
-    nextRequest.mergeInto(Telemetry::metrics());
-    Telemetry::flushEnvOutputs();
-    std::ifstream second(path);
-    std::string updated((std::istreambuf_iterator<char>(second)),
-                        std::istreambuf_iterator<char>());
-    EXPECT_EQ(Telemetry::metrics()
-                  .snapshot()
-                  .counter("serve.requests"),
-              5u);
-    EXPECT_TRUE(JsonValidator(updated).valid());
-
-    // Disable and restore global state for the other tests: a flush
-    // with the path cleared writes nothing.
-    Telemetry::setMetricsPath("");
-    EXPECT_FALSE(Telemetry::metricsEnabled());
-    std::remove(path.c_str());
-    Telemetry::flushEnvOutputs();
-    EXPECT_FALSE(std::ifstream(path).good());
 }
 
 } // anonymous namespace

@@ -21,6 +21,7 @@
  * {"ok": false} responses and never kill the daemon.
  */
 
+#include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -137,6 +138,16 @@ reportDiags(ServeEngine &engine)
     engine.diags().clear();
 }
 
+/** Overwrite @p path with a snapshot of the engine's registry, which
+ * holds every request served so far. */
+void
+writeMetrics(ServeEngine &engine, const std::string &path)
+{
+    std::ofstream out(path);
+    if (out)
+        engine.metrics().snapshot().writeJson(out);
+}
+
 } // anonymous namespace
 
 int
@@ -145,12 +156,6 @@ main(int argc, char **argv)
     Options options;
     if (!parseArgs(argc, argv, options))
         return usage(argv[0]);
-
-    // Daemon-lifetime telemetry: atexit flushing alone would lose every
-    // counter when the daemon is killed, so the flush paths are driven
-    // explicitly on a request cadence below.
-    if (!options.metricsPath.empty())
-        Telemetry::setMetricsPath(options.metricsPath);
 
     ServeEngine engine(options.serve);
     size_t preloaded = engine.loadCache();
@@ -172,10 +177,11 @@ main(int argc, char **argv)
             reportDiags(engine);
             sinceSave = 0;
         }
+        // A daemon that is killed never reaches EOF, so the metrics
+        // file is also rewritten on a request cadence.
         if (options.flushEvery > 0 && sinceFlush >= options.flushEvery &&
             !options.metricsPath.empty()) {
-            engine.metrics().mergeInto(Telemetry::metrics());
-            Telemetry::flushEnvOutputs();
+            writeMetrics(engine, options.metricsPath);
             sinceFlush = 0;
         }
     };
@@ -209,10 +215,8 @@ main(int argc, char **argv)
         engine.saveCache();
         reportDiags(engine);
     }
-    if (!options.metricsPath.empty()) {
-        engine.metrics().mergeInto(Telemetry::metrics());
-        Telemetry::flushEnvOutputs();
-    }
+    if (!options.metricsPath.empty())
+        writeMetrics(engine, options.metricsPath);
     if (!options.quiet) {
         std::cerr << "msq-served: " << engine.requestsServed()
                   << " requests served; cache "

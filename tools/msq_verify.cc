@@ -527,9 +527,8 @@ checkEstimate(const std::string &path, const Program &prog,
                       << " region(s), mean "
                       << csprintf("%.2f", sum.meanRegionOccupancy())
                       << " operand(s)/active region";
-            for (size_t b = 0; b < ResourceSummary::numOccupancyBuckets();
-                 ++b) {
-                if (b < sum.occupancy.size() && sum.occupancy[b] != 0) {
+            for (size_t b = 0; b < sum.occupancy.size(); ++b) {
+                if (sum.occupancy[b] != 0) {
                     std::cout << ", ["
                               << ResourceSummary::occupancyLabel(b)
                               << "] " << sum.occupancy[b];
@@ -702,8 +701,7 @@ writeEstimateJson(const Options &options,
                 << jsonEscape(ResourceSummary::occupancyLabel(b))
                 << "\", \"steps\": " << sum.occupancy[b] << "}";
         }
-        out << (sum.occupancy.empty() ? "]" : "\n      ]")
-            << "\n    }";
+        out << "\n      ]\n    }";
     }
     out << (entries.empty() ? "]" : "\n  ]") << "\n}\n";
     return true;
