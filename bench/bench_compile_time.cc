@@ -38,7 +38,6 @@
 #include "common.hh"
 
 #include <chrono>
-#include <fstream>
 #include <memory>
 #include <vector>
 
@@ -136,47 +135,36 @@ timeSchedule(const CoarseScheduler &coarse, MetricsRegistry &metrics,
 }
 
 void
-writeJson(std::ostream &os, const std::vector<Row> &rows,
+writeJson(JsonWriter &json, const std::vector<Row> &rows,
           const std::vector<BytesRow> &bytes_rows,
           unsigned parallel_threads, unsigned reps)
 {
-    os << "{\n"
-       << "  \"bench\": \"bench_compile_time\",\n"
-       << "  \"parallel_threads\": " << parallel_threads << ",\n"
-       << "  \"hardware_threads\": " << ThreadPool::hardwareThreads()
-       << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"rows\": [\n";
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const Row &row = rows[i];
-        os << "    {\"workload\": \"" << row.workload
-           << "\", \"scheduler\": \"" << row.scheduler
-           << "\", \"config\": \"" << row.config
-           << "\", \"threads\": " << row.threads << ", \"cache\": "
-           << (row.cache ? "true" : "false")
-           << ", \"cache_hit_rate\": " << row.cacheHitRate
-           << ", \"wall_ms\": " << row.wallMs
-           << ", \"speedup_vs_sequential\": " << row.speedup
-           << ", \"total_cycles\": " << row.totalCycles
-           << ", \"ready_scanned\": " << row.readyScanned
-           << ", \"leaf_modules\": " << row.leafModules << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
+    json.beginObject().member(
+        "bench", "bench_compile_time", "parallel_threads", parallel_threads,
+        "hardware_threads", ThreadPool::hardwareThreads(), "reps", reps);
+    json.key("rows").beginArray();
+    for (const Row &row : rows) {
+        json.beginObject().member(
+            "workload", row.workload, "scheduler", row.scheduler,
+            "config", row.config, "threads", row.threads,
+            "cache", row.cache, "cache_hit_rate", row.cacheHitRate,
+            "wall_ms", row.wallMs, "speedup_vs_sequential", row.speedup,
+            "total_cycles", row.totalCycles,
+            "ready_scanned", row.readyScanned,
+            "leaf_modules", row.leafModules);
+        json.endObject();
     }
-    os << "  ],\n"
-       << "  \"schedule_bytes\": [\n";
-    for (size_t i = 0; i < bytes_rows.size(); ++i) {
-        const BytesRow &row = bytes_rows[i];
-        os << "    {\"workload\": \"" << row.workload
-           << "\", \"scheduler\": \"" << row.scheduler
-           << "\", \"k\": " << row.k << ", \"leaves\": " << row.leaves
-           << ", \"timesteps\": " << row.timesteps
-           << ", \"soa_bytes\": " << row.soaBytes
-           << ", \"soa_bytes_per_step\": "
-           << static_cast<double>(row.soaBytes) /
-                  static_cast<double>(row.timesteps)
-           << "}" << (i + 1 < bytes_rows.size() ? "," : "") << "\n";
+    json.endArray().key("schedule_bytes").beginArray();
+    for (const BytesRow &row : bytes_rows) {
+        json.beginObject().member(
+            "workload", row.workload, "scheduler", row.scheduler,
+            "k", row.k, "leaves", row.leaves, "timesteps", row.timesteps,
+            "soa_bytes", row.soaBytes, "soa_bytes_per_step",
+            static_cast<double>(row.soaBytes) /
+                static_cast<double>(row.timesteps));
+        json.endObject();
     }
-    os << "  ]\n}\n";
+    json.endArray().endObject();
 }
 
 } // anonymous namespace
@@ -338,12 +326,9 @@ main(int argc, char **argv)
               << " hardware thread(s); schedules and work counters "
                  "verified identical across all configurations.\n";
 
-    std::ofstream out(out_path);
-    if (!out) {
-        std::cerr << "cannot write " << out_path << "\n";
+    if (!bench::writeReport(out_path, [&](JsonWriter &json) {
+            writeJson(json, rows, bytes_rows, threads, reps);
+        }))
         return 1;
-    }
-    writeJson(out, rows, bytes_rows, threads, reps);
-    std::cout << "wrote " << out_path << "\n";
     return mismatch ? 1 : 0;
 }

@@ -26,7 +26,6 @@
 #include "common.hh"
 
 #include <chrono>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -112,40 +111,33 @@ sumInterCore(const ProgramSchedule &schedule)
 }
 
 void
-writeJson(std::ostream &os, const std::vector<Row> &rows,
+writeJson(JsonWriter &json, const std::vector<Row> &rows,
           const std::vector<CutRow> &cuts, unsigned mapped_wins,
           bool comm_check_ok)
 {
-    os << "{\n"
-       << "  \"schema\": \"msq-multicore-v1\",\n"
-       << "  \"workloads\": " << cuts.size() << ",\n"
-       << "  \"required_wins\": " << requiredWins << ",\n"
-       << "  \"mapped_wins\": " << mapped_wins << ",\n"
-       << "  \"comm_check_ok\": " << (comm_check_ok ? "true" : "false")
-       << ",\n"
-       << "  \"rows\": [\n";
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const Row &row = rows[i];
-        os << "    {\"workload\": \"" << row.workload
-           << "\", \"topology\": \"" << row.topology
-           << "\", \"scheduler\": \"" << row.scheduler
-           << "\", \"mapping\": \"" << row.mapping
-           << "\", \"makespan\": " << row.makespan
-           << ", \"intercore_teleports\": " << row.interCoreTeleports
-           << ", \"wall_ms\": " << row.wallMs << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
+    json.beginObject().member(
+        "schema", "msq-multicore-v1", "workloads", cuts.size(),
+        "required_wins", requiredWins, "mapped_wins", mapped_wins,
+        "comm_check_ok", comm_check_ok);
+    json.key("rows").beginArray();
+    for (const Row &row : rows) {
+        json.beginObject().member(
+            "workload", row.workload, "topology", row.topology,
+            "scheduler", row.scheduler, "mapping", row.mapping,
+            "makespan", row.makespan,
+            "intercore_teleports", row.interCoreTeleports,
+            "wall_ms", row.wallMs);
+        json.endObject();
     }
-    os << "  ],\n"
-       << "  \"mapping_quality\": [\n";
-    for (size_t i = 0; i < cuts.size(); ++i) {
-        const CutRow &cut = cuts[i];
-        os << "    {\"workload\": \"" << cut.workload
-           << "\", \"leaves\": " << cut.leaves
-           << ", \"cut_mapped\": " << cut.cutMapped
-           << ", \"cut_roundrobin\": " << cut.cutRoundRobin << "}"
-           << (i + 1 < cuts.size() ? "," : "") << "\n";
+    json.endArray().key("mapping_quality").beginArray();
+    for (const CutRow &cut : cuts) {
+        json.beginObject().member(
+            "workload", cut.workload, "leaves", cut.leaves,
+            "cut_mapped", cut.cutMapped,
+            "cut_roundrobin", cut.cutRoundRobin);
+        json.endObject();
     }
-    os << "  ]\n}\n";
+    json.endArray().endObject();
 }
 
 } // anonymous namespace
@@ -300,9 +292,10 @@ main(int argc, char **argv)
                   << "\n";
     }
 
-    std::ofstream out(out_path);
-    writeJson(out, rows, cuts, mapped_wins, comm_check_ok);
-    std::cout << "\nwrote " << out_path << "\n";
+    if (!bench::writeReport(out_path, [&](JsonWriter &json) {
+            writeJson(json, rows, cuts, mapped_wins, comm_check_ok);
+        }))
+        return 1;
 
     if (!comm_check_ok) {
         std::cout << "FAIL: comm checker reported errors on the 4-core "

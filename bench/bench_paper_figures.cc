@@ -13,7 +13,6 @@
 #include "common.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <functional>
 #include <set>
@@ -250,29 +249,25 @@ class Figures
     }
 
     void
-    writeJson(std::ostream &os) const
+    writeJson(JsonWriter &json) const
     {
-        auto str = [](const std::string &s) {
-            return "\"" + jsonEscape(s) + "\"";
-        };
-        os << "{\n  \"schema\": \"msq-paper-figures-v1\",\n  \"rows\": [";
+        json.beginObject().member("schema", "msq-paper-figures-v1");
+        json.key("rows").beginArray();
         for (const auto &[key, row] : rows) {
             const auto &[fig, workload, config] = key;
-            os << (&row == &rows.begin()->second ? "\n" : ",\n")
-               << "    {\"figure\": " << str(fig)
-               << ", \"workload\": " << str(workload)
-               << ", \"config\": " << str(config);
+            json.beginObject().member("figure", fig, "workload", workload,
+                                      "config", config);
             for (const auto &[field, value] : row.fields)
-                os << ", " << str(field) << ": " << value;
-            os << "}";
+                json.member(field, value);
+            json.endObject();
         }
-        os << "\n  ],\n  \"claims\": [";
-        for (const auto &[name, text, holds] : claims)
-            os << (&name == &std::get<0>(claims.front()) ? "\n" : ",\n")
-               << "    {\"name\": " << str(name)
-               << ", \"text\": " << str(text)
-               << ", \"holds\": " << (holds ? "true}" : "false}");
-        os << "\n  ]\n}\n";
+        json.endArray().key("claims").beginArray();
+        for (const auto &[name, text, holds] : claims) {
+            json.beginObject().member("name", name, "text", text,
+                                      "holds", holds);
+            json.endObject();
+        }
+        json.endArray().endObject();
     }
 
   private:
@@ -795,8 +790,7 @@ main(int argc, char **argv)
                         ablationLpfs, ablationRcp, dSensitivity, bandwidth,
                         breakdown})
         figure(f);
-    std::ofstream out(out_path);
-    f.writeJson(out);
-    std::cout << "\nwrote " << out_path << "\n";
-    return 0;
+    return bench::writeReport(out_path, [&](JsonWriter &json) {
+        f.writeJson(json);
+    }) ? 0 : 1;
 }

@@ -34,7 +34,6 @@
 #include "common.hh"
 
 #include <chrono>
-#include <fstream>
 #include <memory>
 #include <vector>
 
@@ -106,36 +105,29 @@ peakRssKb()
 }
 
 void
-writeJson(std::ostream &os, const std::vector<Row> &rows)
+writeJson(JsonWriter &json, const std::vector<Row> &rows)
 {
-    os << "{\n"
-       << "  \"schema\": \"msq-paper-scale-v1\",\n"
-       << "  \"target_gates\": " << targetGates << ",\n"
-       << "  \"rss_ceiling_kb\": " << rssCeilingKb << ",\n"
-       << "  \"rows\": [\n";
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const Row &row = rows[i];
-        os << "    {\"workload\": \"" << row.workload
-           << "\", \"scheduler\": \"" << row.scheduler
-           << "\", \"base_params\": \"" << row.baseParams
-           << "\", \"base_gates\": " << row.baseGates
-           << ", \"scale_factor\": " << row.scaleFactor
-           << ", \"gates\": " << row.gates
-           << ", \"serial_cycles\": " << row.serialCycles
-           << ", \"makespan_cycles\": " << row.makespanCycles
-           << ", \"sequential_speedup\": " << row.sequentialSpeedup
-           << ", \"naive_speedup\": " << row.naiveSpeedup
-           << ", \"comm_fraction\": " << row.commFraction
-           << ", \"teleports\": " << row.teleports
-           << ", \"epr_pairs\": " << row.eprPairs
-           << ", \"distinct_leaves\": " << row.distinctLeaves
-           << ", \"reachable_modules\": " << row.reachableModules
-           << ", \"exact\": " << (row.exact ? "true" : "false")
-           << ", \"wall_ms\": " << row.wallMs
-           << ", \"peak_rss_kb\": " << row.peakRssKb << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
+    json.beginObject().member("schema", "msq-paper-scale-v1",
+                              "target_gates", targetGates,
+                              "rss_ceiling_kb", rssCeilingKb);
+    json.key("rows").beginArray();
+    for (const Row &row : rows) {
+        json.beginObject().member(
+            "workload", row.workload, "scheduler", row.scheduler,
+            "base_params", row.baseParams, "base_gates", row.baseGates,
+            "scale_factor", row.scaleFactor, "gates", row.gates,
+            "serial_cycles", row.serialCycles,
+            "makespan_cycles", row.makespanCycles,
+            "sequential_speedup", row.sequentialSpeedup,
+            "naive_speedup", row.naiveSpeedup,
+            "comm_fraction", row.commFraction, "teleports", row.teleports,
+            "epr_pairs", row.eprPairs,
+            "distinct_leaves", row.distinctLeaves,
+            "reachable_modules", row.reachableModules, "exact", row.exact,
+            "wall_ms", row.wallMs, "peak_rss_kb", row.peakRssKb);
+        json.endObject();
     }
-    os << "  ]\n}\n";
+    json.endArray().endObject();
 }
 
 } // anonymous namespace
@@ -250,13 +242,9 @@ main(int argc, char **argv)
     std::cout << "\npeak RSS: " << peakRssKb()
               << " KB (ceiling: " << rssCeilingKb << " KB)\n";
 
-    std::ofstream out(out_path);
-    if (!out) {
-        std::cerr << "cannot write " << out_path << "\n";
+    if (!bench::writeReport(out_path,
+                            [&](JsonWriter &json) { writeJson(json, rows); }))
         return 1;
-    }
-    writeJson(out, rows);
-    std::cout << "wrote " << out_path << "\n";
 
     if (!scale_ok) {
         std::cerr << "FAIL: a workload fell short of " << targetGates

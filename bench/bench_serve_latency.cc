@@ -35,8 +35,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
+#include <sstream>
 #include <vector>
 
 #include "core/serve.hh"
@@ -70,20 +70,26 @@ struct Served
 
     bool operator==(const Served &) const = default;
 
+    /** The fields as members of the object @p json has open. */
+    void
+    write(JsonWriter &json) const
+    {
+        json.member("schedule_hash", scheduleHash, "makespan", makespan,
+                    "critical_path", criticalPath,
+                    "lower_bound", lowerBound, "total_gates", totalGates,
+                    "qubits", qubits, "ops_hashed", opsHashed);
+    }
+
+    /** The fields as one JSON object, for messages. */
     std::string
     json() const
     {
-        return csprintf("\"schedule_hash\": \"%s\", \"makespan\": %llu, "
-                        "\"critical_path\": %llu, \"lower_bound\": %llu, "
-                        "\"total_gates\": %llu, \"qubits\": %llu, "
-                        "\"ops_hashed\": %llu",
-                        scheduleHash.c_str(),
-                        static_cast<unsigned long long>(makespan),
-                        static_cast<unsigned long long>(criticalPath),
-                        static_cast<unsigned long long>(lowerBound),
-                        static_cast<unsigned long long>(totalGates),
-                        static_cast<unsigned long long>(qubits),
-                        static_cast<unsigned long long>(opsHashed));
+        std::ostringstream os;
+        JsonWriter json(os);
+        json.beginObject();
+        write(json);
+        json.endObject();
+        return os.str();
     }
 };
 
@@ -164,18 +170,14 @@ runPhase(const std::string &phase, const std::string &cache_path,
 }
 
 void
-writePhaseJson(std::ostream &os, const PhaseResult &phase, bool last)
+writePhaseJson(JsonWriter &json, const PhaseResult &phase)
 {
-    os << "    {\n"
-       << "      \"phase\": \"" << phase.phase << "\",\n"
-       << "      \"requests\": " << phase.requests << ",\n"
-       << "      \"wall_ms\": " << jsonNumber(phase.wallMs) << ",\n"
-       << "      \"requests_per_sec\": " << jsonNumber(phase.rps)
-       << ",\n"
-       << "      \"p50_ms\": " << jsonNumber(phase.p50Ms) << ",\n"
-       << "      \"p99_ms\": " << jsonNumber(phase.p99Ms) << ",\n"
-       << "      \"hit_rate\": " << jsonNumber(phase.hitRate) << "\n"
-       << "    }" << (last ? "\n" : ",\n");
+    json.beginObject().member(
+        "phase", phase.phase, "requests", phase.requests,
+        "wall_ms", phase.wallMs, "requests_per_sec", phase.rps,
+        "p50_ms", phase.p50Ms, "p99_ms", phase.p99Ms,
+        "hit_rate", phase.hitRate);
+    json.endObject();
 }
 
 } // namespace
@@ -198,14 +200,17 @@ main(int argc, char **argv)
     // recompile traffic a build farm generates).
     std::vector<std::pair<std::string, std::string>> traffic;
     const auto specs = workloads::scaledParams();
-    for (unsigned rep = 0; rep < reps; ++rep)
-        for (const auto &spec : specs)
-            traffic.emplace_back(
-                spec.shortName,
-                csprintf("{\"id\": \"%s-%u\", \"workload\": \"%s\", "
-                         "\"k\": 8}",
-                         spec.shortName.c_str(), rep,
-                         spec.shortName.c_str()));
+    for (unsigned rep = 0; rep < reps; ++rep) {
+        for (const auto &spec : specs) {
+            std::ostringstream line;
+            JsonWriter(line)
+                .beginObject()
+                .member("id", spec.shortName + "-" + std::to_string(rep),
+                        "workload", spec.shortName, "k", 8)
+                .endObject();
+            traffic.emplace_back(spec.shortName, line.str());
+        }
+    }
 
     PhaseResult cold =
         runPhase("cold", cachePath, false, threads, traffic);
@@ -245,26 +250,22 @@ main(int argc, char **argv)
                                        : 0.0)
               << "\ndeterminism: " << (ok ? "ok" : "VIOLATED") << "\n";
 
-    std::ofstream os(output);
-    os << "{\n"
-       << "  \"bench\": \"bench_serve_latency\",\n"
-       << "  \"threads\": " << threads << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"workloads\": " << specs.size() << ",\n"
-       << "  \"determinism_ok\": " << (ok ? "true" : "false") << ",\n"
-       << "  \"warm_hit_rate\": " << jsonNumber(warm.hitRate) << ",\n"
-       << "  \"phases\": [\n";
-    writePhaseJson(os, cold, false);
-    writePhaseJson(os, warm, true);
-    os << "  ],\n"
-       << "  \"results\": [\n";
-    size_t index = 0;
-    for (const auto &[workload, result] : cold.results) {
-        os << "    {\"workload\": \"" << workload << "\", "
-           << result.json() << "}"
-           << (++index == cold.results.size() ? "\n" : ",\n");
-    }
-    os << "  ]\n}\n";
-    std::cout << "\nwrote " << output << "\n";
-    return ok ? 0 : 1;
+    const bool written =
+        bench::writeReport(output, [&](JsonWriter &json) {
+            json.beginObject().member(
+                "bench", "bench_serve_latency", "threads", threads,
+                "reps", reps, "workloads", specs.size(),
+                "determinism_ok", ok, "warm_hit_rate", warm.hitRate);
+            json.key("phases").beginArray();
+            writePhaseJson(json, cold);
+            writePhaseJson(json, warm);
+            json.endArray().key("results").beginArray();
+            for (const auto &[workload, result] : cold.results) {
+                json.beginObject().member("workload", workload);
+                result.write(json);
+                json.endObject();
+            }
+            json.endArray().endObject();
+        });
+    return ok && written ? 0 : 1;
 }

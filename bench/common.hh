@@ -7,11 +7,13 @@
 #define MSQ_BENCH_COMMON_HH
 
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <string>
 
 #include "core/toolflow.hh"
+#include "support/json.hh"
 #include "support/strings.hh"
 #include "support/telemetry.hh"
 #include "workloads/workloads.hh"
@@ -68,6 +70,26 @@ banner(const std::string &title, const std::string &paper_ref)
               << title << "\n"
               << "reproduces: " << paper_ref << "\n"
               << "==========================================================\n\n";
+}
+
+/**
+ * Write the bench's JSON document to @p path through writeJsonFile and
+ * say where. @return false, after a message on stderr, when the file
+ * cannot be opened or fully written.
+ */
+inline bool
+writeReport(const std::string &path,
+            const std::function<void(JsonWriter &)> &write)
+{
+    if (!writeJsonFile(path, [&](std::ostream &os) {
+            JsonWriter json(os);
+            write(json);
+        })) {
+        std::cerr << "cannot write " << path << "\n";
+        return false;
+    }
+    std::cout << "\nwrote " << path << "\n";
+    return true;
 }
 
 } // namespace bench

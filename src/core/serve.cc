@@ -6,6 +6,7 @@
 #include <exception>
 #include <fstream>
 #include <optional>
+#include <sstream>
 
 #include "analysis/bounds.hh"
 #include "core/toolflow.hh"
@@ -27,33 +28,39 @@ namespace {
  * can correlate pipelined responses; anything else becomes null. An
  * integral id within +-2^53 (every integer a double holds exactly)
  * prints as an integer, not in jsonNumber's shortest form ("1e+01"). */
-std::string
-echoId(const JsonValue &request)
+void
+writeId(JsonWriter &json, const JsonValue &id)
 {
-    const JsonValue &id = request.get("id");
-    if (id.isString())
-        return csprintf("\"%s\"", jsonEscape(id.asString()).c_str());
-    if (id.isNumber()) {
+    json.key("id");
+    if (id.isString()) {
+        json.value(id.asString());
+    } else if (id.isNumber()) {
         const double value = id.asNumber();
         constexpr double exact = 9007199254740992.0; // 2^53
         if (std::trunc(value) == value && std::fabs(value) <= exact)
-            return std::to_string(static_cast<int64_t>(value));
-        return jsonNumber(value);
+            json.value(static_cast<int64_t>(value));
+        else
+            json.value(value);
+    } else {
+        json.null();
     }
-    return "null";
 }
 
 std::string
-errorResponse(const std::string &id, const std::string &message)
+errorResponse(const JsonValue &id, const std::string &message)
 {
-    return csprintf("{\"id\": %s, \"ok\": false, \"error\": \"%s\"}",
-                    id.c_str(), jsonEscape(message).c_str());
+    std::ostringstream os;
+    JsonWriter json(os);
+    json.beginObject();
+    writeId(json, id);
+    json.member("ok", false, "error", message).endObject();
+    return os.str();
 }
 
 /** Everything decoded out of one request line. */
 struct Request
 {
-    std::string id = "null";
+    JsonValue id; ///< the request's "id", echoed back
     Program prog;
     std::string name;
     ToolflowConfig config;
@@ -71,7 +78,7 @@ parseRequest(const std::string &line, const CompileRequest &defaults,
         error = "request must be a JSON object";
         return false;
     }
-    out.id = echoId(req);
+    out.id = req.get("id");
 
     const std::string &workload = req.get("workload").asString();
     const std::string &source = req.get("source").asString();
@@ -223,46 +230,35 @@ ServeEngine::handleLine(const std::string &line)
 
     const uint64_t hits = cache_->hits();
     const uint64_t misses = cache_->misses();
-    std::string out = csprintf(
-        "{\"id\": %s, \"ok\": true, \"workload\": \"%s\", "
-        "\"makespan\": %llu, \"total_gates\": %s, \"qubits\": %llu, "
-        "\"critical_path\": %llu, \"speedup\": %s, "
-        "\"lower_bound\": %llu, \"gap\": %s, "
-        "\"schedule_hash\": \"%016llx\"",
-        request.id.c_str(), jsonEscape(request.name).c_str(),
-        static_cast<unsigned long long>(result.scheduledCycles),
-        result.totalGates.str().c_str(),
-        static_cast<unsigned long long>(result.qubits),
-        static_cast<unsigned long long>(result.criticalPath),
-        jsonNumber(result.speedupVsSequential).c_str(),
-        static_cast<unsigned long long>(lowerBound),
-        jsonNumber(optimalityGap(result.scheduledCycles, lowerBound))
-            .c_str(),
-        static_cast<unsigned long long>(
-            hashProgramSchedule(result.schedule)));
-    out += csprintf(
-        ", \"cache\": {\"hits\": %llu, \"misses\": %llu, "
-        "\"loads\": %llu, \"rejections\": %llu, \"size\": %llu, "
-        "\"hit_rate\": %s}",
-        static_cast<unsigned long long>(hits),
-        static_cast<unsigned long long>(misses),
-        static_cast<unsigned long long>(cache_->loads()),
-        static_cast<unsigned long long>(cache_->rejections()),
-        static_cast<unsigned long long>(cache_->size()),
-        jsonNumber(hits + misses == 0
-                       ? 0.0
-                       : static_cast<double>(hits) /
-                             static_cast<double>(hits + misses))
-            .c_str());
-    out += csprintf(
-        ", \"telemetry\": {\"leaf_cache_hits\": %llu, "
-        "\"leaf_cache_misses\": %llu, \"metrics\": %llu}, "
-        "\"wall_ms\": %s}",
-        static_cast<unsigned long long>(result.leafCacheHits),
-        static_cast<unsigned long long>(result.leafCacheMisses),
-        static_cast<unsigned long long>(result.telemetry.entries.size()),
-        jsonNumber(wallMs).c_str());
-    return out;
+    const double hitRate =
+        hits + misses == 0 ? 0.0
+                           : static_cast<double>(hits) /
+                                 static_cast<double>(hits + misses);
+    const std::string scheduleHash =
+        csprintf("%016llx", static_cast<unsigned long long>(
+                                hashProgramSchedule(result.schedule)));
+    std::ostringstream os;
+    JsonWriter json(os);
+    json.beginObject();
+    writeId(json, request.id);
+    json.member("ok", true, "workload", request.name,
+                "makespan", result.scheduledCycles,
+                "total_gates", result.totalGates, "qubits", result.qubits,
+                "critical_path", result.criticalPath,
+                "speedup", result.speedupVsSequential,
+                "lower_bound", lowerBound,
+                "gap", optimalityGap(result.scheduledCycles, lowerBound),
+                "schedule_hash", scheduleHash);
+    json.key("cache").beginObject();
+    json.member("hits", hits, "misses", misses, "loads", cache_->loads(),
+                "rejections", cache_->rejections(), "size", cache_->size(),
+                "hit_rate", hitRate);
+    json.endObject().key("telemetry").beginObject();
+    json.member("leaf_cache_hits", result.leafCacheHits,
+                "leaf_cache_misses", result.leafCacheMisses,
+                "metrics", result.telemetry.entries.size());
+    json.endObject().member("wall_ms", wallMs).endObject();
+    return os.str();
 }
 
 std::vector<std::string>

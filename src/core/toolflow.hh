@@ -146,7 +146,7 @@ struct ToolflowResult
      * Structured metrics recorded during the run: per-pass timings,
      * per-leaf gate/cycle distributions, communication totals, cache
      * traffic, and the headline gauges (toolflow.*). Serializable via
-     * MetricsSnapshot::toJson(); deterministic modulo "*_ms" wall-clock
+     * MetricsSnapshot::writeJson(); deterministic modulo "*_ms" wall-clock
      * distributions (DESIGN.md §10).
      */
     MetricsSnapshot telemetry;

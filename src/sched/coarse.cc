@@ -186,21 +186,18 @@ CoarseScheduler::leafWidthResult(const Module &mod, unsigned w,
     // and safe under ThreadPool fan-out.
     const bool tracing = Telemetry::trace().enabled();
     std::optional<TraceSpan> span;
-    if (tracing)
-        span.emplace(Telemetry::trace(),
-                     csprintf("leaf:%s", mod.name().c_str()));
+    if (tracing) {
+        span.emplace(Telemetry::trace(), "leaf:" + mod.name());
+        span->arg("module", mod.name()).arg("width", w);
+        span->arg("gates", mod.numOps());
+    }
 
     std::string key;
     if (cache) {
         key = leafScheduleKey(share.keyPrefix, w, cacheKeySuffix);
         if (auto hit = cachedResult(mod, key)) {
-            if (tracing) {
-                span->setArgs(csprintf(
-                    "\"module\": \"%s\", \"width\": %u, "
-                    "\"gates\": %llu, \"cache\": \"hit\"",
-                    mod.name().c_str(), w,
-                    static_cast<unsigned long long>(mod.numOps())));
-            }
+            if (tracing)
+                span->arg("cache", "hit");
             return hit;
         }
     }
@@ -208,14 +205,8 @@ CoarseScheduler::leafWidthResult(const Module &mod, unsigned w,
     auto result = scheduleLeafWidth(*leafScheduler, mod, *share.dag,
                                     *share.bounds, share.home, arch, mode,
                                     w);
-    if (tracing) {
-        span->setArgs(csprintf(
-            "\"module\": \"%s\", \"width\": %u, \"gates\": %llu, "
-            "\"cache\": \"%s\"",
-            mod.name().c_str(), w,
-            static_cast<unsigned long long>(mod.numOps()),
-            cache ? "miss" : "off"));
-    }
+    if (tracing)
+        span->arg("cache", cache ? "miss" : "off");
     if (cache)
         return cache->insert(key, std::move(result));
     return result;
@@ -683,12 +674,9 @@ CoarseScheduler::schedule(const Program &prog) const
         const bool tracing = Telemetry::trace().enabled();
         std::optional<TraceSpan> sweep_span;
         if (tracing) {
-            sweep_span.emplace(Telemetry::trace(),
-                               csprintf("sweep:%s", mod.name().c_str()));
-            sweep_span->setArgs(csprintf(
-                "\"module\": \"%s\", \"widths\": %zu, \"ops\": %llu",
-                mod.name().c_str(), nw,
-                static_cast<unsigned long long>(mod.numOps())));
+            sweep_span.emplace(Telemetry::trace(), "sweep:" + mod.name());
+            sweep_span->arg("module", mod.name()).arg("widths", nw);
+            sweep_span->arg("ops", mod.numOps());
         }
         // Priorities: height in the module DAG with hierarchical
         // weights.

@@ -1,7 +1,11 @@
 #include "support/json.hh"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <ostream>
 
 #include "support/strings.hh"
 
@@ -348,6 +352,111 @@ parseJson(const std::string &text, std::string &error)
     }
     error.clear();
     return value;
+}
+
+// --- writing ------------------------------------------------------------
+
+std::string
+jsonEscape(std::string_view text)
+{
+    std::string out;
+    out.reserve(text.size());
+    for (char c : text) {
+        switch (c) {
+          case '"':  out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(
+                                  static_cast<unsigned char>(c)));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
+std::string
+jsonNumber(double value)
+{
+    if (!std::isfinite(value))
+        return "0";
+    // Shortest decimal form that round-trips (stable across runs for
+    // identical values, unlike a fixed high precision with its noise
+    // digits).
+    char buf[64];
+    for (int precision = 1; precision <= 17; ++precision) {
+        std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+        if (std::strtod(buf, nullptr) == value)
+            break;
+    }
+    return buf;
+}
+
+JsonWriter &
+JsonWriter::token(std::string_view text, bool container)
+{
+    if (!open_.empty() && open_.back().array) {
+        Frame &array = open_.back();
+        if (container) {
+            os_ << (array.empty ? "\n" : ",\n")
+                << std::string(2 * open_.size(), ' ');
+            array.brokenLines = true;
+        } else if (!array.empty) {
+            os_ << ", ";
+        }
+        array.empty = false;
+    }
+    os_ << text;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::open(bool array)
+{
+    token(array ? "[" : "{", true);
+    open_.push_back({.array = array});
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::close(char bracket)
+{
+    const bool broken = open_.back().brokenLines;
+    open_.pop_back();
+    if (broken)
+        os_ << '\n' << std::string(2 * open_.size(), ' ');
+    os_ << bracket;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::key(std::string_view name)
+{
+    os_ << (open_.back().empty ? "\"" : ", \"") << jsonEscape(name)
+        << "\": ";
+    open_.back().empty = false;
+    return *this;
+}
+
+bool
+writeJsonFile(const std::string &path,
+              const std::function<void(std::ostream &)> &write)
+{
+    std::ofstream out(path);
+    if (!out)
+        return false;
+    write(out);
+    out << '\n';
+    out.close();
+    return !out.fail();
 }
 
 } // namespace msq

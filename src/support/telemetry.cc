@@ -1,13 +1,10 @@
 #include "support/telemetry.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
+#include <iostream>
 #include <ostream>
-#include <sstream>
 #include <thread>
 
 #ifdef __linux__
@@ -16,54 +13,6 @@
 #endif
 
 namespace msq {
-
-// --- JSON helpers -------------------------------------------------------
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNumber(double value)
-{
-    // JSON has no NaN/Inf literals; metrics should never produce them,
-    // but keep the document well-formed if one slips through.
-    if (!std::isfinite(value))
-        return "0";
-    // Shortest decimal form that round-trips (stable across runs for
-    // identical values, unlike a fixed high precision with its noise
-    // digits).
-    char buf[64];
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-        if (std::strtod(buf, nullptr) == value)
-            break;
-    }
-    return buf;
-}
 
 // --- Distribution -------------------------------------------------------
 
@@ -133,39 +82,27 @@ MetricsSnapshot::gauge(const std::string &name) const
 void
 MetricsSnapshot::writeJson(std::ostream &os) const
 {
-    os << "{\n  \"version\": 1,\n  \"metrics\": [\n";
-    for (size_t i = 0; i < entries.size(); ++i) {
-        const MetricEntry &entry = entries[i];
-        os << "    {\"name\": \"" << jsonEscape(entry.name) << "\", ";
+    JsonWriter json(os);
+    json.beginObject().member("version", 1).key("metrics").beginArray();
+    for (const MetricEntry &entry : entries) {
+        json.beginObject().member("name", entry.name);
         switch (entry.kind) {
           case MetricEntry::Kind::Counter:
-            os << "\"type\": \"counter\", \"value\": "
-               << entry.counterValue;
+            json.member("type", "counter", "value", entry.counterValue);
             break;
           case MetricEntry::Kind::Gauge:
-            os << "\"type\": \"gauge\", \"value\": " << entry.gaugeValue;
+            json.member("type", "gauge", "value", entry.gaugeValue);
             break;
           case MetricEntry::Kind::Distribution:
-            os << "\"type\": \"distribution\", \"count\": "
-               << entry.dist.count << ", \"sum\": "
-               << jsonNumber(entry.dist.sum) << ", \"min\": "
-               << jsonNumber(entry.dist.min) << ", \"max\": "
-               << jsonNumber(entry.dist.max) << ", \"p50\": "
-               << jsonNumber(entry.dist.p50) << ", \"p99\": "
-               << jsonNumber(entry.dist.p99);
+            json.member("type", "distribution", "count", entry.dist.count,
+                        "sum", entry.dist.sum, "min", entry.dist.min,
+                        "max", entry.dist.max, "p50", entry.dist.p50,
+                        "p99", entry.dist.p99);
             break;
         }
-        os << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
+        json.endObject();
     }
-    os << "  ]\n}\n";
-}
-
-std::string
-MetricsSnapshot::toJson() const
-{
-    std::ostringstream os;
-    writeJson(os);
-    return os.str();
+    json.endArray().endObject();
 }
 
 // --- MetricsRegistry ----------------------------------------------------
@@ -336,18 +273,26 @@ TraceRecorder::writeChromeTrace(std::ostream &os)
     const uint32_t pid = 1;
 #endif
     std::vector<TraceEvent> events = flush();
-    os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-    for (size_t i = 0; i < events.size(); ++i) {
-        const TraceEvent &event = events[i];
-        os << "  {\"name\": \"" << jsonEscape(event.name)
-           << "\", \"cat\": \"msq\", \"ph\": \"X\", \"ts\": "
-           << event.tsUs << ", \"dur\": " << event.durUs
-           << ", \"pid\": " << pid << ", \"tid\": " << event.tid;
-        if (!event.args.empty())
-            os << ", \"args\": {" << event.args << "}";
-        os << "}" << (i + 1 < events.size() ? "," : "") << "\n";
+    JsonWriter json(os);
+    json.beginObject().member("displayTimeUnit", "ms").key("traceEvents");
+    json.beginArray();
+    for (const TraceEvent &event : events) {
+        json.beginObject().member("name", event.name, "cat", "msq",
+                                  "ph", "X", "ts", event.tsUs,
+                                  "dur", event.durUs, "pid", pid,
+                                  "tid", event.tid);
+        if (!event.args.empty()) {
+            json.key("args").beginObject();
+            for (const TraceArg &arg : event.args) {
+                json.key(arg.key);
+                std::visit([&](const auto &v) { json.value(v); },
+                           arg.value);
+            }
+            json.endObject();
+        }
+        json.endObject();
     }
-    os << "]}\n";
+    json.endArray().endObject();
 }
 
 // --- TraceSpan ----------------------------------------------------------
@@ -361,11 +306,12 @@ TraceSpan::TraceSpan(TraceRecorder &recorder, std::string name)
     startUs_ = telemetryNowUs();
 }
 
-void
-TraceSpan::setArgs(std::string args_json)
+TraceSpan &
+TraceSpan::arg(std::string key, TraceArg::Value value)
 {
     if (recorder_ != nullptr)
-        args_ = std::move(args_json);
+        args_.push_back({std::move(key), std::move(value)});
+    return *this;
 }
 
 TraceSpan::~TraceSpan()
@@ -401,20 +347,26 @@ envTracePath()
     return path;
 }
 
+/** Write @p path through @p write when it is set. An exit hook cannot
+ * change the exit code, so a failed write is reported on stderr. */
+void
+flushEnvOutput(const std::string &path,
+               const std::function<void(std::ostream &)> &write)
+{
+    if (!path.empty() && !writeJsonFile(path, write))
+        std::cerr << "msq: cannot write '" << path << "'\n";
+}
+
 /** Write the MSQ_METRICS / MSQ_TRACE files (the atexit hook). */
 void
 flushEnvOutputs()
 {
-    if (!envMetricsPath().empty()) {
-        std::ofstream out(envMetricsPath());
-        if (out)
-            Telemetry::metrics().snapshot().writeJson(out);
-    }
-    if (!envTracePath().empty()) {
-        std::ofstream out(envTracePath());
-        if (out)
-            Telemetry::trace().writeChromeTrace(out);
-    }
+    flushEnvOutput(envMetricsPath(), [](std::ostream &os) {
+        Telemetry::metrics().snapshot().writeJson(os);
+    });
+    flushEnvOutput(envTracePath(), [](std::ostream &os) {
+        Telemetry::trace().writeChromeTrace(os);
+    });
 }
 
 } // anonymous namespace

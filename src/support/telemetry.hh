@@ -20,7 +20,9 @@
  *
  * Snapshots (MetricsSnapshot) are sorted by name, so the rendered JSON
  * has a stable key order across runs and thread counts; only the values
- * of "_ms" entries vary.
+ * of "_ms" entries vary. Both documents are written by the JsonWriter
+ * of support/json.hh, which this header also exposes for jsonEscape and
+ * jsonNumber.
  *
  * Trace spans (TraceSpan) record complete ("ph":"X") events with real
  * thread ids into one mutex-guarded list owned by a TraceRecorder, so
@@ -46,7 +48,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <variant>
 #include <vector>
+
+#include "support/json.hh"
 
 namespace msq {
 
@@ -148,16 +153,13 @@ struct MetricsSnapshot
     int64_t gauge(const std::string &name) const;
 
     /**
-     * Render as a JSON document:
+     * Write as one JSON document (no trailing newline):
      *   {"version": 1, "metrics": [{"name": ..., "type": "counter",
      *    "value": N} | {..., "type": "gauge", "value": N} |
      *    {..., "type": "distribution", "count": N, "sum": X, "min": X,
      *    "max": X, "p50": X, "p99": X}, ...]}
-     * Keys appear in sorted-name order — stable across runs.
+     * Entries appear in sorted-name order — stable across runs.
      */
-    std::string toJson() const;
-
-    /** Write toJson() to @p os. */
     void writeJson(std::ostream &os) const;
 };
 
@@ -196,11 +198,20 @@ class MetricsRegistry
     std::map<std::string, std::unique_ptr<Distribution>> distributions_;
 };
 
+/** One "args" member of a trace event: a count or a string. */
+struct TraceArg
+{
+    using Value = std::variant<uint64_t, std::string>;
+
+    std::string key;
+    Value value;
+};
+
 /** One completed trace event ("ph":"X" in the Chrome trace format). */
 struct TraceEvent
 {
     std::string name;
-    std::string args; ///< pre-rendered JSON object body ("" = none)
+    std::vector<TraceArg> args; ///< the "args" object, in order
     uint64_t tsUs = 0;  ///< start, microseconds since process start
     uint64_t durUs = 0; ///< duration, microseconds
     uint32_t tid = 0;   ///< OS thread id
@@ -233,9 +244,11 @@ class TraceRecorder
     std::vector<TraceEvent> flush();
 
     /**
-     * flush() rendered as a Chrome trace document:
-     *   {"traceEvents": [{"name": ..., "cat": "msq", "ph": "X",
-     *    "ts": N, "dur": N, "pid": N, "tid": N, "args": {...}}, ...]}
+     * flush() written as one Chrome trace document (no trailing
+     * newline):
+     *   {"displayTimeUnit": "ms", "traceEvents": [{"name": ...,
+     *    "cat": "msq", "ph": "X", "ts": N, "dur": N, "pid": N,
+     *    "tid": N, "args": {...}}, ...]}
      */
     void writeChromeTrace(std::ostream &os);
 
@@ -265,13 +278,14 @@ class TraceSpan
 
     bool active() const { return recorder_ != nullptr; }
 
-    /** Attach a pre-rendered JSON object body, e.g. "\"gates\": 12". */
-    void setArgs(std::string args_json);
+    /** Append one member to the event's "args" object (no-op when
+     * inactive); the trace writer escapes it. */
+    TraceSpan &arg(std::string key, TraceArg::Value value);
 
   private:
     TraceRecorder *recorder_ = nullptr;
     std::string name_;
-    std::string args_;
+    std::vector<TraceArg> args_;
     uint64_t startUs_ = 0;
 };
 
@@ -338,12 +352,6 @@ class Telemetry
      */
     static void initFromEnv();
 };
-
-/** Escape @p text for inclusion inside a JSON string literal. */
-std::string jsonEscape(const std::string &text);
-
-/** Format a double for JSON (shortest round-trippable decimal form). */
-std::string jsonNumber(double value);
 
 } // namespace msq
 

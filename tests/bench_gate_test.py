@@ -6,7 +6,8 @@ Usage: tests/bench_gate_test.py SOURCE_DIR
 For every gate: the committed file against itself passes; a copy with
 one row deleted fails in both directions; a copy missing one gated
 field, of the file or of a row, fails in both directions; a copy with
-one gated field regressed fails. The command line's exit codes and its
+one gated field regressed fails; the committed file re-serialized in
+another layout passes. The command line's exit codes and its
 report of a missing field are checked once, and
 the committed BENCH_opt_gap.json must keep at least 6 of 8 workloads
 with every leaf proven optimal: the gate holds each proof, so this is
@@ -113,6 +114,23 @@ def main(source_dir):
     if len(proven) < 6:
         failures.append(f"opt_gap: {len(proven)} of {len(inputs)} "
                         "workloads fully proven, floor 6")
+
+    # The gates read values, not layout: each committed file,
+    # re-serialized one member per line, passes its own gate, so a
+    # report's layout may change while its baseline keeps the old one.
+    for name in bench_gate.GATES:
+        committed = os.path.join(source_dir, f"BENCH_{name}.json")
+        with open(committed) as f:
+            relaid = json.dumps(json.load(f), indent=2)
+        with tempfile.NamedTemporaryFile("w", suffix=".json") as fresh:
+            fresh.write(relaid)
+            fresh.flush()
+            got = subprocess.run(
+                [sys.executable, gate_path, name, committed, fresh.name],
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        if got.returncode != 0:
+            failures.append(f"{name}: fails its own file in another "
+                            "layout")
 
     committed = os.path.join(source_dir, "BENCH_multicore.json")
     for args, code in (([committed, committed], 0), ([committed], 2)):

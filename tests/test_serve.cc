@@ -12,10 +12,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -119,6 +121,131 @@ TEST(JsonParser, Rejections)
     EXPECT_FALSE(error.empty());
 }
 
+/** The document @p write emits, as a string. */
+std::string
+written(const std::function<void(JsonWriter &)> &write)
+{
+    std::ostringstream os;
+    JsonWriter json(os);
+    write(json);
+    return os.str();
+}
+
+TEST(JsonWriter, StringsRoundTrip)
+{
+    using namespace std::string_literals;
+    const std::string texts[] = {
+        "",
+        "plain",
+        "quote \" and backslash \\ and \\\"",
+        "tab\tnewline\ncr\r"s,
+        "nul \0 bell \a esc \x1b unit \x1f del \x7f"s,
+        "UTF-8: \xc3\xa9 \xe2\x88\x80 \xf0\x9f\x8e\xb2",
+    };
+    for (const std::string &text : texts) {
+        // As a value and as a key alike.
+        const std::string doc = written([&](JsonWriter &json) {
+            json.beginObject().member(text, text).endObject();
+        });
+        EXPECT_EQ(doc.find('\n'), std::string::npos) << doc;
+        auto value = parseOk(doc);
+        ASSERT_TRUE(value);
+        EXPECT_TRUE(value->has(text)) << doc;
+        EXPECT_EQ(value->get(text).asString(), text) << doc;
+    }
+}
+
+TEST(JsonWriter, IntegersAreExact)
+{
+    const Count past64 = Count(UINT64_MAX) + Count(2); // 2^64 + 1
+    const std::string doc = written([&](JsonWriter &json) {
+        json.beginArray()
+            .value(past64)
+            .value(Count::max())
+            .value(UINT64_MAX)
+            .value(INT64_MIN)
+            .value(0u)
+            .endArray();
+    });
+    EXPECT_EQ(doc, "[18446744073709551617, "
+                   "340282366920938463463374607431768211455, "
+                   "18446744073709551615, -9223372036854775808, 0]");
+    auto value = parseOk(doc);
+    ASSERT_TRUE(value);
+    const std::vector<JsonValue> &numbers = value->elements();
+    ASSERT_EQ(numbers.size(), 5u);
+    EXPECT_EQ(numbers[0].numberText(), past64.str());
+    EXPECT_EQ(numbers[1].numberText(), Count::max().str());
+    EXPECT_EQ(numbers[2].asUnsigned(), UINT64_MAX);
+    EXPECT_EQ(numbers[3].asNumber(), static_cast<double>(INT64_MIN));
+}
+
+TEST(JsonWriter, DoublesAreShortestAndNonFiniteIsZero)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double values[] = {0.1, 1.0 / 3.0, 4.666577575838567, 1e300,
+                             -2.5};
+    for (double v : values) {
+        auto value = parseOk(written([&](JsonWriter &json) {
+            json.value(v);
+        }));
+        ASSERT_TRUE(value);
+        EXPECT_EQ(value->asNumber(), v);
+        EXPECT_EQ(value->numberText(), jsonNumber(v));
+    }
+    for (double v : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+        const std::string doc = written([&](JsonWriter &json) {
+            json.beginObject().member("x", v).endObject();
+        });
+        EXPECT_EQ(doc, "{\"x\": 0}");
+        auto value = parseOk(doc);
+        ASSERT_TRUE(value);
+        EXPECT_EQ(value->get("x").asNumber(), 0.0);
+    }
+}
+
+TEST(JsonWriter, MembersKeepTheirOrder)
+{
+    // One member() call with several pairs writes them in call order.
+    const std::string doc = written([](JsonWriter &json) {
+        json.beginObject()
+            .member("zeta", 1, "alpha", true)
+            .member("mid", "m")
+            .key("none")
+            .null()
+            .endObject();
+    });
+    EXPECT_EQ(doc, R"({"zeta": 1, "alpha": true, "mid": "m", "none": null})");
+    auto value = parseOk(doc);
+    ASSERT_TRUE(value);
+    EXPECT_EQ(value->get("zeta").asUnsigned(), 1u);
+    EXPECT_TRUE(value->get("alpha").asBool());
+    EXPECT_EQ(value->get("mid").asString(), "m");
+    EXPECT_EQ(value->get("none").kind(), JsonValue::Kind::Null);
+}
+
+TEST(JsonWriter, ContainerElementsStartTheirOwnLine)
+{
+    // Scalars stay inline; each object or array element of an array
+    // opens a line indented two spaces per open container, and its
+    // array closes on a line of its own.
+    const std::string doc = written([](JsonWriter &json) {
+        json.beginObject().key("flat").beginArray().value(1).value(2);
+        json.endArray().key("rows").beginArray();
+        json.beginObject().member("x", 1).key("deep").beginArray();
+        json.beginArray().endArray().endArray().endObject();
+        json.beginObject().key("e").beginObject().endObject().endObject();
+        json.endArray().key("empty").beginArray().endArray().endObject();
+    });
+    EXPECT_EQ(doc, "{\"flat\": [1, 2], \"rows\": [\n"
+                   "    {\"x\": 1, \"deep\": [\n"
+                   "        []\n"
+                   "      ]},\n"
+                   "    {\"e\": {}}\n"
+                   "  ], \"empty\": []}");
+    EXPECT_TRUE(parseOk(doc));
+}
+
 // ---------------------------------------------------------------------
 // ServeEngine
 // ---------------------------------------------------------------------
@@ -184,6 +311,30 @@ TEST(Serve, ErrorResponses)
                   std::string::npos)
             << c.line << " -> " << response->get("error").asString();
     }
+}
+
+TEST(Serve, ResponsesAreOneLine)
+{
+    // NDJSON: whatever newlines a request's id, names or source carry,
+    // the response, error or not, is one line.
+    ServeEngine engine(ServeOptions{});
+    const std::pair<const char *, bool> cases[] = {
+        {R"({"id": "two\nlines", "workload": "no\npe"})", false},
+        {R"({"id": 1, "source": "module main() {\n qbit q;\n H(q);\n"})",
+         false},
+        {R"({"id": "a\nb", "workload": "tfp", "params": "tiny"})", true},
+    };
+    for (const auto &[line, ok] : cases) {
+        const std::string response = engine.handleLine(line);
+        EXPECT_EQ(response.find('\n'), std::string::npos) << response;
+        auto doc = parseOk(response);
+        ASSERT_TRUE(doc);
+        EXPECT_EQ(doc->get("ok").asBool(), ok) << response;
+    }
+    EXPECT_EQ(parseOk(engine.handleLine(cases[0].first))
+                  ->get("id")
+                  .asString(),
+              "two\nlines");
 }
 
 TEST(Serve, IdEchoedVerbatim)

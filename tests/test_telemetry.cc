@@ -8,13 +8,16 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/toolflow.hh"
+#include "sched/coarse.hh"
+#include "sched/lpfs.hh"
+#include "support/json.hh"
 #include "support/telemetry.hh"
 #include "support/thread_pool.hh"
 #include "workloads/workloads.hh"
@@ -23,165 +26,26 @@ namespace {
 
 using namespace msq;
 
-/**
- * Minimal recursive-descent JSON validator — enough to prove the
- * emitted documents are well-formed without a JSON dependency.
- */
-class JsonValidator
+/** Parse @p json with the library parser; null (after a test
+ * failure naming the error) when it is malformed. */
+std::unique_ptr<JsonValue>
+parsed(const std::string &json)
 {
-  public:
-    explicit JsonValidator(const std::string &text) : text_(text) {}
+    std::string error;
+    std::unique_ptr<JsonValue> doc = parseJson(json, error);
+    EXPECT_TRUE(doc) << error << "\n" << json.substr(0, 400);
+    return doc;
+}
 
-    bool
-    valid()
-    {
-        pos_ = 0;
-        if (!value())
-            return false;
-        skipSpace();
-        return pos_ == text_.size();
-    }
-
-  private:
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        size_t len = std::string(word).size();
-        if (text_.compare(pos_, len, word) != 0)
-            return false;
-        pos_ += len;
-        return true;
-    }
-
-    bool
-    string()
-    {
-        if (pos_ >= text_.size() || text_[pos_] != '"')
-            return false;
-        ++pos_;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            if (text_[pos_] == '\\') {
-                ++pos_;
-                if (pos_ >= text_.size())
-                    return false;
-            }
-            ++pos_;
-        }
-        if (pos_ >= text_.size())
-            return false;
-        ++pos_; // closing quote
-        return true;
-    }
-
-    bool
-    number()
-    {
-        size_t begin = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-'))
-            ++pos_;
-        return pos_ > begin;
-    }
-
-    bool
-    value()
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            return false;
-        char c = text_[pos_];
-        if (c == '{')
-            return object();
-        if (c == '[')
-            return array();
-        if (c == '"')
-            return string();
-        if (c == 't')
-            return literal("true");
-        if (c == 'f')
-            return literal("false");
-        if (c == 'n')
-            return literal("null");
-        return number();
-    }
-
-    bool
-    object()
-    {
-        ++pos_; // '{'
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipSpace();
-            if (!string())
-                return false;
-            skipSpace();
-            if (pos_ >= text_.size() || text_[pos_] != ':')
-                return false;
-            ++pos_;
-            if (!value())
-                return false;
-            skipSpace();
-            if (pos_ >= text_.size())
-                return false;
-            if (text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (text_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    array()
-    {
-        ++pos_; // '['
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            if (!value())
-                return false;
-            skipSpace();
-            if (pos_ >= text_.size())
-                return false;
-            if (text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (text_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    const std::string &text_;
-    size_t pos_ = 0;
-};
+/** @p writable's JSON document as a string. */
+template <class Writable>
+std::string
+jsonOf(const Writable &writable)
+{
+    std::ostringstream os;
+    writable.writeJson(os);
+    return os.str();
+}
 
 TEST(Telemetry, CounterAndGauge)
 {
@@ -256,8 +120,17 @@ TEST(Telemetry, RegistrySnapshotSortedAndStable)
     EXPECT_EQ(snap.gauge("aaa.first"), 5);
     EXPECT_EQ(snap.find("nope"), nullptr);
 
-    std::string json = snap.toJson();
-    EXPECT_TRUE(JsonValidator(json).valid()) << json;
+    std::unique_ptr<JsonValue> doc = parsed(jsonOf(snap));
+    ASSERT_TRUE(doc);
+    const std::vector<JsonValue> &metrics = doc->get("metrics").elements();
+    ASSERT_EQ(metrics.size(), 3u);
+    EXPECT_EQ(metrics[0].get("name").asString(), "aaa.first");
+    EXPECT_EQ(metrics[0].get("type").asString(), "gauge");
+    EXPECT_EQ(metrics[0].get("value").asNumber(), 5);
+    EXPECT_EQ(metrics[1].get("type").asString(), "distribution");
+    EXPECT_EQ(metrics[1].get("sum").asNumber(), 1.0);
+    EXPECT_EQ(metrics[2].get("name").asString(), "zzz.last");
+    EXPECT_EQ(metrics[2].get("value").asNumber(), 2);
 }
 
 TEST(Telemetry, RegistryMerge)
@@ -310,7 +183,7 @@ TEST(Telemetry, TraceRecorderMultiThreaded)
     ThreadPool pool(4);
     pool.parallelFor(64, [&](uint64_t i) {
         TraceSpan span(recorder, "task" + std::to_string(i));
-        span.setArgs("\"index\": " + std::to_string(i));
+        span.arg("index", i);
     });
     {
         TraceSpan outer(recorder, "outer");
@@ -341,7 +214,7 @@ TEST(Telemetry, ChromeTraceJsonShape)
     recorder.setEnabled(true);
     {
         TraceSpan span(recorder, "phase \"one\"");
-        span.setArgs("\"gates\": 12");
+        span.arg("gates", 12u);
     }
     { TraceSpan span(recorder, "phase-two"); }
     recorder.setEnabled(false);
@@ -349,13 +222,59 @@ TEST(Telemetry, ChromeTraceJsonShape)
     std::ostringstream os;
     recorder.writeChromeTrace(os);
     std::string json = os.str();
-    EXPECT_TRUE(JsonValidator(json).valid()) << json;
+    EXPECT_TRUE(parsed(json));
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
     EXPECT_NE(json.find("\"ts\": "), std::string::npos);
     EXPECT_NE(json.find("\"tid\": "), std::string::npos);
     EXPECT_NE(json.find("\"gates\": 12"), std::string::npos);
     EXPECT_NE(json.find("phase \\\"one\\\""), std::string::npos);
+}
+
+TEST(Telemetry, ChromeTraceEscapesModuleNames)
+{
+    // The QASM reader takes any non-space token as a module name, so a
+    // name can carry quotes and backslashes into the span args.
+    const std::string name = "le\"af\\x";
+    Program prog;
+    ModuleId leaf = prog.addModule(name);
+    {
+        Module &mod = prog.module(leaf);
+        QubitId q = mod.addParam("q");
+        mod.addGate(GateKind::H, {q});
+        mod.addGate(GateKind::T, {q});
+    }
+    ModuleId top = prog.addModule("main");
+    {
+        Module &mod = prog.module(top);
+        QubitId a = mod.addLocal("a");
+        mod.addCall(leaf, {a});
+        mod.addCall(leaf, {a});
+    }
+    prog.setEntry(top);
+
+    TraceRecorder &trace = Telemetry::trace();
+    trace.flush();
+    trace.setEnabled(true);
+    LpfsScheduler scheduler;
+    CoarseScheduler(MultiSimdArch(2), scheduler, CommMode::Global)
+        .schedule(prog);
+    trace.setEnabled(false);
+
+    std::ostringstream os;
+    trace.writeChromeTrace(os);
+    std::unique_ptr<JsonValue> doc = parsed(os.str());
+    ASSERT_TRUE(doc);
+    size_t leaf_spans = 0;
+    for (const JsonValue &event : doc->get("traceEvents").elements()) {
+        if (event.get("name").asString() != "leaf:" + name)
+            continue;
+        ++leaf_spans;
+        EXPECT_EQ(event.get("args").get("module").asString(), name);
+        EXPECT_EQ(event.get("args").get("gates").asNumber(), 2);
+        EXPECT_EQ(event.get("args").get("cache").asString(), "off");
+    }
+    EXPECT_GT(leaf_spans, 0u);
 }
 
 /** The keys any toolflow run must surface. */
@@ -391,9 +310,7 @@ TEST(Telemetry, ToolflowTelemetryAcrossAllWorkloads)
                       snap.gauge("toolflow.scheduled_cycles")),
                   result.scheduledCycles);
 
-        std::string json = snap.toJson();
-        EXPECT_TRUE(JsonValidator(json).valid())
-            << spec.shortName << ": " << json.substr(0, 200);
+        EXPECT_TRUE(parsed(jsonOf(snap))) << spec.shortName;
     }
 }
 

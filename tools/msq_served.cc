@@ -21,7 +21,6 @@
  * {"ok": false} responses and never kill the daemon.
  */
 
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -139,13 +138,17 @@ reportDiags(ServeEngine &engine)
 }
 
 /** Overwrite @p path with a snapshot of the engine's registry, which
- * holds every request served so far. */
+ * holds every request served so far. A failed write is reported and
+ * the daemon keeps serving. */
 void
 writeMetrics(ServeEngine &engine, const std::string &path)
 {
-    std::ofstream out(path);
-    if (out)
-        engine.metrics().snapshot().writeJson(out);
+    if (!writeJsonFile(path, [&](std::ostream &os) {
+            engine.metrics().snapshot().writeJson(os);
+        })) {
+        std::cerr << "msq-served: cannot write metrics to '" << path
+                  << "'\n";
+    }
 }
 
 } // anonymous namespace

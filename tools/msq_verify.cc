@@ -115,6 +115,7 @@
  */
 
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -205,24 +206,38 @@ makeCheckSchedulers(const Options &options, CommMode mode)
     return out;
 }
 
-/** One (input, scheduler) slice of the --bounds-json report. */
-struct BoundsJsonEntry
+/**
+ * The --bounds-json and --estimate-json documents, written while the
+ * inputs are checked: each (input, scheduler) appends one element to
+ * its report's "inputs" array, and finish() closes both.
+ */
+struct Reports
 {
-    std::string input;     ///< file path or "workload:<name>"
-    std::string scheduler; ///< the leaf scheduler's name()
-    ProgramGapReport report;
-};
+    std::ostringstream boundsText;
+    std::ostringstream estimateText;
+    JsonWriter bounds{boundsText};
+    JsonWriter estimate{estimateText};
 
-/** One (input, scheduler) slice of the --estimate-json report. */
-struct EstimateJsonEntry
-{
-    std::string input;     ///< file path or "workload:<name>"
-    std::string scheduler; ///< the leaf scheduler's name()
-    ProgramResourceEstimate est;
-    uint64_t cacheHits = 0;   ///< the coarse run's leaf-cache traffic
-    uint64_t cacheMisses = 0;
-    EstimateCheckStats stats;
-    bool exact = true; ///< checkEstimateExactness added no errors
+    explicit Reports(const Options &options)
+    {
+        const std::string arch = options.config.arch.describe();
+        const char *mode = commModeName(options.config.commMode);
+        bounds.beginObject().member("schema", "msq-optimality-gap-v1",
+                                    "arch", arch, "mode", mode);
+        bounds.key("inputs").beginArray();
+        estimate.beginObject().member(
+            "schema", "msq-resource-estimate-v1", "arch", arch,
+            "mode", mode, "scale", options.request.scale,
+            "params", options.request.params);
+        estimate.key("inputs").beginArray();
+    }
+
+    void
+    finish()
+    {
+        bounds.endArray().endObject();
+        estimate.endArray().endObject();
+    }
 };
 
 /**
@@ -422,7 +437,7 @@ checkBounds(const std::string &path, const Program &prog,
             const Options &options,
             const std::vector<CheckSchedule> &schedules,
             DiagnosticEngine &diags, MetricsRegistry &metrics,
-            std::vector<BoundsJsonEntry> &json_entries)
+            JsonWriter &json)
 {
     const MultiSimdArch &arch = options.config.arch;
     const CommMode mode = options.config.commMode;
@@ -464,8 +479,27 @@ checkBounds(const std::string &path, const Program &prog,
                   << proven << " proven optimal"
                   << (ok ? "" : " -- VIOLATIONS") << "\n";
 
-        json_entries.push_back(
-            {path, scheduler.name(), std::move(report)});
+        json.beginObject().member("input", path, "scheduler",
+                                  scheduler.name(), "saturated",
+                                  report.saturated());
+        json.key("program").beginObject();
+        json.member("makespan", report.programMakespan,
+                    "lower_bound", report.programLowerBound,
+                    "gap", report.programGap);
+        json.endObject().key("leaves").beginArray();
+        for (const LeafGapRecord &leaf : report.leaves) {
+            json.beginObject().member(
+                "module", leaf.module, "gates", leaf.gates,
+                "qubits", leaf.qubits, "invocations", leaf.invocations,
+                "width", leaf.width, "makespan", leaf.makespan,
+                "critical_path_bound", leaf.bounds.criticalPath,
+                "resource_bound", leaf.bounds.resource,
+                "interval_bound", leaf.bounds.interval,
+                "lower_bound", leaf.lowerBound, "gap", leaf.gap,
+                "provenance", scheduleProvenanceName(leaf.provenance));
+            json.endObject();
+        }
+        json.endArray().endObject();
     }
 }
 
@@ -482,7 +516,7 @@ checkEstimate(const std::string &path, const Program &prog,
               const Options &options,
               const std::vector<CheckSchedule> &schedules,
               DiagnosticEngine &diags, MetricsRegistry &metrics,
-              std::vector<EstimateJsonEntry> &json_entries)
+              JsonWriter &json)
 {
     const MultiSimdArch &arch = options.config.arch;
     const CommMode mode = options.config.commMode;
@@ -548,163 +582,65 @@ checkEstimate(const std::string &path, const Program &prog,
                   << (sum.saturated() ? ", SATURATED" : "")
                   << (exact ? "" : " -- INEXACT") << "\n";
 
-        json_entries.push_back({path, scheduler.name(), std::move(est),
-                                entry.cacheHits, entry.cacheMisses, stats,
-                                exact});
-    }
-}
-
-/** Write the accumulated --bounds-json gap report. */
-bool
-writeBoundsJson(const Options &options,
-                const std::vector<BoundsJsonEntry> &entries)
-{
-    if (options.boundsJson.empty())
-        return true;
-    std::ofstream out(options.boundsJson);
-    if (!out) {
-        std::cerr << "msq-verify: cannot write bounds report to '"
-                  << options.boundsJson << "'\n";
-        return false;
-    }
-    const MultiSimdArch &arch = options.config.arch;
-    const CommMode mode = options.config.commMode;
-    out << "{\n"
-        << "  \"schema\": \"msq-optimality-gap-v1\",\n"
-        << "  \"arch\": \"" << jsonEscape(arch.describe()) << "\",\n"
-        << "  \"mode\": \"" << commModeName(mode) << "\",\n"
-        << "  \"inputs\": [";
-    for (size_t i = 0; i < entries.size(); ++i) {
-        const BoundsJsonEntry &entry = entries[i];
-        const ProgramGapReport &report = entry.report;
-        out << (i ? ",\n" : "\n")
-            << "    {\n"
-            << "      \"input\": \"" << jsonEscape(entry.input)
-            << "\",\n"
-            << "      \"scheduler\": \"" << jsonEscape(entry.scheduler)
-            << "\",\n"
-            << "      \"saturated\": "
-            << (report.saturated() ? "true" : "false") << ",\n"
-            << "      \"program\": {\"makespan\": "
-            << report.programMakespan << ", \"lower_bound\": "
-            << report.programLowerBound << ", \"gap\": "
-            << csprintf("%.6f", report.programGap) << "},\n"
-            << "      \"leaves\": [";
-        for (size_t j = 0; j < report.leaves.size(); ++j) {
-            const LeafGapRecord &leaf = report.leaves[j];
-            out << (j ? ",\n" : "\n")
-                << "        {\"module\": \"" << jsonEscape(leaf.module)
-                << "\", \"gates\": " << leaf.gates << ", \"qubits\": "
-                << leaf.qubits << ", \"invocations\": "
-                << leaf.invocations << ", \"width\": " << leaf.width
-                << ", \"makespan\": " << leaf.makespan
-                << ", \"critical_path_bound\": "
-                << leaf.bounds.criticalPath << ", \"resource_bound\": "
-                << leaf.bounds.resource << ", \"interval_bound\": "
-                << leaf.bounds.interval << ", \"lower_bound\": "
-                << leaf.lowerBound << ", \"gap\": "
-                << csprintf("%.6f", leaf.gap) << ", \"provenance\": \""
-                << scheduleProvenanceName(leaf.provenance) << "\"}";
-        }
-        out << (report.leaves.empty() ? "]" : "\n      ]") << "\n    }";
-    }
-    out << (entries.empty() ? "]" : "\n  ]") << "\n}\n";
-    return true;
-}
-
-/** Write the accumulated --estimate-json resource report. */
-bool
-writeEstimateJson(const Options &options,
-                  const std::vector<EstimateJsonEntry> &entries)
-{
-    if (options.estimateJson.empty())
-        return true;
-    std::ofstream out(options.estimateJson);
-    if (!out) {
-        std::cerr << "msq-verify: cannot write estimate report to '"
-                  << options.estimateJson << "'\n";
-        return false;
-    }
-    const MultiSimdArch &arch = options.config.arch;
-    const CommMode mode = options.config.commMode;
-    out << "{\n"
-        << "  \"schema\": \"msq-resource-estimate-v1\",\n"
-        << "  \"arch\": \"" << jsonEscape(arch.describe()) << "\",\n"
-        << "  \"mode\": \"" << commModeName(mode) << "\",\n"
-        << "  \"scale\": " << options.request.scale << ",\n"
-        << "  \"params\": \"" << options.request.params << "\",\n"
-        << "  \"inputs\": [";
-    for (size_t i = 0; i < entries.size(); ++i) {
-        const EstimateJsonEntry &entry = entries[i];
-        const ResourceSummary &sum = entry.est.program;
-        out << (i ? ",\n" : "\n")
-            << "    {\n"
-            << "      \"input\": \"" << jsonEscape(entry.input)
-            << "\",\n"
-            << "      \"scheduler\": \"" << jsonEscape(entry.scheduler)
-            << "\",\n"
-            << "      \"saturated\": "
-            << (sum.saturated() ? "true" : "false") << ",\n"
-            << "      \"exact\": " << (entry.exact ? "true" : "false")
-            << ",\n"
-            << "      \"checks\": {\"leaf_folds\": "
-            << entry.stats.leafFoldsChecked << ", \"modules\": "
-            << entry.stats.modulesChecked << ", \"unrolled\": "
-            << (entry.stats.unrolledChecked ? "true" : "false")
-            << "},\n"
-            << "      \"program\": {\n"
-            << "        \"gate_ops\": " << sum.gateOps << ",\n"
-            << "        \"serial_cycles\": " << sum.serialCycles
-            << ",\n"
-            << "        \"comm_cycles\": " << sum.commCycles << ",\n"
-            << "        \"teleport_moves\": " << sum.teleportMoves
-            << ",\n"
-            << "        \"blocking_teleports\": "
-            << sum.blockingTeleports << ",\n"
-            << "        \"local_moves\": " << sum.localMoves << ",\n"
-            << "        \"epr_pairs\": " << sum.eprPairs() << ",\n"
-            << "        \"operand_touches\": " << sum.operandTouches
-            << ",\n"
-            << "        \"active_region_steps\": "
-            << sum.activeRegionSteps << ",\n"
-            << "        \"peak_region_occupancy\": "
-            << sum.peakRegionOccupancy << ",\n"
-            << "        \"peak_blocking_moves_per_step\": "
-            << sum.peakBlockingMovesPerStep << ",\n"
-            << "        \"peak_active_regions\": "
-            << sum.peakActiveRegions << ",\n"
-            << "        \"call_invocations\": " << sum.callInvocations
-            << ",\n"
-            << "        \"mean_region_occupancy\": "
-            << csprintf("%.6f", sum.meanRegionOccupancy()) << ",\n"
-            << "        \"comm_fraction\": "
-            << csprintf("%.6f", sum.commFraction()) << "\n"
-            << "      },\n"
-            << "      \"makespan_cycles\": " << entry.est.makespanCycles
-            << ",\n"
-            << "      \"sequential_speedup\": "
-            << csprintf("%.6f", entry.est.sequentialSpeedup()) << ",\n"
-            << "      \"naive_speedup\": "
-            << csprintf("%.6f", entry.est.naiveSpeedup()) << ",\n"
-            << "      \"distinct_leaf_schedules\": "
-            << entry.est.distinctLeafSchedules << ",\n"
-            << "      \"leaf_modules\": " << entry.est.leafModules
-            << ",\n"
-            << "      \"reachable_modules\": "
-            << entry.est.reachableModules << ",\n"
-            << "      \"cache\": {\"hits\": " << entry.cacheHits
-            << ", \"misses\": " << entry.cacheMisses << "},\n"
-            << "      \"occupancy\": [";
+        json.beginObject().member("input", path, "scheduler",
+                                  scheduler.name(), "saturated",
+                                  sum.saturated(), "exact", exact);
+        json.key("checks").beginObject();
+        json.member("leaf_folds", stats.leafFoldsChecked,
+                    "modules", stats.modulesChecked,
+                    "unrolled", stats.unrolledChecked);
+        json.endObject().key("program").beginObject();
+        json.member("gate_ops", sum.gateOps,
+                    "serial_cycles", sum.serialCycles,
+                    "comm_cycles", sum.commCycles,
+                    "teleport_moves", sum.teleportMoves,
+                    "blocking_teleports", sum.blockingTeleports,
+                    "local_moves", sum.localMoves,
+                    "epr_pairs", sum.eprPairs(),
+                    "operand_touches", sum.operandTouches,
+                    "active_region_steps", sum.activeRegionSteps,
+                    "peak_region_occupancy", sum.peakRegionOccupancy,
+                    "peak_blocking_moves_per_step",
+                    sum.peakBlockingMovesPerStep,
+                    "peak_active_regions", sum.peakActiveRegions,
+                    "call_invocations", sum.callInvocations,
+                    "mean_region_occupancy", sum.meanRegionOccupancy(),
+                    "comm_fraction", sum.commFraction());
+        json.endObject().member(
+            "makespan_cycles", est.makespanCycles,
+            "sequential_speedup", est.sequentialSpeedup(),
+            "naive_speedup", est.naiveSpeedup(),
+            "distinct_leaf_schedules", est.distinctLeafSchedules,
+            "leaf_modules", est.leafModules,
+            "reachable_modules", est.reachableModules);
+        json.key("cache").beginObject();
+        json.member("hits", entry.cacheHits, "misses", entry.cacheMisses);
+        json.endObject().key("occupancy").beginArray();
         for (size_t b = 0; b < sum.occupancy.size(); ++b) {
-            out << (b ? ",\n" : "\n")
-                << "        {\"bucket\": \""
-                << jsonEscape(ResourceSummary::occupancyLabel(b))
-                << "\", \"steps\": " << sum.occupancy[b] << "}";
+            json.beginObject().member(
+                "bucket", ResourceSummary::occupancyLabel(b),
+                "steps", sum.occupancy[b]);
+            json.endObject();
         }
-        out << "\n      ]\n    }";
+        json.endArray().endObject();
     }
-    out << (entries.empty() ? "]" : "\n  ]") << "\n}\n";
-    return true;
+}
+
+/**
+ * Write one JSON output file through writeJsonFile. An empty @p path
+ * (the flag was not given) writes nothing.
+ * @return false, after a message on stderr, when the file cannot be
+ * opened or fully written.
+ */
+bool
+writeOutput(const std::string &path, const char *what,
+            const std::function<void(std::ostream &)> &write)
+{
+    if (path.empty() || writeJsonFile(path, write))
+        return true;
+    std::cerr << "msq-verify: cannot write " << what << " to '" << path
+              << "'\n";
+    return false;
 }
 
 /**
@@ -719,9 +655,7 @@ Outcome
 checkProgram(const std::string &label, Program &prog,
              ToolflowConfig lowering, const Options &options,
              DiagnosticEngine &diags,
-             MetricsRegistry &metrics,
-             std::vector<BoundsJsonEntry> &json_entries,
-             std::vector<EstimateJsonEntry> &estimate_entries)
+             MetricsRegistry &metrics, Reports &reports)
 {
     if (options.lint)
         lintProgram(prog, diags);
@@ -743,11 +677,11 @@ checkProgram(const std::string &label, Program &prog,
                 checkCommunication(label, prog, options, schedules, diags);
             if (options.bounds) {
                 checkBounds(label, prog, options, schedules, diags,
-                            metrics, json_entries);
+                            metrics, reports.bounds);
             }
             if (options.estimate) {
                 checkEstimate(label, prog, options, schedules, diags,
-                              metrics, estimate_entries);
+                              metrics, reports.estimate);
             }
         } catch (const PanicError &err) {
             std::cerr << label << ": error: scheduling checks: "
@@ -772,9 +706,7 @@ checkProgram(const std::string &label, Program &prog,
 /** @return the outcome for one input file. */
 Outcome
 checkFile(const std::string &path, const Options &options,
-          MetricsRegistry &metrics,
-          std::vector<BoundsJsonEntry> &json_entries,
-          std::vector<EstimateJsonEntry> &estimate_entries)
+          MetricsRegistry &metrics, Reports &reports)
 {
     Format format = options.format;
     if (format == Format::Auto)
@@ -805,15 +737,13 @@ checkFile(const std::string &path, const Options &options,
 
     // Like an msq-served "source" request: the default rotations.
     return checkProgram(path, prog, options.config, options, diags,
-                        metrics, json_entries, estimate_entries);
+                        metrics, reports);
 }
 
 /** @return the outcome for one --workload=NAME input. */
 Outcome
 checkWorkload(const std::string &name, const Options &options,
-              MetricsRegistry &metrics,
-              std::vector<BoundsJsonEntry> &json_entries,
-              std::vector<EstimateJsonEntry> &estimate_entries)
+              MetricsRegistry &metrics, Reports &reports)
 {
     std::string label = "workload:" + name;
     if (options.request.scale > 1)
@@ -834,36 +764,7 @@ checkWorkload(const std::string &name, const Options &options,
     }
     verifyProgram(prog, diags);
     return checkProgram(label, prog, std::move(lowering), options, diags,
-                        metrics, json_entries, estimate_entries);
-}
-
-/**
- * Write --metrics-json / --trace-json outputs.
- * @return false (after a message on stderr) when a file cannot be
- * written.
- */
-bool
-writeTelemetryOutputs(const Options &options, MetricsRegistry &metrics)
-{
-    if (!options.metricsJson.empty()) {
-        std::ofstream out(options.metricsJson);
-        if (!out) {
-            std::cerr << "msq-verify: cannot write metrics to '"
-                      << options.metricsJson << "'\n";
-            return false;
-        }
-        metrics.snapshot().writeJson(out);
-    }
-    if (!options.traceJson.empty()) {
-        std::ofstream out(options.traceJson);
-        if (!out) {
-            std::cerr << "msq-verify: cannot write trace to '"
-                      << options.traceJson << "'\n";
-            return false;
-        }
-        Telemetry::trace().writeChromeTrace(out);
-    }
-    return true;
+                        metrics, reports);
 }
 
 } // anonymous namespace
@@ -1028,8 +929,7 @@ main(int argc, char **argv)
     if (!options.traceJson.empty())
         Telemetry::trace().setEnabled(true);
     MetricsRegistry metrics;
-    std::vector<BoundsJsonEntry> json_entries;
-    std::vector<EstimateJsonEntry> estimate_entries;
+    Reports reports(options);
 
     bool any_dirty = false;
     bool any_parse_error = false;
@@ -1040,16 +940,28 @@ main(int argc, char **argv)
             any_parse_error = true;
     };
     for (const auto &path : options.files)
-        tally(checkFile(path, options, metrics, json_entries,
-                        estimate_entries));
+        tally(checkFile(path, options, metrics, reports));
     for (const auto &name : options.workloads)
-        tally(checkWorkload(name, options, metrics, json_entries,
-                            estimate_entries));
-    if (!writeBoundsJson(options, json_entries))
-        any_parse_error = true;
-    if (!writeEstimateJson(options, estimate_entries))
-        any_parse_error = true;
-    if (!writeTelemetryOutputs(options, metrics))
+        tally(checkWorkload(name, options, metrics, reports));
+    reports.finish();
+    // Every output is attempted; any failure exits 2.
+    const bool written =
+        writeOutput(options.boundsJson, "bounds report",
+                    [&](std::ostream &os) {
+                        os << reports.boundsText.str();
+                    }) &
+        writeOutput(options.estimateJson, "estimate report",
+                    [&](std::ostream &os) {
+                        os << reports.estimateText.str();
+                    }) &
+        writeOutput(options.metricsJson, "metrics",
+                    [&](std::ostream &os) {
+                        metrics.snapshot().writeJson(os);
+                    }) &
+        writeOutput(options.traceJson, "trace", [](std::ostream &os) {
+            Telemetry::trace().writeChromeTrace(os);
+        });
+    if (!written)
         any_parse_error = true;
     if (any_parse_error)
         return 2;
