@@ -99,7 +99,11 @@ makeArch(const std::string &spec, MappingStrategy mapping)
 }
 
 /** Sum of inter-core teleports over every analyzed leaf's widest
- * schedule — the quantity the mapping pass exists to shrink. */
+ * schedule, each leaf counted once — the quantity the mapping pass
+ * exists to shrink. This is not the program's link traffic: a leaf
+ * called n times moves n times as much, and callers may run it at a
+ * narrower width. `msq-verify --estimate-json` reports that
+ * invocation-weighted count as `inter_core_teleports`. */
 uint64_t
 sumInterCore(const ProgramSchedule &schedule)
 {

@@ -6,8 +6,8 @@
  * requests *and* process restarts (DESIGN.md §15).
  *
  * The engine is the testable core — tools/msq_served.cc is a thin
- * stdin/stdout loop around it, and bench_serve_latency drives it
- * in-process so latency numbers exclude pipe overhead.
+ * stdin/stdout loop around it, and perfbench's serve-warm workload
+ * drives it in-process.
  *
  * Request (one JSON object per line):
  *   {"id": <any>,                     echoed back verbatim-ish (string/num)

@@ -73,13 +73,11 @@ Toolflow::makeConfiguredScheduler() const
         return std::make_unique<RcpScheduler>(config_.rcpWeights);
       case SchedulerKind::Lpfs:
         return std::make_unique<LpfsScheduler>(config_.lpfsOptions);
-      case SchedulerKind::Opt: {
+      case SchedulerKind::Opt:
         // The certificate must be judged under the same communication
         // model the coarse scheduler costs schedules with.
-        OptScheduler::Options options = config_.optOptions;
-        options.commMode = config_.commMode;
-        return std::make_unique<OptScheduler>(options);
-      }
+        return std::make_unique<OptScheduler>(config_.optOptions,
+                                              config_.commMode);
     }
     panic("unknown SchedulerKind");
 }

@@ -68,10 +68,9 @@ struct ToolflowConfig
     LpfsScheduler::Options lpfsOptions;
 
     /**
-     * OptScheduler options (node budget, size cap, fallback tier).
-     * optOptions.commMode is ignored: run() overwrites it with
-     * @ref commMode so the optimality certificate is judged under
-     * exactly the communication model the schedule is costed with.
+     * OptScheduler options (node budget, size cap, fallback tier). Its
+     * certificate is judged under @ref commMode, the communication
+     * model the schedule is costed with.
      */
     OptScheduler::Options optOptions;
 

@@ -589,7 +589,7 @@ OptScheduler::fingerprint() const
 {
     return csprintf("opt(budget=%llu,maxops=%u,mode=%s,fallback=%s)",
                     static_cast<unsigned long long>(options.nodeBudget),
-                    options.maxOps, commModeName(options.commMode),
+                    options.maxOps, commModeName(commMode),
                     fallbackScheduler().fingerprint().c_str());
 }
 
@@ -612,7 +612,7 @@ OptScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
     ScheduleAttempt fallback_attempt;
     LeafSchedule fallback = fallbackScheduler().scheduleWithAttempt(
         mod, dag, arch, fallback_attempt, home);
-    CommunicationAnalyzer comm(arch, options.commMode);
+    CommunicationAnalyzer comm(arch, commMode);
     ResourceSummary fb_summary;
     comm.annotate(fallback, fb_summary, home);
     const uint64_t lb = LeafBoundProfile(mod, dag).evaluate(arch).composite();
@@ -628,7 +628,7 @@ OptScheduler::scheduleOnDag(const Module &mod, const DepDag &dag,
         return fallback;
     }
 
-    OptSearch search(mod, dag, arch, options.commMode, home, lb,
+    OptSearch search(mod, dag, arch, commMode, home, lb,
                      options.nodeBudget, attempt);
     if (search.run()) {
         attempt.provenance = ScheduleProvenance::Optimal;

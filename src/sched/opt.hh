@@ -65,19 +65,20 @@ class OptScheduler : public LeafScheduler
         /** Leaves with more ops go straight to the fallback tier. */
         uint32_t maxOps = 256;
 
-        /**
-         * Communication mode the candidate annotation (and so the
-         * optimality certificate) is judged under. Must match the mode
-         * the surrounding CoarseScheduler costs schedules with.
-         */
-        CommMode commMode = CommMode::Global;
-
         /** Heuristic used on budget exhaustion / oversized leaves. */
         OptFallback fallback = OptFallback::Lpfs;
     };
 
+    /**
+     * @p mode is the communication model the candidate annotation, and
+     * so the optimality certificate, is judged under. It must match the
+     * mode the surrounding CoarseScheduler costs schedules with.
+     */
     OptScheduler() : OptScheduler(Options{}) {}
-    explicit OptScheduler(Options options) : options(options) {}
+    explicit OptScheduler(Options options, CommMode mode = CommMode::Global)
+        : options(options), commMode(mode)
+    {
+    }
 
     const char *name() const override { return "opt"; }
     std::string fingerprint() const override;
@@ -97,6 +98,7 @@ class OptScheduler : public LeafScheduler
     const LeafScheduler &fallbackScheduler() const;
 
     Options options;
+    CommMode commMode;
     RcpScheduler rcp;
     LpfsScheduler lpfs;
 };

@@ -41,11 +41,6 @@ REGRESSIONS = {
                                    if leaf["provenance"] == "optimal"),
                               "provenance", lambda v: "fallback"),
     "paper_scale": lambda d: bump(d["rows"][0], "exact", lambda v: False),
-    "serve_latency": (
-        lambda d: bump(d["results"][0], "schedule_hash",
-                       lambda v: "0" * 16),
-        # The hashing work counter is gated exactly, like the schedule.
-        lambda d: bump(d["results"][0], "ops_hashed", lambda v: v + 1)),
     "multicore": lambda d: bump(d["rows"][0], "makespan", lambda v: v + 1),
     "paper_figures": (
         lambda d: bump(d["claims"][0], "holds", lambda v: False),
@@ -142,18 +137,19 @@ def main(source_dir):
                             f"expected {code}")
 
     # A missing field is reported like any regression, not a traceback.
-    with open(os.path.join(source_dir, "BENCH_serve_latency.json")) as f:
+    committed = os.path.join(source_dir, "BENCH_compile_time.json")
+    with open(committed) as f:
         doc = json.load(f)
-    del doc["results"][0]["ops_hashed"]
+    del doc["rows"][0]["ready_scanned"]
     with tempfile.NamedTemporaryFile("w", suffix=".json") as fresh:
         json.dump(doc, fresh)
         fresh.flush()
         got = subprocess.run(
-            [sys.executable, gate_path, "serve_latency",
-             os.path.join(source_dir, "BENCH_serve_latency.json"),
+            [sys.executable, gate_path, "compile_time", committed,
              fresh.name], capture_output=True, text=True)
-    want = (f"REGRESSION ('{doc['results'][0]['workload']}',) "
-            "ops_hashed: missing")
+    row = doc["rows"][0]
+    key = (row["workload"], row["scheduler"], row["config"])
+    want = f"REGRESSION {key} ready_scanned: missing"
     if got.returncode != 1 or want not in got.stdout.splitlines():
         failures.append(f"missing field: exit {got.returncode}, "
                         f"output {got.stdout!r}{got.stderr!r}")

@@ -118,9 +118,7 @@ TEST(Opt, RootCertificateWithoutSearch)
     // bound, so the proof closes at the root with zero nodes expanded.
     Module mod = parallelH(10);
     MultiSimdArch arch(4, unbounded, 0);
-    OptScheduler::Options options;
-    options.commMode = CommMode::None;
-    OptScheduler opt(options);
+    OptScheduler opt({}, CommMode::None);
     ScheduleAttempt attempt;
     LeafSchedule sched = opt.scheduleWithAttempt(mod, arch, attempt);
     EXPECT_EQ(sched.computeTimesteps(), 1u);
@@ -142,9 +140,7 @@ TEST(Opt, SearchStrictlyBeatsBothHeuristics)
     EXPECT_EQ(rcp.schedule(mod, arch).computeTimesteps(), 7u);
     EXPECT_EQ(lpfs.schedule(mod, arch).computeTimesteps(), 7u);
 
-    OptScheduler::Options options;
-    options.commMode = CommMode::None;
-    OptScheduler opt(options);
+    OptScheduler opt({}, CommMode::None);
     ScheduleAttempt attempt;
     LeafSchedule sched = opt.scheduleWithAttempt(mod, arch, attempt);
     EXPECT_EQ(attempt.provenance, ScheduleProvenance::Optimal);
@@ -162,10 +158,9 @@ TEST(Opt, ZeroBudgetFallsBackToConfiguredHeuristic)
     MultiSimdArch arch(1, 2, 0);
     for (OptFallback fb : {OptFallback::Lpfs, OptFallback::Rcp}) {
         OptScheduler::Options options;
-        options.commMode = CommMode::None;
         options.nodeBudget = 0;
         options.fallback = fb;
-        OptScheduler opt(options);
+        OptScheduler opt(options, CommMode::None);
         ScheduleAttempt attempt;
         LeafSchedule sched = opt.scheduleWithAttempt(mod, arch, attempt);
         EXPECT_EQ(attempt.provenance, ScheduleProvenance::Fallback);
@@ -188,9 +183,7 @@ TEST(Opt, OversizedLeafFallsBackWithoutSearch)
         QubitId q = mod.addLocal("q" + std::to_string(i));
         mod.addGate(i % 2 ? GateKind::T : GateKind::H, {q});
     }
-    OptScheduler::Options options;
-    options.commMode = CommMode::None;
-    OptScheduler opt(options);
+    OptScheduler opt({}, CommMode::None);
     ScheduleAttempt attempt;
     MultiSimdArch arch(1, unbounded, 0);
     LeafSchedule sched = opt.scheduleWithAttempt(mod, arch, attempt);
@@ -205,15 +198,16 @@ TEST(Opt, FingerprintCoversEveryOutputAffectingOption)
     // Distinct fingerprints keep differently-configured opt schedulers
     // from aliasing in the leaf-schedule memoization cache.
     const std::string base = OptScheduler().fingerprint();
+    // The string is part of every opt leaf's cache key.
+    EXPECT_EQ(base, "opt(budget=200000,maxops=256,mode=global,"
+                    "fallback=lpfs(l=1,simd=1,refill=1))");
     OptScheduler::Options options;
     options.nodeBudget = 17;
     EXPECT_NE(OptScheduler(options).fingerprint(), base);
     options = OptScheduler::Options{};
     options.maxOps = 8;
     EXPECT_NE(OptScheduler(options).fingerprint(), base);
-    options = OptScheduler::Options{};
-    options.commMode = CommMode::None;
-    EXPECT_NE(OptScheduler(options).fingerprint(), base);
+    EXPECT_NE(OptScheduler({}, CommMode::None).fingerprint(), base);
     options = OptScheduler::Options{};
     options.fallback = OptFallback::Rcp;
     EXPECT_NE(OptScheduler(options).fingerprint(), base);
@@ -262,9 +256,8 @@ TEST(OptProperty, RandomDagsSitBetweenBoundAndFallback)
             fallback, rcp.schedule(mod, arch).computeTimesteps());
 
         OptScheduler::Options options;
-        options.commMode = CommMode::None;
         options.nodeBudget = 20'000;
-        OptScheduler opt(options);
+        OptScheduler opt(options, CommMode::None);
         ScheduleAttempt attempt;
         LeafSchedule sched = opt.scheduleWithAttempt(mod, arch, attempt);
         const uint64_t steps = sched.computeTimesteps();

@@ -467,11 +467,10 @@ widthSweepSchedulers(CommMode mode)
     }
     for (OptFallback fallback : {OptFallback::Rcp, OptFallback::Lpfs}) {
         OptScheduler::Options opt;
-        opt.commMode = mode;
         opt.fallback = fallback;
         opt.nodeBudget = 2'000;
         opt.maxOps = 48;
-        schedulers.push_back(std::make_unique<OptScheduler>(opt));
+        schedulers.push_back(std::make_unique<OptScheduler>(opt, mode));
     }
     return schedulers;
 }

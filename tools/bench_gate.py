@@ -93,15 +93,6 @@ GATES = {
         ("rows", ("workload", "scheduler"),
          {"exact": true, "gates": near10, "makespan_cycles": near10,
           "epr_pairs": near10, "distinct_leaves": near10})]),
-    "serve_latency": (None, {
-        "determinism_ok": true,
-        "warm_hit_rate": lambda base, now: now == 1.0}, [
-        ("results", ("workload",),
-         {"schedule_hash": exact, "makespan": exact,
-          "critical_path": exact, "lower_bound": exact,
-          "total_gates": exact, "qubits": exact, "ops_hashed": exact}),
-        ("phases", ("phase",),
-         {"requests_per_sec": INFO, "p50_ms": INFO})]),
     "multicore": ("msq-multicore-v1", {
         "workloads": exact, "required_wins": exact, "mapped_wins": exact,
         "comm_check_ok": exact}, [

@@ -111,9 +111,11 @@
  *                   to PATH
  *
  * Exit codes: 0 all inputs clean, 1 verification/lint failures,
- * 2 parse or usage errors (parse errors win over verification ones).
+ * 2 parse or usage errors, or an input whose checks threw (out of
+ * memory, say); these win over verification failures.
  */
 
+#include <cctype>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -503,6 +505,23 @@ checkBounds(const std::string &path, const Program &prog,
     }
 }
 
+/** @return @p name ("interCoreTeleports") as a JSON key
+ * ("inter_core_teleports"). */
+std::string
+snakeCase(std::string_view name)
+{
+    std::string key;
+    for (char c : name) {
+        if (std::isupper(static_cast<unsigned char>(c))) {
+            key += '_';
+            c = static_cast<char>(
+                std::tolower(static_cast<unsigned char>(c)));
+        }
+        key += c;
+    }
+    return key;
+}
+
 /**
  * --estimate: compose the exact schedule-summary resource estimate
  * from each scheduler's coarse schedule and cross-check it against
@@ -590,20 +609,9 @@ checkEstimate(const std::string &path, const Program &prog,
                     "modules", stats.modulesChecked,
                     "unrolled", stats.unrolledChecked);
         json.endObject().key("program").beginObject();
-        json.member("gate_ops", sum.gateOps,
-                    "serial_cycles", sum.serialCycles,
-                    "comm_cycles", sum.commCycles,
-                    "teleport_moves", sum.teleportMoves,
-                    "blocking_teleports", sum.blockingTeleports,
-                    "local_moves", sum.localMoves,
-                    "epr_pairs", sum.eprPairs(),
-                    "operand_touches", sum.operandTouches,
-                    "active_region_steps", sum.activeRegionSteps,
-                    "peak_region_occupancy", sum.peakRegionOccupancy,
-                    "peak_blocking_moves_per_step",
-                    sum.peakBlockingMovesPerStep,
-                    "peak_active_regions", sum.peakActiveRegions,
-                    "call_invocations", sum.callInvocations,
+        for (const ResourceSummary::Member &m : ResourceSummary::members())
+            json.member(snakeCase(m.name), m.of(sum));
+        json.member("epr_pairs", sum.eprPairs(),
                     "mean_region_occupancy", sum.meanRegionOccupancy(),
                     "comm_fraction", sum.commFraction());
         json.endObject().member(
@@ -740,15 +748,23 @@ checkFile(const std::string &path, const Options &options,
                         metrics, reports);
 }
 
-/** @return the outcome for one --workload=NAME input. */
-Outcome
-checkWorkload(const std::string &name, const Options &options,
-              MetricsRegistry &metrics, Reports &reports)
+/** @return how diagnostics name the --workload=NAME input. */
+std::string
+workloadLabel(const std::string &name, const Options &options)
 {
     std::string label = "workload:" + name;
     if (options.request.scale > 1)
         label += csprintf(" (x%llu)", static_cast<unsigned long long>(
                                           options.request.scale));
+    return label;
+}
+
+/** @return the outcome for one --workload=NAME input. */
+Outcome
+checkWorkload(const std::string &name, const Options &options,
+              MetricsRegistry &metrics, Reports &reports)
+{
+    const std::string label = workloadLabel(name, options);
     TraceSpan span(Telemetry::trace(), "verify:" + label);
     metrics.counter("verify.files").add(1);
     DiagnosticEngine diags;
@@ -933,16 +949,30 @@ main(int argc, char **argv)
 
     bool any_dirty = false;
     bool any_parse_error = false;
-    auto tally = [&](Outcome outcome) {
+    // An exception that escapes an input's build or checks (say,
+    // std::bad_alloc lowering paper-scale Shor's) fails that input like
+    // a parse error; the other inputs still run.
+    auto tally = [&](const std::string &label, const auto &check) {
+        Outcome outcome = Outcome::ParseError;
+        try {
+            outcome = check();
+        } catch (const std::exception &err) {
+            std::cerr << label << ": error: " << err.what() << "\n";
+        }
         if (outcome == Outcome::Dirty)
             any_dirty = true;
         else if (outcome == Outcome::ParseError)
             any_parse_error = true;
     };
-    for (const auto &path : options.files)
-        tally(checkFile(path, options, metrics, reports));
-    for (const auto &name : options.workloads)
-        tally(checkWorkload(name, options, metrics, reports));
+    for (const auto &path : options.files) {
+        tally(path,
+              [&] { return checkFile(path, options, metrics, reports); });
+    }
+    for (const auto &name : options.workloads) {
+        tally(workloadLabel(name, options), [&] {
+            return checkWorkload(name, options, metrics, reports);
+        });
+    }
     reports.finish();
     // Every output is attempted; any failure exits 2.
     const bool written =
