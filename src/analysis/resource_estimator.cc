@@ -37,8 +37,10 @@ GateMix::total() const
 }
 
 ResourceEstimator::ResourceEstimator(const Program &prog,
-                                     DiagnosticEngine *diags)
-    : prog(&prog), order(prog.bottomUpOrder()), mixes(prog.numModules()),
+                                     DiagnosticEngine *diags,
+                                     LeafLengthFn leaf_lengths)
+    : prog(&prog), leafLengths(std::move(leaf_lengths)),
+      order(prog.bottomUpOrder()), mixes(prog.numModules()),
       demand(prog.numModules(), 0), runs(prog.numModules())
 {
     // Callees precede callers in `order`, so one pass suffices. The
@@ -111,7 +113,8 @@ ResourceEstimator::criticalPath(ModuleId id) const
         for (ModuleId m : order) {
             const Module &mod = prog->module(m);
             if (mod.isLeaf()) {
-                lengths[m] = criticalPathLength(mod); // unit weights
+                lengths[m] = leafLengths ? leafLengths(mod, m)
+                                         : criticalPathLength(mod);
                 continue;
             }
             weights.assign(mod.numOps(), 1);

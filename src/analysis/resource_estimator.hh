@@ -13,7 +13,9 @@
  * down the call graph. Gate counts come from each module's per-kind
  * local counts, so neither pass reads every op. The critical paths,
  * which do, are swept callees-first on the first criticalPath() call,
- * so callers that need only counts never pay for them.
+ * so callers that need only counts never pay for them; a caller that
+ * already holds the leaves' lengths passes them in and sweeps only the
+ * non-leaves.
  *
  * Counts are exact 128-bit Counts and clip only past 2^128-1; a clipped
  * count is a sound *lower* bound. Critical paths are saturating 64-bit
@@ -33,6 +35,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -64,13 +67,22 @@ struct GateMix
 class ResourceEstimator
 {
   public:
+    /** Produces the unit-weight critical path of one leaf module
+     * (typically the one a compile already memoized with the leaf's
+     * bounds, MakespanBounds::criticalPath). */
+    using LeafLengthFn = std::function<uint64_t(const Module &, ModuleId)>;
+
     /**
      * Analyze all modules reachable from @p prog's entry.
      * @param diags optional sink for B006: one line-numbered warning at
      *        each call site where an invocation count first clips.
+     * @param leaf_lengths called once per reachable leaf by the first
+     *        criticalPath() call, so it must stay valid until then;
+     *        empty sweeps each leaf with criticalPathLength(mod).
      */
     explicit ResourceEstimator(const Program &prog,
-                               DiagnosticEngine *diags = nullptr);
+                               DiagnosticEngine *diags = nullptr,
+                               LeafLengthFn leaf_lengths = {});
 
     /** Gate mix of one invocation of @p id. */
     const GateMix &mix(ModuleId id) const;
@@ -103,6 +115,7 @@ class ResourceEstimator
 
   private:
     const Program *prog;
+    LeafLengthFn leafLengths;
     std::vector<ModuleId> order;
     std::vector<GateMix> mixes;       ///< indexed by ModuleId
     mutable std::once_flag swept;     ///< guards lengths

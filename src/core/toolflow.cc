@@ -138,22 +138,6 @@ Toolflow::run(Program &prog) const
     lower(prog, *reg);
 
     ToolflowResult result;
-    {
-        TraceSpan span(Telemetry::trace(), "toolflow-analysis");
-        ScopedTimerMs timer(reg->distribution("toolflow.analysis_ms"));
-        ResourceEstimator resources(prog);
-        result.totalGates = resources.programGates();
-        result.criticalPath = resources.programCriticalPath();
-        result.qubits = resources.programQubits();
-    }
-    reg->gauge("toolflow.total_gates")
-        .set(gaugeValue(result.totalGates.clampU64()));
-    reg->gauge("toolflow.critical_path")
-        .set(gaugeValue(result.criticalPath));
-    reg->gauge("toolflow.qubits").set(gaugeValue(result.qubits));
-    reg->gauge("toolflow.modules")
-        .set(gaugeValue(prog.numModules()));
-
     auto leaf_scheduler = makeConfiguredScheduler();
     CoarseScheduler::Options coarse_options;
     coarse_options.widths = config_.coarseWidths;
@@ -179,6 +163,28 @@ Toolflow::run(Program &prog) const
         result.leafCacheHits = cache->hits() - hits_before;
         result.leafCacheMisses = cache->misses() - misses_before;
     }
+
+    {
+        TraceSpan span(Telemetry::trace(), "toolflow-analysis");
+        ScopedTimerMs timer(reg->distribution("toolflow.analysis_ms"));
+        // Every reachable leaf's unit-weight critical path is already
+        // in the bounds memoized with its widest schedule.
+        ResourceEstimator resources(
+            prog, nullptr, [&](const Module &, ModuleId id) {
+                return result.schedule.forModule(id)
+                    .result->bounds.criticalPath;
+            });
+        result.totalGates = resources.programGates();
+        result.criticalPath = resources.programCriticalPath();
+        result.qubits = resources.programQubits();
+    }
+    reg->gauge("toolflow.total_gates")
+        .set(gaugeValue(result.totalGates.clampU64()));
+    reg->gauge("toolflow.critical_path")
+        .set(gaugeValue(result.criticalPath));
+    reg->gauge("toolflow.qubits").set(gaugeValue(result.qubits));
+    reg->gauge("toolflow.modules")
+        .set(gaugeValue(prog.numModules()));
 
     // Empty program after flattening: no cycles, no meaningful
     // speedups; leave them 0.0 rather than dividing by zero.

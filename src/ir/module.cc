@@ -49,9 +49,9 @@ Module::addParam(const std::string &qubit_name)
 }
 
 QubitId
-Module::addLocal(const std::string &qubit_name)
+Module::addLocal(std::string qubit_name)
 {
-    qubitNames.push_back(qubit_name);
+    qubitNames.push_back(std::move(qubit_name));
     return static_cast<QubitId>(qubitNames.size() - 1);
 }
 
@@ -61,7 +61,7 @@ Module::addRegister(const std::string &base, size_t width)
     std::vector<QubitId> reg;
     reg.reserve(width);
     for (size_t i = 0; i < width; ++i)
-        reg.push_back(addLocal(csprintf("%s[%zu]", base.c_str(), i)));
+        reg.push_back(addLocal(base + '[' + std::to_string(i) + ']'));
     return reg;
 }
 

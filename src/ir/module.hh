@@ -37,7 +37,7 @@ class Module
     QubitId addParam(const std::string &qubit_name);
 
     /** Append a local (ancilla) qubit. */
-    QubitId addLocal(const std::string &qubit_name);
+    QubitId addLocal(std::string qubit_name);
 
     /** Append a contiguous register of @p width locals named base[i]. */
     std::vector<QubitId> addRegister(const std::string &base, size_t width);

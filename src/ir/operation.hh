@@ -58,7 +58,13 @@ class QubitList
     {
         assign(qubits.data(), qubits.size());
     }
-    QubitList(const QubitList &other) { assign(other.data(), other.size_); }
+    QubitList(const QubitList &other)
+    {
+        if (other.onHeap())
+            assign(other.storage_.heap, other.size_);
+        else
+            copyInline(other);
+    }
     QubitList(QubitList &&other) noexcept { take(other); }
 
     ~QubitList()
@@ -70,8 +76,12 @@ class QubitList
     QubitList &
     operator=(const QubitList &other)
     {
-        if (this != &other)
+        if (this == &other)
+            return *this;
+        if (other.onHeap() || onHeap())
             assign(other.data(), other.size_);
+        else
+            copyInline(other);
         return *this;
     }
 
@@ -141,6 +151,15 @@ class QubitList
             grow(n);
         std::copy_n(src, n, data());
         size_ = static_cast<uint32_t>(n);
+    }
+
+    /** Copy inline @p other whole, without a length-dependent copy;
+     * this list must own no heap block. */
+    void
+    copyInline(const QubitList &other)
+    {
+        size_ = other.size_;
+        storage_ = other.storage_;
     }
 
     /** Move the qubits to a new heap block of @p capacity. */

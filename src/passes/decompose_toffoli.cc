@@ -11,22 +11,30 @@ DecomposeToffoliPass::expandToffoli(QubitId a, QubitId b, QubitId c,
     //   CNOT(a,c); Tdag(b); T(c); CNOT(a,b); H(c); Tdag(b); CNOT(a,b);
     //   T(a); S(b)
     using GK = GateKind;
-    out.emplace_back(GK::H, QubitList{c});
-    out.emplace_back(GK::CNOT, QubitList{b, c});
-    out.emplace_back(GK::Tdag, QubitList{c});
-    out.emplace_back(GK::CNOT, QubitList{a, c});
-    out.emplace_back(GK::T, QubitList{c});
-    out.emplace_back(GK::CNOT, QubitList{b, c});
-    out.emplace_back(GK::Tdag, QubitList{c});
-    out.emplace_back(GK::CNOT, QubitList{a, c});
-    out.emplace_back(GK::Tdag, QubitList{b});
-    out.emplace_back(GK::T, QubitList{c});
-    out.emplace_back(GK::CNOT, QubitList{a, b});
-    out.emplace_back(GK::H, QubitList{c});
-    out.emplace_back(GK::Tdag, QubitList{b});
-    out.emplace_back(GK::CNOT, QubitList{a, b});
-    out.emplace_back(GK::T, QubitList{a});
-    out.emplace_back(GK::S, QubitList{b});
+    // Each gate copies one of six prebuilt operand shapes and sets its
+    // kind, which is cheaper than building it from a fresh list.
+    const Operation on_a(GK::T, {a}), on_b(GK::T, {b}), on_c(GK::T, {c});
+    const Operation ab(GK::CNOT, {a, b}), ac(GK::CNOT, {a, c}),
+        bc(GK::CNOT, {b, c});
+    auto gate = [&out](const Operation &shape, GK kind) {
+        out.emplace_back(shape).kind = kind;
+    };
+    gate(on_c, GK::H);
+    gate(bc, GK::CNOT);
+    gate(on_c, GK::Tdag);
+    gate(ac, GK::CNOT);
+    gate(on_c, GK::T);
+    gate(bc, GK::CNOT);
+    gate(on_c, GK::Tdag);
+    gate(ac, GK::CNOT);
+    gate(on_b, GK::Tdag);
+    gate(on_c, GK::T);
+    gate(ab, GK::CNOT);
+    gate(on_c, GK::H);
+    gate(on_b, GK::Tdag);
+    gate(ab, GK::CNOT);
+    gate(on_a, GK::T);
+    gate(on_b, GK::S);
 }
 
 void

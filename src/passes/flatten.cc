@@ -1,8 +1,9 @@
 #include "passes/flatten.hh"
 
+#include <string>
+
 #include "analysis/resource_estimator.hh"
 #include "support/logging.hh"
-#include "support/strings.hh"
 
 namespace msq {
 
@@ -21,18 +22,19 @@ FlattenPass::inlineCall(Module &caller, const Operation &call,
     std::vector<QubitId> qubit_map(callee.numQubits());
     for (size_t i = 0; i < callee.numParams(); ++i)
         qubit_map[i] = call.operands[i];
+    const std::string prefix =
+        callee.name() + '.' + std::to_string(site_index) + '.';
     for (size_t i = callee.numParams(); i < callee.numQubits(); ++i) {
         qubit_map[i] = caller.addLocal(
-            csprintf("%s.%zu.%s", callee.name().c_str(), site_index,
-                     callee.qubitName(static_cast<QubitId>(i)).c_str()));
+            prefix + callee.qubitName(static_cast<QubitId>(i)));
     }
 
     for (uint64_t rep = 0; rep < call.repeat; ++rep) {
         for (const auto &op : callee.ops()) {
-            Operation copy = op;
+            // Remapping in the output spares a copy through the stack.
+            Operation &copy = out.emplace_back(op);
             for (auto &operand : copy.operands)
                 operand = qubit_map[operand];
-            out.push_back(std::move(copy));
         }
     }
 }

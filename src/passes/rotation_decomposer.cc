@@ -79,6 +79,48 @@ angleSeed(GateKind kind, double angle)
     return hashMix64(bits ^ hashString(gateName(kind)));
 }
 
+/**
+ * Draw the approximation sequence of a rotation of @p angle about the
+ * axis of @p kind, calling @p set(i, letter) for its positions i <
+ * @p length. Every draw is set; the position advances only when the
+ * draw does not cancel the last kept letter, so a rejected draw is
+ * overwritten by the next one without a branch.
+ */
+template <typename Set>
+void
+drawSequence(GateKind kind, double angle, size_t length, Set set)
+{
+    if (!isRotationGate(kind))
+        panic(std::string("sequenceForAngle: not a rotation gate: ") +
+              gateName(kind));
+    SplitMix64 rng(angleSeed(kind, angle));
+    size_t last = alphabetSize;
+    for (size_t kept = 0; kept < length;) {
+        const auto next = static_cast<size_t>(rng.nextBelow(alphabetSize));
+        set(kept, sequenceAlphabet[next]);
+        const bool keep = next != cancelledBy[last];
+        kept += keep;
+        last = keep ? next : last;
+    }
+}
+
+/**
+ * Append the gates of sequenceForAngle(@p kind, @p angle, @p length),
+ * each on @p target, to @p out: copies of one prebuilt gate whose kinds
+ * are then drawn in place, so no gate is built from a fresh operand
+ * list and no letter sequence is materialized.
+ */
+void
+appendSequence(GateKind kind, double angle, size_t length, QubitId target,
+               std::vector<Operation> &out)
+{
+    const size_t base = out.size();
+    out.resize(base + length, Operation(GateKind::H, {target}));
+    Operation *gates = out.data() + base;
+    drawSequence(kind, angle, length,
+                 [gates](size_t i, GateKind g) { gates[i].kind = g; });
+}
+
 } // anonymous namespace
 
 RotationDecomposerPass::RotationDecomposerPass(Config config)
@@ -106,22 +148,9 @@ std::vector<GateKind>
 RotationDecomposerPass::sequenceForAngle(GateKind kind, double angle,
                                          unsigned length)
 {
-    if (!isRotationGate(kind))
-        panic(std::string("sequenceForAngle: not a rotation gate: ") +
-              gateName(kind));
-    SplitMix64 rng(angleSeed(kind, angle));
-    // Every draw is stored; the write position advances only when the
-    // draw does not cancel the last kept letter, so a rejected draw is
-    // overwritten by the next one without a branch.
     std::vector<GateKind> seq(length);
-    size_t last = alphabetSize;
-    for (size_t kept = 0; kept < length;) {
-        const auto next = static_cast<size_t>(rng.nextBelow(alphabetSize));
-        seq[kept] = sequenceAlphabet[next];
-        const bool keep = next != cancelledBy[last];
-        kept += keep;
-        last = keep ? next : last;
-    }
+    drawSequence(kind, angle, length,
+                 [&seq](size_t i, GateKind g) { seq[i] = g; });
     return seq;
 }
 
@@ -153,8 +182,7 @@ RotationDecomposerPass::run(Program &prog)
         QubitId target = mod.addParam("q");
         std::vector<Operation> body;
         body.reserve(length);
-        for (GateKind g : sequenceForAngle(kind, angle, length))
-            body.emplace_back(g, QubitList{target});
+        appendSequence(kind, angle, length, target, body);
         mod.setOps(std::move(body));
         mod.setNoInline(true);
         outlined.emplace(key, id);
@@ -183,10 +211,8 @@ RotationDecomposerPass::run(Program &prog)
                 rewritten.push_back(
                     Operation::makeCall(callee, {target}));
             } else {
-                for (GateKind g :
-                     sequenceForAngle(op.kind, op.angle, length)) {
-                    rewritten.emplace_back(g, QubitList{target});
-                }
+                appendSequence(op.kind, op.angle, length, target,
+                               rewritten);
             }
         }
         mod.setOps(std::move(rewritten));

@@ -1,6 +1,7 @@
 #include "support/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -388,16 +389,30 @@ jsonNumber(double value)
 {
     if (!std::isfinite(value))
         return "0";
-    // Shortest decimal form that round-trips (stable across runs for
-    // identical values, unlike a fixed high precision with its noise
-    // digits).
+    // The fewest significant digits that round-trip (stable across runs
+    // for identical values, unlike a fixed high precision with its noise
+    // digits), spelled as "%.*g" spells them. The shortest scientific
+    // form counts the digits; the general form at that count prints
+    // them, unless the value is a power of two whose round-trip interval
+    // is lopsided, and the nearest decimal of that length falls outside
+    // it: then it takes more digits.
     char buf[64];
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-        if (std::strtod(buf, nullptr) == value)
+    char *end = std::to_chars(buf, buf + sizeof(buf), value,
+                              std::chars_format::scientific)
+                    .ptr;
+    int digits = 0;
+    for (const char *c = buf; c != end && *c != 'e'; ++c)
+        digits += std::isdigit(static_cast<unsigned char>(*c)) != 0;
+    for (;; ++digits) {
+        end = std::to_chars(buf, buf + sizeof(buf), value,
+                            std::chars_format::general, digits)
+                  .ptr;
+        double back = 0.0;
+        std::from_chars(buf, end, back);
+        if (back == value || digits == 17) // 17 digits always round-trip
             break;
     }
-    return buf;
+    return {buf, end};
 }
 
 JsonWriter &

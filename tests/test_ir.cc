@@ -74,13 +74,13 @@ TEST(Gate, WidestGateFitsInline)
     EXPECT_EQ(QubitList::inlineCapacity, maxGateArity);
 }
 
-/** @p n distinct qubits 100, 101, ... */
+/** @p n distinct qubits first, first + 1, ... */
 std::vector<QubitId>
-qubitRange(size_t n)
+qubitRange(size_t n, QubitId first = 100)
 {
     std::vector<QubitId> out(n);
     for (size_t i = 0; i < n; ++i)
-        out[i] = static_cast<QubitId>(100 + i);
+        out[i] = static_cast<QubitId>(first + i);
     return out;
 }
 
@@ -152,6 +152,73 @@ TEST(QubitList, CopyMoveAndSelfAssignment)
         EXPECT_EQ(copy, (std::vector<QubitId>{5}));
         move_assigned = QubitList{4, 5};
         EXPECT_EQ(move_assigned, (std::vector<QubitId>{4, 5}));
+    }
+}
+
+/** @p expect with @p q appended. */
+std::vector<QubitId>
+appended(std::vector<QubitId> expect, QubitId q)
+{
+    expect.push_back(q);
+    return expect;
+}
+
+/**
+ * Copy, move and assignment between every pair of inline (0-3 qubits)
+ * and heap (4, 64) lists: the result holds the source's qubits, owns
+ * them (a write does not reach the source), and still grows correctly,
+ * whichever storage each side used before.
+ */
+TEST(QubitList, CopyMoveAndAssignBetweenEverySizePair)
+{
+    const size_t sizes[] = {0, 1, 2, 3, 4, 64};
+    for (size_t from : sizes) {
+        const std::vector<QubitId> expect = qubitRange(from);
+        const QubitList source(expect);
+
+        QubitList copy(source);
+        EXPECT_EQ(copy, expect) << from;
+        EXPECT_EQ(copy.onHeap(), from > QubitList::inlineCapacity) << from;
+        copy.push_back(7);
+        EXPECT_EQ(copy, appended(expect, 7)) << from;
+        EXPECT_EQ(source, expect) << from;
+
+        QubitList moved(std::move(copy));
+        EXPECT_EQ(moved, appended(expect, 7)) << from;
+        EXPECT_TRUE(copy.empty()); // NOLINT(bugprone-use-after-move)
+
+        for (size_t to : sizes) {
+            QubitList assigned(qubitRange(to, 500));
+            assigned = source;
+            EXPECT_EQ(assigned, expect) << from << " -> " << to;
+            if (from > 0) {
+                assigned[0] = 1;
+                EXPECT_EQ(source[0], expect[0]) << from << " -> " << to;
+                assigned[0] = expect[0];
+            }
+            assigned.push_back(8);
+            EXPECT_EQ(assigned, appended(expect, 8))
+                << from << " -> " << to;
+
+            QubitList move_assigned(qubitRange(to, 500));
+            QubitList donor(source);
+            move_assigned = std::move(donor);
+            EXPECT_EQ(move_assigned, expect) << from << " -> " << to;
+            EXPECT_TRUE(donor.empty()); // NOLINT(bugprone-use-after-move)
+            EXPECT_FALSE(donor.onHeap());
+            donor.push_back(9);
+            EXPECT_EQ(donor, (std::vector<QubitId>{9}));
+
+            // Self-assignment, copy and move, keeps the contents.
+            QubitList &alias = move_assigned;
+            move_assigned = alias;
+            EXPECT_EQ(move_assigned, expect) << from << " -> " << to;
+            move_assigned = std::move(alias);
+            EXPECT_EQ(move_assigned, expect) << from << " -> " << to;
+            move_assigned.push_back(10);
+            EXPECT_EQ(move_assigned, appended(expect, 10))
+                << from << " -> " << to;
+        }
     }
 }
 

@@ -229,6 +229,14 @@ TEST(RotationDecomposer, InlineModeExpandsInPlace)
     EXPECT_EQ(mod.numOps(), 30u);
     EXPECT_TRUE(mod.isLeaf());
     EXPECT_EQ(prog.numModules(), 1u);
+    // Each rotation became its sequence, gate by gate, on its target.
+    const std::pair<QubitId, double> rotations[] = {
+        {0, 0.5}, {1, 0.5}, {0, 0.25}};
+    size_t i = 0;
+    for (const auto &[target, angle] : rotations)
+        for (GateKind g : RotationDecomposerPass::sequenceForAngle(
+                 GateKind::Rz, angle, 10))
+            EXPECT_EQ(mod.op(i++), Operation(g, {target})) << i;
 }
 
 TEST(RotationDecomposer, OutlineModeSharesAngleModules)
@@ -242,11 +250,18 @@ TEST(RotationDecomposer, OutlineModeSharesAngleModules)
     EXPECT_EQ(prog.numModules(), 3u);
     const Module &mod = prog.module(prog.entry());
     EXPECT_EQ(mod.numOps(), 3u);
-    for (const auto &op : mod.ops()) {
+    const double angles[] = {0.5, 0.5, 0.25};
+    for (size_t i = 0; i < mod.numOps(); ++i) {
+        const Operation &op = mod.op(i);
         ASSERT_TRUE(op.isCall());
         const Module &callee = prog.module(op.callee);
         EXPECT_EQ(callee.numOps(), 10u);
         EXPECT_TRUE(callee.noInline());
+        // The body is the sequence, gate by gate, on the parameter.
+        const auto seq = RotationDecomposerPass::sequenceForAngle(
+            GateKind::Rz, angles[i], 10);
+        for (size_t j = 0; j < seq.size(); ++j)
+            EXPECT_EQ(callee.op(j), Operation(seq[j], {0})) << i << j;
     }
     prog.validate();
 }

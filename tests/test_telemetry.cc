@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -18,6 +23,7 @@
 #include "sched/coarse.hh"
 #include "sched/lpfs.hh"
 #include "support/json.hh"
+#include "support/rng.hh"
 #include "support/telemetry.hh"
 #include "support/thread_pool.hh"
 #include "workloads/workloads.hh"
@@ -100,6 +106,57 @@ TEST(Telemetry, JsonHelpers)
     // Shortest round-trippable form: parsing it back is exact.
     std::string third = jsonNumber(1.0 / 3.0);
     EXPECT_DOUBLE_EQ(std::stod(third), 1.0 / 3.0);
+}
+
+/** The reference spelling jsonNumber must reproduce: "%.*g" at the
+ * fewest significant digits that strtod reads back exactly. */
+std::string
+referenceJsonNumber(double value)
+{
+    if (!std::isfinite(value))
+        return "0";
+    char buf[64];
+    for (int precision = 1; precision <= 17; ++precision) {
+        std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+        if (std::strtod(buf, nullptr) == value)
+            break;
+    }
+    return buf;
+}
+
+/**
+ * jsonNumber prints every double byte for byte as the reference does:
+ * signed zeros, the extremes, 1e21, every power of two (where the
+ * round-trip interval is lopsided) and a seeded sweep of random bit
+ * patterns (NaN and infinity included), denormals, fractions in
+ * [0, 1000), thousandths and integers below 2^53.
+ */
+TEST(Telemetry, JsonNumberMatchesPrintfReference)
+{
+    std::vector<double> values = {0.0,     -0.0,     1e21,    -1e21,
+                                  1e-7,    0.1,      1.0 / 3, DBL_MAX,
+                                  DBL_MIN, DBL_TRUE_MIN};
+    for (int e = -1074; e <= 1023; ++e) {
+        values.push_back(std::ldexp(1.0, e));
+        values.push_back(-std::ldexp(1.0, e));
+    }
+    SplitMix64 rng(39);
+    auto from_bits = [](uint64_t bits) {
+        double d;
+        std::memcpy(&d, &bits, sizeof(d));
+        return d;
+    };
+    for (int i = 0; i < 10000; ++i) {
+        values.push_back(from_bits(rng.next()));
+        values.push_back(from_bits(rng.next() & 0x800fffffffffffffull));
+        values.push_back(rng.nextDouble() * 1000.0);
+        values.push_back(static_cast<double>(rng.nextBelow(1000000)) /
+                         1000.0);
+        values.push_back(static_cast<double>(rng.next() >> 11));
+    }
+    for (double v : values)
+        ASSERT_EQ(jsonNumber(v), referenceJsonNumber(v))
+            << std::hexfloat << v;
 }
 
 TEST(Telemetry, RegistrySnapshotSortedAndStable)

@@ -7,11 +7,23 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "support/hash.hh"
 #include "support/logging.hh"
 
+#include "analysis/resource_estimator.hh"
 #include "core/toolflow.hh"
 #include "frontend/parser.hh"
+#include "ir/dag.hh"
 #include "workloads/workloads.hh"
+
+#ifndef MSQ_SOURCE_DIR
+#define MSQ_SOURCE_DIR "."
+#endif
 
 namespace {
 
@@ -203,6 +215,124 @@ TEST(Toolflow, LoweredGatesKeepOperandsInline)
     // bwt 1, cn 1, gse 6, sha1 2, shors 49: the heap path is exercised,
     // by 59 of the ~210K lowered operations.
     EXPECT_EQ(all_wide_calls, 59u);
+}
+
+/** One program the toolflow compiles: a label, a builder and the
+ * rotation preset its daemon request would get. */
+struct NamedProgram
+{
+    std::string label;
+    std::function<Program()> build;
+    RotationDecomposerPass::Config rotations;
+};
+
+/** Every workload at tiny and scaled parameters, then the example
+ * programs. */
+std::vector<NamedProgram>
+everyProgram()
+{
+    std::vector<NamedProgram> programs;
+    for (const auto &params :
+         {std::pair{"tiny", workloads::tinyParams()},
+          std::pair{"scaled", workloads::scaledParams()}}) {
+        for (const auto &spec : params.second)
+            programs.push_back(
+                {std::string(params.first) + "/" + spec.shortName,
+                 spec.build, Toolflow::rotationPresetFor(spec.shortName)});
+    }
+    for (const char *file : {"adder4", "grover3", "qft8", "teleport"}) {
+        const std::string path = std::string(MSQ_SOURCE_DIR) +
+                                 "/examples/programs/" + file + ".scaffold";
+        programs.push_back(
+            {file, [path] { return parseScaffoldFile(path); }, {}});
+    }
+    return programs;
+}
+
+/**
+ * The qubit names of every module of every lowered program, pinned by
+ * the FNV-1a digest of "module\nqubit\n...". Building names registers
+ * "base[i]" and flattening names each inlined ancilla
+ * "callee.site.name"; any change to either spelling moves a digest.
+ */
+TEST(Toolflow, LoweredQubitNamesMatchPinnedDigests)
+{
+    const std::vector<std::pair<std::string, uint64_t>> pinned = {
+        {"tiny/bf", 0xcc0f8c2bdf871d17ull},
+        {"tiny/bwt", 0x8c82c47caf675afeull},
+        {"tiny/cn", 0xf8d27bf1d23ef672ull},
+        {"tiny/grovers", 0xb5c692aa535224b5ull},
+        {"tiny/gse", 0x4ffd00254e9d7de0ull},
+        {"tiny/sha1", 0x65391bc394dc5fddull},
+        {"tiny/shors", 0x445c30b47d9e35c0ull},
+        {"tiny/tfp", 0x66210a65832306afull},
+        {"scaled/bf", 0xcc0f8c2bdf871d17ull},
+        {"scaled/bwt", 0x2d476f9a61abaa88ull},
+        {"scaled/cn", 0xbb9f904eebcd858dull},
+        {"scaled/grovers", 0xeb23ee1e52ff7190ull},
+        {"scaled/gse", 0x6c4ed2a0e3e9e824ull},
+        {"scaled/sha1", 0x6c97512a57d93a79ull},
+        {"scaled/shors", 0xfea4b8b150b6633eull},
+        {"scaled/tfp", 0xe21173d498845fa2ull},
+        {"adder4", 0x655b9fc61c196da6ull},
+        {"grover3", 0x0433d8b8cb281fc4ull},
+        {"qft8", 0x4421b643c283e4abull},
+        {"teleport", 0x529486241e8dc952ull},
+    };
+    const std::vector<NamedProgram> programs = everyProgram();
+    ASSERT_EQ(programs.size(), pinned.size());
+    for (size_t i = 0; i < programs.size(); ++i) {
+        ToolflowConfig config;
+        config.rotations = programs[i].rotations;
+        Program prog = programs[i].build();
+        Toolflow(config).lower(prog);
+        std::string names;
+        for (ModuleId id = 0; id < prog.numModules(); ++id) {
+            const Module &mod = prog.module(id);
+            names += mod.name() + "\n";
+            for (QubitId q = 0; q < mod.numQubits(); ++q)
+                names += mod.qubitName(q) + "\n";
+        }
+        EXPECT_EQ(programs[i].label, pinned[i].first);
+        EXPECT_EQ(fnv1a64(names.data(), names.size()), pinned[i].second)
+            << programs[i].label << std::hex << " 0x"
+            << fnv1a64(names.data(), names.size());
+    }
+}
+
+/**
+ * run() takes each leaf's critical path from the bounds memoized with
+ * its widest schedule. Those must equal the unit-weight sweep on every
+ * leaf, under both heuristic schedulers, so the reported critical path
+ * is the estimator's own.
+ */
+TEST(Toolflow, LeafBoundsCriticalPathIsTheUnitSweep)
+{
+    for (const NamedProgram &program : everyProgram()) {
+        for (SchedulerKind kind : {SchedulerKind::Rcp, SchedulerKind::Lpfs}) {
+            ToolflowConfig config;
+            config.scheduler = kind;
+            config.rotations = program.rotations;
+            Program prog = program.build();
+            const ToolflowResult result = Toolflow(config).run(prog);
+            const ResourceEstimator swept(prog);
+            size_t leaves = 0;
+            for (ModuleId id : swept.analyzedModules()) {
+                const Module &mod = prog.module(id);
+                if (!mod.isLeaf())
+                    continue;
+                ++leaves;
+                EXPECT_EQ(result.schedule.forModule(id)
+                              .result->bounds.criticalPath,
+                          criticalPathLength(mod))
+                    << program.label << " " << schedulerKindName(kind)
+                    << " " << mod.name();
+            }
+            EXPECT_GT(leaves, 0u) << program.label;
+            EXPECT_EQ(result.criticalPath, swept.programCriticalPath())
+                << program.label << " " << schedulerKindName(kind);
+        }
+    }
 }
 
 TEST(Toolflow, MoreRegionsNeverHurt)
