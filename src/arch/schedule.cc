@@ -168,6 +168,9 @@ ScheduleBuilder::ScheduleBuilder(const Module &mod, unsigned k)
     if (k == 0)
         panic("ScheduleBuilder: k must be >= 1");
     buf->k = k;
+    // Every op of the module is placed exactly once, so the op stream
+    // never grows past this allocation.
+    buf->ops.reserve(mod.numOps());
 }
 
 void
@@ -208,8 +211,10 @@ ScheduleBuilder::finish()
         panic("ScheduleBuilder: finish with a step still open");
     if (!buf)
         panic("ScheduleBuilder: finish called twice");
-    // Schedules are built once and read many times; return the excess
-    // growth capacity to the allocator.
+    // Return the excess growth capacity of the step-indexed arrays to
+    // the allocator: ScheduleBuffer::byteSize (bench_compile_time's
+    // schedule_bytes table) counts capacity. The reserved op stream is
+    // already exact, so its shrink copies nothing.
     buf->slots.shrink_to_fit();
     buf->slotEnd.shrink_to_fit();
     buf->ops.shrink_to_fit();

@@ -88,12 +88,12 @@ scheduleLeafWidth(const LeafScheduler &scheduler, const Module &mod,
     auto result = std::make_shared<LeafScheduleResult>();
     LeafSchedule sched =
         scheduler.scheduleWithAttempt(mod, dag, sub, result->attempt, home);
-    // One annotate walk emits the moves and folds the leaf's resource
-    // summary. It and the static lower bounds are the leaf's blackbox;
-    // the schedule itself dies here, since nothing past the width task
-    // reads it.
-    CommunicationAnalyzer comm(arch, mode);
-    comm.annotate(sched, result->summary, home);
+    // One annotate walk counts the moves, without recording them, and
+    // folds the leaf's resource summary. It and the static lower bounds
+    // are the leaf's blackbox; the schedule itself dies here, since
+    // nothing past the width task reads it.
+    CommunicationAnalyzer(arch, mode).countMoves(sched, result->summary,
+                                                 home);
     result->bounds = bounds.evaluate(sub);
     // Guard fields for cross-process reuse: a warm-started process can
     // only rebind this result to a module with matching counts.

@@ -91,52 +91,43 @@ struct OperandStream
 /** Sentinel for "never touched". */
 constexpr int64_t neverTouched = -(1LL << 60);
 
-} // anonymous namespace
-
-CommStats
-CommunicationAnalyzer::annotate(LeafSchedule &sched) const
+/** Move sink of the annotate walk that records nothing; MoveAnnotator
+ * is the recording one. Only when @p price_steps (a multi-core step is
+ * priced from its moves) does it keep the open step's moves, in one
+ * scratch vector reused by every step. */
+class CountingSink
 {
-    ResourceSummary sum;
-    annotate(sched, sum);
-    CommStats stats;
-    stats.teleportMoves = sum.teleportMoves.clampU64();
-    stats.blockingTeleports = sum.blockingTeleports.clampU64();
-    stats.localMoves = sum.localMoves.clampU64();
-    stats.stepsWithBlockingMove = sum.stepsWithBlockingMove.clampU64();
-    stats.stepsWithOnlyLocalMoves =
-        sum.stepsWithOnlyLocalMoves.clampU64();
-    stats.peakBlockingMovesPerStep = sum.peakBlockingMovesPerStep;
-    stats.totalCycles = sum.serialCycles.clampU64();
-    stats.interCoreTeleports = sum.interCoreTeleports.clampU64();
-    if (mode != CommMode::None) {
-        stats.activeRegionSteps = sum.activeRegionSteps.clampU64();
-        stats.operandSlots = sum.operandTouches.clampU64();
-        stats.peakRegionOccupancy = sum.peakRegionOccupancy;
+  public:
+    explicit CountingSink(bool price_steps) : keep(price_steps) {}
+
+    void
+    add(const Move &move)
+    {
+        if (keep)
+            moves.push_back(move);
     }
-    return stats;
-}
+    std::span<const Move> stepMoves() const { return moves; }
+    void endStep() { moves.clear(); }
+    void finish() {}
 
+  private:
+    bool keep;
+    std::vector<Move> moves;
+};
+
+/**
+ * The one annotate walk: derives every step's moves, hands each to
+ * @p sink (a MoveAnnotator or a CountingSink), and folds the leaf's
+ * ResourceSummary into @p sum. The per-move and per-step counters are
+ * tallied in 64 bits (one walk cannot reach 2^64 of any) and folded
+ * into their Counts once, after the last step.
+ */
+template <class Sink>
 void
-CommunicationAnalyzer::annotate(LeafSchedule &sched,
-                                ResourceSummary &summary) const
+annotateWalk(const MultiSimdArch &arch, CommMode mode,
+             const LeafSchedule &sched, ResourceSummary &sum,
+             std::span<const unsigned> home, Sink &sink)
 {
-    std::vector<unsigned> home;
-    if (mode != CommMode::None && arch.topology.multiCore())
-        home = computeQubitMapping(sched.module(), arch.topology);
-    annotate(sched, summary, home);
-}
-
-void
-CommunicationAnalyzer::annotate(LeafSchedule &sched, ResourceSummary &sum,
-                                std::span<const unsigned> home) const
-{
-    arch.validate();
-
-    // The annotator clears the existing movement annotation (detaching
-    // a private buffer copy if the schedule is aliased, e.g. cached);
-    // construct it before taking any views so they bind to the buffer
-    // that survives.
-    MoveAnnotator annot(sched);
     const ScheduleBuffer &buf = sched.buffer();
     const uint64_t num_steps = buf.numSteps();
     const Module &mod = sched.module();
@@ -145,6 +136,14 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched, ResourceSummary &sum,
 
     sum = ResourceSummary{};
     sum.gateOps = buf.ops.size();
+    uint64_t n_local = 0;
+    uint64_t n_teleport = 0;
+    uint64_t n_inter = 0;
+    uint64_t n_blocking = 0;
+    uint64_t n_blocking_steps = 0;
+    uint64_t n_local_only_steps = 0;
+    uint64_t n_active = 0;
+    uint64_t n_touches = 0;
 
     const bool use_local = mode == CommMode::GlobalWithLocalMem &&
                            arch.localMemCapacity > 0;
@@ -214,14 +213,14 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched, ResourceSummary &sum,
             const uint32_t operands =
                 stream.slotEnd[s] - stream.slotBegin(s);
             if (operands > 0) {
-                ++sum.activeRegionSteps;
-                sum.operandTouches += operands;
+                ++n_active;
+                n_touches += operands;
                 sum.peakRegionOccupancy = std::max<uint64_t>(
                     sum.peakRegionOccupancy, operands);
             }
         }
         if (!model_moves) {
-            annot.endStep();
+            sink.endStep();
             continue;
         }
         for (uint32_t i = step_uses; i < stream.slotBegin(slot_end); ++i)
@@ -238,19 +237,19 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched, ResourceSummary &sum,
         // re-scanning the step's move slot afterwards.
         auto emit = [&](const Move &move) {
             if (move.isLocal()) {
-                ++sum.localMoves;
+                ++n_local;
                 any_local = true;
             } else {
-                ++sum.teleportMoves;
+                ++n_teleport;
                 if (multi_core && locationCore(move.from, arch) !=
                                       locationCore(move.to, arch))
-                    ++sum.interCoreTeleports;
+                    ++n_inter;
                 if (move.blocking) {
-                    ++sum.blockingTeleports;
+                    ++n_blocking;
                     ++step_blocking;
                 }
             }
-            annot.add(move);
+            sink.add(move);
         };
 
         // Phase 1 - evictions: a region active this timestep must shed
@@ -373,7 +372,7 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched, ResourceSummary &sum,
         // over the counts just classified; multi-core phases route the
         // step's moves through the topology cost model.
         if (multi_core) {
-            sum.commCycles += cost.cycles(annot.stepMoves());
+            sum.commCycles += cost.cycles(sink.stepMoves());
         } else {
             sum.commCycles += movePhaseCyclesFor(step_blocking, any_local,
                                                  arch.eprBandwidth);
@@ -381,14 +380,14 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched, ResourceSummary &sum,
         sum.peakBlockingMovesPerStep =
             std::max(sum.peakBlockingMovesPerStep, step_blocking);
         if (step_blocking > 0)
-            ++sum.stepsWithBlockingMove;
+            ++n_blocking_steps;
         else if (any_local)
-            ++sum.stepsWithOnlyLocalMoves;
+            ++n_local_only_steps;
 
-        annot.endStep();
+        sink.endStep();
     }
 
-    annot.finish();
+    sink.finish();
     for (unsigned active = 0; active <= sched.k(); ++active) {
         if (steps_with_active[active] == 0)
             continue;
@@ -396,8 +395,74 @@ CommunicationAnalyzer::annotate(LeafSchedule &sched, ResourceSummary &sum,
             steps_with_active[active];
         sum.peakActiveRegions = active;
     }
+    sum.localMoves = n_local;
+    sum.teleportMoves = n_teleport;
+    sum.interCoreTeleports = n_inter;
+    sum.blockingTeleports = n_blocking;
+    sum.stepsWithBlockingMove = n_blocking_steps;
+    sum.stepsWithOnlyLocalMoves = n_local_only_steps;
+    sum.activeRegionSteps = n_active;
+    sum.operandTouches = n_touches;
     sum.serialCycles =
         num_steps * MultiSimdArch::gateCycles + sum.commCycles;
+}
+
+} // anonymous namespace
+
+CommStats
+CommunicationAnalyzer::annotate(LeafSchedule &sched) const
+{
+    ResourceSummary sum;
+    annotate(sched, sum);
+    CommStats stats;
+    stats.teleportMoves = sum.teleportMoves.clampU64();
+    stats.blockingTeleports = sum.blockingTeleports.clampU64();
+    stats.localMoves = sum.localMoves.clampU64();
+    stats.stepsWithBlockingMove = sum.stepsWithBlockingMove.clampU64();
+    stats.stepsWithOnlyLocalMoves =
+        sum.stepsWithOnlyLocalMoves.clampU64();
+    stats.peakBlockingMovesPerStep = sum.peakBlockingMovesPerStep;
+    stats.totalCycles = sum.serialCycles.clampU64();
+    stats.interCoreTeleports = sum.interCoreTeleports.clampU64();
+    if (mode != CommMode::None) {
+        stats.activeRegionSteps = sum.activeRegionSteps.clampU64();
+        stats.operandSlots = sum.operandTouches.clampU64();
+        stats.peakRegionOccupancy = sum.peakRegionOccupancy;
+    }
+    return stats;
+}
+
+void
+CommunicationAnalyzer::annotate(LeafSchedule &sched,
+                                ResourceSummary &summary) const
+{
+    std::vector<unsigned> home;
+    if (mode != CommMode::None && arch.topology.multiCore())
+        home = computeQubitMapping(sched.module(), arch.topology);
+    annotate(sched, summary, home);
+}
+
+void
+CommunicationAnalyzer::annotate(LeafSchedule &sched, ResourceSummary &sum,
+                                std::span<const unsigned> home) const
+{
+    arch.validate();
+    // The annotator clears the existing movement annotation (detaching
+    // a private buffer copy if the schedule is aliased, e.g. cached);
+    // construct it before the walk takes any views so they bind to the
+    // buffer that survives.
+    MoveAnnotator annot(sched);
+    annotateWalk(arch, mode, sched, sum, home, annot);
+}
+
+void
+CommunicationAnalyzer::countMoves(const LeafSchedule &sched,
+                                  ResourceSummary &sum,
+                                  std::span<const unsigned> home) const
+{
+    arch.validate();
+    CountingSink sink(mode != CommMode::None && arch.topology.multiCore());
+    annotateWalk(arch, mode, sched, sum, home, sink);
 }
 
 } // namespace msq

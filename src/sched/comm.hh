@@ -31,6 +31,11 @@
  * timestep have a global move, the full four cycle move time is
  * retained", §4.4), 1 cycle if only local ballistic moves occur, 0
  * otherwise.
+ *
+ * One walk derives the moves and hands each to a move sink: annotate()
+ * records them into the schedule (the comm checker, the validator,
+ * tests), countMoves() only counts them (the coarse scheduler's width
+ * tasks). Both fold the same ResourceSummary (DESIGN.md §9).
  */
 
 #ifndef MSQ_SCHED_COMM_HH
@@ -132,6 +137,16 @@ class CommunicationAnalyzer
      */
     void annotate(LeafSchedule &sched, ResourceSummary &summary,
                   std::span<const unsigned> home) const;
+
+    /**
+     * The three-argument annotate's walk with a counting move sink:
+     * folds the same ResourceSummary, field for field, but records no
+     * move and leaves @p sched's buffer untouched. The coarse
+     * scheduler's width tasks run it, since nothing past a width task
+     * reads the moves. @p home as for annotate.
+     */
+    void countMoves(const LeafSchedule &sched, ResourceSummary &summary,
+                    std::span<const unsigned> home) const;
 
   private:
     MultiSimdArch arch;

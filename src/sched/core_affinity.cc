@@ -20,7 +20,6 @@ struct Group
     unsigned pref;    ///< the member ops' preferred core
     uint64_t weight;  ///< total operand count
     uint32_t parent;  ///< union-find: self when live
-    std::vector<uint64_t> votes; ///< operand homes, per core
 };
 
 uint32_t
@@ -78,6 +77,10 @@ applyCoreAffinity(LeafSchedule sched, const MultiSimdArch &arch,
     out->moveEnd.reserve(buf.moveEnd.size());
 
     std::vector<Group> groups;
+    // Operand homes per (group, core): row g holds group g's votes.
+    // Like every scratch vector here it is reused across steps, so a
+    // step allocates nothing once the capacities have warmed up.
+    std::vector<uint64_t> votes;
     std::vector<uint32_t> op_group;  ///< per op in step: its group
     std::vector<uint64_t> op_votes(cores);
     std::vector<uint32_t> order;     ///< live groups, assignment order
@@ -106,6 +109,7 @@ applyCoreAffinity(LeafSchedule sched, const MultiSimdArch &arch,
         //    form a group — a candidate region of their own, since two
         //    regions may run the same gate kind in one timestep.
         groups.clear();
+        votes.clear();
         op_group.assign(buf.slots[slot_end - 1].opEnd - ops_base, 0);
         for (uint32_t s = slot_begin; s < slot_end; ++s) {
             const uint32_t first_group =
@@ -127,13 +131,13 @@ applyCoreAffinity(LeafSchedule sched, const MultiSimdArch &arch,
                         break;
                     }
                 if (g == groups.size()) {
-                    groups.push_back({s, pref, 0, g, {}});
-                    groups.back().votes.assign(cores, 0);
+                    groups.push_back({s, pref, 0, g});
+                    votes.insert(votes.end(), cores, 0);
                 }
-                Group &group = groups[g];
-                group.weight += op.operands.size();
+                groups[g].weight += op.operands.size();
+                uint64_t *group_votes = &votes[size_t{g} * cores];
                 for (QubitId q : op.operands)
-                    ++group.votes[home[q]];
+                    ++group_votes[home[q]];
                 op_group[i - ops_base] = g;
             }
         }
@@ -169,7 +173,8 @@ applyCoreAffinity(LeafSchedule sched, const MultiSimdArch &arch,
             groups[victim].parent = target;
             groups[target].weight += groups[victim].weight;
             for (unsigned c = 0; c < cores; ++c)
-                groups[target].votes[c] += groups[victim].votes[c];
+                votes[size_t{target} * cores + c] +=
+                    votes[size_t{victim} * cores + c];
             --live;
         }
 
@@ -177,15 +182,19 @@ applyCoreAffinity(LeafSchedule sched, const MultiSimdArch &arch,
         //    highest-vote core with a free region (ties prefer the
         //    original slot's core, then the lowest core index), keeping
         //    the original region within that core when free (preserves
-        //    LPFS path pinning).
+        //    LPFS path pinning). Equal weights keep group order: a stable
+        //    insertion sort over the at most k live groups.
         order.clear();
-        for (uint32_t g = 0; g < groups.size(); ++g)
-            if (groups[g].parent == g)
-                order.push_back(g);
-        std::stable_sort(order.begin(), order.end(),
-                         [&](uint32_t a, uint32_t b) {
-                             return groups[a].weight > groups[b].weight;
-                         });
+        for (uint32_t g = 0; g < groups.size(); ++g) {
+            if (groups[g].parent != g)
+                continue;
+            size_t i = order.size();
+            order.push_back(g);
+            for (; i > 0 && groups[order[i - 1]].weight < groups[g].weight;
+                 --i)
+                order[i] = order[i - 1];
+            order[i] = g;
+        }
         free_in.assign(cores, 0);
         for (unsigned c = 0; c < cores; ++c)
             free_in[c] = core_regions[c].size();
@@ -194,14 +203,15 @@ applyCoreAffinity(LeafSchedule sched, const MultiSimdArch &arch,
         placed.clear();
         for (uint32_t g : order) {
             const Group &group = groups[g];
+            const uint64_t *group_votes = &votes[size_t{g} * cores];
             const unsigned orig = buf.slots[group.slot].region;
             const unsigned orig_core = arch.coreOfRegion(orig);
             unsigned best = cores;
             for (unsigned c = 0; c < cores; ++c) {
                 if (free_in[c] == 0)
                     continue;
-                if (best == cores || group.votes[c] > group.votes[best] ||
-                    (group.votes[c] == group.votes[best] &&
+                if (best == cores || group_votes[c] > group_votes[best] ||
+                    (group_votes[c] == group_votes[best] &&
                      c == orig_core))
                     best = c;
             }

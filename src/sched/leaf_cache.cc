@@ -1,10 +1,36 @@
 #include "sched/leaf_cache.hh"
 
 #include <algorithm>
-
-#include "support/strings.hh"
+#include <charconv>
 
 namespace msq {
+
+namespace {
+
+/** Append @p value in decimal (printf's %llu / %u). */
+void
+appendDecimal(std::string &out, uint64_t value)
+{
+    char digits[20];
+    char *end =
+        std::to_chars(digits, digits + sizeof digits, value).ptr;
+    out.append(digits, end);
+}
+
+/** Append @p value as 16 zero-padded lowercase hex digits (printf's
+ * %016llx). */
+void
+appendHex16(std::string &out, uint64_t value)
+{
+    char digits[16];
+    char *end =
+        std::to_chars(digits, digits + sizeof digits, value, 16).ptr;
+    const auto len = static_cast<size_t>(end - digits);
+    out.append(16 - len, '0');
+    out.append(digits, len);
+}
+
+} // anonymous namespace
 
 std::string
 leafScheduleKeySuffix(const std::string &scheduler_fingerprint,
@@ -14,24 +40,47 @@ leafScheduleKeySuffix(const std::string &scheduler_fingerprint,
     // the architecture part: byte-identical to the historical
     // "d=..|lm=..|epr=.." suffix on the flat machine, extended with the
     // topology fragment on multi-core machines.
-    return csprintf("%s|%s|%s", scheduler_fingerprint.c_str(),
-                    arch.fingerprint().c_str(), commModeName(mode));
+    std::string key = scheduler_fingerprint;
+    key += '|';
+    key += arch.fingerprint();
+    key += '|';
+    key += commModeName(mode);
+    return key;
+}
+
+std::string
+leafScheduleKeyPrefix(uint64_t structural_hash, uint64_t ops,
+                      uint64_t qubits)
+{
+    std::string key;
+    key.reserve(16 + 2 * (1 + 20)); // hash and two 20-digit counts
+    appendHex16(key, structural_hash);
+    key += '|';
+    appendDecimal(key, ops);
+    key += '|';
+    appendDecimal(key, qubits);
+    return key;
 }
 
 std::string
 leafScheduleKeyPrefix(const Module &mod)
 {
-    return csprintf("%016llx|%llu|%llu",
-                    static_cast<unsigned long long>(mod.structuralHash()),
-                    static_cast<unsigned long long>(mod.numOps()),
-                    static_cast<unsigned long long>(mod.numQubits()));
+    return leafScheduleKeyPrefix(mod.structuralHash(), mod.numOps(),
+                                 mod.numQubits());
 }
 
 std::string
 leafScheduleKey(const std::string &prefix, unsigned width,
                 const std::string &suffix)
 {
-    return csprintf("%s|w=%u|%s", prefix.c_str(), width, suffix.c_str());
+    std::string key;
+    key.reserve(prefix.size() + 3 + 10 + 1 + suffix.size());
+    key += prefix;
+    key += "|w=";
+    appendDecimal(key, width);
+    key += '|';
+    key += suffix;
+    return key;
 }
 
 std::string

@@ -155,6 +155,12 @@ std::string leafScheduleKeySuffix(const std::string &scheduler_fingerprint,
  */
 std::string leafScheduleKeyPrefix(const Module &mod);
 
+/** The prefix of a module with @p structural_hash, @p ops and
+ * @p qubits: the hash as 16 zero-padded hex digits, the counts in
+ * decimal. */
+std::string leafScheduleKeyPrefix(uint64_t structural_hash, uint64_t ops,
+                                  uint64_t qubits);
+
 /**
  * The full memoization key of scheduling the module whose
  * leafScheduleKeyPrefix is @p prefix at @p width under the

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -232,6 +233,60 @@ TEST(CacheIo, StructuralHashMatchesByteReference)
     EXPECT_EQ(mod.structuralHash(), referenceStructuralHash(mod));
     Module empty("empty");
     EXPECT_EQ(empty.structuralHash(), referenceStructuralHash(empty));
+}
+
+/**
+ * The key builders append their pieces instead of formatting them; each
+ * form must stay byte-identical to the printf format it replaced
+ * ("%016llx|%llu|%llu", "%s|w=%u|%s", "%s|%s|%s"), on edge values.
+ */
+TEST(LeafCacheKey, MatchesPrintfFormat)
+{
+    const uint64_t max = std::numeric_limits<uint64_t>::max();
+    const uint64_t edges[] = {0, 1, 9, 10, 0xf, 0x10, 0xabcdef,
+                              uint64_t{1} << 32, max - 1, max};
+    for (uint64_t hash : edges)
+        for (uint64_t ops : edges)
+            for (uint64_t qubits : {uint64_t{0}, uint64_t{7}, max})
+                EXPECT_EQ(leafScheduleKeyPrefix(hash, ops, qubits),
+                          csprintf("%016llx|%llu|%llu",
+                                   static_cast<unsigned long long>(hash),
+                                   static_cast<unsigned long long>(ops),
+                                   static_cast<unsigned long long>(qubits)));
+
+    Rng rng(5);
+    Module mod = randomLeaf(rng, 6, 30);
+    const std::string prefix = leafScheduleKeyPrefix(mod);
+    EXPECT_EQ(prefix,
+              csprintf("%016llx|%llu|%llu",
+                       static_cast<unsigned long long>(mod.structuralHash()),
+                       static_cast<unsigned long long>(mod.numOps()),
+                       static_cast<unsigned long long>(mod.numQubits())));
+
+    MultiSimdArch ring(1, 8, 2);
+    std::string error;
+    ASSERT_TRUE(parseTopologySpec("cores=4,k=2,link-bw=1", ring, error))
+        << error;
+    for (const MultiSimdArch &arch : {MultiSimdArch(4), ring}) {
+        for (CommMode mode : {CommMode::None, CommMode::Global,
+                              CommMode::GlobalWithLocalMem}) {
+            const std::string fingerprint = LpfsScheduler().fingerprint();
+            const std::string suffix =
+                leafScheduleKeySuffix(fingerprint, arch, mode);
+            ASSERT_EQ(suffix,
+                      csprintf("%s|%s|%s", fingerprint.c_str(),
+                               arch.fingerprint().c_str(),
+                               commModeName(mode)));
+            for (unsigned width = 1; width <= (1u << 20); width *= 2)
+                for (unsigned w : {width - 1, width, width + 1})
+                    EXPECT_EQ(leafScheduleKey(prefix, w, suffix),
+                              csprintf("%s|w=%u|%s", prefix.c_str(), w,
+                                       suffix.c_str()));
+            EXPECT_EQ(leafScheduleKey(mod, 4, suffix),
+                      leafScheduleKey(prefix, 4, suffix));
+        }
+    }
+    EXPECT_NE(ring.fingerprint().find("topo="), std::string::npos);
 }
 
 TEST(CacheIo, RoundTripRealSchedule)

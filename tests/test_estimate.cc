@@ -16,9 +16,13 @@
 #include <limits>
 #include <string>
 
+#include "analysis/bounds.hh"
+#include "analysis/qubit_mapping.hh"
 #include "analysis/resource_estimator.hh"
 #include "analysis/schedule_summary.hh"
 #include "core/toolflow.hh"
+#include "frontend/parser.hh"
+#include "ir/dag.hh"
 #include "sched/coarse.hh"
 #include "sched/comm.hh"
 #include "sched/lpfs.hh"
@@ -29,6 +33,10 @@
 #include "workloads/workloads.hh"
 
 #include "expect_summary.hh"
+
+#ifndef MSQ_SOURCE_DIR
+#define MSQ_SOURCE_DIR "."
+#endif
 
 namespace {
 
@@ -253,6 +261,109 @@ TEST(LeafFold, EmptyLeafFoldsToZero)
     EXPECT_EQ(fold.peakActiveRegions, 0u);
     EXPECT_FALSE(fold.saturated());
 }
+
+/**
+ * The annotate walk with its counting sink (what a coarse width task
+ * runs) folds the same ResourceSummary as with its recording sink and
+ * as the reference fold of the recorded schedule, field for field, and
+ * leaves the schedule move-free. Every leaf of the eight tiny and
+ * scaled workloads and of the example programs, at every sweep width,
+ * under RCP and LPFS; one instance per (machine, movement mode).
+ */
+class CountingWalk
+    : public ::testing::TestWithParam<std::tuple<const char *, CommMode>>
+{};
+
+TEST_P(CountingWalk, MatchesRecordingWalkOnEveryLeaf)
+{
+    const auto [topology, mode] = GetParam();
+    MultiSimdArch arch(4);
+    std::string error;
+    if (*topology)
+        ASSERT_TRUE(parseTopologySpec(topology, arch, error)) << error;
+    if (mode == CommMode::GlobalWithLocalMem)
+        arch.localMemCapacity = 2;
+
+    std::vector<std::pair<std::string, Program>> programs;
+    for (const auto &specs :
+         {workloads::tinyParams(), workloads::scaledParams()})
+        for (const workloads::WorkloadSpec &spec : specs)
+            programs.emplace_back(spec.shortName,
+                                  Toolflow::lowerWorkload(spec));
+    for (const char *name : {"adder4", "grover3", "qft8", "teleport"}) {
+        Program prog = parseScaffoldFile(std::string(MSQ_SOURCE_DIR) +
+                                         "/examples/programs/" + name +
+                                         ".scaffold");
+        Toolflow(ToolflowConfig{}).lower(prog);
+        programs.emplace_back(name, std::move(prog));
+    }
+
+    RcpScheduler rcp;
+    LpfsScheduler lpfs;
+    const CommunicationAnalyzer comm(arch, mode);
+    size_t checked = 0;
+    for (const auto &[name, prog] : programs) {
+        for (ModuleId id : prog.reachableModules()) {
+            const Module &mod = prog.module(id);
+            if (!mod.isLeaf())
+                continue;
+            const DepDag dag = DepDag::build(mod);
+            const LeafBoundProfile bounds(mod, dag);
+            std::vector<unsigned> home;
+            if (arch.topology.multiCore())
+                home = computeQubitMapping(mod, arch.topology);
+            for (const LeafScheduler *scheduler :
+                 {static_cast<const LeafScheduler *>(&rcp),
+                  static_cast<const LeafScheduler *>(&lpfs)}) {
+                const CoarseScheduler coarse(arch, *scheduler, mode);
+                for (unsigned w : coarse.widthSweep()) {
+                    SCOPED_TRACE(name + "/" + mod.name() + " " +
+                                 scheduler->name() +
+                                 " w=" + std::to_string(w));
+                    MultiSimdArch sub = arch;
+                    sub.k = w;
+                    ScheduleAttempt attempt;
+                    const LeafSchedule sched = scheduler->scheduleWithAttempt(
+                        mod, dag, sub, attempt, home);
+                    ResourceSummary counted;
+                    comm.countMoves(sched, counted, home);
+                    EXPECT_TRUE(sched.buffer().moves.empty());
+
+                    LeafSchedule recorded = sched;
+                    ResourceSummary annotated;
+                    comm.annotate(recorded, annotated, home);
+                    test::expectSameSummary(counted, annotated);
+                    test::expectSameSummary(
+                        counted, summarizeLeafSchedule(recorded, arch));
+
+                    // The width task itself takes the counting walk.
+                    test::expectSameSummary(
+                        counted, scheduleLeafWidth(*scheduler, mod, dag,
+                                                   bounds, home, arch,
+                                                   mode, w)
+                                     ->summary);
+                    ++checked;
+                }
+            }
+        }
+    }
+    // 8 + 8 workloads and 4 examples, at least one leaf each, two
+    // schedulers, three or more widths.
+    EXPECT_GE(checked, (8u + 8 + 4) * 2 * 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Machines, CountingWalk,
+    ::testing::Combine(::testing::Values("", "cores=4,k=2,link-bw=1"),
+                       ::testing::Values(CommMode::None, CommMode::Global,
+                                         CommMode::GlobalWithLocalMem)),
+    [](const auto &info) {
+        const CommMode mode = std::get<1>(info.param);
+        return std::string(*std::get<0>(info.param) ? "Ring4" : "Flat") +
+               (mode == CommMode::None     ? "_None"
+                : mode == CommMode::Global ? "_Global"
+                                           : "_LocalMem");
+    });
 
 // ---------------------------------------------------------------------
 // Composition through the repeat algebra: hand-computed closed forms.

@@ -33,6 +33,7 @@
 #include "workloads/workloads.hh"
 
 #include "expect_summary.hh"
+#include "test_schedule_builder.hh"
 
 namespace {
 
@@ -718,6 +719,72 @@ TEST(CoreAffinity, SlotsLandOnHomeCores)
     for (size_t i = 0; i < bound.buffer().slots.size(); ++i)
         EXPECT_EQ(again.buffer().slots[i].region,
                   bound.buffer().slots[i].region);
+}
+
+/**
+ * The rebind's assignment order is heavier groups first, equal weights
+ * in group order (slot order, then first op): pinned on two
+ * hand-built steps of a 4-core, one-region-per-core machine, with
+ * every qubit's home given explicitly.
+ */
+TEST(CoreAffinity, EqualWeightGroupsClaimCoresInGroupOrder)
+{
+    MultiSimdArch arch;
+    std::string error;
+    ASSERT_TRUE(parseTopologySpec("cores=4,k=1", arch, error)) << error;
+    ASSERT_EQ(arch.k, 4u);
+    for (unsigned r = 0; r < arch.k; ++r)
+        ASSERT_EQ(arch.coreOfRegion(r), r);
+
+    Module mod("ties");
+    auto q = mod.addRegister("q", 11);
+    const std::vector<unsigned> home = {3, 3, 3, 0, 0, // step 1
+                                        3, 3, 1, 2, 0, 0}; // step 2
+    // Step 1 (ops 0-3): three weight-1 groups that all prefer core 3,
+    // and one weight-2 group that prefers core 0.
+    mod.addGate(GateKind::H, {q[0]});
+    mod.addGate(GateKind::H, {q[1]});
+    mod.addGate(GateKind::H, {q[2]});
+    mod.addGate(GateKind::CNOT, {q[3], q[4]});
+    const uint32_t t0 = 0, t1 = 1, t2 = 2, pair = 3;
+    // Step 2 (ops 4-9): five groups on four regions. Region 0's slot
+    // splits into a core-3 group {a0, a1} and a core-1 group {b}; the
+    // lighter one merges back, leaving a weight-3 group and three
+    // weight-1 groups.
+    for (size_t i = 5; i < 11; ++i)
+        mod.addGate(GateKind::H, {q[i]});
+    const uint32_t a0 = 4, a1 = 5, b = 6, c = 7, d = 8, e = 9;
+
+    LeafSchedule sched = test::TestScheduleBuilder(mod, arch.k)
+                             .step({{0, t0}, {1, t1}, {2, t2}, {3, pair}})
+                             .step({{0, a0},
+                                    {0, a1},
+                                    {0, b},
+                                    {1, c},
+                                    {2, d},
+                                    {3, e}})
+                             .take();
+    const LeafSchedule bound = applyCoreAffinity(sched, arch, home);
+
+    // (region, ops) of each slot, step by step, region-ascending.
+    using Slots = std::vector<std::pair<unsigned, std::vector<uint32_t>>>;
+    const std::vector<Slots> expected = {
+        // The pair takes core 0 first; t0, t1, t2 then claim in that
+        // order: t0 wins core 3, t1 and t2 keep their regions.
+        {{0, {pair}}, {1, {t1}}, {2, {t2}}, {3, {t0}}},
+        // The merged group takes core 3; then c keeps core 2, d takes
+        // core 0 and e, last of the ties, the one core left.
+        {{0, {d}}, {1, {e}}, {2, {c}}, {3, {a0, a1, b}}},
+    };
+    ASSERT_EQ(bound.computeTimesteps(), expected.size());
+    for (TimestepView step : bound.steps()) {
+        Slots got;
+        for (RegionSlotView slot : step)
+            got.emplace_back(slot.region(),
+                             std::vector<uint32_t>(slot.ops().begin(),
+                                                   slot.ops().end()));
+        EXPECT_EQ(got, expected[step.index()]) << "step " << step.index();
+    }
 }
 
 void
