@@ -21,20 +21,6 @@
 namespace msq {
 namespace bench {
 
-/** One toolflow run for a named workload spec. */
-inline ToolflowResult
-runWorkload(const workloads::WorkloadSpec &spec, SchedulerKind scheduler,
-            CommMode mode, const MultiSimdArch &arch)
-{
-    Program prog = spec.build();
-    ToolflowConfig config;
-    config.scheduler = scheduler;
-    config.commMode = mode;
-    config.arch = arch;
-    config.rotations = Toolflow::rotationPresetFor(spec.shortName);
-    return Toolflow(config).run(prog);
-}
-
 /**
  * The count knob @p name from the environment: @p fallback when it is
  * unset or empty, else a decimal count in [1, UINT_MAX] read through

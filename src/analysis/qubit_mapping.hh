@@ -77,8 +77,8 @@ std::vector<unsigned> computeQubitMapping(const Module &mod,
 /**
  * The inter-core cut of @p mapping over @p mod's interaction graph:
  * the summed weight of edges whose endpoints live on different cores —
- * the objective the greedy/KL pass minimizes, and the quantity
- * bench_multicore compares mapped-vs-roundrobin.
+ * the objective the greedy/KL pass minimizes, which test_topology
+ * compares mapped-vs-roundrobin.
  */
 uint64_t mappingCutWeight(const Module &mod,
                           const std::vector<unsigned> &mapping);

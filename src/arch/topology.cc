@@ -25,6 +25,22 @@ meshDims(unsigned cores)
     return {rows, cores / rows};
 }
 
+/** @p links normalized (each pair ascending, sorted, deduplicated)
+ * and joined as "a-b.c-d", so spec order never shows. */
+std::string
+linksText(std::vector<std::pair<unsigned, unsigned>> links)
+{
+    for (auto &[a, b] : links)
+        if (a > b)
+            std::swap(a, b);
+    std::sort(links.begin(), links.end());
+    links.erase(std::unique(links.begin(), links.end()), links.end());
+    std::string text;
+    for (const auto &[a, b] : links)
+        text += csprintf("%s%u-%u", text.empty() ? "" : ".", a, b);
+    return text;
+}
+
 } // anonymous namespace
 
 const char *
@@ -186,10 +202,15 @@ Topology::describe() const
     std::string bw = linkBandwidth == noLimit
                          ? "inf"
                          : std::to_string(linkBandwidth);
-    return csprintf("%s(%ux%u, link-bw=%s, link-lat=%llu)",
-                    topologyShapeName(shape), cores, regionsPerCore,
-                    bw.c_str(),
-                    static_cast<unsigned long long>(linkLatency));
+    std::string text =
+        csprintf("%s(%ux%u, link-bw=%s, link-lat=%llu",
+                 topologyShapeName(shape), cores, regionsPerCore,
+                 bw.c_str(), static_cast<unsigned long long>(linkLatency));
+    if (mapping != Topology().mapping)
+        text += csprintf(", map=%s", mappingStrategyName(mapping));
+    if (!extraLinks.empty())
+        text += ", links=" + linksText(extraLinks);
+    return text + ")";
 }
 
 std::string
@@ -203,23 +224,10 @@ Topology::fingerprint() const
                  static_cast<unsigned long long>(linkBandwidth),
                  static_cast<unsigned long long>(linkLatency),
                  mappingStrategyName(mapping));
-    if (!extraLinks.empty()) {
-        // Canonicalized: extra links change the routable edge set, so
-        // they must change the cache key, in a spec-order-independent
-        // way.
-        auto norm = extraLinks;
-        for (auto &[a, b] : norm)
-            if (a > b)
-                std::swap(a, b);
-        std::sort(norm.begin(), norm.end());
-        norm.erase(std::unique(norm.begin(), norm.end()), norm.end());
-        fp += "|links=";
-        for (size_t i = 0; i < norm.size(); ++i) {
-            if (i > 0)
-                fp += ".";
-            fp += csprintf("%u-%u", norm[i].first, norm[i].second);
-        }
-    }
+    // Extra links change the routable edge set, so they must change the
+    // cache key, in a spec-order-independent way.
+    if (!extraLinks.empty())
+        fp += "|links=" + linksText(extraLinks);
     return fp;
 }
 

@@ -143,7 +143,11 @@ struct Topology
      */
     bool validate(DiagnosticEngine *diags = nullptr) const;
 
-    /** @return e.g. "ring(4x2, link-bw=1, link-lat=3)"; "" on one core. */
+    /**
+     * @return e.g. "ring(4x2, link-bw=1, link-lat=3)", with ", map=..."
+     * for a non-default mapping and ", links=a-b..." for extra links;
+     * "" on one core.
+     */
     std::string describe() const;
 
     /**

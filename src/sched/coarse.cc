@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <mutex>
 #include <optional>
 #include <queue>
@@ -112,7 +113,8 @@ scheduleLeafWidth(const LeafScheduler &scheduler, const Module &mod,
  * misses the cache, whichever thread runs it; the others wait for it
  * and then only read. The last of the leaf's width tasks to finish
  * frees it, so a leaf whose widths all hit builds nothing and only the
- * leaves in flight hold a DAG.
+ * leaves in flight hold a DAG. A leaf that fails its check throws the
+ * same error from every width task that misses.
  */
 struct CoarseScheduler::LeafShare
 {
@@ -122,6 +124,10 @@ struct CoarseScheduler::LeafShare
     size_t widthTasks = 0;
     std::atomic<size_t> tasksLeft{0};
     std::once_flag analyzed;
+    /** What the analysis threw. The callable never throws out of
+     * call_once: a throwing one leaves the flag to be retried, and
+     * under TSan the other width tasks then wait on it for good. */
+    std::exception_ptr failure;
     std::optional<DepDag> dag;
     std::optional<LeafBoundProfile> bounds;
     std::vector<unsigned> home;
@@ -131,12 +137,18 @@ struct CoarseScheduler::LeafShare
     analyze(const Module &mod, const MultiSimdArch &arch)
     {
         std::call_once(analyzed, [&] {
-            LeafScheduler::checkInputs(mod, arch);
-            dag.emplace(DepDag::build(mod));
-            bounds.emplace(mod, *dag);
-            if (arch.topology.multiCore())
-                home = computeQubitMapping(mod, arch.topology);
+            try {
+                LeafScheduler::checkInputs(mod, arch);
+                dag.emplace(DepDag::build(mod));
+                bounds.emplace(mod, *dag);
+                if (arch.topology.multiCore())
+                    home = computeQubitMapping(mod, arch.topology);
+            } catch (...) {
+                failure = std::current_exception();
+            }
         });
+        if (failure)
+            std::rethrow_exception(failure);
     }
 
     /** Called once per finished width task; the last one frees. */

@@ -41,7 +41,6 @@ REGRESSIONS = {
                                    if leaf["provenance"] == "optimal"),
                               "provenance", lambda v: "fallback"),
     "paper_scale": lambda d: bump(d["rows"][0], "exact", lambda v: False),
-    "multicore": lambda d: bump(d["rows"][0], "makespan", lambda v: v + 1),
     "paper_figures": (
         lambda d: bump(d["claims"][0], "holds", lambda v: False),
         lambda d: bump(next(r for r in d["rows"] if "cycles" in r),
@@ -51,7 +50,11 @@ REGRESSIONS = {
         lambda d: bump(next(r for r in d["rows"]
                             if r["figure"] == "table1"
                             and r["workload"] == "sha1"),
-                       "gates", lambda v: v + 1)),
+                       "gates", lambda v: v + 1),
+        # The multi-core study's rows are gated like every figure's.
+        lambda d: bump(next(r for r in d["rows"]
+                            if r["figure"] == "multicore"),
+                       "cycles", lambda v: v + 1)),
 }
 
 
@@ -127,10 +130,10 @@ def main(source_dir):
             failures.append(f"{name}: fails its own file in another "
                             "layout")
 
-    committed = os.path.join(source_dir, "BENCH_multicore.json")
+    committed = os.path.join(source_dir, "BENCH_paper_figures.json")
     for args, code in (([committed, committed], 0), ([committed], 2)):
         got = subprocess.run(
-            [sys.executable, gate_path, "multicore"] + args,
+            [sys.executable, gate_path, "paper_figures"] + args,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         if got.returncode != code:
             failures.append(f"exit {got.returncode} for {args}, "

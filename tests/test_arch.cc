@@ -56,6 +56,25 @@ TEST(MultiSimdArch, Describe)
               "Multi-SIMD(4,inf)+local(32)");
     EXPECT_EQ(MultiSimdArch(4, unbounded, unbounded).describe(),
               "Multi-SIMD(4,inf)+local(inf)");
+
+    // A report's "arch" names the machine it ran on, so the qubit
+    // mapping and any extra links show; the default mapping adds none.
+    auto describe = [](const std::string &spec) {
+        MultiSimdArch arch(4);
+        std::string error;
+        EXPECT_TRUE(parseTopologySpec(spec, arch, error)) << error;
+        return arch.describe();
+    };
+    const std::string ring = "cores=4,k=1,shape=ring,link-bw=2";
+    EXPECT_EQ(describe(ring),
+              "Multi-SIMD(4,inf) on ring(4x1, link-bw=2, link-lat=4)");
+    EXPECT_EQ(describe(ring + ",map=greedy"), describe(ring));
+    EXPECT_EQ(describe(ring + ",map=roundrobin"),
+              "Multi-SIMD(4,inf) on ring(4x1, link-bw=2, link-lat=4, "
+              "map=roundrobin)");
+    EXPECT_EQ(describe(ring + ",link=2-0,link=1-3,map=round-robin"),
+              "Multi-SIMD(4,inf) on ring(4x1, link-bw=2, link-lat=4, "
+              "map=roundrobin, links=0-2.1-3)");
 }
 
 TEST(MultiSimdArch, CostConstants)

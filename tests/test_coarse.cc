@@ -247,6 +247,63 @@ TEST(CoarseScheduler, RejectsLeafWithToffoli)
     }
 }
 
+// Several leaves fail their check, each in every width task: whatever
+// the threads or cache, schedule() throws the error of the first
+// failing leaf in bottom-up order, as a sequential loop would.
+TEST(CoarseScheduler, FailingLeavesThrowTheFirstOnesError)
+{
+    Program prog;
+    std::vector<ModuleId> leaves;
+    for (const char *name : {"ok0", "bad1", "ok2", "bad3", "bad4"}) {
+        leaves.push_back(prog.addModule(name));
+        Module &mod = prog.module(leaves.back());
+        QubitId a = mod.addParam("a");
+        QubitId b = mod.addParam("b");
+        QubitId c = mod.addParam("c");
+        mod.addGate(GateKind::H, {a});
+        if (name[0] == 'b')
+            mod.addGate(GateKind::Toffoli, {a, b, c});
+        else
+            mod.addGate(GateKind::CNOT, {b, c});
+    }
+    ModuleId top = prog.addModule("top");
+    {
+        Module &mod = prog.module(top);
+        auto reg = mod.addRegister("q", 3);
+        for (ModuleId leaf : leaves)
+            mod.addCall(leaf, {reg[0], reg[1], reg[2]});
+    }
+    prog.setEntry(top);
+
+    std::string first_bad;
+    for (ModuleId id : prog.bottomUpOrder())
+        if (first_bad.empty() && prog.module(id).name().starts_with("bad"))
+            first_bad = prog.module(id).name();
+    ASSERT_FALSE(first_bad.empty());
+
+    LpfsScheduler leaf_sched;
+    for (unsigned threads : {1u, 4u}) {
+        for (bool cached : {false, true}) {
+            SCOPED_TRACE(csprintf("threads=%u cache=%d", threads, cached));
+            CoarseScheduler::Options options;
+            options.numThreads = threads;
+            if (cached)
+                options.leafCache = std::make_shared<LeafScheduleCache>();
+            CoarseScheduler coarse(MultiSimdArch(4), leaf_sched,
+                                   CommMode::Global, options);
+            try {
+                coarse.schedule(prog);
+                ADD_FAILURE() << "no leaf was rejected";
+            } catch (const PanicError &error) {
+                EXPECT_NE(std::string(error.what())
+                              .find("module " + first_bad + " contains"),
+                          std::string::npos)
+                    << error.what();
+            }
+        }
+    }
+}
+
 TEST(ProgramSchedule, UnanalyzedModulePanics)
 {
     ProgramSchedule sched;

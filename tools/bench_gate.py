@@ -93,13 +93,6 @@ GATES = {
         ("rows", ("workload", "scheduler"),
          {"exact": true, "gates": near10, "makespan_cycles": near10,
           "epr_pairs": near10, "distinct_leaves": near10})]),
-    "multicore": ("msq-multicore-v1", {
-        "workloads": exact, "required_wins": exact, "mapped_wins": exact,
-        "comm_check_ok": exact}, [
-        ("rows", ("workload", "topology", "scheduler", "mapping"),
-         {"makespan": exact, "intercore_teleports": exact}),
-        ("mapping_quality", ("workload",),
-         {"leaves": exact, "cut_mapped": exact, "cut_roundrobin": exact})]),
     "paper_figures": ("msq-paper-figures-v1", {}, [
         ("rows", ("figure", "workload", "config"),
          {every_field: exact, speedup: INFO}),
