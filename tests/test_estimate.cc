@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <ostream>
 #include <string>
 
 #include "analysis/bounds.hh"
@@ -270,17 +271,28 @@ TEST(LeafFold, EmptyLeafFoldsToZero)
  * scaled workloads and of the example programs, at every sweep width,
  * under RCP and LPFS; one instance per (machine, movement mode).
  */
-class CountingWalk
-    : public ::testing::TestWithParam<std::tuple<const char *, CommMode>>
+struct WalkMachine
+{
+    const char *label;
+    const char *topology; ///< "" for the flat machine
+    CommMode mode;
+};
+
+/** Print only the label: gtest would print the topology's address. */
+void PrintTo(const WalkMachine &m, std::ostream *os) { *os << m.label; }
+
+class CountingWalk : public ::testing::TestWithParam<WalkMachine>
 {};
 
 TEST_P(CountingWalk, MatchesRecordingWalkOnEveryLeaf)
 {
-    const auto [topology, mode] = GetParam();
+    const auto &[label, topology, mode] = GetParam();
+    SCOPED_TRACE(label);
     MultiSimdArch arch(4);
     std::string error;
-    if (*topology)
+    if (*topology) {
         ASSERT_TRUE(parseTopologySpec(topology, arch, error)) << error;
+    }
     if (mode == CommMode::GlobalWithLocalMem)
         arch.localMemCapacity = 2;
 
@@ -352,18 +364,18 @@ TEST_P(CountingWalk, MatchesRecordingWalkOnEveryLeaf)
     EXPECT_GE(checked, (8u + 8 + 4) * 2 * 3);
 }
 
+constexpr const char *ring4 = "cores=4,k=2,link-bw=1";
+
 INSTANTIATE_TEST_SUITE_P(
     Machines, CountingWalk,
-    ::testing::Combine(::testing::Values("", "cores=4,k=2,link-bw=1"),
-                       ::testing::Values(CommMode::None, CommMode::Global,
-                                         CommMode::GlobalWithLocalMem)),
-    [](const auto &info) {
-        const CommMode mode = std::get<1>(info.param);
-        return std::string(*std::get<0>(info.param) ? "Ring4" : "Flat") +
-               (mode == CommMode::None     ? "_None"
-                : mode == CommMode::Global ? "_Global"
-                                           : "_LocalMem");
-    });
+    ::testing::Values(
+        WalkMachine{"Flat_None", "", CommMode::None},
+        WalkMachine{"Flat_Global", "", CommMode::Global},
+        WalkMachine{"Flat_LocalMem", "", CommMode::GlobalWithLocalMem},
+        WalkMachine{"Ring4_None", ring4, CommMode::None},
+        WalkMachine{"Ring4_Global", ring4, CommMode::Global},
+        WalkMachine{"Ring4_LocalMem", ring4, CommMode::GlobalWithLocalMem}),
+    [](const auto &info) { return std::string(info.param.label); });
 
 // ---------------------------------------------------------------------
 // Composition through the repeat algebra: hand-computed closed forms.
